@@ -80,31 +80,6 @@ let parse_gc_threads s =
            s
            (Repro_util.Suggest.hint ~candidates:[ "auto" ] s))
 
-(* --loop selects the replay inner loop. 'specialised' and 'auto' both
-   map to [`Auto]: the specialised loop is used whenever it is sound
-   (no fault injector); 'generic' forces the reference interpreter.
-   Both loops are bit-identical — the knob exists for the CI
-   cross-check and for benchmarking the specialisation win. *)
-let loop_arg =
-  let doc =
-    "Replay inner loop: 'auto' (default; the specialised zero-allocation \
-     loop whenever sound), 'specialised' (alias of auto) or 'generic' \
-     (the reference interpreter). Results are bit-identical either way."
-  in
-  Arg.(value & opt string "auto" & info [ "loop" ] ~docv:"MODE" ~doc)
-
-let parse_loop s =
-  match String.lowercase_ascii s with
-  | "auto" | "specialised" | "specialized" -> `Auto
-  | "generic" -> `Generic
-  | other ->
-    die
-      (Printf.sprintf "unknown --loop value %S%s; expected auto, specialised or generic"
-         other
-         (Repro_util.Suggest.hint
-            ~candidates:[ "auto"; "specialised"; "generic" ]
-            other))
-
 (* --- record ------------------------------------------------------------ *)
 
 let record_cmd =
@@ -175,93 +150,27 @@ let replay_cmd =
     in
     Arg.(value & opt (some string) None & info [ "o"; "record" ] ~docv:"FILE" ~doc)
   in
-  let bench_reps_arg =
-    let doc =
-      "Replay the trace $(docv) times in-process and print one machine-readable \
-       BENCH line (events, CPU seconds, host bytes allocated) measured around \
-       the replay calls only. Used by scripts/bench.sh."
-    in
-    Arg.(value & opt int 0 & info [ "bench-reps" ] ~docv:"N" ~doc)
-  in
-  let run path collector verify inject rerecord bench_reps gc_threads loop =
+  let run path collector verify inject rerecord gc_threads =
     let trace = load_trace path in
     let factory = find_collector collector in
     let points = parse_verify verify in
     let fault = parse_inject trace.header.seed inject in
     let gc_threads = parse_gc_threads gc_threads in
-    let loop = parse_loop loop in
-    if bench_reps > 0 then begin
-      (* Timed loop: identical replays on fresh heaps; trace parsing and
-         process startup stay outside the measurement. Per-rep CPU times
-         let bench.sh take min/median over reps, de-noising shared
-         hosts. *)
-      let a0 = Gc.allocated_bytes () in
-      let t0 = Sys.time () in
-      let last = ref None in
-      let rep_cpu = ref [] in
-      for _ = 1 to bench_reps do
-        let r0 = Sys.time () in
-        last :=
-          Some (Repro_harness.Runner.replay ~gc_threads ~loop ~trace ~factory ());
-        rep_cpu := (Sys.time () -. r0) :: !rep_cpu
-      done;
-      let cpu = Sys.time () -. t0 in
-      let bytes = Gc.allocated_bytes () -. a0 in
-      (* Steady-state lane: engine construction happens outside the
-         measured window, so run_* fields cover the replay hot path
-         alone — the thing the zero-alloc work and the alloc gate are
-         about. The total fields above keep continuity with older
-         BENCH_PR*.json files (they include per-rep engine setup). *)
-      let cfg = Trace_format.heap_config trace.header in
-      let alloc_count, max_id = Trace_format.alloc_stats trace in
-      let ids_hint = max 16 (max_id + 2) in
-      (* Presize the slot arrays too: doubling growth up to peak-live is
-         a one-time warm-up cost, not loop churn, so it belongs outside
-         the steady-state window (a long-running engine pays it once). *)
-      let slots_hint = alloc_count + 1 in
-      let run_alloc = ref 0.0 in
-      let run_cpu = ref [] in
-      for _ = 1 to bench_reps do
-        let heap = Repro_heap.Heap.create ~slots_hint ~ids_hint cfg in
-        let sim = Repro_engine.Sim.create Repro_engine.Cost_model.default in
-        Repro_engine.Sim.set_pool sim
-          (Repro_par.Par.Pool.get ~threads:gc_threads);
-        let api = Repro_engine.Api.create sim heap factory in
-        let b0 = Gc.allocated_bytes () in
-        let c0 = Sys.time () in
-        ignore (Repro_trace.Replay.run ~loop api trace);
-        run_cpu := (Sys.time () -. c0) :: !run_cpu;
-        run_alloc := !run_alloc +. (Gc.allocated_bytes () -. b0)
-      done;
-      Printf.printf
-        "BENCH trace=%s collector=%s gc_threads=%d reps=%d events=%d cpu_s=%.6f alloc_bytes=%.0f run_alloc_bytes=%.0f rep_cpu_s=%s run_rep_cpu_s=%s\n"
-        path collector gc_threads bench_reps (Trace_format.num_events trace) cpu
-        bytes !run_alloc
-        (String.concat ","
-           (List.rev_map (Printf.sprintf "%.6f") !rep_cpu))
-        (String.concat ","
-           (List.rev_map (Printf.sprintf "%.6f") !run_cpu));
-      match !last with
-      | Some r when not r.ok -> exit 1
-      | Some _ | None -> ()
-    end
-    else begin
-      let r =
-        Repro_harness.Runner.replay ~gc_threads ~verify:points ?inject:fault
-          ?record_to:rerecord ~loop ~trace ~factory ()
-      in
-      Printf.printf
-        "replaying %s (recorded: %s under %s, seed %d, scale %g, %d events)\n" path
-        trace.header.workload trace.header.collector trace.header.seed
-        trace.header.scale (Trace_format.num_events trace);
-      Repro_harness.Report.print_result r;
-      if not r.ok then exit 1
-    end
+    let r =
+      Repro_harness.Runner.replay ~gc_threads ~verify:points ?inject:fault
+        ?record_to:rerecord ~trace ~factory ()
+    in
+    Printf.printf
+      "replaying %s (recorded: %s under %s, seed %d, scale %g, %d events)\n" path
+      trace.header.workload trace.header.collector trace.header.seed
+      trace.header.scale (Trace_format.num_events trace);
+    Repro_harness.Report.print_result r;
+    if not r.ok then exit 1
   in
   let term =
     Term.(
       const run $ trace_arg $ collector_arg $ verify_arg $ inject_arg
-      $ rerecord_arg $ bench_reps_arg $ gc_threads_arg $ loop_arg)
+      $ rerecord_arg $ gc_threads_arg)
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Drive one collector from a recorded trace.")
@@ -270,40 +179,7 @@ let replay_cmd =
 (* --- stat -------------------------------------------------------------- *)
 
 let stat_cmd =
-  let bench_decode_arg =
-    let doc =
-      "Decode the trace $(docv) times and print one machine-readable DECODE \
-       line (bytes, events, CPU seconds, host bytes allocated) instead of \
-       the summary. Used by scripts/bench.sh for the decode-only lane."
-    in
-    Arg.(value & opt int 0 & info [ "bench-decode" ] ~docv:"N" ~doc)
-  in
-  let run path bench_decode =
-    if bench_decode > 0 then begin
-      (* Decode-only lane: file bytes are read once; the measurement is
-         pure [Trace_format.of_string] (ring batch-decode + validation). *)
-      let s =
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
-      let a0 = Gc.allocated_bytes () in
-      let t0 = Sys.time () in
-      let events = ref 0 in
-      for _ = 1 to bench_decode do
-        match Trace_format.of_string s with
-        | Ok t -> events := Trace_format.num_events t
-        | Error msg -> die (Printf.sprintf "%s: %s" path msg)
-      done;
-      let cpu = Sys.time () -. t0 in
-      let bytes = Gc.allocated_bytes () -. a0 in
-      Printf.printf
-        "DECODE trace=%s reps=%d bytes=%d events=%d cpu_s=%.6f alloc_bytes=%.0f\n"
-        path bench_decode (String.length s) !events cpu bytes
-    end
-    else begin
+  let run path =
     let t = load_trace path in
     let h = t.header in
     Printf.printf "%s: trace v%d\n" path h.version;
@@ -356,9 +232,8 @@ let stat_cmd =
       "  allocation  %d KB requested; size mean %s B, p50 %s, p99 %s; %d large\n"
       (!alloc_bytes / 1024) mean (pct 50.0) (pct 99.0) !large;
     Printf.printf "  compute     %.3f ms recorded work\n" (!work_ns /. 1e6)
-    end
   in
-  let term = Term.(const run $ trace_arg $ bench_decode_arg) in
+  let term = Term.(const run $ trace_arg) in
   Cmd.v (Cmd.info "stat" ~doc:"Summarize a trace file.") term
 
 (* --- diff -------------------------------------------------------------- *)

@@ -202,14 +202,10 @@ let apply_dec t queue id =
     end
   end
 
-(* Reserve blocks are [In_use] with all-zero counts; a stale buffer
-   entry must never dissolve one back into circulation. *)
-let in_reserve t b = Vec.exists (fun x -> x = b) t.heap.reserve
-
 let sweep_stale_block t b =
   if Blocks.state t.heap.blocks b = Blocks.In_use
      && (not (Heap.block_touched t.heap b))
-     && not (in_reserve t b) then
+     && not (Heap.in_reserve t.heap b) then
     ignore (Heap.rc_sweep_block t.heap b)
 
 (* --- Journal fold ------------------------------------------------------ *)
@@ -298,7 +294,7 @@ let young_sweep t tc =
   let c = Sim.cost t.sim in
   let cascade = Par.take_scratch () in
   let push_cascade r = if r <> null then Vec.push cascade r in
-  let touched = Array.of_list (Heap.touched_blocks t.heap) in
+  let touched = Heap.touched_blocks t.heap in
   Par.map_spans (pool t) ~total:(Array.length touched)
     ~packet:Par.blocks_per_packet
     ~f:(fun _ ~lo ~len ->
@@ -308,7 +304,7 @@ let young_sweep t tc =
         (* A ladder rung's [ensure_reserve] can adopt a block that was
            allocated into (touched) earlier in the same epoch; reserve
            blocks are In_use-empty and must not be reclassified here. *)
-        if Blocks.state t.heap.blocks b = Blocks.In_use && not (in_reserve t b)
+        if Blocks.state t.heap.blocks b = Blocks.In_use && not (Heap.in_reserve t.heap b)
         then begin
           Vec.push out b;
           let npos = Vec.length out in

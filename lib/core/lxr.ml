@@ -160,10 +160,11 @@ let apply_dec t queue id =
 
 (* Sweep one block whose lines may have been freed by decrements. Blocks
    currently being allocated into (touched or owned) are skipped: their
-   young residents legitimately carry zero counts. *)
+   young residents legitimately carry zero counts. So are reserve blocks. *)
 let lazy_sweep_block t b =
   if Blocks.state t.heap.blocks b = Blocks.In_use
-     && not (Heap.block_touched t.heap b) then
+     && (not (Heap.block_touched t.heap b))
+     && not (Heap.in_reserve t.heap b) then
     ignore (Heap.rc_sweep_block t.heap b)
 
 (* --- Increments (§3.2.1) ---------------------------------------------- *)
@@ -219,14 +220,19 @@ let young_sweep t tc =
      frees and classification happen in the ordered merge, in the same
      ascending touched-block order as the old serial loop. Packet
      encoding: [block; ndead; dead ids...] per swept block. *)
-  let touched = Array.of_list (Heap.touched_blocks t.heap) in
+  let touched = Heap.touched_blocks t.heap in
   Par.map_spans (pool t) ~total:(Array.length touched)
     ~packet:Par.blocks_per_packet
     ~f:(fun _ ~lo ~len ->
       let out = Par.take_scratch () in
       for k = lo to lo + len - 1 do
         let b = touched.(k) in
-        if Blocks.state t.heap.blocks b = Blocks.In_use then begin
+        (* The emergency rung's compaction can free a block touched
+           earlier in the epoch, and its [ensure_reserve] can then adopt
+           it; reserve blocks must not be reclassified here. *)
+        if Blocks.state t.heap.blocks b = Blocks.In_use
+           && not (Heap.in_reserve t.heap b)
+        then begin
           Vec.push out b;
           let npos = Vec.length out in
           Vec.push out 0;

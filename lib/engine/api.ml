@@ -104,7 +104,6 @@ let flush t =
     ~conc_run:t.collector.conc_run
 
 let maybe_flush t = if t.h.Sim.pending >= t.flush_threshold then flush t
-let flush_threshold t = t.flush_threshold
 
 let safepoint t =
   let tr = Sim.tracer t.sim in
@@ -143,12 +142,72 @@ let alloc_done t (obj : Obj_model.t) =
   t.collector.poll ();
   obj
 
-(* The option-free allocation path: returns the new object's canonical
-   handle, or the registry's none-handle (id = null) on heap exhaustion,
-   in which case [t.last_oom] describes the failure. The `Ok/`Oom and
-   tracer-emitting forms below are thin wrappers; the replay fast loop
-   calls this directly so a successful allocation never boxes an option
-   or a polymorphic-variant result. *)
+(* The degradation ladder, out of line so the fast path stays small:
+   escalate one rung at a time, retrying the allocation after each
+   collection. Returns the none-handle (id = null) on exhaustion, with
+   [t.last_oom] describing the failure. *)
+let alloc_slow t ~size ~nfields =
+  charge_alloc_receipt t;
+  flush t;
+  let l = t.ladder in
+  (* Everything from here until the allocation succeeds (or the heap is
+     exhausted) is wall-clock time the mutator spends stalled in the
+     allocation slow path — a distilled-cost component. *)
+  let stall_start = Sim.now t.sim in
+  let note_stall () =
+    Sim.note_alloc_stall t.sim (Sim.now t.sim -. stall_start)
+  in
+  let rec escalate = function
+    | rung :: rest ->
+      t.collector.collect_for_alloc rung;
+      (match rung with
+      | Collector.Young -> l.young_collections <- l.young_collections + 1
+      | Collector.Full -> l.full_collections <- l.full_collections + 1
+      | Collector.Emergency ->
+        l.emergency_compactions <- l.emergency_compactions + 1);
+      let obj = Heap.alloc_fast t.heap t.allocator ~size ~nfields in
+      if obj.Obj_model.id <> Obj_model.null then begin
+        note_stall ();
+        alloc_done t obj
+      end
+      else begin
+        charge_alloc_receipt t;
+        escalate rest
+      end
+    | [] ->
+      (* Past the last rung: hand the to-space reserve to the mutator. *)
+      Heap.release_reserve t.heap;
+      l.reserve_releases <- l.reserve_releases + 1;
+      let obj = Heap.alloc_fast t.heap t.allocator ~size ~nfields in
+      if obj.Obj_model.id <> Obj_model.null then begin
+        note_stall ();
+        (* No poll: the collector just proved it cannot make space. *)
+        charge_alloc_receipt t;
+        Sim.note_alloc t.sim ~bytes:obj.Obj_model.size;
+        t.collector.on_alloc obj;
+        t.roots.(root_slots - 1) <- obj.Obj_model.id;
+        obj
+      end
+      else begin
+        note_stall ();
+        charge_alloc_receipt t;
+        l.exhaustions <- l.exhaustions + 1;
+        t.last_oom <-
+          Some
+            { collector = t.collector.name;
+              requested_bytes = size;
+              live_bytes = Heap.live_bytes t.heap;
+              heap_bytes = Heap.total_bytes t.heap };
+        obj
+      end
+  in
+  escalate [ Collector.Young; Collector.Full; Collector.Emergency ]
+
+(* The one allocation path: returns the new object's canonical handle, or
+   the registry's none-handle (id = null) on heap exhaustion, and tees the
+   outcome to the recorder. [try_alloc] and [alloc] are thin wrappers;
+   the replayer calls this directly so a successful allocation never
+   boxes a result. *)
 let alloc_fast t ~size ~nfields =
   let c = Sim.cost t.sim in
   t.h.Sim.pending <- t.h.Sim.pending +. c.alloc_fast_ns;
@@ -158,66 +217,18 @@ let alloc_fast t ~size ~nfields =
       Obj_model.Registry.none_handle t.heap.Heap.registry
     else Heap.alloc_fast t.heap t.allocator ~size ~nfields
   in
-  if first.Obj_model.id <> Obj_model.null then alloc_done t first
-  else begin
-    charge_alloc_receipt t;
-    flush t;
-    let l = t.ladder in
-    (* Everything from here until the allocation succeeds (or the heap is
-       exhausted) is wall-clock time the mutator spends stalled in the
-       allocation slow path — a distilled-cost component. *)
-    let stall_start = Sim.now t.sim in
-    let note_stall () =
-      Sim.note_alloc_stall t.sim (Sim.now t.sim -. stall_start)
-    in
-    (* The degradation ladder: escalate one rung at a time, retrying the
-       allocation after each collection. *)
-    let rec escalate = function
-      | rung :: rest ->
-        t.collector.collect_for_alloc rung;
-        (match rung with
-        | Collector.Young -> l.young_collections <- l.young_collections + 1
-        | Collector.Full -> l.full_collections <- l.full_collections + 1
-        | Collector.Emergency ->
-          l.emergency_compactions <- l.emergency_compactions + 1);
-        let obj = Heap.alloc_fast t.heap t.allocator ~size ~nfields in
-        if obj.Obj_model.id <> Obj_model.null then begin
-          note_stall ();
-          alloc_done t obj
-        end
-        else begin
-          charge_alloc_receipt t;
-          escalate rest
-        end
-      | [] ->
-        (* Past the last rung: hand the to-space reserve to the mutator. *)
-        Heap.release_reserve t.heap;
-        l.reserve_releases <- l.reserve_releases + 1;
-        let obj = Heap.alloc_fast t.heap t.allocator ~size ~nfields in
-        if obj.Obj_model.id <> Obj_model.null then begin
-          note_stall ();
-          (* No poll: the collector just proved it cannot make space. *)
-          charge_alloc_receipt t;
-          Sim.note_alloc t.sim ~bytes:obj.Obj_model.size;
-          t.collector.on_alloc obj;
-          t.roots.(root_slots - 1) <- obj.Obj_model.id;
-          obj
-        end
-        else begin
-          note_stall ();
-          charge_alloc_receipt t;
-          l.exhaustions <- l.exhaustions + 1;
-          t.last_oom <-
-            Some
-              { collector = t.collector.name;
-                requested_bytes = size;
-                live_bytes = Heap.live_bytes t.heap;
-                heap_bytes = Heap.total_bytes t.heap };
-          obj
-        end
-    in
-    escalate [ Collector.Young; Collector.Full; Collector.Emergency ]
-  end
+  let obj =
+    if first.Obj_model.id <> Obj_model.null then alloc_done t first
+    else alloc_slow t ~size ~nfields
+  in
+  let tr = Sim.tracer t.sim in
+  if Tracer.active tr then begin
+    if obj.Obj_model.id <> Obj_model.null then
+      tr.Tracer.alloc ~id:obj.Obj_model.id ~size ~nfields
+        ~large:(size > t.heap.Heap.cfg.los_threshold)
+    else tr.Tracer.alloc_failed ~size ~nfields
+  end;
+  obj
 
 let last_oom t =
   match t.last_oom with
@@ -230,20 +241,12 @@ let last_oom t =
 
 let try_alloc t ~size ~nfields =
   let obj = alloc_fast t ~size ~nfields in
-  let r = if obj.Obj_model.id <> Obj_model.null then `Ok obj else `Oom (last_oom t) in
-  let tr = Sim.tracer t.sim in
-  if Tracer.active tr then
-    (match r with
-    | `Ok (obj : Obj_model.t) ->
-      tr.Tracer.alloc ~id:obj.id ~size ~nfields
-        ~large:(size > t.heap.Heap.cfg.los_threshold)
-    | `Oom _ -> tr.Tracer.alloc_failed ~size ~nfields);
-  r
+  if obj.Obj_model.id <> Obj_model.null then `Ok obj else `Oom (last_oom t)
 
 let alloc t ~size ~nfields =
-  match try_alloc t ~size ~nfields with
-  | `Ok obj -> obj
-  | `Oom info -> raise (Out_of_memory (describe_oom info))
+  let obj = alloc_fast t ~size ~nfields in
+  if obj.Obj_model.id <> Obj_model.null then obj
+  else raise (Out_of_memory (describe_oom (last_oom t)))
 
 (* Injected RC corruption targets a body granule when the object has one
    (an orphan count or a punched straddle marker — both off-header
@@ -260,7 +263,10 @@ let apply_rc_flip t (obj : Obj_model.t) =
     Rc_table.set t.heap.rc cfg addr (if v >= stuck then 0 else v + 1)
   end
 
-let write t obj field ref_id =
+(* The per-event entry points below are [@inline] so the replayer's
+   dispatch gets their bodies (the build has no flambda; without the
+   attribute [work]'s float argument would be boxed at every call). *)
+let[@inline] write t obj field ref_id =
   let tr = Sim.tracer t.sim in
   if Tracer.active tr then
     tr.Tracer.write ~src:obj.Obj_model.id ~field ~value:ref_id;
@@ -270,16 +276,23 @@ let write t obj field ref_id =
      paths add their own {!Sim.note_barrier} charges. *)
   if t.write_extra > 0.0 then
     t.h.Sim.d_barrier <- t.h.Sim.d_barrier +. t.write_extra;
+  (* A store through a freed handle (cross-collector replay can reach one)
+     is a no-op in the object model, so it must not reach the barrier:
+     the handle has no address, and its slot may belong to a new owner.
+     The charge, the tracer event and the fault draws above and below
+     still happen, so fault schedules do not shift. *)
+  let live = not (Obj_model.is_freed obj) in
   let faults = Sim.faults t.sim in
   if Fault.active faults then begin
-    if not (faults.drop_barrier ()) then t.collector.on_write obj field ref_id;
+    if (not (faults.drop_barrier ())) && live then
+      t.collector.on_write obj field ref_id;
     if faults.flip_rc () then apply_rc_flip t obj
   end
-  else t.collector.on_write obj field ref_id;
+  else if live then t.collector.on_write obj field ref_id;
   Obj_model.set_field obj field ref_id;
   maybe_flush t
 
-let read t obj field =
+let[@inline] read t obj field =
   let tr = Sim.tracer t.sim in
   if Tracer.active tr then tr.Tracer.read ~src:obj.Obj_model.id ~field;
   t.h.Sim.pending <- t.h.Sim.pending +. t.read_charge;
@@ -288,17 +301,16 @@ let read t obj field =
   maybe_flush t;
   Obj_model.field obj field
 
-let work t ~ns =
+let[@inline] work t ~ns =
   let tr = Sim.tracer t.sim in
   if Tracer.active tr then tr.Tracer.work ~ns;
-  Sim.charge_mutator t.sim ns;
+  t.h.Sim.pending <- t.h.Sim.pending +. ns;
   maybe_flush t
 
-let set_root t slot ref_id =
+let[@inline] set_root t slot ref_id =
   let tr = Sim.tracer t.sim in
   if Tracer.active tr then tr.Tracer.root ~slot ~value:ref_id;
-  let c = Sim.cost t.sim in
-  Sim.charge_mutator t.sim c.write_ns;
+  t.h.Sim.pending <- t.h.Sim.pending +. (Sim.cost t.sim).write_ns;
   t.roots.(slot) <- ref_id
 
 let get_root t slot =

@@ -104,13 +104,12 @@ val gc_signal : t -> gc_signal
 val try_alloc :
   t -> size:int -> nfields:int -> [ `Ok of Repro_heap.Obj_model.t | `Oom of oom_info ]
 
-(** [alloc_fast t ~size ~nfields] is {!try_alloc} without the result box:
-    the same degradation-ladder semantics, returning the new object's
-    canonical handle, or the registry's none-handle
-    ([obj.id = Obj_model.null]) on exhaustion — in which case {!last_oom}
-    describes the failure. Does {e not} tee to the tracer (the replay
-    fast loop's traced variant re-emits the event itself); use
-    {!try_alloc} when a recorder may be attached. *)
+(** [alloc_fast t ~size ~nfields] is the allocation path {!try_alloc}
+    and {!alloc} wrap, without their result box: the same
+    degradation-ladder semantics and tracer events, returning the new
+    object's canonical handle, or the registry's none-handle
+    ([obj.id = Obj_model.null]) on exhaustion — in which case
+    {!last_oom} describes the failure. *)
 val alloc_fast : t -> size:int -> nfields:int -> Repro_heap.Obj_model.t
 
 (** The most recent exhaustion recorded by {!alloc_fast}. *)
@@ -126,7 +125,9 @@ val describe_oom : oom_info -> string
 (** [write t obj field ref_id] stores a reference through the write
     barrier. Fault injection ({!Sim.faults}) is consulted here: a
     [drop_barrier] hit skips the collector's barrier (the store still
-    happens), a [flip_rc] hit perturbs the object's RC-table entry. *)
+    happens), a [flip_rc] hit perturbs the object's RC-table entry. A
+    store through a freed handle is charged, traced and draws its faults
+    like any other, but reaches neither the barrier nor the heap. *)
 val write : t -> Repro_heap.Obj_model.t -> int -> int -> unit
 
 (** [read t obj field] loads a reference through the read barrier. *)
@@ -146,14 +147,9 @@ val get_root : t -> int -> int
 val safepoint : t -> unit
 
 (** [flush t] pushes pending mutator work onto the wall clock (see
-    {!Sim.flush}); [flush_threshold t] is the pending-ns level at which
-    the per-event fast paths do it implicitly. The replay fast loop
-    inlines the [pending >= flush_threshold] test and calls [flush]
-    itself — {!maybe_flush} is that pair as one call. *)
+    {!Sim.flush}); the per-event entry points do it implicitly once
+    pending work crosses a fixed threshold. *)
 val flush : t -> unit
-
-val flush_threshold : t -> float
-val maybe_flush : t -> unit
 
 (** [idle_until t ns] advances the clock to [ns] (e.g. waiting for the
     next request arrival), letting concurrent GC use the idle cores. *)

@@ -1,7 +1,7 @@
 (* The hot accounting state is one all-float record: OCaml gives records
    whose fields are all floats a flat unboxed representation, so the
-   per-event charges in Api.write/read/work and the replay inner loop
-   mutate in place without boxing a float. (A mutable float field in the
+   per-event charges in Api.write/read/work/set_root mutate in place
+   without boxing a float. (A mutable float field in the
    mixed [t] record below would allocate 16 bytes on every store — at
    ~30M replayed events/s that is the difference between ~0 and ~500MB/s
    of minor-heap traffic.) The distilled-cost accumulators live in the

@@ -15,8 +15,8 @@
 type t
 
 (** The hot accounting state, an all-float record (flat unboxed
-    representation): the per-event fast paths in {!Api} and the replay
-    inner loop read and mutate these fields directly so a charge is a
+    representation): the per-event fast paths in {!Api} read and mutate
+    these fields directly so a charge is a
     plain unboxed load/add/store, never a float allocation. Everything
     here is also reachable through the accessor functions below; the
     record exists purely so the hot paths can skip the function-call

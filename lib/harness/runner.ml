@@ -186,8 +186,8 @@ let run ?(seed = 42) ?(scale = 1.0) ?cost ?(gc_threads = 1) ?heap_config
   | _ -> ());
   r
 
-let replay ?cost ?(gc_threads = 1) ?(verify = []) ?inject ?record_to
-    ?(loop = `Auto) ~trace ~factory () =
+let replay ?cost ?(gc_threads = 1) ?(verify = []) ?inject ?record_to ~trace
+    ~factory () =
   let t = (trace : Repro_trace.Trace_format.t) in
   let h = t.header in
   (* The trace tells us the highest id it will mention; presize the
@@ -212,7 +212,7 @@ let replay ?cost ?(gc_threads = 1) ?(verify = []) ?inject ?record_to
       ~heap_factor:h.heap_factor ~cfg ~cost ~gc_threads ~verify ~inject
       ~recorder ~factory
       ~driver:(fun api ~on_measurement_start ->
-        Repro_trace.Replay.run ~loop ~on_measurement_start api t)
+        Repro_trace.Replay.run ~on_measurement_start api t)
       ()
   in
   (match (recorder, record_to) with

@@ -86,20 +86,13 @@ val run :
     work. [verify], [inject], and [record_to] behave as in {!run}
     (recording a replay of an untampered trace reproduces the trace byte
     for byte). The cost model is not captured in traces; pass [cost] if
-    the recording used a non-default one.
-
-    [loop] selects the replay inner loop ({!Repro_trace.Replay.loop}):
-    [`Auto] (default) uses the specialised zero-allocation loop when no
-    fault injector is active, [`Generic] forces the reference
-    interpreter. Both produce bit-identical results; the knob exists for
-    the CI cross-check. *)
+    the recording used a non-default one. *)
 val replay :
   ?cost:Repro_engine.Cost_model.t ->
   ?gc_threads:int ->
   ?verify:Repro_verify.Verifier.safepoint list ->
   ?inject:Repro_engine.Fault.t ->
   ?record_to:string ->
-  ?loop:Repro_trace.Replay.loop ->
   trace:Repro_trace.Trace_format.t ->
   factory:Repro_engine.Collector.factory ->
   unit ->

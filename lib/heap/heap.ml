@@ -71,11 +71,20 @@ let block_touched t b =
 (* Ascending block order by construction — consumers must not depend on
    the old hashtable iteration order (see test_heap "touched ascending"). *)
 let touched_blocks t =
-  let acc = ref [] in
-  for b = Heap_config.blocks t.cfg - 1 downto 0 do
-    if block_touched t b then acc := b :: !acc
+  let n = Heap_config.blocks t.cfg in
+  let count = ref 0 in
+  for b = 0 to n - 1 do
+    if block_touched t b then incr count
   done;
-  !acc
+  let out = Array.make !count 0 in
+  let k = ref 0 in
+  for b = 0 to n - 1 do
+    if block_touched t b then begin
+      out.(!k) <- b;
+      incr k
+    end
+  done;
+  out
 
 let clear_touched t = Bytes.fill t.touched 0 (Bytes.length t.touched) '\000'
 
@@ -317,6 +326,10 @@ let release_reserve t =
     Free_lists.release_free t.free b
   done;
   Vec.clear t.reserve
+
+(* Reserve blocks are [In_use] with all-zero counts, so a sweep that
+   visits one would dissolve it back into circulation. *)
+let in_reserve t b = Vec.exists (fun x -> x = b) t.reserve
 
 let ensure_reserve t =
   (* Drop blocks a sweep may have dissolved back into circulation,

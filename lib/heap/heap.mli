@@ -56,10 +56,10 @@ val make_allocator : t -> Bump_allocator.t
     every stop-the-world pause. *)
 val retire_all_allocators : t -> unit
 
-(** [touched_blocks t] lists blocks allocated into since the last
-    {!clear_touched} — the sweep set for young reclamation. Always in
-    ascending block order. *)
-val touched_blocks : t -> int list
+(** [touched_blocks t] is the blocks allocated into since the last
+    {!clear_touched} — the sweep set for young reclamation — as a fresh
+    array in ascending block order. *)
+val touched_blocks : t -> int array
 
 (** [block_touched t b] is the membership test behind {!touched_blocks}. *)
 val block_touched : t -> int -> bool
@@ -150,6 +150,10 @@ val available_blocks : t -> int
     called at the start of an emergency (compacting) collection so the
     evacuation has guaranteed destinations. *)
 val release_reserve : t -> unit
+
+(** [in_reserve t b]: [b] is one of the to-space reserve's blocks, which
+    are [In_use] with all-zero counts — sweeps must skip them. *)
+val in_reserve : t -> int -> bool
 
 (** [ensure_reserve t] tops the reserve back up (to ~1/16 of the heap)
     from the free list, with priority over the mutator: starving the

@@ -22,8 +22,6 @@ let () =
     && Trace_format.tag_survived = 11
     && Trace_format.tag_finish = 12)
 
-type loop = [ `Auto | `Generic ]
-
 type t = {
   api : Api.t;
   trace : Trace_format.t;
@@ -89,7 +87,7 @@ let recorded_id t ~replay_id =
   then Some t.rev.(replay_id)
   else None
 
-let map_get t recorded =
+let[@inline] map_get t recorded =
   if recorded >= 0 && recorded < Array.length t.map then t.map.(recorded)
   else t.none
 
@@ -105,12 +103,12 @@ let unknown : t -> string -> int -> 'a =
        (Printf.sprintf "event %d: %s references unknown object %d" t.idx what
           recorded))
 
-let lookup t recorded what =
+let[@inline] lookup t recorded what =
   let obj = map_get t recorded in
   if obj.Obj_model.id <> null then obj else unknown t what recorded
 
 (* Stored reference values are plain ids; null passes through. *)
-let map_ref t v = if v = null then null else (lookup t v "store").Obj_model.id
+let[@inline] map_ref t v = if v = null then null else (lookup t v "store").Obj_model.id
 
 (* The mutator-level markers are not re-emitted by [Api], so when a
    recorder is attached to the replay run (record-of-replay) the
@@ -121,7 +119,7 @@ let finish_engine t =
   Api.finish t.api;
   t.finished <- true
 
-(* Bookkeeping shared by both loops after a successful Alloc replay. *)
+(* Bookkeeping after a successful Alloc replay. *)
 let install_alloc t id (obj : Obj_model.t) ~large =
   if id >= Array.length t.map then begin
     let m = Array.make (max (2 * Array.length t.map) (id + 1)) t.none in
@@ -145,45 +143,49 @@ let alloc_failed_anomaly t size =
       t.idx size
     :: t.anomalies
 
-(* The generic dispatch: one match on the ring tag, operands read
-   straight from the flat arrays. This is the reference loop — the
-   differ steps it in lockstep, fault-injected replays use it, and the
-   specialised loop below must match it bit for bit. *)
+(* Unchecked operand loads: callers pass [i < count], and every operand
+   array holds [count] entries. *)
+let[@inline] op1 g i = Array.unsafe_get g.Trace_format.op1 i
+let[@inline] op2 g i = Array.unsafe_get g.Trace_format.op2 i
+let[@inline] op3 g i = Array.unsafe_get g.Trace_format.op3 i
+let[@inline] fop g i = Array.unsafe_get g.Trace_format.fop i
+
+(* The dispatch: one match on the ring tag, operands read straight from
+   the flat arrays, every operation re-issued through the [Api] entry
+   points. [run] drives it in a tight loop; the differ steps it in
+   lockstep through [step]. *)
 let apply_tag t i tag =
   let g = t.ring in
   match tag with
-  | 1 (* alloc *) -> (
-    let size = g.Trace_format.op2.(i) in
-    let packed = g.Trace_format.op3.(i) in
-    match Api.try_alloc t.api ~size ~nfields:(packed lsr 1) with
-    | `Ok obj ->
-      install_alloc t g.Trace_format.op1.(i) obj ~large:(packed land 1 <> 0)
-    | `Oom info ->
+  | 1 (* alloc *) ->
+    let packed = op3 g i in
+    let obj = Api.alloc_fast t.api ~size:(op2 g i) ~nfields:(packed lsr 1) in
+    if obj.Obj_model.id <> null then
+      install_alloc t (op1 g i) obj ~large:(packed land 1 <> 0)
+    else begin
       (* Divergence from the recording: this allocation succeeded live.
          Halt, exactly as the generative mutator unwinds on OOM. *)
-      t.oom <- Some info;
+      t.oom <- Some (Api.last_oom t.api);
       t.halted <- true;
-      finish_engine t)
-  | 2 (* alloc_failed *) -> (
-    let size = g.Trace_format.op1.(i) in
-    match Api.try_alloc t.api ~size ~nfields:g.Trace_format.op2.(i) with
-    | `Oom info -> t.oom <- Some info
-    | `Ok _ -> alloc_failed_anomaly t size)
+      finish_engine t
+    end
+  | 2 (* alloc_failed *) ->
+    let size = op1 g i in
+    let obj = Api.alloc_fast t.api ~size ~nfields:(op2 g i) in
+    if obj.Obj_model.id = null then t.oom <- Some (Api.last_oom t.api)
+    else alloc_failed_anomaly t size
   | 3 (* write *) ->
-    let rvalue = map_ref t g.Trace_format.op3.(i) in
-    Api.write t.api
-      (lookup t g.Trace_format.op1.(i) "write")
-      g.Trace_format.op2.(i) rvalue
+    let rvalue = map_ref t (op3 g i) in
+    Api.write t.api (lookup t (op1 g i) "write") (op2 g i) rvalue
   | 4 (* read *) ->
-    ignore
-      (Api.read t.api (lookup t g.Trace_format.op1.(i) "read") g.Trace_format.op2.(i))
+    ignore (Api.read t.api (lookup t (op1 g i) "read") (op2 g i))
   | 5 (* root *) ->
-    let rvalue = map_ref t g.Trace_format.op2.(i) in
-    Api.set_root t.api g.Trace_format.op1.(i) rvalue
-  | 6 (* work *) -> Api.work t.api ~ns:g.Trace_format.fop.(i)
+    let rvalue = map_ref t (op2 g i) in
+    Api.set_root t.api (op1 g i) rvalue
+  | 6 (* work *) -> Api.work t.api ~ns:(fop g i)
   | 7 (* safepoint *) -> Api.safepoint t.api
   | 8 (* request_start *) ->
-    let gap = g.Trace_format.fop.(i) in
+    let gap = fop g i in
     let tr = tracer t in
     if Tracer.active tr then tr.Tracer.request_start ~gap;
     (* The live engine bases the metered schedule on the simulator clock
@@ -208,7 +210,7 @@ let apply_tag t i tag =
     t.survived_bytes <- 0;
     t.large_bytes <- 0
   | 11 (* survived *) ->
-    let bytes = g.Trace_format.op1.(i) in
+    let bytes = op1 g i in
     t.survived_bytes <- t.survived_bytes + bytes;
     let tr = tracer t in
     if Tracer.active tr then tr.Tracer.survived ~bytes
@@ -223,143 +225,6 @@ let step t =
     not (t.halted || t.finished)
   end
 
-let generic_loop t =
-  while step t do
-    ()
-  done
-
-(* The specialised loop. Everything the per-event path needs is hoisted
-   into locals before entering: the live [Sim.hot] record (charges become
-   plain unboxed float stores), the precomputed charge sums, the
-   collector's write hook and barrier extras, the tracer, the root array
-   and the translation map. The body then mirrors [Api.write]/[read]/
-   [try_alloc]/[set_root]/[work] *exactly* — same charge order, same
-   tracer emission order, same error paths — minus the per-call loads
-   and boxing the generic path pays. Fault injection is the one thing it
-   does not replicate, so [run] selects it only when no injector is
-   installed (faults and tracer are fixed before stepping begins, making
-   the up-front selection sound). *)
-let fast_loop t =
-  let api = t.api in
-  let sim = Api.sim api in
-  let g = t.ring in
-  let tags = g.Trace_format.tags in
-  let op1 = g.Trace_format.op1
-  and op2 = g.Trace_format.op2
-  and op3 = g.Trace_format.op3
-  and fop = g.Trace_format.fop in
-  let n = g.Trace_format.count in
-  let h = Sim.hot sim in
-  let collector = Api.collector api in
-  let on_write = collector.Collector.on_write in
-  let write_extra = collector.Collector.write_extra_ns in
-  let read_extra = collector.Collector.read_extra_ns in
-  let c = Sim.cost sim in
-  let write_charge = c.Cost_model.write_ns +. write_extra in
-  let read_charge = c.Cost_model.read_ns +. read_extra in
-  let root_charge = c.Cost_model.write_ns in
-  let thr = Api.flush_threshold api in
-  let tr = Sim.tracer sim in
-  let traced = Tracer.active tr in
-  let roots = Api.roots api in
-  let los_threshold = (Api.heap api).Heap.cfg.Heap_config.los_threshold in
-  (* [map] is presized from the ring's alloc stats, so recorded alloc ids
-     always fit and the array is never replaced under us. *)
-  let map = t.map in
-  let mlen = Array.length map in
-  let none = t.none in
-  while (not (t.halted || t.finished)) && t.idx < n do
-    let i = t.idx in
-    let tag = Char.code (Bytes.unsafe_get tags i) in
-    (match tag with
-    | 4 (* read *) ->
-      let src = Array.unsafe_get op1 i in
-      let obj = if src >= 0 && src < mlen then Array.unsafe_get map src else none in
-      if obj.Obj_model.id = null then unknown t "read" src;
-      let field = Array.unsafe_get op2 i in
-      if traced then tr.Tracer.read ~src:obj.Obj_model.id ~field;
-      h.Sim.pending <- h.Sim.pending +. read_charge;
-      if read_extra > 0.0 then h.Sim.d_barrier <- h.Sim.d_barrier +. read_extra;
-      if h.Sim.pending >= thr then Api.flush api;
-      ignore (Obj_model.field obj field)
-    | 3 (* write *) ->
-      let value = Array.unsafe_get op3 i in
-      let rvalue =
-        if value = null then null
-        else begin
-          let vobj =
-            if value >= 0 && value < mlen then Array.unsafe_get map value else none
-          in
-          if vobj.Obj_model.id = null then unknown t "store" value;
-          vobj.Obj_model.id
-        end
-      in
-      let src = Array.unsafe_get op1 i in
-      let obj = if src >= 0 && src < mlen then Array.unsafe_get map src else none in
-      if obj.Obj_model.id = null then unknown t "write" src;
-      let field = Array.unsafe_get op2 i in
-      if traced then tr.Tracer.write ~src:obj.Obj_model.id ~field ~value:rvalue;
-      h.Sim.pending <- h.Sim.pending +. write_charge;
-      if write_extra > 0.0 then h.Sim.d_barrier <- h.Sim.d_barrier +. write_extra;
-      on_write obj field rvalue;
-      Obj_model.set_field obj field rvalue;
-      if h.Sim.pending >= thr then Api.flush api
-    | 1 (* alloc *) ->
-      let size = Array.unsafe_get op2 i in
-      let packed = Array.unsafe_get op3 i in
-      let nfields = packed lsr 1 in
-      let obj = Api.alloc_fast api ~size ~nfields in
-      if obj.Obj_model.id <> null then begin
-        if traced then
-          tr.Tracer.alloc ~id:obj.Obj_model.id ~size ~nfields
-            ~large:(size > los_threshold);
-        install_alloc t (Array.unsafe_get op1 i) obj ~large:(packed land 1 <> 0)
-      end
-      else begin
-        if traced then tr.Tracer.alloc_failed ~size ~nfields;
-        t.oom <- Some (Api.last_oom api);
-        t.halted <- true;
-        finish_engine t
-      end
-    | 2 (* alloc_failed *) ->
-      let size = Array.unsafe_get op1 i in
-      let nfields = Array.unsafe_get op2 i in
-      let obj = Api.alloc_fast api ~size ~nfields in
-      if obj.Obj_model.id = null then begin
-        if traced then tr.Tracer.alloc_failed ~size ~nfields;
-        t.oom <- Some (Api.last_oom api)
-      end
-      else begin
-        if traced then
-          tr.Tracer.alloc ~id:obj.Obj_model.id ~size ~nfields
-            ~large:(size > los_threshold);
-        alloc_failed_anomaly t size
-      end
-    | 5 (* root *) ->
-      let value = Array.unsafe_get op2 i in
-      let rvalue =
-        if value = null then null
-        else begin
-          let vobj =
-            if value >= 0 && value < mlen then Array.unsafe_get map value else none
-          in
-          if vobj.Obj_model.id = null then unknown t "store" value;
-          vobj.Obj_model.id
-        end
-      in
-      let slot = Array.unsafe_get op1 i in
-      if traced then tr.Tracer.root ~slot ~value:rvalue;
-      h.Sim.pending <- h.Sim.pending +. root_charge;
-      roots.(slot) <- rvalue
-    | 6 (* work *) ->
-      let ns = Array.unsafe_get fop i in
-      if traced then tr.Tracer.work ~ns;
-      h.Sim.pending <- h.Sim.pending +. ns;
-      if h.Sim.pending >= thr then Api.flush api
-    | tag -> apply_tag t i tag);
-    t.idx <- i + 1
-  done
-
 let output t : Repro_mutator.Mut_engine.output =
   let oom = Option.map Api.describe_oom t.oom in
   let latency, requests =
@@ -373,16 +238,14 @@ let output t : Repro_mutator.Mut_engine.output =
     large_bytes = t.large_bytes;
     oom }
 
-let run ?on_measurement_start ?(loop = `Auto) api trace =
+let run ?on_measurement_start api trace =
   let t = create ?on_measurement_start api trace in
-  (match loop with
-  | `Generic -> generic_loop t
-  | `Auto ->
-    (* Fault injection hooks into the generic path; everything else can
-       take the specialised loop (including record-of-replay — the fast
-       loop re-emits tracer events itself). *)
-    if Fault.active (Sim.faults (Api.sim api)) then generic_loop t
-    else fast_loop t);
+  let tags = t.ring.Trace_format.tags and n = t.ring.Trace_format.count in
+  while (not (t.halted || t.finished)) && t.idx < n do
+    let i = t.idx in
+    apply_tag t i (Char.code (Bytes.unsafe_get tags i));
+    t.idx <- i + 1
+  done;
   (* A well-formed trace ends in [Finish]; tolerate streams that stop
      short (e.g. assembled by tests) by finishing the collector so the
      accounting is complete either way. *)

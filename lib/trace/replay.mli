@@ -26,13 +26,6 @@ exception Error of string
 
 type t
 
-(** Which inner loop {!run} drives. [`Auto] (the default) selects the
-    specialised zero-allocation loop when no fault injector is installed
-    and falls back to the generic loop otherwise; [`Generic] forces the
-    reference loop (the bit-identity regression lane compares the two).
-    Both produce identical metrics and record-of-replay bytes. *)
-type loop = [ `Auto | `Generic ]
-
 (** [create ?on_measurement_start api trace] prepares a step-wise replay
     session. [on_measurement_start] fires when the measurement-start
     marker is replayed (the harness resets its accumulators there, as in
@@ -73,11 +66,11 @@ val replay_obj : t -> int -> Repro_heap.Obj_model.t option
     (OOM runs report no latency and partial counters). *)
 val output : t -> Repro_mutator.Mut_engine.output
 
-(** [run ?on_measurement_start ?loop api trace] steps the whole trace
-    and returns the output. *)
+(** [run ?on_measurement_start api trace] steps the whole trace and
+    returns the output. It drives the same dispatch as {!step}, with no
+    per-event [step] call. *)
 val run :
   ?on_measurement_start:(unit -> unit) ->
-  ?loop:loop ->
   Repro_engine.Api.t ->
   Trace_format.t ->
   Repro_mutator.Mut_engine.output

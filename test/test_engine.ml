@@ -204,6 +204,38 @@ let test_api_idle () =
   Api.idle_until api 10_000.0;
   check_float "idle advanced" 10_000.0 (Sim.now sim)
 
+(* Cross-collector replay can store through a handle the replaying
+   collector already freed. The store is a no-op in the object model, and
+   it must not reach the collector's barrier either: the stale handle has
+   no address (G1 indexed block -1), and its recycled slot belongs to
+   another object (LXR's field-logged bits). Checked for every collector,
+   on a heap large enough for ZGC. *)
+let test_api_write_freed_source () =
+  List.iter
+    (fun (name, factory) ->
+      let heap = Heap.create (Heap_config.make ~heap_bytes:(8 * 1024 * 1024) ()) in
+      let api = Api.create (Sim.create Cost_model.default) heap factory in
+      let target = Api.alloc api ~size:64 ~nfields:2 in
+      Api.set_root api 0 target.id;
+      let stale = Api.alloc api ~size:64 ~nfields:4 in
+      Heap.free_object heap stale;
+      let reused = Api.alloc api ~size:64 ~nfields:4 in
+      Api.set_root api 1 reused.id;
+      check_int (name ^ ": slot recycled") stale.slot reused.slot;
+      for i = 0 to 3 do
+        Obj_model.set_field reused i (if i mod 2 = 0 then target.id else Obj_model.null);
+        Obj_model.set_field_logged reused i (i mod 2 = 1)
+      done;
+      let logged () = List.init 4 (Obj_model.field_logged reused) in
+      let fields0 = Obj_model.fields_copy reused and logged0 = logged () in
+      Api.flush api;
+      for i = 0 to 3 do
+        Api.write api stale i target.id
+      done;
+      check (name ^ ": fields untouched") true (Obj_model.fields_copy reused = fields0);
+      check (name ^ ": logged bits untouched") true (logged () = logged0))
+    Repro_harness.Collector_set.all
+
 (* --- Cost model ----------------------------------------------------------------- *)
 
 let test_cost_model_sanity () =
@@ -242,6 +274,8 @@ let suite =
         Alcotest.test_case "work/flush" `Quick test_api_work_and_flush;
         Alcotest.test_case "roots" `Quick test_api_roots;
         Alcotest.test_case "oom" `Quick test_api_oom;
+        Alcotest.test_case "write through freed handle" `Quick
+          test_api_write_freed_source;
         Alcotest.test_case "idle" `Quick test_api_idle ] );
     ( "engine:misc",
       [ Alcotest.test_case "cost model" `Quick test_cost_model_sanity;

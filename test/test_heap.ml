@@ -397,7 +397,7 @@ let test_heap_alloc_registers () =
   | Some obj ->
     check_int "size aligned" 64 obj.size;
     check "registered" true (Obj_model.Registry.mem heap.registry obj.id);
-    check "touched" true (List.mem (Addr.block_of heap.cfg (Obj_model.addr obj)) (Heap.touched_blocks heap));
+    check "touched" true (Array.mem (Addr.block_of heap.cfg (Obj_model.addr obj)) (Heap.touched_blocks heap));
     check_int "rc starts zero" 0 (Heap.rc_of heap obj)
 
 let test_heap_rc_roundtrip () =
@@ -557,7 +557,7 @@ let rc_packed_independence_prop =
         distinct)
 
 let test_touched_blocks_ascending () =
-  (* touched_blocks is a bitset scan, so the list is ascending with no
+  (* touched_blocks is a bitset scan, so the array is ascending with no
      duplicates by construction — the young sweep and clear loops rely on
      a canonical order. Regression-guard the contract. *)
   let heap = fresh_heap () in
@@ -566,13 +566,14 @@ let test_touched_blocks_ascending () =
     ignore (Heap.alloc heap a ~size:512 ~nfields:0)
   done;
   let tb = Heap.touched_blocks heap in
-  check "several blocks touched" true (List.length tb > 2);
-  check "ascending, no duplicates" true (List.sort_uniq compare tb = tb);
-  List.iter
+  check "several blocks touched" true (Array.length tb > 2);
+  check "ascending, no duplicates" true
+    (List.sort_uniq compare (Array.to_list tb) = Array.to_list tb);
+  Array.iter
     (fun b -> check "block_touched agrees" true (Heap.block_touched heap b))
     tb;
   Heap.clear_touched heap;
-  check "cleared" true (Heap.touched_blocks heap = [])
+  check "cleared" true (Heap.touched_blocks heap = [||])
 
 let recycled_slots_never_alias_prop =
   QCheck.Test.make

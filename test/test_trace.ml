@@ -407,41 +407,6 @@ let test_corpus_replays_everywhere () =
         [ "lxr"; "g1"; "shenandoah" ])
     (corpus_files ())
 
-let test_specialised_equals_generic () =
-  (* The specialised per-collector loop must be observationally identical
-     to the generic reference loop: same run metrics, byte-identical
-     record-of-replay — over every corpus trace and collector lane. *)
-  List.iter
-    (fun path ->
-      let trace = load path in
-      List.iter
-        (fun name ->
-          let factory =
-            match Repro_harness.Collector_set.find name with
-            | Ok f -> f
-            | Error m -> Alcotest.fail m
-          in
-          let base = Filename.basename path in
-          let fast_out = tmp (base ^ "." ^ name ^ ".fast.ror") in
-          let gen_out = tmp (base ^ "." ^ name ^ ".gen.ror") in
-          let fast =
-            Repro_harness.Runner.replay ~loop:`Auto ~record_to:fast_out ~trace
-              ~factory ()
-          in
-          let generic =
-            Repro_harness.Runner.replay ~loop:`Generic ~record_to:gen_out
-              ~trace ~factory ()
-          in
-          check_same_run
-            (Printf.sprintf "%s/%s specialised vs generic" base name)
-            fast generic;
-          check
-            (Printf.sprintf "%s/%s record-of-replay bytes equal" base name)
-            true
-            (read_file fast_out = read_file gen_out))
-        [ "lxr"; "g1"; "shenandoah"; "journal_rc" ])
-    (corpus_files ())
-
 let test_corpus_record_of_replay_fixpoint () =
   (* The checked-in corpus traces are record-of-replay fixpoints:
      replaying one under LXR while recording must reproduce the file byte
@@ -535,8 +500,6 @@ let suite =
           test_corpus_replays_everywhere;
         Alcotest.test_case "corpus record-of-replay fixpoint" `Quick
           test_corpus_record_of_replay_fixpoint;
-        Alcotest.test_case "specialised loop equals generic" `Slow
-          test_specialised_equals_generic;
         Alcotest.test_case "corpus diffs clean" `Slow test_corpus_diff_clean ] );
     ( "trace:names",
       [ Alcotest.test_case "suggest" `Quick test_suggest;

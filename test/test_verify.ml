@@ -324,6 +324,65 @@ let test_oom_ladder_all_collectors () =
       ("shenandoah", Repro_collectors.Registry.find "shenandoah");
       ("semispace", Repro_collectors.Registry.find "semispace") ]
 
+(* The emergency rung's compaction can free a block touched earlier in
+   the epoch (or one queued for a lazy decrement sweep), and its
+   [ensure_reserve] can then adopt that block. LXR's young and lazy
+   sweeps must skip it rather than dissolve it (In_use, all counts
+   zero); dropping either guard fails this test. Drive LXR through every
+   rung with the verifier on; check that the hazard occurs and that
+   every reserve block is still In_use after every collection. *)
+let test_lxr_reserve_never_swept () =
+  let reserve_touched = ref 0 in
+  let factory sim heap ~roots =
+    let c = Repro_lxr.Lxr.factory sim heap ~roots in
+    let guard what =
+      let touched = Heap.touched_blocks heap in
+      Repro_util.Vec.iter
+        (fun b ->
+          if Array.mem b touched then incr reserve_touched;
+          if Blocks.state heap.Heap.blocks b <> Blocks.In_use then
+            Alcotest.failf "reserve block %d dissolved %s" b what)
+        heap.Heap.reserve
+    in
+    { c with
+      Collector.poll =
+        (fun () ->
+          c.Collector.poll ();
+          guard "by a poll");
+      collect_for_alloc =
+        (fun p ->
+          c.Collector.collect_for_alloc p;
+          guard ("by the " ^ Collector.pressure_name p ^ " rung")) }
+  in
+  let heap = Heap.create (Heap_config.make ~heap_bytes:(1024 * 1024) ()) in
+  let api = Api.create (Sim.create Cost_model.default) heap factory in
+  let v = Verifier.attach ~points:all_points api in
+  let prng = Repro_util.Prng.create 1 in
+  (* Medium objects rotate through the root slots, so every block holds a
+     mix of live and dead; every 97th request is a large object that
+     needs whole free blocks, which only compaction can make. *)
+  for i = 1 to 6000 do
+    let size =
+      if i mod 97 = 0 then 3 * 32 * 1024 else 64 + (64 * Repro_util.Prng.int prng 24)
+    in
+    match Api.try_alloc api ~size ~nfields:2 with
+    | `Ok obj ->
+      if Repro_util.Prng.bool prng 0.5 then
+        Api.set_root api (1 + Repro_util.Prng.int prng 150) obj.Obj_model.id
+    | `Oom _ ->
+      for slot = 1 to 150 do
+        if slot mod 2 = 0 then Api.set_root api slot null
+      done
+  done;
+  Api.finish api;
+  Verifier.finish v;
+  let l = Api.ladder api in
+  check "young rung climbed" true (l.Api.young_collections > 0);
+  check "full rung climbed" true (l.Api.full_collections > 0);
+  check "emergency rung climbed" true (l.Api.emergency_compactions > 0);
+  check "a touched block was adopted into the reserve" true (!reserve_touched > 0);
+  check "verifier clean" true (Verifier.ok v)
+
 (* A workload pushed far past its heap reports the exhaustion as data —
    no exception escapes the runner. *)
 let test_runner_reports_oom () =
@@ -412,5 +471,7 @@ let suite =
       [ Alcotest.test_case "escalation order" `Quick test_ladder_escalation_order;
         Alcotest.test_case "oom and recovery per collector" `Quick
           test_oom_ladder_all_collectors;
+        Alcotest.test_case "lxr reserve never swept" `Quick
+          test_lxr_reserve_never_swept;
         Alcotest.test_case "runner reports oom" `Quick test_runner_reports_oom ] )
   ]
