@@ -1,7 +1,6 @@
 open Repro_util
 open Repro_heap
 open Repro_engine
-module Par = Repro_par.Par
 
 exception Unsupported of string
 
@@ -66,9 +65,6 @@ type t = {
   mutable in_collection : bool;
 }
 
-let root_ids t =
-  Array.fold_left (fun acc r -> if r = null then acc else r :: acc) [] t.roots
-
 let gray_push t id =
   if id <> null && not (Mark_bitset.marked t.heap.marks id) then begin
     Mark_bitset.mark t.heap.marks id;
@@ -95,10 +91,10 @@ let init_mark t =
     Trace_cost.add_parallel tc ~threads:c.gc_threads
       ~cost_ns:(Float.of_int (Array.length t.roots) *. c.root_scan_ns);
     Mark_bitset.clear t.heap.marks;
-    List.iter (gray_push t) (root_ids t);
+    Gc_kernels.iter_roots t.roots (gray_push t);
     t.phase <- Mark;
     t.final_mark_ready <- false;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 
@@ -108,92 +104,21 @@ let final_mark t =
     let c = Sim.cost t.sim in
     let tc = Trace_cost.create () in
     Heap.retire_all_allocators t.heap;
-    (* Packetized BFS finish of the concurrent mark (gray entries are
-       already marked): scans emit [k; referent x k] records, the merge
-       marks and pushes the next frontier. *)
     let pool = Sim.pool t.sim in
-    let remaining = ref 0 in
-    Par.drain_rounds pool ~packet:Par.queue_per_packet ~frontier:t.gray
-      ~on_round:(fun total -> remaining := total)
-      ~scan:(fun id out ->
-        let obj = Obj_model.Registry.find_live t.heap.registry id in
-        if obj.Obj_model.id = null then Vec.push out (-1)
-        else begin
-          let kpos = Vec.length out in
-          Vec.push out 0;
-          for j = 0 to Obj_model.nfields obj - 1 do
-            let r = Obj_model.field obj j in
-            if r <> null then Vec.push out r
-          done;
-          Vec.set out kpos (Vec.length out - kpos - 1)
-        end)
-      ~merge:(fun out next ->
-        let i = ref 0 in
-        while !i < Vec.length out do
-          let k = Vec.get out !i in
-          incr i;
-          Trace_cost.add tc ~threads:c.gc_threads ~frontier:!remaining
-            ~cost_ns:c.trace_obj_ns;
-          decr remaining;
-          for j = 0 to k - 1 do
-            let r = Vec.get out (!i + j) in
-            if not (Mark_bitset.marked t.heap.marks r) then begin
-              Mark_bitset.mark t.heap.marks r;
-              Vec.push next r
-            end
-          done;
-          if k > 0 then i := !i + k
-        done);
+    Gc_kernels.drain_marked t.heap tc ~pool ~cost:c ~threads:c.gc_threads
+      ~gray:t.gray;
     t.final_mark_ready <- false;
     (* Select the collection set: sparsest blocks by marked live bytes.
-       Liveness sums run in block packets (read-only); target flags and
-       cset membership are decided in the ordered merge, which push-
-       fronts ascending blocks to reproduce the serial descending cset.
-       Reserve membership is a bitset so packets don't pay a per-block
-       [Vec.exists]. Reserve blocks are In_use and empty, which makes
-       them look like ideal cset picks — but [release_reserve] below
-       hands them to the free list, so the mutator would refill them
-       mid-cycle and [cleanup] would then clobber their state. *)
-    let cfg = t.heap.cfg in
-    let reserve_bits = Bytes.make (Heap_config.blocks cfg) '\000' in
-    Vec.iter (fun b -> Bytes.set reserve_bits b '\001') t.heap.reserve;
+       The ordered merge push-fronts ascending blocks, so the cset is in
+       descending block order. *)
+    let block_bytes = Float.of_int t.heap.cfg.block_bytes in
     let cset = ref [] in
-    Par.map_spans pool ~total:(Heap_config.blocks cfg)
-      ~packet:Par.blocks_per_packet
-      ~f:(fun _ ~lo ~len ->
-        let out = ref [] in
-        for b = lo to lo + len - 1 do
-          match Blocks.state t.heap.blocks b with
-          | (Blocks.In_use | Blocks.Recyclable)
-            when Bytes.get reserve_bits b = '\001' -> ()
-          | Blocks.In_use | Blocks.Recyclable ->
-            let live = ref 0 in
-            let residents = Blocks.residents t.heap.blocks b in
-            for k = 0 to Vec.length residents - 1 do
-              let id = Vec.get residents k in
-              let obj = Obj_model.Registry.find_live t.heap.registry id in
-              if
-                obj.Obj_model.id <> null
-                && Addr.block_of cfg (Obj_model.addr obj) = b
-                && Mark_bitset.marked t.heap.marks id
-              then live := !live + obj.size
-            done;
-            out := (b, !live) :: !out
-          | Blocks.Free | Blocks.Owned | Blocks.Los_backing -> ()
-        done;
-        List.rev !out)
-      ~merge:(fun _ pairs ->
-        List.iter
-          (fun (b, live) ->
-            Trace_cost.add_parallel tc ~threads:c.gc_threads
-              ~cost_ns:c.sweep_line_ns;
-            if Float.of_int live
-               < t.p.cset_occupancy_max *. Float.of_int cfg.block_bytes
-            then begin
-              Blocks.set_target t.heap.blocks b true;
-              cset := b :: !cset
-            end)
-          pairs);
+    Gc_kernels.marked_block_liveness t.heap ~pool (fun b live ->
+        Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_line_ns;
+        if Float.of_int live < t.p.cset_occupancy_max *. block_bytes then begin
+          Blocks.set_target t.heap.blocks b true;
+          cset := b :: !cset
+        end);
     t.cset <- !cset;
     (* Queue every marked resident of the cset for concurrent copying. *)
     Vec.clear t.evac_queue;
@@ -212,7 +137,7 @@ let final_mark t =
     Heap.release_reserve t.heap;
     t.phase <- Evac;
     Sim.set_interference t.sim c.conc_copy_interference;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 
@@ -221,63 +146,14 @@ let cleanup t =
     t.in_collection <- true;
     let c = Sim.cost t.sim in
     let tc = Trace_cost.create () in
-    let cfg = t.heap.cfg in
     Heap.retire_all_allocators t.heap;
     Bump_allocator.retire_all t.gc_alloc;
-    (* Cset packets list each block's dead residents as [b; n; id x n]
-       (anything still resident is either unmarked — dead — or an
-       evacuation failure; only the dead are freed); frees, compaction
-       and reclassification happen in the ordered merge. *)
-    let cset = Array.of_list t.cset in
-    Par.map_spans (Sim.pool t.sim) ~total:(Array.length cset)
-      ~packet:Par.blocks_per_packet
-      ~f:(fun _ ~lo ~len ->
-        let out = Par.take_scratch () in
-        for k = lo to lo + len - 1 do
-          let b = cset.(k) in
-          Vec.push out b;
-          let npos = Vec.length out in
-          Vec.push out 0;
-          let residents = Blocks.residents t.heap.blocks b in
-          for r = 0 to Vec.length residents - 1 do
-            let id = Vec.get residents r in
-            let obj = Obj_model.Registry.find_live t.heap.registry id in
-            if
-              obj.Obj_model.id <> null
-              && Addr.block_of cfg (Obj_model.addr obj) = b
-              && not (Mark_bitset.marked t.heap.marks id)
-            then Vec.push out id
-          done;
-          Vec.set out npos (Vec.length out - npos - 1)
-        done;
-        out)
-      ~merge:(fun _ out ->
-        let i = ref 0 in
-        while !i < Vec.length out do
-          let b = Vec.get out !i and n = Vec.get out (!i + 1) in
-          i := !i + 2;
-          Trace_cost.add_parallel tc ~threads:c.gc_threads
-            ~cost_ns:c.sweep_block_ns;
-          Blocks.set_target t.heap.blocks b false;
-          for j = 0 to n - 1 do
-            let obj =
-              Obj_model.Registry.find_live t.heap.registry (Vec.get out (!i + j))
-            in
-            if obj.Obj_model.id <> null then Heap.free_object t.heap obj
-          done;
-          i := !i + n;
-          Blocks.compact t.heap.blocks b ~live:(fun id ->
-              let obj = Obj_model.Registry.find_live t.heap.registry id in
-              obj.Obj_model.id <> null
-              && Addr.block_of cfg (Obj_model.addr obj) = b);
-          Blocks.set_young t.heap.blocks b false;
-          if Rc_table.block_is_free t.heap.rc cfg b then
-            Blocks.set_state t.heap.blocks b Blocks.Free
-          else if Rc_table.free_lines_in_block t.heap.rc cfg b > 0 then
-            Blocks.set_state t.heap.blocks b Blocks.Recyclable
-          else Blocks.set_state t.heap.blocks b Blocks.In_use
-        done;
-        Par.recycle_scratch out);
+    (* Anything still resident in the cset is either unmarked (dead) or
+       an evacuation failure; only the dead are freed. *)
+    Gc_kernels.sweep_blocks t.heap tc ~pool:(Sim.pool t.sim) ~cost:c
+      ~threads:c.gc_threads ~blocks:(Array.of_list t.cset)
+      ~dead:(fun obj -> not (Mark_bitset.marked t.heap.marks obj.Obj_model.id));
+    Gc_kernels.clear_targets t.heap t.cset;
     t.cset <- [];
     Heap.rebuild_free_lists t.heap;
     Heap.ensure_reserve t.heap;
@@ -286,7 +162,7 @@ let cleanup t =
     Sim.set_interference t.sim 0.0;
     t.phase <- Idle;
     t.cleanup_ready <- false;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 
@@ -367,7 +243,7 @@ let full_gc t =
     t.phase <- Idle;
     t.final_mark_ready <- false;
     t.cleanup_ready <- false;
-    Stw_common.clear_targets t.heap t.cset;
+    Gc_kernels.clear_targets t.heap t.cset;
     t.cset <- [];
     Vec.clear t.gray;
     Vec.clear t.evac_queue;
@@ -376,17 +252,17 @@ let full_gc t =
     Heap.retire_all_allocators t.heap;
     (* Degenerated collections mark, sweep, then slide-compact. *)
     let pool = Sim.pool t.sim in
-    ignore (Stw_common.mark_from t.heap tc ~pool ~cost:c ~threads:c.gc_threads
-              ~seeds:(fun f -> List.iter f (root_ids t)) ~on_visit:(fun _ -> ()));
-    ignore (Stw_common.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:c.gc_threads);
+    Gc_kernels.mark_from t.heap tc ~pool ~cost:c ~threads:c.gc_threads
+      ~seeds:(Gc_kernels.iter_roots t.roots);
+    ignore (Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:c.gc_threads);
     t.copied_bytes <-
       t.copied_bytes
-      + Stw_common.compact t.heap tc ~cost:c ~threads:c.gc_threads
+      + Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads
           ~gc_alloc:t.gc_alloc;
     Mark_bitset.clear t.heap.marks;
     Heap.clear_touched t.heap;
     Heap.ensure_reserve t.heap;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 

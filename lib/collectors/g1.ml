@@ -75,9 +75,6 @@ let gray_push t id =
     Vec.push t.gray id
   end
 
-let root_ids t =
-  Array.fold_left (fun acc r -> if r = null then acc else r :: acc) [] t.roots
-
 (* --- Young (and mixed) collections ------------------------------------ *)
 
 let evacuate_young t tc =
@@ -90,7 +87,7 @@ let evacuate_young t tc =
       Vec.push queue id
     end
   in
-  List.iter push (root_ids t);
+  Gc_kernels.iter_roots t.roots push;
   (* Seed from the old->young remembered set. *)
   let n = Vec.length t.young_rs / 2 in
   for i = 0 to n - 1 do
@@ -129,60 +126,13 @@ let evacuate_young t tc =
 
 let sweep_young_blocks t tc =
   let c = Sim.cost t.sim in
-  let cfg = t.heap.cfg in
-  (* Young-block packets: the body lists each young block's dead
-     (young-unmarked) residents as [b; n; id x n] — dead-ness in one
-     block is unaffected by frees in another — while frees, compaction
-     and reclassification happen in the ordered merge. *)
-  Par.map_spans (Sim.pool t.sim) ~total:(Heap_config.blocks cfg)
-    ~packet:Par.blocks_per_packet
-    ~f:(fun _ ~lo ~len ->
-      let out = Par.take_scratch () in
-      for b = lo to lo + len - 1 do
-        if Blocks.young t.heap.blocks b then begin
-          Vec.push out b;
-          let npos = Vec.length out in
-          Vec.push out 0;
-          let residents = Blocks.residents t.heap.blocks b in
-          for k = 0 to Vec.length residents - 1 do
-            let id = Vec.get residents k in
-            let obj = Obj_model.Registry.find_live t.heap.registry id in
-            if
-              obj.Obj_model.id <> null
-              && Addr.block_of cfg (Obj_model.addr obj) = b
-              && not (Mark_bitset.marked t.young_marks id)
-            then Vec.push out id
-          done;
-          Vec.set out npos (Vec.length out - npos - 1)
-        end
-      done;
-      out)
-    ~merge:(fun _ out ->
-      let i = ref 0 in
-      while !i < Vec.length out do
-        let b = Vec.get out !i and n = Vec.get out (!i + 1) in
-        i := !i + 2;
-        Trace_cost.add_parallel tc ~threads:c.gc_threads
-          ~cost_ns:c.sweep_block_ns;
-        for j = 0 to n - 1 do
-          let obj =
-            Obj_model.Registry.find_live t.heap.registry (Vec.get out (!i + j))
-          in
-          if obj.Obj_model.id <> null then Heap.free_object t.heap obj
-        done;
-        i := !i + n;
-        Blocks.compact t.heap.blocks b ~live:(fun id ->
-            let obj = Obj_model.Registry.find_live t.heap.registry id in
-            obj.Obj_model.id <> null
-            && Addr.block_of cfg (Obj_model.addr obj) = b);
-        Blocks.set_young t.heap.blocks b false;
-        if Rc_table.block_is_free t.heap.rc cfg b then
-          Blocks.set_state t.heap.blocks b Blocks.Free
-        else if Rc_table.free_lines_in_block t.heap.rc cfg b > 0 then
-          Blocks.set_state t.heap.blocks b Blocks.Recyclable
-        else Blocks.set_state t.heap.blocks b Blocks.In_use
-      done;
-      Par.recycle_scratch out);
+  let young = ref [] in
+  for b = Heap_config.blocks t.heap.cfg - 1 downto 0 do
+    if Blocks.young t.heap.blocks b then young := b :: !young
+  done;
+  Gc_kernels.sweep_blocks t.heap tc ~pool:(Sim.pool t.sim) ~cost:c
+    ~threads:c.gc_threads ~blocks:(Array.of_list !young)
+    ~dead:(fun obj -> not (Mark_bitset.marked t.young_marks obj.Obj_model.id));
   (* Unreached young large objects die with the nursery. *)
   let dead_los =
     Hashtbl.fold
@@ -223,11 +173,9 @@ let evacuate_old_block t tc b =
         && not (Mark_bitset.marked t.heap.marks id)
       then Heap.free_object t.heap obj)
     (Blocks.residents t.heap.blocks b);
-  List.iter
-    (fun id ->
+  Gc_kernels.iter_roots t.roots (fun id ->
       let obj = Obj_model.Registry.find_live t.heap.registry id in
-      if obj.Obj_model.id <> null then move obj)
-    (root_ids t);
+      if obj.Obj_model.id <> null then move obj);
   let rs = t.block_rs.(b) in
   let n = Vec.length rs / 2 in
   for i = 0 to n - 1 do
@@ -283,6 +231,11 @@ let young_gc t =
       in
       t.mixed_candidates <- go (mixed_quota t) t.mixed_candidates;
       Bump_allocator.retire_all t.gc_alloc;
+      (* The copies landed in fresh to-space blocks, which the allocator
+         flags young; they hold old objects, so a later young trace must
+         not treat them as nursery. No mutator allocator is live here,
+         so every young-flagged block is such a to-space block. *)
+      Blocks.clear_young t.heap.blocks;
       Heap.rebuild_free_lists t.heap
     end;
     Heap.clear_touched t.heap;
@@ -299,9 +252,9 @@ let young_gc t =
       t.marking_cycles <- t.marking_cycles + 1;
       t.remark_ready <- false;
       Mark_bitset.clear t.heap.marks;
-      List.iter (gray_push t) (root_ids t)
+      Gc_kernels.iter_roots t.roots (gray_push t)
     end;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 
@@ -313,101 +266,30 @@ let remark t =
     let c = Sim.cost t.sim in
     let tc = Trace_cost.create () in
     Heap.retire_all_allocators t.heap;
-    (* Packetized BFS finish of the concurrent mark: gray entries are
-       already marked, so the scan just emits [k; referent x k] records
-       (k = -1 for vanished ids) and the merge marks and pushes. *)
     let pool = Sim.pool t.sim in
-    let remaining = ref 0 in
-    Par.drain_rounds pool ~packet:Par.queue_per_packet ~frontier:t.gray
-      ~on_round:(fun total -> remaining := total)
-      ~scan:(fun id out ->
-        let obj = Obj_model.Registry.find_live t.heap.registry id in
-        if obj.Obj_model.id = null then Vec.push out (-1)
-        else begin
-          let kpos = Vec.length out in
-          Vec.push out 0;
-          for j = 0 to Obj_model.nfields obj - 1 do
-            let r = Obj_model.field obj j in
-            if r <> null then Vec.push out r
-          done;
-          Vec.set out kpos (Vec.length out - kpos - 1)
-        end)
-      ~merge:(fun out next ->
-        let i = ref 0 in
-        while !i < Vec.length out do
-          let k = Vec.get out !i in
-          incr i;
-          Trace_cost.add tc ~threads:c.gc_threads ~frontier:!remaining
-            ~cost_ns:c.trace_obj_ns;
-          decr remaining;
-          for j = 0 to k - 1 do
-            let r = Vec.get out (!i + j) in
-            if not (Mark_bitset.marked t.heap.marks r) then begin
-              Mark_bitset.mark t.heap.marks r;
-              Vec.push next r
-            end
-          done;
-          if k > 0 then i := !i + k
-        done);
+    Gc_kernels.drain_marked t.heap tc ~pool ~cost:c ~threads:c.gc_threads
+      ~gray:t.gray;
     t.marking <- false;
     t.remark_ready <- false;
     (* Cleanup: reclaim blocks with no marked residents at all, free dead
        large objects, and select mixed candidates by live occupancy. *)
     let cfg = t.heap.cfg in
-    (* Reserve membership as a bitset: the per-block scan below runs in
-       packets and must not pay an O(|reserve|) [Vec.exists] per block.
-       Reserve blocks are In_use and empty by construction; dissolving
-       one here would let the mutator refill it while it still sits on
-       [heap.reserve], and a later [release_reserve] would clobber the
-       live data. *)
-    let reserve_bits = Bytes.make (Heap_config.blocks cfg) '\000' in
-    Vec.iter (fun b -> Bytes.set reserve_bits b '\001') t.heap.reserve;
     let candidates = ref [] in
-    Par.map_spans pool ~total:(Heap_config.blocks cfg)
-      ~packet:Par.blocks_per_packet
-      ~f:(fun _ ~lo ~len ->
-        let out = ref [] in
-        for b = lo to lo + len - 1 do
-          match Blocks.state t.heap.blocks b with
-          | (Blocks.In_use | Blocks.Recyclable)
-            when Bytes.get reserve_bits b = '\001' -> ()
-          | Blocks.In_use | Blocks.Recyclable ->
-            let live = ref 0 in
-            let residents = Blocks.residents t.heap.blocks b in
-            for k = 0 to Vec.length residents - 1 do
-              let id = Vec.get residents k in
+    Gc_kernels.marked_block_liveness t.heap ~pool (fun b live ->
+        Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
+        if live = 0 then begin
+          Vec.iter
+            (fun id ->
               let obj = Obj_model.Registry.find_live t.heap.registry id in
-              if
-                obj.Obj_model.id <> null
-                && Addr.block_of cfg (Obj_model.addr obj) = b
-                && Mark_bitset.marked t.heap.marks id
-              then live := !live + obj.size
-            done;
-            out := (b, !live) :: !out
-          | Blocks.Free | Blocks.Owned | Blocks.Los_backing -> ()
-        done;
-        List.rev !out)
-      ~merge:(fun _ pairs ->
-        List.iter
-          (fun (b, live) ->
-            Trace_cost.add_parallel tc ~threads:c.gc_threads
-              ~cost_ns:c.sweep_block_ns;
-            if live = 0 then begin
-              Vec.iter
-                (fun id ->
-                  let obj = Obj_model.Registry.find_live t.heap.registry id in
-                  if
-                    obj.Obj_model.id <> null
-                    && Addr.block_of cfg (Obj_model.addr obj) = b
-                  then Heap.free_object t.heap obj)
-                (Blocks.residents t.heap.blocks b);
-              Blocks.compact t.heap.blocks b ~live:(fun _ -> false);
-              Blocks.set_state t.heap.blocks b Blocks.Free;
-              Vec.clear t.block_rs.(b)
-            end
-            else if Float.of_int live < 0.5 *. Float.of_int cfg.block_bytes then
-              candidates := (b, live) :: !candidates)
-          pairs);
+              if obj.Obj_model.id <> null && block_of t obj = b then
+                Heap.free_object t.heap obj)
+            (Blocks.residents t.heap.blocks b);
+          Blocks.compact t.heap.blocks b ~live:(fun _ -> false);
+          Blocks.set_state t.heap.blocks b Blocks.Free;
+          Vec.clear t.block_rs.(b)
+        end
+        else if Float.of_int live < 0.5 *. Float.of_int cfg.block_bytes then
+          candidates := (b, live) :: !candidates);
     Obj_model.Registry.iter
       (fun obj ->
         if Heap.is_los t.heap obj
@@ -419,7 +301,7 @@ let remark t =
     t.mixed_candidates <-
       List.map fst (List.sort (fun (_, a) (_, b) -> compare a b) !candidates);
     t.mixed_pending <- true;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 
@@ -441,13 +323,16 @@ let full_gc t =
     Heap.retire_all_allocators t.heap;
     (* G1's fallback full collection is mark-sweep-compact. *)
     let pool = Sim.pool t.sim in
-    ignore (Stw_common.mark_from t.heap tc ~pool ~cost:c ~threads:c.gc_threads
-              ~seeds:(fun f -> List.iter f (root_ids t)) ~on_visit:(fun _ -> ()));
-    ignore (Stw_common.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:c.gc_threads);
+    Gc_kernels.mark_from t.heap tc ~pool ~cost:c ~threads:c.gc_threads
+      ~seeds:(Gc_kernels.iter_roots t.roots);
+    ignore (Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:c.gc_threads);
     t.copied_bytes <-
       t.copied_bytes
-      + Stw_common.compact t.heap tc ~cost:c ~threads:c.gc_threads
+      + Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads
           ~gc_alloc:t.gc_alloc;
+    (* Compaction's to-space blocks are flagged young but hold survivors
+       (see the mixed phase). *)
+    Blocks.clear_young t.heap.blocks;
     Mark_bitset.clear t.heap.marks;
     Mark_bitset.clear t.young_marks;
     Hashtbl.reset t.young_los;
@@ -456,7 +341,7 @@ let full_gc t =
     Heap.clear_touched t.heap;
     Heap.ensure_reserve t.heap;
     t.bytes_since_young_gc <- 0;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 

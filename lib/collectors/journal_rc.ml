@@ -202,12 +202,6 @@ let apply_dec t queue id =
     end
   end
 
-let sweep_stale_block t b =
-  if Blocks.state t.heap.blocks b = Blocks.In_use
-     && (not (Heap.block_touched t.heap b))
-     && not (Heap.in_reserve t.heap b) then
-    ignore (Heap.rc_sweep_block t.heap b)
-
 (* --- Journal fold ------------------------------------------------------ *)
 
 let note_remset t ~(src : Obj_model.t) ~field ~(referent : Obj_model.t) =
@@ -287,70 +281,22 @@ let on_write t (src : Obj_model.t) field new_ref =
    residents. Unlike LXR — whose young objects carry no increments until
    promotion — every reference out of a dead young object was journaled
    and applied, so the sweep must cascade decrements for the dead
-   objects' current fields (collected in the ordered merge, applied
-   serially after the packets so dead-ness stays cross-block
-   independent). *)
+   objects' current fields (queued just before each free, applied
+   serially after the sweep). *)
 let young_sweep t tc =
   let c = Sim.cost t.sim in
   let cascade = Par.take_scratch () in
   let push_cascade r = if r <> null then Vec.push cascade r in
-  let touched = Heap.touched_blocks t.heap in
-  Par.map_spans (pool t) ~total:(Array.length touched)
-    ~packet:Par.blocks_per_packet
-    ~f:(fun _ ~lo ~len ->
-      let out = Par.take_scratch () in
-      for k = lo to lo + len - 1 do
-        let b = touched.(k) in
-        (* A ladder rung's [ensure_reserve] can adopt a block that was
-           allocated into (touched) earlier in the same epoch; reserve
-           blocks are In_use-empty and must not be reclassified here. *)
-        if Blocks.state t.heap.blocks b = Blocks.In_use && not (Heap.in_reserve t.heap b)
-        then begin
-          Vec.push out b;
-          let npos = Vec.length out in
-          Vec.push out 0;
-          Heap.sweep_scan_block t.heap b out;
-          Vec.set out npos (Vec.length out - npos - 1)
-        end
-      done;
-      out)
-    ~merge:(fun _ out ->
-      let i = ref 0 in
-      while !i < Vec.length out do
-        let b = Vec.get out !i and n = Vec.get out (!i + 1) in
-        let off = !i + 2 in
-        i := off + n;
-        Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
-        for k = off to off + n - 1 do
-          let obj =
-            Obj_model.Registry.find_live t.heap.registry (Vec.get out k)
-          in
-          if obj.Obj_model.id <> null then
-            Obj_model.iter_fields push_cascade obj
-        done;
-        let _, freed = Heap.rc_sweep_apply t.heap b ~dead:out ~off ~len:n in
-        t.stats.young_reclaimed <- t.stats.young_reclaimed + freed
-      done;
-      Par.recycle_scratch out);
-  (* Dead young large objects: never incremented, reclaimed wholesale —
-     with the same cascade for their journaled out-references. *)
-  Vec.iter
-    (fun id ->
-      let obj = Obj_model.Registry.find_live t.heap.registry id in
-      if obj.Obj_model.id <> null && Heap.rc_of t.heap obj = 0 then begin
-        Obj_model.iter_fields push_cascade obj;
-        t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size;
-        Heap.free_object t.heap obj
-      end)
-    t.los_young;
-  Vec.clear t.los_young;
+  Gc_kernels.sweep_young t.heap tc ~pool:(pool t) ~cost:c ~threads:c.gc_threads
+    ~los:t.los_young ~on_dead:(fun obj ->
+      Obj_model.iter_fields push_cascade obj;
+      t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size);
   while not (Vec.is_empty cascade) do
     let frontier = Vec.length cascade in
     Trace_cost.add tc ~threads:c.gc_threads ~frontier ~cost_ns:c.dec_ns;
     apply_dec t cascade (Vec.pop cascade)
   done;
-  Par.recycle_scratch cascade;
-  Heap.clear_touched t.heap
+  Par.recycle_scratch cascade
 
 (* --- Mature trace (the cycle backstop) --------------------------------- *)
 
@@ -362,11 +308,8 @@ let young_sweep t tc =
 let mature_trace t tc root_ids =
   let c = Sim.cost t.sim in
   t.stats.trace_pauses <- t.stats.trace_pauses + 1;
-  let marked =
-    Stw_common.mark_from t.heap tc ~pool:(pool t) ~cost:c ~threads:c.gc_threads
-      ~seeds:(fun f -> Vec.iter f root_ids) ~on_visit:(fun _ -> ())
-  in
-  ignore marked;
+  Gc_kernels.mark_from t.heap tc ~pool:(pool t) ~cost:c ~threads:c.gc_threads
+    ~seeds:(fun f -> Vec.iter f root_ids);
   let reg = t.heap.registry in
   Par.map_spans (pool t) ~total:(Obj_model.Registry.slot_count reg)
     ~packet:Par.slots_per_packet
@@ -383,7 +326,7 @@ let mature_trace t tc root_ids =
       Vec.append t.dec_applicable out;
       Par.recycle_scratch out);
   let freed =
-    Stw_common.sweep_unmarked t.heap tc ~pool:(pool t) ~cost:c
+    Gc_kernels.sweep_unmarked t.heap tc ~pool:(pool t) ~cost:c
       ~threads:c.gc_threads
   in
   t.stats.trace_reclaimed <- t.stats.trace_reclaimed + freed;
@@ -504,10 +447,8 @@ let journal_pause t ~force_trace =
     t.pauses_since_trace <- t.pauses_since_trace + 1;
     t.heap.epoch <- t.heap.epoch + 1;
     note_backlog t;
-    let wall = c.pause_base_ns +. Trace_cost.critical_ns tc in
-    let cpu = c.pause_base_ns +. Trace_cost.cpu_ns tc in
-    let label = if traced then "journal+trace" else "journal" in
-    Sim.pause ~label t.sim ~wall_ns:wall ~cpu_ns:cpu;
+    Gc_kernels.pause_of t.sim tc
+      ~label:(if traced then "journal+trace" else "journal");
     t.in_pause <- false
   end
 
@@ -561,7 +502,7 @@ let conc_run t ~budget_ns =
             ar.phase <- Sweeping;
             let b = Vec.pop ar.ssb in
             Bytes.unsafe_set ar.ssb_set b '\000';
-            sweep_stale_block t b;
+            Gc_kernels.sweep_stale_block t.heap b;
             t.stats.arena_sweeps <- t.stats.arena_sweeps + 1;
             if Vec.is_empty ar.ssb then ar.phase <- Idle;
             consumed := !consumed +. c.sweep_block_ns
@@ -600,14 +541,10 @@ let collect_for_alloc t pressure =
     let tc = Trace_cost.create () in
     Heap.retire_all_allocators t.heap;
     Heap.release_reserve t.heap;
-    let copied =
-      Stw_common.compact t.heap tc ~cost:c ~threads:c.gc_threads
-        ~gc_alloc:t.gc_alloc
-    in
-    ignore copied;
-    Sim.pause ~label:"compact" t.sim
-      ~wall_ns:(c.pause_base_ns +. Trace_cost.critical_ns tc)
-      ~cpu_ns:(c.pause_base_ns +. Trace_cost.cpu_ns tc));
+    ignore
+      (Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads
+         ~gc_alloc:t.gc_alloc);
+    Gc_kernels.pause_of ~label:"compact" t.sim tc);
   Heap.ensure_reserve t.heap
 
 let on_alloc t (obj : Obj_model.t) =
@@ -627,7 +564,7 @@ let on_finish t () =
       while not (Vec.is_empty ar.ssb) do
         let b = Vec.pop ar.ssb in
         Bytes.unsafe_set ar.ssb_set b '\000';
-        sweep_stale_block t b
+        Gc_kernels.sweep_stale_block t.heap b
       done;
       ar.phase <- Idle)
     t.arenas

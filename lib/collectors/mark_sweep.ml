@@ -1,8 +1,6 @@
 open Repro_heap
 open Repro_engine
 
-let null = Obj_model.null
-
 type t = {
   sim : Sim.t;
   heap : Heap.t;
@@ -16,10 +14,6 @@ type t = {
   mutable evacuated_bytes : int;
   mutable in_collection : bool;
 }
-
-let root_seeds t =
-  Array.fold_left (fun acc r -> if r = null then acc else r :: acc) [] t.roots
-
 
 let collect ?(force_defrag = false) t =
   if not t.in_collection then begin
@@ -36,7 +30,7 @@ let collect ?(force_defrag = false) t =
       (* Routine Immix defrag is bounded by the available headroom;
          emergency compaction happens after the sweep (see below). *)
       if t.defrag && Heap.available_blocks t.heap > 0 then
-        Stw_common.select_fragmented t.heap ~pool
+        Gc_kernels.select_fragmented t.heap ~pool
           ~max_blocks:(Heap.available_blocks t.heap) ~occupancy_max:0.5
       else []
     in
@@ -51,26 +45,26 @@ let collect ?(force_defrag = false) t =
           ~cost_ns:(c.copy_ns_per_byte *. Float.of_int obj.size)
       end
     in
-    ignore (Stw_common.mark_from t.heap tc ~pool ~cost:c ~threads:t.threads
-              ~seeds:(fun f -> List.iter f (root_seeds t)) ~on_visit);
+    Gc_kernels.mark_from t.heap tc ~pool ~cost:c ~threads:t.threads
+      ~seeds:(Gc_kernels.iter_roots t.roots) ~on_visit;
     Bump_allocator.retire_all t.gc_alloc;
     let freed =
-      Stw_common.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:t.threads
+      Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:t.threads
     in
     t.freed_bytes <- t.freed_bytes + freed;
-    Stw_common.clear_targets t.heap targets;
+    Gc_kernels.clear_targets t.heap targets;
     (* Emergency collections compact (Serial and Parallel full GCs are
        mark-sweep-compact). *)
     if force_defrag then
       t.evacuated_bytes <-
         t.evacuated_bytes
-        + Stw_common.compact t.heap tc ~cost:c ~threads:t.threads
+        + Compaction.compact t.heap tc ~cost:c ~threads:t.threads
             ~gc_alloc:t.gc_alloc;
     Mark_bitset.clear t.heap.marks;
     Heap.clear_touched t.heap;
     Heap.ensure_reserve t.heap;
     t.bytes_since_gc <- 0;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 

@@ -1,8 +1,6 @@
 open Repro_heap
 open Repro_engine
 
-let null = Obj_model.null
-
 type t = {
   sim : Sim.t;
   heap : Heap.t;
@@ -24,9 +22,6 @@ let collect t =
     Heap.retire_all_allocators t.heap;
     Trace_cost.add_parallel tc ~threads
       ~cost_ns:(Float.of_int (Array.length t.roots) *. c.root_scan_ns);
-    let seeds =
-      Array.fold_left (fun acc r -> if r = null then acc else r :: acc) [] t.roots
-    in
     let on_visit (obj : Obj_model.t) =
       if Heap.evacuate t.heap t.gc_alloc obj then begin
         t.copied_bytes <- t.copied_bytes + obj.size;
@@ -35,14 +30,14 @@ let collect t =
       end
     in
     let pool = Sim.pool t.sim in
-    ignore (Stw_common.mark_from t.heap tc ~pool ~cost:c ~threads
-              ~seeds:(fun f -> List.iter f seeds) ~on_visit);
+    Gc_kernels.mark_from t.heap tc ~pool ~cost:c ~threads
+      ~seeds:(Gc_kernels.iter_roots t.roots) ~on_visit;
     Bump_allocator.retire_all t.gc_alloc;
-    ignore (Stw_common.sweep_unmarked t.heap tc ~pool ~cost:c ~threads);
+    ignore (Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost:c ~threads);
     Mark_bitset.clear t.heap.marks;
     Heap.clear_touched t.heap;
     t.bytes_since_gc <- 0;
-    Stw_common.pause_of t.sim tc;
+    Gc_kernels.pause_of t.sim tc;
     t.in_collection <- false
   end
 

@@ -158,15 +158,6 @@ let apply_dec t queue id =
     end
   end
 
-(* Sweep one block whose lines may have been freed by decrements. Blocks
-   currently being allocated into (touched or owned) are skipped: their
-   young residents legitimately carry zero counts. So are reserve blocks. *)
-let lazy_sweep_block t b =
-  if Blocks.state t.heap.blocks b = Blocks.In_use
-     && (not (Heap.block_touched t.heap b))
-     && not (Heap.in_reserve t.heap b) then
-    ignore (Heap.rc_sweep_block t.heap b)
-
 (* --- Increments (§3.2.1) ---------------------------------------------- *)
 
 (* Promotion: a young object just received its first increment. All its
@@ -215,63 +206,16 @@ let apply_incs t tc queue =
 let young_sweep t tc =
   let c = Sim.cost t.sim in
   let clean = ref 0 in
-  (* Sweep packets over the touched-block list: dead-resident detection
-     per block is read-only and cross-block independent (packet bodies);
-     frees and classification happen in the ordered merge, in the same
-     ascending touched-block order as the old serial loop. Packet
-     encoding: [block; ndead; dead ids...] per swept block. *)
-  let touched = Heap.touched_blocks t.heap in
-  Par.map_spans (pool t) ~total:(Array.length touched)
-    ~packet:Par.blocks_per_packet
-    ~f:(fun _ ~lo ~len ->
-      let out = Par.take_scratch () in
-      for k = lo to lo + len - 1 do
-        let b = touched.(k) in
-        (* The emergency rung's compaction can free a block touched
-           earlier in the epoch, and its [ensure_reserve] can then adopt
-           it; reserve blocks must not be reclassified here. *)
-        if Blocks.state t.heap.blocks b = Blocks.In_use
-           && not (Heap.in_reserve t.heap b)
-        then begin
-          Vec.push out b;
-          let npos = Vec.length out in
-          Vec.push out 0;
-          Heap.sweep_scan_block t.heap b out;
-          Vec.set out npos (Vec.length out - npos - 1)
-        end
-      done;
-      out)
-    ~merge:(fun _ out ->
-      let i = ref 0 in
-      while !i < Vec.length out do
-        let b = Vec.get out !i and n = Vec.get out (!i + 1) in
-        let off = !i + 2 in
-        i := off + n;
-        let was_young = Blocks.young t.heap.blocks b in
-        Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
-        let classification, freed =
-          Heap.rc_sweep_apply t.heap b ~dead:out ~off ~len:n
-        in
-        t.stats.young_reclaimed <- t.stats.young_reclaimed + freed;
-        match classification with
-        | `Freed ->
-          incr clean;
-          if was_young then
-            t.stats.clean_young_blocks <- t.stats.clean_young_blocks + 1
-        | `Recyclable _ | `Full -> ()
-      done;
-      Par.recycle_scratch out);
-  (* Dead young large objects: never incremented, reclaimed wholesale. *)
-  Vec.iter
-    (fun id ->
-      let obj = find_live t id in
-      if obj.Obj_model.id <> null && Heap.rc_of t.heap obj = 0 then begin
-        t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size;
-        Heap.free_object t.heap obj
-      end)
-    t.los_young;
-  Vec.clear t.los_young;
-  Heap.clear_touched t.heap;
+  Gc_kernels.sweep_young t.heap tc ~pool:(pool t) ~cost:c ~threads:c.gc_threads
+    ~los:t.los_young
+    ~on_dead:(fun obj ->
+      t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size)
+    ~on_block:(fun _ ~young -> function
+      | `Freed ->
+        incr clean;
+        if young then
+          t.stats.clean_young_blocks <- t.stats.clean_young_blocks + 1
+      | `Recyclable _ | `Full -> ());
   !clean
 
 (* --- SATB begin / reclamation / evacuation ---------------------------- *)
@@ -283,46 +227,6 @@ let live_blocks t =
   + Blocks.count_state blocks Blocks.Owned
   + Blocks.count_state blocks Blocks.Los_backing
 
-let select_targets t =
-  let cfg = t.heap.cfg in
-  let candidates = ref [] in
-  (* Block-range packets: the per-block live-byte fold is read-only; the
-     ordered merge reproduces the serial accumulation order exactly. *)
-  Par.map_spans (pool t) ~total:(Heap_config.blocks cfg)
-    ~packet:Par.blocks_per_packet
-    ~f:(fun _ ~lo ~len ->
-      let out = Par.take_scratch () in
-      for b = lo to lo + len - 1 do
-        match Blocks.state t.heap.blocks b with
-        | Blocks.In_use | Blocks.Recyclable ->
-          let live = Heap.live_bytes_in_block t.heap b in
-          if Float.of_int live
-             < t.cfg.evac_occupancy_max *. Float.of_int cfg.block_bytes
-             && live > 0
-          then begin
-            Vec.push out b;
-            Vec.push out live
-          end
-        | Blocks.Free | Blocks.Owned | Blocks.Los_backing -> ()
-      done;
-      out)
-    ~merge:(fun _ out ->
-      let i = ref 0 in
-      while !i < Vec.length out do
-        candidates := (Vec.get out !i, Vec.get out (!i + 1)) :: !candidates;
-        i := !i + 2
-      done;
-      Par.recycle_scratch out);
-  let sorted = List.sort (fun (_, a) (_, b) -> compare a b) !candidates in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | (b, _) :: rest -> b :: take (n - 1) rest
-  in
-  let targets = take t.cfg.max_evac_targets sorted in
-  List.iter (fun b -> Blocks.set_target t.heap.blocks b true) targets;
-  targets
-
 let begin_satb t root_ids =
   t.satb_active <- true;
   t.pauses_since_satb <- 0;
@@ -332,7 +236,9 @@ let begin_satb t root_ids =
   Mark_bitset.clear t.heap.marks;
   Reuse_table.reset_all t.heap.reuse;
   Remset.clear t.remset;
-  t.evac_targets <- select_targets t;
+  t.evac_targets <-
+    Gc_kernels.select_fragmented t.heap ~pool:(pool t)
+      ~max_blocks:t.cfg.max_evac_targets ~occupancy_max:t.cfg.evac_occupancy_max;
   Vec.iter (gray_push t) root_ids
 
 (* Read-only mirror of [satb_scan] for trace packets: emit
@@ -674,7 +580,7 @@ let rc_pause t =
       Vec.iter
         (fun b ->
           Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
-          lazy_sweep_block t b)
+          Gc_kernels.sweep_stale_block t.heap b)
         t.lazy_sweep;
       Vec.clear t.lazy_sweep;
       Hashtbl.reset t.lazy_sweep_set
@@ -764,7 +670,7 @@ let conc_run t ~budget_ns =
     else if not (Vec.is_empty t.lazy_sweep) then begin
       let b = Vec.pop t.lazy_sweep in
       Hashtbl.remove t.lazy_sweep_set b;
-      lazy_sweep_block t b;
+      Gc_kernels.sweep_stale_block t.heap b;
       consumed := !consumed +. c.sweep_block_ns
     end
     else if t.cfg.concurrent_satb && satb_tracing t then begin
@@ -819,10 +725,7 @@ let collect_for_alloc t pressure =
     if t.satb_active && not t.satb_completed then begin
       let tc = Trace_cost.create () in
       drain_satb_in_pause t tc;
-      let c = Sim.cost t.sim in
-      Sim.pause ~label:"forced-trace" t.sim
-        ~wall_ns:(c.pause_base_ns +. Trace_cost.critical_ns tc)
-        ~cpu_ns:(c.pause_base_ns +. Trace_cost.cpu_ns tc)
+      Gc_kernels.pause_of ~label:"forced-trace" t.sim tc
     end;
     rc_pause t
   | Collector.Emergency ->
@@ -837,9 +740,7 @@ let collect_for_alloc t pressure =
         ~gc_alloc:t.gc_alloc
     in
     t.stats.mature_evacuated <- t.stats.mature_evacuated + copied;
-    Sim.pause ~label:"compact" t.sim
-      ~wall_ns:(c.pause_base_ns +. Trace_cost.critical_ns tc)
-      ~cpu_ns:(c.pause_base_ns +. Trace_cost.cpu_ns tc));
+    Gc_kernels.pause_of ~label:"compact" t.sim tc);
   Heap.ensure_reserve t.heap
 
 (* --- Barrier (§3.4, Figure 3) ------------------------------------------ *)
@@ -908,7 +809,7 @@ let on_finish t () =
   while not (Vec.is_empty t.lazy_queue) do
     apply_dec t t.lazy_queue (Vec.pop t.lazy_queue)
   done;
-  Vec.iter (fun b -> lazy_sweep_block t b) t.lazy_sweep;
+  Vec.iter (fun b -> Gc_kernels.sweep_stale_block t.heap b) t.lazy_sweep;
   Vec.clear t.lazy_sweep;
   Hashtbl.reset t.lazy_sweep_set
 

@@ -12,14 +12,14 @@
    collector's run. A simulator can construct this baseline exactly;
    real hardware can only bound it.
 
-   Deliberately serial and unmetered: it never touches Trace_cost with
-   intent to charge, never calls Sim.pause, and stays off the work-packet
-   pool (host time here is not measured by anything). *)
+   It reclaims through the same kernels as every other plan
+   ({!Gc_kernels.mark_from}, {!Gc_kernels.sweep_unmarked}, and the
+   emergency {!Compaction.compact}), run on the serial packet pool. The
+   kernels meter their work into a Trace_cost that is simply dropped:
+   the ideal baseline never calls Sim.pause and charges no GC CPU. *)
 
 open Repro_heap
 open Repro_engine
-
-let null = Obj_model.null
 
 type t = {
   sim : Sim.t;
@@ -31,85 +31,21 @@ type t = {
   mutable in_collection : bool;
 }
 
-(* Serial BFS mark from the roots. No cost accounting. *)
-let mark t =
-  let marks = t.heap.Heap.marks in
-  let gray = Queue.create () in
-  let seed id =
-    if id <> null && not (Mark_bitset.marked marks id) then begin
-      Mark_bitset.mark marks id;
-      Queue.add id gray
-    end
-  in
-  Array.iter seed t.roots;
-  while not (Queue.is_empty gray) do
-    let id = Queue.take gray in
-    match Obj_model.Registry.find t.heap.Heap.registry id with
-    | None -> ()
-    | Some obj ->
-      Obj_model.iter_fields
-        (fun r ->
-          if r <> null && not (Mark_bitset.marked marks r) then begin
-            Mark_bitset.mark marks r;
-            Queue.add r gray
-          end)
-        obj
-  done
-
-(* Serial sweep: free every unmarked registered object, then re-derive
-   block states from the final RC metadata (same classification as
-   Stw_common.sweep_unmarked, minus the packets and the cost charges). *)
-let sweep t =
-  let heap = t.heap in
-  let registry = heap.Heap.registry in
-  let dead = ref [] in
-  for s = Obj_model.Registry.slot_count registry - 1 downto 0 do
-    match Obj_model.Registry.handle_at registry s with
-    | Some obj when not (Mark_bitset.marked heap.Heap.marks obj.Obj_model.id) ->
-      dead := obj.Obj_model.id :: !dead
-    | Some _ | None -> ()
-  done;
-  List.iter
-    (fun id ->
-      match Obj_model.Registry.find registry id with
-      | Some obj ->
-        t.freed_bytes <- t.freed_bytes + obj.Obj_model.size;
-        Heap.free_object heap obj
-      | None -> ())
-    !dead;
-  let cfg = heap.Heap.cfg in
-  for b = 0 to Heap_config.blocks cfg - 1 do
-    match Blocks.state heap.Heap.blocks b with
-    | Blocks.In_use | Blocks.Recyclable | Blocks.Owned ->
-      Blocks.compact heap.Heap.blocks b ~live:(fun id ->
-          Obj_model.Registry.mem registry id);
-      Blocks.set_young heap.Heap.blocks b false;
-      Blocks.set_state heap.Heap.blocks b
-        (if Rc_table.block_is_free heap.Heap.rc cfg b then Blocks.Free
-         else if Rc_table.free_lines_in_block heap.Heap.rc cfg b > 0 then
-           Blocks.Recyclable
-         else Blocks.In_use)
-    | Blocks.Free | Blocks.Los_backing -> ()
-  done;
-  Heap.rebuild_free_lists heap
-
 let collect ?(emergency = false) t =
   if not t.in_collection then begin
     t.in_collection <- true;
     t.collections <- t.collections + 1;
     Heap.retire_all_allocators t.heap;
     if emergency then Heap.release_reserve t.heap;
-    mark t;
+    let tc = Trace_cost.create () and cost = Sim.cost t.sim in
+    let pool = Repro_par.Par.Pool.serial in
+    Gc_kernels.mark_from t.heap tc ~pool ~cost ~threads:1
+      ~seeds:(Gc_kernels.iter_roots t.roots);
     Bump_allocator.retire_all t.gc_alloc;
-    sweep t;
-    if emergency then begin
-      (* Free defragmentation: the compaction engine meters its copies
-         into a scratch Trace_cost that is simply dropped. *)
-      let tc = Trace_cost.create () in
-      ignore
-        (Compaction.compact t.heap tc ~cost:(Sim.cost t.sim) ~threads:1
-           ~gc_alloc:t.gc_alloc)
-    end;
+    t.freed_bytes <-
+      t.freed_bytes + Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost ~threads:1;
+    if emergency then
+      ignore (Compaction.compact t.heap tc ~cost ~threads:1 ~gc_alloc:t.gc_alloc);
     Mark_bitset.clear t.heap.Heap.marks;
     Heap.clear_touched t.heap;
     Heap.ensure_reserve t.heap;

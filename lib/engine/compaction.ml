@@ -4,20 +4,12 @@ open Repro_heap
    the free lists, so partially filled compaction destinations become
    recyclable. *)
 let reclassify heap =
-  let cfg = heap.Heap.cfg in
-  let in_reserve = Hashtbl.create 8 in
-  Repro_util.Vec.iter (fun b -> Hashtbl.replace in_reserve b ()) heap.Heap.reserve;
-  for b = 0 to Heap_config.blocks cfg - 1 do
-    if not (Hashtbl.mem in_reserve b) then begin
-      match Blocks.state heap.Heap.blocks b with
-      | Blocks.In_use | Blocks.Recyclable ->
-        if Rc_table.block_is_free heap.Heap.rc cfg b then
-          Blocks.set_state heap.Heap.blocks b Blocks.Free
-        else if Rc_table.free_lines_in_block heap.Heap.rc cfg b > 0 then
-          Blocks.set_state heap.Heap.blocks b Blocks.Recyclable
-        else Blocks.set_state heap.Heap.blocks b Blocks.In_use
-      | Blocks.Free | Blocks.Owned | Blocks.Los_backing -> ()
-    end
+  for b = 0 to Heap_config.blocks heap.Heap.cfg - 1 do
+    match Blocks.state heap.Heap.blocks b with
+    | (Blocks.In_use | Blocks.Recyclable) when not (Heap.in_reserve heap b) ->
+      Blocks.set_state heap.Heap.blocks b (Heap.classify_block heap b)
+    | Blocks.In_use | Blocks.Recyclable | Blocks.Free | Blocks.Owned
+    | Blocks.Los_backing -> ()
   done;
   Heap.rebuild_free_lists heap
 

@@ -18,6 +18,7 @@ let state t b = t.states.(b)
 let set_state t b st = t.states.(b) <- st
 let young t b = Bytes.get t.young_flags b <> '\000'
 let set_young t b v = Bytes.set t.young_flags b (if v then '\001' else '\000')
+let clear_young t = Bytes.fill t.young_flags 0 (Bytes.length t.young_flags) '\000'
 let target t b = Bytes.get t.target_flags b <> '\000'
 let set_target t b v = Bytes.set t.target_flags b (if v then '\001' else '\000')
 let residents t b = t.resident_lists.(b)

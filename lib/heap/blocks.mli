@@ -21,6 +21,9 @@ val set_state : t -> int -> state -> unit
 val young : t -> int -> bool
 val set_young : t -> int -> bool -> unit
 
+(** [clear_young t] drops the young flag on every block. *)
+val clear_young : t -> unit
+
 (** Evacuation-target flag (the block belongs to the current evacuation
     set). *)
 val target : t -> int -> bool

@@ -17,6 +17,7 @@ type t = {
   touched : Bytes.t;  (* one bit per block *)
   mutable allocators : Bump_allocator.t list;
   reserve : Vec.t;  (* stack: newest reserve block at the end *)
+  reserve_member : Bytes.t;  (* one byte per block: in [reserve]? *)
   sweep_scratch : Vec.t;  (* per-heap: fleet replicas sweep concurrently *)
   mutable epoch : int;
   mutable on_pre_pause : unit -> unit;
@@ -38,6 +39,7 @@ let create ?slots_hint ?ids_hint cfg =
       touched = Bytes.make ((nblocks + 7) / 8) '\000';
       allocators = [];
       reserve = Vec.create ~capacity:8 ();
+      reserve_member = Bytes.make nblocks '\000';
       sweep_scratch = Vec.create ~capacity:64 ();
       epoch = 0;
       on_pre_pause = ignore }
@@ -252,63 +254,54 @@ let resident_live t b id =
   let obj = Obj_model.Registry.find_live t.registry id in
   obj.Obj_model.id <> Obj_model.null && Addr.block_of t.cfg (Obj_model.addr obj) = b
 
-(* Read-only half of the per-block sweep: is [id] a resident of [b]
-   that died with a zero count (young objects that never received an
-   increment and were never individually freed)? Dead-ness in one block
-   is unaffected by frees in any other block — objects never straddle
-   blocks — so many blocks may be scanned concurrently by sweep work
-   packets before any of them is applied. *)
-let dead_resident t b id =
-  let obj = Obj_model.Registry.find_live t.registry id in
-  obj.Obj_model.id <> Obj_model.null
-  && Addr.block_of t.cfg (Obj_model.addr obj) = b
-  && Rc_table.get t.rc t.cfg (Obj_model.addr obj) = 0
+let classify_block t b =
+  if Rc_table.block_is_free t.rc t.cfg b then Blocks.Free
+  else if Rc_table.free_lines_in_block t.rc t.cfg b > 0 then Blocks.Recyclable
+  else Blocks.In_use
 
-let sweep_scan_block t b out =
-  Vec.iter
-    (fun id -> if dead_resident t b id then Vec.push out id)
-    (Blocks.residents t.blocks b)
-
-(* Mutating half: free a pre-scanned dead list ([len] ids of [dead]
-   starting at [off]), then compact and classify the block. Equivalent
-   to [rc_sweep_block] when the list came from [sweep_scan_block] with
-   no intervening mutation of block [b]. *)
-let rc_sweep_apply t b ~dead ~off ~len =
+(* Free a pre-scanned dead list ([len] ids of [dead] starting at [off]),
+   then compact and classify the block. Each dead object costs one
+   registry lookup, shared with [on_free]. *)
+let sweep_apply ?(on_free = ignore) t b ~dead ~off ~len =
   let freed_bytes = ref 0 in
   for k = off to off + len - 1 do
     let obj = Obj_model.Registry.find_live t.registry (Vec.get dead k) in
     if obj.Obj_model.id <> Obj_model.null then begin
       freed_bytes := !freed_bytes + obj.size;
+      on_free obj;
       free_object t obj
     end
   done;
   Blocks.compact t.blocks b ~live:(resident_live t b);
   Blocks.set_young t.blocks b false;
+  let state = classify_block t b in
+  Blocks.set_state t.blocks b state;
   let classification =
-    if Rc_table.block_is_free t.rc t.cfg b then begin
-      Blocks.set_state t.blocks b Blocks.Free;
+    match state with
+    | Blocks.Free ->
       Free_lists.release_free t.free b;
       `Freed
-    end
-    else begin
-      let free_lines = Rc_table.free_lines_in_block t.rc t.cfg b in
-      if free_lines > 0 then begin
-        Blocks.set_state t.blocks b Blocks.Recyclable;
-        Free_lists.release_recyclable t.free b;
-        `Recyclable free_lines
-      end
-      else begin
-        Blocks.set_state t.blocks b Blocks.In_use;
-        `Full
-      end
-    end
+    | Blocks.Recyclable ->
+      Free_lists.release_recyclable t.free b;
+      `Recyclable (Rc_table.free_lines_in_block t.rc t.cfg b)
+    | Blocks.In_use | Blocks.Owned | Blocks.Los_backing -> `Full
   in
   (classification, !freed_bytes)
 
+(* The dead are residents that died with a zero count: young objects
+   that never received an increment and were never individually freed. *)
 let rc_sweep_block t b =
   Vec.clear t.sweep_scratch;
-  sweep_scan_block t b t.sweep_scratch;
-  rc_sweep_apply t b ~dead:t.sweep_scratch ~off:0 ~len:(Vec.length t.sweep_scratch)
+  Vec.iter
+    (fun id ->
+      let obj = Obj_model.Registry.find_live t.registry id in
+      if
+        obj.Obj_model.id <> Obj_model.null
+        && Addr.block_of t.cfg (Obj_model.addr obj) = b
+        && Rc_table.get t.rc t.cfg (Obj_model.addr obj) = 0
+      then Vec.push t.sweep_scratch id)
+    (Blocks.residents t.blocks b);
+  sweep_apply t b ~dead:t.sweep_scratch ~off:0 ~len:(Vec.length t.sweep_scratch)
 
 let available_blocks t = Free_lists.free_count t.free
 
@@ -322,6 +315,7 @@ let reserve_target t =
 let release_reserve t =
   for i = Vec.length t.reserve - 1 downto 0 do
     let b = Vec.get t.reserve i in
+    Bytes.set t.reserve_member b '\000';
     Blocks.set_state t.blocks b Blocks.Free;
     Free_lists.release_free t.free b
   done;
@@ -329,7 +323,7 @@ let release_reserve t =
 
 (* Reserve blocks are [In_use] with all-zero counts, so a sweep that
    visits one would dissolve it back into circulation. *)
-let in_reserve t b = Vec.exists (fun x -> x = b) t.reserve
+let in_reserve t b = Bytes.get t.reserve_member b <> '\000'
 
 let ensure_reserve t =
   (* Drop blocks a sweep may have dissolved back into circulation,
@@ -341,6 +335,7 @@ let ensure_reserve t =
       Vec.set t.reserve !keep b;
       incr keep
     end
+    else Bytes.set t.reserve_member b '\000'
   done;
   while Vec.length t.reserve > !keep do
     ignore (Vec.pop t.reserve)
@@ -352,6 +347,7 @@ let ensure_reserve t =
     | Some b when Blocks.state t.blocks b = Blocks.Free ->
       Blocks.set_state t.blocks b Blocks.In_use;
       Vec.push t.reserve b;
+      Bytes.set t.reserve_member b '\001';
       decr missing
     | Some _ -> ()
     | None -> exhausted := true
@@ -366,13 +362,14 @@ let rebuild_free_lists t =
     | Blocks.Owned | Blocks.In_use | Blocks.Los_backing -> ()
   done
 
-let live_bytes_in_block t b =
+let live_bytes_in_block ?(live = fun _ -> true) t b =
   Vec.fold
     (fun acc id ->
       let obj = Obj_model.Registry.find_live t.registry id in
       if
         obj.Obj_model.id <> Obj_model.null
         && Addr.block_of t.cfg (Obj_model.addr obj) = b
+        && live obj
       then acc + obj.size
       else acc)
     0

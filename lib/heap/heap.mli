@@ -31,6 +31,9 @@ type t = {
   reserve : Repro_util.Vec.t;
       (** to-space reserve: blocks withheld from allocation so emergency
           compaction always has copy destinations (stack; newest last) *)
+  reserve_member : Bytes.t;
+      (** one byte per block, non-zero iff the block is on [reserve] —
+          the O(1) view behind {!in_reserve} *)
   sweep_scratch : Repro_util.Vec.t;
       (** scratch dead-list for [rc_sweep_block]; per-heap because fleet
           replicas sweep their heaps concurrently *)
@@ -116,6 +119,11 @@ val free_object : t -> Obj_model.t -> unit
     space is available or the object is a large object. *)
 val evacuate : t -> Bump_allocator.t -> Obj_model.t -> bool
 
+(** [classify_block t b] is the state block [b]'s RC table implies:
+    [Free] when every count is zero, [Recyclable] when some line is
+    free, [In_use] otherwise. *)
+val classify_block : t -> int -> Blocks.state
+
 (** [rc_sweep_block t b] inspects block [b]'s RC table after an RC epoch:
     frees it entirely (returning it to the free list) when all counts are
     zero, lists it as recyclable when it has free lines, and leaves it in
@@ -124,18 +132,14 @@ val evacuate : t -> Bump_allocator.t -> Obj_model.t -> bool
 val rc_sweep_block :
   t -> int -> [ `Freed | `Recyclable of int | `Full ] * int
 
-(** Work-packet split of [rc_sweep_block]. [sweep_scan_block t b out]
-    is the read-only half: it appends the ids of block [b]'s dead
-    residents (rc = 0) to [out]. It mutates nothing, and dead-ness in
-    one block is unaffected by frees in another (objects never straddle
-    blocks), so sweep packets may scan many blocks concurrently before
-    any block is applied. *)
-val sweep_scan_block : t -> int -> Repro_util.Vec.t -> unit
-
-(** [rc_sweep_apply t b ~dead ~off ~len] is the mutating half: frees
-    the [len] pre-scanned dead ids of [dead] starting at [off], then
-    compacts and classifies block [b] exactly as [rc_sweep_block]. *)
-val rc_sweep_apply :
+(** [sweep_apply ?on_free t b ~dead ~off ~len] frees the [len] dead ids
+    of [dead] starting at [off] (ids no longer registered are skipped;
+    [on_free] sees each object just before its free), then compacts
+    block [b]'s resident list, clears its young flag, and classifies it
+    with {!classify_block}, releasing [Free] and [Recyclable] blocks
+    onto their lists. Returns the classification and the freed bytes. *)
+val sweep_apply :
+  ?on_free:(Obj_model.t -> unit) ->
   t ->
   int ->
   dead:Repro_util.Vec.t ->
@@ -152,7 +156,7 @@ val available_blocks : t -> int
 val release_reserve : t -> unit
 
 (** [in_reserve t b]: [b] is one of the to-space reserve's blocks, which
-    are [In_use] with all-zero counts — sweeps must skip them. *)
+    are [In_use] with all-zero counts — sweeps must skip them. O(1). *)
 val in_reserve : t -> int -> bool
 
 (** [ensure_reserve t] tops the reserve back up (to ~1/16 of the heap)
@@ -166,9 +170,9 @@ val ensure_reserve : t -> unit
     wholesale. *)
 val rebuild_free_lists : t -> unit
 
-(** [live_bytes_in_block t b] sums the sizes of live residents (exact,
-    used for evacuation-target selection alongside the RC upper bound). *)
-val live_bytes_in_block : t -> int -> int
+(** [live_bytes_in_block ?live t b] sums the sizes of block [b]'s
+    registered residents that satisfy [live] (default: all of them). *)
+val live_bytes_in_block : ?live:(Obj_model.t -> bool) -> t -> int -> int
 
 (** [reachable t ~roots] is the oracle id set reachable from [roots],
     as an id-indexed bitset. *)

@@ -239,6 +239,18 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
             ~expected:"no live resident objects" ~found:"live resident"
       end)
     heap.reserve;
+  (* The membership bytes behind the O(1) [Heap.in_reserve] are a second
+     view of the reserve stack: both must agree for every block. *)
+  let on_stack = Bytes.make (Heap_config.blocks cfg) '\000' in
+  Vec.iter (fun b -> Bytes.set on_stack b '\001') heap.reserve;
+  for b = 0 to Heap_config.blocks cfg - 1 do
+    let listed = Bytes.get on_stack b <> '\000' in
+    if listed <> Heap.in_reserve heap b then
+      v ~module_:"reserve" ~invariant:"reserve-membership"
+        ~subject:(Printf.sprintf "block %d" b)
+        ~expected:(if listed then "member (on the reserve stack)" else "not a member")
+        ~found:(if listed then "membership byte clear" else "membership byte set")
+  done;
 
   (* --- RC table vs the registry: every non-zero entry must be an object
      header or a straddle-line marker; straddle markers hold the stuck

@@ -26,9 +26,12 @@ echo "== trace corpus: cross-collector differential replay (gc-threads=2) =="
 # reports the refusal as a skipped lane and diffs the rest. gc-threads=2
 # routes every lane through the work-packet scheduler: checkpoints are
 # bit-identical to --gc-threads=1 by construction, so a clean diff here
-# exercises the parallel kernels against the same oracle.
+# exercises the parallel kernels against the same oracle. The STW lanes
+# (serial, parallel, immix, semispace) run the shared mark and sweep
+# kernels with no concurrent machinery on top.
 for t in test/corpus/*.lxrtrace; do
-  dune exec bin/lxr_trace.exe -- diff "$t" -c lxr,g1,shenandoah,zgc,journal_rc \
+  dune exec bin/lxr_trace.exe -- diff "$t" \
+    -c lxr,g1,shenandoah,zgc,journal_rc,serial,parallel,immix,semispace \
     --gc-threads=2
 done
 

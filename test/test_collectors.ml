@@ -212,6 +212,23 @@ let test_g1_promotes_survivors () =
     (Blocks.young env.heap.blocks (Addr.block_of env.heap.cfg (Obj_model.addr obj)));
   check "alive" true (registered env obj.id)
 
+(* Blocks G1 copies old objects into (mixed-phase evacuation, full-GC
+   compaction) come from the same allocator path as nursery blocks and
+   must not stay flagged young: the next young trace seeds only from
+   roots and the old->young remembered set, so it would sweep those
+   promoted objects while old objects still point at them. Each run
+   takes one of the two paths; the verifier flags the dangling refs. *)
+let g1_to_space_not_young bench heap_factor () =
+  let get = function Ok x -> x | Error e -> Alcotest.fail e in
+  let r =
+    Repro_harness.Runner.run ~seed:7 ~scale:0.08
+      ~verify:Repro_verify.Verifier.[ Pre_pause; Post_pause; End_of_run ]
+      ~workload:(get (Repro_harness.Collector_set.find_workload bench))
+      ~factory:(Repro_collectors.Registry.find "g1") ~heap_factor ()
+  in
+  Alcotest.(check (option string)) "no error" None r.error;
+  Alcotest.(check int) "no violations" 0 (List.length r.violations)
+
 let test_g1_old_to_young_remembered () =
   let env = make_env ~factory:(Repro_collectors.Registry.find "g1") () in
   let old = alloc env () in
@@ -324,6 +341,10 @@ let suite =
       [ Alcotest.test_case "semispace copies" `Quick test_semispace_copies_survivors;
         Alcotest.test_case "g1 promotes" `Quick test_g1_promotes_survivors;
         Alcotest.test_case "g1 remembered set" `Quick test_g1_old_to_young_remembered;
+        Alcotest.test_case "g1 mixed to-space not young" `Quick
+          (g1_to_space_not_young "fragger" 1.3);
+        Alcotest.test_case "g1 full-gc to-space not young" `Quick
+          (g1_to_space_not_young "avrora" 1.1);
         Alcotest.test_case "shenandoah cycle stats" `Quick test_shenandoah_stats_move;
         Alcotest.test_case "zgc min heap" `Quick test_zgc_refuses_small_heap;
         Alcotest.test_case "zgc large heap" `Quick test_zgc_accepts_large_heap;

@@ -157,6 +157,26 @@ let test_detects_punched_straddle_marker () =
     check "punched straddle detected" true
       (has_invariant "straddle-marker-missing" vs)
 
+(* Flip one reserve-membership byte: a block the reserve stack does not
+   hold now claims membership (or, on a heap with a reserve, a held
+   block loses it). *)
+let test_detects_reserve_membership_flip () =
+  let heap, api = run_mini 11 in
+  check "mini run keeps a reserve" true (not (Repro_util.Vec.is_empty heap.Heap.reserve));
+  let b = Repro_util.Vec.get heap.Heap.reserve 0 in
+  Bytes.set heap.Heap.reserve_member b '\000';
+  let vs = check_api api in
+  check "cleared membership detected" true (has_invariant "reserve-membership" vs);
+  Bytes.set heap.Heap.reserve_member b '\001';
+  check "restored heap passes" true (check_api api = []);
+  let outsider = ref (-1) in
+  for x = Heap_config.blocks heap.cfg - 1 downto 0 do
+    if not (Heap.in_reserve heap x) then outsider := x
+  done;
+  Bytes.set heap.Heap.reserve_member !outsider '\001';
+  check "spurious membership detected" true
+    (has_invariant "reserve-membership" (check_api api))
+
 (* --- Injected corruption matrix ----------------------------------------- *)
 
 let test_inject_drop_barrier_detected () =
@@ -449,6 +469,8 @@ let suite =
         Alcotest.test_case "dangling root" `Quick test_detects_dangling_root;
         Alcotest.test_case "punched straddle marker" `Quick
           test_detects_punched_straddle_marker;
+        Alcotest.test_case "reserve membership flip" `Quick
+          test_detects_reserve_membership_flip;
         Alcotest.test_case "end-of-run session" `Quick
           test_end_of_run_only_session;
         Alcotest.test_case "violation cap" `Quick test_max_violations_cap ] );
