@@ -221,11 +221,7 @@ let young_sweep t tc =
 (* --- SATB begin / reclamation / evacuation ---------------------------- *)
 
 let live_blocks t =
-  let blocks = t.heap.blocks in
-  Blocks.count_state blocks Blocks.In_use
-  + Blocks.count_state blocks Blocks.Recyclable
-  + Blocks.count_state blocks Blocks.Owned
-  + Blocks.count_state blocks Blocks.Los_backing
+  Blocks.total t.heap.blocks - Blocks.count_state t.heap.blocks Blocks.Free
 
 let begin_satb t root_ids =
   t.satb_active <- true;

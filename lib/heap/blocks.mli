@@ -16,6 +16,13 @@ type t
 val create : Heap_config.t -> t
 
 val state : t -> int -> state
+
+(** [set_state t b st] moves block [b] to [st] and updates the per-state
+    counts {!count_state} reads. The counts are plain ints, not atomics:
+    call [set_state] only on the domain that owns the heap (allocators,
+    collector phases, and the ordered [merge] of a [Par] packet run,
+    which runs on the caller) — never inside a packet body. Fleet
+    replicas own separate heaps. *)
 val set_state : t -> int -> state -> unit
 
 val young : t -> int -> bool
@@ -43,5 +50,9 @@ val compact : t -> int -> live:(int -> bool) -> unit
 (** [iter_state t st f] applies [f] to every block index in state [st]. *)
 val iter_state : t -> state -> (int -> unit) -> unit
 
+(** [count_state t st] is the number of blocks in state [st]: an O(1)
+    read of the counts {!set_state} keeps, cheap enough for a collector
+    trigger polled on every allocation. *)
 val count_state : t -> state -> int
+
 val total : t -> int

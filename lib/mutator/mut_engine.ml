@@ -25,9 +25,9 @@ type output = {
 exception Oom_stop of Api.oom_info
 
 let alloc_checked api ~size ~nfields =
-  match Api.try_alloc api ~size ~nfields with
-  | `Ok obj -> obj
-  | `Oom info -> raise (Oom_stop info)
+  let obj = Api.alloc_fast api ~size ~nfields in
+  if obj.Repro_heap.Obj_model.id = null then raise (Oom_stop (Api.last_oom api));
+  obj
 
 let tracer api = Sim.tracer (Api.sim api)
 
@@ -58,15 +58,6 @@ let sample_size st =
   end
   else Prng.geometric_size st.prng ~mean:st.mean_small ~min:16 ~max:8192
 
-(* Fragmentation adversary: allocation sizes cycle through the
-   interleaved size-class table, each class carrying its own survival
-   rate. The cursor is deterministic (no PRNG draw), so the class
-   sequence is identical under every collector. *)
-let frag_next st =
-  let c = st.frag_cursor in
-  st.frag_cursor <- (c + 1) mod Array.length st.frag;
-  st.frag.(c)
-
 (* Phase shifter: regime B (jflood-like churn bursts) holds for every
    odd window of [phase_allocs] allocations. *)
 let in_phase_b st =
@@ -79,42 +70,54 @@ let note_survived st bytes =
   let tr = tracer st.api in
   if Tracer.active tr then tr.Tracer.survived ~bytes
 
+(* The chunk in table slot [idx], or the registry's none-handle (id =
+   null) when the slot is empty or its chunk was freed. *)
 let read_chunk st idx =
   let chunk_id = Api.read st.api st.table idx in
-  if chunk_id = null then None
-  else Repro_heap.Obj_model.Registry.find (Api.heap st.api).registry chunk_id
+  Repro_heap.Obj_model.Registry.find_live (Api.heap st.api).registry chunk_id
 
 let random_chunk st = read_chunk st (Prng.int st.prng st.chunk_count)
 
 (* Install a survivor into a random long-lived slot, dropping the previous
    occupant (mature garbage / churn). *)
 let insert_mature st id =
-  match random_chunk st with
-  | None -> ()
-  | Some chunk -> Api.write st.api chunk (Prng.int st.prng st.chunk_slots) id
+  let chunk = random_chunk st in
+  if chunk.id <> null then
+    Api.write st.api chunk (Prng.int st.prng st.chunk_slots) id
 
 let do_reads st =
   for _ = 1 to st.w.reads_per_alloc do
-    match random_chunk st with
-    | None -> ()
-    | Some chunk -> ignore (Api.read st.api chunk (Prng.int st.prng st.chunk_slots))
+    let chunk = random_chunk st in
+    if chunk.id <> null then
+      ignore (Api.read st.api chunk (Prng.int st.prng st.chunk_slots))
   done
 
 (* Rewire a mature pointer: generates coalescing-barrier and decrement
-   traffic without allocating. *)
+   traffic without allocating. [a] is drawn before [b], and both before
+   either slot: the draw order fixes the stream, so swapping the two
+   bindings would change every run. *)
 let do_mutation st =
-  match (random_chunk st, random_chunk st) with
-  | Some a, Some b ->
+  let a = random_chunk st in
+  let b = random_chunk st in
+  if a.id <> null && b.id <> null then begin
     let v = Api.read st.api a (Prng.int st.prng st.chunk_slots) in
     Api.write st.api b (Prng.int st.prng st.chunk_slots) v
-  | (None | Some _), (None | Some _) -> ()
+  end
 
 (* One allocation plus its surrounding activity. *)
 let alloc_step st =
   st.alloc_count <- st.alloc_count + 1;
-  let size, survival_p =
-    if Array.length st.frag = 0 then (sample_size st, st.w.survival_rate)
-    else frag_next st
+  (* Fragmentation adversary: allocation sizes cycle through the
+     interleaved size-class table, each class carrying its own survival
+     rate. The cursor is deterministic (no PRNG draw), so the class
+     sequence is identical under every collector. Size and rate are
+     read from the table in place: a per-step tuple would allocate. *)
+  let classes = Array.length st.frag in
+  let cls = st.frag_cursor in
+  if classes > 0 then st.frag_cursor <- (cls + 1) mod classes;
+  let size = if classes = 0 then sample_size st else fst st.frag.(cls) in
+  let survival_p =
+    if classes = 0 then st.w.survival_rate else snd st.frag.(cls)
   in
   let nfields = 3 + Prng.int st.prng 4 in
   let obj = alloc_checked st.api ~size ~nfields in
@@ -144,12 +147,9 @@ let alloc_step st =
     Api.set_root st.api root_chain obj.id
   end;
   do_reads st;
-  let mutation_p, churn =
-    if in_phase_b st then (1.0, st.w.phase_churn)
-    else (st.w.extra_mutations, st.w.churn)
-  in
-  if Prng.bool st.prng mutation_p then
-    for _ = 1 to churn do
+  let phase_b = in_phase_b st in
+  if Prng.bool st.prng (if phase_b then 1.0 else st.w.extra_mutations) then
+    for _ = 1 to if phase_b then st.w.phase_churn else st.w.churn do
       do_mutation st
     done;
   let extra = Workload.extra_work_ns st.w ~size in

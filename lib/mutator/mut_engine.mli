@@ -27,7 +27,7 @@ type output = {
     collector. [on_measurement_start] fires between the two phases so the
     harness can reset its accumulators (warmed-up measurement, as in the
     paper's fifth-iteration methodology). Allocation failure does not
-    raise: when {!Repro_engine.Api.try_alloc} exhausts the degradation
+    raise: when {!Repro_engine.Api.alloc_fast} exhausts the degradation
     ladder the run stops early and the exhaustion is reported in
     [oom]. *)
 val run :

@@ -35,7 +35,9 @@ let mature_fill_fraction = 0.55
    stores, reads) that already counts toward mutator time. *)
 let intrinsic_ns_per_alloc = 25.0
 
-let extra_work_ns t ~size =
+(* [@inline] so the per-allocation caller receives the float unboxed
+   (the build has no flambda). *)
+let[@inline] extra_work_ns t ~size =
   let ns_per_byte = 1000.0 /. t.alloc_rate_mb_s in
   Float.max 0.0 ((Float.of_int size *. ns_per_byte) -. intrinsic_ns_per_alloc)
 

@@ -3,7 +3,14 @@
     All randomness in the simulator flows through an explicit [Prng.t] so
     that every experiment is reproducible from its seed. The generator is
     SplitMix64 (Steele et al., OOPSLA 2014): fast, high quality for
-    simulation purposes, and trivially splittable. *)
+    simulation purposes, and trivially splittable.
+
+    Draws allocate nothing: the 64-bit state is a raw word in a byte
+    buffer (not a boxed [int64] field), and the mixing and float
+    conversion are inlined, so [next], [int], [bool] and
+    [geometric_size] keep every intermediate unboxed. [float] and
+    [exponential] also allocate nothing where the caller inlines them
+    (the release profile); otherwise the returned float is boxed. *)
 
 type t
 
@@ -26,7 +33,9 @@ val next : t -> int
     if [bound <= 0]. *)
 val int : t -> int -> int
 
-(** [float t bound] is uniform in [\[0, bound)]. *)
+(** [float t bound] is uniform in [\[0, bound\]]. It divides the
+    62-bit {!next} draw by [max_int] in floating point; a draw that
+    rounds up to 2^62 (about 1 in 2^54) returns exactly [bound]. *)
 val float : t -> float -> float
 
 (** [bool t p] is [true] with probability [p] (clamped to [\[0,1\]]). *)

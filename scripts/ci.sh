@@ -103,6 +103,25 @@ rm -f "$ctl_a" "$ctl_b"
 dune exec bin/lxr_sim.exe -- run -b phaser -c lxr -s 0.3 \
   --controller=pid:obj=cost --lxr-knob=wastage_threshold=0.12 > /dev/null
 
+echo "== count-driven triggers (generative path; deterministic) =="
+# Shenandoah's and Semispace's triggers read the per-state block counts
+# on every allocation. The counts are plain ints, safe only because
+# every block-state change runs on the heap's owning domain (allocators
+# and the ordered merges of the work-packet scheduler, never a packet
+# body), so the output must be bit-identical at gc-threads 1 vs 4.
+trig_a=$(mktemp) trig_b=$(mktemp)
+for c in shenandoah semispace; do
+  dune exec bin/lxr_sim.exe -- run -b phaser -c "$c" -s 0.3 -f 1.3 \
+    --gc-threads=1 > "$trig_a"
+  dune exec bin/lxr_sim.exe -- run -b phaser -c "$c" -s 0.3 -f 1.3 \
+    --gc-threads=4 > "$trig_b"
+  cmp "$trig_a" "$trig_b" || {
+    echo "ERROR: $c diverged across --gc-threads" >&2
+    exit 1
+  }
+done
+rm -f "$trig_a" "$trig_b"
+
 echo "== trace corpus: injected fault must diverge =="
 if dune exec bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace \
     -c lxr,g1 --inject=drop-barrier:2e-3 --inject-into=lxr > /dev/null; then

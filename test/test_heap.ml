@@ -272,6 +272,31 @@ let test_blocks_state () =
   check "target" true (Blocks.target b 2);
   check_int "total" 16 (Blocks.total b)
 
+(* [count_state] reads counters kept by [set_state]; after every
+   transition each count must equal a full scan, and the five states
+   must partition the blocks. *)
+let blocks_count_matches_scan_prop =
+  let all = Blocks.[ Free; Recyclable; Owned; In_use; Los_backing ] in
+  QCheck.Test.make ~name:"block-state counts equal a full scan" ~count:200
+    QCheck.(
+      list_of_size Gen.(1 -- 200) (pair (int_range 0 15) (int_range 0 4)))
+    (fun moves ->
+      let b = Blocks.create (cfg ()) in
+      List.for_all
+        (fun (blk, st) ->
+          Blocks.set_state b blk (List.nth all st);
+          let scan s =
+            let n = ref 0 in
+            for i = 0 to Blocks.total b - 1 do
+              if Blocks.state b i = s then incr n
+            done;
+            !n
+          in
+          List.for_all (fun s -> Blocks.count_state b s = scan s) all
+          && List.fold_left (fun acc s -> acc + Blocks.count_state b s) 0 all
+             = Blocks.total b)
+        moves)
+
 let test_blocks_residents () =
   let c = cfg () in
   let b = Blocks.create c in
@@ -682,7 +707,8 @@ let suite =
     ( "heap:blocks",
       [ Alcotest.test_case "state" `Quick test_blocks_state;
         Alcotest.test_case "residents" `Quick test_blocks_residents;
-        Alcotest.test_case "free lists" `Quick test_free_lists ] );
+        Alcotest.test_case "free lists" `Quick test_free_lists ]
+      @ qc [ blocks_count_matches_scan_prop ] );
     ( "heap:allocator",
       [ Alcotest.test_case "basic bump" `Quick test_alloc_basic;
         Alcotest.test_case "receipt" `Quick test_alloc_receipt;

@@ -91,6 +91,75 @@ let test_prng_pick () =
   Alcotest.check_raises "empty" (Invalid_argument "Prng.pick: empty array") (fun () ->
       ignore (Prng.pick p [||]))
 
+(* SplitMix64 pinned at seed 42: every simulated run depends on this
+   exact stream, so a representation change must reproduce it bit for
+   bit. Each sequence starts from a fresh generator. *)
+let test_prng_pinned_stream () =
+  let first n f =
+    let p = Prng.create 42 in
+    List.init n (fun _ -> f p)
+  in
+  let ints = Alcotest.(check (list int)) in
+  let bits = Alcotest.(check (list int64)) in
+  ints "next"
+    [ 4456085495900499605; 2949826092126892291; 527597730035375954;
+      1737512041830867860; 701532786141963250; 2180923070380825350;
+      4028864712777624925; 933993271705612196 ]
+    (first 8 Prng.next);
+  ints "int 1000" [ 605; 291; 954; 860; 250; 350; 925; 196 ]
+    (first 8 (fun p -> Prng.int p 1000));
+  bits "float 1.0"
+    [ 0x3feeeb991317f5b7L; 0x3fe477f199d93379L; 0x3fbd499d5c4c3e7dL;
+      0x3fd81ce1ff0e4ae4L; 0x3fc378b0b4489048L; 0x3fde4431fa3c80dbL;
+      0x3febf4b38e229bb7L; 0x3fc9ec6bdd3d3c5fL ]
+    (first 8 (fun p -> Int64.bits_of_float (Prng.float p 1.0)));
+  Alcotest.(check (list bool)) "bool 0.3"
+    [ false; false; true; false; true; false; false; true ]
+    (first 8 (fun p -> Prng.bool p 0.3));
+  bits "exponential 100"
+    [ 0x400b7550e0cdf9c0L; 0x404657a53eeffbdeL; 0x406b19a5a083a119L;
+      0x4058674a9da1ed35L; 0x406789dc16f550b0L; 0x4052b89c26986dd3L;
+      0x402b05934a174db2L; 0x4063f603bd6c0ee0L ]
+    (first 8 (fun p -> Int64.bits_of_float (Prng.exponential p ~mean:100.0)));
+  ints "geometric_size" [ 18; 52; 191; 95; 168; 76; 26; 145 ]
+    (first 8 (fun p -> Prng.geometric_size p ~mean:97 ~min:16 ~max:8192));
+  let p = Prng.create 42 in
+  let child = Prng.split p in
+  ints "split child"
+    [ 1720932211098677764; 3795357200955883605; 4359879407727870898;
+      1242533817266198696 ]
+    (List.init 4 (fun _ -> Prng.next child));
+  let p = Prng.create 42 in
+  ignore (Prng.next p);
+  let c = Prng.copy p in
+  ints "copy"
+    [ 2949826092126892291; 527597730035375954; 1737512041830867860;
+      701532786141963250 ]
+    (List.init 4 (fun _ -> Prng.next c))
+
+(* Draws that return an immediate allocate nothing, even without
+   cross-module inlining. [float] and [exponential] are left out: their
+   result is boxed at a non-inlined call site. *)
+let test_prng_draws_allocate_nothing () =
+  let p = Prng.create 42 in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Prng.next p))
+  done;
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Prng.int p 1000))
+  done;
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Prng.bool p 0.3))
+  done;
+  for _ = 1 to n do
+    ignore
+      (Sys.opaque_identity (Prng.geometric_size p ~mean:97 ~min:16 ~max:8192))
+  done;
+  let words = Gc.minor_words () -. before in
+  check "under 10 words for 40,000 draws" true (words < 10.0)
+
 (* --- Vec ---------------------------------------------------------------- *)
 
 let test_vec_push_pop () =
@@ -426,7 +495,10 @@ let suite =
         Alcotest.test_case "bool rate" `Quick test_prng_bool_rate;
         Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
         Alcotest.test_case "geometric size" `Quick test_prng_geometric_size;
-        Alcotest.test_case "pick" `Quick test_prng_pick ] );
+        Alcotest.test_case "pick" `Quick test_prng_pick;
+        Alcotest.test_case "pinned stream" `Quick test_prng_pinned_stream;
+        Alcotest.test_case "draws allocate nothing" `Quick
+          test_prng_draws_allocate_nothing ] );
     ( "util:vec",
       [ Alcotest.test_case "push/pop" `Quick test_vec_push_pop;
         Alcotest.test_case "growth" `Quick test_vec_growth;
