@@ -8,74 +8,8 @@ open Cmdliner
 module Fleet = Repro_service.Fleet
 module Policy = Repro_service.Policy
 
-let die msg =
-  Printf.eprintf "%s\n" msg;
-  exit 2
-
-let find_collector name =
-  match Repro_harness.Collector_set.find name with
-  | Ok f -> f
-  | Error msg -> die (msg ^ "\n(try: lxr_sim list)")
-
-let find_workload name =
-  match Repro_harness.Collector_set.find_workload name with
-  | Ok w -> w
-  | Error msg -> die (msg ^ "\n(try: lxr_sim list)")
-
 let find_policy name =
-  match Policy.of_string name with Ok p -> p | Error msg -> die msg
-
-(* --domains accepts a positive worker count or 'auto' (the runtime's
-   recommendation for this machine); anything else dies with a
-   suggestion, like every other name lookup in the CLIs. *)
-let parse_domains s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 -> n
-  | Some _ -> die "--domains: needs at least 1 worker domain"
-  | None ->
-    if String.lowercase_ascii s = "auto" then
-      max 1 (Domain.recommended_domain_count () - 1)
-    else
-      die
-        (Printf.sprintf "unknown --domains value %S%s; expected a count or 'auto'"
-           s
-           (Repro_util.Suggest.hint ~candidates:[ "auto" ] s))
-
-let parse_verify = function
-  | None -> []
-  | Some s -> (
-    match Repro_verify.Verifier.points_of_string s with
-    | Ok points -> points
-    | Error msg -> die (Printf.sprintf "--verify: %s" msg))
-
-(* --gc-threads accepts a work-packet lane count in [1, 64] or 'auto';
-   it shares the replica domain pool, so it never oversubscribes the
-   host on top of --domains. Results are bit-identical for every
-   value. *)
-let parse_gc_threads s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 && n <= 64 -> n
-  | Some n ->
-    die (Printf.sprintf "--gc-threads: %d is out of range; expected 1-64 or 'auto'" n)
-  | None ->
-    if String.lowercase_ascii s = "auto" then
-      min 64 (max 1 (Domain.recommended_domain_count ()))
-    else
-      die
-        (Printf.sprintf
-           "unknown --gc-threads value %S%s; expected a count (1-64) or 'auto'"
-           s
-           (Repro_util.Suggest.hint ~candidates:[ "auto" ] s))
-
-(* Shared arguments. *)
-
-let bench_arg =
-  let doc = "Benchmark name (must carry a metered request model)." in
-  Arg.(value & opt string "lusearch" & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
-
-let factor_arg =
-  let doc = "Per-replica heap as a multiple of the benchmark's minimum." in
-  Arg.(value & opt float 1.3 & info [ "f"; "heap-factor" ] ~docv:"X" ~doc)
+  match Policy.of_string name with Ok p -> p | Error msg -> Cli.die msg
 
 let replicas_arg =
   let doc = "Number of replica heaps behind the front-end." in
@@ -105,27 +39,8 @@ let quantum_arg =
   Arg.(value & opt (some float) None & info [ "quantum" ] ~docv:"NS" ~doc)
 
 let domains_arg =
-  let doc = "Worker domains executing replicas in parallel, or 'auto'." in
+  let doc = "Worker domains executing replicas in parallel (1-64, or 'auto')." in
   Arg.(value & opt string "1" & info [ "domains" ] ~docv:"N|auto" ~doc)
-
-let gc_threads_arg =
-  let doc =
-    "Work-packet lanes for each replica's collector phases (1-64, or \
-     'auto'); shares the --domains pool. Results are bit-identical for \
-     every value."
-  in
-  Arg.(value & opt string "1" & info [ "gc-threads" ] ~docv:"N|auto" ~doc)
-
-let seed_arg =
-  let doc = "PRNG seed." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
-
-let verify_arg =
-  let doc =
-    "Attach the heap-integrity verifier to every replica: a \
-     comma-separated subset of 'pre', 'post' and 'end', or 'all'."
-  in
-  Arg.(value & opt (some string) None & info [ "verify" ] ~docv:"POINTS" ~doc)
 
 (* Resilience flags. Each spec parser range-checks its values and hangs
    a did-you-mean hint off unknown keys, so a typo dies with a
@@ -171,61 +86,27 @@ let controller_arg =
   in
   Arg.(value & opt (some string) None & info [ "controller" ] ~docv:"SPEC" ~doc)
 
-(* A controller-wrapped factory reads the fleet's SLO burn through a
-   shared cell: Fleet publishes it at window boundaries (replicas
-   quiescent), replicas read it during rounds — frozen per round, so
-   bit-identical across --domains. Returns the factory and the on_burn
-   hook to pass to Fleet.config. *)
-let controlled_factory ~collector ~controller =
-  match controller with
-  | None -> (find_collector collector, None)
-  | Some spec ->
-    if String.lowercase_ascii collector <> "lxr" then
-      die
-        (Printf.sprintf
-           "--controller drives LXR's knob table and cannot tune %S; use -c \
-            lxr"
-           collector);
-    let module C = Repro_policy.Controller in
-    let spec =
-      match C.parse spec with
-      | Ok s -> s
-      | Error msg -> die ("--controller: " ^ msg)
-    in
-    let algo = match spec.C.algo with C.Hill -> "hill" | C.Pid -> "pid" in
-    let cell = Atomic.make 0.0 in
-    ( C.lxr_factory ~name:("LXR+" ^ algo)
-        ~burn:(fun () -> Atomic.get cell)
-        spec,
-      Some (fun b -> Atomic.set cell b) )
-
-let parse_spec ~flag parser = function
-  | None -> None
-  | Some s -> (
-    match parser s with
-    | Ok v -> Some v
-    | Error msg -> die (Printf.sprintf "--%s: %s" flag msg))
-
 let make_config ?policy ?on_burn ~bench ~factory ~replicas ~factor ~requests
     ~load ~queue_limit ~quantum ~domains ~gc_threads ~seed ~verify ~chaos
     ~retry ~slo ~autoscale () =
-  let w = find_workload bench in
-  let chaos = parse_spec ~flag:"chaos" Repro_service.Chaos.of_spec chaos in
+  let w = Cli.find_workload bench in
+  let chaos = Cli.parse_opt ~flag:"chaos" Repro_service.Chaos.of_spec chaos in
   let retry =
-    match parse_spec ~flag:"retry" Policy.Retry.of_spec retry with
+    match Cli.parse_opt ~flag:"retry" Policy.Retry.of_spec retry with
     | Some r -> r
     | None -> Policy.Retry.none
   in
-  let slo = parse_spec ~flag:"slo" Repro_service.Slo.of_spec slo in
+  let slo = Cli.parse_opt ~flag:"slo" Repro_service.Slo.of_spec slo in
   let autoscale =
-    parse_spec ~flag:"autoscale" Repro_service.Slo.Autoscale.of_spec autoscale
+    Cli.parse_opt ~flag:"autoscale" Repro_service.Slo.Autoscale.of_spec
+      autoscale
   in
   (if autoscale <> None && slo = None then
-     die "--autoscale needs --slo (the controller follows the burn rate)");
+     Cli.die "--autoscale needs --slo (the controller follows the burn rate)");
   Fleet.config ?policy ?on_burn ~replicas ~heap_factor:factor ?requests ~load
-    ~queue_limit ?quantum_ns:quantum ~domains:(parse_domains domains)
-    ~gc_threads:(parse_gc_threads gc_threads) ~seed
-    ~verify:(parse_verify verify) ?chaos ~retry ?slo ?autoscale ~workload:w
+    ~queue_limit ?quantum_ns:quantum ~domains:(Cli.parse_domains domains)
+    ~gc_threads:(Cli.parse_gc_threads gc_threads) ~seed
+    ~verify:(Cli.parse_verify verify) ?chaos ~retry ?slo ?autoscale ~workload:w
     ~factory ()
 
 let run_cmd =
@@ -236,14 +117,19 @@ let run_cmd =
     in
     Arg.(value & opt string "gc-aware" & info [ "p"; "policy" ] ~docv:"NAME" ~doc)
   in
-  let collector_arg =
-    let doc = "Collector name (lxr, g1, shenandoah, zgc, ...)." in
-    Arg.(value & opt string "lxr" & info [ "c"; "collector" ] ~docv:"NAME" ~doc)
-  in
   let run bench collector policy replicas factor requests load queue_limit
       quantum domains gc_threads seed verify chaos retry slo autoscale
       controller =
-    let factory, on_burn = controlled_factory ~collector ~controller in
+    (* A controller's burn objective reads the fleet's SLO burn through
+       this cell: Fleet publishes it at window boundaries (replicas
+       quiescent) and replicas read it during rounds, frozen per round,
+       so runs stay bit-identical across --domains. *)
+    let burn = Atomic.make 0.0 in
+    let factory =
+      Cli.find_collector ?controller ~burn:(fun () -> Atomic.get burn)
+        collector
+    in
+    let on_burn = Option.map (fun _ b -> Atomic.set burn b) controller in
     let cfg =
       make_config ~policy:(find_policy policy) ?on_burn ~bench ~factory
         ~replicas ~factor ~requests ~load ~queue_limit ~quantum ~domains
@@ -255,10 +141,11 @@ let run_cmd =
   in
   let term =
     Term.(
-      const run $ bench_arg $ collector_arg $ policy_arg $ replicas_arg
-      $ factor_arg $ requests_arg $ load_arg $ queue_limit_arg $ quantum_arg
-      $ domains_arg $ gc_threads_arg $ seed_arg $ verify_arg $ chaos_arg
-      $ retry_arg $ slo_arg $ autoscale_arg $ controller_arg)
+      const run $ Cli.bench_arg $ Cli.collector_arg $ policy_arg
+      $ replicas_arg $ Cli.heap_factor_arg 1.3 $ requests_arg $ load_arg
+      $ queue_limit_arg $ quantum_arg $ domains_arg $ Cli.gc_threads_arg
+      $ Cli.seed_arg $ Cli.verify_arg $ chaos_arg $ retry_arg $ slo_arg
+      $ autoscale_arg $ controller_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one fleet simulation.") term
 
@@ -277,25 +164,19 @@ let compare_cmd =
       & opt string (String.concat "," Policy.names)
       & info [ "p"; "policies" ] ~docv:"NAMES" ~doc)
   in
-  let format_arg =
-    let doc = "Output format: text, md or json." in
-    Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc)
-  in
-  let split s =
-    List.filter (fun x -> x <> "") (String.split_on_char ',' (String.trim s))
-  in
   let run bench collectors policies format replicas factor requests load
       queue_limit quantum domains gc_threads seed verify chaos retry slo
       autoscale =
     let collectors =
-      List.map (fun n -> (n, find_collector n)) (split collectors)
+      List.map (fun n -> Cli.find_collector n) (Cli.split_list collectors)
     in
-    let policies = List.map find_policy (split policies) in
-    if collectors = [] then die "compare needs at least one collector";
-    if policies = [] then die "compare needs at least one policy";
+    let policies = List.map find_policy (Cli.split_list policies) in
+    if collectors = [] then Cli.die "compare needs at least one collector";
+    if policies = [] then Cli.die "compare needs at least one policy";
+    let format = Cli.parse_format format in
     let results =
       List.concat_map
-        (fun (_, factory) ->
+        (fun factory ->
           List.map
             (fun policy ->
               Fleet.run
@@ -305,29 +186,25 @@ let compare_cmd =
             policies)
         collectors
     in
-    (match format with
-    | "text" ->
-      print_endline
-        (Repro_harness.Report.fleet_table
-           ~title:
-             (Printf.sprintf
-                "Fleet compare: %s, %d replicas at %.1fx heap, load %.2f \
-                 (latency in us)"
-                bench replicas factor load)
-           results)
-    | "md" -> print_string (Repro_harness.Report.fleet_markdown results)
-    | "json" -> print_string (Repro_harness.Report.fleet_json results)
-    | other ->
-      die
-        (Printf.sprintf "unknown --format %S%s; known: text, md, json" other
-           (Repro_util.Suggest.hint ~candidates:[ "text"; "md"; "json" ] other)))
+    Cli.print_format format
+      ~text:(fun () ->
+        Repro_harness.Report.fleet_table
+          ~title:
+            (Printf.sprintf
+               "Fleet compare: %s, %d replicas at %.1fx heap, load %.2f \
+                (latency in us)"
+               bench replicas factor load)
+          results)
+      ~md:(fun () -> Repro_harness.Report.fleet_markdown results)
+      ~json:(fun () -> Repro_harness.Report.fleet_json results)
   in
   let term =
     Term.(
-      const run $ bench_arg $ collectors_arg $ policies_arg $ format_arg
-      $ replicas_arg $ factor_arg $ requests_arg $ load_arg $ queue_limit_arg
-      $ quantum_arg $ domains_arg $ gc_threads_arg $ seed_arg $ verify_arg
-      $ chaos_arg $ retry_arg $ slo_arg $ autoscale_arg)
+      const run $ Cli.bench_arg $ collectors_arg $ policies_arg
+      $ Cli.format_arg $ replicas_arg $ Cli.heap_factor_arg 1.3
+      $ requests_arg $ load_arg $ queue_limit_arg $ quantum_arg $ domains_arg
+      $ Cli.gc_threads_arg $ Cli.seed_arg $ Cli.verify_arg $ chaos_arg
+      $ retry_arg $ slo_arg $ autoscale_arg)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare collectors x policies on one fleet.")

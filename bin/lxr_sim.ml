@@ -6,55 +6,7 @@
      list        enumerate benchmarks, collectors and experiments *)
 
 open Cmdliner
-
-let die msg =
-  Printf.eprintf "%s\n" msg;
-  exit 2
-
-let find_workload name =
-  match Repro_harness.Collector_set.find_workload name with
-  | Ok w -> w
-  | Error msg -> die (msg ^ "\n(try: lxr_sim list)")
-
-let bench_arg =
-  let doc = "Benchmark name (see `lxr_sim list')." in
-  Arg.(value & opt string "lusearch" & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
-
-let collector_arg =
-  let doc = "Collector name (lxr, g1, shenandoah, zgc, serial, ...)." in
-  Arg.(value & opt string "lxr" & info [ "c"; "collector" ] ~docv:"NAME" ~doc)
-
-let factor_arg =
-  let doc = "Heap size as a multiple of the benchmark's minimum heap." in
-  Arg.(value & opt float 2.0 & info [ "f"; "heap-factor" ] ~docv:"X" ~doc)
-
-let scale_arg =
-  let doc = "Workload scale (allocation volume / request count)." in
-  Arg.(value & opt float 1.0 & info [ "s"; "scale" ] ~docv:"X" ~doc)
-
-let seed_arg =
-  let doc = "PRNG seed." in
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
-
-let iterations_arg =
-  let doc = "Seeded repetitions feeding confidence intervals." in
-  Arg.(value & opt int 2 & info [ "i"; "iterations" ] ~docv:"N" ~doc)
-
-let verify_arg =
-  let doc =
-    "Run the heap-integrity verifier at the given safepoints: a \
-     comma-separated subset of 'pre' (before each pause), 'post' (after \
-     each pause) and 'end' (end of run), or 'all'."
-  in
-  Arg.(value & opt (some string) None & info [ "verify" ] ~docv:"POINTS" ~doc)
-
-let inject_arg =
-  let doc =
-    "Inject deterministic faults, as 'class:rate' pairs separated by \
-     commas. Classes: drop-barrier, skip-dec, rc-flip, remset, \
-     alloc-fail. Example: --inject=drop-barrier:1e-4."
-  in
-  Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
+module Experiments = Repro_harness.Experiments
 
 let record_arg =
   let doc =
@@ -62,45 +14,6 @@ let record_arg =
      `lxr_trace replay')."
   in
   Arg.(value & opt (some string) None & info [ "record" ] ~docv:"FILE" ~doc)
-
-let parse_verify = function
-  | None -> []
-  | Some s -> (
-    match Repro_verify.Verifier.points_of_string s with
-    | Ok points -> points
-    | Error msg -> die (Printf.sprintf "--verify: %s" msg))
-
-let parse_inject seed = function
-  | None -> None
-  | Some s -> (
-    match Repro_engine.Fault.of_spec ~seed s with
-    | Ok f -> Some f
-    | Error msg -> die (Printf.sprintf "--inject: %s" msg))
-
-(* --gc-threads accepts a work-packet lane count in [1, 64] or 'auto'
-   (the runtime's recommendation); results are bit-identical for every
-   value, so this is purely a host wall-clock knob. *)
-let gc_threads_arg =
-  let doc =
-    "Work-packet lanes for collector phases (1-64, or 'auto'). Results \
-     are bit-identical for every value."
-  in
-  Arg.(value & opt string "1" & info [ "gc-threads" ] ~docv:"N|auto" ~doc)
-
-let parse_gc_threads s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 && n <= 64 -> n
-  | Some n ->
-    die (Printf.sprintf "--gc-threads: %d is out of range; expected 1-64 or 'auto'" n)
-  | None ->
-    if String.lowercase_ascii s = "auto" then
-      min 64 (max 1 (Domain.recommended_domain_count ()))
-    else
-      die
-        (Printf.sprintf
-           "unknown --gc-threads value %S%s; expected a count (1-64) or 'auto'"
-           s
-           (Repro_util.Suggest.hint ~candidates:[ "auto" ] s))
 
 let knob_arg =
   let doc =
@@ -119,19 +32,14 @@ let controller_arg =
   in
   Arg.(value & opt (some string) None & info [ "controller" ] ~docv:"SPEC" ~doc)
 
-let resolve_collector ?controller ?knobs name =
-  match Repro_harness.Collector_set.resolve ?controller ?knobs name with
-  | Ok f -> f
-  | Error msg -> die (msg ^ "\n(try: lxr_sim list)")
-
 let run_cmd =
   let run bench collector factor scale seed verify inject record gc_threads
       knobs controller =
-    let w = find_workload bench in
-    let factory = resolve_collector ?controller ~knobs collector in
-    let points = parse_verify verify in
-    let fault = parse_inject seed inject in
-    let gc_threads = parse_gc_threads gc_threads in
+    let w = Cli.find_workload bench in
+    let factory = Cli.find_collector ?controller ~knobs collector in
+    let points = Cli.parse_verify verify in
+    let fault = Cli.parse_inject seed inject in
+    let gc_threads = Cli.parse_gc_threads gc_threads in
     let r =
       Repro_harness.Runner.run ~seed ~scale ~gc_threads ~verify:points
         ?inject:fault ?record_to:record ~workload:w ~factory
@@ -153,38 +61,54 @@ let run_cmd =
   in
   let term =
     Term.(
-      const run $ bench_arg $ collector_arg $ factor_arg $ scale_arg $ seed_arg
-      $ verify_arg $ inject_arg $ record_arg $ gc_threads_arg $ knob_arg
-      $ controller_arg)
+      const run $ Cli.bench_arg $ Cli.collector_arg $ Cli.heap_factor_arg 2.0
+      $ Cli.scale_arg $ Cli.seed_arg $ Cli.verify_arg $ Cli.inject_arg
+      $ record_arg $ Cli.gc_threads_arg $ knob_arg $ controller_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark under one collector.") term
 
 let experiment_cmd =
-  let names = String.concat ", " Repro_harness.Experiments.names in
+  let names = String.concat ", " Experiments.names in
   let exp_arg =
     let doc = Printf.sprintf "Experiment to regenerate: %s, or 'all'." names in
     Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run name scale iterations seed =
-    let opts = { Repro_harness.Experiments.scale; iterations; seed } in
-    let todo =
-      if name = "all" then Repro_harness.Experiments.names else [ name ]
+  let scale_arg =
+    let doc =
+      "Workload scale (default: the experiment's own, 0.3 to 1.0)."
     in
+    Arg.(value & opt (some float) None & info [ "s"; "scale" ] ~docv:"X" ~doc)
+  in
+  let iterations_arg =
+    let doc =
+      "Seeded repetitions feeding confidence intervals (default: the \
+       experiment's own, 1 or 3)."
+    in
+    Arg.(value & opt (some int) None & info [ "i"; "iterations" ] ~docv:"N" ~doc)
+  in
+  let run name scale iterations seed =
+    let todo = if name = "all" then Experiments.names else [ name ] in
     List.iter
       (fun n ->
-        match Repro_harness.Experiments.by_name n with
+        match Experiments.by_name n with
         | Some f ->
-          print_endline (f opts);
+          let d = Experiments.default_opts n in
+          print_endline
+            (f
+               { Experiments.scale = Option.value scale ~default:d.scale;
+                 iterations = Option.value iterations ~default:d.iterations;
+                 seed });
           print_newline ()
         | None ->
-          die
+          Cli.die
             (Printf.sprintf "unknown experiment %S%s (known: %s)" n
-               (Repro_util.Suggest.hint
-                  ~candidates:Repro_harness.Experiments.names n)
+               (Repro_util.Suggest.hint ~candidates:Experiments.names n)
                names))
       todo
   in
-  let term = Term.(const run $ exp_arg $ scale_arg $ iterations_arg $ seed_arg) in
+  let term =
+    Term.(const run $ exp_arg $ scale_arg $ iterations_arg $ Cli.seed_arg)
+  in
   Cmd.v (Cmd.info "experiment" ~doc:"Regenerate a paper table or figure.") term
 
 let list_cmd =
@@ -194,7 +118,7 @@ let list_cmd =
     print_endline "collectors:";
     List.iter (Printf.printf "  %s\n") Repro_harness.Collector_set.names;
     print_endline "experiments:";
-    List.iter (Printf.printf "  %s\n") Repro_harness.Experiments.names
+    List.iter (Printf.printf "  %s\n") Experiments.names
   in
   Cmd.v (Cmd.info "list" ~doc:"List benchmarks, collectors, experiments.")
     Term.(const run $ const ())

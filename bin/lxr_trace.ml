@@ -13,103 +13,25 @@ open Cmdliner
 module Trace_format = Repro_trace.Trace_format
 module Differ = Repro_trace.Differ
 
-let die msg =
-  Printf.eprintf "%s\n" msg;
-  exit 2
-
-let find_collector name =
-  match Repro_harness.Collector_set.find name with
-  | Ok f -> f
-  | Error msg -> die msg
-
 let load_trace path =
   match Trace_format.of_file path with
   | Ok t -> t
-  | Error msg -> die (Printf.sprintf "%s: %s" path msg)
+  | Error msg -> Cli.die (Printf.sprintf "%s: %s" path msg)
 
 let trace_arg =
   let doc = "Trace file." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE" ~doc)
 
-let collector_arg =
-  let doc = "Collector name." in
-  Arg.(value & opt string "lxr" & info [ "c"; "collector" ] ~docv:"NAME" ~doc)
-
-let verify_arg =
-  let doc =
-    "Attach the heap-integrity verifier ('pre', 'post', 'end' or 'all')."
-  in
-  Arg.(value & opt (some string) None & info [ "verify" ] ~docv:"POINTS" ~doc)
-
-let parse_verify = function
-  | None -> []
-  | Some s -> (
-    match Repro_verify.Verifier.points_of_string s with
-    | Ok points -> points
-    | Error msg -> die (Printf.sprintf "--verify: %s" msg))
-
-let parse_inject seed = function
-  | None -> None
-  | Some s -> (
-    match Repro_engine.Fault.of_spec ~seed s with
-    | Ok f -> Some f
-    | Error msg -> die (Printf.sprintf "--inject: %s" msg))
-
-(* --gc-threads accepts a work-packet lane count in [1, 64] or 'auto'
-   (the runtime's recommendation); results are bit-identical for every
-   value, so this is purely a host wall-clock knob. *)
-let gc_threads_arg =
-  let doc =
-    "Work-packet lanes for collector phases (1-64, or 'auto'). Results \
-     are bit-identical for every value."
-  in
-  Arg.(value & opt string "1" & info [ "gc-threads" ] ~docv:"N|auto" ~doc)
-
-let parse_gc_threads s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 && n <= 64 -> n
-  | Some n ->
-    die (Printf.sprintf "--gc-threads: %d is out of range; expected 1-64 or 'auto'" n)
-  | None ->
-    if String.lowercase_ascii s = "auto" then
-      min 64 (max 1 (Domain.recommended_domain_count ()))
-    else
-      die
-        (Printf.sprintf
-           "unknown --gc-threads value %S%s; expected a count (1-64) or 'auto'"
-           s
-           (Repro_util.Suggest.hint ~candidates:[ "auto" ] s))
-
 (* --- record ------------------------------------------------------------ *)
 
 let record_cmd =
-  let bench_arg =
-    let doc = "Benchmark name (see `lxr_sim list')." in
-    Arg.(value & opt string "lusearch" & info [ "b"; "bench" ] ~docv:"NAME" ~doc)
-  in
-  let factor_arg =
-    let doc = "Heap size as a multiple of the benchmark's minimum heap." in
-    Arg.(value & opt float 2.0 & info [ "f"; "heap-factor" ] ~docv:"X" ~doc)
-  in
-  let scale_arg =
-    let doc = "Workload scale." in
-    Arg.(value & opt float 1.0 & info [ "s"; "scale" ] ~docv:"X" ~doc)
-  in
-  let seed_arg =
-    let doc = "PRNG seed." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
-  in
   let out_arg =
     let doc = "Output trace file (default: <bench>.lxrtrace)." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run bench collector factor scale seed out =
-    let w =
-      match Repro_harness.Collector_set.find_workload bench with
-      | Ok w -> w
-      | Error msg -> die msg
-    in
-    let factory = find_collector collector in
+    let w = Cli.find_workload bench in
+    let factory = Cli.find_collector collector in
     let path = Option.value out ~default:(bench ^ ".lxrtrace") in
     let r =
       Repro_harness.Runner.run ~seed ~scale ~record_to:path ~workload:w ~factory
@@ -124,13 +46,14 @@ let record_cmd =
          let n = in_channel_length ic in
          close_in ic;
          n)
-    | Error msg -> die (Printf.sprintf "recorded trace failed to parse: %s" msg));
+    | Error _ when not r.ok -> () (* refused before it started: no trace *)
+    | Error msg -> Cli.die (Printf.sprintf "recorded trace failed to parse: %s" msg));
     if not r.ok then exit 1
   in
   let term =
     Term.(
-      const run $ bench_arg $ collector_arg $ factor_arg $ scale_arg $ seed_arg
-      $ out_arg)
+      const run $ Cli.bench_arg $ Cli.collector_arg $ Cli.heap_factor_arg 2.0
+      $ Cli.scale_arg $ Cli.seed_arg $ out_arg)
   in
   Cmd.v
     (Cmd.info "record" ~doc:"Run a benchmark and record its mutator event stream.")
@@ -139,10 +62,6 @@ let record_cmd =
 (* --- replay ------------------------------------------------------------ *)
 
 let replay_cmd =
-  let inject_arg =
-    let doc = "Inject deterministic faults during the replay (class:rate,...)." in
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
-  in
   let rerecord_arg =
     let doc =
       "Re-record the replay's event stream to $(docv); for a faithful \
@@ -152,10 +71,10 @@ let replay_cmd =
   in
   let run path collector verify inject rerecord gc_threads =
     let trace = load_trace path in
-    let factory = find_collector collector in
-    let points = parse_verify verify in
-    let fault = parse_inject trace.header.seed inject in
-    let gc_threads = parse_gc_threads gc_threads in
+    let factory = Cli.find_collector collector in
+    let points = Cli.parse_verify verify in
+    let fault = Cli.parse_inject trace.header.seed inject in
+    let gc_threads = Cli.parse_gc_threads gc_threads in
     let r =
       Repro_harness.Runner.replay ~gc_threads ~verify:points ?inject:fault
         ?record_to:rerecord ~trace ~factory ()
@@ -169,8 +88,8 @@ let replay_cmd =
   in
   let term =
     Term.(
-      const run $ trace_arg $ collector_arg $ verify_arg $ inject_arg
-      $ rerecord_arg $ gc_threads_arg)
+      const run $ trace_arg $ Cli.collector_arg $ Cli.verify_arg
+      $ Cli.inject_arg $ rerecord_arg $ Cli.gc_threads_arg)
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Drive one collector from a recorded trace.")
@@ -257,41 +176,37 @@ let diff_cmd =
     let doc = "Skip the per-collector heap-integrity oracle at checkpoints." in
     Arg.(value & flag & info [ "no-verify" ] ~doc)
   in
-  let inject_arg =
-    let doc = "Inject faults into one lane (demonstrates divergence localisation)." in
-    Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
-  in
   let inject_into_arg =
     let doc = "Collector lane --inject applies to (default: the first)." in
     Arg.(value & opt (some string) None & info [ "inject-into" ] ~docv:"NAME" ~doc)
   in
   let run path collectors every no_verify inject inject_into gc_threads =
     let trace = load_trace path in
-    let names =
-      String.split_on_char ',' collectors
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-    in
-    if List.length names < 2 then die "diff needs at least two collectors";
+    let names = Cli.split_list collectors in
+    if List.length names < 2 then Cli.die "diff needs at least two collectors";
     (* The free-reclamation baseline is a methodological yardstick, not a
        collector under test — keep it out of lockstep comparisons. *)
     List.iter
       (fun n ->
         if not (Repro_collectors.Registry.lockstep_ok n) then
-          die
+          Cli.die
             (Printf.sprintf
                "%S is the distilled-cost baseline, not a collector under \
                 test; use `lxr_trace distill' to compare against it"
                n))
       names;
-    let lanes = List.map (fun n -> (n, find_collector n)) names in
-    let fault = parse_inject trace.header.seed inject in
-    let gc_threads = parse_gc_threads gc_threads in
-    let inject =
-      match fault with
-      | None -> None
-      | Some f -> Some (Option.value inject_into ~default:(List.hd names), f)
-    in
+    let lanes = List.map (fun n -> (n, Cli.find_collector n)) names in
+    let fault = Cli.parse_inject trace.header.seed inject in
+    let target = Option.value inject_into ~default:(List.hd names) in
+    let same n = String.lowercase_ascii n = String.lowercase_ascii target in
+    if not (List.exists same names) then
+      Cli.die
+        (Printf.sprintf "unknown --inject-into collector %S%s; diffing: %s"
+           target
+           (Repro_util.Suggest.hint ~candidates:names target)
+           (String.concat ", " names));
+    let gc_threads = Cli.parse_gc_threads gc_threads in
+    let inject = Option.map (fun f -> (target, f)) fault in
     match
       Differ.run ~verify:(not no_verify) ~every ?inject ~gc_threads ~trace
         ~collectors:lanes ()
@@ -299,13 +214,13 @@ let diff_cmd =
     | report ->
       print_endline (Differ.report_to_string report);
       if report.total_divergences > 0 then exit 1
-    | exception Repro_collectors.Conc_mark_evac.Unsupported msg ->
-      die ("unsupported: " ^ msg)
+    | exception Repro_engine.Collector.Unsupported msg ->
+      Cli.die ("unsupported: " ^ msg)
   in
   let term =
     Term.(
       const run $ trace_arg $ collectors_arg $ every_arg $ no_verify_arg
-      $ inject_arg $ inject_into_arg $ gc_threads_arg)
+      $ Cli.inject_arg $ inject_into_arg $ Cli.gc_threads_arg)
   in
   Cmd.v
     (Cmd.info "diff"
@@ -325,21 +240,14 @@ let distill_cmd =
       & opt string "lxr,g1,shenandoah,journal_rc"
       & info [ "c"; "collectors" ] ~docv:"NAMES" ~doc)
   in
-  let format_arg =
-    let doc = "Output format: text, md or json." in
-    Arg.(value & opt string "text" & info [ "format" ] ~docv:"FMT" ~doc)
-  in
   let run path collectors format gc_threads =
     let trace = load_trace path in
-    let gc_threads = parse_gc_threads gc_threads in
-    let names =
-      String.split_on_char ',' collectors
-      |> List.map String.trim
-      |> List.filter (fun s -> s <> "")
-    in
-    if names = [] then die "distill needs at least one collector";
-    let lanes = List.map (fun n -> (n, find_collector n)) names in
-    let ideal = find_collector "ideal" in
+    let gc_threads = Cli.parse_gc_threads gc_threads in
+    let names = Cli.split_list collectors in
+    if names = [] then Cli.die "distill needs at least one collector";
+    let lanes = List.map (fun n -> (n, Cli.find_collector n)) names in
+    let format = Cli.parse_format format in
+    let ideal = Cli.find_collector "ideal" in
     let base = Repro_harness.Runner.replay ~gc_threads ~trace ~factory:ideal () in
     let rows =
       List.map
@@ -353,29 +261,25 @@ let distill_cmd =
           else { row with Repro_harness.Report.d_collector = name })
         lanes
     in
-    (match format with
-    | "text" ->
-      print_endline
-        (Repro_harness.Report.distill_table
-           ~title:
-             (Printf.sprintf
-                "Distilled cost on %s (%s, %d events): real replay minus the\n\
-                 exact free-reclamation baseline on the identical mutator work."
-                path trace.header.workload
-                (Trace_format.num_events trace))
-           rows)
-    | "md" -> print_string (Repro_harness.Report.distill_markdown rows)
-    | "json" -> print_string (Repro_harness.Report.distill_json rows)
-    | other ->
-      die
-        (Printf.sprintf "unknown --format %S%s; expected text, md or json"
-           other
-           (Repro_util.Suggest.hint ~candidates:[ "text"; "md"; "json" ] other)));
+    Cli.print_format format
+      ~text:(fun () ->
+        Repro_harness.Report.distill_table
+          ~title:
+            (Printf.sprintf
+               "Distilled cost on %s (%s, %d events): real replay minus the\n\
+                exact free-reclamation baseline on the identical mutator work."
+               path trace.header.workload
+               (Trace_format.num_events trace))
+          rows)
+      ~md:(fun () -> Repro_harness.Report.distill_markdown rows)
+      ~json:(fun () -> Repro_harness.Report.distill_json rows);
     if List.exists (fun r -> r.Repro_harness.Report.d = None) rows || not base.ok
     then exit 1
   in
   let term =
-    Term.(const run $ trace_arg $ collectors_arg $ format_arg $ gc_threads_arg)
+    Term.(
+      const run $ trace_arg $ collectors_arg $ Cli.format_arg
+      $ Cli.gc_threads_arg)
   in
   Cmd.v
     (Cmd.info "distill"

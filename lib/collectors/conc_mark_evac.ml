@@ -2,8 +2,6 @@ open Repro_util
 open Repro_heap
 open Repro_engine
 
-exception Unsupported of string
-
 let null = Obj_model.null
 
 type params = {
@@ -329,7 +327,7 @@ let factory p : Collector.factory =
   (match p.min_heap_bytes with
   | Some min when heap.Heap.cfg.heap_bytes < min ->
     raise
-      (Unsupported
+      (Collector.Unsupported
          (Printf.sprintf "%s requires at least %d MB of heap" p.name
             (min / 1024 / 1024)))
   | Some _ | None -> ());

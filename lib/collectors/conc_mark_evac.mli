@@ -12,8 +12,6 @@
     collection when even that fails — the lusearch pathology of Tables 1
     and 6. *)
 
-exception Unsupported of string
-
 type params = {
   name : string;
   lvb_ns : float -> float;  (** read barrier cost given [Cost_model.lvb_ns] *)
@@ -28,8 +26,8 @@ val shenandoah_params : params
 
 val zgc_params : params
 
-(** [factory params] — raises {!Unsupported} at creation when the heap is
-    below [min_heap_bytes]. *)
+(** [factory params] — raises {!Repro_engine.Collector.Unsupported} at
+    creation when the heap is below [min_heap_bytes]. *)
 val factory : params -> Repro_engine.Collector.factory
 
 val shenandoah : Repro_engine.Collector.factory

@@ -1,3 +1,5 @@
+exception Unsupported of string
+
 type pressure = Young | Full | Emergency
 
 let pressure_name = function

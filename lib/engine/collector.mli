@@ -7,6 +7,11 @@
     each load/store (barrier fast paths), polls at safepoints, and drives
     concurrent work through [conc_active]/[conc_run]. *)
 
+(** Raised by a factory that refuses the heap it is given (ZGC below
+    its minimum heap, §4). Front ends report it as a failed run, or as a
+    skipped lane in a differential replay. *)
+exception Unsupported of string
+
 (** Rungs of the allocation-failure degradation ladder, in escalation
     order. {!Api.try_alloc} climbs them one at a time, retrying the
     allocation after each:

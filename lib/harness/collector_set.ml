@@ -45,7 +45,7 @@ let apply_knobs specs cfg =
       | Error e -> invalid_arg e (* unreachable: checked at parse time *))
     cfg specs
 
-let resolve ?controller ?(knobs = []) name =
+let resolve ?controller ?burn ?(knobs = []) name =
   let ( let* ) = Result.bind in
   let* () = check_knobs knobs in
   let config = apply_knobs knobs in
@@ -61,13 +61,7 @@ let resolve ?controller ?(knobs = []) name =
            "--controller drives LXR's knob table and cannot tune %S; use -c \
             lxr"
            name)
-    else
-      let algo =
-        match spec.Controller.algo with
-        | Controller.Hill -> "hill"
-        | Controller.Pid -> "pid"
-      in
-      Ok (Controller.lxr_factory ~name:("LXR+" ^ algo) ~config spec)
+    else Ok (Controller.lxr_factory ?burn ~config spec)
   | None ->
     if knobs = [] then find name
     else if not is_lxr then

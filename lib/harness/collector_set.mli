@@ -19,10 +19,12 @@ val find_workload : string -> (Repro_mutator.Workload.t, string) result
     ("name=value", validated eagerly against {!Repro_lxr.Lxr_config}'s
     knob table with did-you-mean hints), and [controller] an optional
     [--controller] spec ({!Repro_policy.Controller.parse}) that wraps
-    LXR in an online knob controller. Both require the collector to be
-    "lxr"; the error explains otherwise. *)
+    LXR in an online knob controller, whose [Burn] objective reads
+    [burn] (see {!Repro_policy.Controller.lxr_factory}). Both require
+    the collector to be "lxr"; the error explains otherwise. *)
 val resolve :
   ?controller:string ->
+  ?burn:(unit -> float) ->
   ?knobs:string list ->
   string ->
   (Repro_engine.Collector.factory, string) result

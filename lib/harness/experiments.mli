@@ -12,7 +12,11 @@ type opts = {
   seed : int;
 }
 
-val default_opts : opts
+(** [default_opts name] — the scale and seed count experiment [name]
+    runs at unless told otherwise: 0.5 for table5 and table7, 0.3 for
+    figure7 and sensitivity, 1.0 for the rest; three seeds for table1,
+    table4 and figure5, one for the rest; seed 42. *)
+val default_opts : string -> opts
 
 (** Table 1: lusearch at 1.3x — throughput, query latency and GC pauses
     for G1, Shenandoah, LXR, and Shenandoah at a 10x heap. *)
@@ -78,7 +82,9 @@ val distill : opts -> string
     workloads, compared on distilled cost. *)
 val controller : opts -> string
 
-(** [by_name s] looks an experiment up ("table1" .. "sensitivity"). *)
+(** [by_name s] looks an experiment up by one of {!names}. *)
 val by_name : string -> (opts -> string) option
 
+(** Every experiment name, in the order [lxr_sim experiment all] runs
+    them. *)
 val names : string list

@@ -129,15 +129,12 @@ let fleet_table ~title results =
     ~rows:(List.map fleet_row results) ()
 
 let fleet_markdown results =
-  let line cells = "| " ^ String.concat " | " cells ^ " |" in
-  let sep = line (List.map (fun _ -> "---") fleet_header) in
-  String.concat "\n"
-    ((line fleet_header :: sep :: List.map (fun r -> line (fleet_row r)) results)
-    @ [ "" ])
+  Repro_util.Table.markdown ~header:fleet_header
+    ~rows:(List.map fleet_row results)
 
 (* Hand-rolled JSON: the harness has no serialization dependency, and
-   the fleet schema is flat enough that escaping strings is the only
-   subtlety. *)
+   the fleet and distill schemas are flat enough that escaping strings
+   is the only subtlety. *)
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -153,14 +150,14 @@ let json_escape s =
     s;
   Buffer.contents b
 
+let field (k, v) = Printf.sprintf "%S: %s" k v
+let str s = Printf.sprintf "\"%s\"" (json_escape s)
+
+let num f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else Printf.sprintf "%g" f
+
 let fleet_json results =
-  let field (k, v) = Printf.sprintf "%S: %s" k v in
-  let str s = Printf.sprintf "\"%s\"" (json_escape s) in
-  let num f =
-    if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.0f" f
-    else Printf.sprintf "%g" f
-  in
   let pctls h =
     Printf.sprintf "{%s}"
       (String.concat ", "
@@ -310,20 +307,10 @@ let distill_table ~title rows =
     ~rows:(List.map distill_cells rows) ()
 
 let distill_markdown rows =
-  let line cells = "| " ^ String.concat " | " cells ^ " |" in
-  let sep = line (List.map (fun _ -> "---") distill_header) in
-  String.concat "\n"
-    ((line distill_header :: sep
-      :: List.map (fun r -> line (distill_cells r)) rows)
-    @ [ "" ])
+  Repro_util.Table.markdown ~header:distill_header
+    ~rows:(List.map distill_cells rows)
 
 let distill_json rows =
-  let field (k, v) = Printf.sprintf "%S: %s" k v in
-  let str s = Printf.sprintf "\"%s\"" (json_escape s) in
-  let num f =
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-    else Printf.sprintf "%g" f
-  in
   let run_json (r : Distill.run) =
     Printf.sprintf "{%s}"
       (String.concat ", "

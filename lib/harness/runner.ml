@@ -151,7 +151,7 @@ let execute ?slots_hint ?ids_hint ~workload_name ~heap_factor ~cfg ~cost
       ladder = Api.ladder_alist (Api.ladder api);
       violations;
       verifier_checks }
-  | exception Repro_collectors.Conc_mark_evac.Unsupported msg ->
+  | exception Collector.Unsupported msg ->
     failed ~workload:workload_name ~collector:"?" ~heap_factor
       ~heap_bytes:cfg.Heap_config.heap_bytes ("unsupported: " ^ msg)
 
@@ -160,31 +160,35 @@ let run ?(seed = 42) ?(scale = 1.0) ?cost ?(gc_threads = 1) ?heap_config
   let w = (workload : Repro_mutator.Workload.t) in
   let cost = match cost with Some c -> c | None -> Cost_model.default in
   let heap_bytes = int_of_float (heap_factor *. Float.of_int w.min_heap_bytes) in
-  let cfg =
+  match
     match heap_config with
     | Some f -> f ~heap_bytes
     | None -> Heap_config.make ~heap_bytes ()
-  in
-  let recorder =
-    match record_to with
-    | None -> None
-    | Some _ ->
-      Some
-        (Repro_trace.Recorder.create ~workload:w.name ~seed ~scale ~heap_factor
-           ~cfg ())
-  in
-  let prng = Prng.create seed in
-  let r =
-    execute ~workload_name:w.name ~heap_factor ~cfg ~cost ~gc_threads ~verify
-      ~inject ~recorder ~factory
-      ~driver:(fun api ~on_measurement_start ->
-        Repro_mutator.Mut_engine.run ~on_measurement_start api prng w ~scale)
-      ()
-  in
-  (match (recorder, record_to) with
-  | Some rec_, Some path -> Repro_trace.Recorder.save rec_ path
-  | _ -> ());
-  r
+  with
+  | exception Invalid_argument msg ->
+    (* No heap geometry fits (e.g. less than one block). *)
+    failed ~workload:w.name ~collector:"?" ~heap_factor ~heap_bytes msg
+  | cfg ->
+    let recorder =
+      match record_to with
+      | None -> None
+      | Some _ ->
+        Some
+          (Repro_trace.Recorder.create ~workload:w.name ~seed ~scale
+             ~heap_factor ~cfg ())
+    in
+    let prng = Prng.create seed in
+    let r =
+      execute ~workload_name:w.name ~heap_factor ~cfg ~cost ~gc_threads
+        ~verify ~inject ~recorder ~factory
+        ~driver:(fun api ~on_measurement_start ->
+          Repro_mutator.Mut_engine.run ~on_measurement_start api prng w ~scale)
+        ()
+    in
+    (match (recorder, record_to) with
+    | Some rec_, Some path -> Repro_trace.Recorder.save rec_ path
+    | _ -> ());
+    r
 
 let replay ?cost ?(gc_threads = 1) ?(verify = []) ?inject ?record_to ~trace
     ~factory () =

@@ -50,7 +50,8 @@ val qps : result -> float
     [inject] installs a deterministic fault injector
     ({!Repro_engine.Fault.of_spec}) on the simulator. Allocation
     exhaustion no longer raises — it is reported via [ok]/[error] with
-    the partial metrics intact.
+    the partial metrics intact. A heap too small for any geometry (below
+    one block) is a failed run too.
 
     [record_to] tees the run's mutator-observable event stream into a
     trace recorder and writes the finished trace to the given path;

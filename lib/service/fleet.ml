@@ -268,6 +268,10 @@ let run (cfg : config) =
   match w.Workload.request with
   | None -> failed cfg ~collector:"?" (w.name ^ " carries no metered request model")
   | Some _ when cfg.replicas < 1 -> failed cfg ~collector:"?" "needs >= 1 replica"
+  | Some _
+    when match cfg.quantum_ns with Some q -> not (q > 0.0) | None -> false ->
+    (* A window that never advances would schedule forever (NaN too). *)
+    failed cfg ~collector:"?" "quantum must be > 0"
   | Some _ when cfg.autoscale <> None && cfg.slo = None ->
     failed cfg ~collector:"?" "autoscaling needs an SLO (pass an slo spec)"
   | Some req -> (
@@ -327,25 +331,27 @@ let run (cfg : config) =
        by worker domains (initial setup and restarts alike); everything
        it touches is local to the slot being built. *)
     let build_engine ~heap_bytes ~seed =
-      match
-        let heap_cfg = Repro_heap.Heap_config.make ~heap_bytes () in
-        let heap = Repro_heap.Heap.create heap_cfg in
-        let sim = Sim.create Cost_model.default in
-        Sim.set_pool sim pool;
-        let api = Api.create sim heap cfg.factory in
-        let prng = Prng.create seed in
-        (api, Mut.make_server api prng w)
-      with
-      | api, Ok server ->
-        let verifier =
-          if cfg.verify = [] then None
-          else Some (Verifier.attach ~points:cfg.verify api)
-        in
-        Mut.server_measurement_start server;
-        Ok { api; server; verifier }
-      | _, Error msg -> Error msg
-      | exception Repro_collectors.Conc_mark_evac.Unsupported msg ->
-        Error ("unsupported: " ^ msg)
+      match Repro_heap.Heap_config.make ~heap_bytes () with
+      | exception Invalid_argument msg -> Error msg
+      | heap_cfg -> (
+        match
+          let heap = Repro_heap.Heap.create heap_cfg in
+          let sim = Sim.create Cost_model.default in
+          Sim.set_pool sim pool;
+          let api = Api.create sim heap cfg.factory in
+          let prng = Prng.create seed in
+          (api, Mut.make_server api prng w)
+        with
+        | api, Ok server ->
+          let verifier =
+            if cfg.verify = [] then None
+            else Some (Verifier.attach ~points:cfg.verify api)
+          in
+          Mut.server_measurement_start server;
+          Ok { api; server; verifier }
+        | _, Error msg -> Error msg
+        | exception Collector.Unsupported msg ->
+          Error ("unsupported: " ^ msg))
     in
     (* Setup phase, replica-parallel: each initial replica builds its
        own long-lived structure from its own seed. *)

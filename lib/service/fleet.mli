@@ -212,6 +212,7 @@ val qps : result -> float
 val qps_opt : result -> float option
 
 (** [run config] — the whole fleet simulation. Never raises for workload
-    or collector reasons: an unsupported heap, a missing request model or
-    an exhausted setup are reported through [ok]/[error]. *)
+    or collector reasons: an unsupported heap, one smaller than a block,
+    a missing request model, a non-positive quantum or an exhausted
+    setup are reported through [ok]/[error]. *)
 val run : config -> result

@@ -74,6 +74,16 @@ let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
     ?(gc_threads = 1) ~trace ~collectors () =
   let header = trace.Trace_format.header in
   let cfg = Trace_format.heap_config header in
+  let is_lane target label =
+    String.lowercase_ascii target = String.lowercase_ascii label
+  in
+  (match inject with
+  | Some (target, _)
+    when not (List.exists (fun (label, _) -> is_lane target label) collectors)
+    ->
+    invalid_arg
+      (Printf.sprintf "Differ.run: inject target %S names no lane" target)
+  | Some _ | None -> ());
   (* A collector may refuse the trace's heap geometry outright (ZGC has
      a minimum heap). That is a property of the collector, not a
      divergence: drop the lane, note why, and diff the rest. *)
@@ -85,12 +95,12 @@ let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
         let sim = Sim.create Cost_model.default in
         Sim.set_pool sim (Repro_par.Par.Pool.get ~threads:gc_threads);
         (match inject with
-        | Some (target, fault) when String.lowercase_ascii target = String.lowercase_ascii label ->
+        | Some (target, fault) when is_lane target label ->
           Sim.set_faults sim fault
         | Some _ | None -> ());
         match Api.create sim heap factory with
         | api -> Some { label; api; rep = Replay.create api trace }
-        | exception Repro_collectors.Conc_mark_evac.Unsupported msg ->
+        | exception Collector.Unsupported msg ->
           skipped := (label, msg) :: !skipped;
           None)
       collectors
@@ -98,7 +108,7 @@ let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
   let skipped = List.rev !skipped in
   if lanes = [] then
     raise
-      (Repro_collectors.Conc_mark_evac.Unsupported
+      (Collector.Unsupported
          (Printf.sprintf "every collector refused this trace (%s)"
             (String.concat "; "
                (List.map (fun (l, m) -> l ^ ": " ^ m) skipped))));

@@ -47,7 +47,8 @@ val report_to_string : report -> string
     [every] adds a checkpoint after every [every] events (default 4096;
     [0] disables interval checkpoints). [inject] attaches a fault
     injector to the named collector's run — the supported way to
-    demonstrate that an induced divergence is caught and localised.
+    demonstrate that an induced divergence is caught and localised;
+    raises [Invalid_argument] when it names none of [collectors].
     [max_divergences] bounds retained (not counted) divergences; the
     drive stops early once reached (default 8). Replay under each
     collector uses the trace header's heap geometry and the default cost
@@ -55,7 +56,7 @@ val report_to_string : report -> string
     work-packet pool ({!Repro_par.Par}); checkpoints — like every other
     observable — are bit-identical for every value. A collector that
     refuses that geometry
-    ({!Repro_collectors.Conc_mark_evac.Unsupported}) is reported in
+    ({!Repro_engine.Collector.Unsupported}) is reported in
     [skipped] and the remaining lanes are diffed; the exception
     propagates only when every requested collector refuses. *)
 val run :

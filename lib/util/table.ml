@@ -50,6 +50,13 @@ let render ?aligns ~title ~header ~rows () =
   line '-';
   Buffer.contents buf
 
+let markdown ~header ~rows =
+  let line cells = "| " ^ String.concat " | " cells ^ " |" in
+  String.concat "\n"
+    ((line header :: line (List.map (fun _ -> "---") header)
+      :: List.map line rows)
+    @ [ "" ])
+
 let fms ns = Printf.sprintf "%.1f" (Float.of_int ns /. 1e6)
 let fsec ns = Printf.sprintf "%.1f" (Float.of_int ns /. 1e9)
 let fratio r = Printf.sprintf "%.3f" r

@@ -1,8 +1,7 @@
-(** Plain-text table rendering for the benchmark harness.
+(** Table rendering for the experiment and report generators.
 
-    The bench executable prints each reproduced paper table in a fixed
-    monospace layout so that paper-vs-measured comparisons are readable in
-    a terminal log. *)
+    Each reproduced paper table prints in a fixed monospace layout so
+    that paper-vs-measured comparisons are readable in a terminal log. *)
 
 type align = Left | Right
 
@@ -12,6 +11,10 @@ type align = Left | Right
     rest right-aligned unless [aligns] overrides this. *)
 val render :
   ?aligns:align list -> title:string -> header:string list -> rows:string list list -> unit -> string
+
+(** [markdown ~header ~rows] is the same table as GitHub-flavoured
+    markdown, one line per row, with a trailing newline. *)
+val markdown : header:string list -> rows:string list list -> string
 
 (** Formatting helpers used when building rows. *)
 

@@ -129,4 +129,29 @@ if dune exec bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace \
   exit 1
 fi
 
+echo "== front ends reject bad input cleanly (exit 1 or 2) =="
+# A bad flag value exits 2 and a run that cannot start exits 1. A hang
+# or a Cmdliner usage error (124) or an uncaught exception (125) fails
+# the lane.
+reject() {
+  rc=0
+  timeout 60 dune exec "$@" > /dev/null 2>&1 || rc=$?
+  case $rc in
+    1|2) ;;
+    *)
+      echo "ERROR: exit $rc, want 1 or 2: $*" >&2
+      exit 1
+      ;;
+  esac
+}
+reject bin/lxr_fleet.exe -- run -n 100 --domains=65
+reject bin/lxr_fleet.exe -- run -n 100 --quantum=0
+reject bin/lxr_sim.exe -- run -f 0.01
+rej_dir=$(mktemp -d)
+reject bin/lxr_trace.exe -- record -f 0.01 -o "$rej_dir/tiny.lxrtrace"
+rm -rf "$rej_dir"
+reject bin/lxr_fleet.exe -- run -f 0.01
+reject bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace -c lxr,g1 \
+  --inject=drop-barrier:2e-3 --inject-into=lxrr
+
 echo "== ci ok =="

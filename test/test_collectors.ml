@@ -267,7 +267,7 @@ let test_zgc_refuses_small_heap () =
     (try
        ignore (Api.create sim heap (Repro_collectors.Registry.find "zgc"));
        false
-     with Repro_collectors.Conc_mark_evac.Unsupported _ -> true)
+     with Repro_engine.Collector.Unsupported _ -> true)
 
 let test_zgc_accepts_large_heap () =
   let env =

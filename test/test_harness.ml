@@ -34,6 +34,11 @@ let test_runner_unsupported () =
   check "error recorded" true (r.error <> None);
   check_float "qps zero on failure" 0.0 (Runner.qps r)
 
+let test_runner_heap_below_one_block () =
+  let r = small_run ~factor:0.001 "lusearch" in
+  check "not ok" true (not r.ok);
+  check "error recorded" true (r.error <> None)
+
 let test_runner_heap_config_override () =
   let r =
     Runner.run ~seed:5 ~scale:0.03
@@ -135,6 +140,8 @@ let suite =
       [ Alcotest.test_case "result fields" `Quick test_runner_result_fields;
         Alcotest.test_case "stat lookup" `Quick test_runner_stat_lookup;
         Alcotest.test_case "unsupported" `Quick test_runner_unsupported;
+        Alcotest.test_case "heap below one block" `Quick
+          test_runner_heap_below_one_block;
         Alcotest.test_case "heap override" `Quick test_runner_heap_config_override;
         Alcotest.test_case "qps" `Quick test_runner_qps ] );
     ( "harness:lbo",

@@ -100,6 +100,25 @@ let test_fleet_unsupported_collector () =
       (* the message must identify the run *)
       contains m "lusearch")
 
+(* Both must come back as failed runs: a quantum that never advances
+   the scheduling window used to loop forever, and a heap below one
+   block raised out of replica setup. *)
+let test_fleet_non_positive_quantum () =
+  let r =
+    Fleet.run
+      (Fleet.config ~quantum_ns:0.0 ~requests:100 ~workload:lusearch
+         ~factory:shen ())
+  in
+  check "not ok" true (not r.ok);
+  check "error names the quantum" true
+    (match r.error with Some m -> contains m "quantum" | None -> false)
+
+let test_fleet_heap_below_one_block () =
+  let r = fleet ~heap_factor:0.001 () in
+  check "not ok" true (not r.ok);
+  check "error names the heap" true
+    (match r.error with Some m -> contains m "heap" | None -> false)
+
 let test_fleet_verified () =
   let r = fleet ~verify:Repro_verify.Verifier.[ Pre_pause; Post_pause; End_of_run ] () in
   check "ok" true r.ok;
@@ -581,6 +600,10 @@ let suite =
         Alcotest.test_case "no request model" `Quick test_fleet_no_request_model;
         Alcotest.test_case "unsupported collector" `Quick
           test_fleet_unsupported_collector;
+        Alcotest.test_case "non-positive quantum" `Quick
+          test_fleet_non_positive_quantum;
+        Alcotest.test_case "heap below one block" `Quick
+          test_fleet_heap_below_one_block;
         Alcotest.test_case "verified fleet" `Quick test_fleet_verified;
         Alcotest.test_case "merge = pooled" `Quick test_merge_equals_pooled;
         Alcotest.test_case "fleet merge from replicas" `Quick

@@ -370,6 +370,23 @@ let test_diff_localises_injected_fault () =
     check "points at the injected collector or a concrete object" true
       (String.length d.detail > 0)
 
+let test_diff_rejects_unknown_inject_target () =
+  let path = tmp "diff_target.lxrtrace" in
+  ignore (record ~record_to:path "luindex");
+  let fault =
+    match Repro_engine.Fault.of_spec ~seed:7 "drop-barrier:2e-3" with
+    | Ok f -> f
+    | Error m -> Alcotest.fail m
+  in
+  check "a target naming no lane is rejected" true
+    (match
+       Differ.run ~inject:("lxrr", fault) ~trace:(load path)
+         ~collectors:(lanes [ "lxr"; "g1" ])
+         ()
+     with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* --- corpus ----------------------------------------------------------- *)
 
 let corpus_files () =
@@ -493,7 +510,9 @@ let suite =
     ( "trace:diff",
       [ Alcotest.test_case "clean three-way diff" `Quick test_diff_clean;
         Alcotest.test_case "injected fault localised" `Quick
-          test_diff_localises_injected_fault ] );
+          test_diff_localises_injected_fault;
+        Alcotest.test_case "unknown inject target rejected" `Quick
+          test_diff_rejects_unknown_inject_target ] );
     ( "trace:corpus",
       [ Alcotest.test_case "corpus present" `Quick test_corpus_present;
         Alcotest.test_case "corpus replays everywhere" `Slow

@@ -410,7 +410,9 @@ let test_table_render () =
   in
   check "has title" true (String.length s > 0 && s.[0] = 'T');
   check "contains row" true
-    (String.split_on_char '\n' s |> List.exists (fun l -> String.length l > 0 && l.[0] = '|'))
+    (String.split_on_char '\n' s |> List.exists (fun l -> String.length l > 0 && l.[0] = '|'));
+  Alcotest.(check string) "markdown" "| a | b |\n| --- | --- |\n| x | 1 |\n"
+    (Table.markdown ~header:[ "a"; "b" ] ~rows:[ [ "x"; "1" ] ])
 
 let test_table_ragged () =
   Alcotest.check_raises "ragged" (Invalid_argument "Table.render: ragged rows")
