@@ -5,23 +5,6 @@ exception Error of string
 
 let null = Obj_model.null
 
-(* The dense dispatch below matches on ring-tag literals so the compiler
-   emits one jump table; pin the literals to the format's constants. *)
-let () =
-  assert (
-    Trace_format.tag_alloc = 1
-    && Trace_format.tag_alloc_failed = 2
-    && Trace_format.tag_write = 3
-    && Trace_format.tag_read = 4
-    && Trace_format.tag_root = 5
-    && Trace_format.tag_work = 6
-    && Trace_format.tag_safepoint = 7
-    && Trace_format.tag_request_start = 8
-    && Trace_format.tag_request_end = 9
-    && Trace_format.tag_measurement_start = 10
-    && Trace_format.tag_survived = 11
-    && Trace_format.tag_finish = 12)
-
 type t = {
   api : Api.t;
   trace : Trace_format.t;
@@ -152,8 +135,9 @@ let[@inline] fop g i = Array.unsafe_get g.Trace_format.fop i
 
 (* The dispatch: one match on the ring tag, operands read straight from
    the flat arrays, every operation re-issued through the [Api] entry
-   points. [run] drives it in a tight loop; the differ steps it in
-   lockstep through [step]. *)
+   points. The tag literals compile to one jump table; [Trace_format]
+   pins them to its [tag_*] constants. [run] drives it in a tight loop;
+   the differ steps it in lockstep through [step]. *)
 let apply_tag t i tag =
   let g = t.ring in
   match tag with

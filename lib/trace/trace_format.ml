@@ -46,7 +46,10 @@ type event =
      work             -      -        -                          ns
      request_start    -      -        -                          gap
      survived         bytes  -        -                          -
-     (safepoint, request_end, measurement_start, finish: no operands) *)
+     (safepoint, request_end, measurement_start, finish: no operands)
+
+   [allocs] and [max_id] are the replayer's registry-presizing input,
+   filled in while the ring is built so no replay lane rescans it. *)
 type ring = {
   count : int;
   tags : Bytes.t;
@@ -54,6 +57,8 @@ type ring = {
   op2 : int array;
   op3 : int array;
   fop : float array;
+  allocs : int;
+  max_id : int;
 }
 
 type t = { header : header; ring : ring }
@@ -76,6 +81,24 @@ let tag_request_end = 9
 let tag_measurement_start = 10
 let tag_survived = 11
 let tag_finish = 12
+
+(* The decoder below and [Replay]'s dispatch match on the tag literals
+   so the compiler emits one jump table; pin the literals to the
+   constants. *)
+let () =
+  assert (
+    tag_alloc = 1
+    && tag_alloc_failed = 2
+    && tag_write = 3
+    && tag_read = 4
+    && tag_root = 5
+    && tag_work = 6
+    && tag_safepoint = 7
+    && tag_request_start = 8
+    && tag_request_end = 9
+    && tag_measurement_start = 10
+    && tag_survived = 11
+    && tag_finish = 12)
 
 let event_name = function
   | Alloc _ -> "alloc"
@@ -131,11 +154,14 @@ let ring_of_events evs =
   let op2 = Array.make count 0 in
   let op3 = Array.make count 0 in
   let fop = Array.make count 0.0 in
+  let allocs = ref 0 and max_id = ref 0 in
   Array.iteri
     (fun i e ->
       let tag =
         match e with
         | Alloc { id; size; nfields; large } ->
+          incr allocs;
+          if id > !max_id then max_id := id;
           op1.(i) <- id;
           op2.(i) <- size;
           op3.(i) <- (nfields lsl 1) lor (if large then 1 else 0);
@@ -173,22 +199,10 @@ let ring_of_events evs =
       in
       Bytes.set tags i (Char.chr tag))
     evs;
-  { count; tags; op1; op2; op3; fop }
+  { count; tags; op1; op2; op3; fop; allocs = !allocs; max_id = !max_id }
 
 let of_events header evs = { header; ring = ring_of_events evs }
-
-(* Registry-presizing statistics for the replayer: (number of Alloc
-   events, highest recorded allocation id). One cheap linear scan. *)
-let alloc_stats t =
-  let g = t.ring in
-  let n = ref 0 and max_id = ref 0 in
-  for i = 0 to g.count - 1 do
-    if Char.code (Bytes.unsafe_get g.tags i) = tag_alloc then begin
-      incr n;
-      if g.op1.(i) > !max_id then max_id := g.op1.(i)
-    end
-  done;
-  (!n, !max_id)
+let alloc_stats t = (t.ring.allocs, t.ring.max_id)
 
 (* --- Primitive encoders ------------------------------------------------ *)
 
@@ -218,11 +232,14 @@ let put_string buf s =
   put_uv buf (String.length s);
   Buffer.add_string buf s
 
-(* FNV-1a over a string region, 64-bit. *)
+(* FNV-1a over a string region, 64-bit. The region is checked once, so
+   the per-byte reads are unchecked. *)
 let fnv1a s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Trace_format.fnv1a";
   let h = ref 0xcbf29ce484222325L in
   for i = pos to pos + len - 1 do
-    h := Int64.logxor !h (Int64.of_int (Char.code s.[i]));
+    h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)));
     h := Int64.mul !h 0x100000001b3L
   done;
   !h
@@ -239,8 +256,10 @@ exception Malformed of string
 
 type reader = { s : string; mutable pos : int }
 
+(* [n] comes from the file: a negative or huge length must be rejected
+   here, and [r.pos + n] could overflow. *)
 let need r n =
-  if r.pos + n > String.length r.s then raise (Malformed "truncated trace")
+  if n < 0 || n > String.length r.s - r.pos then raise (Malformed "truncated trace")
 
 let get_u8 r =
   need r 1;
@@ -248,7 +267,7 @@ let get_u8 r =
   r.pos <- r.pos + 1;
   c
 
-let get_uv r =
+let get_uv_checked r =
   let shift = ref 0 and acc = ref 0 and continue = ref true in
   while !continue do
     let b = get_u8 r in
@@ -259,18 +278,30 @@ let get_uv r =
   done;
   !acc
 
-let get_fixed64 r =
-  need r 8;
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits :=
-      Int64.logor !bits
-        (Int64.shift_left (Int64.of_int (Char.code r.s.[r.pos + i])) (8 * i))
-  done;
-  r.pos <- r.pos + 8;
-  !bits
+(* One-byte varints (every tag and most operands) return after one
+   bounds test; multi-byte and truncated ones take the checked loop,
+   which owns the error outcomes. *)
+let[@inline] get_uv r =
+  let pos = r.pos in
+  if pos < String.length r.s then begin
+    let b = Char.code (String.unsafe_get r.s pos) in
+    if b < 0x80 then begin
+      r.pos <- pos + 1;
+      b
+    end
+    else get_uv_checked r
+  end
+  else get_uv_checked r
 
-let get_f64 r = Int64.float_of_bits (get_fixed64 r)
+(* Inlined, so a decoded double goes straight into the ring's float
+   array without boxing. *)
+let[@inline] get_fixed64 r =
+  need r 8;
+  let bits = String.get_int64_le r.s r.pos in
+  r.pos <- r.pos + 8;
+  bits
+
+let[@inline] get_f64 r = Int64.float_of_bits (get_fixed64 r)
 
 let get_string r =
   let len = get_uv r in
@@ -425,6 +456,28 @@ let to_string t =
   done;
   assemble ~header_buf ~events_buf ~count:t.ring.count
 
+(* The event count the trailer declares, read backward from the end: the
+   file ends [tag_end; count varint; 8 checksum bytes], the varint's last
+   byte is below 0x80 and its earlier bytes are 0x80 or above. [events]
+   is where the event stream starts. The result is clamped to the
+   stream's length in bytes (from [events] up to [tag_end]), since every
+   event takes at least one, and is only a capacity hint: 0 when the
+   bytes do not have the trailer's shape. *)
+let trailer_count s ~events =
+  let last = String.length s - 9 in
+  if last <= events || Char.code s.[last] >= 0x80 then 0
+  else begin
+    let first = ref last in
+    while !first > events && last - !first < 9 && Char.code s.[!first - 1] >= 0x80 do
+      decr first
+    done;
+    if !first <= events || Char.code s.[!first - 1] <> tag_end then 0
+    else
+      (* At most ten bytes ending below 0x80: [get_uv] cannot fail. *)
+      let body = !first - 1 - events in
+      max 0 (min (get_uv { s; pos = !first }) body)
+  end
+
 let of_string s =
   try
     if String.length s < String.length magic + 9 then
@@ -433,18 +486,19 @@ let of_string s =
       raise (Malformed "bad magic (not an lxr_trace file)");
     let r = { s; pos = String.length magic } in
     let header = decode_header r in
-    (* One-pass decode straight into the ring's growable flat arrays:
-       allocation is O(events) words in a handful of doubling steps, not
-       O(events) boxed variants consed onto a list. The densest events
-       are ~2 bytes on the wire, so len/2 rarely needs to double. *)
-    let cap = ref (max 16 ((String.length s - r.pos) / 2)) in
+    (* One pass straight into the ring's flat arrays, allocated once at
+       the trailer's count, so a valid trace copies nothing. Only a
+       malformed trailer makes the count wrong: then [grow] doubles the
+       arrays and the end trims them, and the forward parse still
+       decides the result. *)
+    let cap = ref (trailer_count s ~events:r.pos) in
     let tags = ref (Bytes.make !cap '\000') in
     let op1 = ref (Array.make !cap 0) in
     let op2 = ref (Array.make !cap 0) in
     let op3 = ref (Array.make !cap 0) in
     let fop = ref (Array.make !cap 0.0) in
     let grow () =
-      let c = !cap * 2 in
+      let c = max 16 (!cap * 2) in
       let nt = Bytes.make c '\000' in
       Bytes.blit !tags 0 nt 0 !cap;
       tags := nt;
@@ -461,7 +515,7 @@ let of_string s =
       fop := nf;
       cap := c
     in
-    let n = ref 0 in
+    let n = ref 0 and allocs = ref 0 and max_id = ref 0 in
     let continue = ref true in
     while !continue do
       let tag = get_uv r in
@@ -469,50 +523,39 @@ let of_string s =
       else begin
         if !n >= !cap then grow ();
         let i = !n in
-        if tag = tag_alloc then begin
+        (match tag with
+        | 1 (* alloc *) ->
           let id = get_uv r in
           let size = get_uv r in
           let nfields = get_uv r in
           let large = get_u8 r <> 0 in
           !op1.(i) <- id;
           !op2.(i) <- size;
-          !op3.(i) <- (nfields lsl 1) lor (if large then 1 else 0)
-        end
-        else if tag = tag_alloc_failed then begin
+          !op3.(i) <- (nfields lsl 1) lor (if large then 1 else 0);
+          incr allocs;
+          if id > !max_id then max_id := id
+        | 2 (* alloc_failed *) ->
           let size = get_uv r in
           let nfields = get_uv r in
           !op1.(i) <- size;
           !op2.(i) <- nfields
-        end
-        else if tag = tag_write then begin
+        | 3 (* write *) ->
           let src = get_uv r in
           let field = get_uv r in
           let value = get_uv r in
           !op1.(i) <- src;
           !op2.(i) <- field;
           !op3.(i) <- value
-        end
-        else if tag = tag_read then begin
-          let src = get_uv r in
-          let field = get_uv r in
-          !op1.(i) <- src;
-          !op2.(i) <- field
-        end
-        else if tag = tag_root then begin
-          let slot = get_uv r in
-          let value = get_uv r in
-          !op1.(i) <- slot;
-          !op2.(i) <- value
-        end
-        else if tag = tag_work then !fop.(i) <- get_f64 r
-        else if tag = tag_safepoint then ()
-        else if tag = tag_request_start then !fop.(i) <- get_f64 r
-        else if tag = tag_request_end then ()
-        else if tag = tag_measurement_start then ()
-        else if tag = tag_survived then !op1.(i) <- get_uv r
-        else if tag = tag_finish then ()
-        else raise (Malformed (Printf.sprintf "unknown event tag %d" tag));
-        Bytes.set !tags i (Char.chr tag);
+        | 4 (* read *) | 5 (* root *) ->
+          let a = get_uv r in
+          let b = get_uv r in
+          !op1.(i) <- a;
+          !op2.(i) <- b
+        | 6 (* work *) | 8 (* request_start *) -> !fop.(i) <- get_f64 r
+        | 11 (* survived *) -> !op1.(i) <- get_uv r
+        | 7 | 9 | 10 | 12 (* no operands *) -> ()
+        | _ -> raise (Malformed (Printf.sprintf "unknown event tag %d" tag)));
+        Bytes.set !tags i (Char.unsafe_chr tag);
         incr n
       end
     done;
@@ -527,6 +570,10 @@ let of_string s =
     let actual_sum = fnv1a s ~pos:0 ~len:body_len in
     if declared_sum <> actual_sum then raise (Malformed "checksum mismatch");
     if r.pos <> String.length s then raise (Malformed "trailing garbage");
+    (* Geometry last, so a damaged file still reports the damage. *)
+    (match heap_config header with
+    | (_ : Repro_heap.Heap_config.t) -> ()
+    | exception Invalid_argument msg -> raise (Malformed msg));
     let count = !n in
     let trim a = if Array.length a = count then a else Array.sub a 0 count in
     let ring =
@@ -536,7 +583,9 @@ let of_string s =
         op2 = trim !op2;
         op3 = trim !op3;
         fop =
-          (if Array.length !fop = count then !fop else Array.sub !fop 0 count) }
+          (if Array.length !fop = count then !fop else Array.sub !fop 0 count);
+        allocs = !allocs;
+        max_id = !max_id }
     in
     Ok { header; ring }
   with Malformed msg -> Error msg

@@ -73,6 +73,8 @@ type ring = private {
   op2 : int array;
   op3 : int array;
   fop : float array;
+  allocs : int;  (** number of [Alloc] events, counted as the ring is built *)
+  max_id : int;  (** highest [Alloc] id (0 if none), recorded likewise *)
 }
 
 type t = { header : header; ring : ring }
@@ -97,7 +99,7 @@ val event : t -> int -> event
 val events : t -> event array
 
 (** [(alloc_count, max_id)] over the ring — the replayer's registry
-    presizing input. *)
+    presizing input. Recorded when the ring is built, so this is O(1). *)
 val alloc_stats : t -> int * int
 
 (** Ring tag values, [tag_end] (0) excepted all correspond to one
@@ -151,7 +153,10 @@ val assemble : header_buf:Buffer.t -> events_buf:Buffer.t -> count:int -> string
 val to_string : t -> string
 
 (** [of_string s] decodes and validates (magic, version, checksum, event
-    count, truncation). *)
+    count, truncation), and rejects a header whose heap geometry
+    {!heap_config} cannot rebuild. The ring is allocated once at the
+    event count the trailer declares; that count is only a size hint, so
+    a wrong one changes what is allocated but never the result. *)
 val of_string : string -> (t, string) result
 
 val to_file : t -> string -> unit

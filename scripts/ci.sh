@@ -154,4 +154,20 @@ reject bin/lxr_fleet.exe -- run -f 0.01
 reject bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace -c lxr,g1 \
   --inject=drop-barrier:2e-3 --inject-into=lxrr
 
+echo "== malformed traces are rejected cleanly (exit 1 or 2) =="
+# A header string length of -1, a corpus trace with its checksum cut
+# short, and one with a byte appended. The files live outside
+# test/corpus/, which the corpus diff lane globs.
+bad_dir=$(mktemp -d)
+printf 'LXRTRACE\001\377\377\377\377\377\377\377\377\377\001' \
+  > "$bad_dir/negative-length.lxrtrace"
+good=test/corpus/luindex.lxrtrace
+head -c "$(($(wc -c < "$good") - 3))" "$good" > "$bad_dir/cut.lxrtrace"
+{ cat "$good"; printf 'x'; } > "$bad_dir/appended.lxrtrace"
+for t in "$bad_dir"/*.lxrtrace; do
+  reject bin/lxr_trace.exe -- stat "$t"
+  reject bin/lxr_trace.exe -- replay "$t" -c lxr
+done
+rm -rf "$bad_dir"
+
 echo "== ci ok =="

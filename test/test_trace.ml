@@ -170,9 +170,56 @@ let prop_ring_roundtrip =
       match Trace_format.of_string s with
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg
       | Ok t' ->
+        let stats =
+          Array.fold_left
+            (fun (n, m) (e : Trace_format.event) ->
+              match e with Alloc { id; _ } -> (n + 1, max m id) | _ -> (n, m))
+            (0, 0) evs
+        in
         t'.header = t.header
         && Trace_format.events t' = evs
-        && Trace_format.to_string t' = s)
+        && Trace_format.to_string t' = s
+        && Trace_format.alloc_stats t = stats
+        && Trace_format.alloc_stats t' = stats)
+
+(* The trailer's event count only sizes the decoded ring. Re-assemble
+   the stream with a different count — below the real one (forcing the
+   ring to regrow), past the body length, negative (a 10-byte varint) —
+   and the decoder must still report exactly the mismatch the forward
+   parse finds, the checksum being valid. *)
+let prop_trailer_count_is_a_hint =
+  let gen =
+    let open QCheck.Gen in
+    list_size (int_range 0 300) gen_event >>= fun evs ->
+    let n = List.length evs in
+    let below = if n = 0 then [] else [ (2, int_range 0 (n - 1)) ] in
+    frequency
+      (below
+      @ [ (2, int_range (n + 1) (n + 400));
+          (1, int_range 1_000_000 max_int);
+          (1, int_range min_int (-1)) ])
+    >|= fun c -> (Array.of_list evs, c)
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (evs, c) ->
+        Printf.sprintf "count %d over %d events: %s" c (Array.length evs)
+          (String.concat "; " (Array.to_list (Array.map print_event evs))))
+      gen
+  in
+  QCheck.Test.make ~count:300 ~name:"trailer count is only a size hint" arb
+    (fun (evs, c) ->
+      let n = Array.length evs in
+      let header_buf = Buffer.create 64 and events_buf = Buffer.create 1024 in
+      Trace_format.encode_header header_buf (qcheck_header ());
+      Array.iter (Trace_format.encode_event events_buf) evs;
+      let s = Trace_format.assemble ~header_buf ~events_buf ~count:c in
+      match Trace_format.of_string s with
+      | Ok _ -> QCheck.Test.fail_reportf "count %d accepted over %d events" c n
+      | Error msg ->
+        msg
+        = Printf.sprintf "event count mismatch: trailer says %d, stream has %d" c
+            n)
 
 (* Decode-rejection parity: a fixed corruption matrix must keep failing
    with byte-for-byte identical error strings — the contract the
@@ -216,7 +263,15 @@ let test_rejection_parity_matrix () =
       ( "varint too long",
         String.sub empty 0 (String.length empty - 10)
         ^ String.make 11 '\xff',
-        "varint too long" ) ]
+        "varint too long" );
+      (* Header string lengths of -1 and max_int: neither may reach
+         [String.sub]. *)
+      ( "negative string length",
+        "LXRTRACE\001" ^ String.make 9 '\xff' ^ "\001",
+        "truncated trace" );
+      ( "huge string length",
+        "LXRTRACE\001" ^ String.make 8 '\xff' ^ "\x3f",
+        "truncated trace" ) ]
   in
   List.iter
     (fun (label, s', expected) ->
@@ -233,6 +288,32 @@ let test_header_heap_config () =
     cfg.Repro_heap.Heap_config.block_bytes;
   check_int "los threshold" t.header.los_threshold
     cfg.Repro_heap.Heap_config.los_threshold
+
+(* A checksum-valid trace whose header no heap can be built from is
+   rejected at decode, naming the geometry; damage to the same file is
+   still reported as damage. *)
+let test_rejects_impossible_geometry () =
+  let t = sample_trace () in
+  let h = t.header in
+  List.iter
+    (fun (label, header, expected) ->
+      let s = Trace_format.to_string { t with header } in
+      (match Trace_format.of_string s with
+      | Ok _ -> Alcotest.failf "%s accepted" label
+      | Error msg -> check_string label expected msg);
+      let len = String.length s in
+      let b = Bytes.of_string s in
+      Bytes.set b (len - 1) (Char.chr (Char.code s.[len - 1] lxor 0x40));
+      match Trace_format.of_string (Bytes.to_string b) with
+      | Ok _ -> Alcotest.failf "%s with a bad checksum accepted" label
+      | Error msg -> check_string (label ^ ", bad checksum") "checksum mismatch" msg)
+    [ ( "block_bytes 3",
+        { h with block_bytes = 3 },
+        "Heap_config: block_bytes (3) must be a power of two" );
+      ("rc_bits 3", { h with rc_bits = 3 }, "Heap_config: rc_bits must be 1, 2, 4, or 8");
+      ( "heap_bytes 100",
+        { h with heap_bytes = 100 },
+        "Heap_config: heap smaller than one block" ) ]
 
 (* --- recording -------------------------------------------------------- *)
 
@@ -398,6 +479,25 @@ let corpus_files () =
 let test_corpus_present () =
   check "3-workload corpus" true (List.length (corpus_files ()) >= 3)
 
+let test_corpus_decode_allocates_ring_only () =
+  (* The ring is 33 B per event (a tag byte and four 8-byte operand
+     slots); decode allocates it once, at the trailer's count. *)
+  List.iter
+    (fun path ->
+      let s = read_file path in
+      let a0 = Gc.allocated_bytes () in
+      let t =
+        match Trace_format.of_string s with
+        | Ok t -> t
+        | Error msg -> Alcotest.failf "%s: %s" path msg
+      in
+      let per_event =
+        (Gc.allocated_bytes () -. a0) /. Float.of_int (Trace_format.num_events t)
+      in
+      if per_event >= 40.0 then
+        Alcotest.failf "%s: decode allocated %.1f B/event" path per_event)
+    (corpus_files ())
+
 let test_corpus_replays_everywhere () =
   (* Acceptance: each corpus trace, replayed through LXR, G1 and the
      concurrent mark-evacuate family, equals the live run at that seed. *)
@@ -492,8 +592,11 @@ let suite =
         Alcotest.test_case "rejection parity matrix" `Quick
           test_rejection_parity_matrix;
         QCheck_alcotest.to_alcotest prop_ring_roundtrip;
+        QCheck_alcotest.to_alcotest prop_trailer_count_is_a_hint;
         Alcotest.test_case "header rebuilds heap config" `Quick
-          test_header_heap_config ] );
+          test_header_heap_config;
+        Alcotest.test_case "rejects impossible heap geometry" `Quick
+          test_rejects_impossible_geometry ] );
     ( "trace:record",
       [ Alcotest.test_case "deterministic recording" `Quick
           test_record_deterministic;
@@ -515,6 +618,8 @@ let suite =
           test_diff_rejects_unknown_inject_target ] );
     ( "trace:corpus",
       [ Alcotest.test_case "corpus present" `Quick test_corpus_present;
+        Alcotest.test_case "corpus decode allocates only the ring" `Quick
+          test_corpus_decode_allocates_ring_only;
         Alcotest.test_case "corpus replays everywhere" `Slow
           test_corpus_replays_everywhere;
         Alcotest.test_case "corpus record-of-replay fixpoint" `Quick
