@@ -69,9 +69,9 @@ let failed ~workload ~collector ~heap_factor ~heap_bytes msg =
    mutator-side output (generatively or by replay), then assemble the
    result. [driver] receives the engine and the measurement-start
    callback that zeroes the accumulators. *)
-let execute ?slots_hint ?ids_hint ~workload_name ~heap_factor ~cfg ~cost
+let execute ?ids_hint ~workload_name ~heap_factor ~cfg ~cost
     ~gc_threads ~verify ~inject ~recorder ~factory ~driver () =
-  let heap = Heap.create ?slots_hint ?ids_hint cfg in
+  let heap = Heap.create ?ids_hint cfg in
   let sim = Sim.create cost in
   Sim.set_pool sim (Repro_par.Par.Pool.get ~threads:gc_threads);
   (match inject with Some f -> Sim.set_faults sim f | None -> ());

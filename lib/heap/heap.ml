@@ -23,7 +23,7 @@ type t = {
   mutable on_pre_pause : unit -> unit;
 }
 
-let create ?slots_hint ?ids_hint cfg =
+let create ?ids_hint cfg =
   let nblocks = Heap_config.blocks cfg in
   let t =
     { cfg;
@@ -32,7 +32,7 @@ let create ?slots_hint ?ids_hint cfg =
       reuse = Reuse_table.create cfg;
       blocks = Blocks.create cfg;
       free = Free_lists.create ();
-      registry = Obj_model.Registry.create ?slots_hint ?ids_hint ();
+      registry = Obj_model.Registry.create ?ids_hint ();
       los_off = Array.make 1024 0;
       los_len = Array.make 1024 0;
       los_pool = Vec.create ~capacity:16 ();
@@ -94,15 +94,8 @@ let clear_touched t = Bytes.fill t.touched 0 (Bytes.length t.touched) '\000'
 
 let ensure_los_slot t slot =
   if slot >= Array.length t.los_len then begin
-    let cap = ref (Array.length t.los_len) in
-    while !cap <= slot do
-      cap := !cap * 2
-    done;
-    let off = Array.make !cap 0 and len = Array.make !cap 0 in
-    Array.blit t.los_off 0 off 0 (Array.length t.los_off);
-    Array.blit t.los_len 0 len 0 (Array.length t.los_len);
-    t.los_off <- off;
-    t.los_len <- len
+    t.los_off <- Int_array.grow t.los_off (slot + 1) 0;
+    t.los_len <- Int_array.grow t.los_len (slot + 1) 0
   end
 
 let is_los t (obj : Obj_model.t) =

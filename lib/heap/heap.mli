@@ -46,9 +46,9 @@ type t = {
 }
 
 (** [create cfg] builds an empty heap with every block on the free
-    list. The hints presize the object registry (see
+    list. [ids_hint] presizes the object registry (see
     {!Obj_model.Registry.create}). *)
-val create : ?slots_hint:int -> ?ids_hint:int -> Heap_config.t -> t
+val create : ?ids_hint:int -> Heap_config.t -> t
 
 (** [make_allocator t] is a fresh thread-local bump allocator over this
     heap, tracked so pauses can retire it. *)

@@ -7,15 +7,19 @@
     id — and therefore every "pointer" — stays valid, which plays the role
     of the forwarding pointer in the real system.
 
-    The store is a dense struct-of-arrays: object metadata lives in
-    growable flat arrays indexed by an internal {e slot}, object fields
-    live as (offset, length) extents in one shared pooled [int] buffer,
-    and the logged bits live in a single inline word for objects with
-    <= 63 fields. External ids are monotonic allocation-sequence numbers
-    (never reused, so recorded traces replay with identical ids); slots
-    are recycled through a free-slot stack, guarded against aliasing by
-    an owner check — a stale handle to a freed object reads as freed
-    forever, even after its slot has been reused by a new object.
+    Each object's metadata (address, birth epoch, field extent, logged
+    word) lives in its canonical handle, the one record registration
+    allocates. The store keeps a single slot-indexed array of handles;
+    object fields live as (offset, length) extents in one shared pooled
+    [int] buffer, and the logged bits live in a single inline word for
+    objects with <= 63 fields. Freed extents are recycled through
+    intrusive per-length free lists, so neither registration nor freeing
+    allocates beyond the handle. External ids are monotonic
+    allocation-sequence numbers (never reused, so recorded traces replay
+    with identical ids); slots are recycled through a free-slot stack.
+    Freeing marks the handle's own record, so a stale handle to a freed
+    object reads as freed forever and can only see or change its own dead
+    record, even after its slot has been reused by a new object.
 
     Per-field logged bits implement the coalescing write barrier's
     unlogged-bit side metadata (§3.4): a set bit means the field has
@@ -25,36 +29,49 @@
 (** The null reference. *)
 val null : int
 
-(** The backing struct-of-arrays store ({!Registry.t}). *)
+(** The backing store ({!Registry.t}): the slot-indexed handle array and
+    the shared field and bitmap pools. *)
 type store
 
-(** An object handle: the external id, the object's (immutable) size, and
-    the slot it occupies in the store. Handles are canonical — {!Registry.get}
-    and {!Registry.find} return the one handle allocated at registration,
-    so holding or re-looking-up objects never allocates. *)
+(** An object handle: the external id, the object's (immutable) size, the
+    slot it occupies in the store, and the object's metadata. Handles are
+    canonical — {!Registry.get} and {!Registry.find} return the one handle
+    allocated at registration, so holding or re-looking-up objects never
+    allocates. *)
 type t = private {
   id : int;  (** monotonic allocation-sequence number; never reused *)
   size : int;  (** bytes, granule aligned, including header *)
   slot : int;  (** dense store index; recycled after free *)
   store : store;
+  (* The object's metadata. Outside this module, read it only through
+     the accessors below: they define what a freed handle reads. *)
+  mutable addr : int;
+  mutable birth : int;
+  nfields : int;
+  foff : int;
+  mutable logged : int;
 }
 
-(** [is_freed obj] — true once the object is freed, forever (the owner
-    check makes stale handles inert even after slot reuse). *)
+(** [is_freed obj] — true once the object is freed, forever: freeing
+    marks the handle's own record, which a later tenant of its slot
+    never touches. *)
 val is_freed : t -> bool
 
 (** [addr obj] is the current simulated address, or [-1] once freed. *)
 val addr : t -> int
 
-(** [set_addr obj a] reassigns the address (evacuation). No-op if freed. *)
+(** [set_addr obj a] reassigns the address (evacuation). No-op if freed.
+    Raises [Invalid_argument] if [a] is negative. *)
 val set_addr : t -> int -> unit
 
-(** RC epoch in which the object was allocated (see {!set_birth_epoch}). *)
+(** RC epoch in which the object was allocated (see {!set_birth_epoch}).
+    A freed handle keeps the epoch it had at free. *)
 val birth_epoch : t -> int
 
+(** No-op if freed. *)
 val set_birth_epoch : t -> int -> unit
 
-(** Number of reference fields. *)
+(** Number of reference fields (fixed at registration, freed or not). *)
 val nfields : t -> int
 
 (** [field obj i] is the referent id in field [i] ({!null} if empty or
@@ -74,31 +91,38 @@ val iteri_fields : (int -> int -> unit) -> t -> unit
 val fields_copy : t -> int array
 
 (** [field_logged obj i] / [set_field_logged obj i v]: the unlogged-bit
-    protocol. New objects are created all-logged. *)
+    protocol. New objects are created all-logged. Both raise
+    [Invalid_argument] when [i] is out of bounds. The setters are no-ops
+    on a freed handle, so it reads the bits it had at free — except that
+    an object with more than 63 fields returns its bitmap to the pool at
+    free and then reads all-logged. *)
 val field_logged : t -> int -> bool
 
 val set_field_logged : t -> int -> bool -> unit
 
 (** [set_all_logged obj v] bulk-sets every field's bit — used when a young
-    object survives its first collection and must start logging. *)
+    object survives its first collection and must start logging. No-op
+    if freed. *)
 val set_all_logged : t -> bool -> unit
 
 module Registry : sig
-  (** The id -> object map over the struct-of-arrays store. Freeing an
-      object recycles its slot and field extent; its id is never reused. *)
+  (** The id -> object map over the store. Freeing an object recycles
+      its slot and field extent; its id is never reused. *)
 
   type obj := t
   type t = store
 
-  (** [create ?slots_hint ?ids_hint ()] — the hints presize the backing
-      slot- and id-indexed arrays (a replayer knows both exactly from the
-      trace header/ring, turning doubling-growth churn into one
-      right-sized allocation each). *)
-  val create : ?slots_hint:int -> ?ids_hint:int -> unit -> t
+  (** [create ?ids_hint ()] — [ids_hint] presizes the id-indexed map (a
+      replayer knows the highest id exactly from the trace ring, turning
+      doubling-growth churn into one right-sized allocation). *)
+  val create : ?ids_hint:int -> unit -> t
 
   (** [register reg ~size ~nfields ~addr ~birth_epoch] creates a fresh
       object with all-null fields and all-logged bits, installs it, and
-      returns its canonical handle. *)
+      returns its canonical handle — the only allocation it makes once
+      the store's buffers have grown to the live set and the id map to
+      the new id (see [ids_hint]). Raises [Invalid_argument] if [addr]
+      is negative. *)
   val register : t -> size:int -> nfields:int -> addr:int -> birth_epoch:int -> obj
 
   (** [get reg id] raises [Not_found] if [id] is null or freed. *)
@@ -107,8 +131,8 @@ module Registry : sig
   val find : t -> int -> obj option
 
   (** The store's shared "no object" sentinel: a handle with [id = null]
-      that the owner check reads as freed forever. {!find_live} returns
-      it in place of [None] so lookups on hot paths never box an option. *)
+      that reads as freed forever. {!find_live} returns it in place of
+      [None] so lookups on hot paths never box an option. *)
   val none_handle : t -> obj
 
   (** [find_live reg id] is the canonical handle when [id] is live, and
@@ -119,7 +143,7 @@ module Registry : sig
   val mem : t -> int -> bool
 
   (** [free reg obj] removes the object, recycles its slot and field
-      extent, and marks it freed. *)
+      extent, and marks it freed. Allocation-free. *)
   val free : t -> obj -> unit
 
   (** Number of live (registered) objects. *)

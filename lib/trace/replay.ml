@@ -111,11 +111,8 @@ let install_alloc t id (obj : Obj_model.t) ~large =
   end;
   t.map.(id) <- obj;
   let rid = obj.Obj_model.id in
-  if rid >= Array.length t.rev then begin
-    let r = Array.make (max (2 * Array.length t.rev) (rid + 1)) 0 in
-    Array.blit t.rev 0 r 0 (Array.length t.rev);
-    t.rev <- r
-  end;
+  if rid >= Array.length t.rev then
+    t.rev <- Repro_util.Int_array.grow t.rev (rid + 1) 0;
   t.rev.(rid) <- id;
   if large && t.measuring then t.large_bytes <- t.large_bytes + obj.Obj_model.size
 

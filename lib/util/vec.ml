@@ -7,18 +7,14 @@ let create ?(capacity = 16) () =
 let length v = v.len
 let is_empty v = v.len = 0
 
-let grow v =
-  let cap = Array.length v.data in
-  let data = Array.make (cap * 2) 0 in
-  Array.blit v.data 0 data 0 v.len;
-  v.data <- data
+let grow v needed = v.data <- Int_array.grow v.data needed 0
 
 (* [len <= Array.length data] is the structural invariant, so indices
    that pass the explicit range checks can use unchecked array access —
    these sit on every collector work-packet inner loop. *)
 
 let push v x =
-  if v.len = Array.length v.data then grow v;
+  if v.len = Array.length v.data then grow v (v.len + 1);
   Array.unsafe_set v.data v.len x;
   v.len <- v.len + 1
 
@@ -81,10 +77,8 @@ let of_list xs =
 let append dst src =
   let n = src.len in
   if n > 0 then begin
-    while dst.len + n > Array.length dst.data do
-      grow dst
-    done;
-    Array.blit src.data 0 dst.data dst.len n;
+    if dst.len + n > Array.length dst.data then grow dst (dst.len + n);
+    Int_array.blit src.data 0 dst.data dst.len n;
     dst.len <- dst.len + n
   end
 
@@ -98,4 +92,4 @@ let swap_remove v i =
 let sort cmp v =
   let arr = to_array v in
   Array.sort cmp arr;
-  Array.blit arr 0 v.data 0 v.len
+  Int_array.blit arr 0 v.data 0 v.len

@@ -11,6 +11,11 @@ dune build @all
 echo "== tests =="
 dune runtest
 
+echo "== registry properties, long budget =="
+# dune runtest runs the object-store properties at a fixed budget;
+# QCHECK_LONG=1 multiplies each one's case count by its long_factor.
+QCHECK_LONG=1 dune exec test/test_main.exe -- test heap:objects
+
 echo "== verifier smoke (clean run must report zero violations) =="
 dune exec examples/quickstart.exe
 

@@ -600,24 +600,30 @@ let test_touched_blocks_ascending () =
   Heap.clear_touched heap;
   check "cleared" true (Heap.touched_blocks heap = [||])
 
+let logged_bits o = Array.init (Obj_model.nfields o) (Obj_model.field_logged o)
+
+(* Every registration gets its own birth epoch and logged bits are
+   cleared at random while objects live, so a stale handle that resolved
+   through its recycled slot would read the new tenant's values. *)
 let recycled_slots_never_alias_prop =
   QCheck.Test.make
     ~name:"recycled slots never alias live objects; stale handles stay freed"
-    ~count:60
+    ~count:60 ~long_factor:100
     QCheck.(int_range 0 100_000)
     (fun seed ->
       let reg = Obj_model.Registry.create () in
       let prng = Repro_util.Prng.create seed in
       let live = ref [] in
+      (* (handle, field count, birth epoch, logged bits read at free) *)
       let stale = ref [] in
       let max_id = ref 0 in
       let ok = ref true in
-      for _ = 1 to 400 do
+      for step = 1 to 400 do
         if Repro_util.Prng.bool prng 0.55 || !live = [] then begin
           let nfields = Repro_util.Prng.int prng 70 in
           let o =
             Obj_model.Registry.register reg ~size:64 ~nfields ~addr:128
-              ~birth_epoch:0
+              ~birth_epoch:step
           in
           (* External ids are strictly monotonic even while slots recycle. *)
           if o.Obj_model.id <= !max_id then ok := false;
@@ -625,25 +631,59 @@ let recycled_slots_never_alias_prop =
           (match !live with
           | (tid, _) :: _ when nfields > 0 -> Obj_model.set_field o 0 tid
           | _ -> ());
+          if nfields > 0 && Repro_util.Prng.bool prng 0.5 then
+            Obj_model.set_field_logged o (Repro_util.Prng.int prng nfields) false;
+          if Repro_util.Prng.bool prng 0.2 then Obj_model.set_all_logged o false;
           live := (o.Obj_model.id, o) :: !live
         end
         else begin
           let k = Repro_util.Prng.int prng (List.length !live) in
           let id, o = List.nth !live k in
+          let nfields = Obj_model.nfields o and birth = Obj_model.birth_epoch o in
           Obj_model.Registry.free reg o;
           live := List.filter (fun (i, _) -> i <> id) !live;
-          stale := o :: !stale
+          stale := (o, nfields, birth, logged_bits o) :: !stale
         end
       done;
-      (* Stale handles read as freed forever, even after slot reuse. *)
+      (* Stale handles read as freed forever, even after slot reuse, and
+         their metadata is frozen at free rather than the slot's. *)
+      let frozen (o, nfields, birth, bits) =
+        Obj_model.nfields o = nfields
+        && Obj_model.birth_epoch o = birth
+        && logged_bits o = bits
+      in
       List.iter
-        (fun (o : Obj_model.t) ->
+        (fun ((o : Obj_model.t), _, _, _) ->
           if not (Obj_model.is_freed o) then ok := false;
           if Obj_model.addr o <> -1 then ok := false;
           if Obj_model.nfields o > 0 && Obj_model.field o 0 <> Obj_model.null
           then ok := false;
           if Obj_model.Registry.mem reg o.Obj_model.id then ok := false)
         !stale;
+      if not (List.for_all frozen !stale) then ok := false;
+      (* Writes through stale handles change no live object. *)
+      let snapshot () =
+        List.map
+          (fun (_, o) ->
+            ( Obj_model.addr o,
+              Obj_model.birth_epoch o,
+              Obj_model.fields_copy o,
+              logged_bits o ))
+          !live
+      in
+      let before = snapshot () in
+      List.iter
+        (fun ((o : Obj_model.t), nfields, _, _) ->
+          Obj_model.set_all_logged o false;
+          for i = 0 to nfields - 1 do
+            Obj_model.set_field_logged o i (i mod 2 = 0)
+          done;
+          Obj_model.set_birth_epoch o (-1);
+          Obj_model.set_addr o 4096;
+          if nfields > 0 then Obj_model.set_field o 0 !max_id)
+        !stale;
+      if snapshot () <> before then ok := false;
+      if not (List.for_all frozen !stale) then ok := false;
       (* Live handles stay canonical: lookup returns the same handle. *)
       List.iter
         (fun (id, (o : Obj_model.t)) ->
@@ -655,11 +695,176 @@ let recycled_slots_never_alias_prop =
       | (rid, _) :: _ ->
         let reach = Obj_model.Registry.reachable_from reg [ rid ] in
         List.iter
-          (fun (o : Obj_model.t) ->
+          (fun ((o : Obj_model.t), _, _, _) ->
             if Mark_bitset.marked reach o.Obj_model.id then ok := false)
           !stale
       | [] -> ());
       !ok)
+
+(* The registry against a naive model: live ids mapped to size, address,
+   fields and logged bits. Field counts straddle the inline-bitmap limit
+   (63) and repeat often, so freed field and bitmap extents get reused. *)
+type reg_op =
+  | Register of int  (** field count *)
+  | Free of int  (** index into the live ids, modulo their count *)
+  | Set_field of int * int * int  (** object, field, referent index *)
+  | Set_logged of int * int * bool
+  | Set_addr of int * int
+
+let show_reg_op = function
+  | Register n -> Printf.sprintf "register %d" n
+  | Free k -> Printf.sprintf "free #%d" k
+  | Set_field (k, i, v) -> Printf.sprintf "set_field #%d.%d <- #%d" k i v
+  | Set_logged (k, i, b) -> Printf.sprintf "set_field_logged #%d.%d %b" k i b
+  | Set_addr (k, a) -> Printf.sprintf "set_addr #%d %d" k a
+
+let reg_op =
+  let open QCheck.Gen in
+  let nfields =
+    oneof [ int_range 0 4; oneofl [ 63; 64; 126; 127 ]; int_range 0 130 ]
+  in
+  QCheck.make ~print:show_reg_op
+    (frequency
+       [ (4, map (fun n -> Register n) nfields);
+         (3, map (fun k -> Free k) nat);
+         (3, map3 (fun k i v -> Set_field (k, i, v)) nat nat nat);
+         (2, map3 (fun k i b -> Set_logged (k, i, b)) nat nat bool);
+         (1, map2 (fun k a -> Set_addr (k, a)) nat nat) ])
+
+type model_obj = {
+  handle : Obj_model.t;
+  msize : int;
+  mutable maddr : int;
+  mfields : int array;
+  mlogged : bool array;
+}
+
+let registry_model_prop =
+  QCheck.Test.make ~name:"registry matches a naive id -> object model" ~count:100
+    ~long_factor:100
+    QCheck.(list_of_size Gen.(1 -- 300) reg_op)
+    (fun ops ->
+      let reg = Obj_model.Registry.create ~ids_hint:16 () in
+      let model = Hashtbl.create 64 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let live_ids () =
+        List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) model [])
+      in
+      let pick k f =
+        match live_ids () with
+        | [] -> ()
+        | ids -> f (Hashtbl.find model (List.nth ids (k mod List.length ids)))
+      in
+      let next_id = ref 1 in
+      List.iter
+        (fun op ->
+          (match op with
+          | Register n ->
+            let size = 16 * (n + 1) in
+            let o =
+              Obj_model.Registry.register reg ~size ~nfields:n
+                ~addr:(16 * !next_id) ~birth_epoch:0
+            in
+            expect (o.Obj_model.id = !next_id);
+            (* A recycled extent reads all-null and all-logged: its free-list
+               link word is overwritten. *)
+            expect (Obj_model.fields_copy o = Array.make n Obj_model.null);
+            expect (logged_bits o = Array.make n true);
+            Hashtbl.replace model o.Obj_model.id
+              { handle = o;
+                msize = size;
+                maddr = 16 * !next_id;
+                mfields = Array.make n Obj_model.null;
+                mlogged = Array.make n true };
+            incr next_id
+          | Free k ->
+            pick k (fun m ->
+                Obj_model.Registry.free reg m.handle;
+                Hashtbl.remove model m.handle.Obj_model.id)
+          | Set_field (k, i, v) ->
+            pick k (fun m ->
+                let n = Array.length m.mfields in
+                if n > 0 then begin
+                  let ids = live_ids () in
+                  let r = List.nth ids (v mod List.length ids) in
+                  Obj_model.set_field m.handle (i mod n) r;
+                  m.mfields.(i mod n) <- r
+                end)
+          | Set_logged (k, i, b) ->
+            pick k (fun m ->
+                let n = Array.length m.mlogged in
+                if n > 0 then begin
+                  Obj_model.set_field_logged m.handle (i mod n) b;
+                  m.mlogged.(i mod n) <- b
+                end)
+          | Set_addr (k, a) ->
+            pick k (fun m ->
+                Obj_model.set_addr m.handle (16 * a);
+                m.maddr <- 16 * a));
+          expect (Obj_model.Registry.count reg = Hashtbl.length model);
+          expect
+            (Obj_model.Registry.live_bytes reg
+            = Hashtbl.fold (fun _ m acc -> acc + m.msize) model 0))
+        ops;
+      for id = 0 to !next_id do
+        let h = Obj_model.Registry.find_live reg id in
+        match Hashtbl.find_opt model id with
+        | Some m ->
+          expect (h == m.handle);
+          expect (Obj_model.Registry.mem reg id);
+          expect (Obj_model.addr h = m.maddr);
+          expect (Obj_model.fields_copy h = m.mfields);
+          Array.iteri (fun j v -> expect (Obj_model.field h j = v)) m.mfields;
+          expect (logged_bits h = m.mlogged)
+        | None ->
+          expect (h == Obj_model.Registry.none_handle reg);
+          expect (not (Obj_model.Registry.mem reg id))
+      done;
+      let visited = ref [] in
+      Obj_model.Registry.iter (fun h -> visited := h :: !visited) reg;
+      let visited = List.rev !visited in
+      let slots = List.map (fun (h : Obj_model.t) -> h.Obj_model.slot) visited in
+      expect (List.sort_uniq compare slots = slots);
+      expect
+        (List.sort compare
+           (List.map (fun (h : Obj_model.t) -> h.Obj_model.id) visited)
+        = live_ids ());
+      !ok)
+
+(* Registration allocates the handle record and nothing else, and freeing
+   allocates nothing, once the store has grown to the working set. The id
+   map grows with every new id (ids are never reused), so [ids_hint]
+   presizes it. The field counts cover the empty, inline-bitmap and
+   wide-bitmap paths. *)
+let test_registration_allocates_only_handle () =
+  let shapes = [| 0; 1; 5; 17; 63; 64; 100; 130 |] in
+  let n = 4000 in
+  let reg = Obj_model.Registry.create ~ids_hint:(2 * n + 1) () in
+  let hs = Array.make n (Obj_model.Registry.none_handle reg) in
+  let register_all () =
+    for i = 0 to n - 1 do
+      hs.(i) <-
+        Obj_model.Registry.register reg ~size:64
+          ~nfields:shapes.(i mod Array.length shapes) ~addr:0 ~birth_epoch:0
+    done
+  in
+  let free_all () =
+    for i = 0 to n - 1 do
+      Obj_model.Registry.free reg hs.(i)
+    done
+  in
+  register_all ();
+  free_all ();
+  let w0 = Gc.minor_words () in
+  register_all ();
+  let w1 = Gc.minor_words () in
+  free_all ();
+  let w2 = Gc.minor_words () in
+  let handle_words = 1 + Obj.size (Obj.repr hs.(0)) in
+  let extra = w1 -. w0 -. Float.of_int (n * handle_words) in
+  check "register allocates one handle" true (extra >= 0. && extra < 16.);
+  check "free allocates nothing" true (w2 -. w1 < 16.)
 
 let alloc_alignment_prop =
   QCheck.Test.make ~name:"heap alloc always granule aligned and in-heap" ~count:300
@@ -702,8 +907,10 @@ let suite =
     ( "heap:objects",
       [ Alcotest.test_case "registry" `Quick test_registry_basics;
         Alcotest.test_case "logged bits" `Quick test_logged_bits;
-        Alcotest.test_case "oracle" `Quick test_reachability_oracle ]
-      @ qc [ recycled_slots_never_alias_prop ] );
+        Alcotest.test_case "oracle" `Quick test_reachability_oracle;
+        Alcotest.test_case "registration allocates only its handle" `Quick
+          test_registration_allocates_only_handle ]
+      @ qc [ recycled_slots_never_alias_prop; registry_model_prop ] );
     ( "heap:blocks",
       [ Alcotest.test_case "state" `Quick test_blocks_state;
         Alcotest.test_case "residents" `Quick test_blocks_residents;

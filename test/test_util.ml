@@ -233,6 +233,33 @@ let vec_push_pop_prop =
       let out = List.init (Vec.length v) (fun _ -> Vec.pop v) in
       out = List.rev xs)
 
+(* --- Int_array ----------------------------------------------------------- *)
+
+(* [Int_array.blit] against [Array.blit], within one array (overlapping
+   either way) and between two; an out-of-range call raises in both. *)
+let int_array_blit_prop =
+  QCheck.Test.make ~name:"int_array blit matches Array.blit" ~count:300
+    QCheck.(
+      quad (int_range 0 40) (int_range (-2) 42) (int_range (-2) 42)
+        (int_range (-2) 42))
+    (fun (n, src_pos, dst_pos, len) ->
+      let run blit same =
+        let src = Array.init n (fun i -> 7 * i) in
+        let dst = if same then src else Array.make n (-1) in
+        match blit src src_pos dst dst_pos len with
+        | () -> Some dst
+        | exception Invalid_argument _ -> None
+      in
+      List.for_all
+        (fun same -> run Int_array.blit same = run Array.blit same)
+        [ true; false ])
+
+let test_int_array_grow () =
+  let b = Int_array.grow [| 1; 2; 3 |] 7 (-1) in
+  check "doubled until it fits, tail filled" true
+    (b = [| 1; 2; 3; -1; -1; -1; -1; -1; -1; -1; -1; -1 |]);
+  check_int "empty grows from one" 4 (Array.length (Int_array.grow [||] 3 0))
+
 (* --- Stats --------------------------------------------------------------- *)
 
 let test_stats_mean () = check_float "mean" 2.0 (Stats.mean [ 1.0; 2.0; 3.0 ])
@@ -511,6 +538,9 @@ let suite =
         Alcotest.test_case "append/sort" `Quick test_vec_append_sort;
         Alcotest.test_case "exists" `Quick test_vec_exists ]
       @ qcheck [ vec_roundtrip_prop; vec_push_pop_prop ] );
+    ( "util:int_array",
+      [ Alcotest.test_case "grow" `Quick test_int_array_grow ]
+      @ qcheck [ int_array_blit_prop ] );
     ( "util:stats",
       [ Alcotest.test_case "mean" `Quick test_stats_mean;
         Alcotest.test_case "geomean" `Quick test_stats_geomean;
