@@ -80,38 +80,6 @@ let counts_alist t =
 let class_names =
   [ "drop-barrier"; "skip-dec"; "rc-flip"; "remset"; "alloc-fail" ]
 
-(* --- Service-tier fault classes ---------------------------------------- *)
-
-(* The fleet serving tier ([lib/service]) injects whole-replica and
-   arrival-process faults rather than per-operation heap corruption, so
-   its fault classes are declarative events scheduled against the fleet
-   timeline (see [Repro_service.Chaos]) instead of probability draws.
-   They live here so the engine owns the complete fault taxonomy. *)
-type service_class =
-  | Replica_crash  (** the replica process dies; in-flight work is lost *)
-  | Replica_stall
-      (** the replica keeps serving but every request runs slower by a
-          factor for a window (CPU antagonist / noisy neighbour) *)
-  | Heap_shrink
-      (** operational heap resize under load: the replica is restarted
-          into a heap scaled by a factor < 1 *)
-  | Flash_crowd
-      (** the arrival process spikes by a factor for a window *)
-
-let service_classes =
-  [ ("crash", Replica_crash);
-    ("stall", Replica_stall);
-    ("heap-shrink", Heap_shrink);
-    ("flash-crowd", Flash_crowd) ]
-
-let service_class_names = List.map fst service_classes
-
-let service_class_name c =
-  fst (List.find (fun (_, c') -> c' = c) service_classes)
-
-let service_class_of_string name =
-  List.assoc_opt (String.lowercase_ascii name) service_classes
-
 let of_spec ~seed spec =
   let parse_item acc item =
     match acc with

@@ -62,34 +62,3 @@ val class_names : string list
 
 (** [of_spec ~seed "drop-barrier:1e-4,rc-flip:0.01"] parses a CLI spec. *)
 val of_spec : seed:int -> string -> (t, string) result
-
-(** {2 Service-tier fault classes}
-
-    Whole-replica and arrival-process faults for the fleet serving tier
-    ([lib/service]): declarative events scheduled against the fleet
-    timeline by [Repro_service.Chaos] (checkpoint-quantized, so firings
-    are bit-identical across domain counts), not per-operation
-    probability draws. They live here so the engine owns the complete
-    fault taxonomy. *)
-
-type service_class =
-  | Replica_crash  (** the replica process dies; in-flight work is lost *)
-  | Replica_stall
-      (** the replica keeps serving but every request runs slower by a
-          factor for a window (CPU antagonist / noisy neighbour) *)
-  | Heap_shrink
-      (** operational heap resize under load: the replica is restarted
-          into a heap scaled by a factor < 1 *)
-  | Flash_crowd
-      (** the arrival process spikes by a factor for a window *)
-
-(** Every service class with its canonical spec name: ["crash"],
-    ["stall"], ["heap-shrink"], ["flash-crowd"]. *)
-val service_classes : (string * service_class) list
-
-val service_class_names : string list
-val service_class_name : service_class -> string
-
-(** Case-insensitive lookup; [None] for unknown names (the caller adds
-    its own did-you-mean hint). *)
-val service_class_of_string : string -> service_class option

@@ -165,6 +165,10 @@ let run ?(seed = 42) ?(scale = 1.0) ?cost ?(gc_threads = 1) ?heap_config
     | Some f -> f ~heap_bytes
     | None -> Heap_config.make ~heap_bytes ()
   with
+  | _ when not (Float.is_finite scale && scale > 0.0) ->
+    (* Any such scale would silently run the minimal workload. *)
+    failed ~workload:w.name ~collector:"?" ~heap_factor ~heap_bytes
+      (Printf.sprintf "scale must be finite and > 0 (got %g)" scale)
   | exception Invalid_argument msg ->
     (* No heap geometry fits (e.g. less than one block). *)
     failed ~workload:w.name ~collector:"?" ~heap_factor ~heap_bytes msg

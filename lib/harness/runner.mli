@@ -51,7 +51,8 @@ val qps : result -> float
     ({!Repro_engine.Fault.of_spec}) on the simulator. Allocation
     exhaustion no longer raises — it is reported via [ok]/[error] with
     the partial metrics intact. A heap too small for any geometry (below
-    one block) is a failed run too.
+    one block) is a failed run too, and so is a scale that is NaN, not
+    positive or infinite.
 
     [record_to] tees the run's mutator-observable event stream into a
     trace recorder and writes the finished trace to the given path;

@@ -1,7 +1,7 @@
 (* Seeded chaos schedules for the fleet serving tier.
 
-   A spec is a comma-separated list of service-fault events
-   ([Repro_engine.Fault.service_class]) plus recovery settings:
+   A spec is a comma-separated list of fault events ([fault_class])
+   plus recovery settings:
 
      crash@0.30            kill a seeded-random replica at 30% of the run
      crash@0.30:r1         ... replica 1 specifically
@@ -20,10 +20,20 @@
    barriers (checkpoint quantization), so a fixed (spec, seed) pair
    produces bit-identical fault timelines at every domain count. *)
 
-module Fault = Repro_engine.Fault
+(* Whole-replica and arrival-process faults, not the per-operation
+   probability draws of [Repro_engine.Fault]; documented in chaos.mli. *)
+type fault_class = Replica_crash | Replica_stall | Heap_shrink | Flash_crowd
+
+let classes =
+  [ ("crash", Replica_crash);
+    ("stall", Replica_stall);
+    ("heap-shrink", Heap_shrink);
+    ("flash-crowd", Flash_crowd) ]
+
+let class_names = List.map fst classes
 
 type event_spec = {
-  cls : Fault.service_class;
+  cls : fault_class;
   at : float;  (* fraction of the nominal arrival span *)
   dur : float;  (* fraction; 0 for instantaneous classes *)
   factor : float;
@@ -42,39 +52,39 @@ let empty =
     auto_restart = true }
 
 let setting_keys = [ "restart"; "warmup"; "auto-restart" ]
-let known_items = Fault.service_class_names @ setting_keys
+let known_items = class_names @ setting_keys
 
 (* Per-class factor defaults and legal ranges. *)
 let factor_default = function
-  | Fault.Replica_crash -> 1.0
-  | Fault.Replica_stall -> 4.0
-  | Fault.Heap_shrink -> 0.7
-  | Fault.Flash_crowd -> 3.0
+  | Replica_crash -> 1.0
+  | Replica_stall -> 4.0
+  | Heap_shrink -> 0.7
+  | Flash_crowd -> 3.0
 
 let factor_check cls f =
   match cls with
-  | Fault.Replica_crash ->
+  | Replica_crash ->
     Error "chaos: crash takes no xFACTOR"
-  | Fault.Replica_stall when f >= 1.0 && f <= 1000.0 -> Ok f
-  | Fault.Replica_stall -> Error "chaos: stall factor must be in [1, 1000]"
-  | Fault.Heap_shrink when f >= 0.05 && f <= 1.0 -> Ok f
-  | Fault.Heap_shrink -> Error "chaos: heap-shrink factor must be in [0.05, 1]"
-  | Fault.Flash_crowd when f >= 1.0 && f <= 1000.0 -> Ok f
-  | Fault.Flash_crowd -> Error "chaos: flash-crowd factor must be in [1, 1000]"
+  | Replica_stall when f >= 1.0 && f <= 1000.0 -> Ok f
+  | Replica_stall -> Error "chaos: stall factor must be in [1, 1000]"
+  | Heap_shrink when f >= 0.05 && f <= 1.0 -> Ok f
+  | Heap_shrink -> Error "chaos: heap-shrink factor must be in [0.05, 1]"
+  | Flash_crowd when f >= 1.0 && f <= 1000.0 -> Ok f
+  | Flash_crowd -> Error "chaos: flash-crowd factor must be in [1, 1000]"
 
 let dur_default = function
-  | Fault.Replica_stall | Fault.Flash_crowd -> 0.1
-  | Fault.Replica_crash | Fault.Heap_shrink -> 0.0
+  | Replica_stall | Flash_crowd -> 0.1
+  | Replica_crash | Heap_shrink -> 0.0
 
 (* "CLS@AT[+DUR][xFACTOR][:rN]" — parse the tail right to left so the
    numeric fields can use scientific notation freely. *)
 let parse_event cls_name tail =
-  match Fault.service_class_of_string cls_name with
+  match List.assoc_opt (String.lowercase_ascii cls_name) classes with
   | None ->
     Error
       (Printf.sprintf "chaos: unknown fault class %S%s; known: %s" cls_name
          (Repro_util.Suggest.hint ~candidates:known_items cls_name)
-         (String.concat ", " Fault.service_class_names))
+         (String.concat ", " class_names))
   | Some cls -> (
     let replica, tail =
       match String.index_opt tail ':' with
@@ -154,7 +164,7 @@ let of_spec s =
 (* --- Scheduling ---------------------------------------------------------- *)
 
 type firing = {
-  f_cls : Fault.service_class;
+  f_cls : fault_class;
   f_replica : int;  (* -1 for flash-crowd (arrival-process fault) *)
   f_start : float;  (* absolute fleet ns *)
   f_end : float;
@@ -173,8 +183,8 @@ let schedule spec ~seed ~replicas ~t0 ~span =
         let drawn = Repro_util.Prng.int prng (max 1 replicas) in
         let f_replica =
           match (e.cls, e.replica) with
-          | Fault.Flash_crowd, _ -> -1
-          | _, Some i -> i mod max 1 replicas
+          | Flash_crowd, _ -> -1
+          | _, Some i -> i
           | _, None -> drawn
         in
         { f_cls = e.cls;
@@ -198,16 +208,6 @@ let due t ~until =
 let flash_windows t =
   List.filter_map
     (fun f ->
-      if f.f_cls = Fault.Flash_crowd then Some (f.f_start, f.f_end, f.f_factor)
+      if f.f_cls = Flash_crowd then Some (f.f_start, f.f_end, f.f_factor)
       else None)
     t.pending
-
-let describe_firing f =
-  if f.f_replica < 0 then
-    Printf.sprintf "%s x%g over [%.3f, %.3f] sim-ms"
-      (Fault.service_class_name f.f_cls)
-      f.f_factor (f.f_start /. 1e6) (f.f_end /. 1e6)
-  else
-    Printf.sprintf "%s replica %d at %.3f sim-ms"
-      (Fault.service_class_name f.f_cls)
-      f.f_replica (f.f_start /. 1e6)

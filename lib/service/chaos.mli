@@ -1,6 +1,5 @@
-(** Seeded chaos schedules: service-tier fault events
-    ({!Repro_engine.Fault.service_class}) fired against the fleet
-    timeline.
+(** Seeded chaos schedules: whole-replica and arrival-process fault
+    events ({!fault_class}) fired against the fleet timeline.
 
     Spec grammar (comma-separated):
     {v
@@ -20,14 +19,30 @@
     pair yields a bit-identical fault timeline at every [--domains] and
     [--gc-threads] count. *)
 
+(** The serving tier's fault classes: declarative events scheduled
+    against the fleet timeline (checkpoint-quantized, so firings are
+    bit-identical across domain counts), not the per-operation
+    probability draws of {!Repro_engine.Fault}. *)
+type fault_class =
+  | Replica_crash  (** the replica process dies; in-flight work is lost *)
+  | Replica_stall
+      (** the replica keeps serving but every request runs slower by a
+          factor for a window (CPU antagonist / noisy neighbour) *)
+  | Heap_shrink
+      (** operational heap resize under load: the replica is restarted
+          into a heap scaled by a factor < 1 *)
+  | Flash_crowd  (** the arrival process spikes by a factor for a window *)
+
 type event_spec = {
-  cls : Repro_engine.Fault.service_class;
+  cls : fault_class;
   at : float;  (** fraction of the nominal arrival span, in [0, 1] *)
   dur : float;  (** window length as a fraction; 0 when instantaneous *)
   factor : float;
       (** stall slowdown (>= 1), heap scale (0.05..1], or arrival
           multiplier (>= 1) *)
-  replica : int option;  (** explicit [:rN] target *)
+  replica : int option;
+      (** explicit [:rN] target; {!Fleet.run} rejects one that is not
+          below its replica count *)
 }
 
 type spec = {
@@ -47,7 +62,7 @@ val of_spec : string -> (spec, string) result
 (** One scheduled event with absolute fleet times and a resolved
     replica target. *)
 type firing = {
-  f_cls : Repro_engine.Fault.service_class;
+  f_cls : fault_class;
   f_replica : int;  (** [-1] for the arrival-process flash-crowd *)
   f_start : float;
   f_end : float;
@@ -67,5 +82,3 @@ val due : t -> until:float -> firing list
 (** The still-pending flash-crowd windows, as [(start, end, factor)] —
     consumed up-front by arrival generation. *)
 val flash_windows : t -> (float * float * float) list
-
-val describe_firing : firing -> string

@@ -211,8 +211,19 @@ val qps : result -> float
     completed nothing. *)
 val qps_opt : result -> float option
 
-(** [run config] — the whole fleet simulation. Never raises for workload
-    or collector reasons: an unsupported heap, one smaller than a block,
-    a missing request model, a non-positive quantum or an exhausted
-    setup are reported through [ok]/[error]. *)
+(** [run config] — the whole fleet simulation. Never raises for workload,
+    collector or config reasons; each of these is a failed run, reported
+    through [ok]/[error]:
+    - a workload without a request model;
+    - fewer than one replica;
+    - a quantum that is not > 0 (NaN included), or one too small to
+      advance the clock at the time the run has reached;
+    - autoscaling without an SLO;
+    - a load that is not > 0 (NaN included);
+    - a negative request count;
+    - a chaos event whose explicit [:rN] target is not below [replicas];
+    - an unsupported heap, one smaller than a block, or any other
+      replica setup failure;
+    - integrity violations, or, with no resilience configured, a
+      replica's mid-run exhaustion. *)
 val run : config -> result

@@ -121,39 +121,47 @@ let create spec =
     breach_rounds = 0;
     timeline = [] }
 
+(* Observes nothing and never burns, sheds or records: the monitor of a
+   fleet without an SLO. *)
+let none = create default_spec
+
 let violates t ~latency_ns = latency_ns > t.spec.budget_ns
 
 let observe t ~latency_ns =
-  t.round_total <- t.round_total + 1;
-  if violates t ~latency_ns then t.round_viol <- t.round_viol + 1
+  if t != none then begin
+    t.round_total <- t.round_total + 1;
+    if violates t ~latency_ns then t.round_viol <- t.round_viol + 1
+  end
 
 (* Close the round at a barrier: rotate the ring, recompute burn, run
    the shed hysteresis, and append to the timeline. *)
 let tick t ~now =
-  let w = t.spec.window_rounds in
-  t.win_viol <- t.win_viol - t.ring_viol.(t.cursor) + t.round_viol;
-  t.win_total <- t.win_total - t.ring_total.(t.cursor) + t.round_total;
-  t.ring_viol.(t.cursor) <- t.round_viol;
-  t.ring_total.(t.cursor) <- t.round_total;
-  t.cursor <- (t.cursor + 1) mod w;
-  t.filled <- min w (t.filled + 1);
-  t.round_viol <- 0;
-  t.round_total <- 0;
-  let allowed = (100.0 -. t.spec.percentile) /. 100.0 in
-  t.burn <-
-    (if t.win_total = 0 then 0.0
-     else
-       Float.of_int t.win_viol
-       /. Float.of_int t.win_total
-       /. Float.max 1e-9 allowed);
-  if t.burn > t.peak_burn then t.peak_burn <- t.burn;
-  if t.burn > 1.0 then t.breach_rounds <- t.breach_rounds + 1;
-  (if t.shedding then begin
-     if t.burn <= t.spec.burn_low then t.shedding <- false
-   end
-   else if t.burn >= t.spec.burn_high then t.shedding <- true);
-  if t.shedding then t.shed_rounds <- t.shed_rounds + 1;
-  t.timeline <- { time = now; burn = t.burn; shedding = t.shedding } :: t.timeline
+  if t != none then begin
+    let w = t.spec.window_rounds in
+    t.win_viol <- t.win_viol - t.ring_viol.(t.cursor) + t.round_viol;
+    t.win_total <- t.win_total - t.ring_total.(t.cursor) + t.round_total;
+    t.ring_viol.(t.cursor) <- t.round_viol;
+    t.ring_total.(t.cursor) <- t.round_total;
+    t.cursor <- (t.cursor + 1) mod w;
+    t.filled <- min w (t.filled + 1);
+    t.round_viol <- 0;
+    t.round_total <- 0;
+    let allowed = (100.0 -. t.spec.percentile) /. 100.0 in
+    t.burn <-
+      (if t.win_total = 0 then 0.0
+       else
+         Float.of_int t.win_viol
+         /. Float.of_int t.win_total
+         /. Float.max 1e-9 allowed);
+    if t.burn > t.peak_burn then t.peak_burn <- t.burn;
+    if t.burn > 1.0 then t.breach_rounds <- t.breach_rounds + 1;
+    (if t.shedding then begin
+       if t.burn <= t.spec.burn_low then t.shedding <- false
+     end
+     else if t.burn >= t.spec.burn_high then t.shedding <- true);
+    if t.shedding then t.shed_rounds <- t.shed_rounds + 1;
+    t.timeline <- { time = now; burn = t.burn; shedding = t.shedding } :: t.timeline
+  end
 
 let burn t = t.burn
 let shedding t = if t.shedding then t.spec.shed_fraction else 0.0

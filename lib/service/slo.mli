@@ -32,8 +32,9 @@ type t
 
 val create : spec -> t
 
-(** Does this end-to-end latency violate the objective? *)
-val violates : t -> latency_ns:float -> bool
+(** The inert monitor: {!observe} and {!tick} do nothing, so its burn,
+    shedding and counters stay 0 and its timeline empty. *)
+val none : t
 
 (** Feed one completed request into the current round. *)
 val observe : t -> latency_ns:float -> unit

@@ -151,6 +151,11 @@ reject() {
 }
 reject bin/lxr_fleet.exe -- run -n 100 --domains=65
 reject bin/lxr_fleet.exe -- run -n 100 --quantum=0
+reject bin/lxr_fleet.exe -- run --load=nan
+reject bin/lxr_fleet.exe -- run --quantum=1e-300
+reject bin/lxr_fleet.exe -- run --requests=-3
+reject bin/lxr_fleet.exe -- run -k 3 --chaos crash@0.3:r5
+reject bin/lxr_sim.exe -- run --scale=nan
 reject bin/lxr_sim.exe -- run -f 0.01
 rej_dir=$(mktemp -d)
 reject bin/lxr_trace.exe -- record -f 0.01 -o "$rej_dir/tiny.lxrtrace"

@@ -39,6 +39,27 @@ let test_runner_heap_below_one_block () =
   check "not ok" true (not r.ok);
   check "error recorded" true (r.error <> None)
 
+(* Each of these used to run the same minimal workload as a valid
+   scale; recording one wrote a trace whose header carried it. *)
+let test_runner_bad_scale () =
+  let path = Filename.temp_file "bad-scale" ".lxrtrace" in
+  Sys.remove path;
+  List.iter
+    (fun scale ->
+      let r =
+        Runner.run ~seed:5 ~scale ~record_to:path
+          ~workload:(Repro_mutator.Benchmarks.find "lusearch")
+          ~factory:Repro_lxr.Lxr.factory ~heap_factor:2.0 ()
+      in
+      let what = Printf.sprintf "scale %g" scale in
+      check (what ^ " fails") true (not r.ok);
+      check (what ^ " is named") true
+        (match r.error with
+        | Some m -> String.length m >= 5 && String.sub m 0 5 = "scale"
+        | None -> false);
+      check (what ^ " writes no trace") true (not (Sys.file_exists path)))
+    [ Float.nan; 0.0; -1.0; Float.infinity ]
+
 let test_runner_heap_config_override () =
   let r =
     Runner.run ~seed:5 ~scale:0.03
@@ -142,6 +163,7 @@ let suite =
         Alcotest.test_case "unsupported" `Quick test_runner_unsupported;
         Alcotest.test_case "heap below one block" `Quick
           test_runner_heap_below_one_block;
+        Alcotest.test_case "bad scale" `Quick test_runner_bad_scale;
         Alcotest.test_case "heap override" `Quick test_runner_heap_config_override;
         Alcotest.test_case "qps" `Quick test_runner_qps ] );
     ( "harness:lbo",

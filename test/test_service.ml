@@ -113,6 +113,29 @@ let test_fleet_non_positive_quantum () =
   check "error names the quantum" true
     (match r.error with Some m -> contains m "quantum" | None -> false)
 
+(* Inputs that used to hang, raise or silently run something else; each
+   must come back as a failed run whose error names the input. *)
+let bad_inputs =
+  [ ("nan load", (fun () -> fleet ~load:Float.nan ()), "load");
+    ("zero load", (fun () -> fleet ~load:0.0 ()), "load");
+    ("negative load", (fun () -> fleet ~load:(-1.0) ()), "load");
+    ("negative requests", (fun () -> fleet ~requests:(-3) ()), "requests");
+    ( "quantum below the clock's resolution",
+      (fun () ->
+        Fleet.run
+          (Fleet.config ~quantum_ns:1e-300 ~requests:100 ~workload:lusearch
+             ~factory:shen ())),
+      "quantum" );
+    ( "chaos target past the last replica",
+      (fun () -> fleet ~replicas:3 ~chaos:(chaos_spec "crash@0.3:r5") ()),
+      "r5" ) ]
+
+let test_fleet_bad_input run what () =
+  let r : Fleet.result = run () in
+  check "not ok" true (not r.ok);
+  check ("error names " ^ what) true
+    (match r.error with Some m -> contains m what | None -> false)
+
 let test_fleet_heap_below_one_block () =
   let r = fleet ~heap_factor:0.001 () in
   check "not ok" true (not r.ok);
@@ -637,4 +660,8 @@ let suite =
         Alcotest.test_case "domains deterministic" `Slow
           test_domains_deterministic;
         Alcotest.test_case "gc-aware beats round-robin" `Slow
-          test_gc_aware_beats_round_robin ] ) ]
+          test_gc_aware_beats_round_robin ]
+      @ List.map
+          (fun (name, run, what) ->
+            Alcotest.test_case name `Quick (test_fleet_bad_input run what))
+          bad_inputs ) ]
