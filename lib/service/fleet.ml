@@ -253,7 +253,6 @@ type env = {
   auto_restart : bool;
   restart_delay : float;
   ramp_rounds : int;
-  slots : int;  (* replica slots: initial replicas plus autoscale spares *)
 }
 
 (* The front-end's state, read and written only by the single-threaded
@@ -453,11 +452,7 @@ let make_env (cfg : config) req =
       Option.value chaos.Chaos.restart_delay_ns ~default:(64.0 *. service_wall);
     ramp_rounds =
       (if resilient then Option.value chaos.Chaos.warmup_rounds ~default:8
-       else 0);
-    slots =
-      (match cfg.autoscale with
-      | Some a -> max cfg.replicas a.Slo.Autoscale.max_replicas
-      | None -> cfg.replicas) }
+       else 0) }
 
 (* Open-loop Poisson arrivals for the whole fleet, with chaos
    flash-crowd windows scaling the rate. Chaos event times resolve
@@ -523,8 +518,14 @@ let start (cfg : config) =
       match !failure with
       | Some msg -> Error (failed cfg ~collector:!collector msg)
       | None ->
+        (* Initial replicas, then the autoscaler's spare slots. *)
+        let slots =
+          match cfg.autoscale with
+          | Some a -> max cfg.replicas a.Slo.Autoscale.max_replicas
+          | None -> cfg.replicas
+        in
         let replicas =
-          Array.init env.slots (fun idx ->
+          Array.init slots (fun idx ->
               new_replica env idx
                 (if idx < cfg.replicas then Result.to_option setups.(idx)
                  else None))
@@ -895,7 +896,7 @@ let serve_round env (rep : replica) =
       rep.batch <- [];
       List.iter
         (fun ((rq, arrival, hedge) as copy) ->
-          if rep.oom <> None then lose rep copy
+          if rep.oom <> None then (* died earlier this round *) lose rep copy
           else
             let local_arrival = arrival -. rep.offset in
             let start = Float.max (Sim.now sim) local_arrival +. rep.offset in
@@ -950,8 +951,9 @@ let settle st ~window_end =
       let rq = a.at_rq in
       rq.resolving <- true;
       match rq.best with
-      | Some b when not (a.at_completion < b.at_completion) -> ()
-      | _ -> if not (Float.is_nan a.at_completion) then rq.best <- Some a)
+      | _ when Float.is_nan a.at_completion -> ()  (* lost *)
+      | Some b when b.at_completion <= a.at_completion -> ()
+      | _ -> rq.best <- Some a)
     fed;
   List.iter
     (fun { at_rq = rq; _ } ->
@@ -1108,10 +1110,10 @@ let window st ~window_start ~window_end =
   dispatch_window st ~window_start ~window_end;
   List.iter (apply_firing st) (Chaos.due st.schedule ~until:window_end);
   let env = st.env and replicas = st.replicas in
-  parallel_over env.pool env.slots (fun j -> serve_round env replicas.(j));
+  parallel_over env.pool (Array.length replicas) (fun j ->
+      serve_round env replicas.(j));
   barrier st ~window_end
 
-(* Work is left: undispatched arrivals or queued retries. *)
 let pending st = st.next < Array.length st.requests || st.retry_q <> []
 
 (* The fleet can still make progress as long as something is routable,
@@ -1141,26 +1143,20 @@ let next_window st ~t =
         | _ -> true)
       st.replicas
   in
-  let next_event () =
-    let a =
+  if not quiescent then t
+  else
+    let arrival =
       if st.next < Array.length st.requests then
         st.requests.(st.next).orig_arrival
       else Float.infinity
     in
-    let r =
-      List.fold_left (fun m (d, _) -> Float.min m d) Float.infinity st.retry_q
-    in
-    let s =
+    let e =
       Array.fold_left
         (fun m rep ->
           if Float.is_nan rep.restart_at then m else Float.min m rep.restart_at)
-        Float.infinity st.replicas
+        (List.fold_left (fun m (d, _) -> Float.min m d) arrival st.retry_q)
+        st.replicas
     in
-    Float.min a (Float.min r s)
-  in
-  if not quiescent then t
-  else
-    let e = next_event () in
     if e < Float.infinity && e >= t +. quantum then
       t +. (quantum *. Float.trunc ((e -. t) /. quantum))
     else t
@@ -1199,7 +1195,8 @@ let report st =
     settle_terminal st st.requests.(i) `Dropped
   done;
   List.iter (fun (_, rq) -> settle_terminal st rq `Dropped) st.retry_q;
-  parallel_over env.pool env.slots (fun j -> retire replicas.(j) ~hooks:true);
+  parallel_over env.pool (Array.length replicas) (fun j ->
+      retire replicas.(j) ~hooks:true);
   let wall_end =
     Array.fold_left
       (fun acc rep -> if rep.activated then Float.max acc rep.avail else acc)

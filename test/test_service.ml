@@ -336,7 +336,13 @@ let test_slo_spec_and_burn () =
   check "peak survives" true (Slo.peak_burn m >= 10.0);
   check "one timeline point per tick" true (List.length (Slo.timeline m) = 5);
   check "timeline oldest first" true
-    ((List.hd (Slo.timeline m)).Slo.time = 1.0)
+    ((List.hd (Slo.timeline m)).Slo.time = 1.0);
+  (* The fleet runs with the inert monitor when no SLO is set. *)
+  Slo.observe Slo.none ~latency_ns:Float.infinity;
+  Slo.tick Slo.none ~now:1.0;
+  check "inert monitor stays quiet" true
+    (Slo.burn Slo.none = 0.0 && Slo.shedding Slo.none = 0.0
+    && Slo.peak_burn Slo.none = 0.0 && Slo.timeline Slo.none = [])
 
 let test_autoscale_controller () =
   (match Slo.Autoscale.of_spec "min:4,max:2" with
