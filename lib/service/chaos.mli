@@ -73,7 +73,8 @@ type t
 
 (** [schedule spec ~seed ~replicas ~t0 ~span] resolves fractions against
     the nominal arrival span [t0, t0+span) and draws unspecified replica
-    targets from one PRNG seeded by [seed]. *)
+    targets from one PRNG seeded by [seed]; explicit targets are kept as
+    given. *)
 val schedule : spec -> seed:int -> replicas:int -> t0:float -> span:float -> t
 
 (** Pop every firing with [f_start < until], in time order. *)
