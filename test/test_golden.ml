@@ -213,10 +213,6 @@ let pid_burn () =
 
 (* (name, run, the path the name promises fired). *)
 let scenarios : (string * (unit -> Fleet.result * bool)) list =
-  let plain f () =
-    let r = f () in
-    (r, r.Fleet.ok)
-  in
   let with_check f check () =
     let r = f () in
     (r, check r)
@@ -235,7 +231,9 @@ let scenarios : (string * (unit -> Fleet.result * bool)) list =
         (fun () -> fleet ~policy:Repro_service.Policy.Round_robin ())
         (ok (fun r -> r.diversions = 0)) );
     ( "least-outstanding",
-      plain (fun () -> fleet ~policy:Repro_service.Policy.Least_outstanding ()) );
+      with_check
+        (fun () -> fleet ~policy:Repro_service.Policy.Least_outstanding ())
+        (ok (fun r -> r.diversions = 0)) );
     ( "gc-aware",
       with_check
         (fun () -> fleet ~policy:Repro_service.Policy.Gc_aware ())
