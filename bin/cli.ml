@@ -18,7 +18,7 @@ let lookup_or_die = function
 let find_workload name =
   lookup_or_die (Repro_harness.Collector_set.find_workload name)
 
-(* With no option this is a plain registry lookup; see
+(* With no option this is a plain collector-table lookup; see
    Collector_set.resolve for --controller and --lxr-knob. *)
 let find_collector ?controller ?burn ?knobs name =
   lookup_or_die

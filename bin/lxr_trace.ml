@@ -188,7 +188,7 @@ let diff_cmd =
        collector under test — keep it out of lockstep comparisons. *)
     List.iter
       (fun n ->
-        if not (Repro_collectors.Registry.lockstep_ok n) then
+        if not (Repro_harness.Collector_set.lockstep_ok n) then
           Cli.die
             (Printf.sprintf
                "%S is the distilled-cost baseline, not a collector under \

@@ -8,7 +8,7 @@ let () =
   let collectors =
     ("lxr", Repro_lxr.Lxr.factory)
     :: ("lxr-stw", Repro_lxr.Lxr.factory_stw)
-    :: Repro_collectors.Registry.all
+    :: Repro_harness.Collector_set.non_lxr
   in
   List.iter
     (fun factor ->

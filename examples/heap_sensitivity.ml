@@ -12,10 +12,10 @@
 let () =
   let w = Repro_mutator.Benchmarks.find "xalan" in
   let collectors =
-    [ ("G1", Repro_collectors.Registry.find "g1");
+    [ ("G1", Repro_collectors.G1.factory);
       ("LXR", Repro_lxr.Lxr.factory);
-      ("Shenandoah", Repro_collectors.Registry.find "shenandoah");
-      ("Serial", Repro_collectors.Registry.find "serial") ]
+      ("Shenandoah", Repro_collectors.Conc_mark_evac.shenandoah);
+      ("Serial", Repro_collectors.Mark_sweep.serial) ]
   in
   let factors = [ 1.3; 1.5; 2.0; 3.0; 4.0; 6.0 ] in
   Printf.printf "xalan: total time (ms) / stop-the-world (ms) by heap size\n\n";

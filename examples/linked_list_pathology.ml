@@ -17,10 +17,10 @@ let run ~factory ~list_len =
   let sim = Sim.create Cost_model.default in
   let api = Api.create sim heap factory in
   (* Build the live list. *)
-  let head = ref (Api.alloc api ~size:32 ~nfields:1) in
+  let head = ref (Api.alloc_fast api ~size:32 ~nfields:1) in
   Api.set_root api 0 !head.id;
   for _ = 2 to list_len do
-    let node = Api.alloc api ~size:32 ~nfields:1 in
+    let node = Api.alloc_fast api ~size:32 ~nfields:1 in
     Api.write api node 0 !head.id;
     Api.set_root api 0 node.id;
     head := node
@@ -29,7 +29,7 @@ let run ~factory ~list_len =
   let measure_start = Sim.now sim in
   (* Churn garbage: every collection must re-traverse the list. *)
   for _ = 1 to 120_000 do
-    ignore (Api.alloc api ~size:64 ~nfields:2)
+    ignore (Api.alloc_fast api ~size:64 ~nfields:2)
   done;
   Api.finish api;
   let wall = Sim.now sim -. measure_start in
@@ -45,7 +45,7 @@ let () =
   List.iter
     (fun n ->
       let t_cpu, t_stw, _ =
-        run ~factory:(Repro_collectors.Registry.find "parallel") ~list_len:n
+        run ~factory:Repro_collectors.Mark_sweep.parallel ~list_len:n
       in
       let l_cpu, l_stw, _ = run ~factory:Repro_lxr.Lxr.factory ~list_len:n in
       Printf.printf "%10d | %10.2f %14.2f | %10.2f %14.2f\n%!" n t_cpu t_stw l_cpu

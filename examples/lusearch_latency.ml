@@ -11,10 +11,10 @@
 let () =
   let w = Repro_mutator.Benchmarks.find "lusearch" in
   let configs =
-    [ ("G1        @ 1.3x", Repro_collectors.Registry.find "g1", 1.3);
-      ("Shenandoah@ 1.3x", Repro_collectors.Registry.find "shenandoah", 1.3);
+    [ ("G1        @ 1.3x", Repro_collectors.G1.factory, 1.3);
+      ("Shenandoah@ 1.3x", Repro_collectors.Conc_mark_evac.shenandoah, 1.3);
       ("LXR       @ 1.3x", Repro_lxr.Lxr.factory, 1.3);
-      ("Shenandoah@ 10x ", Repro_collectors.Registry.find "shenandoah", 10.0) ]
+      ("Shenandoah@ 10x ", Repro_collectors.Conc_mark_evac.shenandoah, 10.0) ]
   in
   Printf.printf
     "lusearch, %d requests, metered arrivals (%s)\n\

@@ -28,11 +28,14 @@ let () =
     (Heap_config.blocks cfg) (cfg.block_bytes / 1024) cfg.line_bytes
     (Heap_config.stuck_count cfg);
 
-  (* 2. Build a small object graph: a rooted table pointing at children. *)
-  let table = Api.alloc api ~size:128 ~nfields:8 in
+  (* 2. Build a small object graph: a rooted table pointing at children.
+     [Api.alloc_fast] returns the new object's handle; were the heap
+     exhausted, it would return the null handle and [Api.last_oom] would
+     say why. *)
+  let table = Api.alloc_fast api ~size:128 ~nfields:8 in
   Api.set_root api 0 table.id;
   for i = 0 to 7 do
-    let child = Api.alloc api ~size:64 ~nfields:2 in
+    let child = Api.alloc_fast api ~size:64 ~nfields:2 in
     Api.write api table i child.id
   done;
   Printf.printf "after setup: %d live objects, %d KB live\n"
@@ -43,8 +46,8 @@ let () =
      overwrite half the table (dropping children), and build one
      unreachable cycle — the case reference counting alone cannot
      collect. *)
-  let a = Api.alloc api ~size:64 ~nfields:2 in
-  let b = Api.alloc api ~size:64 ~nfields:2 in
+  let a = Api.alloc_fast api ~size:64 ~nfields:2 in
+  let b = Api.alloc_fast api ~size:64 ~nfields:2 in
   Api.write api a 0 b.id;
   Api.write api b 0 a.id;
   Api.write api table 0 a.id;  (* reachable for now *)
@@ -53,7 +56,7 @@ let () =
   done;
   Api.write api table 0 Obj_model.null;  (* cycle is now garbage *)
   for _ = 1 to 40_000 do
-    ignore (Api.alloc api ~size:64 ~nfields:2)
+    ignore (Api.alloc_fast api ~size:64 ~nfields:2)
   done;
   Api.finish api;
 

@@ -6,12 +6,12 @@ let null = Obj_model.null
 
 type params = {
   name : string;
-  lvb_ns : float -> float;
-  satb_write_barrier : bool;
+  lvb_ns : float -> float;  (* read barrier cost given [Cost_model.lvb_ns] *)
+  satb_write_barrier : bool;  (* Shenandoah logs overwritten values while marking *)
   conc_threads : int;
-  trigger_free_fraction : float;
-  cset_occupancy_max : float;
-  min_heap_bytes : int option;
+  trigger_free_fraction : float;  (* start a cycle when free space drops below *)
+  cset_occupancy_max : float;  (* live fraction under which a block joins the cset *)
+  min_heap_bytes : int option;  (* refuse smaller heaps (ZGC, §4) *)
 }
 
 let shenandoah_params =

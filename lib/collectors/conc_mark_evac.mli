@@ -12,23 +12,8 @@
     collection when even that fails — the lusearch pathology of Tables 1
     and 6. *)
 
-type params = {
-  name : string;
-  lvb_ns : float -> float;  (** read barrier cost given [Cost_model.lvb_ns] *)
-  satb_write_barrier : bool;  (** Shenandoah logs overwritten values while marking *)
-  conc_threads : int;
-  trigger_free_fraction : float;  (** start a cycle when free space drops below *)
-  cset_occupancy_max : float;  (** live fraction under which a block joins the cset *)
-  min_heap_bytes : int option;  (** refuse smaller heaps (ZGC, §4) *)
-}
-
-val shenandoah_params : params
-
-val zgc_params : params
-
-(** [factory params] — raises {!Repro_engine.Collector.Unsupported} at
-    creation when the heap is below [min_heap_bytes]. *)
-val factory : params -> Repro_engine.Collector.factory
-
 val shenandoah : Repro_engine.Collector.factory
+
+(** ZGC raises {!Repro_engine.Collector.Unsupported} at creation when
+    the heap is below its minimum (§4). *)
 val zgc : Repro_engine.Collector.factory

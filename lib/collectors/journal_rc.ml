@@ -28,23 +28,10 @@ let null = Obj_model.null
    keeps [counts_exact] true forever — stronger than LXR, whose SATB
    reclamation abandons exactness at the first completed trace. *)
 
-type config = {
-  chunk_records : int;  (** records per journal chunk before publication *)
-  arena_count : int;  (** fixed block-index partitions of the heap *)
-  trace_backstop_pauses : int;  (** force a mature trace every N pauses *)
-  epoch_alloc_cap_bytes : int;
-  free_low_watermark_blocks : int;
-  journal_trigger_records : int;  (** pause when the backlog exceeds this *)
-}
-
-let scaled_default ~heap_bytes ~block_bytes =
-  let blocks = heap_bytes / block_bytes in
-  { chunk_records = 256;
-    arena_count = 8;
-    trace_backstop_pauses = 8;
-    epoch_alloc_cap_bytes = max (4 * block_bytes) (heap_bytes / 4);
-    free_low_watermark_blocks = max 2 (blocks / 24);
-    journal_trigger_records = 32_768 }
+let chunk_records = 256  (* records per journal chunk before publication *)
+let arena_count = 8  (* fixed block-index partitions of the heap *)
+let trace_backstop_pauses = 8  (* force a mature trace every N pauses *)
+let journal_trigger_records = 32_768  (* pause when the backlog exceeds this *)
 
 type stats = {
   mutable pauses : int;
@@ -122,7 +109,9 @@ type t = {
   sim : Sim.t;
   heap : Heap.t;
   roots : int array;
-  cfg : config;
+  (* Pause triggers derived from the heap geometry at creation. *)
+  epoch_alloc_cap_bytes : int;
+  free_low_watermark_blocks : int;
   stats : stats;
   (* The mutator journal: an open chunk of (src, field, old, new) quads
      plus the flat FIFO of published records awaiting the concurrent
@@ -151,7 +140,7 @@ type t = {
 
 let pool t = Sim.pool t.sim
 
-let arena_of t block = min (t.cfg.arena_count - 1) (block / t.arena_blocks)
+let arena_of t block = min (arena_count - 1) (block / t.arena_blocks)
 
 let open_records t = Vec.length t.open_chunk / 4
 
@@ -263,7 +252,7 @@ let on_write t (src : Obj_model.t) field new_ref =
     Vec.push t.open_chunk old_r;
     Vec.push t.open_chunk new_ref;
     t.stats.journal_records <- t.stats.journal_records + 1;
-    if Vec.length t.open_chunk >= 4 * t.cfg.chunk_records then begin
+    if Vec.length t.open_chunk >= 4 * chunk_records then begin
       let c = Sim.cost t.sim in
       Sim.charge_mutator t.sim c.wb_slow_ns;
       Sim.note_barrier t.sim c.wb_slow_ns;
@@ -390,9 +379,9 @@ let catchup_journal t tc (records, start) =
   t.drain_pos <- 0
 
 let should_trace t =
-  t.pauses_since_trace >= t.cfg.trace_backstop_pauses
+  t.pauses_since_trace >= trace_backstop_pauses
   || Free_lists.free_count t.heap.free + Free_lists.recyclable_count t.heap.free
-     < t.cfg.free_low_watermark_blocks
+     < t.free_low_watermark_blocks
 
 let journal_pause t ~force_trace =
   if not t.in_pause then begin
@@ -472,7 +461,7 @@ let conc_run t ~budget_ns =
     end
     else if t.published_records > 0 then begin
       (* One published chunk's worth of records, in publication order. *)
-      let n = min t.cfg.chunk_records t.published_records in
+      let n = min chunk_records t.published_records in
       t.published_records <- t.published_records - n;
       t.stats.conc_records <- t.stats.conc_records + n;
       for k = 0 to n - 1 do
@@ -491,7 +480,7 @@ let conc_run t ~budget_ns =
     end
     else begin
       let rec sweep_next a =
-        if a >= t.cfg.arena_count then continue_ := false
+        if a >= arena_count then continue_ := false
         else begin
           let ar = t.arenas.(a) in
           if Vec.is_empty ar.ssb then begin
@@ -518,12 +507,12 @@ let conc_run t ~budget_ns =
 
 let should_pause t =
   t.alloc_bytes_epoch >= t.heap.Heap.cfg.block_bytes
-  && (t.alloc_bytes_epoch >= t.cfg.epoch_alloc_cap_bytes
+  && (t.alloc_bytes_epoch >= t.epoch_alloc_cap_bytes
      || Free_lists.free_count t.heap.free
         + Free_lists.recyclable_count t.heap.free
-        < t.cfg.free_low_watermark_blocks
+        < t.free_low_watermark_blocks
      || journal_backlog t + Vec.length t.dec_deferred
-        >= t.cfg.journal_trigger_records)
+        >= journal_trigger_records)
 
 let poll t () =
   note_backlog t;
@@ -614,29 +603,26 @@ let introspect t =
     trace_active = (fun () -> false);
     expect_clear_marks = (fun () -> true) }
 
-let create ~name ~config sim heap ~roots =
-  let cfg =
-    config
-      (scaled_default ~heap_bytes:heap.Heap.cfg.heap_bytes
-         ~block_bytes:heap.Heap.cfg.block_bytes)
-  in
-  let blocks = Heap_config.blocks heap.Heap.cfg in
-  let arena_blocks = max 1 ((blocks + cfg.arena_count - 1) / cfg.arena_count) in
+let factory sim heap ~roots =
+  let cfg = heap.Heap.cfg in
+  let blocks = Heap_config.blocks cfg in
+  let arena_blocks = max 1 ((blocks + arena_count - 1) / arena_count) in
   let t =
     { sim;
       heap;
       roots;
-      cfg;
+      epoch_alloc_cap_bytes = max (4 * cfg.block_bytes) (cfg.heap_bytes / 4);
+      free_low_watermark_blocks = max 2 (blocks / 24);
       stats = stats_create ();
-      open_chunk = Vec.create ~capacity:(4 * cfg.chunk_records) ();
-      published_v = Vec.create ~capacity:(8 * cfg.chunk_records) ();
+      open_chunk = Vec.create ~capacity:(4 * chunk_records) ();
+      published_v = Vec.create ~capacity:(8 * chunk_records) ();
       drain_pos = 0;
       published_records = 0;
       dec_deferred = Vec.create ~capacity:1024 ();
       dec_applicable = Vec.create ~capacity:1024 ();
       prev_roots = Vec.create ~capacity:64 ();
       arenas =
-        Array.init cfg.arena_count (fun _ ->
+        Array.init arena_count (fun _ ->
             { phase = Idle;
               ssb = Vec.create ~capacity:16 ();
               ssb_set = Bytes.make blocks '\000';
@@ -650,7 +636,7 @@ let create ~name ~config sim heap ~roots =
   in
   Heap.ensure_reserve heap;
   let c = Sim.cost sim in
-  { Collector.name;
+  { Collector.name = "Journal-RC";
     on_alloc = on_alloc t;
     on_write = on_write t;
     write_extra_ns = c.wb_fast_ns;
@@ -663,8 +649,3 @@ let create ~name ~config sim heap ~roots =
     on_finish = on_finish t;
     stats = (fun () -> stats_alist t.stats);
     introspect = introspect t }
-
-let factory_with ~name ~config () sim heap ~roots =
-  create ~name ~config sim heap ~roots
-
-let factory = factory_with ~name:"Journal-RC" ~config:Fun.id ()

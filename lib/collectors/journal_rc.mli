@@ -13,23 +13,4 @@
     Per-arena sequential-store buffers re-sweep blocks whose
     classification went stale under concurrent decrement frees. *)
 
-type config = {
-  chunk_records : int;  (** records per journal chunk before publication *)
-  arena_count : int;  (** fixed block-index partitions of the heap *)
-  trace_backstop_pauses : int;  (** force a mature trace every N pauses *)
-  epoch_alloc_cap_bytes : int;
-  free_low_watermark_blocks : int;
-  journal_trigger_records : int;  (** pause when the backlog exceeds this *)
-}
-
-val scaled_default : heap_bytes:int -> block_bytes:int -> config
-
 val factory : Repro_engine.Collector.factory
-
-(** [factory_with ~name ~config ()] builds a variant factory; [config]
-    maps the scaled default to the variant's configuration. *)
-val factory_with :
-  name:string ->
-  config:(config -> config) ->
-  unit ->
-  Repro_engine.Collector.factory

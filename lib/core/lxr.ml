@@ -310,14 +310,16 @@ let satb_reclaim t tc =
       let seen = ref 0 and stuck = ref 0 in
       let dead = Par.take_scratch () in
       for slot = lo to lo + len - 1 do
-        match Obj_model.Registry.handle_at reg slot with
-        | Some obj when Obj_model.birth_epoch obj < t.satb_start_epoch ->
+        let obj = Obj_model.Registry.handle_at_live reg slot in
+        if obj.id <> Obj_model.null
+           && Obj_model.birth_epoch obj < t.satb_start_epoch
+        then begin
           incr seen;
           if Mark_bitset.marked t.heap.marks obj.id then begin
             if Heap.rc_is_stuck t.heap obj then incr stuck
           end
           else Vec.push dead obj.id
-        | Some _ | None -> ()
+        end
       done;
       (!seen, !stuck, dead))
     ~merge:(fun _ (seen, stuck, dead) ->

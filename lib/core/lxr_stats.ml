@@ -34,20 +34,6 @@ let create () =
     phase_inc_ns = 0.0; phase_dec_ns = 0.0; phase_sweep_ns = 0.0;
     phase_evac_ns = 0.0; phase_satb_ns = 0.0 }
 
-let reclaimed_total t = t.young_reclaimed + t.old_reclaimed + t.satb_reclaimed
-
-let pct part total = if total = 0 then 0.0 else 100.0 *. Float.of_int part /. Float.of_int total
-
-let young_pct t = pct t.young_reclaimed (reclaimed_total t)
-let old_pct t = pct t.old_reclaimed (reclaimed_total t)
-let satb_pct t = pct t.satb_reclaimed (reclaimed_total t)
-let stuck_pct t = pct t.stuck_objects (max 1 t.mature_objects_seen)
-
-let yc_pct t ~block_bytes =
-  let clean_bytes = t.clean_young_blocks * block_bytes in
-  if clean_bytes = 0 then 0.0
-  else 100.0 *. Float.of_int t.young_evacuated /. Float.of_int clean_bytes
-
 let to_alist t =
   [ ("wb_fast", Float.of_int t.wb_fast);
     ("wb_slow", Float.of_int t.wb_slow);

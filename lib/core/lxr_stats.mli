@@ -35,19 +35,5 @@ type t = {
 
 val create : unit -> t
 
-(** Percentage splits for the Table 7 "Reclamation" columns; zero-safe. *)
-
-val reclaimed_total : t -> int
-
-val young_pct : t -> float
-val old_pct : t -> float
-val satb_pct : t -> float
-
-(** Stuck mature objects as a percentage of mature objects inspected. *)
-val stuck_pct : t -> float
-
-(** Young bytes copied over young clean-block bytes freed ("YC"). *)
-val yc_pct : t -> block_bytes:int -> float
-
 (** Export everything for the generic collector stats hook. *)
 val to_alist : t -> (string * float) list

@@ -8,7 +8,7 @@
     paths), which is the baseline the distilled-cost methodology
     subtracts from a real collector's run ({!Distill}).
 
-    Registered in the collector registry as ["ideal"], but excluded from
+    Named ["ideal"] in the harness's collector table, but excluded from
     differ lockstep: it is a methodological baseline, not a collector
     under test — a lockstep lane with free reclamation and an uncosted
     block supply reports differences of the methodology, not bugs. *)

@@ -1,7 +1,5 @@
 open Repro_heap
 
-exception Out_of_memory of string
-
 let root_slots = 256
 
 type oom_info = {
@@ -205,9 +203,8 @@ let alloc_slow t ~size ~nfields =
 
 (* The one allocation path: returns the new object's canonical handle, or
    the registry's none-handle (id = null) on heap exhaustion, and tees the
-   outcome to the recorder. [try_alloc] and [alloc] are thin wrappers;
-   the replayer calls this directly so a successful allocation never
-   boxes a result. *)
+   outcome to the recorder. A successful allocation never boxes a
+   result. *)
 let alloc_fast t ~size ~nfields =
   let c = Sim.cost t.sim in
   t.h.Sim.pending <- t.h.Sim.pending +. c.alloc_fast_ns;
@@ -238,15 +235,6 @@ let last_oom t =
       requested_bytes = 0;
       live_bytes = Heap.live_bytes t.heap;
       heap_bytes = Heap.total_bytes t.heap }
-
-let try_alloc t ~size ~nfields =
-  let obj = alloc_fast t ~size ~nfields in
-  if obj.Obj_model.id <> Obj_model.null then `Ok obj else `Oom (last_oom t)
-
-let alloc t ~size ~nfields =
-  let obj = alloc_fast t ~size ~nfields in
-  if obj.Obj_model.id <> Obj_model.null then obj
-  else raise (Out_of_memory (describe_oom (last_oom t)))
 
 (* Injected RC corruption targets a body granule when the object has one
    (an orphan count or a punched straddle marker — both off-header

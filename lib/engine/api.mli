@@ -14,12 +14,10 @@
     request arrival times, and root reads have no heap-visible effect.
 
     Allocation failure is handled by a structured degradation ladder
-    (see {!try_alloc}) rather than ad-hoc retries: the engine escalates
+    (see {!alloc_fast}) rather than ad-hoc retries: the engine escalates
     through {!Collector.pressure} rungs, counts each escalation in
     {!ladder_counts}, and reports exhaustion as a value, not an
     exception. *)
-
-exception Out_of_memory of string
 
 (** Everything known at the moment an allocation was declared
     unsatisfiable, for diagnostics. *)
@@ -90,35 +88,23 @@ type gc_signal = {
     boundary. *)
 val gc_signal : t -> gc_signal
 
-(** [try_alloc t ~size ~nfields] allocates an object, escalating through
-    the degradation ladder when the heap is full: after a failed
-    allocation it runs the collector at [Young], then [Full], then
-    [Emergency] pressure — retrying after each — and finally releases
-    the to-space reserve to the mutator. Returns [`Oom info] only when
-    all of that fails; the allocator and heap remain in a consistent
-    state and further calls are permitted (e.g. after the workload drops
-    roots). On success the new object is held in the reserved scratch
-    root (slot [root_slots - 1]) across the allocation safepoint;
-    install it somewhere reachable before the next allocation or it may
-    be reclaimed. *)
-val try_alloc :
-  t -> size:int -> nfields:int -> [ `Ok of Repro_heap.Obj_model.t | `Oom of oom_info ]
-
-(** [alloc_fast t ~size ~nfields] is the allocation path {!try_alloc}
-    and {!alloc} wrap, without their result box: the same
-    degradation-ladder semantics and tracer events, returning the new
-    object's canonical handle, or the registry's none-handle
-    ([obj.id = Obj_model.null]) on exhaustion — in which case
-    {!last_oom} describes the failure. *)
+(** [alloc_fast t ~size ~nfields] allocates an object and returns its
+    canonical handle, escalating through the degradation ladder when the
+    heap is full: after a failed allocation it runs the collector at
+    [Young], then [Full], then [Emergency] pressure — retrying after
+    each — and finally releases the to-space reserve to the mutator.
+    Only when all of that fails does it return the registry's
+    none-handle ([obj.id = Obj_model.null]), and {!last_oom} describes
+    the failure; the allocator and heap remain in a consistent state and
+    further calls are permitted (e.g. after the workload drops roots).
+    On success the new object is held in the reserved scratch root (slot
+    [root_slots - 1]) across the allocation safepoint; install it
+    somewhere reachable before the next allocation or it may be
+    reclaimed. Both outcomes are teed to the tracer. *)
 val alloc_fast : t -> size:int -> nfields:int -> Repro_heap.Obj_model.t
 
 (** The most recent exhaustion recorded by {!alloc_fast}. *)
 val last_oom : t -> oom_info
-
-(** [alloc t ~size ~nfields] is {!try_alloc} for workloads that treat
-    exhaustion as fatal: raises {!Out_of_memory} with {!describe_oom} on
-    [`Oom]. *)
-val alloc : t -> size:int -> nfields:int -> Repro_heap.Obj_model.t
 
 val describe_oom : oom_info -> string
 
@@ -142,7 +128,7 @@ val set_root : t -> int -> int -> unit
 val get_root : t -> int -> int
 
 (** [safepoint t] flushes pending work and polls the collector. Called
-    automatically by [alloc]; workloads may also call it on loop
+    automatically by [alloc_fast]; workloads may also call it on loop
     back-edges. *)
 val safepoint : t -> unit
 

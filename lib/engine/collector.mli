@@ -13,7 +13,7 @@
 exception Unsupported of string
 
 (** Rungs of the allocation-failure degradation ladder, in escalation
-    order. {!Api.try_alloc} climbs them one at a time, retrying the
+    order. {!Api.alloc_fast} climbs them one at a time, retrying the
     allocation after each:
 
     - [Young]: the collector's cheapest space-recovering collection
@@ -75,7 +75,7 @@ type t = {
   poll : unit -> unit;  (** safepoint: check triggers, maybe pause *)
   collect_for_alloc : pressure -> unit;
       (** allocation failed; run the collection for this ladder rung.
-          {!Api.try_alloc} retries the allocation afterwards and
+          {!Api.alloc_fast} retries the allocation afterwards and
           escalates to the next rung if it still fails *)
   conc_active : unit -> int;  (** concurrent GC threads currently wanting CPU *)
   conc_run : budget_ns:float -> float;  (** run concurrent work, return consumed *)

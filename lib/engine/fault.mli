@@ -10,7 +10,7 @@
       object (a body granule when it has one, else the header).
     - [corrupt_remset]: LXR records a remembered-set entry with an
       out-of-range field index.
-    - [fail_alloc]: {!Api.try_alloc} treats a first allocation attempt as
+    - [fail_alloc]: {!Api.alloc_fast} treats a first allocation attempt as
       heap-full, forcing the degradation ladder to run.
 
     Each closure returns [true] when the fault fires (already counted in

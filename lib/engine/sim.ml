@@ -76,7 +76,6 @@ let reset_measurement t =
   t.events <- []
 
 let charge_mutator t ns = t.h.pending <- t.h.pending +. ns
-let charge_gc_cpu t ns = t.h.gc_cpu <- t.h.gc_cpu +. ns
 let pending t = t.h.pending
 
 let offer_concurrent t ~wall ~conc_threads ~conc_run =
@@ -125,7 +124,6 @@ let pause ?(label = "pause") t ~wall_ns ~cpu_ns =
   t.on_pause_end label
 
 let set_interference t f = t.h.interference <- f
-let interference t = t.h.interference
 let mutator_cpu t = t.h.mutator_cpu
 let gc_cpu t = t.h.gc_cpu
 let stw_wall t = t.h.stw_wall

@@ -57,10 +57,6 @@ val reset_measurement : t -> unit
     clock). *)
 val charge_mutator : t -> float -> unit
 
-(** [charge_gc_cpu t ns] adds GC CPU work that is already accounted on
-    the wall clock elsewhere (e.g. inside a pause). *)
-val charge_gc_cpu : t -> float -> unit
-
 (** Pending un-flushed mutator work. *)
 val pending : t -> float
 
@@ -87,11 +83,9 @@ val pause : ?label:string -> t -> wall_ns:float -> cpu_ns:float -> unit
     collector pause labels (default ["pause"]) and ["concurrent"]. *)
 val events : t -> (float * float * string) list
 
-(** While [interference t > 0.], mutator wall time is inflated by that
-    fraction (set during concurrent evacuation). *)
+(** [set_interference t f]: while [f > 0.], mutator wall time is
+    inflated by that fraction (set during concurrent evacuation). *)
 val set_interference : t -> float -> unit
-
-val interference : t -> float
 
 (* Accounting snapshots. *)
 
@@ -160,7 +154,7 @@ val note_barrier : t -> float -> unit
 val barrier_cpu : t -> float
 
 (** Wall-clock ns the mutator spent stalled inside the allocation slow
-    path ({!Api.try_alloc}'s collect/escalate ladder), maintained by
+    path ({!Api.alloc_fast}'s collect/escalate ladder), maintained by
     {!Api}. Zeroed by {!reset_measurement}. *)
 val note_alloc_stall : t -> float -> unit
 

@@ -20,7 +20,7 @@ type t = {
       (** a successful allocation; [size] is the requested (pre-alignment)
           size and [large] its large-object classification *)
   alloc_failed : size:int -> nfields:int -> unit;
-      (** {!Api.try_alloc} exhausted the degradation ladder *)
+      (** {!Api.alloc_fast} exhausted the degradation ladder *)
   write : src:int -> field:int -> value:int -> unit;
       (** pointer store, before the barrier and the store itself *)
   read : src:int -> field:int -> unit;  (** pointer load *)

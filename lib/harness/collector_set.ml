@@ -1,20 +1,41 @@
+module C = Repro_collectors
+
+(* The eight costed collectors besides LXR, in the order the evaluation
+   matrices list them. *)
+let non_lxr =
+  [ ("serial", C.Mark_sweep.serial);
+    ("parallel", C.Mark_sweep.parallel);
+    ("immix", C.Mark_sweep.immix);
+    ("semispace", C.Semispace.factory);
+    ("g1", C.G1.factory);
+    ("shenandoah", C.Conc_mark_evac.shenandoah);
+    ("zgc", C.Conc_mark_evac.zgc);
+    ("journal_rc", C.Journal_rc.factory) ]
+
+let ideal = "ideal"
+
 let all =
-  ("lxr", Repro_lxr.Lxr.factory)
-  :: ("lxr-nosatb", Repro_lxr.Lxr.factory_no_satb_concurrency)
-  :: ("lxr-nold", Repro_lxr.Lxr.factory_no_lazy_decrements)
-  :: ("lxr-stw", Repro_lxr.Lxr.factory_stw)
-  :: ("lxr-objbar", Repro_lxr.Lxr.factory_object_barrier)
-  :: ("lxr-regions", Repro_lxr.Lxr.factory_regional_evacuation)
-  :: Repro_collectors.Registry.registered
+  [ ("lxr", Repro_lxr.Lxr.factory);
+    ("lxr-nosatb", Repro_lxr.Lxr.factory_no_satb_concurrency);
+    ("lxr-nold", Repro_lxr.Lxr.factory_no_lazy_decrements);
+    ("lxr-stw", Repro_lxr.Lxr.factory_stw);
+    ("lxr-objbar", Repro_lxr.Lxr.factory_object_barrier);
+    ("lxr-regions", Repro_lxr.Lxr.factory_regional_evacuation) ]
+  @ non_lxr
+  @ [ (ideal, Repro_distill.Ideal.factory) ]
 
 let names = List.map fst all
 
-let lxr_variants =
-  List.filter
-    (fun (n, _) -> not (List.mem_assoc n Repro_collectors.Registry.registered))
-    all
+let lockstep_ok name = String.lowercase_ascii name <> ideal
 
-let find name = Repro_collectors.Registry.lookup ~extra:lxr_variants name
+let find name =
+  match List.assoc_opt (String.lowercase_ascii name) all with
+  | Some f -> Ok f
+  | None ->
+    Error
+      (Printf.sprintf "unknown collector %S%s; known: %s" name
+         (Repro_util.Suggest.hint ~candidates:names name)
+         (String.concat ", " names))
 
 (* --- CLI composition: --lxr-knob / --controller ------------------------- *)
 

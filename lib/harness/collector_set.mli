@@ -1,14 +1,26 @@
-(** The full collector registry available to command-line tools: every
-    {!Repro_collectors.Registry} collector plus the LXR variants, under
-    one name space — shared by [lxr_sim] and [lxr_trace] so lookups (and
-    their "did you mean" errors) behave identically everywhere. *)
+(** The one collector table: every collector the front ends, the
+    experiments and the differ can name, in {!names} order — LXR and its
+    variants, the eight other costed collectors, and the ideal
+    free-reclamation baseline ({!Repro_distill.Ideal}). *)
 
 val all : (string * Repro_engine.Collector.factory) list
 
 val names : string list
 
-(** [find name] resolves case-insensitively; the error message carries a
-    typo suggestion when one is close. *)
+(** The costed collectors besides LXR (serial, parallel, immix,
+    semispace, g1, shenandoah, zgc, journal_rc), in {!all}'s order: the
+    rows evaluation matrices put beside LXR. *)
+val non_lxr : (string * Repro_engine.Collector.factory) list
+
+(** [lockstep_ok name] is false for names excluded from differ lockstep
+    replay: only the ideal baseline, which is the methodology's
+    yardstick, not a collector under test. *)
+val lockstep_ok : string -> bool
+
+(** [find name] resolves case-insensitively; the error names the
+    collector, carries a "did you mean" hint when one is close, and
+    lists {!names}. Every command-line front end resolves collectors
+    through here, so the error reads the same everywhere. *)
 val find : string -> (Repro_engine.Collector.factory, string) result
 
 (** [find_workload name] — same contract for benchmark names. *)

@@ -21,9 +21,9 @@ let default_opts name =
 (* --- Shared machinery --------------------------------------------------- *)
 
 let lxr = ("LXR", Repro_lxr.Lxr.factory)
-let g1 = ("G1", Repro_collectors.Registry.find "g1")
-let shenandoah = ("Shenandoah", Repro_collectors.Registry.find "shenandoah")
-let zgc = ("ZGC", Repro_collectors.Registry.find "zgc")
+let g1 = ("G1", Repro_collectors.G1.factory)
+let shenandoah = ("Shenandoah", Repro_collectors.Conc_mark_evac.shenandoah)
+let zgc = ("ZGC", Repro_collectors.Conc_mark_evac.zgc)
 
 (* The paper's four-way comparison, in its column order. *)
 let production = [ g1; lxr; shenandoah; zgc ]
@@ -376,7 +376,15 @@ let table7 opts =
             | Some v when r.wall_ns > 0.0 -> Printf.sprintf "%.2f" (v /. r.wall_ns)
             | Some _ | None -> "-"
           in
-          let s k = Runner.stat r k in
+          (* Every column reads an LXR counter: a missing one is a renamed
+             key, not a zero. *)
+          let s k =
+            match List.assoc_opt k r.collector_stats with
+            | Some v -> v
+            | None ->
+              failwith
+                (Printf.sprintf "table7: %s reports no counter %S" r.collector k)
+          in
           let pauses_per_s =
             Float.of_int r.pause_count /. Float.max 1e-9 (r.wall_ns /. 1e9)
           in
@@ -433,10 +441,10 @@ let table7 opts =
 let figure7 opts =
   let factors = [ 1.3; 1.5; 2.0; 3.0; 4.0; 6.0 ] in
   let collectors =
-    [ ("Serial", Repro_collectors.Registry.find "serial");
-      ("Parallel", Repro_collectors.Registry.find "parallel");
+    [ ("Serial", Repro_collectors.Mark_sweep.serial);
+      ("Parallel", Repro_collectors.Mark_sweep.parallel);
       g1; shenandoah; zgc; lxr;
-      ("Semispace", Repro_collectors.Registry.find "semispace") ]
+      ("Semispace", Repro_collectors.Semispace.factory) ]
   in
   let shown = [ "Serial"; "Parallel"; "G1"; "Shenandoah"; "ZGC"; "LXR" ] in
   let one = { opts with iterations = 1 } in
@@ -647,7 +655,7 @@ let chaos opts =
 
 (* --- Journal flood: the drain-lag pathology -------------------------------- *)
 
-let journal_rc = ("Journal-RC", Repro_collectors.Registry.find "journal_rc")
+let journal_rc = ("Journal-RC", Repro_collectors.Journal_rc.factory)
 
 let journal_flood opts =
   (* lusearch is the low-churn control; jflood fires a 24-store pointer
@@ -656,10 +664,10 @@ let journal_flood opts =
      pause inherits the unfolded journal (in-pause %), pause count and
      total STW inflate, and GC CPU balloons. LXR's coalescing barrier
      logs a field at most once per epoch, so the same churn costs it a
-     bounded number of slow paths — the regime where LXR wins. *)
-  let stat (r : Runner.result) k =
-    Option.value (List.assoc_opt k r.collector_stats) ~default:0.0
-  in
+     bounded number of slow paths — the regime where LXR wins. In-pause %
+     is the share of the records folded inside the measurement window
+     that pauses folded; a pause can catch up records journaled before
+     the window opened, so [journal_records] is not the denominator. *)
   let rows =
     List.concat_map
       (fun wname ->
@@ -668,22 +676,25 @@ let journal_flood opts =
           (fun (cname, factory) ->
             let rs = runs opts ~workload:w ~factory ~heap_factor:2.0 () in
             let m f = mean_of rs f in
-            let journal r = stat r "journal_records" in
+            let journal r = Runner.stat r "journal_records" in
+            let folded r =
+              Runner.stat r "pause_records" +. Runner.stat r "conc_records"
+            in
             [ wname;
               cname;
               fmt_opt "%.1f" (m (fun r -> r.Runner.wall_ns /. 1e6));
               fmt_opt "%.1f" (m (fun r -> r.Runner.gc_cpu_ns /. 1e6));
               fmt_opt "%.0f" (m (fun r -> Float.of_int r.Runner.pause_count));
               fmt_opt "%.2f" (m (fun r -> r.Runner.stw_wall_ns /. 1e6));
-              fmt_opt "%.0f" (m (fun r -> stat r "wb_slow"));
-              (match m journal with
-              | Some j when j > 0.0 ->
+              fmt_opt "%.0f" (m (fun r -> Runner.stat r "wb_slow"));
+              (match m folded with
+              | Some f when f > 0.0 ->
                 fmt_opt "%.1f"
-                  (m (fun r -> 100.0 *. stat r "pause_records" /. journal r))
+                  (m (fun r -> 100.0 *. Runner.stat r "pause_records" /. folded r))
               | Some _ | None -> "-");
               (match m journal with
               | Some j when j > 0.0 ->
-                fmt_opt "%.0f" (m (fun r -> stat r "backlog_peak"))
+                fmt_opt "%.0f" (m (fun r -> Runner.stat r "backlog_peak"))
               | Some _ | None -> "-") ])
           [ g1; lxr; shenandoah; journal_rc ])
       [ "lusearch"; "jflood" ]
@@ -704,11 +715,10 @@ let journal_flood opts =
 
 (* --- Distilled cost (Cai et al. methodology, exact) ------------------------ *)
 
-let ideal = ("Ideal", Repro_collectors.Registry.find "ideal")
+let ideal = ("Ideal", Repro_distill.Ideal.factory)
 
-(* Every costed collector in the registry, plus LXR (which registers
-   through the front ends' extra table, not the registry). *)
-let distill_collectors = lxr :: Repro_collectors.Registry.all
+(* Every costed collector: LXR and the eight others. *)
+let distill_collectors = lxr :: Collector_set.non_lxr
 
 let distill opts =
   let one = { opts with iterations = 1 } in

@@ -71,7 +71,7 @@ val chaos : opts -> string
     pauses inherit the backlog, and LXR's coalescing barrier wins. *)
 val journal_flood : opts -> string
 
-(** Distilled cost: every registered collector (plus LXR) against the
+(** Distilled cost: LXR and every other costed collector against the
     exact free-reclamation baseline on lusearch, jflood and the two
     adversarial workloads, with the cost decomposed into STW,
     concurrent-CPU, barrier and allocation-stall components. *)

@@ -203,7 +203,7 @@ and alloc_addr t ~size =
     invalid_arg
       (Printf.sprintf
          "Bump_allocator.alloc: size %d outside (0, %d] — large objects \
-          must go through Heap.alloc's LOS path"
+          must go through Heap.alloc_fast's LOS path"
          size t.cfg.los_threshold);
   if not (Addr.is_granule_aligned t.cfg size) then
     invalid_arg

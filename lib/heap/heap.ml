@@ -156,9 +156,8 @@ let alloc_los t ~size ~nfields =
     end
   end
 
-(* Option-free variant for the per-event fast path: the store's
-   none-handle (id = null) stands in for [None], so a successful small
-   allocation's only box is the handle record itself. *)
+(* The store's none-handle (id = null) stands for failure, so a
+   successful small allocation's only box is the handle record itself. *)
 let alloc_fast t allocator ~size ~nfields =
   let size = align_size t size in
   if size > t.cfg.los_threshold then begin
@@ -179,10 +178,6 @@ let alloc_fast t allocator ~size ~nfields =
       obj
     end
   end
-
-let alloc t allocator ~size ~nfields =
-  let obj = alloc_fast t allocator ~size ~nfields in
-  if obj.Obj_model.id = Obj_model.null then None else Some obj
 
 let rc_of t obj = Rc_table.get t.rc t.cfg (Obj_model.addr obj)
 
@@ -368,6 +363,5 @@ let live_bytes_in_block ?(live = fun _ -> true) t b =
     0
     (Blocks.residents t.blocks b)
 
-let reachable t ~roots = Obj_model.Registry.reachable_from t.registry roots
 let live_bytes t = Obj_model.Registry.live_bytes t.registry
 let total_bytes t = t.cfg.heap_bytes

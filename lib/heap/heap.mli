@@ -76,15 +76,12 @@ val is_los : t -> Obj_model.t -> bool
     acquisition order ([[]] for non-LOS objects). *)
 val los_extent : t -> Obj_model.t -> int list
 
-(** [alloc t alloc_ ~size ~nfields] allocates and registers an object.
-    [size] is rounded up to the granule; sizes above [los_threshold] go to
-    the large object space. Returns [None] when the heap cannot satisfy
-    the request (caller should collect and retry). *)
-val alloc : t -> Bump_allocator.t -> size:int -> nfields:int -> Obj_model.t option
-
-(** [alloc_fast] is {!alloc} without the option box: on failure it
-    returns the registry's none-handle (test [obj.id = Obj_model.null]).
-    A successful small allocation's only box is the handle record. *)
+(** [alloc_fast t alloc_ ~size ~nfields] allocates and registers an
+    object. [size] is rounded up to the granule; sizes above
+    [los_threshold] go to the large object space. When the heap cannot
+    satisfy the request (the caller should collect and retry) it returns
+    the registry's none-handle (test [obj.id = Obj_model.null]). A
+    successful small allocation's only box is the handle record. *)
 val alloc_fast : t -> Bump_allocator.t -> size:int -> nfields:int -> Obj_model.t
 
 (** [rc_of t obj] is the object's current reference count. *)
@@ -173,10 +170,6 @@ val rebuild_free_lists : t -> unit
 (** [live_bytes_in_block ?live t b] sums the sizes of block [b]'s
     registered residents that satisfy [live] (default: all of them). *)
 val live_bytes_in_block : ?live:(Obj_model.t -> bool) -> t -> int -> int
-
-(** [reachable t ~roots] is the oracle id set reachable from [roots],
-    as an id-indexed bitset. *)
-val reachable : t -> roots:int list -> Mark_bitset.t
 
 (** [live_bytes t] is total registered object bytes. *)
 val live_bytes : t -> int

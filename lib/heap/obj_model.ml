@@ -295,8 +295,7 @@ module Registry = struct
 
   let none_handle reg = reg.none
 
-  (* Sentinel-returning lookup: the zero-allocation form of [find]. The
-     result is live unless it is the store's [none] sentinel (id 0) —
+  (* The result is live unless it is the store's [none] sentinel (id 0):
      callers compare ids, never destructure an option. *)
   let find_live reg id =
     if id <= 0 || id >= Array.length reg.id_to_slot then reg.none
@@ -311,15 +310,7 @@ module Registry = struct
       end
     end
 
-  let find reg id =
-    let obj = find_live reg id in
-    if obj.id = null then None else Some obj
-
   let mem reg id = id <> null && (find_live reg id).id = id
-
-  let get reg id =
-    let obj = find_live reg id in
-    if obj.id = null then raise Not_found else obj
 
   let free reg obj =
     if not (is_freed obj) then begin
@@ -341,10 +332,6 @@ module Registry = struct
   let handle_at_live reg slot =
     if slot < 0 || slot >= reg.slots then reg.none
     else Array.unsafe_get reg.handles slot
-
-  let handle_at reg slot =
-    let h = handle_at_live reg slot in
-    if h.id = null then None else Some h
 
   let iter f reg =
     for slot = 0 to reg.slots - 1 do

@@ -35,9 +35,9 @@ type store
 
 (** An object handle: the external id, the object's (immutable) size, the
     slot it occupies in the store, and the object's metadata. Handles are
-    canonical — {!Registry.get} and {!Registry.find} return the one handle
-    allocated at registration, so holding or re-looking-up objects never
-    allocates. *)
+    canonical — {!Registry.find_live} and {!Registry.handle_at_live}
+    return the one handle allocated at registration, or the store's
+    none-handle, so holding or re-looking-up objects never allocates. *)
 type t = private {
   id : int;  (** monotonic allocation-sequence number; never reused *)
   size : int;  (** bytes, granule aligned, including header *)
@@ -125,19 +125,14 @@ module Registry : sig
       is negative. *)
   val register : t -> size:int -> nfields:int -> addr:int -> birth_epoch:int -> obj
 
-  (** [get reg id] raises [Not_found] if [id] is null or freed. *)
-  val get : t -> int -> obj
-
-  val find : t -> int -> obj option
-
   (** The store's shared "no object" sentinel: a handle with [id = null]
-      that reads as freed forever. {!find_live} returns it in place of
-      [None] so lookups on hot paths never box an option. *)
+      that reads as freed forever. Lookups return it when there is no
+      live object, so they never box an option. *)
   val none_handle : t -> obj
 
   (** [find_live reg id] is the canonical handle when [id] is live, and
       [none_handle reg] otherwise (test [(find_live reg id).id = null]).
-      Allocation-free, unlike {!find} which boxes a [Some] per hit. *)
+      Allocation-free. *)
   val find_live : t -> int -> obj
 
   val mem : t -> int -> bool
@@ -156,16 +151,13 @@ module Registry : sig
   val iter : (obj -> unit) -> t -> unit
 
   (** One past the highest slot ever occupied — the range registry work
-      packets partition over ([iter] ≡ visiting [handle_at] for slots
-      [0 .. slot_count - 1]). *)
+      packets partition over ([iter] ≡ visiting the live results of
+      [handle_at_live] for slots [0 .. slot_count - 1]). *)
   val slot_count : t -> int
 
-  (** The live object occupying [slot], if any. *)
-  val handle_at : t -> int -> obj option
-
-  (** [handle_at_live reg slot] is {!handle_at} without the option box:
-      the occupying handle, or {!none_handle} when the slot is empty —
-      the form slot-partitioned scan packets use. *)
+  (** [handle_at_live reg slot] is the live handle occupying [slot], or
+      {!none_handle} when the slot is empty — the form slot-partitioned
+      scan packets use. *)
   val handle_at_live : t -> int -> obj
 
   (** [reachable_from reg roots] is the id set reachable from [roots] by

@@ -104,17 +104,6 @@ let qps_opt r =
   if (not r.ok) || r.completed = 0 || r.wall_ns <= 0.0 then None
   else Some (Float.of_int r.completed /. (r.wall_ns /. 1e9))
 
-let qps r =
-  match qps_opt r with
-  | Some v -> v
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Fleet.qps: no throughput for %s/%s (%s)" r.workload
-         r.collector
-         (match r.error with
-         | Some m -> m
-         | None -> "no completed requests"))
-
 let failed (cfg : config) ~collector msg =
   { workload = cfg.workload.Workload.name;
     collector;

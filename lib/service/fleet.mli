@@ -202,13 +202,8 @@ type result = {
       (** ascending replica index; only slots that ever held an engine *)
 }
 
-(** Completed requests per second of fleet wall time.
-    @raise Invalid_argument on a failed run or one with no completions —
-    use {!qps_opt} when failure is an expected outcome. *)
-val qps : result -> float
-
-(** [qps_opt r] is [Some] throughput, or [None] when the run failed or
-    completed nothing. *)
+(** [qps_opt r] is [Some] completed requests per second of fleet wall
+    time, or [None] when the run failed or completed nothing. *)
 val qps_opt : result -> float option
 
 (** [run config] — the whole fleet simulation. Never raises for workload,

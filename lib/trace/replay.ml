@@ -74,11 +74,6 @@ let[@inline] map_get t recorded =
   if recorded >= 0 && recorded < Array.length t.map then t.map.(recorded)
   else t.none
 
-let replay_obj t recorded =
-  let obj = map_get t recorded in
-  if obj.Obj_model.id <> null && not (Obj_model.is_freed obj) then Some obj
-  else None
-
 let unknown : t -> string -> int -> 'a =
  fun t what recorded ->
   raise

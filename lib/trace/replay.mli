@@ -57,10 +57,6 @@ val anomalies : t -> string list
     allocated. *)
 val recorded_id : t -> replay_id:int -> int option
 
-(** The replay-side registry id for a recorded id, if it has been
-    allocated (and not freed) in this run. *)
-val replay_obj : t -> int -> Repro_heap.Obj_model.t option
-
 (** Output in {!Repro_mutator.Mut_engine.output} form, valid once
     stepping is complete; mirrors the generative mutator's reporting
     (OOM runs report no latency and partial counters). *)

@@ -221,12 +221,13 @@ let put_uv buf n =
     else Buffer.add_char buf (Char.chr (byte lor 0x80))
   done
 
-let put_f64 buf f =
-  let bits = Int64.bits_of_float f in
+let put_fixed64 buf bits =
   for i = 0 to 7 do
     Buffer.add_char buf
       (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
   done
+
+let put_f64 buf f = put_fixed64 buf (Int64.bits_of_float f)
 
 let put_string buf s =
   put_uv buf (String.length s);
@@ -243,12 +244,6 @@ let fnv1a s ~pos ~len =
     h := Int64.mul !h 0x100000001b3L
   done;
   !h
-
-let put_fixed64 buf bits =
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (8 * i)) 0xFFL)))
-  done
 
 (* --- Decoder state ----------------------------------------------------- *)
 
@@ -412,26 +407,6 @@ let encode_event buf = function
     put_uv buf bytes
   | Finish -> put_uv buf tag_finish
 
-(* Ring-sourced re-encode: byte-identical to [encode_event] over the
-   boxed view, without materializing the view. *)
-let encode_ring_event buf g i =
-  let tag = Char.code (Bytes.get g.tags i) in
-  put_uv buf tag;
-  if tag = tag_alloc then begin
-    put_uv buf g.op1.(i);
-    put_uv buf g.op2.(i);
-    put_uv buf (g.op3.(i) lsr 1);
-    Buffer.add_char buf (if g.op3.(i) land 1 <> 0 then '\001' else '\000')
-  end
-  else if tag = tag_alloc_failed || tag = tag_write || tag = tag_read
-          || tag = tag_root then begin
-    put_uv buf g.op1.(i);
-    put_uv buf g.op2.(i);
-    if tag = tag_write then put_uv buf g.op3.(i)
-  end
-  else if tag = tag_work || tag = tag_request_start then put_f64 buf g.fop.(i)
-  else if tag = tag_survived then put_uv buf g.op1.(i)
-
 (* --- Whole-trace assembly --------------------------------------------- *)
 
 let assemble ~header_buf ~events_buf ~count =
@@ -452,7 +427,7 @@ let to_string t =
   encode_header header_buf t.header;
   let events_buf = Buffer.create 4096 in
   for i = 0 to t.ring.count - 1 do
-    encode_ring_event events_buf t.ring i
+    encode_event events_buf (event t i)
   done;
   assemble ~header_buf ~events_buf ~count:t.ring.count
 
@@ -595,8 +570,6 @@ let write_string_to_file data path =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc data)
-
-let to_file t path = write_string_to_file (to_string t) path
 
 let of_file path =
   match

@@ -102,21 +102,10 @@ val events : t -> event array
     presizing input. Recorded when the ring is built, so this is O(1). *)
 val alloc_stats : t -> int * int
 
-(** Ring tag values, [tag_end] (0) excepted all correspond to one
-    {!event} constructor. *)
-val tag_end : int
-
-val tag_alloc : int
-val tag_alloc_failed : int
-val tag_write : int
-val tag_read : int
-val tag_root : int
-val tag_work : int
+(** The ring tags of [Safepoint] and [Finish] events, to compare with
+    {!tag_at}. *)
 val tag_safepoint : int
-val tag_request_start : int
-val tag_request_end : int
-val tag_measurement_start : int
-val tag_survived : int
+
 val tag_finish : int
 
 (** The current writer version. Readers accept only this version. *)
@@ -150,6 +139,8 @@ val encode_event : Buffer.t -> event -> unit
     trace: magic, header, events, trailer. *)
 val assemble : header_buf:Buffer.t -> events_buf:Buffer.t -> count:int -> string
 
+(** [to_string t] encodes [t] event by event through {!encode_event}:
+    the inverse of {!of_string}. *)
 val to_string : t -> string
 
 (** [of_string s] decodes and validates (magic, version, checksum, event
@@ -159,7 +150,6 @@ val to_string : t -> string
     a wrong one changes what is allocated but never the result. *)
 val of_string : string -> (t, string) result
 
-val to_file : t -> string -> unit
 val of_file : string -> (t, string) result
 
 (** [write_string_to_file] for pre-assembled bytes (the recorder). *)

@@ -12,25 +12,3 @@ let is_power_of_two v = v >= 1 && v land (v - 1) = 0
 let round_up v align =
   if not (is_power_of_two align) then invalid_arg "Bits.round_up: align";
   (v + align - 1) land lnot (align - 1)
-
-(* SWAR popcount over the 63 usable bits of an [int]. The classic 64-bit
-   constants are truncated by OCaml's tagging, which is harmless: the
-   missing top bit can never be set in a non-negative [int]. *)
-let popcount v =
-  let v = v - ((v lsr 1) land 0x5555555555555555) in
-  let v = (v land 0x3333333333333333) + ((v lsr 2) land 0x3333333333333333) in
-  let v = (v + (v lsr 4)) land 0x0F0F0F0F0F0F0F0F in
-  (v * 0x0101010101010101) lsr 56
-
-let ctz v =
-  if v = 0 then invalid_arg "Bits.ctz";
-  (* Isolate the lowest set bit, then count the zeros below it. *)
-  popcount ((v land -v) - 1)
-
-let iter_set_bits v f =
-  let w = ref v in
-  while !w <> 0 do
-    let bit = !w land - !w in
-    f (popcount (bit - 1));
-    w := !w lxor bit
-  done

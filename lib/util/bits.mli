@@ -13,16 +13,3 @@ val log2 : int -> int
 (** [round_up v align] rounds [v] up to a multiple of power-of-two
     [align]. *)
 val round_up : int -> int -> int
-
-(** [popcount v] is the number of set bits in [v], which must be
-    non-negative (i.e. at most 63 significant bits). Branch-free SWAR. *)
-val popcount : int -> int
-
-(** [ctz v] is the index of the lowest set bit (find-first-set minus
-    one); requires [v <> 0]. [ctz 1 = 0], [ctz 8 = 3]. *)
-val ctz : int -> int
-
-(** [iter_set_bits v f] calls [f] with the index of every set bit of
-    [v], lowest first — the word-wide scan primitive the sweep and mark
-    phases use to visit only occupied slots. *)
-val iter_set_bits : int -> (int -> unit) -> unit

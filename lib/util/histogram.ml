@@ -36,35 +36,23 @@ let record t v = record_n t v 1
 let count t = t.count
 let total t = t.total
 
-let percentile t p =
-  if t.count = 0 then invalid_arg "Histogram.percentile: empty";
-  if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile: out of range";
-  let target =
-    let f = p /. 100.0 *. Float.of_int t.count in
-    let c = int_of_float (Float.ceil f) in
-    if c < 1 then 1 else if c > t.count then t.count else c
-  in
-  let rec scan idx acc =
-    let acc = acc + t.buckets.(idx) in
-    if acc >= target then value_of idx else scan (idx + 1) acc
-  in
-  scan 0 0
-
-let max_value t =
-  if t.count = 0 then invalid_arg "Histogram.max_value: empty";
-  let rec scan idx =
-    if t.buckets.(idx) > 0 then value_of idx else scan (idx - 1)
-  in
-  scan (Array.length t.buckets - 1)
-
-let mean t =
-  if t.count = 0 then invalid_arg "Histogram.mean: empty";
-  Float.of_int t.total /. Float.of_int t.count
-
 let percentile_opt t p =
-  if t.count = 0 || p < 0.0 || p > 100.0 then None else Some (percentile t p)
-let max_value_opt t = if t.count = 0 then None else Some (max_value t)
-let mean_opt t = if t.count = 0 then None else Some (mean t)
+  if t.count = 0 || p < 0.0 || p > 100.0 then None
+  else begin
+    let target =
+      let f = p /. 100.0 *. Float.of_int t.count in
+      let c = int_of_float (Float.ceil f) in
+      if c < 1 then 1 else if c > t.count then t.count else c
+    in
+    let rec scan idx acc =
+      let acc = acc + t.buckets.(idx) in
+      if acc >= target then value_of idx else scan (idx + 1) acc
+    in
+    Some (scan 0 0)
+  end
+
+let mean_opt t =
+  if t.count = 0 then None else Some (Float.of_int t.total /. Float.of_int t.count)
 
 let equal a b =
   a.count = b.count && a.total = b.total && a.buckets = b.buckets
@@ -80,5 +68,3 @@ let clear t =
   Array.fill t.buckets 0 (Array.length t.buckets) 0;
   t.count <- 0;
   t.total <- 0
-
-let percentile_curve t points = List.map (fun p -> (p, percentile t p)) points

@@ -23,22 +23,13 @@ val count : t -> int
 (** Sum of all recorded values (using bucket representative values). *)
 val total : t -> int
 
-(** [percentile t p] is the value at percentile [p] (0–100). Raises
-    [Invalid_argument] if the histogram is empty or [p] out of range. *)
-val percentile : t -> float -> int
-
-(** Maximum recorded value (bucket representative); raises on empty. *)
-val max_value : t -> int
-
-(** Arithmetic mean of samples; raises on empty. *)
-val mean : t -> float
-
-(** Total variants of the raising accessors: [None] on an empty histogram
-    (e.g. a zero-pause run) instead of [Invalid_argument].
-    [percentile_opt] also returns [None] if [p] is outside [0, 100]. *)
+(** [percentile_opt t p] is the value (bucket representative) at
+    percentile [p], or [None] when the histogram is empty (e.g. a
+    zero-pause run) or [p] is outside [\[0, 100\]]. Percentile 100 is
+    the maximum recorded value. *)
 val percentile_opt : t -> float -> int option
 
-val max_value_opt : t -> int option
+(** Arithmetic mean of samples; [None] on an empty histogram. *)
 val mean_opt : t -> float option
 
 (** [equal a b] — same samples, bucket for bucket. Because bucketing is
@@ -53,7 +44,3 @@ val merge : into:t -> t -> unit
 
 (** [clear t] removes all samples. *)
 val clear : t -> unit
-
-(** [percentile_curve t points] evaluates percentiles at each requested
-    point, for latency response curves (Figure 5). *)
-val percentile_curve : t -> float list -> (float * int) list

@@ -21,10 +21,6 @@ val stddev : float list -> float
     on an empty list or out-of-range [p]. *)
 val percentile : float list -> float -> float
 
-(** [percentile_sorted arr p] is [percentile] over an already-sorted
-    array, avoiding the sort. *)
-val percentile_sorted : float array -> float -> float
-
 (** [confidence95 xs] is the half-width of the 95% confidence interval of
     the mean (1.96 standard errors); [0.] for fewer than two samples. *)
 val confidence95 : float list -> float

@@ -60,8 +60,6 @@ let markdown ~header ~rows =
 let fms ns = Printf.sprintf "%.1f" (Float.of_int ns /. 1e6)
 let fsec ns = Printf.sprintf "%.1f" (Float.of_int ns /. 1e9)
 let fratio r = Printf.sprintf "%.3f" r
-let fpct p = Printf.sprintf "%.1f" p
-let f1 x = Printf.sprintf "%.1f" x
 
 let fint n =
   let s = string_of_int (abs n) in

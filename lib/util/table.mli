@@ -28,11 +28,5 @@ val fsec : int -> string
 (** [fratio r] renders a ratio with three decimals, e.g. ["0.958"]. *)
 val fratio : float -> string
 
-(** [fpct p] renders a percentage with one decimal. *)
-val fpct : float -> string
-
-(** [f1 x] renders a float with one decimal. *)
-val f1 : float -> string
-
 (** [fint n] renders an integer with thousands separators. *)
 val fint : int -> string

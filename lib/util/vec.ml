@@ -35,10 +35,6 @@ let set v i x =
 
 let clear v = v.len <- 0
 
-let truncate v n =
-  if n < 0 || n > v.len then invalid_arg "Vec.truncate";
-  v.len <- n
-
 let retain p v =
   let w = ref 0 in
   for i = 0 to v.len - 1 do

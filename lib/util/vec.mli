@@ -30,9 +30,6 @@ val set : t -> int -> int -> unit
 (** [clear v] resets the length to zero without shrinking storage. *)
 val clear : t -> unit
 
-(** [truncate v n] drops all elements past the first [n]. *)
-val truncate : t -> int -> unit
-
 (** [retain p v] keeps only the elements satisfying [p], in place and
     preserving order — the allocation-free filter the sweep uses to
     compact per-block resident lists. *)

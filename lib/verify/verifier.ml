@@ -226,12 +226,10 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
               (Printf.sprintf "%d live granules"
                  (Rc_table.live_granules_in_block heap.rc cfg b));
         let resident_live id =
-          match Obj_model.Registry.find heap.registry id with
-          | Some o ->
-            (not (Obj_model.is_freed o))
-            && (not (is_los o))
-            && Addr.block_of cfg (Obj_model.addr o) = b
-          | None -> false
+          let o = Obj_model.Registry.find_live heap.registry id in
+          (not (Obj_model.is_freed o))
+          && (not (is_los o))
+          && Addr.block_of cfg (Obj_model.addr o) = b
         in
         if Vec.exists resident_live (Blocks.residents heap.blocks b) then
           v ~module_:"reserve" ~invariant:"reserve-no-residents"
@@ -393,16 +391,16 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
      filters, not corruption. --- *)
   List.iter
     (fun (src, field) ->
-      match Obj_model.Registry.find heap.registry src with
-      | Some o when not (Obj_model.is_freed o) ->
-        if field < 0 || field >= Obj_model.nfields o then
-          v ~module_:"remset" ~invariant:"field-in-range"
-            ~subject:(Printf.sprintf "entry (%d, %d)" src field)
-            ~expected:
-              (Printf.sprintf "0 <= field < %d (nfields of object %d)"
-                 (Obj_model.nfields o) src)
-            ~found:(string_of_int field)
-      | Some _ | None -> ())
+      let o = Obj_model.Registry.find_live heap.registry src in
+      if (not (Obj_model.is_freed o))
+         && (field < 0 || field >= Obj_model.nfields o)
+      then
+        v ~module_:"remset" ~invariant:"field-in-range"
+          ~subject:(Printf.sprintf "entry (%d, %d)" src field)
+          ~expected:
+            (Printf.sprintf "0 <= field < %d (nfields of object %d)"
+               (Obj_model.nfields o) src)
+          ~found:(string_of_int field))
     (introspect.Collector.remset_entries ());
 
   (* --- Reachability oracle: nothing reachable from the roots may have
@@ -421,19 +419,17 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
           ~expected:"a registered object" ~found:"freed or unknown id")
     root_ids;
   let reach = Obj_model.Registry.reachable_from heap.registry root_ids in
+  (* [reachable_from] marks registered ids only. *)
   Mark_bitset.iter_marked reach (fun id ->
-      match Obj_model.Registry.find heap.registry id with
-      | None -> ()
-      | Some o ->
-        Obj_model.iteri_fields
-          (fun i r ->
-            if r <> Obj_model.null && not (Obj_model.Registry.mem heap.registry r)
-            then
-              v ~module_:"reachability" ~invariant:"no-dangling-ref"
-                ~subject:(Printf.sprintf "object %d field %d -> id %d" id i r)
-                ~expected:"reachable referent registered"
-                ~found:"freed or unknown id")
-          o);
+      Obj_model.iteri_fields
+        (fun i r ->
+          if r <> Obj_model.null && not (Obj_model.Registry.mem heap.registry r)
+          then
+            v ~module_:"reachability" ~invariant:"no-dangling-ref"
+              ~subject:(Printf.sprintf "object %d field %d -> id %d" id i r)
+              ~expected:"reachable referent registered"
+              ~found:"freed or unknown id")
+        (Obj_model.Registry.find_live heap.registry id));
 
   List.rev !out
 
@@ -471,7 +467,6 @@ let attach ?(max_violations = 50) ~points api =
         run_check t Post_pause label);
   t
 
-let check_now t point ~label = run_check t point label
 let finish t = if List.mem End_of_run t.points then run_check t End_of_run "finish"
 let violations t = List.rev t.retained
 let total_violations t = t.total

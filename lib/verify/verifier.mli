@@ -58,10 +58,6 @@ type t
     retained, but all are counted. *)
 val attach : ?max_violations:int -> points:safepoint list -> Repro_engine.Api.t -> t
 
-(** [check_now t point ~label] forces a check outside the installed
-    hooks (e.g. from a test). *)
-val check_now : t -> safepoint -> label:string -> unit
-
 (** [finish t] runs the [End_of_run] check (if requested). Call after
     {!Repro_engine.Api.finish}. *)
 val finish : t -> unit

@@ -163,6 +163,7 @@ rm -rf "$rej_dir"
 reject bin/lxr_fleet.exe -- run -f 0.01
 reject bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace -c lxr,g1 \
   --inject=drop-barrier:2e-3 --inject-into=lxrr
+reject bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace -c lxr,ideal
 
 echo "== malformed traces are rejected cleanly (exit 1 or 2) =="
 # A header string length of -1, a corpus trace with its checksum cut

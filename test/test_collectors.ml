@@ -25,7 +25,8 @@ let make_env ?(heap_kb = 256) ~factory () =
   { api; heap; shadow = Hashtbl.create 256 }
 
 let alloc env ?(size = 64) ?(nfields = 4) () =
-  let obj = Api.alloc env.api ~size ~nfields in
+  let obj = Api.alloc_fast env.api ~size ~nfields in
+  if obj.id = null then Alcotest.fail (Api.describe_oom (Api.last_oom env.api));
   Hashtbl.replace env.shadow obj.id obj;
   obj
 
@@ -53,13 +54,13 @@ let assert_safety env =
   Array.iter visit (Api.roots env.api)
 
 let factories =
-  [ ("serial", Repro_collectors.Registry.find "serial");
-    ("parallel", Repro_collectors.Registry.find "parallel");
-    ("immix", Repro_collectors.Registry.find "immix");
-    ("semispace", Repro_collectors.Registry.find "semispace");
-    ("g1", Repro_collectors.Registry.find "g1");
-    ("shenandoah", Repro_collectors.Registry.find "shenandoah");
-    ("journal_rc", Repro_collectors.Registry.find "journal_rc") ]
+  [ ("serial", Repro_collectors.Mark_sweep.serial);
+    ("parallel", Repro_collectors.Mark_sweep.parallel);
+    ("immix", Repro_collectors.Mark_sweep.immix);
+    ("semispace", Repro_collectors.Semispace.factory);
+    ("g1", Repro_collectors.G1.factory);
+    ("shenandoah", Repro_collectors.Conc_mark_evac.shenandoah);
+    ("journal_rc", Repro_collectors.Journal_rc.factory) ]
 
 (* One generic scenario run against every baseline: build a small graph,
    churn several heaps' worth of garbage, drop some references, and check
@@ -130,7 +131,7 @@ let random_ops factory seed () =
    counts only ever under-report. *)
 let journal_rc_exact_counts seed () =
   let env =
-    make_env ~factory:(Repro_collectors.Registry.find "journal_rc") ()
+    make_env ~factory:Repro_collectors.Journal_rc.factory ()
   in
   let prng = Repro_util.Prng.create seed in
   let objects = ref [] in
@@ -194,7 +195,7 @@ let journal_rc_exact_counts seed () =
 (* --- Collector-specific contracts ------------------------------------------ *)
 
 let test_semispace_copies_survivors () =
-  let env = make_env ~factory:(Repro_collectors.Registry.find "semispace") () in
+  let env = make_env ~factory:Repro_collectors.Semispace.factory () in
   let obj = alloc env () in
   Api.set_root env.api 0 obj.id;
   let addr0 = (Obj_model.addr obj) in
@@ -203,7 +204,7 @@ let test_semispace_copies_survivors () =
   check "still registered" true (registered env obj.id)
 
 let test_g1_promotes_survivors () =
-  let env = make_env ~factory:(Repro_collectors.Registry.find "g1") () in
+  let env = make_env ~factory:Repro_collectors.G1.factory () in
   let obj = alloc env () in
   Api.set_root env.api 0 obj.id;
   spin env ~bytes:(2 * Heap.total_bytes env.heap);
@@ -224,13 +225,13 @@ let g1_to_space_not_young bench heap_factor () =
     Repro_harness.Runner.run ~seed:7 ~scale:0.08
       ~verify:Repro_verify.Verifier.[ Pre_pause; Post_pause; End_of_run ]
       ~workload:(get (Repro_harness.Collector_set.find_workload bench))
-      ~factory:(Repro_collectors.Registry.find "g1") ~heap_factor ()
+      ~factory:Repro_collectors.G1.factory ~heap_factor ()
   in
   Alcotest.(check (option string)) "no error" None r.error;
   Alcotest.(check int) "no violations" 0 (List.length r.violations)
 
 let test_g1_old_to_young_remembered () =
-  let env = make_env ~factory:(Repro_collectors.Registry.find "g1") () in
+  let env = make_env ~factory:Repro_collectors.G1.factory () in
   let old = alloc env () in
   Api.set_root env.api 0 old.id;
   spin env ~bytes:(2 * Heap.total_bytes env.heap);
@@ -243,7 +244,7 @@ let test_g1_old_to_young_remembered () =
   assert_safety env
 
 let test_shenandoah_stats_move () =
-  let env = make_env ~factory:(Repro_collectors.Registry.find "shenandoah") () in
+  let env = make_env ~factory:Repro_collectors.Conc_mark_evac.shenandoah () in
   let table = alloc env ~nfields:8 () in
   Api.set_root env.api 0 table.id;
   for i = 0 to 7 do
@@ -265,13 +266,13 @@ let test_zgc_refuses_small_heap () =
   let sim = Sim.create Cost_model.default in
   check "unsupported" true
     (try
-       ignore (Api.create sim heap (Repro_collectors.Registry.find "zgc"));
+       ignore (Api.create sim heap Repro_collectors.Conc_mark_evac.zgc);
        false
      with Repro_engine.Collector.Unsupported _ -> true)
 
 let test_zgc_accepts_large_heap () =
   let env =
-    make_env ~heap_kb:(8 * 1024) ~factory:(Repro_collectors.Registry.find "zgc") ()
+    make_env ~heap_kb:(8 * 1024) ~factory:Repro_collectors.Conc_mark_evac.zgc ()
   in
   let obj = alloc env () in
   Api.set_root env.api 0 obj.id;
@@ -279,47 +280,41 @@ let test_zgc_accepts_large_heap () =
   check "alive" true (registered env obj.id)
 
 let test_registry_lookup () =
-  check "finds g1" true (Repro_collectors.Registry.find "G1" != Repro_collectors.Registry.find "serial");
+  let module Set = Repro_harness.Collector_set in
+  let find name =
+    match Set.find name with Ok f -> f | Error m -> Alcotest.fail m
+  in
+  check "finds g1" true (find "G1" == Repro_collectors.G1.factory);
   check "case insensitive" true
-    (Repro_collectors.Registry.find "SHENANDOAH" == Repro_collectors.Registry.find "shenandoah");
-  Alcotest.check_raises "unknown" Not_found (fun () ->
-      let (_ : Repro_engine.Collector.factory) =
-        Repro_collectors.Registry.find "epsilon"
-      in
-      ());
-  check "find_opt hit" true
-    (Repro_collectors.Registry.find_opt "journal_rc" <> None);
-  check "find_opt miss" true (Repro_collectors.Registry.find_opt "epsilon" = None);
-  (match Repro_collectors.Registry.lookup "journal_rk" with
+    (find "SHENANDOAH" == Repro_collectors.Conc_mark_evac.shenandoah);
+  check "finds an LXR variant" true
+    (find "lxr-stw" == Repro_lxr.Lxr.factory_stw);
+  check "finds the baseline" true (find "ideal" == Repro_distill.Ideal.factory);
+  (match Set.find "journal_rk" with
   | Ok _ -> Alcotest.fail "typo resolved"
   | Error m ->
-    let contains sub =
-      let n = String.length m and k = String.length sub in
-      let rec go i = i + k <= n && (String.sub m i k = sub || go (i + 1)) in
-      go 0
-    in
-    check "lookup suggests the near-miss" true (contains "journal_rc");
-    check "lookup lists the known names" true (contains "known:"));
-  (match
-     Repro_collectors.Registry.lookup
-       ~extra:[ ("x", Repro_collectors.Registry.find "semispace") ]
-       "x"
-   with
-  | Ok _ -> ()
-  | Error m -> Alcotest.failf "extra factory not found: %s" m);
-  Alcotest.(check int) "eight collectors" 8 (List.length Repro_collectors.Registry.all)
+    Alcotest.(check string) "did-you-mean text"
+      ("unknown collector \"journal_rk\" (did you mean \"journal_rc\"?); known: "
+      ^ String.concat ", " Set.names)
+      m);
+  check "unknown" true (Result.is_error (Set.find "epsilon"));
+  Alcotest.(check int) "fifteen names" 15 (List.length Set.names);
+  Alcotest.(check int) "eight non-LXR collectors" 8 (List.length Set.non_lxr);
+  check "names list the table" true (Set.names = List.map fst Set.all)
 
 let test_read_barrier_costs () =
   (* Concurrent copying collectors levy a per-load cost; STW ones don't. *)
-  let collector_of name =
+  let collector_of factory =
     let heap = Heap.create (Heap_config.make ~heap_bytes:(8 * 1024 * 1024) ()) in
     let sim = Sim.create Cost_model.default in
-    Api.collector (Api.create sim heap (Repro_collectors.Registry.find name))
+    Api.collector (Api.create sim heap factory)
   in
-  check "shenandoah lvb" true ((collector_of "shenandoah").Collector.read_extra_ns > 0.0);
-  check "zgc lvb" true ((collector_of "zgc").Collector.read_extra_ns > 0.0);
-  check "serial no rb" true ((collector_of "serial").Collector.read_extra_ns = 0.0);
-  check "g1 no rb" true ((collector_of "g1").Collector.read_extra_ns = 0.0)
+  let read_extra_ns f = (collector_of f).Collector.read_extra_ns in
+  let module C = Repro_collectors in
+  check "shenandoah lvb" true (read_extra_ns C.Conc_mark_evac.shenandoah > 0.0);
+  check "zgc lvb" true (read_extra_ns C.Conc_mark_evac.zgc > 0.0);
+  check "serial no rb" true (read_extra_ns C.Mark_sweep.serial = 0.0);
+  check "g1 no rb" true (read_extra_ns C.G1.factory = 0.0)
 
 let suite =
   let lifecycle =

@@ -63,15 +63,14 @@ let fragment heap ~keep_every =
   let i = ref 0 in
   (try
      while true do
-       match Heap.alloc heap a ~size:176 ~nfields:1 with
-       | Some obj ->
-         incr i;
-         if !i mod keep_every = 0 then begin
-           Heap.pin heap obj;
-           kept := obj :: !kept
-         end
-         else Heap.free_object heap obj
-       | None -> raise Exit
+       let obj = Heap.alloc_fast heap a ~size:176 ~nfields:1 in
+       if obj.id = Obj_model.null then raise Exit;
+       incr i;
+       if !i mod keep_every = 0 then begin
+         Heap.pin heap obj;
+         kept := obj :: !kept
+       end
+       else Heap.free_object heap obj
      done
    with Exit -> ());
   Heap.retire_all_allocators heap;
@@ -149,9 +148,8 @@ let test_compact_stops_with_headroom () =
   let heap = fresh_heap ~heap_kb:512 () in
   let a = Heap.make_allocator heap in
   for _ = 1 to 20 do
-    match Heap.alloc heap a ~size:64 ~nfields:0 with
-    | Some obj -> Heap.pin heap obj
-    | None -> ()
+    let obj = Heap.alloc_fast heap a ~size:64 ~nfields:0 in
+    if obj.id <> Obj_model.null then Heap.pin heap obj
   done;
   Heap.retire_all_allocators heap;
   Compaction.reclassify heap;

@@ -6,7 +6,7 @@ module Distill = Repro_distill.Distill
 module Controller = Repro_policy.Controller
 module Config = Repro_lxr.Lxr_config
 module Runner = Repro_harness.Runner
-module Registry = Repro_collectors.Registry
+module Collector_set = Repro_harness.Collector_set
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -23,12 +23,12 @@ let load path =
   | Error msg -> Alcotest.failf "trace %s failed to load: %s" path msg
 
 let find_factory name =
-  match Repro_harness.Collector_set.find name with
+  match Collector_set.find name with
   | Ok f -> f
   | Error msg -> Alcotest.fail msg
 
 (* Every costed lane the differ also exercises, plus LXR. *)
-let lanes = "lxr" :: List.map fst Registry.all
+let lanes = "lxr" :: List.map fst Collector_set.non_lxr
 
 (* Replays are deterministic, so memoize (trace, collector) across the
    exhaustive sweep and the qcheck property. *)
@@ -69,11 +69,11 @@ let test_ideal_is_free () =
   check "ideal has no barrier cost" true (r.barrier_cpu_ns = 0.0)
 
 let test_ideal_registered_not_in_all () =
-  check "ideal resolves" true (Registry.find_opt "ideal" <> None);
+  check "ideal resolves" true (Result.is_ok (Collector_set.find "ideal"));
   check "ideal not in the evaluation matrix" true
-    (not (List.mem_assoc "ideal" Registry.all));
-  check "ideal excluded from lockstep" false (Registry.lockstep_ok "ideal");
-  check "real collectors lockstep" true (Registry.lockstep_ok "lxr")
+    (not (List.mem_assoc "ideal" Collector_set.non_lxr));
+  check "ideal excluded from lockstep" false (Collector_set.lockstep_ok "IDEAL");
+  check "real collectors lockstep" true (Collector_set.lockstep_ok "lxr")
 
 (* --- Distilled-cost bounds over the corpus ------------------------------- *)
 

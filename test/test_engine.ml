@@ -143,7 +143,7 @@ let make_api () =
 
 let test_api_alloc_and_hooks () =
   let api, sim, _, allocs = make_api () in
-  let obj = Api.alloc api ~size:64 ~nfields:2 in
+  let obj = Api.alloc_fast api ~size:64 ~nfields:2 in
   check_int "hook fired" 1 !allocs;
   check_int "alloc bytes" 64 (Sim.alloc_bytes sim);
   check_int "alloc count" 1 (Sim.alloc_count sim);
@@ -152,8 +152,8 @@ let test_api_alloc_and_hooks () =
 
 let test_api_write_barrier_order () =
   let api, _, writes, _ = make_api () in
-  let a = Api.alloc api ~size:64 ~nfields:2 in
-  let b = Api.alloc api ~size:64 ~nfields:2 in
+  let a = Api.alloc_fast api ~size:64 ~nfields:2 in
+  let b = Api.alloc_fast api ~size:64 ~nfields:2 in
   Api.write api a 0 b.id;
   check_int "barrier fired" 1 !writes;
   check_int "store landed" b.id (Api.read api a 0)
@@ -166,7 +166,7 @@ let test_api_work_and_flush () =
 
 let test_api_roots () =
   let api, _, _, _ = make_api () in
-  let a = Api.alloc api ~size:64 ~nfields:1 in
+  let a = Api.alloc_fast api ~size:64 ~nfields:1 in
   Api.set_root api 0 a.id;
   check_int "root get" a.id (Api.get_root api 0)
 
@@ -176,28 +176,25 @@ let test_api_oom () =
   let writes = ref 0 and allocs = ref 0 in
   let api = Api.create sim heap (fun _ _ ~roots:_ -> counting_factory writes allocs) in
   (* The counting collector never frees anything, so exhaustion must
-     surface as a clean [`Oom] value — no exception. *)
-  let rec fill n = function
-    | `Oom info -> (n, info)
-    | `Ok _ ->
-      if n > 100_000 then Alcotest.fail "heap never exhausted"
-      else fill (n + 1) (Api.try_alloc api ~size:8192 ~nfields:0)
+     surface as the null handle — no exception. *)
+  let rec fill n =
+    if (Api.alloc_fast api ~size:8192 ~nfields:0).id = Obj_model.null then n
+    else if n > 100_000 then Alcotest.fail "heap never exhausted"
+    else fill (n + 1)
   in
-  let n, info = fill 0 (Api.try_alloc api ~size:8192 ~nfields:0) in
+  let n = fill 0 in
   check "some allocations succeeded first" true (n > 0);
-  check_int "requested size reported" 8192 info.Api.requested_bytes;
+  check_int "requested size reported" 8192 (Api.last_oom api).Api.requested_bytes;
   let l = Api.ladder api in
   check "ladder climbed through young" true (l.Api.young_collections > 0);
   check "ladder climbed through full" true (l.Api.full_collections > 0);
   check "ladder climbed through emergency" true (l.Api.emergency_compactions > 0);
   check "reserve released before giving up" true (l.Api.reserve_releases > 0);
-  check "exhaustion counted" true (l.Api.exhaustions > 0);
-  (* The raising wrapper reports the same condition as an exception. *)
-  check "alloc raises on the same heap" true
-    (try
-       ignore (Api.alloc api ~size:8192 ~nfields:0);
-       false
-     with Api.Out_of_memory _ -> true)
+  check_int "exhaustion counted" 1 l.Api.exhaustions;
+  (* Further calls are permitted and report the same condition. *)
+  check "the next request fails too" true
+    ((Api.alloc_fast api ~size:8192 ~nfields:0).id = Obj_model.null);
+  check_int "second exhaustion counted" 2 l.Api.exhaustions
 
 let test_api_idle () =
   let api, sim, _, _ = make_api () in
@@ -215,11 +212,11 @@ let test_api_write_freed_source () =
     (fun (name, factory) ->
       let heap = Heap.create (Heap_config.make ~heap_bytes:(8 * 1024 * 1024) ()) in
       let api = Api.create (Sim.create Cost_model.default) heap factory in
-      let target = Api.alloc api ~size:64 ~nfields:2 in
+      let target = Api.alloc_fast api ~size:64 ~nfields:2 in
       Api.set_root api 0 target.id;
-      let stale = Api.alloc api ~size:64 ~nfields:4 in
+      let stale = Api.alloc_fast api ~size:64 ~nfields:4 in
       Heap.free_object heap stale;
-      let reused = Api.alloc api ~size:64 ~nfields:4 in
+      let reused = Api.alloc_fast api ~size:64 ~nfields:4 in
       Api.set_root api 1 reused.id;
       check_int (name ^ ": slot recycled") stale.slot reused.slot;
       for i = 0 to 3 do

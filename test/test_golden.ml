@@ -297,7 +297,7 @@ let scenarios : (string * (unit -> Fleet.result * bool)) list =
         (rejects "setup failed on replica") );
     ( "unsupported",
       with_check
-        (fun () -> fleet ~factory:(Repro_collectors.Registry.find "zgc") ())
+        (fun () -> fleet ~factory:Repro_collectors.Conc_mark_evac.zgc ())
         (rejects "unsupported:") );
     ( "heap-below-block",
       with_check (fun () -> fleet ~heap_factor:0.001 ()) (rejects "block") );

@@ -29,7 +29,7 @@ let test_runner_stat_lookup () =
   check_float "missing stat is zero" 0.0 (Runner.stat r "no_such_counter")
 
 let test_runner_unsupported () =
-  let r = small_run ~collector:(Repro_collectors.Registry.find "zgc") "avrora" in
+  let r = small_run ~collector:Repro_collectors.Conc_mark_evac.zgc "avrora" in
   check "not ok" true (not r.ok);
   check "error recorded" true (r.error <> None);
   check_float "qps zero on failure" 0.0 (Runner.qps r)
@@ -156,6 +156,42 @@ let test_sensitivity_smoke () =
   check "buffer" true (contains s "128-entry buffer");
   check "ablation" true (contains s "fixed allocation trigger")
 
+(* The cells of column [name], one per data row of a rendered table. *)
+let column table name =
+  let cells line = List.map String.trim (String.split_on_char '|' line) in
+  match
+    List.filter
+      (fun l -> String.length l > 0 && l.[0] = '|')
+      (String.split_on_char '\n' table)
+  with
+  | [] -> Alcotest.fail "no table rows"
+  | header :: rows ->
+    let rec index i = function
+      | [] -> Alcotest.failf "no column %S" name
+      | c :: _ when c = name -> i
+      | _ :: rest -> index (i + 1) rest
+    in
+    let i = index 0 (cells header) in
+    List.map (fun r -> List.nth (cells r) i) rows
+
+let at_most_100 name cell =
+  match float_of_string_opt cell with
+  | Some v -> check (Printf.sprintf "%s %s <= 100" name cell) true (v <= 100.0)
+  | None -> Alcotest.(check string) (name ^ " blank") "-" cell
+
+(* Each of these columns is a share of a whole, so no cell exceeds 100.
+   In-pause % divides the records pauses folded by all records folded in
+   the measurement window: pauses also fold records journaled before the
+   window opened. Table 7 fails outright on a missing LXR counter. *)
+let test_percent_columns () =
+  let t7 = Experiments.table7 tiny in
+  List.iter
+    (fun name -> List.iter (at_most_100 name) (column t7 name))
+    [ "SATB%"; "!Lazy%"; "Young"; "Old"; "SATB"; "Stuck" ];
+  let in_pause = column (Experiments.journal_flood tiny) "In-pause %" in
+  check "journal-rc rows report a share" true (List.exists (( <> ) "-") in_pause);
+  List.iter (at_most_100 "In-pause %") in_pause
+
 let suite =
   [ ( "harness:runner",
       [ Alcotest.test_case "result fields" `Quick test_runner_result_fields;
@@ -175,4 +211,5 @@ let suite =
       [ Alcotest.test_case "names" `Quick test_experiment_names;
         Alcotest.test_case "table1" `Slow test_table1_smoke;
         Alcotest.test_case "table3" `Slow test_table3_smoke;
-        Alcotest.test_case "sensitivity" `Slow test_sensitivity_smoke ] ) ]
+        Alcotest.test_case "sensitivity" `Slow test_sensitivity_smoke;
+        Alcotest.test_case "percent columns" `Slow test_percent_columns ] ) ]

@@ -323,6 +323,12 @@ let test_free_lists () =
 
 let fresh_heap ?(heap_kb = 512) () = Heap.create (cfg ~heap_kb ())
 
+(* An allocation the test needs to succeed. *)
+let alloc heap a ~size ~nfields =
+  let obj = Heap.alloc_fast heap a ~size ~nfields in
+  if obj.id = Obj_model.null then Alcotest.failf "alloc of %d bytes failed" size;
+  obj
+
 let test_alloc_basic () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
@@ -417,18 +423,16 @@ let test_alloc_exhaustion () =
 let test_heap_alloc_registers () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  match Heap.alloc heap a ~size:60 ~nfields:2 with
-  | None -> Alcotest.fail "alloc"
-  | Some obj ->
-    check_int "size aligned" 64 obj.size;
-    check "registered" true (Obj_model.Registry.mem heap.registry obj.id);
-    check "touched" true (Array.mem (Addr.block_of heap.cfg (Obj_model.addr obj)) (Heap.touched_blocks heap));
-    check_int "rc starts zero" 0 (Heap.rc_of heap obj)
+  let obj = alloc heap a ~size:60 ~nfields:2 in
+  check_int "size aligned" 64 obj.size;
+  check "registered" true (Obj_model.Registry.mem heap.registry obj.id);
+  check "touched" true (Array.mem (Addr.block_of heap.cfg (Obj_model.addr obj)) (Heap.touched_blocks heap));
+  check_int "rc starts zero" 0 (Heap.rc_of heap obj)
 
 let test_heap_rc_roundtrip () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  let obj = Option.get (Heap.alloc heap a ~size:64 ~nfields:2) in
+  let obj = alloc heap a ~size:64 ~nfields:2 in
   (match Heap.rc_inc heap obj with
   | `Became 1 -> ()
   | _ -> Alcotest.fail "inc");
@@ -442,7 +446,7 @@ let test_heap_rc_roundtrip () =
 let test_heap_straddle_on_first_inc () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  let obj = Option.get (Heap.alloc heap a ~size:700 ~nfields:1) in
+  let obj = alloc heap a ~size:700 ~nfields:1 in
   ignore (Heap.rc_inc heap obj);
   let mid_line = Addr.line_of heap.cfg (Obj_model.addr obj) + 1 in
   check "trailing line pinned" false (Rc_table.line_is_free heap.rc heap.cfg mid_line);
@@ -452,7 +456,7 @@ let test_heap_straddle_on_first_inc () =
 let test_heap_los () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  let big = Option.get (Heap.alloc heap a ~size:40_000 ~nfields:2) in
+  let big = alloc heap a ~size:40_000 ~nfields:2 in
   check "is los" true (Heap.is_los heap big);
   check "block aligned" true ((Obj_model.addr big) mod heap.cfg.block_bytes = 0);
   let backing = Addr.block_of heap.cfg (Obj_model.addr big) in
@@ -466,13 +470,14 @@ let test_heap_los_exhaustion () =
   let heap = Heap.create (Heap_config.make ~heap_bytes:(64 * 1024) ()) in
   let a = Heap.make_allocator heap in
   (* Two blocks total: a 3-block large object cannot fit. *)
-  check "too big" true (Heap.alloc heap a ~size:70_000 ~nfields:0 = None)
+  check "too big" true
+    ((Heap.alloc_fast heap a ~size:70_000 ~nfields:0).id = Obj_model.null)
 
 let test_heap_evacuate () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
   let gc = Heap.make_allocator heap in
-  let obj = Option.get (Heap.alloc heap a ~size:64 ~nfields:1) in
+  let obj = alloc heap a ~size:64 ~nfields:1 in
   ignore (Heap.rc_inc heap obj);
   ignore (Heap.rc_inc heap obj);
   let old_addr = (Obj_model.addr obj) in
@@ -485,14 +490,14 @@ let test_heap_evacuate_los_refused () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
   let gc = Heap.make_allocator heap in
-  let big = Option.get (Heap.alloc heap a ~size:40_000 ~nfields:0) in
+  let big = alloc heap a ~size:40_000 ~nfields:0 in
   check "los not moved" false (Heap.evacuate heap gc big)
 
 let test_heap_rc_sweep_block () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  let dead = Option.get (Heap.alloc heap a ~size:64 ~nfields:0) in
-  let live = Option.get (Heap.alloc heap a ~size:64 ~nfields:0) in
+  let dead = alloc heap a ~size:64 ~nfields:0 in
+  let live = alloc heap a ~size:64 ~nfields:0 in
   ignore (Heap.rc_inc heap live);
   let b = Addr.block_of heap.cfg (Obj_model.addr dead) in
   Heap.retire_all_allocators heap;
@@ -507,8 +512,8 @@ let test_heap_rc_sweep_block () =
 let test_heap_rc_sweep_block_all_dead () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  let o1 = Option.get (Heap.alloc heap a ~size:64 ~nfields:0) in
-  let _o2 = Option.get (Heap.alloc heap a ~size:64 ~nfields:0) in
+  let o1 = alloc heap a ~size:64 ~nfields:0 in
+  let _o2 = alloc heap a ~size:64 ~nfields:0 in
   let b = Addr.block_of heap.cfg (Obj_model.addr o1) in
   Heap.retire_all_allocators heap;
   (match Heap.rc_sweep_block heap b with
@@ -519,7 +524,7 @@ let test_heap_rc_sweep_block_all_dead () =
 let test_heap_pin () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  let obj = Option.get (Heap.alloc heap a ~size:700 ~nfields:0) in
+  let obj = alloc heap a ~size:700 ~nfields:0 in
   Heap.pin heap obj;
   check "stuck" true (Heap.rc_is_stuck heap obj);
   let l0 = Addr.line_of heap.cfg (Obj_model.addr obj) in
@@ -528,7 +533,7 @@ let test_heap_pin () =
 let test_heap_rebuild_free_lists () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  ignore (Heap.alloc heap a ~size:64 ~nfields:0);
+  ignore (alloc heap a ~size:64 ~nfields:0);
   Heap.retire_all_allocators heap;
   Heap.rebuild_free_lists heap;
   (* One block In_use (retired), the rest free. *)
@@ -588,7 +593,7 @@ let test_touched_blocks_ascending () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
   for _ = 1 to 200 do
-    ignore (Heap.alloc heap a ~size:512 ~nfields:0)
+    ignore (alloc heap a ~size:512 ~nfields:0)
   done;
   let tb = Heap.touched_blocks heap in
   check "several blocks touched" true (Array.length tb > 2);
@@ -688,7 +693,7 @@ let recycled_slots_never_alias_prop =
       List.iter
         (fun (id, (o : Obj_model.t)) ->
           if Obj_model.is_freed o then ok := false;
-          if not (Obj_model.Registry.get reg id == o) then ok := false)
+          if not (Obj_model.Registry.find_live reg id == o) then ok := false)
         !live;
       (* Oracle cross-check: no freed id is ever reachable. *)
       (match !live with
@@ -872,14 +877,13 @@ let alloc_alignment_prop =
     (fun size ->
       let heap = fresh_heap () in
       let a = Heap.make_allocator heap in
-      match Heap.alloc heap a ~size ~nfields:1 with
-      | None -> false
-      | Some obj ->
-        Addr.is_granule_aligned heap.cfg (Obj_model.addr obj)
-        && obj.size >= size
-        && obj.size mod heap.cfg.granule_bytes = 0
-        && Addr.valid heap.cfg (Obj_model.addr obj)
-        && Addr.valid heap.cfg ((Obj_model.addr obj) + obj.size - 1))
+      let obj = Heap.alloc_fast heap a ~size ~nfields:1 in
+      obj.id <> Obj_model.null
+      && Addr.is_granule_aligned heap.cfg (Obj_model.addr obj)
+      && obj.size >= size
+      && obj.size mod heap.cfg.granule_bytes = 0
+      && Addr.valid heap.cfg (Obj_model.addr obj)
+      && Addr.valid heap.cfg ((Obj_model.addr obj) + obj.size - 1))
 
 let suite =
   let qc = List.map QCheck_alcotest.to_alcotest in

@@ -17,22 +17,24 @@ let run_mini factory seed =
   let sim = Sim.create Cost_model.default in
   let api = Api.create sim heap factory in
   let prng = Repro_util.Prng.create seed in
-  let table = Api.alloc api ~size:(16 + (8 * 32)) ~nfields:32 in
+  let table = Api.alloc_fast api ~size:(16 + (8 * 32)) ~nfields:32 in
   Api.set_root api 0 table.id;
   for i = 1 to 6000 do
     let size = 16 + (16 * Repro_util.Prng.int prng 20) in
-    let obj = Api.alloc api ~size ~nfields:3 in
+    let obj = Api.alloc_fast api ~size ~nfields:3 in
     if Repro_util.Prng.bool prng 0.08 then
       Api.write api table (Repro_util.Prng.int prng 32) obj.id;
     if i mod 500 = 0 then Api.safepoint api
   done;
   Api.finish api;
-  let reach = Heap.reachable heap ~roots:(Array.to_list (Api.roots api)) in
+  if (Api.ladder api).Api.exhaustions > 0 then Alcotest.fail "heap exhausted";
+  let reach =
+    Obj_model.Registry.reachable_from heap.registry (Array.to_list (Api.roots api))
+  in
   let sizes = ref [] in
   Mark_bitset.iter_marked reach (fun id ->
-      match Obj_model.Registry.find heap.registry id with
-      | Some o -> sizes := o.size :: !sizes
-      | None -> ());
+      let o = Obj_model.Registry.find_live heap.registry id in
+      if o.id <> Obj_model.null then sizes := o.size :: !sizes);
   (List.sort compare !sizes, heap, api)
 
 let all_factories =
@@ -40,12 +42,12 @@ let all_factories =
     ("lxr-stw", Repro_lxr.Lxr.factory_stw);
     ("lxr-objbar", Repro_lxr.Lxr.factory_object_barrier);
     ("lxr-regions", Repro_lxr.Lxr.factory_regional_evacuation);
-    ("serial", Repro_collectors.Registry.find "serial");
-    ("parallel", Repro_collectors.Registry.find "parallel");
-    ("immix", Repro_collectors.Registry.find "immix");
-    ("semispace", Repro_collectors.Registry.find "semispace");
-    ("g1", Repro_collectors.Registry.find "g1");
-    ("shenandoah", Repro_collectors.Registry.find "shenandoah") ]
+    ("serial", Repro_collectors.Mark_sweep.serial);
+    ("parallel", Repro_collectors.Mark_sweep.parallel);
+    ("immix", Repro_collectors.Mark_sweep.immix);
+    ("semispace", Repro_collectors.Semispace.factory);
+    ("g1", Repro_collectors.G1.factory);
+    ("shenandoah", Repro_collectors.Conc_mark_evac.shenandoah) ]
 
 (* Every collector must end the identical mutation sequence with the
    identical reachable graph: garbage collection must never change
@@ -105,22 +107,23 @@ let test_heap_audits () =
    the free lists contain no live data. *)
 let test_lxr_rc_consistency () =
   let _, heap, api = run_mini Repro_lxr.Lxr.factory 13 in
-  let reach = Heap.reachable heap ~roots:(Array.to_list (Api.roots api)) in
+  let reach =
+    Obj_model.Registry.reachable_from heap.registry (Array.to_list (Api.roots api))
+  in
   (* Force a final pause so promotions of the last epoch settle. *)
   Mark_bitset.iter_marked reach (fun id ->
-      match Obj_model.Registry.find heap.registry id with
-      | Some obj when Obj_model.birth_epoch obj < heap.epoch ->
-        check "mature reachable has a count" true (Heap.rc_of heap obj > 0)
-      | Some _ | None -> ())
+      let obj = Obj_model.Registry.find_live heap.registry id in
+      if obj.id <> Obj_model.null && Obj_model.birth_epoch obj < heap.epoch then
+        check "mature reachable has a count" true (Heap.rc_of heap obj > 0))
 
 (* --- Full benchmark runs under each production collector ---------------- *)
 
 let test_full_benchmarks_all_production () =
   let factories =
     [ ("lxr", Repro_lxr.Lxr.factory);
-      ("g1", Repro_collectors.Registry.find "g1");
-      ("shenandoah", Repro_collectors.Registry.find "shenandoah");
-      ("serial", Repro_collectors.Registry.find "serial") ]
+      ("g1", Repro_collectors.G1.factory);
+      ("shenandoah", Repro_collectors.Conc_mark_evac.shenandoah);
+      ("serial", Repro_collectors.Mark_sweep.serial) ]
   in
   List.iter
     (fun bench ->

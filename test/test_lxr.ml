@@ -27,7 +27,8 @@ let make_env ?(heap_kb = 256) ?(factory = Repro_lxr.Lxr.factory) ?(seed = 1) () 
   { api; heap; shadow = Hashtbl.create 256; prng = Repro_util.Prng.create seed }
 
 let alloc env ?(size = 64) ?(nfields = 4) () =
-  let obj = Api.alloc env.api ~size ~nfields in
+  let obj = Api.alloc_fast env.api ~size ~nfields in
+  if obj.id = null then Alcotest.fail (Api.describe_oom (Api.last_oom env.api));
   Hashtbl.replace env.shadow obj.id obj;
   obj
 
@@ -474,18 +475,8 @@ let test_config_scaling () =
   let nold = Repro_lxr.Lxr_config.no_lazy_decrements c in
   check "nold keeps satb" true nold.concurrent_satb
 
-let test_stats_percentages () =
+let test_stats_alist () =
   let s = Repro_lxr.Lxr_stats.create () in
-  s.young_reclaimed <- 60;
-  s.old_reclaimed <- 30;
-  s.satb_reclaimed <- 10;
-  Alcotest.(check (float 1e-9)) "young" 60.0 (Repro_lxr.Lxr_stats.young_pct s);
-  Alcotest.(check (float 1e-9)) "old" 30.0 (Repro_lxr.Lxr_stats.old_pct s);
-  Alcotest.(check (float 1e-9)) "satb" 10.0 (Repro_lxr.Lxr_stats.satb_pct s);
-  s.clean_young_blocks <- 2;
-  s.young_evacuated <- 32768;
-  Alcotest.(check (float 1e-9)) "yc" 50.0
-    (Repro_lxr.Lxr_stats.yc_pct s ~block_bytes:32768);
   check_int "alist size" 23 (List.length (Repro_lxr.Lxr_stats.to_alist s))
 
 let test_phase_breakdown () =
@@ -584,7 +575,7 @@ let suite =
         Alcotest.test_case "validation" `Quick test_predictor_validation ] );
     ( "lxr:components",
       [ Alcotest.test_case "config" `Quick test_config_scaling;
-        Alcotest.test_case "stats" `Quick test_stats_percentages;
+        Alcotest.test_case "stats" `Quick test_stats_alist;
         Alcotest.test_case "phase breakdown" `Quick test_phase_breakdown;
         Alcotest.test_case "remset staleness" `Quick test_remset_staleness_tag;
         Alcotest.test_case "remset" `Quick test_remset_module ] ) ]

@@ -5,6 +5,7 @@ open Repro_util
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
+let check_pct msg v = Alcotest.(check (option int)) msg (Some v)
 
 (* --- Prng --------------------------------------------------------------- *)
 
@@ -328,15 +329,15 @@ let test_histogram_percentile_exact_small () =
   (* Values below the sub-bucket count are exact. *)
   let h = Histogram.create () in
   List.iter (Histogram.record h) [ 1; 2; 3; 4; 5 ];
-  check_int "p50 small exact" 3 (Histogram.percentile h 50.0);
-  check_int "p100" 5 (Histogram.percentile h 100.0)
+  check_pct "p50 small exact" 3 (Histogram.percentile_opt h 50.0);
+  check_pct "p100" 5 (Histogram.percentile_opt h 100.0)
 
 let test_histogram_percentile_precision () =
   let h = Histogram.create () in
   for v = 1000 to 2000 do
     Histogram.record h v
   done;
-  let p50 = Histogram.percentile h 50.0 in
+  let p50 = Option.get (Histogram.percentile_opt h 50.0) in
   let err = Float.abs (Float.of_int p50 -. 1500.0) /. 1500.0 in
   check "p50 within 2%" true (err < 0.02)
 
@@ -345,19 +346,21 @@ let test_histogram_clamps_below_one () =
   Histogram.record h 0;
   Histogram.record h (-5);
   check_int "count" 2 (Histogram.count h);
-  check_int "p100 clamped" 1 (Histogram.percentile h 100.0)
+  check_pct "p100 clamped" 1 (Histogram.percentile_opt h 100.0)
 
 let test_histogram_record_n () =
   let h = Histogram.create () in
   Histogram.record_n h 10 5;
   check_int "count" 5 (Histogram.count h);
-  check_int "p0..p100 all 10" 10 (Histogram.percentile h 0.0)
+  check_pct "p0..p100 all 10" 10 (Histogram.percentile_opt h 0.0)
 
 let test_histogram_max_mean () =
   let h = Histogram.create () in
   List.iter (Histogram.record h) [ 10; 20; 30 ];
-  check_int "max" 30 (Histogram.max_value h);
-  check_float "mean" 20.0 (Histogram.mean h)
+  check_pct "max" 30 (Histogram.percentile_opt h 100.0);
+  Alcotest.(check (option (float 1e-9))) "mean" (Some 20.0) (Histogram.mean_opt h);
+  Alcotest.(check (option (float 1e-9))) "empty mean" None
+    (Histogram.mean_opt (Histogram.create ()))
 
 let test_histogram_merge () =
   let a = Histogram.create () and b = Histogram.create () in
@@ -365,22 +368,20 @@ let test_histogram_merge () =
   Histogram.record b 20;
   Histogram.merge ~into:a b;
   check_int "merged count" 2 (Histogram.count a);
-  check_int "merged max" 20 (Histogram.max_value a)
+  check_pct "merged max" 20 (Histogram.percentile_opt a 100.0)
 
 let test_histogram_clear () =
   let h = Histogram.create () in
   Histogram.record h 42;
   Histogram.clear h;
   check_int "cleared" 0 (Histogram.count h);
-  Alcotest.check_raises "empty percentile"
-    (Invalid_argument "Histogram.percentile: empty") (fun () ->
-      ignore (Histogram.percentile h 50.0))
+  check "empty percentile" true (Histogram.percentile_opt h 50.0 = None)
 
 let test_histogram_curve () =
   let h = Histogram.create () in
   List.iter (Histogram.record h) [ 1; 2; 3; 4 ];
-  let curve = Histogram.percentile_curve h [ 0.0; 100.0 ] in
-  check_int "curve points" 2 (List.length curve)
+  let curve = List.map (Histogram.percentile_opt h) [ -1.0; 0.0; 100.0; 101.0 ] in
+  check "curve points" true (curve = [ None; Some 1; Some 4; None ])
 
 let histogram_percentile_bounds_prop =
   QCheck.Test.make ~name:"histogram percentile within recorded range" ~count:200
@@ -389,7 +390,7 @@ let histogram_percentile_bounds_prop =
       let h = Histogram.create () in
       List.iter (Histogram.record h) xs;
       let lo = List.fold_left min max_int xs and hi = List.fold_left max 0 xs in
-      let p v = Histogram.percentile h v in
+      let p v = Option.get (Histogram.percentile_opt h v) in
       (* Bucketing gives ~1.6% relative error. *)
       Float.of_int (p 0.0) >= Float.of_int lo *. 0.97
       && Float.of_int (p 100.0) <= Float.of_int hi *. 1.03)
@@ -401,7 +402,7 @@ let histogram_monotone_prop =
       let h = Histogram.create () in
       List.iter (Histogram.record h) xs;
       let ps = [ 0.0; 10.0; 50.0; 90.0; 99.0; 100.0 ] in
-      let vals = List.map (Histogram.percentile h) ps in
+      let vals = List.map (fun p -> Option.get (Histogram.percentile_opt h p)) ps in
       List.for_all2 ( <= ) (List.filteri (fun i _ -> i < 5) vals) (List.tl vals))
 
 (* --- Bits ---------------------------------------------------------------- *)

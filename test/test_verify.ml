@@ -26,16 +26,17 @@ let run_mini ?(factory = Repro_lxr.Lxr.factory) seed =
   let sim = Sim.create Cost_model.default in
   let api = Api.create sim heap factory in
   let prng = Repro_util.Prng.create seed in
-  let table = Api.alloc api ~size:(16 + (8 * 32)) ~nfields:32 in
+  let table = Api.alloc_fast api ~size:(16 + (8 * 32)) ~nfields:32 in
   Api.set_root api 0 table.id;
   for i = 1 to 4000 do
     let size = 16 + (16 * Repro_util.Prng.int prng 24) in
-    let obj = Api.alloc api ~size ~nfields:3 in
+    let obj = Api.alloc_fast api ~size ~nfields:3 in
     if Repro_util.Prng.bool prng 0.08 then
       Api.write api table (Repro_util.Prng.int prng 32) obj.id;
     if i mod 500 = 0 then Api.safepoint api
   done;
   Api.finish api;
+  if (Api.ladder api).Api.exhaustions > 0 then Alcotest.fail "heap exhausted";
   (heap, api)
 
 let check_api api =
@@ -121,7 +122,7 @@ let test_detects_orphan_rc_entry () =
 let test_detects_dangling_root () =
   let heap, api = run_mini 7 in
   (* Free a rooted object behind the collector's back. *)
-  let table = Obj_model.Registry.get heap.registry (Api.roots api).(0) in
+  let table = Obj_model.Registry.find_live heap.registry (Api.roots api).(0) in
   Heap.free_object heap table;
   let vs = check_api api in
   check "dangling root detected" true (has_invariant "root-live" vs)
@@ -238,8 +239,8 @@ let test_injection_deterministic () =
 let test_clean_matrix_no_false_positives () =
   let collectors =
     [ ("lxr", Repro_lxr.Lxr.factory);
-      ("g1", Repro_collectors.Registry.find "g1");
-      ("shenandoah", Repro_collectors.Registry.find "shenandoah") ]
+      ("g1", Repro_collectors.G1.factory);
+      ("shenandoah", Repro_collectors.Conc_mark_evac.shenandoah) ]
   in
   List.iter
     (fun bench ->
@@ -283,15 +284,17 @@ let test_ladder_escalation_order () =
   let api = Api.create sim heap factory in
   let rec fill n =
     if n > 1000 then Alcotest.fail "heap never filled"
-    else
-      match Api.try_alloc api ~size:8192 ~nfields:0 with
-      | `Ok obj ->
-        Api.set_root api (n mod 200) obj.Obj_model.id;
+    else begin
+      let obj = Api.alloc_fast api ~size:8192 ~nfields:0 in
+      if obj.id <> null then begin
+        Api.set_root api (n mod 200) obj.id;
         fill (n + 1)
-      | `Oom info -> info
+      end
+    end
   in
-  let info = fill 0 in
-  check "requested size reported" true (info.Api.requested_bytes = 8192);
+  fill 0;
+  check "requested size reported" true
+    ((Api.last_oom api).Api.requested_bytes = 8192);
   (match List.rev !pressures with
   | [ Collector.Young; Collector.Full; Collector.Emergency ] -> ()
   | other ->
@@ -314,12 +317,14 @@ let oom_and_recover name factory =
   let api = Api.create sim heap factory in
   let rec fill n =
     if n > 1000 then Alcotest.fail (name ^ ": heap never filled")
-    else
-      match Api.try_alloc api ~size:2048 ~nfields:0 with
-      | `Ok obj ->
-        Api.set_root api (n mod 200) obj.Obj_model.id;
+    else begin
+      let obj = Api.alloc_fast api ~size:2048 ~nfields:0 in
+      if obj.id = null then n
+      else begin
+        Api.set_root api (n mod 200) obj.id;
         fill (n + 1)
-      | `Oom _ -> n
+      end
+    end
   in
   let n = fill 0 in
   check (name ^ ": allocated before exhaustion") true (n > 0);
@@ -331,18 +336,17 @@ let oom_and_recover name factory =
   for slot = 0 to Api.root_slots - 1 do
     Api.set_root api slot null
   done;
-  match Api.try_alloc api ~size:2048 ~nfields:0 with
-  | `Ok _ -> ()
-  | `Oom _ -> Alcotest.fail (name ^ ": no recovery after dropping roots")
+  if (Api.alloc_fast api ~size:2048 ~nfields:0).id = null then
+    Alcotest.fail (name ^ ": no recovery after dropping roots")
 
 let test_oom_ladder_all_collectors () =
   List.iter
     (fun (name, factory) -> oom_and_recover name factory)
     [ ("lxr", Repro_lxr.Lxr.factory);
-      ("serial", Repro_collectors.Registry.find "serial");
-      ("g1", Repro_collectors.Registry.find "g1");
-      ("shenandoah", Repro_collectors.Registry.find "shenandoah");
-      ("semispace", Repro_collectors.Registry.find "semispace") ]
+      ("serial", Repro_collectors.Mark_sweep.serial);
+      ("g1", Repro_collectors.G1.factory);
+      ("shenandoah", Repro_collectors.Conc_mark_evac.shenandoah);
+      ("semispace", Repro_collectors.Semispace.factory) ]
 
 (* The emergency rung's compaction can free a block touched earlier in
    the epoch (or one queued for a lazy decrement sweep), and its
@@ -385,14 +389,13 @@ let test_lxr_reserve_never_swept () =
     let size =
       if i mod 97 = 0 then 3 * 32 * 1024 else 64 + (64 * Repro_util.Prng.int prng 24)
     in
-    match Api.try_alloc api ~size ~nfields:2 with
-    | `Ok obj ->
-      if Repro_util.Prng.bool prng 0.5 then
-        Api.set_root api (1 + Repro_util.Prng.int prng 150) obj.Obj_model.id
-    | `Oom _ ->
+    let obj = Api.alloc_fast api ~size ~nfields:2 in
+    if obj.id = null then
       for slot = 1 to 150 do
         if slot mod 2 = 0 then Api.set_root api slot null
       done
+    else if Repro_util.Prng.bool prng 0.5 then
+      Api.set_root api (1 + Repro_util.Prng.int prng 150) obj.id
   done;
   Api.finish api;
   Verifier.finish v;
@@ -409,7 +412,7 @@ let test_runner_reports_oom () =
   let r =
     Runner.run ~seed:42 ~scale:0.3
       ~workload:(Repro_mutator.Benchmarks.find "lusearch")
-      ~factory:(Repro_collectors.Registry.find "serial") ~heap_factor:0.3 ()
+      ~factory:Repro_collectors.Mark_sweep.serial ~heap_factor:0.3 ()
   in
   check "not ok" true (not r.ok);
   let contains ~sub s =
@@ -429,10 +432,10 @@ let test_end_of_run_only_session () =
   let sim = Sim.create Cost_model.default in
   let api = Api.create sim heap Repro_lxr.Lxr.factory in
   let v = Verifier.attach ~points:[ Verifier.End_of_run ] api in
-  let table = Api.alloc api ~size:128 ~nfields:8 in
+  let table = Api.alloc_fast api ~size:128 ~nfields:8 in
   Api.set_root api 0 table.id;
   for _ = 1 to 2000 do
-    ignore (Api.alloc api ~size:64 ~nfields:2)
+    ignore (Api.alloc_fast api ~size:64 ~nfields:2)
   done;
   Api.finish api;
   check_int "no checks before finish" 0 (Verifier.checks_run v);
