@@ -1,16 +1,19 @@
 (* What lxr_sim, lxr_trace and lxr_fleet share on the command line: the
    error exit, name lookups, and the flags all of them take. Values are
-   parsed by hand rather than by Cmdliner converters, so a bad value
-   exits 2 with a named error instead of Cmdliner's 124 and usage
-   block. *)
+   parsed through Repro_util.Spec rather than by Cmdliner converters, so
+   a bad value exits 2 with a named error instead of Cmdliner's 124 and
+   usage block. *)
 
 open Cmdliner
-module Suggest = Repro_util.Suggest
+module Spec = Repro_util.Spec
 
 let die msg =
   Printf.eprintf "%s\n" msg;
   exit 2
 
+let or_die = function Ok v -> v | Error msg -> die msg
+
+(* A name lookup: the error points at the command that lists names. *)
 let lookup_or_die = function
   | Ok v -> v
   | Error msg -> die (msg ^ "\n(try: lxr_sim list)")
@@ -19,24 +22,18 @@ let find_workload name =
   lookup_or_die (Repro_harness.Collector_set.find_workload name)
 
 (* With no option this is a plain collector-table lookup; see
-   Collector_set.resolve for --controller and --lxr-knob. *)
-let find_collector ?controller ?burn ?knobs name =
-  lookup_or_die
-    (Repro_harness.Collector_set.resolve ?controller ?burn ?knobs name)
-
-(* "a, b,,c" -> ["a"; "b"; "c"] *)
-let split_list s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
+   Collector_set.resolve for --controller and --lxr-knob, whose errors
+   are about their specs, not about names `lxr_sim list' shows. *)
+let find_collector ?controller ?burn ?(knobs = []) name =
+  let r = Repro_harness.Collector_set.resolve ?controller ?burn ~knobs name in
+  if controller = None && knobs = [] then lookup_or_die r else or_die r
 
 (* An optional spec-valued flag through its parser; a rejected value
    dies naming the flag. *)
 let parse_opt ~flag parser = function
   | None -> None
-  | Some s -> (
-    match parser s with
-    | Ok v -> Some v
-    | Error msg -> die (Printf.sprintf "--%s: %s" flag msg))
+  | Some s ->
+    Some (or_die (Result.map_error (Printf.sprintf "--%s: %s" flag) (parser s)))
 
 let parse_verify v =
   Option.value ~default:[]
@@ -46,19 +43,15 @@ let parse_inject seed =
   parse_opt ~flag:"inject" (Repro_engine.Fault.of_spec ~seed)
 
 (* A worker count: 1-64, the most lanes a work-packet pool takes, or
-   'auto', which resolves to [auto] clamped to that range. *)
+   'auto', which resolves to [auto] clamped to that range. Anything that
+   is not an integer is looked up as a name, so a typo gets a hint. *)
 let parse_count ~flag ~auto s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 && n <= 64 -> n
-  | Some n ->
-    die (Printf.sprintf "--%s: %d is out of range; expected 1-64 or 'auto'" flag n)
-  | None ->
-    if String.lowercase_ascii s = "auto" then min 64 (max 1 auto)
-    else
-      die
-        (Printf.sprintf "unknown --%s value %S%s; expected a count (1-64) or 'auto'"
-           flag s
-           (Suggest.hint ~candidates:[ "auto" ] s))
+  let what = "--" ^ flag in
+  or_die
+    (match Spec.int_in ~what ~lo:min_int ~hi:max_int s with
+    | Ok _ -> Spec.int_in ~what ~lo:1 ~hi:64 s
+    | Error _ ->
+      Spec.choose ~what:(what ^ " value") [ ("auto", min 64 (max 1 auto)) ] s)
 
 (* Results are bit-identical for every --gc-threads value, so it is
    purely a host wall-clock knob; 'auto' is the runtime's recommended
@@ -72,14 +65,9 @@ let parse_domains s =
 
 type format = Text | Md | Json
 
-let parse_format = function
-  | "text" -> Text
-  | "md" -> Md
-  | "json" -> Json
-  | other ->
-    die
-      (Printf.sprintf "unknown --format %S%s; known: text, md, json" other
-         (Suggest.hint ~candidates:[ "text"; "md"; "json" ] other))
+let parse_format s =
+  or_die
+    (Spec.choose ~what:"--format" [ ("text", Text); ("md", Md); ("json", Json) ] s)
 
 let print_format format ~text ~md ~json =
   match format with

@@ -168,9 +168,9 @@ let compare_cmd =
       queue_limit quantum domains gc_threads seed verify chaos retry slo
       autoscale =
     let collectors =
-      List.map (fun n -> Cli.find_collector n) (Cli.split_list collectors)
+      List.map (fun n -> Cli.find_collector n) (Repro_util.Spec.items collectors)
     in
-    let policies = List.map find_policy (Cli.split_list policies) in
+    let policies = List.map find_policy (Repro_util.Spec.items policies) in
     if collectors = [] then Cli.die "compare needs at least one collector";
     if policies = [] then Cli.die "compare needs at least one policy";
     let format = Cli.parse_format format in

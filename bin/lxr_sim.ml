@@ -87,23 +87,23 @@ let experiment_cmd =
     Arg.(value & opt (some int) None & info [ "i"; "iterations" ] ~docv:"N" ~doc)
   in
   let run name scale iterations seed =
-    let todo = if name = "all" then Experiments.names else [ name ] in
+    let todo =
+      if name = "all" then Experiments.names
+      else
+        [ Cli.or_die
+            (Repro_util.Spec.choose ~what:"experiment"
+               (List.map (fun n -> (n, n)) Experiments.names)
+               name) ]
+    in
     List.iter
       (fun n ->
-        match Experiments.by_name n with
-        | Some f ->
-          let d = Experiments.default_opts n in
-          print_endline
-            (f
-               { Experiments.scale = Option.value scale ~default:d.scale;
-                 iterations = Option.value iterations ~default:d.iterations;
-                 seed });
-          print_newline ()
-        | None ->
-          Cli.die
-            (Printf.sprintf "unknown experiment %S%s (known: %s)" n
-               (Repro_util.Suggest.hint ~candidates:Experiments.names n)
-               names))
+        let d = Experiments.default_opts n in
+        print_endline
+          (Option.get (Experiments.by_name n)
+             { Experiments.scale = Option.value scale ~default:d.scale;
+               iterations = Option.value iterations ~default:d.iterations;
+               seed });
+        print_newline ())
       todo
   in
   let term =

@@ -182,7 +182,7 @@ let diff_cmd =
   in
   let run path collectors every no_verify inject inject_into gc_threads =
     let trace = load_trace path in
-    let names = Cli.split_list collectors in
+    let names = Repro_util.Spec.items collectors in
     if List.length names < 2 then Cli.die "diff needs at least two collectors";
     (* The free-reclamation baseline is a methodological yardstick, not a
        collector under test — keep it out of lockstep comparisons. *)
@@ -197,14 +197,12 @@ let diff_cmd =
       names;
     let lanes = List.map (fun n -> (n, Cli.find_collector n)) names in
     let fault = Cli.parse_inject trace.header.seed inject in
-    let target = Option.value inject_into ~default:(List.hd names) in
-    let same n = String.lowercase_ascii n = String.lowercase_ascii target in
-    if not (List.exists same names) then
-      Cli.die
-        (Printf.sprintf "unknown --inject-into collector %S%s; diffing: %s"
-           target
-           (Repro_util.Suggest.hint ~candidates:names target)
-           (String.concat ", " names));
+    let target =
+      Cli.or_die
+        (Repro_util.Spec.choose ~what:"--inject-into collector"
+           (List.map (fun n -> (n, n)) names)
+           (Option.value inject_into ~default:(List.hd names)))
+    in
     let gc_threads = Cli.parse_gc_threads gc_threads in
     let inject = Option.map (fun f -> (target, f)) fault in
     match
@@ -243,7 +241,7 @@ let distill_cmd =
   let run path collectors format gc_threads =
     let trace = load_trace path in
     let gc_threads = Cli.parse_gc_threads gc_threads in
-    let names = Cli.split_list collectors in
+    let names = Repro_util.Spec.items collectors in
     if names = [] then Cli.die "distill needs at least one collector";
     let lanes = List.map (fun n -> (n, Cli.find_collector n)) names in
     let format = Cli.parse_format format in

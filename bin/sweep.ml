@@ -3,7 +3,13 @@
    development and as a slow integration check:
      dune exec bin/sweep.exe [scale] *)
 let () =
-  let scale = try float_of_string Sys.argv.(1) with _ -> 1.0 in
+  let scale =
+    if Array.length Sys.argv < 2 then 1.0
+    else
+      Cli.or_die
+        (Repro_util.Spec.float_in ~what:"sweep: scale" ~lo:0.0
+           ~hi:Float.max_float Sys.argv.(1))
+  in
   let factors = [ 1.3; 2.0; 6.0 ] in
   let collectors =
     ("lxr", Repro_lxr.Lxr.factory)

@@ -23,10 +23,32 @@ let () =
          ())
   in
   let sim = Sim.create Cost_model.default in
-  let api = Api.create sim heap Repro_lxr.Lxr.factory in
+  (* (start_ns, end_ns, label) per pause and per concurrent slice, newest
+     first: pauses from the pause-end hook, slices from a [conc_run]
+     wrapper that spans the wall time the consumed CPU occupied on the
+     concurrent threads, ending now. *)
+  let events = ref [] in
+  let record s e label = events := (s, e, label) :: !events in
+  Sim.set_on_pause_end sim (fun label ->
+      let s, e = Sim.last_pause sim in
+      record s e label);
+  let factory sim heap ~roots =
+    let c = Repro_lxr.Lxr.factory sim heap ~roots in
+    let conc_run ~budget_ns =
+      let threads = c.Collector.conc_active () in
+      let consumed = c.Collector.conc_run ~budget_ns in
+      if consumed > 0.0 then begin
+        let now = Sim.now sim in
+        record (now -. (consumed /. Float.of_int threads)) now "concurrent"
+      end;
+      consumed
+    in
+    { c with Collector.conc_run }
+  in
+  let api = Api.create sim heap factory in
   let prng = Repro_util.Prng.create 42 in
   ignore (Repro_mutator.Mut_engine.run api prng w ~scale:0.35);
-  let events = Sim.events sim in
+  let events = List.rev !events in
   (match events with
   | [] -> print_endline "no GC events recorded"
   | (first_start, _, _) :: _ ->

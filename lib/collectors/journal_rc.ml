@@ -347,34 +347,23 @@ let flatten_journal t =
   Vec.clear t.open_chunk;
   (t.published_v, t.drain_pos)
 
-(* Journal catchup as RC work packets: the packet body is a read-only
-   pass over a chunk of the flat record array; increments, deferral and
-   remset notes all happen in the ordered merge, so the fold order — and
-   the counts — are identical for every lane count. *)
+(* Journal catchup: one serial fold over the flat record array in
+   journal order; increments, deferral and remset notes happen as each
+   record is folded. *)
 let catchup_journal t tc (records, start) =
   let c = Sim.cost t.sim in
   let nrecords = (Vec.length records - start) / 4 in
   t.stats.pause_records <- t.stats.pause_records + nrecords;
-  let remaining = ref nrecords in
-  (* The packet body is a no-op: records are read-only during the phase,
-     so the ordered merge folds each span straight out of the flat
-     journal — same fold order as the old per-packet copies, none of the
-     allocation. *)
-  Par.map_spans (pool t) ~total:nrecords ~packet:Par.queue_per_packet
-    ~f:(fun _ ~lo:_ ~len:_ -> ())
-    ~merge:(fun i () ->
-      let lo, len = Par.span ~total:nrecords ~packet:Par.queue_per_packet i in
-      for k = lo to lo + len - 1 do
-        let q = start + (4 * k) in
-        let src = Vec.get records q
-        and field = Vec.get records (q + 1)
-        and old_r = Vec.get records (q + 2)
-        and new_r = Vec.get records (q + 3) in
-        Trace_cost.add tc ~threads:c.gc_threads ~frontier:!remaining
-          ~cost_ns:c.inc_ns;
-        decr remaining;
-        fold_record t ~src ~field ~old_r ~new_r
-      done);
+  for k = 0 to nrecords - 1 do
+    let q = start + (4 * k) in
+    let src = Vec.get records q
+    and field = Vec.get records (q + 1)
+    and old_r = Vec.get records (q + 2)
+    and new_r = Vec.get records (q + 3) in
+    Trace_cost.add tc ~threads:c.gc_threads ~frontier:(nrecords - k)
+      ~cost_ns:c.inc_ns;
+    fold_record t ~src ~field ~old_r ~new_r
+  done;
   Vec.clear t.published_v;
   t.drain_pos <- 0
 

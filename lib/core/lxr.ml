@@ -473,78 +473,45 @@ let rc_pause t =
     Vec.append inc_queue root_ids;
     if satb_tracing t then Vec.iter (gray_push t) root_ids;
     (* Modified fields: the final referent of each logged field receives
-       an increment; the field resumes logging. Modbuf chunks are RC work
-       packets: the packet body resolves entries against the registry
-       (read-only — dead sources drop out here); logged-bit clearing,
-       remset notes and increment pushes happen in the ordered merge. *)
-    let nmod = Vec.length t.modbuf / 2 in
-    Par.map_spans (pool t) ~total:nmod ~packet:Par.queue_per_packet
-      ~f:(fun _ ~lo ~len ->
-        let out = Par.take_scratch () in
-        for k = lo to lo + len - 1 do
-          let src = Vec.get t.modbuf (2 * k)
-          and field = Vec.get t.modbuf ((2 * k) + 1) in
-          if Obj_model.Registry.mem t.heap.registry src then begin
-            Vec.push out src;
-            Vec.push out field
-          end
-        done;
-        out)
-      ~merge:(fun _ out ->
-        let i = ref 0 in
-        while !i < Vec.length out do
-          let src = Vec.get out !i and field = Vec.get out (!i + 1) in
-          i := !i + 2;
-          let obj = find_live t src in
-          if obj.Obj_model.id <> null then begin
-            Obj_model.set_field_logged obj field false;
-            let r = Obj_model.field obj field in
-            if r <> null then begin
-              let child = find_live t r in
-              if child.Obj_model.id <> null then
-                note_remset t ~src:obj ~field ~referent:child;
-              Vec.push inc_queue r
-            end
-          end
-        done;
-        Par.recycle_scratch out);
+       an increment; the field resumes logging. One serial pass in log
+       order: dead sources drop out at the registry lookup. *)
+    for k = 0 to (Vec.length t.modbuf / 2) - 1 do
+      let field = Vec.get t.modbuf ((2 * k) + 1) in
+      let obj = find_live t (Vec.get t.modbuf (2 * k)) in
+      if obj.Obj_model.id <> null then begin
+        Obj_model.set_field_logged obj field false;
+        let r = Obj_model.field obj field in
+        if r <> null then begin
+          let child = find_live t r in
+          if child.Obj_model.id <> null then
+            note_remset t ~src:obj ~field ~referent:child;
+          Vec.push inc_queue r
+        end
+      end
+    done;
     Vec.clear t.modbuf;
     (* Object-granularity entries: diff the before-image against the
        current fields — decrements for the snapshot, increments for the
-       final referents. Same packet split as the modbuf: resolve in the
-       packet body, mutate in the ordered merge. *)
-    Par.map_spans (pool t) ~total:(Vec.length t.objbuf)
-      ~packet:Par.queue_per_packet
-      ~f:(fun _ ~lo ~len ->
-        let out = Par.take_scratch () in
-        for k = lo to lo + len - 1 do
-          let id = Vec.get t.objbuf k in
-          if Obj_model.Registry.mem t.heap.registry id
-             && Hashtbl.mem t.obj_snapshots id
-          then Vec.push out id
-        done;
-        out)
-      ~merge:(fun _ out ->
-        Vec.iter
-          (fun id ->
-            let obj = find_live t id in
-            match Hashtbl.find_opt t.obj_snapshots id with
-            | Some snapshot when obj.Obj_model.id <> null ->
-              Obj_model.set_all_logged obj false;
-              Array.iteri
-                (fun i old ->
-                  let current = Obj_model.field obj i in
-                  if old <> null then Vec.push t.decbuf old;
-                  if current <> null then begin
-                    let child = find_live t current in
-                    if child.Obj_model.id <> null then
-                      note_remset t ~src:obj ~field:i ~referent:child;
-                    Vec.push inc_queue current
-                  end)
-                snapshot
-            | Some _ | None -> ())
-          out;
-        Par.recycle_scratch out);
+       final referents. One serial pass in log order, like the modbuf. *)
+    Vec.iter
+      (fun id ->
+        let obj = find_live t id in
+        match Hashtbl.find_opt t.obj_snapshots id with
+        | Some snapshot when obj.Obj_model.id <> null ->
+          Obj_model.set_all_logged obj false;
+          Array.iteri
+            (fun i old ->
+              let current = Obj_model.field obj i in
+              if old <> null then Vec.push t.decbuf old;
+              if current <> null then begin
+                let child = find_live t current in
+                if child.Obj_model.id <> null then
+                  note_remset t ~src:obj ~field:i ~referent:child;
+                Vec.push inc_queue current
+              end)
+            snapshot
+        | Some _ | None -> ())
+      t.objbuf;
     Vec.clear t.objbuf;
     Hashtbl.reset t.obj_snapshots;
     apply_incs t tc inc_queue;
@@ -872,8 +839,8 @@ let create ?tune ~name ~config sim heap ~roots =
       satb_gray = Vec.create ~capacity:1024 ();
       remset = Remset.create ();
       evac_targets = [];
-      survival_rate = Predictor.create ~initial:0.2 ();
-      live_blocks_pred = Predictor.create ~initial:0.0 ();
+      survival_rate = Predictor.create ~initial:0.2;
+      live_blocks_pred = Predictor.create ~initial:0.0;
       alloc_bytes_epoch = 0;
       promoted_bytes_epoch = 0;
       pauses_since_satb = 0;

@@ -158,59 +158,30 @@ let knob_names = List.map (fun k -> k.k_name) knobs
 let tunable_knobs = List.filter (fun k -> k.k_tunable) knobs
 
 let find_knob name =
-  let lname = String.lowercase_ascii name in
-  match List.find_opt (fun k -> k.k_name = lname) knobs with
-  | Some k -> Ok k
-  | None ->
-    Error
-      (Printf.sprintf "unknown LXR knob %S%s; known: %s" name
-         (Repro_util.Suggest.hint ~candidates:knob_names name)
-         (String.concat ", " knob_names))
+  Repro_util.Spec.choose ~what:"LXR knob"
+    (List.map (fun k -> (k.k_name, k)) knobs)
+    name
 
-let parse_value k s =
-  let range_error _v =
-    Error
-      (Printf.sprintf "%s=%s out of range; expected %s in [%g, %g]" k.k_name s
-         (match k.k_kind with
-         | Int -> "an integer"
-         | Float -> "a number"
-         | Bool -> "a bool")
-         k.k_lo k.k_hi)
-  in
-  match k.k_kind with
-  | Bool -> (
-    match String.lowercase_ascii s with
-    | "true" | "1" | "on" | "yes" -> Ok 1.0
-    | "false" | "0" | "off" | "no" -> Ok 0.0
-    | _ ->
-      Error
-        (Printf.sprintf "%s=%s: expected a bool (true/false/1/0)" k.k_name s))
-  | Int -> (
-    match int_of_string_opt s with
-    | Some v ->
-      let f = Float.of_int v in
-      if f < k.k_lo || f > k.k_hi then range_error f else Ok f
-    | None ->
-      Error (Printf.sprintf "%s=%s: expected an integer" k.k_name s))
-  | Float -> (
-    match float_of_string_opt s with
-    | Some v -> if v < k.k_lo || v > k.k_hi then range_error v else Ok v
-    | None -> Error (Printf.sprintf "%s=%s: expected a number" k.k_name s))
-
-let apply_override t spec =
-  match String.index_opt spec '=' with
+let parse_override spec =
+  let module Spec = Repro_util.Spec in
+  let ( let* ) = Result.bind in
+  match Spec.kv ~sep:'=' spec with
   | None ->
-    Error
-      (Printf.sprintf "bad knob override %S; expected name=value" spec)
-  | Some i -> (
-    let name = String.sub spec 0 i in
-    let value = String.sub spec (i + 1) (String.length spec - i - 1) in
-    match find_knob name with
-    | Error e -> Error e
-    | Ok k -> (
-      match parse_value k value with
-      | Error e -> Error e
-      | Ok v -> Ok (k.k_set t v)))
+    Spec.malformed ~what:"knob override" ~form:"name=value" ~known:knob_names
+      spec
+  | Some (name, s) ->
+    let* k = find_knob name in
+    let what = k.k_name in
+    let* v =
+      match k.k_kind with
+      | Bool -> Result.map bf (Spec.bool ~what s)
+      | Int ->
+        Result.map Float.of_int
+          (Spec.int_in ~what ~lo:(int_of_float k.k_lo)
+             ~hi:(int_of_float k.k_hi) s)
+      | Float -> Spec.float_in ~what ~lo:k.k_lo ~hi:k.k_hi s
+    in
+    Ok (k, v)
 
 let no_concurrent_satb t = { t with concurrent_satb = false }
 let no_lazy_decrements t = { t with lazy_decrements = false }

@@ -82,11 +82,11 @@ val tunable_knobs : knob list
     did-you-mean hint over {!knob_names}. *)
 val find_knob : string -> (knob, string) result
 
-(** [apply_override t "name=value"] parses, validates the value against
-    the knob's kind and range, and returns the updated configuration.
-    Errors are human-readable (unknown name with hint, parse failure,
-    out-of-range). *)
-val apply_override : t -> string -> (t, string) result
+(** [parse_override "name=value"] resolves the knob and validates the
+    value against its kind and range (bools as 0/1); apply it with the
+    knob's [k_set]. Errors name the knob and the value (unknown names
+    with a hint, parse failure, out-of-range). *)
+val parse_override : string -> (knob * float, string) result
 
 (** Ablated variants for Table 7. *)
 

@@ -1,11 +1,13 @@
-type t = { mutable value : float; up_weight : float }
+type t = { mutable value : float }
 
-let create ?(up_weight = 0.75) ~initial () =
-  if up_weight < 0.0 || up_weight > 1.0 then invalid_arg "Predictor.create";
-  { value = initial; up_weight }
+(* The weight of an observation above the prediction; one below it
+   weighs the complement. *)
+let up_weight = 0.75
+
+let create ~initial = { value = initial }
 
 let observe t x =
-  let w = if x > t.value then t.up_weight else 1.0 -. t.up_weight in
+  let w = if x > t.value then up_weight else 1.0 -. up_weight in
   t.value <- (w *. x) +. ((1.0 -. w) *. t.value)
 
 let value t = t.value

@@ -9,7 +9,7 @@
 type t
 
 (** [create ~initial] with the standard 3/4 : 1/4 weights. *)
-val create : ?up_weight:float -> initial:float -> unit -> t
+val create : initial:float -> t
 
 (** [observe t x] folds in an observation. *)
 val observe : t -> float -> unit

@@ -58,9 +58,3 @@ let default =
     pause_base_ns = 18_000.0;
     conc_copy_interference = 0.35;
     conc_efficiency = 0.4 }
-
-let with_threads ?cores ?mutator_threads ?gc_threads t =
-  { t with
-    cores = Option.value cores ~default:t.cores;
-    mutator_threads = Option.value mutator_threads ~default:t.mutator_threads;
-    gc_threads = Option.value gc_threads ~default:t.gc_threads }

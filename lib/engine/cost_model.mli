@@ -58,6 +58,3 @@ type t = {
 (** The default calibration (a 16-core/32-thread Zen 3-like machine, 8
     mutator threads, 4 STW GC threads). *)
 val default : t
-
-(** [scaled ?mutator_threads ?gc_threads t] overrides thread counts. *)
-val with_threads : ?cores:int -> ?mutator_threads:int -> ?gc_threads:int -> t -> t

@@ -81,31 +81,19 @@ let class_names =
   [ "drop-barrier"; "skip-dec"; "rc-flip"; "remset"; "alloc-fail" ]
 
 let of_spec ~seed spec =
-  let parse_item acc item =
-    match acc with
-    | Error _ -> acc
-    | Ok rates -> (
-      match String.index_opt item ':' with
-      | None -> Error (Printf.sprintf "fault spec %S: expected class:rate" item)
-      | Some i ->
-        let cls = String.sub item 0 i in
-        let rate_s = String.sub item (i + 1) (String.length item - i - 1) in
-        (match float_of_string_opt rate_s with
-        | None -> Error (Printf.sprintf "fault spec %S: bad rate %S" item rate_s)
-        | Some r when r < 0.0 || r > 1.0 ->
-          Error (Printf.sprintf "fault spec %S: rate must be in [0, 1]" item)
-        | Some r ->
-          if List.mem cls class_names then Ok ((cls, r) :: rates)
-          else
-            Error
-              (Printf.sprintf "fault spec %S: unknown class %S (known: %s)" item
-                 cls
-                 (String.concat ", " class_names))))
+  let module Spec = Repro_util.Spec in
+  let classes = List.map (fun c -> (c, c)) class_names in
+  let parse_item rates item =
+    match Spec.kv ~sep:':' item with
+    | None ->
+      Spec.malformed ~what:"fault spec" ~form:"class:rate" ~known:class_names item
+    | Some (cls, rate) ->
+      Result.bind (Spec.choose ~what:"fault class" classes cls) (fun cls ->
+          Result.map
+            (fun r -> (cls, r) :: rates)
+            (Spec.float_in ~what:cls ~lo:0.0 ~hi:1.0 rate))
   in
-  let items =
-    List.filter (fun s -> s <> "") (String.split_on_char ',' (String.trim spec))
-  in
-  match List.fold_left parse_item (Ok []) items with
+  match Spec.fold_items ~f:parse_item [] spec with
   | Error _ as e -> e
   | Ok rates ->
     let rate cls = try List.assoc cls rates with Not_found -> 0.0 in

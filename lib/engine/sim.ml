@@ -27,7 +27,6 @@ type t = {
   pauses : Repro_util.Histogram.t;
   mutable alloc_bytes : int;
   mutable alloc_count : int;
-  mutable events : (float * float * string) list;  (* reverse chronological *)
   mutable faults : Fault.t;
   mutable tracer : Tracer.t;
   mutable on_pause_end : string -> unit;  (* pause label; verifier hook *)
@@ -52,7 +51,6 @@ let create cost =
     pauses = Repro_util.Histogram.create ();
     alloc_bytes = 0;
     alloc_count = 0;
-    events = [];
     faults = Fault.none;
     tracer = Tracer.none;
     on_pause_end = ignore;
@@ -72,8 +70,7 @@ let reset_measurement t =
   t.alloc_bytes <- 0;
   t.alloc_count <- 0;
   t.h.d_barrier <- 0.0;
-  t.h.d_stall <- 0.0;
-  t.events <- []
+  t.h.d_stall <- 0.0
 
 let charge_mutator t ns = t.h.pending <- t.h.pending +. ns
 let pending t = t.h.pending
@@ -82,13 +79,7 @@ let offer_concurrent t ~wall ~conc_threads ~conc_run =
   if conc_threads > 0 && wall > 0.0 then begin
     let budget = wall *. Float.of_int conc_threads in
     let consumed = conc_run ~budget_ns:budget in
-    t.h.gc_cpu <- t.h.gc_cpu +. consumed;
-    if consumed > 0.0 then
-      (* Approximate the slice as ending now and spanning the wall time
-         its CPU consumption occupied on the concurrent threads. *)
-      t.events <-
-        (t.h.now -. (consumed /. Float.of_int conc_threads), t.h.now, "concurrent")
-        :: t.events
+    t.h.gc_cpu <- t.h.gc_cpu +. consumed
   end
 
 let flush t ~conc_threads ~conc_run =
@@ -112,7 +103,6 @@ let advance_idle t ~until ~conc_threads ~conc_run =
   end
 
 let pause ?(label = "pause") t ~wall_ns ~cpu_ns =
-  t.events <- (t.h.now, t.h.now +. wall_ns, label) :: t.events;
   t.h.last_pause_start <- t.h.now;
   t.h.last_pause_end <- t.h.now +. wall_ns;
   t.h.now <- t.h.now +. wall_ns;
@@ -150,6 +140,5 @@ let set_on_pause_end t f = t.on_pause_end <- f
 let pool t = t.pool
 let set_pool t p = t.pool <- p
 
-let events t = List.rev t.events
 let alloc_bytes t = t.alloc_bytes
 let alloc_count t = t.alloc_count

@@ -74,14 +74,9 @@ val advance_idle :
 (** [pause t ~wall_ns ~cpu_ns] records a stop-the-world pause: the clock
     advances by [wall_ns], the pause histogram records it, and [cpu_ns]
     CPU cycles are attributed to GC. Pending mutator work must have been
-    flushed by the caller ({!Api} guarantees this). [label] tags the
-    pause in the event log (Figure 2 timelines). *)
+    flushed by the caller ({!Api} guarantees this). [label] (default
+    ["pause"]) is passed to the pause-end hook ({!set_on_pause_end}). *)
 val pause : ?label:string -> t -> wall_ns:float -> cpu_ns:float -> unit
-
-(** The event log: [(start_ns, end_ns, label)] per stop-the-world pause
-    and per concurrent-GC activity slice, in chronological order. Labels:
-    collector pause labels (default ["pause"]) and ["concurrent"]. *)
-val events : t -> (float * float * string) list
 
 (** [set_interference t f]: while [f > 0.], mutator wall time is
     inflated by that fraction (set during concurrent evacuation). *)

@@ -28,48 +28,30 @@ let names = List.map fst all
 
 let lockstep_ok name = String.lowercase_ascii name <> ideal
 
-let find name =
-  match List.assoc_opt (String.lowercase_ascii name) all with
-  | Some f -> Ok f
-  | None ->
-    Error
-      (Printf.sprintf "unknown collector %S%s; known: %s" name
-         (Repro_util.Suggest.hint ~candidates:names name)
-         (String.concat ", " names))
+let find name = Repro_util.Spec.choose ~what:"collector" all name
 
 (* --- CLI composition: --lxr-knob / --controller ------------------------- *)
 
 module Config = Repro_lxr.Lxr_config
 module Controller = Repro_policy.Controller
 
-(* Validate every override eagerly against a probe configuration, so a
-   typo or out-of-range value fails at the command line instead of
-   mid-run (range checks depend only on the knob table, not on the
-   probe's heap size). *)
-let check_knobs specs =
-  let probe =
-    Config.scaled_default ~heap_bytes:(32 * 1024 * 1024) ~block_bytes:32768
-  in
-  List.fold_left
-    (fun acc spec ->
-      Result.bind acc (fun () ->
-          match Config.apply_override probe spec with
-          | Ok _ -> Ok ()
-          | Error e -> Error ("--lxr-knob: " ^ e)))
-    (Ok ()) specs
-
-let apply_knobs specs cfg =
-  List.fold_left
-    (fun cfg spec ->
-      match Config.apply_override cfg spec with
-      | Ok c -> c
-      | Error e -> invalid_arg e (* unreachable: checked at parse time *))
-    cfg specs
-
 let resolve ?controller ?burn ?(knobs = []) name =
   let ( let* ) = Result.bind in
-  let* () = check_knobs knobs in
-  let config = apply_knobs knobs in
+  (* Parse every override up front, so a typo or out-of-range value
+     fails at the command line instead of mid-run. *)
+  let* overrides =
+    List.fold_left
+      (fun acc spec ->
+        let* kvs = acc in
+        match Config.parse_override spec with
+        | Ok kv -> Ok (kv :: kvs)
+        | Error e -> Error ("--lxr-knob: " ^ e))
+      (Ok []) knobs
+  in
+  (* [overrides] is newest first: apply the oldest first. *)
+  let config cfg =
+    List.fold_right (fun (k, v) cfg -> k.Config.k_set cfg v) overrides cfg
+  in
   let is_lxr = String.lowercase_ascii name = "lxr" in
   match controller with
   | Some spec ->
@@ -94,15 +76,8 @@ let resolve ?controller ?burn ?(knobs = []) name =
     else Ok (Repro_lxr.Lxr.factory_with ~name:"LXR" ~config ())
 
 let find_workload name =
-  let candidates = Repro_mutator.Benchmarks.names in
-  match
-    List.find_opt
-      (fun w -> w.Repro_mutator.Workload.name = String.lowercase_ascii name)
-      Repro_mutator.Benchmarks.all
-  with
-  | Some w -> Ok w
-  | None ->
-    Error
-      (Printf.sprintf "unknown benchmark %S%s; known: %s" name
-         (Repro_util.Suggest.hint ~candidates name)
-         (String.concat ", " candidates))
+  Repro_util.Spec.choose ~what:"benchmark"
+    (List.map
+       (fun w -> (w.Repro_mutator.Workload.name, w))
+       Repro_mutator.Benchmarks.all)
+    name

@@ -28,9 +28,9 @@ let zgc = ("ZGC", Repro_collectors.Conc_mark_evac.zgc)
 (* The paper's four-way comparison, in its column order. *)
 let production = [ g1; lxr; shenandoah; zgc ]
 
-let runs opts ?cost ?heap_config ~workload ~factory ~heap_factor () =
+let runs opts ?heap_config ~workload ~factory ~heap_factor () =
   List.init opts.iterations (fun i ->
-      Runner.run ~seed:(opts.seed + (31 * i)) ~scale:opts.scale ?cost ?heap_config
+      Runner.run ~seed:(opts.seed + (31 * i)) ~scale:opts.scale ?heap_config
         ~workload ~factory ~heap_factor ())
 
 let ok_runs rs = List.filter (fun (r : Runner.result) -> r.ok) rs

@@ -69,10 +69,10 @@ let failed ~workload ~collector ~heap_factor ~heap_bytes msg =
    mutator-side output (generatively or by replay), then assemble the
    result. [driver] receives the engine and the measurement-start
    callback that zeroes the accumulators. *)
-let execute ?ids_hint ~workload_name ~heap_factor ~cfg ~cost
+let execute ?ids_hint ~workload_name ~heap_factor ~cfg
     ~gc_threads ~verify ~inject ~recorder ~factory ~driver () =
   let heap = Heap.create ?ids_hint cfg in
-  let sim = Sim.create cost in
+  let sim = Sim.create Cost_model.default in
   Sim.set_pool sim (Repro_par.Par.Pool.get ~threads:gc_threads);
   (match inject with Some f -> Sim.set_faults sim f | None -> ());
   (match recorder with
@@ -155,10 +155,9 @@ let execute ?ids_hint ~workload_name ~heap_factor ~cfg ~cost
     failed ~workload:workload_name ~collector:"?" ~heap_factor
       ~heap_bytes:cfg.Heap_config.heap_bytes ("unsupported: " ^ msg)
 
-let run ?(seed = 42) ?(scale = 1.0) ?cost ?(gc_threads = 1) ?heap_config
+let run ?(seed = 42) ?(scale = 1.0) ?(gc_threads = 1) ?heap_config
     ?(verify = []) ?inject ?record_to ~workload ~factory ~heap_factor () =
   let w = (workload : Repro_mutator.Workload.t) in
-  let cost = match cost with Some c -> c | None -> Cost_model.default in
   let heap_bytes = int_of_float (heap_factor *. Float.of_int w.min_heap_bytes) in
   match
     match heap_config with
@@ -183,7 +182,7 @@ let run ?(seed = 42) ?(scale = 1.0) ?cost ?(gc_threads = 1) ?heap_config
     in
     let prng = Prng.create seed in
     let r =
-      execute ~workload_name:w.name ~heap_factor ~cfg ~cost ~gc_threads
+      execute ~workload_name:w.name ~heap_factor ~cfg ~gc_threads
         ~verify ~inject ~recorder ~factory
         ~driver:(fun api ~on_measurement_start ->
           Repro_mutator.Mut_engine.run ~on_measurement_start api prng w ~scale)
@@ -194,7 +193,7 @@ let run ?(seed = 42) ?(scale = 1.0) ?cost ?(gc_threads = 1) ?heap_config
     | _ -> ());
     r
 
-let replay ?cost ?(gc_threads = 1) ?(verify = []) ?inject ?record_to ~trace
+let replay ?(gc_threads = 1) ?(verify = []) ?inject ?record_to ~trace
     ~factory () =
   let t = (trace : Repro_trace.Trace_format.t) in
   let h = t.header in
@@ -205,7 +204,6 @@ let replay ?cost ?(gc_threads = 1) ?(verify = []) ?inject ?record_to ~trace
      would overshoot by orders of magnitude. *)
   let _, max_id = Repro_trace.Trace_format.alloc_stats t in
   let ids_hint = max 16 (max_id + 2) in
-  let cost = match cost with Some c -> c | None -> Cost_model.default in
   let cfg = Repro_trace.Trace_format.heap_config h in
   let recorder =
     match record_to with
@@ -217,7 +215,7 @@ let replay ?cost ?(gc_threads = 1) ?(verify = []) ?inject ?record_to ~trace
   in
   let r =
     execute ~ids_hint ~workload_name:h.workload
-      ~heap_factor:h.heap_factor ~cfg ~cost ~gc_threads ~verify ~inject
+      ~heap_factor:h.heap_factor ~cfg ~gc_threads ~verify ~inject
       ~recorder ~factory
       ~driver:(fun api ~on_measurement_start ->
         Repro_trace.Replay.run ~on_measurement_start api t)

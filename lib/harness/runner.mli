@@ -67,7 +67,6 @@ val qps : result -> float
 val run :
   ?seed:int ->
   ?scale:float ->
-  ?cost:Repro_engine.Cost_model.t ->
   ?gc_threads:int ->
   ?heap_config:(heap_bytes:int -> Repro_heap.Heap_config.t) ->
   ?verify:Repro_verify.Verifier.safepoint list ->
@@ -87,10 +86,8 @@ val run :
     different collector measures that collector on the identical mutator
     work. [verify], [inject], and [record_to] behave as in {!run}
     (recording a replay of an untampered trace reproduces the trace byte
-    for byte). The cost model is not captured in traces; pass [cost] if
-    the recording used a non-default one. *)
+    for byte). Every run uses {!Repro_engine.Cost_model.default}. *)
 val replay :
-  ?cost:Repro_engine.Cost_model.t ->
   ?gc_threads:int ->
   ?verify:Repro_verify.Verifier.safepoint list ->
   ?inject:Repro_engine.Fault.t ->

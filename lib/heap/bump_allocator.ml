@@ -202,13 +202,13 @@ and alloc_addr t ~size =
   if size <= 0 || size > t.cfg.los_threshold then
     invalid_arg
       (Printf.sprintf
-         "Bump_allocator.alloc: size %d outside (0, %d] — large objects \
+         "Bump_allocator.alloc_addr: size %d outside (0, %d] — large objects \
           must go through Heap.alloc_fast's LOS path"
          size t.cfg.los_threshold);
   if not (Addr.is_granule_aligned t.cfg size) then
     invalid_arg
       (Printf.sprintf
-         "Bump_allocator.alloc: size %d is not a multiple of the %d-byte \
+         "Bump_allocator.alloc_addr: size %d is not a multiple of the %d-byte \
           granule (caller must align with Heap.align_size)"
          size t.cfg.granule_bytes);
   if t.cursor + size <= t.limit then begin
@@ -218,7 +218,3 @@ and alloc_addr t ~size =
     addr
   end
   else alloc_slow t ~size
-
-let alloc t ~size =
-  let addr = alloc_addr t ~size in
-  if addr < 0 then None else Some addr

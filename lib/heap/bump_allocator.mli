@@ -24,15 +24,11 @@ val create :
   Heap_config.t -> rc:Rc_table.t -> blocks:Blocks.t -> free:Free_lists.t ->
   reuse:Reuse_table.t -> t
 
-(** [alloc t ~size] returns the address of a fresh, zeroed, granule-aligned
-    region of [size] bytes (which must be [<= los_threshold] and granule
-    aligned), or [None] when no block can satisfy it — the caller's cue to
-    collect. Newly handed-out completely-free blocks are flagged young. *)
-val alloc : t -> size:int -> int option
-
-(** [alloc_addr t ~size] is {!alloc} without the option box: the fresh
-    address, or [-1] when no block can satisfy the request. The per-event
-    allocation fast path in {!Heap}/[Api] uses this form. *)
+(** [alloc_addr t ~size] returns the address of a fresh, zeroed,
+    granule-aligned region of [size] bytes (which must be
+    [<= los_threshold] and granule aligned), or [-1] when no block can
+    satisfy it — the caller's cue to collect. Newly handed-out
+    completely-free blocks are flagged young. *)
 val alloc_addr : t -> size:int -> int
 
 (** [retire_all t] returns the allocator's owned blocks to the [In_use]

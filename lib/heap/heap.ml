@@ -222,9 +222,9 @@ let free_object t obj =
 let evacuate t gc_alloc obj =
   if is_los t obj || Obj_model.is_freed obj then false
   else begin
-    match Bump_allocator.alloc gc_alloc ~size:obj.Obj_model.size with
-    | None -> false
-    | Some new_addr ->
+    let new_addr = Bump_allocator.alloc_addr gc_alloc ~size:obj.Obj_model.size in
+    if new_addr < 0 then false
+    else begin
       let old_addr = Obj_model.addr obj in
       let count = Rc_table.get t.rc t.cfg old_addr in
       Rc_table.clear_range t.rc t.cfg ~addr:old_addr ~size:obj.size;
@@ -236,6 +236,7 @@ let evacuate t gc_alloc obj =
       Blocks.add_resident t.blocks b obj.id;
       touch t b;
       true
+    end
   end
 
 let resident_live t b id =

@@ -113,4 +113,4 @@ val drain_rounds :
 
 val blocks_per_packet : int (* sweep / cset scan phases *)
 val slots_per_packet : int (* registry (LOS + SATB reclaim) sweeps *)
-val queue_per_packet : int (* dec/modbuf queue chunks, gray frontiers *)
+val queue_per_packet : int (* gray frontiers *)

@@ -52,104 +52,71 @@ let spec_keys =
   [ "obj"; "seed"; "window"; "step"; "kp"; "ki"; "kd"; "target"; "knobs" ]
 
 let parse_knobs s =
-  let names = String.split_on_char '+' s in
   let rec resolve acc = function
     | [] -> Ok (List.rev acc)
-    | n :: rest -> (
-      match Config.find_knob n with
-      | Ok k -> resolve (k :: acc) rest
-      | Error e -> Error (Printf.sprintf "--controller: %s" e))
+    | n :: rest ->
+      Result.bind (Config.find_knob n) (fun k -> resolve (k :: acc) rest)
   in
-  match resolve [] (List.filter (fun n -> n <> "") names) with
-  | Ok [] -> Error "--controller: knobs= needs at least one knob name"
+  let names = List.filter (fun n -> n <> "") (String.split_on_char '+' s) in
+  match resolve [] names with
+  | Ok [] -> Error "knobs= needs at least one knob name"
   | r -> r
 
+(* Gains and setpoints: any finite number. *)
+let finite ~what ~lo s = Spec.float_in ~what ~lo ~hi:Float.max_float s
+
 let parse s =
-  let s = String.trim s in
+  let ( let* ) = Result.bind in
   let head, args =
-    match String.index_opt s ':' with
-    | None -> (s, "")
-    | Some i ->
-      (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+    match Spec.kv ~sep:':' (String.trim s) with
+    | Some (head, args) -> (head, args)
+    | None -> (String.trim s, "")
   in
-  let algo =
-    match String.lowercase_ascii head with
-    | "hill" | "hill-climb" | "hillclimb" -> Ok Hill
-    | "pid" -> Ok Pid
-    | other ->
-      Error
-        (Printf.sprintf "unknown controller %S%s; known: hill, pid" other
-           (Suggest.hint ~candidates:[ "hill"; "pid" ] other))
+  let* algo =
+    Spec.choose ~what:"controller"
+      [ ("hill", Hill); ("hill-climb", Hill); ("hillclimb", Hill); ("pid", Pid) ]
+      head
   in
-  match algo with
-  | Error e -> Error e
-  | Ok algo ->
-    let base = default algo in
-    let apply acc kv =
-      match acc with
-      | Error e -> Error e
-      | Ok spec -> (
-        match String.index_opt kv '=' with
-        | None ->
-          Error
-            (Printf.sprintf
-               "--controller: bad argument %S; expected key=value" kv)
-        | Some i -> (
-          let key = String.lowercase_ascii (String.sub kv 0 i) in
-          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let int_v () =
-            match int_of_string_opt v with
-            | Some n -> Ok n
-            | None ->
-              Error (Printf.sprintf "--controller: %s=%s: expected an integer" key v)
+  Spec.fold_items
+    ~f:(fun spec item ->
+      match Spec.kv ~sep:'=' item with
+      | None ->
+        Spec.malformed ~what:"controller argument" ~form:"key=value"
+          ~known:spec_keys item
+      | Some (what, v) -> (
+        match what with
+        | "obj" ->
+          let* objective =
+            Spec.choose ~what:"objective" [ ("cost", Cost); ("burn", Burn) ] v
           in
-          let float_v () =
-            match float_of_string_opt v with
-            | Some f -> Ok f
-            | None ->
-              Error (Printf.sprintf "--controller: %s=%s: expected a number" key v)
-          in
-          match key with
-          | "obj" -> (
-            match String.lowercase_ascii v with
-            | "cost" -> Ok { spec with objective = Cost }
-            | "burn" -> Ok { spec with objective = Burn }
-            | other ->
-              Error
-                (Printf.sprintf
-                   "--controller: unknown objective %S%s; known: cost, burn"
-                   other
-                   (Suggest.hint ~candidates:[ "cost"; "burn" ] other)))
-          | "seed" -> Result.map (fun n -> { spec with seed = n }) (int_v ())
-          | "window" ->
-            Result.bind (int_v ()) (fun n ->
-                if n < 1 || n > 1000 then
-                  Error "--controller: window must be in [1, 1000]"
-                else Ok { spec with window = n })
-          | "step" ->
-            Result.bind (float_v ()) (fun f ->
-                if f <= 1.0 || f > 8.0 then
-                  Error "--controller: step must be in (1, 8]"
-                else Ok { spec with step = f })
-          | "kp" -> Result.map (fun f -> { spec with kp = f }) (float_v ())
-          | "ki" -> Result.map (fun f -> { spec with ki = f }) (float_v ())
-          | "kd" -> Result.map (fun f -> { spec with kd = f }) (float_v ())
-          | "target" ->
-            Result.bind (float_v ()) (fun f ->
-                if f < 0.0 then Error "--controller: target must be >= 0"
-                else Ok { spec with target = f })
-          | "knobs" ->
-            Result.map (fun ks -> { spec with knobs = ks }) (parse_knobs v)
-          | other ->
-            Error
-              (Printf.sprintf "--controller: unknown key %S%s; known: %s" other
-                 (Suggest.hint ~candidates:spec_keys other)
-                 (String.concat ", " spec_keys))))
-    in
-    List.fold_left apply (Ok base)
-      (String.split_on_char ',' args
-      |> List.map String.trim
-      |> List.filter (fun x -> x <> ""))
+          Ok { spec with objective }
+        | "seed" ->
+          let* seed = Spec.int_in ~what ~lo:min_int ~hi:max_int v in
+          Ok { spec with seed }
+        | "window" ->
+          let* window = Spec.int_in ~what ~lo:1 ~hi:1000 v in
+          Ok { spec with window }
+        | "step" ->
+          let* step = Spec.float_in ~what ~lo:1.0 ~hi:8.0 v in
+          if step = 1.0 then Error "step: 1 is out of range; expected (1, 8]"
+          else Ok { spec with step }
+        | "kp" ->
+          let* kp = finite ~what ~lo:(-.Float.max_float) v in
+          Ok { spec with kp }
+        | "ki" ->
+          let* ki = finite ~what ~lo:(-.Float.max_float) v in
+          Ok { spec with ki }
+        | "kd" ->
+          let* kd = finite ~what ~lo:(-.Float.max_float) v in
+          Ok { spec with kd }
+        | "target" ->
+          let* target = finite ~what ~lo:0.0 v in
+          Ok { spec with target }
+        | "knobs" ->
+          let* knobs = parse_knobs v in
+          Ok { spec with knobs }
+        | key -> Spec.unknown_key ~what:"controller" ~known:spec_keys key))
+    (default algo) args
 
 (* --- Controller state --------------------------------------------------- *)
 

@@ -41,10 +41,12 @@ type spec = {
 val default : algo -> spec
 
 (** [parse "hill:seed=7,window=4,knobs=wastage_threshold+max_evac_targets"].
-    Grammar: [ALGO[:key=value,...]] with ALGO in hill|pid and keys obj
-    (cost|burn), seed, window, step, kp, ki, kd, target, knobs
-    (['+']-separated knob names). Unknown algorithms, keys, objectives
-    and knob names all carry did-you-mean hints. *)
+    Grammar: [ALGO[:key=value,...]] with ALGO in hill (alias hill-climb,
+    hillclimb) or pid and keys obj (cost|burn), seed, window (1-1000),
+    step (in (1, 8]), kp, ki, kd (finite), target (finite, >= 0), knobs
+    (['+']-separated knob names). Parsed through {!Repro_util.Spec}:
+    NaN never parses, and unknown algorithms, keys, objectives and knob
+    names all carry did-you-mean hints. Errors do not name the flag. *)
 val parse : string -> (spec, string) result
 
 val to_string : spec -> string

@@ -20,6 +20,8 @@
    barriers (checkpoint quantization), so a fixed (spec, seed) pair
    produces bit-identical fault timelines at every domain count. *)
 
+module Spec = Repro_util.Spec
+
 (* Whole-replica and arrival-process faults, not the per-operation
    probability draws of [Repro_engine.Fault]; documented in chaos.mli. *)
 type fault_class = Replica_crash | Replica_stall | Heap_shrink | Flash_crowd
@@ -79,66 +81,57 @@ let dur_default = function
 (* "CLS@AT[+DUR][xFACTOR][:rN]" — parse the tail right to left so the
    numeric fields can use scientific notation freely. *)
 let parse_event cls_name tail =
-  match List.assoc_opt (String.lowercase_ascii cls_name) classes with
-  | None ->
-    Error
-      (Printf.sprintf "chaos: unknown fault class %S%s; known: %s" cls_name
-         (Repro_util.Suggest.hint ~candidates:known_items cls_name)
-         (String.concat ", " class_names))
-  | Some cls -> (
-    let replica, tail =
-      match String.index_opt tail ':' with
-      | Some i
-        when i + 1 < String.length tail && tail.[i + 1] = 'r' ->
-        ( int_of_string_opt
-            (String.sub tail (i + 2) (String.length tail - i - 2)),
-          String.sub tail 0 i )
-      | Some _ | None -> (None, tail)
-    in
-    let factor_s, tail =
-      match String.rindex_opt tail 'x' with
-      | Some i ->
-        ( Some (String.sub tail (i + 1) (String.length tail - i - 1)),
-          String.sub tail 0 i )
-      | None -> (None, tail)
-    in
-    let dur_s, at_s =
-      match String.index_opt tail '+' with
-      | Some i ->
-        ( Some (String.sub tail (i + 1) (String.length tail - i - 1)),
-          String.sub tail 0 i )
-      | None -> (None, tail)
-    in
-    let ( let* ) = Result.bind in
-    let* at = Spec.float_in ~what:"chaos: @AT" ~lo:0.0 ~hi:1.0 at_s in
-    let* dur =
-      match dur_s with
-      | None -> Ok (dur_default cls)
-      | Some s -> Spec.float_in ~what:"chaos: +DUR" ~lo:0.0 ~hi:1.0 s
-    in
-    let* factor =
-      match factor_s with
-      | None -> Ok (factor_default cls)
-      | Some s ->
-        let* f = Spec.float_min ~what:"chaos: xFACTOR" ~lo:0.0 s in
-        factor_check cls f
-    in
-    match replica with
-    | Some i when i < 0 -> Error "chaos: replica target must be >= 0"
-    | _ -> Ok { cls; at; dur; factor; replica })
+  let ( let* ) = Result.bind in
+  let* cls = Spec.choose ~what:"chaos fault class" classes cls_name in
+  let* replica, tail =
+    match String.index_opt tail ':' with
+    | Some i when i + 1 < String.length tail && tail.[i + 1] = 'r' ->
+      let* n =
+        Spec.int_in ~what:"chaos: :rN" ~lo:0 ~hi:max_int
+          (String.sub tail (i + 2) (String.length tail - i - 2))
+      in
+      Ok (Some n, String.sub tail 0 i)
+    | Some _ | None -> Ok (None, tail)
+  in
+  let factor_s, tail =
+    match String.rindex_opt tail 'x' with
+    | Some i ->
+      ( Some (String.sub tail (i + 1) (String.length tail - i - 1)),
+        String.sub tail 0 i )
+    | None -> (None, tail)
+  in
+  let dur_s, at_s =
+    match String.index_opt tail '+' with
+    | Some i ->
+      ( Some (String.sub tail (i + 1) (String.length tail - i - 1)),
+        String.sub tail 0 i )
+    | None -> (None, tail)
+  in
+  let* at = Spec.float_in ~what:"chaos: @AT" ~lo:0.0 ~hi:1.0 at_s in
+  let* dur =
+    match dur_s with
+    | None -> Ok (dur_default cls)
+    | Some s -> Spec.float_in ~what:"chaos: +DUR" ~lo:0.0 ~hi:1.0 s
+  in
+  let* factor =
+    match factor_s with
+    | None -> Ok (factor_default cls)
+    | Some s ->
+      let* f = Spec.float_min ~what:"chaos: xFACTOR" ~lo:0.0 s in
+      factor_check cls f
+  in
+  Ok { cls; at; dur; factor; replica }
 
 let of_spec s =
   Spec.fold_items
     ~f:(fun acc item ->
-      match String.index_opt item '@' with
-      | Some i ->
-        let cls_name = String.sub item 0 i in
-        let tail = String.sub item (i + 1) (String.length item - i - 1) in
+      match Spec.kv ~sep:'@' item with
+      | Some (cls_name, tail) ->
         Result.map
           (fun e -> { acc with events = acc.events @ [ e ] })
           (parse_event cls_name tail)
       | None -> (
-        match Spec.kv item with
+        match Spec.kv ~sep:':' item with
         | Some ("restart", v) ->
           Result.map
             (fun d -> { acc with restart_delay_ns = Some d })
@@ -147,18 +140,15 @@ let of_spec s =
           Result.map
             (fun n -> { acc with warmup_rounds = Some n })
             (Spec.int_in ~what:"chaos: warmup" ~lo:0 ~hi:10_000 v)
-        | Some ("auto-restart", v) -> (
-          match String.lowercase_ascii v with
-          | "on" | "true" -> Ok { acc with auto_restart = true }
-          | "off" | "false" -> Ok { acc with auto_restart = false }
-          | _ -> Error "chaos: auto-restart expects on or off")
+        | Some ("auto-restart", v) ->
+          Result.map
+            (fun b -> { acc with auto_restart = b })
+            (Spec.bool ~what:"chaos: auto-restart" v)
         | Some (key, _) -> Spec.unknown_key ~what:"chaos" ~known:known_items key
         | None ->
-          Error
-            (Printf.sprintf
-               "chaos: expected CLASS@AT[+DUR][xFACTOR][:rN] or key:value, got %S%s"
-               item
-               (Repro_util.Suggest.hint ~candidates:known_items item))))
+          Spec.malformed ~what:"chaos item"
+            ~form:"CLASS@AT[+DUR][xFACTOR][:rN] or key:value" ~known:known_items
+            item))
     empty s
 
 (* --- Scheduling ---------------------------------------------------------- *)

@@ -315,6 +315,9 @@ let rejection (cfg : config) =
     Some (Printf.sprintf "load must be > 0 (got %g)" cfg.load)
   else if cfg.requests < 0 then
     Some (Printf.sprintf "requests must be >= 0 (got %d)" cfg.requests)
+  else if cfg.queue_limit < 1 then
+    (* A replica that admits nothing rejects every request. *)
+    Some (Printf.sprintf "queue limit must be >= 1 (got %d)" cfg.queue_limit)
   else
     List.find_map
       (fun (e : Chaos.event_spec) ->

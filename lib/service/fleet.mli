@@ -216,6 +216,7 @@ val qps_opt : result -> float option
     - autoscaling without an SLO;
     - a load that is not > 0 (NaN included);
     - a negative request count;
+    - a queue limit below 1;
     - a chaos event whose explicit [:rN] target is not below [replicas];
     - an unsupported heap, one smaller than a block, or any other
       replica setup failure;

@@ -1,3 +1,5 @@
+module Spec = Repro_util.Spec
+
 type t = Round_robin | Least_outstanding | Gc_aware
 
 let all =
@@ -8,14 +10,7 @@ let all =
 let to_string p = fst (List.find (fun (_, q) -> q = p) all)
 let names = List.map fst all
 
-let of_string name =
-  match List.assoc_opt (String.lowercase_ascii name) all with
-  | Some p -> Ok p
-  | None ->
-    Error
-      (Printf.sprintf "unknown policy %S%s; known: %s" name
-         (Repro_util.Suggest.hint ~candidates:names name)
-         (String.concat ", " names))
+let of_string name = Spec.choose ~what:"policy" all name
 
 (* --- Front-end client policy: timeouts, retries, hedging --------------- *)
 
@@ -37,7 +32,7 @@ module Retry = struct
     let* r =
       Spec.fold_items
         ~f:(fun r item ->
-          match Spec.kv item with
+          match Spec.kv ~sep:':' item with
           | Some ("timeout", v) ->
             let* d = Spec.duration ~what:"retry: timeout" v in
             if d <= 0.0 then Error "retry: timeout must be > 0"
@@ -54,10 +49,7 @@ module Retry = struct
             else Ok { r with hedge_ns = Some d }
           | Some (key, _) -> Spec.unknown_key ~what:"retry" ~known:keys key
           | None ->
-            Error
-              (Printf.sprintf
-                 "retry: expected key:value (e.g. timeout:5ms), got %S%s" item
-                 (Repro_util.Suggest.hint ~candidates:keys item)))
+            Spec.malformed ~what:"retry item" ~form:"key:value" ~known:keys item)
         none s
     in
     match r.timeout_ns with

@@ -28,9 +28,9 @@ val to_string : t -> string
 
 val names : string list
 
-(** [of_string name] resolves case-insensitively; unknown names carry a
-    {!Repro_util.Suggest} did-you-mean hint, matching collector and
-    benchmark lookups. *)
+(** [of_string name] resolves case-insensitively through
+    {!Repro_util.Spec.choose}, like collector and benchmark lookups:
+    unknown names carry a did-you-mean hint. *)
 val of_string : string -> (t, string) result
 
 (** Front-end client policy: request deadlines, bounded

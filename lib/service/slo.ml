@@ -12,6 +12,8 @@
    front-end, from checkpoint-frozen state only, so degradation and
    scaling actions are bit-identical across domain counts. *)
 
+module Spec = Repro_util.Spec
+
 type spec = {
   percentile : float;  (* e.g. 99.9 *)
   budget_ns : float;
@@ -36,22 +38,14 @@ let of_spec s =
   let* parsed =
     Spec.fold_items
       ~f:(fun (spec, seen_p) item ->
-        match Spec.kv item with
-        | Some (key, v)
-          when String.length key > 1
-               && key.[0] = 'p'
-               && Option.is_some
-                    (float_of_string_opt
-                       (String.sub key 1 (String.length key - 1))) ->
-          let p =
-            Option.get
-              (float_of_string_opt (String.sub key 1 (String.length key - 1)))
+        match Spec.kv ~sep:':' item with
+        | Some (key, v) when String.length key > 1 && key.[0] = 'p' ->
+          (* "pNN:BUDGET"; no other key starts with a p. *)
+          let* p =
+            Spec.float_in ~what:"slo: percentile" ~lo:50.0 ~hi:99.99
+              (String.sub key 1 (String.length key - 1))
           in
           if seen_p then Error "slo: more than one percentile objective"
-          else if p < 50.0 || p > 99.99 then
-            Error
-              (Printf.sprintf
-                 "slo: percentile %g is out of range; expected [50, 99.99]" p)
           else
             let* b = Spec.duration ~what:"slo: budget" v in
             if b <= 0.0 then Error "slo: budget must be > 0"
@@ -70,10 +64,8 @@ let of_spec s =
           Ok ({ spec with shed_fraction = f }, seen_p)
         | Some (key, _) -> Spec.unknown_key ~what:"slo" ~known:suggest_keys key
         | None ->
-          Error
-            (Printf.sprintf
-               "slo: expected key:value (e.g. p99.9:2ms), got %S%s" item
-               (Repro_util.Suggest.hint ~candidates:suggest_keys item)))
+          Spec.malformed ~what:"slo item" ~form:"key:value" ~known:suggest_keys
+            item)
       (default_spec, false) s
   in
   match parsed with
@@ -189,7 +181,7 @@ module Autoscale = struct
     let* parsed =
       Spec.fold_items
         ~f:(fun (spec, seen_max) item ->
-          match Spec.kv item with
+          match Spec.kv ~sep:':' item with
           | Some ("min", v) ->
             let* n = Spec.int_in ~what:"autoscale: min" ~lo:1 ~hi:1024 v in
             Ok ({ spec with min_replicas = n }, seen_max)
@@ -210,10 +202,8 @@ module Autoscale = struct
             Ok ({ spec with cooldown = n }, seen_max)
           | Some (key, _) -> Spec.unknown_key ~what:"autoscale" ~known:keys key
           | None ->
-            Error
-              (Printf.sprintf
-                 "autoscale: expected key:value (e.g. max:8), got %S%s" item
-                 (Repro_util.Suggest.hint ~candidates:keys item)))
+            Spec.malformed ~what:"autoscale item" ~form:"key:value" ~known:keys
+              item)
         ( { min_replicas = 1; max_replicas = 0; up_burn = 4.0; down_burn = 0.25;
             patience = 8; cooldown = 64 },
           false )

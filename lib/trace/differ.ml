@@ -70,8 +70,11 @@ let missing_from a b =
   Hashtbl.fold (fun id () acc -> if Hashtbl.mem b id then acc else id :: acc) a []
   |> List.sort compare
 
-let run ?(verify = false) ?(every = 4096) ?(max_divergences = 8) ?inject
-    ?(gc_threads = 1) ~trace ~collectors () =
+(* Divergences retained (not counted); the drive stops once reached. *)
+let max_divergences = 8
+
+let run ?(verify = false) ?(every = 4096) ?inject ?(gc_threads = 1) ~trace
+    ~collectors () =
   let header = trace.Trace_format.header in
   let cfg = Trace_format.heap_config header in
   let is_lane target label =

@@ -49,8 +49,8 @@ val report_to_string : report -> string
     injector to the named collector's run — the supported way to
     demonstrate that an induced divergence is caught and localised;
     raises [Invalid_argument] when it names none of [collectors].
-    [max_divergences] bounds retained (not counted) divergences; the
-    drive stops early once reached (default 8). Replay under each
+    The first 8 divergences are retained (all are counted), and the
+    drive stops early once 8 are found. Replay under each
     collector uses the trace header's heap geometry and the default cost
     model. [gc_threads] (default 1) sizes each lane's host-side
     work-packet pool ({!Repro_par.Par}); checkpoints — like every other
@@ -62,7 +62,6 @@ val report_to_string : report -> string
 val run :
   ?verify:bool ->
   ?every:int ->
-  ?max_divergences:int ->
   ?inject:string * Repro_engine.Fault.t ->
   ?gc_threads:int ->
   trace:Trace_format.t ->

@@ -1,7 +1,10 @@
 let glyphs = [| '*'; 'o'; '+'; 'x'; '#'; '@'; '%'; '&' |]
 
-let render ?(log_y = false) ?(width = 64) ?(height = 16) ~title ~x_label
-    ~y_label ~series () =
+(* The plotting grid, in characters. *)
+let width = 64
+let height = 16
+
+let render ?(log_y = false) ~title ~x_label ~y_label ~series () =
   let points =
     List.concat_map
       (fun (_, pts) ->

@@ -5,14 +5,12 @@
     (Figure 5) and the LBO overhead curves (Figure 7) in a terminal. *)
 
 (** [render ~title ~x_label ~y_label ~series ()] plots each series' (x, y)
-    points. Options: [log_y] plots log10 of the y values (latency tails),
-    [width]/[height] size the plotting grid in characters. Series beyond
-    the glyph alphabet reuse glyphs. Raises [Invalid_argument] if no
-    series has a point or a [log_y] value is non-positive. *)
+    points on a 64x16-character grid. [log_y] plots log10 of the y
+    values (latency tails). Series beyond the glyph alphabet reuse
+    glyphs. Raises [Invalid_argument] if no series has a point or a
+    [log_y] value is non-positive. *)
 val render :
   ?log_y:bool ->
-  ?width:int ->
-  ?height:int ->
   title:string ->
   x_label:string ->
   y_label:string ->

@@ -1,25 +1,17 @@
-type align = Left | Right
-
-let pad align width s =
+let pad ~left width s =
   let n = String.length s in
   if n >= width then s
   else begin
     let fill = String.make (width - n) ' ' in
-    match align with Left -> s ^ fill | Right -> fill ^ s
+    if left then s ^ fill else fill ^ s
   end
 
-let render ?aligns ~title ~header ~rows () =
+let render ~title ~header ~rows () =
   let ncols = List.length header in
   List.iter
     (fun row ->
       if List.length row <> ncols then invalid_arg "Table.render: ragged rows")
     rows;
-  let aligns =
-    match aligns with
-    | Some a when List.length a = ncols -> Array.of_list a
-    | Some _ -> invalid_arg "Table.render: aligns arity"
-    | None -> Array.init ncols (fun i -> if i = 0 then Left else Right)
-  in
   let widths = Array.of_list (List.map String.length header) in
   List.iter
     (List.iteri (fun i cell ->
@@ -36,7 +28,8 @@ let render ?aligns ~title ~header ~rows () =
     List.iteri
       (fun i cell ->
         Buffer.add_char buf ' ';
-        Buffer.add_string buf (pad aligns.(i) widths.(i) cell);
+        (* The first column is left-aligned, the rest right-aligned. *)
+        Buffer.add_string buf (pad ~left:(i = 0) widths.(i) cell);
         Buffer.add_string buf " |")
       cells;
     Buffer.add_char buf '\n'

@@ -3,14 +3,12 @@
     Each reproduced paper table prints in a fixed monospace layout so
     that paper-vs-measured comparisons are readable in a terminal log. *)
 
-type align = Left | Right
-
 (** [render ~title ~header ~rows ()] lays the table out with columns sized
     to content. All rows must have the same arity as [header]; raises
     [Invalid_argument] otherwise. The first column is left-aligned and the
-    rest right-aligned unless [aligns] overrides this. *)
+    rest right-aligned. *)
 val render :
-  ?aligns:align list -> title:string -> header:string list -> rows:string list list -> unit -> string
+  title:string -> header:string list -> rows:string list list -> unit -> string
 
 (** [markdown ~header ~rows] is the same table as GitHub-flavoured
     markdown, one line per row, with a trailing newline. *)

@@ -24,23 +24,22 @@ let safepoint_name = function
   | End_of_run -> "end"
 
 let points_of_string s =
-  let toks =
-    String.split_on_char ',' s
-    |> List.map String.trim
-    |> List.filter (fun t -> t <> "")
+  let points =
+    [ ("pre", [ Pre_pause ]);
+      ("post", [ Post_pause ]);
+      ("end", [ End_of_run ]);
+      ("all", [ Pre_pause; Post_pause; End_of_run ]) ]
   in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | "pre" :: rest -> go (Pre_pause :: acc) rest
-    | "post" :: rest -> go (Post_pause :: acc) rest
-    | "end" :: rest -> go (End_of_run :: acc) rest
-    | "all" :: rest -> go (End_of_run :: Post_pause :: Pre_pause :: acc) rest
-    | tok :: _ ->
-      Error
-        (Printf.sprintf "unknown safepoint %S (expected pre, post, end or all)"
-           tok)
-  in
-  if toks = [] then Error "empty safepoint list" else go [] toks
+  match
+    Repro_util.Spec.fold_items
+      ~f:(fun acc tok ->
+        Result.map
+          (fun ps -> List.rev_append ps acc)
+          (Repro_util.Spec.choose ~what:"safepoint" points tok))
+      [] s
+  with
+  | Ok [] -> Error "empty safepoint list"
+  | r -> Result.map List.rev r
 
 let state_name = function
   | Blocks.Free -> "Free"

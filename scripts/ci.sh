@@ -137,12 +137,17 @@ fi
 echo "== front ends reject bad input cleanly (exit 1 or 2) =="
 # A bad flag value exits 2 and a run that cannot start exits 1. A hang
 # or a Cmdliner usage error (124) or an uncaught exception (125) fails
-# the lane.
+# the lane. "reject -1 ..." / "reject -2 ..." pins the exact code.
 reject() {
+  want=
+  case $1 in -1|-2) want=${1#-}; shift ;; esac
   rc=0
   timeout 60 dune exec "$@" > /dev/null 2>&1 || rc=$?
   case $rc in
-    1|2) ;;
+    1|2) [ -z "$want" ] || [ "$rc" = "$want" ] || {
+      echo "ERROR: exit $rc, want $want: $*" >&2
+      exit 1
+    } ;;
     *)
       echo "ERROR: exit $rc, want 1 or 2: $*" >&2
       exit 1
@@ -156,6 +161,12 @@ reject bin/lxr_fleet.exe -- run --quantum=1e-300
 reject bin/lxr_fleet.exe -- run --requests=-3
 reject bin/lxr_fleet.exe -- run -k 3 --chaos crash@0.3:r5
 reject bin/lxr_sim.exe -- run --scale=nan
+# NaN in a spec is a bad value, not a number (one grammar: Repro_util.Spec).
+reject -2 bin/lxr_sim.exe -- run -s 0.05 --inject=drop-barrier:nan
+reject -2 bin/lxr_sim.exe -- run -s 0.05 --lxr-knob=wastage_threshold=nan
+reject -2 bin/lxr_sim.exe -- run -s 0.05 --controller=pid:kp=nan
+reject -2 bin/lxr_sim.exe -- run -s 0.05 --controller=hill:step=nan
+reject -1 bin/lxr_fleet.exe -- run -n 100 --queue-limit=0
 reject bin/lxr_sim.exe -- run -f 0.01
 rej_dir=$(mktemp -d)
 reject bin/lxr_trace.exe -- record -f 0.01 -o "$rej_dir/tiny.lxrtrace"

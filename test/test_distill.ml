@@ -119,24 +119,29 @@ let prop_distilled_bounds =
 let probe () =
   Config.scaled_default ~heap_bytes:(32 * 1024 * 1024) ~block_bytes:32768
 
+let apply_override spec =
+  Result.map
+    (fun (k, v) -> k.Config.k_set (probe ()) v)
+    (Config.parse_override spec)
+
 let test_knob_override () =
-  (match Config.apply_override (probe ()) "wastage_threshold=0.1" with
+  (match apply_override "wastage_threshold=0.1" with
   | Ok c -> check "float knob applied" true (c.Config.wastage_threshold = 0.1)
   | Error e -> Alcotest.fail e);
-  (match Config.apply_override (probe ()) "evacuate_young=off" with
+  (match apply_override "evacuate_young=off" with
   | Ok c -> check "bool knob applied" false c.Config.evacuate_young
   | Error e -> Alcotest.fail e);
-  (match Config.apply_override (probe ()) "increment_threshold=0" with
+  (match apply_override "increment_threshold=0" with
   | Ok c ->
     check "0 disables an optional trigger" true
       (c.Config.increment_threshold = None)
   | Error e -> Alcotest.fail e);
-  match Config.apply_override (probe ()) "max_evac_targets=12" with
+  match apply_override "max_evac_targets=12" with
   | Ok c -> check_int "int knob applied" 12 c.Config.max_evac_targets
   | Error e -> Alcotest.fail e
 
 let test_knob_validation () =
-  (match Config.apply_override (probe ()) "wastage_treshold=0.1" with
+  (match apply_override "wastage_treshold=0.1" with
   | Ok _ -> Alcotest.fail "typo accepted"
   | Error e ->
     let contains s sub =
@@ -145,13 +150,13 @@ let test_knob_validation () =
       go 0
     in
     check "did-you-mean hint" true (contains e "wastage_threshold"));
-  (match Config.apply_override (probe ()) "wastage_threshold=5.0" with
+  (match apply_override "wastage_threshold=5.0" with
   | Ok _ -> Alcotest.fail "out-of-range accepted"
   | Error _ -> ());
-  (match Config.apply_override (probe ()) "wastage_threshold" with
+  (match apply_override "wastage_threshold" with
   | Ok _ -> Alcotest.fail "missing '=' accepted"
   | Error _ -> ());
-  match Config.apply_override (probe ()) "max_evac_targets=lots" with
+  match apply_override "max_evac_targets=lots" with
   | Ok _ -> Alcotest.fail "non-numeric accepted"
   | Error _ -> ()
 

@@ -56,7 +56,7 @@ let test_sim_flush_unsaturated () =
   check_float "pending drained" 0.0 (Sim.pending sim)
 
 let test_sim_flush_core_stealing () =
-  let cost = Cost_model.with_threads ~cores:8 ~mutator_threads:8 Cost_model.default in
+  let cost = { Cost_model.default with cores = 8; mutator_threads = 8 } in
   let sim = Sim.create cost in
   Sim.charge_mutator sim 8000.0;
   (* 4 concurrent GC threads leave only 4 cores for 8 mutator threads:
@@ -240,7 +240,7 @@ let test_cost_model_sanity () =
   check "reads cheaper than traces" true (c.read_ns < c.trace_obj_ns);
   check "wb fast below wb slow" true (c.wb_fast_ns < c.wb_slow_ns);
   check "threads fit" true (c.mutator_threads + c.gc_threads <= 2 * c.cores);
-  let c2 = Cost_model.with_threads ~gc_threads:2 c in
+  let c2 = { c with gc_threads = 2 } in
   check_int "override" 2 c2.gc_threads;
   check_int "others kept" c.cores c2.cores
 

@@ -323,6 +323,12 @@ let test_free_lists () =
 
 let fresh_heap ?(heap_kb = 512) () = Heap.create (cfg ~heap_kb ())
 
+(* A bump allocation the test needs to succeed. *)
+let bump a ~size =
+  let addr = Bump_allocator.alloc_addr a ~size in
+  if addr < 0 then Alcotest.failf "bump allocation of %d bytes failed" size;
+  addr
+
 (* An allocation the test needs to succeed. *)
 let alloc heap a ~size ~nfields =
   let obj = Heap.alloc_fast heap a ~size ~nfields in
@@ -332,18 +338,14 @@ let alloc heap a ~size ~nfields =
 let test_alloc_basic () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  match Bump_allocator.alloc a ~size:64 with
-  | None -> Alcotest.fail "allocation failed on fresh heap"
-  | Some addr ->
-    check "granule aligned" true (Addr.is_granule_aligned heap.cfg addr);
-    (match Bump_allocator.alloc a ~size:64 with
-    | Some addr2 -> check_int "bump" (addr + 64) addr2
-    | None -> Alcotest.fail "second allocation failed")
+  let addr = bump a ~size:64 in
+  check "granule aligned" true (Addr.is_granule_aligned heap.cfg addr);
+  check_int "bump" (addr + 64) (bump a ~size:64)
 
 let test_alloc_receipt () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  ignore (Bump_allocator.alloc a ~size:64);
+  ignore (bump a ~size:64);
   let r = Bump_allocator.receipt a in
   check "zeroed a block" true (r.bytes_zeroed >= 32768);
   check_int "acquired one block" 1 r.blocks_acquired;
@@ -358,9 +360,9 @@ let test_alloc_no_overlap () =
   (try
      while true do
        let size = 16 * (1 + Repro_util.Prng.int prng 64) in
-       match Bump_allocator.alloc a ~size with
-       | Some addr -> spans := (addr, size) :: !spans
-       | None -> raise Exit
+       let addr = Bump_allocator.alloc_addr a ~size in
+       if addr < 0 then raise Exit;
+       spans := (addr, size) :: !spans
      done
    with Exit -> ());
   check "allocated plenty" true (List.length !spans > 500);
@@ -374,9 +376,8 @@ let test_alloc_no_overlap () =
 let test_alloc_young_flag () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
-  (match Bump_allocator.alloc a ~size:64 with
-  | Some addr -> check "fresh block young" true (Blocks.young heap.blocks (Addr.block_of heap.cfg addr))
-  | None -> Alcotest.fail "alloc");
+  let addr = bump a ~size:64 in
+  check "fresh block young" true (Blocks.young heap.blocks (Addr.block_of heap.cfg addr));
   Bump_allocator.retire_all a
 
 let test_alloc_skips_used_lines () =
@@ -392,18 +393,12 @@ let test_alloc_skips_used_lines () =
     ()
   done;
   Free_lists.release_recyclable heap.free 0;
-  (match Bump_allocator.alloc a ~size:64 with
-  | Some addr -> check_int "starts at line 0" 0 addr
-  | None -> Alcotest.fail "alloc");
+  check_int "starts at line 0" 0 (bump a ~size:64);
   (* Fill lines 0-1 (512 bytes total). *)
-  (match Bump_allocator.alloc a ~size:448 with
-  | Some addr -> check_int "fills to line 2" 64 addr
-  | None -> Alcotest.fail "alloc2");
+  check_int "fills to line 2" 64 (bump a ~size:448);
   (* Next allocation cannot use line 2 (occupied) nor line 3
      (conservative skip): it must land on line 4. *)
-  (match Bump_allocator.alloc a ~size:64 with
-  | Some addr -> check_int "skips to line 4" (4 * 256) addr
-  | None -> Alcotest.fail "alloc3")
+  check_int "skips to line 4" (4 * 256) (bump a ~size:64)
 
 let test_alloc_exhaustion () =
   let heap = Heap.create (Heap_config.make ~heap_bytes:(64 * 1024) ()) in
@@ -411,9 +406,8 @@ let test_alloc_exhaustion () =
   let count = ref 0 in
   (try
      while true do
-       match Bump_allocator.alloc a ~size:1024 with
-       | Some _ -> incr count
-       | None -> raise Exit
+       if Bump_allocator.alloc_addr a ~size:1024 < 0 then raise Exit;
+       incr count
      done
    with Exit -> ());
   check_int "filled two blocks" 64 !count
@@ -545,29 +539,29 @@ let test_alloc_overflow_block () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
   (* Occupy the current block so only a 2-line hole remains ahead. *)
-  let first = Option.get (Bump_allocator.alloc a ~size:64) in
+  let first = bump a ~size:64 in
   let b0 = Addr.block_of heap.cfg first in
   (* Fill all but the last two lines. *)
   let fill = (Heap_config.lines_per_block heap.cfg - 2) * 256 - 64 in
-  let filler = Option.get (Bump_allocator.alloc a ~size:heap.cfg.granule_bytes) in
+  let filler = bump a ~size:heap.cfg.granule_bytes in
   ignore filler;
   let rec gobble remaining =
     if remaining >= 8192 then begin
-      ignore (Option.get (Bump_allocator.alloc a ~size:8192));
+      ignore (bump a ~size:8192);
       gobble (remaining - 8192)
     end
     else if remaining >= 16 then begin
-      ignore (Option.get (Bump_allocator.alloc a ~size:(remaining - (remaining mod 16))));
+      ignore (bump a ~size:(remaining - (remaining mod 16)));
       gobble (remaining mod 16)
     end
   in
   gobble (fill - 16);
   (* Now a 1 KB object cannot fit the 2-line remainder: dynamic
      overflow must place it in a different (fresh) block. *)
-  let medium = Option.get (Bump_allocator.alloc a ~size:1024) in
+  let medium = bump a ~size:1024 in
   check "overflow block used" true (Addr.block_of heap.cfg medium <> b0);
   (* A small object still lands in the original hole. *)
-  let small = Option.get (Bump_allocator.alloc a ~size:64) in
+  let small = bump a ~size:64 in
   check_int "small continues in block" b0 (Addr.block_of heap.cfg small)
 
 let rc_packed_independence_prop =

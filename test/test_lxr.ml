@@ -440,7 +440,7 @@ let random_safety_regions_prop =
 (* --- Predictor (§3.2.1) -------------------------------------------------------------- *)
 
 let test_predictor_bias () =
-  let p = Repro_lxr.Predictor.create ~initial:0.0 () in
+  let p = Repro_lxr.Predictor.create ~initial:0.0 in
   Repro_lxr.Predictor.observe p 1.0;
   (* Upward observations weigh 3/4. *)
   Alcotest.(check (float 1e-9)) "up fast" 0.75 (Repro_lxr.Predictor.value p);
@@ -449,15 +449,11 @@ let test_predictor_bias () =
   Alcotest.(check (float 1e-9)) "down slow" 0.5625 (Repro_lxr.Predictor.value p)
 
 let test_predictor_converges () =
-  let p = Repro_lxr.Predictor.create ~initial:0.9 () in
+  let p = Repro_lxr.Predictor.create ~initial:0.9 in
   for _ = 1 to 50 do
     Repro_lxr.Predictor.observe p 0.1
   done;
   check "converges down" true (Float.abs (Repro_lxr.Predictor.value p -. 0.1) < 0.01)
-
-let test_predictor_validation () =
-  Alcotest.check_raises "bad weight" (Invalid_argument "Predictor.create") (fun () ->
-      ignore (Repro_lxr.Predictor.create ~up_weight:1.5 ~initial:0.0 ()))
 
 (* --- Config / stats --------------------------------------------------------------------- *)
 
@@ -571,8 +567,7 @@ let suite =
           random_safety_regions_prop ] );
     ( "lxr:predictor",
       [ Alcotest.test_case "asymmetric bias" `Quick test_predictor_bias;
-        Alcotest.test_case "convergence" `Quick test_predictor_converges;
-        Alcotest.test_case "validation" `Quick test_predictor_validation ] );
+        Alcotest.test_case "convergence" `Quick test_predictor_converges ] );
     ( "lxr:components",
       [ Alcotest.test_case "config" `Quick test_config_scaling;
         Alcotest.test_case "stats" `Quick test_stats_alist;

@@ -114,6 +114,8 @@ let bad_inputs =
     ("zero load", (fun () -> fleet ~load:0.0 ()), "load");
     ("negative load", (fun () -> fleet ~load:(-1.0) ()), "load");
     ("negative requests", (fun () -> fleet ~requests:(-3) ()), "requests");
+    ("zero queue limit", (fun () -> fleet ~queue_limit:0 ()), "queue limit");
+    ("negative queue limit", (fun () -> fleet ~queue_limit:(-5) ()), "-5");
     ( "quantum below the clock's resolution",
       (fun () ->
         Fleet.run
