@@ -101,7 +101,7 @@ let flush t =
   Sim.flush t.sim ~conc_threads:(t.collector.conc_active ())
     ~conc_run:t.collector.conc_run
 
-let maybe_flush t = if t.h.Sim.pending >= t.flush_threshold then flush t
+let[@inline] maybe_flush t = if t.h.Sim.pending >= t.flush_threshold then flush t
 
 let safepoint t =
   let tr = Sim.tracer t.sim in

@@ -68,9 +68,14 @@ let inline_logged_max = 63
    sits inside [pool] (which never shrinks), so the accessors below read
    it unchecked once [is_freed] has resolved liveness. The explicit
    [check_field] bound on the caller-supplied index is the one check that
-   must stay. *)
+   must stay.
 
-let is_freed obj = obj.addr < 0
+   The per-event accessors ([is_freed], [check_field], [field],
+   [set_field], [Registry.find_live]) are [@inline], so release builds
+   compile a field read or an id lookup into the caller; each raise sits
+   in a cold [@inline never] helper to keep those bodies small. *)
+
+let[@inline] is_freed obj = obj.addr < 0
 let addr obj = obj.addr
 
 let set_addr obj a =
@@ -81,18 +86,20 @@ let birth_epoch obj = obj.birth
 let set_birth_epoch obj e = if not (is_freed obj) then obj.birth <- e
 let nfields obj = obj.nfields
 
-let check_field obj i =
-  if i < 0 || i >= obj.nfields then
-    invalid_arg "Obj_model: field index out of bounds"
+let[@inline never] field_out_of_bounds () =
+  invalid_arg "Obj_model: field index out of bounds"
 
-let field obj i =
+let[@inline] check_field obj i =
+  if i < 0 || i >= obj.nfields then field_out_of_bounds ()
+
+let[@inline] field obj i =
   if is_freed obj then null
   else begin
     check_field obj i;
     Array.unsafe_get obj.store.pool (obj.foff + i)
   end
 
-let set_field obj i v =
+let[@inline] set_field obj i v =
   if not (is_freed obj) then begin
     check_field obj i;
     Array.unsafe_set obj.store.pool (obj.foff + i) v
@@ -297,7 +304,7 @@ module Registry = struct
 
   (* The result is live unless it is the store's [none] sentinel (id 0):
      callers compare ids, never destructure an option. *)
-  let find_live reg id =
+  let[@inline] find_live reg id =
     if id <= 0 || id >= Array.length reg.id_to_slot then reg.none
     else begin
       (* A non-negative [id_to_slot] entry is always a valid slot index

@@ -1,8 +1,9 @@
 (* Counts are packed [8 / rc_bits] per byte in a [Bytes.t].
 
    Alongside the packed counters the table maintains two derived
-   occupancy arrays, updated incrementally at the single mutation point
-   ([set]): live (non-zero) granules per line, and free lines per block.
+   occupancy arrays, updated incrementally by the two writers ([set],
+   and [clear_range], which inlines [set]'s zeroing): live (non-zero)
+   granules per line, and free lines per block.
    They turn the sweep's hot classification queries — [line_is_free],
    [block_is_free], [free_lines_in_block], [live_granules_in_block] —
    from per-granule scans into O(1) reads, which is where most of the
@@ -92,14 +93,24 @@ let dec t cfg addr =
     `Became (c - 1)
   end
 
-let clear_range t cfg ~addr ~size =
-  let granule = (cfg : Heap_config.t).granule_bytes in
-  let last = addr + size - 1 in
-  let g0 = addr and gn = Addr.granule_start cfg (Addr.granule_of cfg last) in
-  let a = ref g0 in
-  while !a <= gn do
-    set t cfg !a 0;
-    a := !a + granule
+(* [set _ 0] on every covered granule, in one pass: a non-zero entry is
+   zeroed in place and takes [set]'s non-zero -> zero bookkeeping; a zero
+   entry is left alone, as [set] would leave it. *)
+let clear_range t (_ : Heap_config.t) ~addr ~size =
+  for g = addr lsr t.granule_shift to (addr + size - 1) lsr t.granule_shift do
+    let byte = g lsr t.pb_shift in
+    let shift = (g land (t.per_byte - 1)) lsl t.rcb_shift in
+    let old = Char.code (Bytes.unsafe_get t.data byte) in
+    if (old lsr shift) land t.mask <> 0 then begin
+      Bytes.unsafe_set t.data byte (Char.unsafe_chr (old land lnot (t.mask lsl shift)));
+      let a = g lsl t.granule_shift in
+      let line = a lsr t.line_shift and block = a lsr t.block_shift in
+      let ll = Array.unsafe_get t.line_live line - 1 in
+      Array.unsafe_set t.line_live line ll;
+      if ll = 0 then
+        Array.unsafe_set t.block_free block (Array.unsafe_get t.block_free block + 1);
+      Array.unsafe_set t.block_live block (Array.unsafe_get t.block_live block - 1)
+    end
   done
 
 let mark_straddle t cfg ~addr ~size =

@@ -37,7 +37,8 @@ val dec : t -> Heap_config.t -> int -> [ `Became of int | `Stuck | `Underflow ]
 
 (** [clear_range t cfg ~addr ~size] zeroes every granule entry covered by
     an object of [size] bytes at [addr] — its header count and any
-    straddle markers. *)
+    straddle markers — exactly as {!set} [_ 0] on each of them would,
+    occupancy counts included. [addr] must be granule aligned. *)
 val clear_range : t -> Heap_config.t -> addr:int -> size:int -> unit
 
 (** [mark_straddle t cfg ~addr ~size] writes the straddle marker into the

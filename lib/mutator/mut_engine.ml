@@ -38,6 +38,7 @@ type state = {
   ring : Repro_heap.Obj_model.t;
   mutable ring_cursor : int;
   table : Repro_heap.Obj_model.t;
+  chunks : Repro_heap.Obj_model.t option array;  (* table slot -> chunk, at setup *)
   chunk_count : int;
   chunk_slots : int;
   p_large : float;
@@ -71,10 +72,18 @@ let note_survived st bytes =
   if Tracer.active tr then tr.Tracer.survived ~bytes
 
 (* The chunk in table slot [idx], or the registry's none-handle (id =
-   null) when the slot is empty or its chunk was freed. *)
+   null) when the slot is empty or its chunk was freed. The slot is still
+   read through [Api.read] (its charge, trace event and flush point), but
+   the handle comes from [chunks], resolved once at setup; the registry
+   lookup is only the fallback for a slot that no longer holds that live
+   chunk. *)
 let read_chunk st idx =
   let chunk_id = Api.read st.api st.table idx in
-  Repro_heap.Obj_model.Registry.find_live (Api.heap st.api).registry chunk_id
+  match st.chunks.(idx) with
+  | Some chunk when chunk.id = chunk_id && not (Repro_heap.Obj_model.is_freed chunk) ->
+    chunk
+  | Some _ | None ->
+    Repro_heap.Obj_model.Registry.find_live (Api.heap st.api).registry chunk_id
 
 let random_chunk st = read_chunk st (Prng.int st.prng st.chunk_count)
 
@@ -176,11 +185,15 @@ let build_setup api prng (w : Workload.t) =
     alloc_checked api ~size:(16 + (8 * chunk_count)) ~nfields:chunk_count
   in
   Api.set_root api root_mature table.id;
+  (* [None] first: [Array.make] of more than 256 elements with a young
+     handle as the initial value forces a minor collection. *)
+  let chunks = Array.make chunk_count None in
   for i = 0 to chunk_count - 1 do
     let chunk =
       alloc_checked api ~size:(16 + (8 * chunk_slots)) ~nfields:chunk_slots
     in
-    Api.write api table i chunk.id
+    Api.write api table i chunk.id;
+    chunks.(i) <- Some chunk
   done;
   (* The long live singly-linked list (frontier width 1: the tracing
      pathology of §5.2). *)
@@ -204,7 +217,7 @@ let build_setup api prng (w : Workload.t) =
     /. Float.of_int mean_large_bytes
   in
   let st =
-    { api; prng; w; ring; ring_cursor = 0; table; chunk_count; chunk_slots;
+    { api; prng; w; ring; ring_cursor = 0; table; chunks; chunk_count; chunk_slots;
       p_large; mean_small; frag = Array.of_list w.frag_classes;
       frag_cursor = 0; alloc_count = 0; last_survivor = null;
       survived_bytes = 0; large_bytes = 0 }

@@ -73,7 +73,7 @@ let parse s =
     | None -> (String.trim s, "")
   in
   let* algo =
-    Spec.choose ~what:"controller"
+    Spec.choose ~what:"algorithm"
       [ ("hill", Hill); ("hill-climb", Hill); ("hillclimb", Hill); ("pid", Pid) ]
       head
   in
@@ -81,7 +81,7 @@ let parse s =
     ~f:(fun spec item ->
       match Spec.kv ~sep:'=' item with
       | None ->
-        Spec.malformed ~what:"controller argument" ~form:"key=value"
+        Spec.malformed ~what:"argument" ~form:"key=value"
           ~known:spec_keys item
       | Some (what, v) -> (
         match what with
@@ -115,7 +115,7 @@ let parse s =
         | "knobs" ->
           let* knobs = parse_knobs v in
           Ok { spec with knobs }
-        | key -> Spec.unknown_key ~what:"controller" ~known:spec_keys key))
+        | key -> Spec.unknown_key ~known:spec_keys key))
     (default algo) args
 
 (* --- Controller state --------------------------------------------------- *)

@@ -66,13 +66,13 @@ let factor_default = function
 let factor_check cls f =
   match cls with
   | Replica_crash ->
-    Error "chaos: crash takes no xFACTOR"
+    Error "crash takes no xFACTOR"
   | Replica_stall when f >= 1.0 && f <= 1000.0 -> Ok f
-  | Replica_stall -> Error "chaos: stall factor must be in [1, 1000]"
+  | Replica_stall -> Error "stall factor must be in [1, 1000]"
   | Heap_shrink when f >= 0.05 && f <= 1.0 -> Ok f
-  | Heap_shrink -> Error "chaos: heap-shrink factor must be in [0.05, 1]"
+  | Heap_shrink -> Error "heap-shrink factor must be in [0.05, 1]"
   | Flash_crowd when f >= 1.0 && f <= 1000.0 -> Ok f
-  | Flash_crowd -> Error "chaos: flash-crowd factor must be in [1, 1000]"
+  | Flash_crowd -> Error "flash-crowd factor must be in [1, 1000]"
 
 let dur_default = function
   | Replica_stall | Flash_crowd -> 0.1
@@ -82,12 +82,12 @@ let dur_default = function
    numeric fields can use scientific notation freely. *)
 let parse_event cls_name tail =
   let ( let* ) = Result.bind in
-  let* cls = Spec.choose ~what:"chaos fault class" classes cls_name in
+  let* cls = Spec.choose ~what:"fault class" classes cls_name in
   let* replica, tail =
     match String.index_opt tail ':' with
     | Some i when i + 1 < String.length tail && tail.[i + 1] = 'r' ->
       let* n =
-        Spec.int_in ~what:"chaos: :rN" ~lo:0 ~hi:max_int
+        Spec.int_in ~what:":rN" ~lo:0 ~hi:max_int
           (String.sub tail (i + 2) (String.length tail - i - 2))
       in
       Ok (Some n, String.sub tail 0 i)
@@ -107,17 +107,17 @@ let parse_event cls_name tail =
         String.sub tail 0 i )
     | None -> (None, tail)
   in
-  let* at = Spec.float_in ~what:"chaos: @AT" ~lo:0.0 ~hi:1.0 at_s in
+  let* at = Spec.float_in ~what:"@AT" ~lo:0.0 ~hi:1.0 at_s in
   let* dur =
     match dur_s with
     | None -> Ok (dur_default cls)
-    | Some s -> Spec.float_in ~what:"chaos: +DUR" ~lo:0.0 ~hi:1.0 s
+    | Some s -> Spec.float_in ~what:"+DUR" ~lo:0.0 ~hi:1.0 s
   in
   let* factor =
     match factor_s with
     | None -> Ok (factor_default cls)
     | Some s ->
-      let* f = Spec.float_min ~what:"chaos: xFACTOR" ~lo:0.0 s in
+      let* f = Spec.float_min ~what:"xFACTOR" ~lo:0.0 s in
       factor_check cls f
   in
   Ok { cls; at; dur; factor; replica }
@@ -135,18 +135,18 @@ let of_spec s =
         | Some ("restart", v) ->
           Result.map
             (fun d -> { acc with restart_delay_ns = Some d })
-            (Spec.duration ~what:"chaos: restart" v)
+            (Spec.duration ~what:"restart" v)
         | Some ("warmup", v) ->
           Result.map
             (fun n -> { acc with warmup_rounds = Some n })
-            (Spec.int_in ~what:"chaos: warmup" ~lo:0 ~hi:10_000 v)
+            (Spec.int_in ~what:"warmup" ~lo:0 ~hi:10_000 v)
         | Some ("auto-restart", v) ->
           Result.map
             (fun b -> { acc with auto_restart = b })
-            (Spec.bool ~what:"chaos: auto-restart" v)
-        | Some (key, _) -> Spec.unknown_key ~what:"chaos" ~known:known_items key
+            (Spec.bool ~what:"auto-restart" v)
+        | Some (key, _) -> Spec.unknown_key ~known:known_items key
         | None ->
-          Spec.malformed ~what:"chaos item"
+          Spec.malformed ~what:"item"
             ~form:"CLASS@AT[+DUR][xFACTOR][:rN] or key:value" ~known:known_items
             item))
     empty s

@@ -34,29 +34,29 @@ module Retry = struct
         ~f:(fun r item ->
           match Spec.kv ~sep:':' item with
           | Some ("timeout", v) ->
-            let* d = Spec.duration ~what:"retry: timeout" v in
-            if d <= 0.0 then Error "retry: timeout must be > 0"
+            let* d = Spec.duration ~what:"timeout" v in
+            if d <= 0.0 then Error "timeout must be > 0"
             else Ok { r with timeout_ns = Some d }
           | Some ("max", v) ->
-            let* n = Spec.int_in ~what:"retry: max" ~lo:1 ~hi:16 v in
+            let* n = Spec.int_in ~what:"max" ~lo:1 ~hi:16 v in
             Ok { r with max_attempts = n }
           | Some ("backoff", v) ->
-            let* d = Spec.duration ~what:"retry: backoff" v in
+            let* d = Spec.duration ~what:"backoff" v in
             Ok { r with backoff_ns = d }
           | Some ("hedge", v) ->
-            let* d = Spec.duration ~what:"retry: hedge" v in
-            if d <= 0.0 then Error "retry: hedge must be > 0"
+            let* d = Spec.duration ~what:"hedge" v in
+            if d <= 0.0 then Error "hedge must be > 0"
             else Ok { r with hedge_ns = Some d }
-          | Some (key, _) -> Spec.unknown_key ~what:"retry" ~known:keys key
+          | Some (key, _) -> Spec.unknown_key ~known:keys key
           | None ->
-            Spec.malformed ~what:"retry item" ~form:"key:value" ~known:keys item)
+            Spec.malformed ~what:"item" ~form:"key:value" ~known:keys item)
         none s
     in
     match r.timeout_ns with
     | None when r.max_attempts > 1 ->
       (* Retries without a deadline would resubmit forever-latent
          requests; insist the client bounds its patience. *)
-      Error "retry: max > 1 needs a timeout (e.g. timeout:5ms,max:3)"
+      Error "max > 1 needs a timeout (e.g. timeout:5ms,max:3)"
     | _ -> Ok r
 
   (* [backoff_ns * 2^(attempt-1)]: attempt 1 is the original dispatch. *)

@@ -42,37 +42,37 @@ let of_spec s =
         | Some (key, v) when String.length key > 1 && key.[0] = 'p' ->
           (* "pNN:BUDGET"; no other key starts with a p. *)
           let* p =
-            Spec.float_in ~what:"slo: percentile" ~lo:50.0 ~hi:99.99
+            Spec.float_in ~what:"percentile" ~lo:50.0 ~hi:99.99
               (String.sub key 1 (String.length key - 1))
           in
-          if seen_p then Error "slo: more than one percentile objective"
+          if seen_p then Error "more than one percentile objective"
           else
-            let* b = Spec.duration ~what:"slo: budget" v in
-            if b <= 0.0 then Error "slo: budget must be > 0"
+            let* b = Spec.duration ~what:"budget" v in
+            if b <= 0.0 then Error "budget must be > 0"
             else Ok ({ spec with percentile = p; budget_ns = b }, true)
         | Some ("window", v) ->
-          let* w = Spec.int_in ~what:"slo: window" ~lo:1 ~hi:100_000 v in
+          let* w = Spec.int_in ~what:"window" ~lo:1 ~hi:100_000 v in
           Ok ({ spec with window_rounds = w }, seen_p)
         | Some ("burn-high", v) ->
-          let* x = Spec.float_min ~what:"slo: burn-high" ~lo:0.0 v in
+          let* x = Spec.float_min ~what:"burn-high" ~lo:0.0 v in
           Ok ({ spec with burn_high = x }, seen_p)
         | Some ("burn-low", v) ->
-          let* x = Spec.float_min ~what:"slo: burn-low" ~lo:0.0 v in
+          let* x = Spec.float_min ~what:"burn-low" ~lo:0.0 v in
           Ok ({ spec with burn_low = x }, seen_p)
         | Some ("shed", v) ->
-          let* f = Spec.float_in ~what:"slo: shed" ~lo:0.0 ~hi:1.0 v in
+          let* f = Spec.float_in ~what:"shed" ~lo:0.0 ~hi:1.0 v in
           Ok ({ spec with shed_fraction = f }, seen_p)
-        | Some (key, _) -> Spec.unknown_key ~what:"slo" ~known:suggest_keys key
+        | Some (key, _) -> Spec.unknown_key ~known:suggest_keys key
         | None ->
-          Spec.malformed ~what:"slo item" ~form:"key:value" ~known:suggest_keys
+          Spec.malformed ~what:"item" ~form:"key:value" ~known:suggest_keys
             item)
       (default_spec, false) s
   in
   match parsed with
   | spec, true when spec.burn_low > spec.burn_high ->
-    Error "slo: burn-low must be <= burn-high"
+    Error "burn-low must be <= burn-high"
   | spec, true -> Ok spec
-  | _, false -> Error "slo: needs a percentile objective (e.g. p99.9:2ms)"
+  | _, false -> Error "needs a percentile objective (e.g. p99.9:2ms)"
 
 (* --- The burn monitor ---------------------------------------------------- *)
 
@@ -183,26 +183,26 @@ module Autoscale = struct
         ~f:(fun (spec, seen_max) item ->
           match Spec.kv ~sep:':' item with
           | Some ("min", v) ->
-            let* n = Spec.int_in ~what:"autoscale: min" ~lo:1 ~hi:1024 v in
+            let* n = Spec.int_in ~what:"min" ~lo:1 ~hi:1024 v in
             Ok ({ spec with min_replicas = n }, seen_max)
           | Some ("max", v) ->
-            let* n = Spec.int_in ~what:"autoscale: max" ~lo:1 ~hi:1024 v in
+            let* n = Spec.int_in ~what:"max" ~lo:1 ~hi:1024 v in
             Ok ({ spec with max_replicas = n }, true)
           | Some ("up", v) ->
-            let* x = Spec.float_min ~what:"autoscale: up" ~lo:0.0 v in
+            let* x = Spec.float_min ~what:"up" ~lo:0.0 v in
             Ok ({ spec with up_burn = x }, seen_max)
           | Some ("down", v) ->
-            let* x = Spec.float_min ~what:"autoscale: down" ~lo:0.0 v in
+            let* x = Spec.float_min ~what:"down" ~lo:0.0 v in
             Ok ({ spec with down_burn = x }, seen_max)
           | Some ("patience", v) ->
-            let* n = Spec.int_in ~what:"autoscale: patience" ~lo:1 ~hi:100_000 v in
+            let* n = Spec.int_in ~what:"patience" ~lo:1 ~hi:100_000 v in
             Ok ({ spec with patience = n }, seen_max)
           | Some ("cooldown", v) ->
-            let* n = Spec.int_in ~what:"autoscale: cooldown" ~lo:0 ~hi:100_000 v in
+            let* n = Spec.int_in ~what:"cooldown" ~lo:0 ~hi:100_000 v in
             Ok ({ spec with cooldown = n }, seen_max)
-          | Some (key, _) -> Spec.unknown_key ~what:"autoscale" ~known:keys key
+          | Some (key, _) -> Spec.unknown_key ~known:keys key
           | None ->
-            Spec.malformed ~what:"autoscale item" ~form:"key:value" ~known:keys
+            Spec.malformed ~what:"item" ~form:"key:value" ~known:keys
               item)
         ( { min_replicas = 1; max_replicas = 0; up_burn = 4.0; down_burn = 0.25;
             patience = 8; cooldown = 64 },
@@ -210,11 +210,11 @@ module Autoscale = struct
         s
     in
     match parsed with
-    | _, false -> Error "autoscale: needs max:N"
+    | _, false -> Error "needs max:N"
     | spec, true when spec.min_replicas > spec.max_replicas ->
-      Error "autoscale: min must be <= max"
+      Error "min must be <= max"
     | spec, true when spec.down_burn > spec.up_burn ->
-      Error "autoscale: down must be <= up"
+      Error "down must be <= up"
     | spec, true -> Ok spec
 
   type t = {

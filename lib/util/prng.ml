@@ -2,7 +2,9 @@
    [mutable int64] field: storing into such a field boxes a fresh
    [int64] on every draw, while [Bytes.set_int64_ne] writes the raw
    word. With the [@inline] helpers below, every intermediate [int64]
-   and [float] of a draw stays in registers (no flambda needed). *)
+   and [float] of a draw stays in registers (no flambda needed), and
+   [next], [int] and [bool] are inlined into their callers in release
+   builds, so a draw is no call at all. *)
 type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
@@ -25,19 +27,22 @@ let[@inline] next_int64 t =
   Bytes.set_int64_ne t 0 s;
   mix64 s
 
-let next t = Int64.to_int (next_int64 t) land max_int
+let[@inline] next t = Int64.to_int (next_int64 t) land max_int
 
 let split t = of_state (next_int64 t)
 
-let int t bound =
-  if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
+(* Cold: the raise stays out of [int]'s inlined body. *)
+let[@inline never] bad_bound () = invalid_arg "Prng.int: bound must be positive"
+
+let[@inline] int t bound =
+  if bound <= 0 then bad_bound ();
   (* Rejection-free modulo is fine here: bounds are tiny relative to 2^62
      so modulo bias is negligible for simulation purposes. *)
   next t mod bound
 
 let[@inline] float t bound = Float.of_int (next t) /. Float.of_int max_int *. bound
 
-let bool t p =
+let[@inline] bool t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
   else float t 1.0 < p

@@ -1,7 +1,9 @@
 (* The one grammar for command-line specs and name lookups. Every parser
    returns [result] so the front ends die with one message per mistake,
    every unknown name gets a Suggest did-you-mean hint, and every number
-   goes through the readers below, which refuse NaN. *)
+   goes through the readers below, which refuse NaN. A spec parser's
+   errors name the key and value, never the spec itself: the front end
+   prefixes the flag, once. *)
 
 let items s =
   List.filter (fun x -> x <> "")
@@ -39,7 +41,7 @@ let choose ~what table name =
   | Some (_, v) -> Ok v
   | None -> Error (unknown what ~known:(List.map fst table) name)
 
-let unknown_key ~what ~known key = Error (what ^ ": " ^ unknown "key" ~known key)
+let unknown_key ~known key = Error (unknown "key" ~known key)
 
 let malformed ~what ~form ~known item =
   Error (Printf.sprintf "%s %S: expected %s%s" what item form (hint ~known item))
@@ -65,24 +67,29 @@ let number ~lo ~hi s =
     Some v
   | Some _ | None -> None
 
+(* [range] is "[lo, hi]", or ">= lo" when the upper bound is the type's
+   largest value: a range with only a lower bound says so. *)
+let out_of_range ~what v range =
+  Error (Printf.sprintf "%s: %s is out of range; expected %s" what v range)
+
 let float_in ~what ~lo ~hi s =
   match number ~lo ~hi s with
   | Some v when v >= lo && v <= hi -> Ok v
   | Some v ->
-    Error (Printf.sprintf "%s: %g is out of range; expected [%g, %g]" what v lo hi)
+    out_of_range ~what (Printf.sprintf "%g" v)
+      (if hi >= Float.max_float then Printf.sprintf ">= %g" lo
+       else Printf.sprintf "[%g, %g]" lo hi)
   | None -> Error (Printf.sprintf "%s: bad number %S" what s)
 
-let float_min ~what ~lo s =
-  match number ~lo ~hi:Float.infinity s with
-  | Some v when v >= lo -> Ok v
-  | Some v -> Error (Printf.sprintf "%s: %g is out of range; expected >= %g" what v lo)
-  | None -> Error (Printf.sprintf "%s: bad number %S" what s)
+let float_min ~what ~lo s = float_in ~what ~lo ~hi:Float.infinity s
 
 let int_in ~what ~lo ~hi s =
   match int_of_string_opt (String.trim s) with
   | Some v when v >= lo && v <= hi -> Ok v
   | Some v ->
-    Error (Printf.sprintf "%s: %d is out of range; expected [%d, %d]" what v lo hi)
+    out_of_range ~what (string_of_int v)
+      (if hi = max_int then Printf.sprintf ">= %d" lo
+       else Printf.sprintf "[%d, %d]" lo hi)
   | None -> Error (Printf.sprintf "%s: bad integer %S" what s)
 
 (* A duration in simulated time: a float with an optional ns/us/ms/s

@@ -192,4 +192,12 @@ for t in "$bad_dir"/*.lxrtrace; do
 done
 rm -rf "$bad_dir"
 
+echo "== ledger goldens on the release build =="
+# dune runtest checks ledger/golden/*.digest in the dev profile, which
+# compiles with -opaque and so never inlines across modules. The
+# benchmark times the release build, whose [@inline] fast paths are
+# compiled into their callers; its simulated behaviour must match the
+# same goldens. Last, because it rebuilds the tree in release mode.
+bash ledger/run.sh --smoke
+
 echo "== ci ok =="

@@ -134,6 +134,65 @@ let test_rc_clear_range () =
   check_int "cleared marker" 0 (Rc_table.get t c 256);
   check_int "beyond untouched" 0 (Rc_table.get t c 512)
 
+(* [clear_range] is one pass with [set]'s bookkeeping inlined. It must
+   leave the table exactly as the per-granule [set _ 0] loop it replaced:
+   every count, and every occupancy answer. Tables hold random counts (1,
+   stuck, and others); the range falls inside one line (kind 0), across
+   lines of one block (kind 1) or across blocks (kind 2). *)
+let rc_clear_range_matches_set_loop_prop =
+  QCheck.Test.make ~name:"rc clear_range equals a per-granule set-0 loop"
+    ~count:300
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 2) bool)
+    (fun (seed, kind, wide) ->
+      let c = cfg ~heap_kb:128 ~rc_bits:(if wide then 8 else 2) () in
+      let prng = Repro_util.Prng.create seed in
+      let draw n = Repro_util.Prng.int prng n in
+      let stuck = Heap_config.stuck_count c in
+      let gb = c.granule_bytes and lb = c.line_bytes and bb = c.block_bytes in
+      let granules = Heap_config.total_granules c in
+      let fast = Rc_table.create c and slow = Rc_table.create c in
+      for g = 0 to granules - 1 do
+        if draw 3 = 0 then begin
+          let v = match draw 3 with 0 -> 1 | 1 -> stuck | _ -> 1 + draw stuck in
+          Rc_table.set fast c (g * gb) v;
+          Rc_table.set slow c (g * gb) v
+        end
+      done;
+      let blocks = Heap_config.blocks c and lpb = Heap_config.lines_per_block c in
+      let granule_in ~lo ~hi = lo + (draw ((hi - lo) / gb) * gb) in
+      let addr, last =
+        match kind with
+        | 0 ->
+          let line = draw (Heap_config.total_lines c) * lb in
+          let addr = granule_in ~lo:line ~hi:(line + lb) in
+          (addr, addr + draw (line + lb - addr))
+        | 1 ->
+          let block = draw blocks * bb in
+          let line = block + (draw (lpb - 1) * lb) in
+          let addr = granule_in ~lo:line ~hi:(line + lb) in
+          (addr, line + lb + draw (block + bb - line - lb))
+        | _ ->
+          let block = draw (blocks - 1) * bb in
+          let addr = granule_in ~lo:block ~hi:(block + bb) in
+          (addr, block + bb + draw (c.heap_bytes - block - bb))
+      in
+      let size = last - addr + 1 in
+      Rc_table.clear_range fast c ~addr ~size;
+      let a = ref addr in
+      while !a <= last do
+        Rc_table.set slow c !a 0;
+        a := !a + gb
+      done;
+      let all n f = List.for_all f (List.init n Fun.id) in
+      all granules (fun g -> Rc_table.get fast c (g * gb) = Rc_table.get slow c (g * gb))
+      && all (Heap_config.total_lines c) (fun l ->
+             Rc_table.line_is_free fast c l = Rc_table.line_is_free slow c l)
+      && all blocks (fun b ->
+             Rc_table.free_lines_in_block fast c b = Rc_table.free_lines_in_block slow c b
+             && Rc_table.live_granules_in_block fast c b
+                = Rc_table.live_granules_in_block slow c b
+             && Rc_table.block_is_free fast c b = Rc_table.block_is_free slow c b))
+
 let test_rc_straddle () =
   let c = cfg () in
   let t = Rc_table.create c in
@@ -225,6 +284,28 @@ let test_registry_basics () =
   (* Double free is idempotent. *)
   Obj_model.Registry.free reg o;
   check_int "still zero" 0 (Obj_model.Registry.live_bytes reg)
+
+(* The bounds check's raise lives in a cold helper; its text is part of
+   the contract. A freed handle never reaches the check. *)
+let test_field_bounds () =
+  let reg = Obj_model.Registry.create () in
+  let o = Obj_model.Registry.register reg ~size:64 ~nfields:4 ~addr:0 ~birth_epoch:0 in
+  let oob = Invalid_argument "Obj_model: field index out of bounds" in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises (Printf.sprintf "field %d" i) oob (fun () ->
+          ignore (Obj_model.field o i));
+      Alcotest.check_raises (Printf.sprintf "set_field %d" i) oob (fun () ->
+          Obj_model.set_field o i 1))
+    [ -1; 4 ];
+  Obj_model.set_field o 3 7;
+  Obj_model.Registry.free reg o;
+  List.iter
+    (fun i ->
+      check_int (Printf.sprintf "freed field %d" i) Obj_model.null (Obj_model.field o i);
+      Obj_model.set_field o i 1)
+    [ -1; 3; 4 ];
+  check_int "freed field stays null" Obj_model.null (Obj_model.field o 3)
 
 let test_logged_bits () =
   let reg = Obj_model.Registry.create () in
@@ -896,7 +977,10 @@ let suite =
         Alcotest.test_case "clear range" `Quick test_rc_clear_range;
         Alcotest.test_case "straddle" `Quick test_rc_straddle;
         Alcotest.test_case "line/block free" `Quick test_rc_line_block_free ]
-      @ qc [ rc_inc_dec_roundtrip_prop; rc_packed_independence_prop ] );
+      @ qc
+          [ rc_inc_dec_roundtrip_prop;
+            rc_packed_independence_prop;
+            rc_clear_range_matches_set_loop_prop ] );
     ( "heap:marks",
       [ Alcotest.test_case "basic" `Quick test_marks;
         Alcotest.test_case "growth" `Quick test_marks_growth;
@@ -904,6 +988,7 @@ let suite =
     ("heap:reuse", [ Alcotest.test_case "counters" `Quick test_reuse ]);
     ( "heap:objects",
       [ Alcotest.test_case "registry" `Quick test_registry_basics;
+        Alcotest.test_case "field bounds" `Quick test_field_bounds;
         Alcotest.test_case "logged bits" `Quick test_logged_bits;
         Alcotest.test_case "oracle" `Quick test_reachability_oracle;
         Alcotest.test_case "registration allocates only its handle" `Quick

@@ -1,18 +1,22 @@
 (* One table over every spec grammar and name lookup the front ends
    parse through Repro_util.Spec: NaN where a number goes, inf where the
    range is finite, an empty value, a missing separator and a misspelled
-   key or name must each come back as an Error that names the flag, the
-   key and the value, and every misspelling must carry a did-you-mean
+   key or name must each come back as an Error that names the flag (once),
+   the key and the value, and every misspelling must carry a did-you-mean
    hint. A fixed-budget seed for a spec-parser fuzzer. *)
 
 open Repro_util
 
 let check = Alcotest.(check bool)
 
-let contains s sub =
+let occurrences s sub =
   let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
+  let rec go i acc =
+    if i + m > n then acc else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+let contains s sub = occurrences s sub > 0
 
 let ignore_ok r = Result.map ignore r
 let lookup find s = ignore_ok (find s)
@@ -111,7 +115,7 @@ let grammars =
       [ ("", [ "benchmark"; "\"\"" ]); ("lusearh", [ "benchmark"; "\"lusearh\""; hint ]) ]
     ) ]
 
-let test_grammar parse cases () =
+let test_grammar label parse cases () =
   List.iter
     (fun (input, wants) ->
       match parse input with
@@ -121,8 +125,39 @@ let test_grammar parse cases () =
           (fun want ->
             check (Printf.sprintf "%S: %S names %S" input msg want) true
               (contains msg want))
-          wants)
+          wants;
+        (* The flag prefix is the only place the spec is named: a parser
+           that names its own spec doubles it ("--retry: retry: ..."). *)
+        if String.starts_with ~prefix:"--" label then
+          let name = String.sub label 2 (String.length label - 2) in
+          check (Printf.sprintf "%S names %S once" msg name) true
+            (occurrences msg name = 1))
     cases
+
+(* Whole messages: one flag prefix, and a range with only a lower bound
+   printed as ">= lo". *)
+let exact =
+  [ (at_flag "retry" Repro_service.Policy.Retry.of_spec, "max:20",
+     "--retry: max: 20 is out of range; expected [1, 16]");
+    (at_flag "slo" Repro_service.Slo.of_spec, "p99:xx",
+     "--slo: budget: bad duration \"xx\" (expected e.g. 250us, 2ms, 1.5e6)");
+    (at_flag "chaos" Repro_service.Chaos.of_spec, "crash@0.3:r-1",
+     "--chaos: :rN: -1 is out of range; expected >= 0");
+    (at_flag "chaos" Repro_service.Chaos.of_spec, "heap-shrink@0.3x-1",
+     "--chaos: xFACTOR: -1 is out of range; expected >= 0");
+    (resolve_controller, "pid:target=-1",
+     "--controller: target: -1 is out of range; expected >= 0");
+    (resolve_controller, "pid:zz=1",
+     "--controller: unknown key \"zz\" (did you mean \"kd\"?); known: obj, \
+      seed, window, step, kp, ki, kd, target, knobs") ]
+
+let test_exact () =
+  List.iter
+    (fun (parse, input, want) ->
+      match parse input with
+      | Ok () -> Alcotest.failf "%S parsed" input
+      | Error msg -> Alcotest.(check string) input want msg)
+    exact
 
 (* The readers behind every grammar: NaN never parses, an infinity only
    where no finite bound applies, and finite values pass unchanged. *)
@@ -143,12 +178,22 @@ let test_readers () =
     (Spec.choose ~what [ ("gc-aware", 1) ] "GC-Aware" = Ok 1);
   check "kv splits on the first separator" true
     (Spec.kv ~sep:'=' "Knobs=a=b" = Some ("knobs", "a=b"));
-  check "items" true (Spec.items " a, b,,c " = [ "a"; "b"; "c" ])
+  check "items" true (Spec.items " a, b,,c " = [ "a"; "b"; "c" ]);
+  let lower_only = Error "x: -1 is out of range; expected >= 0" in
+  check "int_in lower bound only" true
+    (Spec.int_in ~what ~lo:0 ~hi:max_int "-1" = lower_only);
+  check "float_in lower bound only" true
+    (Spec.float_in ~what ~lo:0.0 ~hi:Float.max_float "-1" = lower_only);
+  check "float_min" true (Spec.float_min ~what ~lo:0.0 "-1" = lower_only);
+  check "int_in both bounds" true
+    (Spec.int_in ~what ~lo:1 ~hi:16 "20"
+    = Error "x: 20 is out of range; expected [1, 16]")
 
 let suite =
   [ ( "spec",
       Alcotest.test_case "readers" `Quick test_readers
+      :: Alcotest.test_case "whole messages" `Quick test_exact
       :: List.map
            (fun (label, parse, cases) ->
-             Alcotest.test_case label `Quick (test_grammar parse cases))
+             Alcotest.test_case label `Quick (test_grammar label parse cases))
            grammars ) ]

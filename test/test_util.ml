@@ -46,8 +46,9 @@ let test_prng_int_bounds () =
 
 let test_prng_int_invalid () =
   let p = Prng.create 1 in
-  Alcotest.check_raises "zero bound" (Invalid_argument "Prng.int: bound must be positive")
-    (fun () -> ignore (Prng.int p 0))
+  let bad = Invalid_argument "Prng.int: bound must be positive" in
+  Alcotest.check_raises "zero bound" bad (fun () -> ignore (Prng.int p 0));
+  Alcotest.check_raises "negative bound" bad (fun () -> ignore (Prng.int p (-5)))
 
 let test_prng_bool_extremes () =
   let p = Prng.create 13 in
