@@ -42,26 +42,18 @@ let parse_verify v =
 let parse_inject seed =
   parse_opt ~flag:"inject" (Repro_engine.Fault.of_spec ~seed)
 
-(* A worker count: 1-64, the most lanes a work-packet pool takes, or
-   'auto', which resolves to [auto] clamped to that range. Anything that
-   is not an integer is looked up as a name, so a typo gets a hint. *)
-let parse_count ~flag ~auto s =
-  let what = "--" ^ flag in
+(* Fleet replica workers: 1-64, the most lanes a domain pool takes, or
+   'auto', one fewer than the runtime's recommended domain count,
+   clamped to that range. Anything that is not an integer is looked up
+   as a name, so a typo gets a hint. *)
+let parse_domains s =
+  let what = "--domains" in
+  let auto = Domain.recommended_domain_count () - 1 in
   or_die
     (match Spec.int_in ~what ~lo:min_int ~hi:max_int s with
     | Ok _ -> Spec.int_in ~what ~lo:1 ~hi:64 s
     | Error _ ->
       Spec.choose ~what:(what ^ " value") [ ("auto", min 64 (max 1 auto)) ] s)
-
-(* Results are bit-identical for every --gc-threads value, so it is
-   purely a host wall-clock knob; 'auto' is the runtime's recommended
-   domain count. *)
-let parse_gc_threads s =
-  parse_count ~flag:"gc-threads" ~auto:(Domain.recommended_domain_count ()) s
-
-(* Fleet replica workers; 'auto' is one fewer than --gc-threads'. *)
-let parse_domains s =
-  parse_count ~flag:"domains" ~auto:(Domain.recommended_domain_count () - 1) s
 
 type format = Text | Md | Json
 
@@ -115,14 +107,6 @@ let inject_arg =
      alloc-fail. Example: --inject=drop-barrier:1e-4."
   in
   Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
-
-let gc_threads_arg =
-  let doc =
-    "Work-packet lanes for collector phases (1-64, or 'auto'); a fleet's \
-     replicas share one pool with --domains. Results are bit-identical \
-     for every value."
-  in
-  Arg.(value & opt string "1" & info [ "gc-threads" ] ~docv:"N|auto" ~doc)
 
 let format_arg =
   let doc = "Output format: text, md or json." in

@@ -87,8 +87,8 @@ let controller_arg =
   Arg.(value & opt (some string) None & info [ "controller" ] ~docv:"SPEC" ~doc)
 
 let make_config ?policy ?on_burn ~bench ~factory ~replicas ~factor ~requests
-    ~load ~queue_limit ~quantum ~domains ~gc_threads ~seed ~verify ~chaos
-    ~retry ~slo ~autoscale () =
+    ~load ~queue_limit ~quantum ~domains ~seed ~verify ~chaos ~retry ~slo
+    ~autoscale () =
   let w = Cli.find_workload bench in
   let chaos = Cli.parse_opt ~flag:"chaos" Repro_service.Chaos.of_spec chaos in
   let retry =
@@ -105,9 +105,8 @@ let make_config ?policy ?on_burn ~bench ~factory ~replicas ~factor ~requests
      Cli.die "--autoscale needs --slo (the controller follows the burn rate)");
   Fleet.config ?policy ?on_burn ~replicas ~heap_factor:factor ?requests ~load
     ~queue_limit ?quantum_ns:quantum ~domains:(Cli.parse_domains domains)
-    ~gc_threads:(Cli.parse_gc_threads gc_threads) ~seed
-    ~verify:(Cli.parse_verify verify) ?chaos ~retry ?slo ?autoscale ~workload:w
-    ~factory ()
+    ~seed ~verify:(Cli.parse_verify verify) ?chaos ~retry ?slo ?autoscale
+    ~workload:w ~factory ()
 
 let run_cmd =
   let policy_arg =
@@ -118,8 +117,7 @@ let run_cmd =
     Arg.(value & opt string "gc-aware" & info [ "p"; "policy" ] ~docv:"NAME" ~doc)
   in
   let run bench collector policy replicas factor requests load queue_limit
-      quantum domains gc_threads seed verify chaos retry slo autoscale
-      controller =
+      quantum domains seed verify chaos retry slo autoscale controller =
     (* A controller's burn objective reads the fleet's SLO burn through
        this cell: Fleet publishes it at window boundaries (replicas
        quiescent) and replicas read it during rounds, frozen per round,
@@ -132,8 +130,8 @@ let run_cmd =
     let on_burn = Option.map (fun _ b -> Atomic.set burn b) controller in
     let cfg =
       make_config ~policy:(find_policy policy) ?on_burn ~bench ~factory
-        ~replicas ~factor ~requests ~load ~queue_limit ~quantum ~domains
-        ~gc_threads ~seed ~verify ~chaos ~retry ~slo ~autoscale ()
+        ~replicas ~factor ~requests ~load ~queue_limit ~quantum ~domains ~seed
+        ~verify ~chaos ~retry ~slo ~autoscale ()
     in
     let r = Fleet.run cfg in
     Repro_harness.Report.print_fleet r;
@@ -143,9 +141,9 @@ let run_cmd =
     Term.(
       const run $ Cli.bench_arg $ Cli.collector_arg $ policy_arg
       $ replicas_arg $ Cli.heap_factor_arg 1.3 $ requests_arg $ load_arg
-      $ queue_limit_arg $ quantum_arg $ domains_arg $ Cli.gc_threads_arg
-      $ Cli.seed_arg $ Cli.verify_arg $ chaos_arg $ retry_arg $ slo_arg
-      $ autoscale_arg $ controller_arg)
+      $ queue_limit_arg $ quantum_arg $ domains_arg $ Cli.seed_arg
+      $ Cli.verify_arg $ chaos_arg $ retry_arg $ slo_arg $ autoscale_arg
+      $ controller_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one fleet simulation.") term
 
@@ -165,8 +163,7 @@ let compare_cmd =
       & info [ "p"; "policies" ] ~docv:"NAMES" ~doc)
   in
   let run bench collectors policies format replicas factor requests load
-      queue_limit quantum domains gc_threads seed verify chaos retry slo
-      autoscale =
+      queue_limit quantum domains seed verify chaos retry slo autoscale =
     let collectors =
       List.map (fun n -> Cli.find_collector n) (Repro_util.Spec.items collectors)
     in
@@ -181,8 +178,8 @@ let compare_cmd =
             (fun policy ->
               Fleet.run
                 (make_config ~policy ~bench ~factory ~replicas ~factor
-                   ~requests ~load ~queue_limit ~quantum ~domains ~gc_threads
-                   ~seed ~verify ~chaos ~retry ~slo ~autoscale ()))
+                   ~requests ~load ~queue_limit ~quantum ~domains ~seed ~verify
+                   ~chaos ~retry ~slo ~autoscale ()))
             policies)
         collectors
     in
@@ -203,8 +200,8 @@ let compare_cmd =
       const run $ Cli.bench_arg $ collectors_arg $ policies_arg
       $ Cli.format_arg $ replicas_arg $ Cli.heap_factor_arg 1.3
       $ requests_arg $ load_arg $ queue_limit_arg $ quantum_arg $ domains_arg
-      $ Cli.gc_threads_arg $ Cli.seed_arg $ Cli.verify_arg $ chaos_arg
-      $ retry_arg $ slo_arg $ autoscale_arg)
+      $ Cli.seed_arg $ Cli.verify_arg $ chaos_arg $ retry_arg $ slo_arg
+      $ autoscale_arg)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Compare collectors x policies on one fleet.")

@@ -33,17 +33,15 @@ let controller_arg =
   Arg.(value & opt (some string) None & info [ "controller" ] ~docv:"SPEC" ~doc)
 
 let run_cmd =
-  let run bench collector factor scale seed verify inject record gc_threads
-      knobs controller =
+  let run bench collector factor scale seed verify inject record knobs
+      controller =
     let w = Cli.find_workload bench in
     let factory = Cli.find_collector ?controller ~knobs collector in
     let points = Cli.parse_verify verify in
     let fault = Cli.parse_inject seed inject in
-    let gc_threads = Cli.parse_gc_threads gc_threads in
     let r =
-      Repro_harness.Runner.run ~seed ~scale ~gc_threads ~verify:points
-        ?inject:fault ?record_to:record ~workload:w ~factory
-        ~heap_factor:factor ()
+      Repro_harness.Runner.run ~seed ~scale ~verify:points ?inject:fault
+        ?record_to:record ~workload:w ~factory ~heap_factor:factor ()
     in
     Repro_harness.Report.print_result r;
     (match fault with
@@ -63,7 +61,7 @@ let run_cmd =
     Term.(
       const run $ Cli.bench_arg $ Cli.collector_arg $ Cli.heap_factor_arg 2.0
       $ Cli.scale_arg $ Cli.seed_arg $ Cli.verify_arg $ Cli.inject_arg
-      $ record_arg $ Cli.gc_threads_arg $ knob_arg $ controller_arg)
+      $ record_arg $ knob_arg $ controller_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark under one collector.") term
 

@@ -69,14 +69,13 @@ let replay_cmd =
     in
     Arg.(value & opt (some string) None & info [ "o"; "record" ] ~docv:"FILE" ~doc)
   in
-  let run path collector verify inject rerecord gc_threads =
+  let run path collector verify inject rerecord =
     let trace = load_trace path in
     let factory = Cli.find_collector collector in
     let points = Cli.parse_verify verify in
     let fault = Cli.parse_inject trace.header.seed inject in
-    let gc_threads = Cli.parse_gc_threads gc_threads in
     let r =
-      Repro_harness.Runner.replay ~gc_threads ~verify:points ?inject:fault
+      Repro_harness.Runner.replay ~verify:points ?inject:fault
         ?record_to:rerecord ~trace ~factory ()
     in
     Printf.printf
@@ -89,7 +88,7 @@ let replay_cmd =
   let term =
     Term.(
       const run $ trace_arg $ Cli.collector_arg $ Cli.verify_arg
-      $ Cli.inject_arg $ rerecord_arg $ Cli.gc_threads_arg)
+      $ Cli.inject_arg $ rerecord_arg)
   in
   Cmd.v
     (Cmd.info "replay" ~doc:"Drive one collector from a recorded trace.")
@@ -180,7 +179,7 @@ let diff_cmd =
     let doc = "Collector lane --inject applies to (default: the first)." in
     Arg.(value & opt (some string) None & info [ "inject-into" ] ~docv:"NAME" ~doc)
   in
-  let run path collectors every no_verify inject inject_into gc_threads =
+  let run path collectors every no_verify inject inject_into =
     let trace = load_trace path in
     let names = Repro_util.Spec.items collectors in
     if List.length names < 2 then Cli.die "diff needs at least two collectors";
@@ -203,10 +202,9 @@ let diff_cmd =
            (List.map (fun n -> (n, n)) names)
            (Option.value inject_into ~default:(List.hd names)))
     in
-    let gc_threads = Cli.parse_gc_threads gc_threads in
     let inject = Option.map (fun f -> (target, f)) fault in
     match
-      Differ.run ~verify:(not no_verify) ~every ?inject ~gc_threads ~trace
+      Differ.run ~verify:(not no_verify) ~every ?inject ~trace
         ~collectors:lanes ()
     with
     | report ->
@@ -218,7 +216,7 @@ let diff_cmd =
   let term =
     Term.(
       const run $ trace_arg $ collectors_arg $ every_arg $ no_verify_arg
-      $ Cli.inject_arg $ inject_into_arg $ Cli.gc_threads_arg)
+      $ Cli.inject_arg $ inject_into_arg)
   in
   Cmd.v
     (Cmd.info "diff"
@@ -238,19 +236,18 @@ let distill_cmd =
       & opt string "lxr,g1,shenandoah,journal_rc"
       & info [ "c"; "collectors" ] ~docv:"NAMES" ~doc)
   in
-  let run path collectors format gc_threads =
+  let run path collectors format =
     let trace = load_trace path in
-    let gc_threads = Cli.parse_gc_threads gc_threads in
     let names = Repro_util.Spec.items collectors in
     if names = [] then Cli.die "distill needs at least one collector";
     let lanes = List.map (fun n -> (n, Cli.find_collector n)) names in
     let format = Cli.parse_format format in
     let ideal = Cli.find_collector "ideal" in
-    let base = Repro_harness.Runner.replay ~gc_threads ~trace ~factory:ideal () in
+    let base = Repro_harness.Runner.replay ~trace ~factory:ideal () in
     let rows =
       List.map
         (fun (name, factory) ->
-          let r = Repro_harness.Runner.replay ~gc_threads ~trace ~factory () in
+          let r = Repro_harness.Runner.replay ~trace ~factory () in
           let row =
             Repro_harness.Report.distill_of ~workload:trace.header.workload
               ~heap_factor:trace.header.heap_factor r base
@@ -275,9 +272,7 @@ let distill_cmd =
     then exit 1
   in
   let term =
-    Term.(
-      const run $ trace_arg $ collectors_arg $ Cli.format_arg
-      $ Cli.gc_threads_arg)
+    Term.(const run $ trace_arg $ collectors_arg $ Cli.format_arg)
   in
   Cmd.v
     (Cmd.info "distill"

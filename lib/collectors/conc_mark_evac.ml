@@ -102,16 +102,15 @@ let final_mark t =
     let c = Sim.cost t.sim in
     let tc = Trace_cost.create () in
     Heap.retire_all_allocators t.heap;
-    let pool = Sim.pool t.sim in
-    Gc_kernels.drain_marked t.heap tc ~pool ~cost:c ~threads:c.gc_threads
+    Gc_kernels.drain_marked t.heap tc ~cost:c ~threads:c.gc_threads
       ~gray:t.gray;
     t.final_mark_ready <- false;
     (* Select the collection set: sparsest blocks by marked live bytes.
-       The ordered merge push-fronts ascending blocks, so the cset is in
+       Blocks come in ascending order and push-front, so the cset is in
        descending block order. *)
     let block_bytes = Float.of_int t.heap.cfg.block_bytes in
     let cset = ref [] in
-    Gc_kernels.marked_block_liveness t.heap ~pool (fun b live ->
+    Gc_kernels.marked_block_liveness t.heap (fun b live ->
         Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_line_ns;
         if Float.of_int live < t.p.cset_occupancy_max *. block_bytes then begin
           Blocks.set_target t.heap.blocks b true;
@@ -148,8 +147,8 @@ let cleanup t =
     Bump_allocator.retire_all t.gc_alloc;
     (* Anything still resident in the cset is either unmarked (dead) or
        an evacuation failure; only the dead are freed. *)
-    Gc_kernels.sweep_blocks t.heap tc ~pool:(Sim.pool t.sim) ~cost:c
-      ~threads:c.gc_threads ~blocks:(Array.of_list t.cset)
+    Gc_kernels.sweep_blocks t.heap tc ~cost:c ~threads:c.gc_threads
+      ~blocks:(Array.of_list t.cset)
       ~dead:(fun obj -> not (Mark_bitset.marked t.heap.marks obj.Obj_model.id));
     Gc_kernels.clear_targets t.heap t.cset;
     t.cset <- [];
@@ -249,10 +248,9 @@ let full_gc t =
     Mark_bitset.clear t.heap.marks;
     Heap.retire_all_allocators t.heap;
     (* Degenerated collections mark, sweep, then slide-compact. *)
-    let pool = Sim.pool t.sim in
-    Gc_kernels.mark_from t.heap tc ~pool ~cost:c ~threads:c.gc_threads
+    Gc_kernels.mark_from t.heap tc ~cost:c ~threads:c.gc_threads
       ~seeds:(Gc_kernels.iter_roots t.roots);
-    ignore (Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:c.gc_threads);
+    ignore (Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads:c.gc_threads);
     t.copied_bytes <-
       t.copied_bytes
       + Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads

@@ -130,8 +130,8 @@ let sweep_young_blocks t tc =
   for b = Heap_config.blocks t.heap.cfg - 1 downto 0 do
     if Blocks.young t.heap.blocks b then young := b :: !young
   done;
-  Gc_kernels.sweep_blocks t.heap tc ~pool:(Sim.pool t.sim) ~cost:c
-    ~threads:c.gc_threads ~blocks:(Array.of_list !young)
+  Gc_kernels.sweep_blocks t.heap tc ~cost:c ~threads:c.gc_threads
+    ~blocks:(Array.of_list !young)
     ~dead:(fun obj -> not (Mark_bitset.marked t.young_marks obj.Obj_model.id));
   (* Unreached young large objects die with the nursery. *)
   let dead_los =
@@ -266,8 +266,7 @@ let remark t =
     let c = Sim.cost t.sim in
     let tc = Trace_cost.create () in
     Heap.retire_all_allocators t.heap;
-    let pool = Sim.pool t.sim in
-    Gc_kernels.drain_marked t.heap tc ~pool ~cost:c ~threads:c.gc_threads
+    Gc_kernels.drain_marked t.heap tc ~cost:c ~threads:c.gc_threads
       ~gray:t.gray;
     t.marking <- false;
     t.remark_ready <- false;
@@ -275,7 +274,7 @@ let remark t =
        large objects, and select mixed candidates by live occupancy. *)
     let cfg = t.heap.cfg in
     let candidates = ref [] in
-    Gc_kernels.marked_block_liveness t.heap ~pool (fun b live ->
+    Gc_kernels.marked_block_liveness t.heap (fun b live ->
         Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
         if live = 0 then begin
           Vec.iter
@@ -322,10 +321,9 @@ let full_gc t =
     Mark_bitset.clear t.heap.marks;
     Heap.retire_all_allocators t.heap;
     (* G1's fallback full collection is mark-sweep-compact. *)
-    let pool = Sim.pool t.sim in
-    Gc_kernels.mark_from t.heap tc ~pool ~cost:c ~threads:c.gc_threads
+    Gc_kernels.mark_from t.heap tc ~cost:c ~threads:c.gc_threads
       ~seeds:(Gc_kernels.iter_roots t.roots);
-    ignore (Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:c.gc_threads);
+    ignore (Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads:c.gc_threads);
     t.copied_bytes <-
       t.copied_bytes
       + Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads

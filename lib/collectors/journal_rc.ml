@@ -138,8 +138,6 @@ type t = {
   mutable in_pause : bool;
 }
 
-let pool t = Sim.pool t.sim
-
 let arena_of t block = min (arena_count - 1) (block / t.arena_blocks)
 
 let open_records t = Vec.length t.open_chunk / 4
@@ -276,7 +274,7 @@ let young_sweep t tc =
   let c = Sim.cost t.sim in
   let cascade = Par.take_scratch () in
   let push_cascade r = if r <> null then Vec.push cascade r in
-  Gc_kernels.sweep_young t.heap tc ~pool:(pool t) ~cost:c ~threads:c.gc_threads
+  Gc_kernels.sweep_young t.heap tc ~cost:c ~threads:c.gc_threads
     ~los:t.los_young ~on_dead:(fun obj ->
       Obj_model.iter_fields push_cascade obj;
       t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size);
@@ -289,35 +287,24 @@ let young_sweep t tc =
 
 (* --- Mature trace (the cycle backstop) --------------------------------- *)
 
-(* An in-pause mark/sweep of the whole heap on work packets. Before the
-   sweep frees the unmarked, a registry pre-scan queues decrements for
-   every unmarked object's fields, so surviving referents' counts stay
-   exact — decrements whose targets the sweep also frees skip at
-   application time. *)
+(* An in-pause mark/sweep of the whole heap. Before the sweep frees the
+   unmarked, a registry pre-scan queues decrements for every unmarked
+   object's fields, in ascending slot order, so surviving referents'
+   counts stay exact — decrements whose targets the sweep also frees
+   skip at application time. *)
 let mature_trace t tc root_ids =
   let c = Sim.cost t.sim in
   t.stats.trace_pauses <- t.stats.trace_pauses + 1;
-  Gc_kernels.mark_from t.heap tc ~pool:(pool t) ~cost:c ~threads:c.gc_threads
+  Gc_kernels.mark_from t.heap tc ~cost:c ~threads:c.gc_threads
     ~seeds:(fun f -> Vec.iter f root_ids);
   let reg = t.heap.registry in
-  Par.map_spans (pool t) ~total:(Obj_model.Registry.slot_count reg)
-    ~packet:Par.slots_per_packet
-    ~f:(fun _ ~lo ~len ->
-      let out = Par.take_scratch () in
-      let push r = if r <> null then Vec.push out r in
-      for slot = lo to lo + len - 1 do
-        let obj = Obj_model.Registry.handle_at_live reg slot in
-        if obj.Obj_model.id <> null && not (Mark_bitset.marked t.heap.marks obj.id)
-        then Obj_model.iter_fields push obj
-      done;
-      out)
-    ~merge:(fun _ out ->
-      Vec.append t.dec_applicable out;
-      Par.recycle_scratch out);
-  let freed =
-    Gc_kernels.sweep_unmarked t.heap tc ~pool:(pool t) ~cost:c
-      ~threads:c.gc_threads
-  in
+  let push r = if r <> null then Vec.push t.dec_applicable r in
+  for slot = 0 to Obj_model.Registry.slot_count reg - 1 do
+    let obj = Obj_model.Registry.handle_at_live reg slot in
+    if obj.Obj_model.id <> null && not (Mark_bitset.marked t.heap.marks obj.id)
+    then Obj_model.iter_fields push obj
+  done;
+  let freed = Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads:c.gc_threads in
   t.stats.trace_reclaimed <- t.stats.trace_reclaimed + freed;
   Mark_bitset.clear t.heap.marks;
   Heap.clear_touched t.heap;

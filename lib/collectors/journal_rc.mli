@@ -6,9 +6,9 @@
     drain folds into the shared RC table — increments immediately,
     decrements deferred past the next root snapshot, so a reachable
     object's count never drops below one. A short snapshot pause per
-    epoch catches up the journal on work packets, re-snapshots the
-    roots, and sweeps the young region with cascading decrements (the
-    divergence from LXR that keeps the counts exact forever). Cyclic
+    epoch catches up the journal, re-snapshots the roots, and sweeps the
+    young region with cascading decrements (the divergence from LXR
+    that keeps the counts exact forever). Cyclic
     garbage falls to a periodic in-pause parallel mark/sweep backstop.
     Per-arena sequential-store buffers re-sweep blocks whose
     classification went stale under concurrent decrement frees. *)

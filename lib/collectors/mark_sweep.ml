@@ -19,7 +19,6 @@ let collect ?(force_defrag = false) t =
   if not t.in_collection then begin
     t.in_collection <- true;
     let c = Sim.cost t.sim in
-    let pool = Sim.pool t.sim in
     let tc = Trace_cost.create () in
     t.collections <- t.collections + 1;
     Heap.retire_all_allocators t.heap;
@@ -30,7 +29,7 @@ let collect ?(force_defrag = false) t =
       (* Routine Immix defrag is bounded by the available headroom;
          emergency compaction happens after the sweep (see below). *)
       if t.defrag && Heap.available_blocks t.heap > 0 then
-        Gc_kernels.select_fragmented t.heap ~pool
+        Gc_kernels.select_fragmented t.heap
           ~max_blocks:(Heap.available_blocks t.heap) ~occupancy_max:0.5
       else []
     in
@@ -45,11 +44,11 @@ let collect ?(force_defrag = false) t =
           ~cost_ns:(c.copy_ns_per_byte *. Float.of_int obj.size)
       end
     in
-    Gc_kernels.mark_from t.heap tc ~pool ~cost:c ~threads:t.threads
+    Gc_kernels.mark_from t.heap tc ~cost:c ~threads:t.threads
       ~seeds:(Gc_kernels.iter_roots t.roots) ~on_visit;
     Bump_allocator.retire_all t.gc_alloc;
     let freed =
-      Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost:c ~threads:t.threads
+      Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads:t.threads
     in
     t.freed_bytes <- t.freed_bytes + freed;
     Gc_kernels.clear_targets t.heap targets;

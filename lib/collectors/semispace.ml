@@ -29,11 +29,10 @@ let collect t =
           ~cost_ns:(c.copy_ns_per_byte *. Float.of_int obj.size)
       end
     in
-    let pool = Sim.pool t.sim in
-    Gc_kernels.mark_from t.heap tc ~pool ~cost:c ~threads
+    Gc_kernels.mark_from t.heap tc ~cost:c ~threads
       ~seeds:(Gc_kernels.iter_roots t.roots) ~on_visit;
     Bump_allocator.retire_all t.gc_alloc;
-    ignore (Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost:c ~threads);
+    ignore (Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads);
     Mark_bitset.clear t.heap.marks;
     Heap.clear_touched t.heap;
     t.bytes_since_gc <- 0;

@@ -57,12 +57,6 @@ type t = {
    registry's canonical none-handle (id = null) when absent. *)
 let find_live t id = Obj_model.Registry.find_live t.heap.registry id
 
-(* The host-side work-packet pool ([--gc-threads]). Phase bodies handed
-   to it must be read-only with respect to collector state; all mutation
-   happens in the ordered merges, so every phase is bit-identical across
-   lane counts (see lib/par). *)
-let pool t = Sim.pool t.sim
-
 let in_target t (obj : Obj_model.t) =
   (not (Obj_model.is_freed obj))
   && Blocks.target t.heap.blocks (Addr.block_of t.heap.cfg (Obj_model.addr obj))
@@ -92,15 +86,18 @@ let note_remset t ~(src : Obj_model.t) ~field ~(referent : Obj_model.t) =
 
 let satb_tracing t = t.satb_active && not t.satb_completed
 
-let gray_push t id =
+let gray_into t gray id =
   if id <> null && not (Mark_bitset.marked t.heap.marks id) then begin
     Mark_bitset.mark t.heap.marks id;
-    Vec.push t.satb_gray id
+    Vec.push gray id
   end
 
-(* Scan one gray object: the mature-only optimization skips objects with a
-   zero reference count (young objects are covered by RC). *)
-let satb_scan t id =
+let gray_push t id = gray_into t t.satb_gray id
+
+(* Scan one gray object, graying its referents onto [gray]: the
+   mature-only optimization skips objects with a zero reference count
+   (young objects are covered by RC). *)
+let satb_scan t id gray =
   let obj = find_live t id in
   if obj.Obj_model.id <> null && Heap.rc_of t.heap obj > 0 then
     for i = 0 to Obj_model.nfields obj - 1 do
@@ -109,7 +106,7 @@ let satb_scan t id =
         let child = find_live t r in
         if child.Obj_model.id <> null then
           note_remset t ~src:obj ~field:i ~referent:child;
-        gray_push t r
+        gray_into t gray r
       end
     done
 
@@ -206,7 +203,7 @@ let apply_incs t tc queue =
 let young_sweep t tc =
   let c = Sim.cost t.sim in
   let clean = ref 0 in
-  Gc_kernels.sweep_young t.heap tc ~pool:(pool t) ~cost:c ~threads:c.gc_threads
+  Gc_kernels.sweep_young t.heap tc ~cost:c ~threads:c.gc_threads
     ~los:t.los_young
     ~on_dead:(fun obj ->
       t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size)
@@ -233,111 +230,57 @@ let begin_satb t root_ids =
   Reuse_table.reset_all t.heap.reuse;
   Remset.clear t.remset;
   t.evac_targets <-
-    Gc_kernels.select_fragmented t.heap ~pool:(pool t)
-      ~max_blocks:t.cfg.max_evac_targets ~occupancy_max:t.cfg.evac_occupancy_max;
+    Gc_kernels.select_fragmented t.heap ~max_blocks:t.cfg.max_evac_targets
+      ~occupancy_max:t.cfg.evac_occupancy_max;
   Vec.iter (gray_push t) root_ids
 
-(* Read-only mirror of [satb_scan] for trace packets: emit
-   [id; k; (field, referent) × k] into the packet buffer. Mark-bit
-   updates, remset notes (which consult the fault injector's PRNG) and
-   cost accounting all happen in the ordered merge. *)
-let satb_scan_packet t id out =
-  Vec.push out id;
-  let kpos = Vec.length out in
-  Vec.push out 0;
-  let obj = find_live t id in
-  if obj.Obj_model.id <> null && Heap.rc_of t.heap obj > 0 then
-    for i = 0 to Obj_model.nfields obj - 1 do
-      let r = Obj_model.field obj i in
-      if r <> null then begin
-        Vec.push out i;
-        Vec.push out r
-      end
-    done;
-  Vec.set out kpos ((Vec.length out - kpos - 1) / 2)
-
 (* Trace to exhaustion inside a pause (the -SATB ablation, emergency
-   collections, and end-of-run draining). Breadth-first rounds over the
-   gray frontier: scan packets are read-only; marking and graying happen
-   in the merge, so the visit order — and therefore the per-object
-   frontier sizes fed to the cost model — is a pure function of the
-   heap graph, independent of the lane count. *)
+   collections, and end-of-run draining), in the kernels' breadth-first
+   rounds. *)
 let drain_satb_in_pause t tc =
   let c = Sim.cost t.sim in
-  let remaining = ref 0 in
-  Par.drain_rounds (pool t) ~packet:Par.queue_per_packet ~frontier:t.satb_gray
-    ~on_round:(fun total -> remaining := total)
-    ~scan:(fun id out -> satb_scan_packet t id out)
-    ~merge:(fun out next ->
-      let i = ref 0 in
-      while !i < Vec.length out do
-        let id = Vec.get out !i and k = Vec.get out (!i + 1) in
-        i := !i + 2;
-        Trace_cost.add tc ~threads:c.gc_threads ~frontier:!remaining
-          ~cost_ns:c.trace_obj_ns;
-        decr remaining;
-        let src = find_live t id in
-        for _ = 1 to k do
-          let field = Vec.get out !i and r = Vec.get out (!i + 1) in
-          i := !i + 2;
-          if src.Obj_model.id <> null then begin
-            let child = find_live t r in
-            if child.Obj_model.id <> null then
-              note_remset t ~src ~field ~referent:child
-          end;
-          if not (Mark_bitset.marked t.heap.marks r) then begin
-            Mark_bitset.mark t.heap.marks r;
-            Vec.push next r
-          end
-        done
-      done);
+  Gc_kernels.trace_rounds tc ~cost:c ~threads:c.gc_threads ~gray:t.satb_gray
+    (satb_scan t);
   if t.satb_active && not t.satb_completed then begin
     t.satb_completed <- true;
     t.stats.satb_traces_completed <- t.stats.satb_traces_completed + 1
   end
 
-(* Reclaim objects the completed trace left unmarked. Only objects mature
-   at trace start participate; younger objects are covered by RC. *)
+(* Reclaim objects the completed trace left unmarked, in ascending slot
+   order. Only objects mature at trace start participate; younger
+   objects are covered by RC. Each run of [reclaim_span] slots charges
+   its mature objects at once: the float sum of the charges depends on
+   that grouping. *)
+let reclaim_span = 512
+
 let satb_reclaim t tc =
   let c = Sim.cost t.sim in
   let reg = t.heap.registry in
-  (* Registry slot-range packets: the mature/marked/dead triage is
-     read-only; the ordered merge frees the dead in ascending slot
-     order and batches the per-object cost charge. *)
-  Par.map_spans (pool t) ~total:(Obj_model.Registry.slot_count reg)
-    ~packet:Par.slots_per_packet
-    ~f:(fun _ ~lo ~len ->
-      let seen = ref 0 and stuck = ref 0 in
-      let dead = Par.take_scratch () in
-      for slot = lo to lo + len - 1 do
-        let obj = Obj_model.Registry.handle_at_live reg slot in
-        if obj.id <> Obj_model.null
-           && Obj_model.birth_epoch obj < t.satb_start_epoch
-        then begin
-          incr seen;
-          if Mark_bitset.marked t.heap.marks obj.id then begin
-            if Heap.rc_is_stuck t.heap obj then incr stuck
-          end
-          else Vec.push dead obj.id
+  let slots = Obj_model.Registry.slot_count reg in
+  let lo = ref 0 in
+  while !lo < slots do
+    let seen = ref 0 in
+    for slot = !lo to min slots (!lo + reclaim_span) - 1 do
+      let obj = Obj_model.Registry.handle_at_live reg slot in
+      if obj.id <> Obj_model.null
+         && Obj_model.birth_epoch obj < t.satb_start_epoch
+      then begin
+        incr seen;
+        if not (Mark_bitset.marked t.heap.marks obj.id) then begin
+          note_dec_sweep t obj;
+          t.stats.satb_reclaimed <- t.stats.satb_reclaimed + obj.size;
+          Heap.free_object t.heap obj
         end
-      done;
-      (!seen, !stuck, dead))
-    ~merge:(fun _ (seen, stuck, dead) ->
-      t.stats.mature_objects_seen <- t.stats.mature_objects_seen + seen;
-      t.stats.stuck_objects <- t.stats.stuck_objects + stuck;
-      if seen > 0 then
-        Trace_cost.add_parallel tc ~threads:c.gc_threads
-          ~cost_ns:(c.dec_ns *. Float.of_int seen);
-      Vec.iter
-        (fun id ->
-          let obj = find_live t id in
-          if obj.Obj_model.id <> null then begin
-            note_dec_sweep t obj;
-            t.stats.satb_reclaimed <- t.stats.satb_reclaimed + obj.size;
-            Heap.free_object t.heap obj
-          end)
-        dead;
-      Par.recycle_scratch dead);
+        else if Heap.rc_is_stuck t.heap obj then
+          t.stats.stuck_objects <- t.stats.stuck_objects + 1
+      end
+    done;
+    t.stats.mature_objects_seen <- t.stats.mature_objects_seen + !seen;
+    if !seen > 0 then
+      Trace_cost.add_parallel tc ~threads:c.gc_threads
+        ~cost_ns:(c.dec_ns *. Float.of_int !seen);
+    lo := !lo + reclaim_span
+  done;
   Predictor.observe t.live_blocks_pred (Float.of_int (live_blocks t))
 
 (* Evacuate part (or all) of the evacuation set using the current roots
@@ -592,7 +535,7 @@ let rc_pause t =
     (* Epoch boundary: let an attached controller move the tunable knobs
        for the next epoch. The feedback carries only simulated metrics,
        so a deterministic controller keeps the run bit-identical across
-       --gc-threads/--domains. *)
+       --domains. *)
     (match t.tune with
     | None -> ()
     | Some f ->
@@ -644,7 +587,7 @@ let conc_run t ~budget_ns =
         t.stats.satb_traces_completed <- t.stats.satb_traces_completed + 1
       end
       else begin
-        satb_scan t (Vec.pop t.satb_gray);
+        satb_scan t (Vec.pop t.satb_gray) t.satb_gray;
         consumed := !consumed +. (c.trace_obj_ns *. penalty)
       end
     end

@@ -27,7 +27,7 @@ val factory : Repro_engine.Collector.factory
 (** What a tuning controller learns at each epoch boundary (the end of
     every RC pause), before the next epoch begins. All values are
     simulated metrics, so any deterministic function of them keeps the
-    run bit-identical across [--gc-threads] and [--domains]. *)
+    run bit-identical across [--domains]. *)
 type epoch_feedback = {
   epoch : int;  (** the epoch that just began *)
   now_ns : float;  (** virtual clock after the pause *)

@@ -14,8 +14,7 @@
 
    It reclaims through the same kernels as every other plan
    ({!Gc_kernels.mark_from}, {!Gc_kernels.sweep_unmarked}, and the
-   emergency {!Compaction.compact}), run on the serial packet pool. The
-   kernels meter their work into a Trace_cost that is simply dropped:
+   emergency {!Compaction.compact}). The kernels meter their work into a Trace_cost that is simply dropped:
    the ideal baseline never calls Sim.pause and charges no GC CPU. *)
 
 open Repro_heap
@@ -38,12 +37,11 @@ let collect ?(emergency = false) t =
     Heap.retire_all_allocators t.heap;
     if emergency then Heap.release_reserve t.heap;
     let tc = Trace_cost.create () and cost = Sim.cost t.sim in
-    let pool = Repro_par.Par.Pool.serial in
-    Gc_kernels.mark_from t.heap tc ~pool ~cost ~threads:1
+    Gc_kernels.mark_from t.heap tc ~cost ~threads:1
       ~seeds:(Gc_kernels.iter_roots t.roots);
     Bump_allocator.retire_all t.gc_alloc;
     t.freed_bytes <-
-      t.freed_bytes + Gc_kernels.sweep_unmarked t.heap tc ~pool ~cost ~threads:1;
+      t.freed_bytes + Gc_kernels.sweep_unmarked t.heap tc ~cost ~threads:1;
     if emergency then
       ignore (Compaction.compact t.heap tc ~cost ~threads:1 ~gc_alloc:t.gc_alloc);
     Mark_bitset.clear t.heap.Heap.marks;

@@ -30,7 +30,6 @@ type t = {
   mutable faults : Fault.t;
   mutable tracer : Tracer.t;
   mutable on_pause_end : string -> unit;  (* pause label; verifier hook *)
-  mutable pool : Repro_par.Par.Pool.t;  (* host-side work-packet lanes *)
 }
 
 let create cost =
@@ -53,8 +52,7 @@ let create cost =
     alloc_count = 0;
     faults = Fault.none;
     tracer = Tracer.none;
-    on_pause_end = ignore;
-    pool = Repro_par.Par.Pool.serial }
+    on_pause_end = ignore }
 
 let cost t = t.cost
 let hot t = t.h
@@ -136,9 +134,6 @@ let set_faults t f = t.faults <- f
 let tracer t = t.tracer
 let set_tracer t tr = t.tracer <- tr
 let set_on_pause_end t f = t.on_pause_end <- f
-
-let pool t = t.pool
-let set_pool t p = t.pool <- p
 
 let alloc_bytes t = t.alloc_bytes
 let alloc_count t = t.alloc_count

@@ -119,16 +119,6 @@ val tracer : t -> Tracer.t
 
 val set_tracer : t -> Tracer.t -> unit
 
-(** The host-side work-packet pool collector phases partition onto —
-    {!Repro_par.Par.Pool.serial} (inline execution) unless a harness
-    installed one via [--gc-threads]. Distributed through the clock for
-    the same reason as {!faults}: every collector already holds the
-    [Sim.t]. The pool affects host execution only; simulated pause
-    costs still come from {!Cost_model.gc_threads}. *)
-val pool : t -> Repro_par.Par.Pool.t
-
-val set_pool : t -> Repro_par.Par.Pool.t -> unit
-
 (** [set_on_pause_end t f]: [f label] runs at the end of every {!pause}
     (after accounting) — the verifier's post-pause safepoint hook. *)
 val set_on_pause_end : t -> (string -> unit) -> unit

@@ -8,7 +8,6 @@ let add t ~threads ~frontier ~cost_ns =
   t.critical <- t.critical +. (cost_ns /. Float.of_int par)
 
 let add_parallel t ~threads ~cost_ns = add t ~threads ~frontier:max_int ~cost_ns
-let add_serial t ~cost_ns = add t ~threads:1 ~frontier:1 ~cost_ns
 let cpu_ns t = t.cpu
 let critical_ns t = t.critical
 

@@ -20,9 +20,6 @@ val add : t -> threads:int -> frontier:int -> cost_ns:float -> unit
     work (frontier effectively unbounded). *)
 val add_parallel : t -> threads:int -> cost_ns:float -> unit
 
-(** [add_serial t ~cost_ns] records inherently serial work. *)
-val add_serial : t -> cost_ns:float -> unit
-
 val cpu_ns : t -> float
 val critical_ns : t -> float
 val reset : t -> unit

@@ -788,7 +788,7 @@ let controller opts =
        re-tuning the trigger knobs between epochs against the epoch-cost\n\
        objective. Expected shape: on at least one adversary a controller\n\
        beats the static configuration on distilled cost; trajectories\n\
-       are bit-identical across --gc-threads and --domains."
+       are deterministic per seed."
     rows
 
 let all =

@@ -69,11 +69,10 @@ let failed ~workload ~collector ~heap_factor ~heap_bytes msg =
    mutator-side output (generatively or by replay), then assemble the
    result. [driver] receives the engine and the measurement-start
    callback that zeroes the accumulators. *)
-let execute ?ids_hint ~workload_name ~heap_factor ~cfg
-    ~gc_threads ~verify ~inject ~recorder ~factory ~driver () =
+let execute ?ids_hint ~workload_name ~heap_factor ~cfg ~verify ~inject
+    ~recorder ~factory ~driver () =
   let heap = Heap.create ?ids_hint cfg in
   let sim = Sim.create Cost_model.default in
-  Sim.set_pool sim (Repro_par.Par.Pool.get ~threads:gc_threads);
   (match inject with Some f -> Sim.set_faults sim f | None -> ());
   (match recorder with
   | Some r -> Sim.set_tracer sim (Repro_trace.Recorder.tracer r)
@@ -155,7 +154,7 @@ let execute ?ids_hint ~workload_name ~heap_factor ~cfg
     failed ~workload:workload_name ~collector:"?" ~heap_factor
       ~heap_bytes:cfg.Heap_config.heap_bytes ("unsupported: " ^ msg)
 
-let run ?(seed = 42) ?(scale = 1.0) ?(gc_threads = 1) ?heap_config
+let run ?(seed = 42) ?(scale = 1.0) ?gc_threads:_ ?heap_config
     ?(verify = []) ?inject ?record_to ~workload ~factory ~heap_factor () =
   let w = (workload : Repro_mutator.Workload.t) in
   let heap_bytes = int_of_float (heap_factor *. Float.of_int w.min_heap_bytes) in
@@ -182,8 +181,8 @@ let run ?(seed = 42) ?(scale = 1.0) ?(gc_threads = 1) ?heap_config
     in
     let prng = Prng.create seed in
     let r =
-      execute ~workload_name:w.name ~heap_factor ~cfg ~gc_threads
-        ~verify ~inject ~recorder ~factory
+      execute ~workload_name:w.name ~heap_factor ~cfg ~verify ~inject
+        ~recorder ~factory
         ~driver:(fun api ~on_measurement_start ->
           Repro_mutator.Mut_engine.run ~on_measurement_start api prng w ~scale)
         ()
@@ -193,8 +192,8 @@ let run ?(seed = 42) ?(scale = 1.0) ?(gc_threads = 1) ?heap_config
     | _ -> ());
     r
 
-let replay ?(gc_threads = 1) ?(verify = []) ?inject ?record_to ~trace
-    ~factory () =
+let replay ?gc_threads:_ ?(verify = []) ?inject ?record_to ~trace ~factory
+    () =
   let t = (trace : Repro_trace.Trace_format.t) in
   let h = t.header in
   (* The trace tells us the highest id it will mention; presize the
@@ -214,9 +213,8 @@ let replay ?(gc_threads = 1) ?(verify = []) ?inject ?record_to ~trace
            ~scale:h.scale ~heap_factor:h.heap_factor ~cfg ())
   in
   let r =
-    execute ~ids_hint ~workload_name:h.workload
-      ~heap_factor:h.heap_factor ~cfg ~gc_threads ~verify ~inject
-      ~recorder ~factory
+    execute ~ids_hint ~workload_name:h.workload ~heap_factor:h.heap_factor
+      ~cfg ~verify ~inject ~recorder ~factory
       ~driver:(fun api ~on_measurement_start ->
         Repro_trace.Replay.run ~on_measurement_start api t)
       ()

@@ -59,10 +59,9 @@ val qps : result -> float
     recording is observationally free (a recorded run's metrics are
     bit-identical to an unrecorded one's).
 
-    [gc_threads] (default 1) sizes the host-side work-packet pool the
-    collector phases run on ({!Repro_par.Par}). It affects host
-    execution only: results are bit-identical for every value, and the
-    {b simulated} pause costs still come from
+    [gc_threads] is ignored. It is kept only because the host-time
+    benchmark ([ledger/]) still passes it; it goes at the next change to
+    the benchmark. The {b simulated} GC thread count is
     [Cost_model.gc_threads]. *)
 val run :
   ?seed:int ->
@@ -86,7 +85,8 @@ val run :
     different collector measures that collector on the identical mutator
     work. [verify], [inject], and [record_to] behave as in {!run}
     (recording a replay of an untampered trace reproduces the trace byte
-    for byte). Every run uses {!Repro_engine.Cost_model.default}. *)
+    for byte), and [gc_threads] is ignored as in {!run}. Every run uses
+    {!Repro_engine.Cost_model.default}. *)
 val replay :
   ?gc_threads:int ->
   ?verify:Repro_verify.Verifier.safepoint list ->

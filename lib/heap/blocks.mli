@@ -19,10 +19,8 @@ val state : t -> int -> state
 
 (** [set_state t b st] moves block [b] to [st] and updates the per-state
     counts {!count_state} reads. The counts are plain ints, not atomics:
-    call [set_state] only on the domain that owns the heap (allocators,
-    collector phases, and the ordered [merge] of a [Par] packet run,
-    which runs on the caller) — never inside a packet body. Fleet
-    replicas own separate heaps. *)
+    call [set_state] only on the domain that owns the heap (allocators
+    and collector phases). Fleet replicas own separate heaps. *)
 val set_state : t -> int -> state -> unit
 
 val young : t -> int -> bool

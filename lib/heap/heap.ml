@@ -248,13 +248,23 @@ let classify_block t b =
   else if Rc_table.free_lines_in_block t.rc t.cfg b > 0 then Blocks.Recyclable
   else Blocks.In_use
 
-(* Free a pre-scanned dead list ([len] ids of [dead] starting at [off]),
-   then compact and classify the block. Each dead object costs one
-   registry lookup, shared with [on_free]. *)
-let sweep_apply ?(on_free = ignore) t b ~dead ~off ~len =
+(* List block [b]'s dead residents first, then free them: [on_free]
+   hooks never see a resident list that their own frees are changing. *)
+let sweep_block ?(on_free = ignore) t b ~dead =
+  let dead_ids = t.sweep_scratch in
+  Vec.clear dead_ids;
+  let residents = Blocks.residents t.blocks b in
+  for r = 0 to Vec.length residents - 1 do
+    let obj = Obj_model.Registry.find_live t.registry (Vec.get residents r) in
+    if
+      obj.Obj_model.id <> Obj_model.null
+      && Addr.block_of t.cfg (Obj_model.addr obj) = b
+      && dead obj
+    then Vec.push dead_ids obj.Obj_model.id
+  done;
   let freed_bytes = ref 0 in
-  for k = off to off + len - 1 do
-    let obj = Obj_model.Registry.find_live t.registry (Vec.get dead k) in
+  for k = 0 to Vec.length dead_ids - 1 do
+    let obj = Obj_model.Registry.find_live t.registry (Vec.get dead_ids k) in
     if obj.Obj_model.id <> Obj_model.null then begin
       freed_bytes := !freed_bytes + obj.size;
       on_free obj;
@@ -279,18 +289,7 @@ let sweep_apply ?(on_free = ignore) t b ~dead ~off ~len =
 
 (* The dead are residents that died with a zero count: young objects
    that never received an increment and were never individually freed. *)
-let rc_sweep_block t b =
-  Vec.clear t.sweep_scratch;
-  Vec.iter
-    (fun id ->
-      let obj = Obj_model.Registry.find_live t.registry id in
-      if
-        obj.Obj_model.id <> Obj_model.null
-        && Addr.block_of t.cfg (Obj_model.addr obj) = b
-        && Rc_table.get t.rc t.cfg (Obj_model.addr obj) = 0
-      then Vec.push t.sweep_scratch id)
-    (Blocks.residents t.blocks b);
-  sweep_apply t b ~dead:t.sweep_scratch ~off:0 ~len:(Vec.length t.sweep_scratch)
+let rc_sweep_block t b = sweep_block t b ~dead:(fun obj -> rc_of t obj = 0)
 
 let available_blocks t = Free_lists.free_count t.free
 

@@ -35,7 +35,7 @@ type t = {
       (** one byte per block, non-zero iff the block is on [reserve] —
           the O(1) view behind {!in_reserve} *)
   sweep_scratch : Repro_util.Vec.t;
-      (** scratch dead-list for [rc_sweep_block]; per-heap because fleet
+      (** scratch dead-list for {!sweep_block}; per-heap because fleet
           replicas sweep their heaps concurrently *)
   mutable epoch : int;  (** current RC epoch number *)
   mutable on_pre_pause : unit -> unit;
@@ -129,19 +129,17 @@ val classify_block : t -> int -> Blocks.state
 val rc_sweep_block :
   t -> int -> [ `Freed | `Recyclable of int | `Full ] * int
 
-(** [sweep_apply ?on_free t b ~dead ~off ~len] frees the [len] dead ids
-    of [dead] starting at [off] (ids no longer registered are skipped;
-    [on_free] sees each object just before its free), then compacts
-    block [b]'s resident list, clears its young flag, and classifies it
-    with {!classify_block}, releasing [Free] and [Recyclable] blocks
+(** [sweep_block ?on_free t b ~dead] frees block [b]'s dead residents
+    — live, still resident in [b], and satisfying [dead] — in resident
+    order ([on_free] sees each object just before its free), then
+    compacts [b]'s resident list, clears its young flag, and classifies
+    it with {!classify_block}, releasing [Free] and [Recyclable] blocks
     onto their lists. Returns the classification and the freed bytes. *)
-val sweep_apply :
+val sweep_block :
   ?on_free:(Obj_model.t -> unit) ->
   t ->
   int ->
-  dead:Repro_util.Vec.t ->
-  off:int ->
-  len:int ->
+  dead:(Obj_model.t -> bool) ->
   [ `Freed | `Recyclable of int | `Full ] * int
 
 (** [available_blocks t] is the number of blocks on the free list. *)

@@ -27,7 +27,8 @@ let null = 0
    own dead record, even after its slot has been reused. *)
 
 type store = {
-  mutable handles : t array;  (* slot -> canonical handle, or [none] *)
+  mutable handles : t array;
+      (* slot -> canonical handle, or [none]; [Registry.vacant] past [slots] *)
   mutable slots : int;  (* high-water slot count *)
   free_slots : Vec.t;
   (* shared field pool: one flat buffer, free extents listed by length *)
@@ -170,22 +171,18 @@ module Registry = struct
 
   let nil = -1
 
-  (* [ids_hint]: the expected highest external id, used to presize the
-     id-indexed map. A replayer knows it exactly from the trace, turning
-     doubling-growth churn into one right-sized allocation. *)
-  let create ?(ids_hint = 4096) () =
-    let ids_hint = max 16 ids_hint in
+  let empty ~ids ~field_words =
     let rec reg =
       { handles = [||];
         slots = 0;
         free_slots = Vec.create ~capacity:256 ();
-        pool = Array.make 8192 null;
+        pool = Array.make field_words null;
         pool_top = 0;
         pool_free = Array.make 64 nil;
         wide = Array.make 64 0;
         wide_top = 0;
         wide_free = Array.make 8 nil;
-        id_to_slot = Array.make ids_hint (-1);
+        id_to_slot = Array.make ids (-1);
         next_id = 1;
         bytes = 0;
         count = 0;
@@ -201,7 +198,21 @@ module Registry = struct
         foff = 0;
         logged = 0 }
     in
-    reg.handles <- Array.make 1024 none;
+    reg
+
+  (* [handles] beyond [slots] is never read, so it is filled with one
+     process-wide handle rather than the store's own [none]: a fresh
+     [none] is young, and [Array.make] of more than 256 elements over a
+     young value forces a minor collection. [vacant] is old after the
+     process's first one. *)
+  let vacant = (empty ~ids:1 ~field_words:0).none
+
+  (* [ids_hint]: the expected highest external id, used to presize the
+     id-indexed map. A replayer knows it exactly from the trace, turning
+     doubling-growth churn into one right-sized allocation. *)
+  let create ?(ids_hint = 4096) () =
+    let reg = empty ~ids:(max 16 ids_hint) ~field_words:8192 in
+    reg.handles <- Array.make 1024 vacant;
     reg
 
   (* Intrusive free lists: [heads.(n)] is the offset of the most recently
@@ -274,7 +285,7 @@ module Registry = struct
         let s = reg.slots in
         reg.slots <- s + 1;
         if s >= Array.length reg.handles then begin
-          let h = Array.make (2 * Array.length reg.handles) reg.none in
+          let h = Array.make (2 * Array.length reg.handles) vacant in
           Array.blit reg.handles 0 h 0 (Array.length reg.handles);
           reg.handles <- h
         end;

@@ -130,6 +130,13 @@ module Registry : sig
       live object, so they never box an option. *)
   val none_handle : t -> obj
 
+  (** A process-wide handle that, like every store's {!none_handle},
+      has [id = null] and reads as freed forever. It fills handle arrays
+      whose unused entries are only ever tested by id: allocated once, it
+      is old by the time such an array is made, and [Array.make] of more
+      than 256 elements over a young value forces a minor collection. *)
+  val vacant : obj
+
   (** [find_live reg id] is the canonical handle when [id] is live, and
       [none_handle reg] otherwise (test [(find_live reg id).id = null]).
       Allocation-free. *)
@@ -150,14 +157,14 @@ module Registry : sig
   (** Iterates live objects in ascending slot order. *)
   val iter : (obj -> unit) -> t -> unit
 
-  (** One past the highest slot ever occupied — the range registry work
-      packets partition over ([iter] ≡ visiting the live results of
+  (** One past the highest slot ever occupied — the range slot-order
+      sweeps cover ([iter] ≡ visiting the live results of
       [handle_at_live] for slots [0 .. slot_count - 1]). *)
   val slot_count : t -> int
 
   (** [handle_at_live reg slot] is the live handle occupying [slot], or
-      {!none_handle} when the slot is empty — the form slot-partitioned
-      scan packets use. *)
+      {!none_handle} when the slot is empty — the form slot-order sweeps
+      use. *)
   val handle_at_live : t -> int -> obj
 
   (** [reachable_from reg roots] is the id set reachable from [roots] by

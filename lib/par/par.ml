@@ -1,11 +1,10 @@
-(* Work-packet scheduler with deterministic ordered reduction.
+(* A parallel-for with deterministic ordered reduction.
 
    Parallelism lives entirely between [f] calls on distinct packet
-   indices; every effect on collector state happens in [merge], applied
-   serially in ascending packet order on the submitting domain. The
-   packet partition is a pure function of the phase's input size, so
-   the observable result of a phase is independent of how many workers
-   happened to execute it — including zero (inline). *)
+   indices; every effect on shared state happens in [merge], applied
+   serially in ascending packet order on the submitting domain, so the
+   observable result is independent of how many workers happened to
+   execute the packets — including zero (inline). *)
 
 module Vec = Repro_util.Vec
 
@@ -98,7 +97,7 @@ module Pool = struct
 
   let serial = create ~threads:1 ()
 
-  (* Process-wide pool cache: replays and differ lanes reuse domains. *)
+  (* Process-wide pool cache: repeated fleet runs reuse domains. *)
   let cache : (int, t) Hashtbl.t = Hashtbl.create 4
   let cache_mutex = Mutex.create ()
   let exit_hooked = ref false
@@ -163,13 +162,11 @@ module Pool = struct
       end
 end
 
-(* Recycled packet buffers. Packet bodies fill a scratch [Vec] and the
-   ordered merge consumes it; once merged, the buffer is dead and can be
-   reused by the next packet — in the inline path that means one buffer
-   services an entire phase, and across phases the pool keeps collectors'
-   steady-state packet allocation at zero. Contents are always fully
-   rewritten ([take] clears), so recycling cannot affect results. The
-   free list is shared across worker domains; the lock is per
+(* Recycled scratch buffers. A collector pause takes its work queues
+   here and hands them back when it ends, so steady-state pauses
+   allocate none. Contents are always fully rewritten ([take] clears),
+   so recycling cannot affect results. The free list is shared across
+   domains (fleet replicas collect on worker domains); the lock is per
    take/recycle, far off the per-element path. *)
 let scratch_lock = Mutex.create ()
 let scratch_free : Vec.t list ref = ref []
@@ -192,16 +189,6 @@ let recycle_scratch v =
   scratch_free := v :: !scratch_free;
   Mutex.unlock scratch_lock
 
-let packet_count ~total ~packet =
-  if packet < 1 then invalid_arg "Par.packet_count: packet";
-  if total < 0 then invalid_arg "Par.packet_count: total";
-  (total + packet - 1) / packet
-
-let span ~total ~packet i =
-  let lo = i * packet in
-  if lo < 0 || lo >= total then invalid_arg "Par.span: index";
-  (lo, min packet (total - lo))
-
 let map_merge pool ~packets ~f ~merge =
   if packets < 0 then invalid_arg "Par.map_merge: packets";
   if packets > 0 then begin
@@ -223,36 +210,3 @@ let map_merge pool ~packets ~f ~merge =
       done
     end
   end
-
-let map_spans pool ~total ~packet ~f ~merge =
-  let packets = packet_count ~total ~packet in
-  map_merge pool ~packets
-    ~f:(fun i ->
-      let lo, len = span ~total ~packet i in
-      f i ~lo ~len)
-    ~merge
-
-let drain_rounds ?(on_round = ignore) pool ~packet ~frontier ~scan ~merge =
-  let next = take_scratch () in
-  while Vec.length frontier > 0 do
-    let total = Vec.length frontier in
-    on_round total;
-    map_spans pool ~total ~packet
-      ~f:(fun _ ~lo ~len ->
-        let out = take_scratch () in
-        for k = lo to lo + len - 1 do
-          scan (Vec.get frontier k) out
-        done;
-        out)
-      ~merge:(fun _ out ->
-        merge out next;
-        recycle_scratch out);
-    Vec.clear frontier;
-    Vec.append frontier next;
-    Vec.clear next
-  done;
-  recycle_scratch next
-
-let blocks_per_packet = 8
-let slots_per_packet = 512
-let queue_per_packet = 256

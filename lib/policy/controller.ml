@@ -6,8 +6,8 @@
    span, or a fleet SLO burn rate — and move knobs from
    Lxr_config.tunable_knobs between epochs. Every input is a simulated
    metric and all exploration randomness comes from a seeded SplitMix64
-   stream, so a controlled run is bit-identical across --gc-threads and
-   --domains by construction. *)
+   stream, so a controlled run is bit-identical across --domains by
+   construction. *)
 
 open Repro_util
 module Config = Repro_lxr.Lxr_config

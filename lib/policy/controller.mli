@@ -19,7 +19,7 @@
 
     Every controller input is a simulated metric and all exploration
     randomness is a seeded SplitMix64 stream, so controlled runs stay
-    bit-identical across [--gc-threads] and [--domains]. *)
+    bit-identical across [--domains]. *)
 
 type algo = Hill | Pid
 type objective = Cost | Burn
@@ -70,8 +70,7 @@ val observe :
   Repro_lxr.Lxr_config.t
 
 (** Every knob assignment the controller made, as
-    [(epoch, knob_name, new_value)] in application order — the
-    determinism tests compare these across [--gc-threads] values. *)
+    [(epoch, knob_name, new_value)] in application order. *)
 val trajectory : t -> (int * string * float) list
 
 (** [lxr_factory spec] builds a collector factory whose LXR instances

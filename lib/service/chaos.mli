@@ -16,8 +16,8 @@
     Event times are fractions of the nominal arrival span, replica
     targets default to one seeded PRNG draw per event, and the fleet
     fires events only at scheduling barriers — so a fixed (spec, seed)
-    pair yields a bit-identical fault timeline at every [--domains] and
-    [--gc-threads] count. *)
+    pair yields a bit-identical fault timeline at every [--domains]
+    count. *)
 
 (** The serving tier's fault classes: declarative events scheduled
     against the fleet timeline (checkpoint-quantized, so firings are

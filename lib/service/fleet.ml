@@ -16,7 +16,6 @@ type config = {
   queue_limit : int;
   quantum_ns : float option;
   domains : int;
-  gc_threads : int;
   verify : Verifier.safepoint list;
   chaos : Chaos.spec option;
   retry : Policy.Retry.t;
@@ -27,7 +26,7 @@ type config = {
 
 let config ?(replicas = 4) ?(heap_factor = 1.3) ?(policy = Policy.Gc_aware)
     ?(seed = 42) ?requests ?(load = 1.0) ?(queue_limit = 64) ?quantum_ns
-    ?(domains = 1) ?(gc_threads = 1) ?(verify = []) ?chaos
+    ?(domains = 1) ?gc_threads:_ ?(verify = []) ?chaos
     ?(retry = Policy.Retry.none) ?slo ?autoscale ?on_burn ~workload ~factory
     () =
   let requests =
@@ -37,8 +36,8 @@ let config ?(replicas = 4) ?(heap_factor = 1.3) ?(policy = Policy.Gc_aware)
       match workload.Workload.request with Some r -> r.count | None -> 0)
   in
   { workload; factory; replicas; heap_factor; policy; seed; requests; load;
-    queue_limit; quantum_ns; domains; gc_threads; verify; chaos; retry; slo;
-    autoscale; on_burn }
+    queue_limit; quantum_ns; domains; verify; chaos; retry; slo; autoscale;
+    on_burn }
 
 type replica_stats = {
   r_index : int;
@@ -275,13 +274,9 @@ type front = {
   mutable scale_downs : int;
 }
 
-(* Deterministic parallel-for over the shared work-packet pool: one
-   replica per packet, each touching disjoint state, with the pool's
-   completion wait as the round barrier. The fleet and the collectors'
-   GC phases share this single pool, so replica rounds and GC packets
-   never oversubscribe the host: a collector phase reaching the pool
-   from inside a replica round finds it busy and runs inline
-   (Par.Pool's re-entrancy rule). *)
+(* Deterministic parallel-for over the domain pool: one replica per
+   packet, each touching disjoint state, with the pool's completion wait
+   as the round barrier. *)
 let parallel_over pool n f =
   Repro_par.Par.map_merge pool ~packets:n ~f ~merge:(fun _ () -> ())
 
@@ -349,7 +344,6 @@ let build_engine env ~heap_bytes ~seed =
     match
       let heap = Repro_heap.Heap.create heap_cfg in
       let sim = Sim.create Cost_model.default in
-      Sim.set_pool sim env.pool;
       let api = Api.create sim heap env.cfg.factory in
       let prng = Prng.create seed in
       (api, Mut.make_server api prng env.cfg.workload)
@@ -424,10 +418,7 @@ let make_env (cfg : config) req =
   let resilient = cfg.chaos <> None || cfg.autoscale <> None in
   let chaos = Option.value cfg.chaos ~default:Chaos.empty in
   { cfg;
-    (* One pool serves both replica rounds and the collectors' GC
-       packets (sized for whichever wants more lanes). *)
-    pool =
-      Repro_par.Par.Pool.get ~threads:(max 1 (max cfg.domains cfg.gc_threads));
+    pool = Repro_par.Par.Pool.get ~threads:(max 1 cfg.domains);
     heap_bytes =
       int_of_float
         (cfg.heap_factor *. Float.of_int cfg.workload.min_heap_bytes);

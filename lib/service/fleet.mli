@@ -41,13 +41,8 @@
     per-replica event stream depends only on the batch sequence, so
     partitioning replicas across 1 or N domains produces bit-identical
     metrics — [--domains] is purely a wall-clock knob, chaos included.
-
-    Replica rounds and the collectors' GC work packets
-    ({!Repro_par.Par}) share one domain pool, sized
-    [max domains gc_threads], so the two layers never oversubscribe the
-    host: a collector phase reaching the pool from inside a replica
-    round finds it busy and runs inline. [gc_threads] (default 1) is
-    bit-identical too. *)
+    Replica rounds are the only host parallelism: each replica's
+    collector runs serially on the domain serving its round. *)
 
 type config = {
   workload : Repro_mutator.Workload.t;  (** must carry a request model *)
@@ -69,9 +64,6 @@ type config = {
           service time (nominal mutator CPU over the cost model's
           mutator threads), keeping the GC signal fresh *)
   domains : int;  (** worker domains for replica execution, >= 1 *)
-  gc_threads : int;
-      (** work-packet lanes for each replica's collector phases, >= 1;
-          shares the replica pool (see above) *)
   verify : Repro_verify.Verifier.safepoint list;
       (** attach the heap-integrity verifier to every replica *)
   chaos : Chaos.spec option;
@@ -95,9 +87,11 @@ type config = {
 
 (** [config ~workload ~factory ()] with fleet defaults: 4 replicas, 1.3x
     heap, gc-aware policy, seed 42, the workload's published request
-    count, load 1.0, queue limit 64, auto quantum, 1 domain, 1 GC
-    thread, no verifier, and no resilience features (no chaos, no
-    retries, no SLO monitor, no autoscaler). *)
+    count, load 1.0, queue limit 64, auto quantum, 1 domain, no
+    verifier, and no resilience features (no chaos, no retries, no SLO
+    monitor, no autoscaler). [gc_threads] is ignored. It is kept only
+    because the host-time benchmark ([ledger/]) still passes it; it goes
+    at the next change to the benchmark. *)
 val config :
   ?replicas:int ->
   ?heap_factor:float ->

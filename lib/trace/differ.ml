@@ -73,8 +73,7 @@ let missing_from a b =
 (* Divergences retained (not counted); the drive stops once reached. *)
 let max_divergences = 8
 
-let run ?(verify = false) ?(every = 4096) ?inject ?(gc_threads = 1) ~trace
-    ~collectors () =
+let run ?(verify = false) ?(every = 4096) ?inject ~trace ~collectors () =
   let header = trace.Trace_format.header in
   let cfg = Trace_format.heap_config header in
   let is_lane target label =
@@ -96,7 +95,6 @@ let run ?(verify = false) ?(every = 4096) ?inject ?(gc_threads = 1) ~trace
       (fun (label, factory) ->
         let heap = Heap.create cfg in
         let sim = Sim.create Cost_model.default in
-        Sim.set_pool sim (Repro_par.Par.Pool.get ~threads:gc_threads);
         (match inject with
         | Some (target, fault) when is_lane target label ->
           Sim.set_faults sim fault

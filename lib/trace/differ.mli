@@ -36,8 +36,6 @@ type report = {
   oracle_checks : int;  (** per-collector oracle runs performed *)
 }
 
-val divergence_to_string : divergence -> string
-
 (** One-line summary plus one line per retained divergence. *)
 val report_to_string : report -> string
 
@@ -50,20 +48,16 @@ val report_to_string : report -> string
     demonstrate that an induced divergence is caught and localised;
     raises [Invalid_argument] when it names none of [collectors].
     The first 8 divergences are retained (all are counted), and the
-    drive stops early once 8 are found. Replay under each
-    collector uses the trace header's heap geometry and the default cost
-    model. [gc_threads] (default 1) sizes each lane's host-side
-    work-packet pool ({!Repro_par.Par}); checkpoints — like every other
-    observable — are bit-identical for every value. A collector that
-    refuses that geometry
-    ({!Repro_engine.Collector.Unsupported}) is reported in
-    [skipped] and the remaining lanes are diffed; the exception
-    propagates only when every requested collector refuses. *)
+    drive stops early once 8 are found. Replay under each collector uses
+    the trace header's heap geometry and the default cost model. A
+    collector that refuses that geometry
+    ({!Repro_engine.Collector.Unsupported}) is reported in [skipped] and
+    the remaining lanes are diffed; the exception propagates only when
+    every requested collector refuses. *)
 val run :
   ?verify:bool ->
   ?every:int ->
   ?inject:string * Repro_engine.Fault.t ->
-  ?gc_threads:int ->
   trace:Trace_format.t ->
   collectors:(string * Repro_engine.Collector.factory) list ->
   unit ->

@@ -22,7 +22,6 @@ let create ?(collector = "?") ~workload ~seed ~scale ~heap_factor ~cfg () =
     count = 0 }
 
 let set_collector t name = t.collector <- name
-let event_count t = t.count
 
 let emit t ev =
   Trace_format.encode_event t.events ev;

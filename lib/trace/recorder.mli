@@ -30,9 +30,6 @@ val tracer : t -> Repro_engine.Tracer.t
 
 val set_collector : t -> string -> unit
 
-(** Events recorded so far. *)
-val event_count : t -> int
-
 (** [contents t] assembles the complete serialized trace (header, events
     so far, trailer). The recorder may continue to accept events; a later
     [contents] re-assembles with the longer stream. *)

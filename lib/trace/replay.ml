@@ -15,12 +15,11 @@ type t = {
      flat arrays indexed by id rather than hashtables — the translation
      sits on the hot path of every replayed write/read/root event. [map]
      is presized from the ring's alloc statistics (so it never grows) and
-     holds the registry's none-handle (id = null) where the old
-     representation held [None]: lookups test [obj.id] instead of
-     matching an option, and a freed object's entry still resolves to its
-     stale handle — stale-handle semantics (reads-as-freed, writes
-     no-op) are part of replay fidelity. *)
-  none : Obj_model.t;
+     holds [Registry.vacant] (id = null) where the old representation held
+     [None]: lookups test [obj.id] instead of matching an option, and a
+     freed object's entry still resolves to its stale handle —
+     stale-handle semantics (reads-as-freed, writes no-op) are part of
+     replay fidelity. *)
   mutable map : Obj_model.t array;
   mutable rev : int array;
   hist : Repro_util.Histogram.t;
@@ -34,18 +33,15 @@ type t = {
   mutable oom : Api.oom_info option;
   mutable halted : bool;
   mutable finished : bool;
-  mutable anomalies : string list;
 }
 
 let create ?(on_measurement_start = fun () -> ()) api trace =
   let alloc_count, max_id = Trace_format.alloc_stats trace in
-  let none = Obj_model.Registry.none_handle (Api.heap api).Heap.registry in
   { api;
     trace;
     ring = Trace_format.ring trace;
     on_measurement_start;
-    none;
-    map = Array.make (max 16 (max_id + 1)) none;
+    map = Array.make (max 16 (max_id + 1)) Obj_model.Registry.vacant;
     rev = Array.make (max 16 (alloc_count + 2)) 0;
     hist = Repro_util.Histogram.create ();
     idx = 0;
@@ -57,13 +53,11 @@ let create ?(on_measurement_start = fun () -> ()) api trace =
     large_bytes = 0;
     oom = None;
     halted = false;
-    finished = false;
-    anomalies = [] }
+    finished = false }
 
 let event_index t = t.idx
 let halted t = t.halted
 let oom t = t.oom
-let anomalies t = List.rev t.anomalies
 
 let recorded_id t ~replay_id =
   if replay_id >= 0 && replay_id < Array.length t.rev && t.rev.(replay_id) <> 0
@@ -72,7 +66,7 @@ let recorded_id t ~replay_id =
 
 let[@inline] map_get t recorded =
   if recorded >= 0 && recorded < Array.length t.map then t.map.(recorded)
-  else t.none
+  else Obj_model.Registry.vacant
 
 let unknown : t -> string -> int -> 'a =
  fun t what recorded ->
@@ -100,7 +94,9 @@ let finish_engine t =
 (* Bookkeeping after a successful Alloc replay. *)
 let install_alloc t id (obj : Obj_model.t) ~large =
   if id >= Array.length t.map then begin
-    let m = Array.make (max (2 * Array.length t.map) (id + 1)) t.none in
+    let m =
+      Array.make (max (2 * Array.length t.map) (id + 1)) Obj_model.Registry.vacant
+    in
     Array.blit t.map 0 m 0 (Array.length t.map);
     t.map <- m
   end;
@@ -110,13 +106,6 @@ let install_alloc t id (obj : Obj_model.t) ~large =
     t.rev <- Repro_util.Int_array.grow t.rev (rid + 1) 0;
   t.rev.(rid) <- id;
   if large && t.measuring then t.large_bytes <- t.large_bytes + obj.Obj_model.size
-
-let alloc_failed_anomaly t size =
-  t.anomalies <-
-    Printf.sprintf
-      "event %d: allocation of %d bytes succeeded; it failed during recording"
-      t.idx size
-    :: t.anomalies
 
 (* Unchecked operand loads: callers pass [i < count], and every operand
    array holds [count] entries. *)
@@ -146,10 +135,10 @@ let apply_tag t i tag =
       finish_engine t
     end
   | 2 (* alloc_failed *) ->
-    let size = op1 g i in
-    let obj = Api.alloc_fast t.api ~size ~nfields:(op2 g i) in
+    (* The allocation failed during recording but may succeed here; no
+       later event names the object, so it is garbage at birth. *)
+    let obj = Api.alloc_fast t.api ~size:(op1 g i) ~nfields:(op2 g i) in
     if obj.Obj_model.id = null then t.oom <- Some (Api.last_oom t.api)
-    else alloc_failed_anomaly t size
   | 3 (* write *) ->
     let rvalue = map_ref t (op3 g i) in
     Api.write t.api (lookup t (op1 g i) "write") (op2 g i) rvalue

@@ -46,11 +46,6 @@ val halted : t -> bool
 
 val oom : t -> Repro_engine.Api.oom_info option
 
-(** Anomalies observed so far (e.g. an [Alloc_failed] event whose
-    allocation unexpectedly succeeded under this collector) — empty when
-    replaying under the recording conditions. *)
-val anomalies : t -> string list
-
 (** [recorded_id t ~replay_id] translates a registry id of this replay
     run back to the recorded id space — how the differential driver
     compares live sets across collectors. [None] for ids the trace never

@@ -26,13 +26,12 @@ let value_of idx =
     (1 lsl exp) lor (mantissa lsl (exp - sub_bits))
   end
 
-let record_n t v n =
+let record t v =
   let idx = index_of v in
-  t.buckets.(idx) <- t.buckets.(idx) + n;
-  t.count <- t.count + n;
-  t.total <- t.total + (v * n)
+  t.buckets.(idx) <- t.buckets.(idx) + 1;
+  t.count <- t.count + 1;
+  t.total <- t.total + v
 
-let record t v = record_n t v 1
 let count t = t.count
 let total t = t.total
 

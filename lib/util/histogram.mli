@@ -14,9 +14,6 @@ val create : unit -> t
 (** [record t v] adds one sample of magnitude [v] (e.g. nanoseconds). *)
 val record : t -> int -> unit
 
-(** [record_n t v n] adds [n] samples of magnitude [v]. *)
-val record_n : t -> int -> int -> unit
-
 (** Number of recorded samples. *)
 val count : t -> int
 

@@ -11,7 +11,7 @@ let grow v needed = v.data <- Int_array.grow v.data needed 0
 
 (* [len <= Array.length data] is the structural invariant, so indices
    that pass the explicit range checks can use unchecked array access —
-   these sit on every collector work-packet inner loop. *)
+   these sit on every collector kernel's inner loop. *)
 
 let push v x =
   if v.len = Array.length v.data then grow v (v.len + 1);
@@ -77,13 +77,6 @@ let append dst src =
     Int_array.blit src.data 0 dst.data dst.len n;
     dst.len <- dst.len + n
   end
-
-let swap_remove v i =
-  check v i;
-  let x = v.data.(i) in
-  v.len <- v.len - 1;
-  v.data.(i) <- v.data.(v.len);
-  x
 
 let sort cmp v =
   let arr = to_array v in

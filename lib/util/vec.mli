@@ -44,20 +44,14 @@ val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 (** [exists p v] is true if any element satisfies [p]. *)
 val exists : (int -> bool) -> t -> bool
 
-(** [to_list v] / [to_array v] copy the contents out. *)
+(** [to_list v] copies the contents out. *)
 val to_list : t -> int list
-
-val to_array : t -> int array
 
 (** [of_list xs] builds a vector from a list. *)
 val of_list : int list -> t
 
 (** [append dst src] pushes all of [src] onto [dst]. *)
 val append : t -> t -> unit
-
-(** [swap_remove v i] removes index [i] in O(1) by moving the last element
-    into its place; returns the removed value. *)
-val swap_remove : t -> int -> int
 
 (** [sort cmp v] sorts in place. *)
 val sort : (int -> int -> int) -> t -> unit

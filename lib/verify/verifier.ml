@@ -10,11 +10,9 @@ type violation = {
   found : string;
 }
 
-let pp_violation fmt v =
-  Format.fprintf fmt "%s/%s: %s: expected %s, found %s" v.module_ v.invariant
+let violation_to_string v =
+  Printf.sprintf "%s/%s: %s: expected %s, found %s" v.module_ v.invariant
     v.subject v.expected v.found
-
-let violation_to_string v = Format.asprintf "%a" pp_violation v
 
 type safepoint = Pre_pause | Post_pause | End_of_run
 

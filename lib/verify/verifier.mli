@@ -25,7 +25,6 @@ type violation = {
   found : string;
 }
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 (** Where in the run a check fires. *)

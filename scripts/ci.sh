@@ -26,18 +26,14 @@ if dune exec bin/lxr_sim.exe -- run -b lusearch -c lxr -s 0.25 \
   exit 1
 fi
 
-echo "== trace corpus: cross-collector differential replay (gc-threads=2) =="
+echo "== trace corpus: cross-collector differential replay =="
 # zgc refuses the corpus's small heaps (minimum heap size); the differ
-# reports the refusal as a skipped lane and diffs the rest. gc-threads=2
-# routes every lane through the work-packet scheduler: checkpoints are
-# bit-identical to --gc-threads=1 by construction, so a clean diff here
-# exercises the parallel kernels against the same oracle. The STW lanes
+# reports the refusal as a skipped lane and diffs the rest. The STW lanes
 # (serial, parallel, immix, semispace) run the shared mark and sweep
 # kernels with no concurrent machinery on top.
 for t in test/corpus/*.lxrtrace; do
   dune exec bin/lxr_trace.exe -- diff "$t" \
-    -c lxr,g1,shenandoah,zgc,journal_rc,serial,parallel,immix,semispace \
-    --gc-threads=2
+    -c lxr,g1,shenandoah,zgc,journal_rc,serial,parallel,immix,semispace
 done
 
 echo "== fleet smoke (verifier on, both policies, 2 domains) =="
@@ -89,43 +85,32 @@ echo "== distilled-cost smoke (corpus replay under real + ideal lanes) =="
 dune exec bin/lxr_trace.exe -- distill test/corpus/luindex.lxrtrace \
   -c lxr,g1,shenandoah,journal_rc --format json > /dev/null
 
-echo "== controller smoke (hill + pid on the adversaries; deterministic) =="
-# Same seed + controller must give bit-identical output at gc-threads 1
-# vs 4 — the seeded exploration is scheduled at RC pause boundaries, not
-# on worker threads.
-ctl_a=$(mktemp) ctl_b=$(mktemp)
+echo "== controller smoke (hill + pid on the adversaries) =="
 for spec in hill pid; do
   dune exec bin/lxr_sim.exe -- run -b fragger -c lxr -s 0.3 \
-    --controller="$spec" --gc-threads=1 > "$ctl_a"
-  dune exec bin/lxr_sim.exe -- run -b fragger -c lxr -s 0.3 \
-    --controller="$spec" --gc-threads=4 > "$ctl_b"
-  cmp "$ctl_a" "$ctl_b" || {
-    echo "ERROR: controller $spec diverged across --gc-threads" >&2
-    exit 1
-  }
+    --controller="$spec" > /dev/null
 done
-rm -f "$ctl_a" "$ctl_b"
 dune exec bin/lxr_sim.exe -- run -b phaser -c lxr -s 0.3 \
   --controller=pid:obj=cost --lxr-knob=wastage_threshold=0.12 > /dev/null
 
-echo "== count-driven triggers (generative path; deterministic) =="
-# Shenandoah's and Semispace's triggers read the per-state block counts
-# on every allocation. The counts are plain ints, safe only because
-# every block-state change runs on the heap's owning domain (allocators
-# and the ordered merges of the work-packet scheduler, never a packet
-# body), so the output must be bit-identical at gc-threads 1 vs 4.
-trig_a=$(mktemp) trig_b=$(mktemp)
-for c in shenandoah semispace; do
-  dune exec bin/lxr_sim.exe -- run -b phaser -c "$c" -s 0.3 -f 1.3 \
-    --gc-threads=1 > "$trig_a"
-  dune exec bin/lxr_sim.exe -- run -b phaser -c "$c" -s 0.3 -f 1.3 \
-    --gc-threads=4 > "$trig_b"
-  cmp "$trig_a" "$trig_b" || {
-    echo "ERROR: $c diverged across --gc-threads" >&2
-    exit 1
-  }
-done
-rm -f "$trig_a" "$trig_b"
+echo "== fleet controller (pid on the SLO burn; bit-identical across domains) =="
+# Replicas read the burn rate the fleet publishes between rounds, on
+# whichever domain serves them, so the controlled run must print the
+# same report at --domains=1 and =2 apart from the domain count.
+pid_a=$(mktemp) pid_b=$(mktemp) pid_out=$(mktemp)
+pid_fleet() {
+  dune exec bin/lxr_fleet.exe -- run -b lusearch -c lxr -k 3 -n 1500 \
+    --seed 42 --controller=pid:obj=burn --slo p99.9:10ms --domains="$1" \
+    > "$pid_out"
+  sed 's/domains=[0-9]*/domains=_/' "$pid_out"
+}
+pid_fleet 1 > "$pid_a"
+pid_fleet 2 > "$pid_b"
+cmp "$pid_a" "$pid_b" || {
+  echo "ERROR: pid fleet diverged across --domains" >&2
+  exit 1
+}
+rm -f "$pid_a" "$pid_b" "$pid_out"
 
 echo "== trace corpus: injected fault must diverge =="
 if dune exec bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace \

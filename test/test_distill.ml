@@ -207,44 +207,6 @@ let test_controller_parse () =
   | Ok _ -> Alcotest.fail "unknown knob accepted"
   | Error _ -> ()
 
-(* --- Controller determinism --------------------------------------------- *)
-
-let controlled_run ~algo ~gc_threads ~workload =
-  let captured = ref None in
-  let spec =
-    match Controller.parse algo with
-    | Ok s -> s
-    | Error e -> Alcotest.fail e
-  in
-  let factory =
-    Controller.lxr_factory ~handle:(fun c -> captured := Some c) spec
-  in
-  let w = { (bench workload) with Repro_mutator.Workload.request = None } in
-  let r =
-    Runner.run ~seed:11 ~scale:0.5 ~gc_threads ~workload:w ~factory
-      ~heap_factor:1.5 ()
-  in
-  let traj =
-    match !captured with
-    | Some c -> Controller.trajectory c
-    | None -> Alcotest.fail "controller was never instantiated"
-  in
-  (r, traj)
-
-let test_controller_determinism () =
-  List.iter
-    (fun algo ->
-      let r1, t1 = controlled_run ~algo ~gc_threads:1 ~workload:"fragger" in
-      let r4, t4 = controlled_run ~algo ~gc_threads:4 ~workload:"fragger" in
-      check (algo ^ " run ok") true (r1.ok && r4.ok);
-      check (algo ^ " trajectory nonempty") true (t1 <> []);
-      check (algo ^ " knob trajectory bit-identical across gc-threads") true
-        (t1 = t4);
-      check (algo ^ " metrics bit-identical across gc-threads") true
-        (r1.wall_ns = r4.wall_ns && r1.gc_cpu_ns = r4.gc_cpu_ns
-        && r1.pause_count = r4.pause_count))
-    [ "hill"; "pid" ]
-
 (* --- Controller beats the static configuration --------------------------- *)
 
 let distilled_of_run (real : Runner.result) (ideal : Runner.result) =
@@ -318,8 +280,6 @@ let suite =
         Alcotest.test_case "resolve guards" `Quick test_resolve_guards;
         Alcotest.test_case "controller spec parsing" `Quick
           test_controller_parse;
-        Alcotest.test_case "controller determinism across gc-threads" `Slow
-          test_controller_determinism;
         Alcotest.test_case "controller beats static on an adversary" `Slow
           test_controller_beats_static ] );
     ( "adversaries",

@@ -12,12 +12,6 @@ let no_conc = fun ~budget_ns:_ -> 0.0
 
 (* --- Trace_cost ----------------------------------------------------------- *)
 
-let test_trace_cost_serial () =
-  let tc = Trace_cost.create () in
-  Trace_cost.add_serial tc ~cost_ns:100.0;
-  check_float "cpu" 100.0 (Trace_cost.cpu_ns tc);
-  check_float "critical = cpu when serial" 100.0 (Trace_cost.critical_ns tc)
-
 let test_trace_cost_parallel () =
   let tc = Trace_cost.create () in
   Trace_cost.add_parallel tc ~threads:4 ~cost_ns:100.0;
@@ -253,8 +247,7 @@ let test_no_concurrency () =
 
 let suite =
   [ ( "engine:trace_cost",
-      [ Alcotest.test_case "serial" `Quick test_trace_cost_serial;
-        Alcotest.test_case "parallel" `Quick test_trace_cost_parallel;
+      [ Alcotest.test_case "parallel" `Quick test_trace_cost_parallel;
         Alcotest.test_case "frontier" `Quick test_trace_cost_frontier_limited;
         Alcotest.test_case "list pathology" `Quick test_trace_cost_linked_list_pathology ] );
     ( "engine:sim",

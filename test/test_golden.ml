@@ -190,22 +190,24 @@ let ci_chaos domains =
     ~retry:(retry "timeout:80ms,max:3,backoff:200us")
     ~slo:(slo "p99.9:10ms") ()
 
-(* The burn a knob controller reads, published by the fleet's on_burn. *)
-let pid_burn () =
-  let cell = ref 0.0 and published = ref 0.0 in
+(* The burn a knob controller reads, published by the fleet's on_burn
+   between rounds and read by replicas during them, on whichever domain
+   serves each one. *)
+let pid_burn domains =
+  let cell = Atomic.make 0.0 and published = ref 0.0 in
   let factory =
     match
       Collector_set.resolve ~controller:"pid:obj=burn"
-        ~burn:(fun () -> !cell)
+        ~burn:(fun () -> Atomic.get cell)
         "lxr"
     with
     | Ok f -> f
     | Error m -> Alcotest.fail m
   in
   let r =
-    fleet ~factory ~load:0.5 ~slo:(slo "p99:30us")
+    fleet ~factory ~load:0.5 ~domains ~slo:(slo "p99:30us")
       ~on_burn:(fun b ->
-        cell := b;
+        Atomic.set cell b;
         published := Float.max !published b)
       ()
   in
@@ -290,7 +292,13 @@ let scenarios : (string * (unit -> Fleet.result * bool)) list =
               (autoscale "max:5,min:1,up:1,down:0.5,patience:2,cooldown:4")
             ())
         (ok (fun r -> r.scale_ups > 0 && r.scale_downs > 0)) );
-    ("pid-burn", pid_burn);
+    ( "pid-burn",
+      fun () ->
+        let a, published = pid_burn 1 in
+        let b, _ = pid_burn 2 in
+        ( a,
+          published
+          && fleet_digest a = fleet_digest { b with domains = a.domains } ) );
     ( "setup-failure",
       with_check
         (fun () -> fleet ~heap_factor:0.05 ())

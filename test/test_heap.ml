@@ -946,6 +946,21 @@ let test_registration_allocates_only_handle () =
   check "register allocates one handle" true (extra >= 0. && extra < 16.);
   check "free allocates nothing" true (w2 -. w1 < 16.)
 
+(* [Array.make] of more than 256 elements over a young initial value
+   forces a minor collection, so a registry whose handle array were
+   filled with its own fresh [none] would force one per create. In the
+   test binary this loop runs 6 minor collections; with a young fill
+   value it ran 107. *)
+let test_create_forces_no_minor_gc () =
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (Obj_model.Registry.create ()))
+  done;
+  let minors = (Gc.quick_stat ()).Gc.minor_collections - before in
+  if minors >= 70 then
+    Alcotest.failf "100 registry creates ran %d minor collections" minors
+
 let alloc_alignment_prop =
   QCheck.Test.make ~name:"heap alloc always granule aligned and in-heap" ~count:300
     QCheck.(int_range 1 16000)
@@ -992,7 +1007,9 @@ let suite =
         Alcotest.test_case "logged bits" `Quick test_logged_bits;
         Alcotest.test_case "oracle" `Quick test_reachability_oracle;
         Alcotest.test_case "registration allocates only its handle" `Quick
-          test_registration_allocates_only_handle ]
+          test_registration_allocates_only_handle;
+        Alcotest.test_case "create forces no minor collection" `Quick
+          test_create_forces_no_minor_gc ]
       @ qc [ recycled_slots_never_alias_prop; registry_model_prop ] );
     ( "heap:blocks",
       [ Alcotest.test_case "state" `Quick test_blocks_state;

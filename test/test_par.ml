@@ -1,62 +1,11 @@
-(* Tests for the work-packet scheduler: partition coverage (property),
-   ordered-merge determinism across real worker domains (force_spawn
-   lifts the single-core cap so CI actually crosses domains), exception
-   propagation, BFS drain rounds, and the end-to-end gc-threads
-   determinism matrix: every corpus trace replayed at --gc-threads=1 and
-   =4 must produce bit-identical metrics, record-of-replay bytes and
-   differ checkpoints. *)
+(* Tests for the domain pool's parallel-for: ordered-merge determinism
+   across real worker domains (force_spawn lifts the single-core cap so
+   CI actually crosses domains), exception propagation, and nesting. *)
 
 module Par = Repro_par.Par
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* --- partition: every entry exactly once ------------------------------- *)
-
-let packet_sizes = [ 1; 7; Par.blocks_per_packet; Par.queue_per_packet ]
-
-let test_partition_property =
-  QCheck.Test.make ~name:"packet partition covers every entry exactly once"
-    ~count:300
-    QCheck.(pair (int_range 0 5000) (int_range 0 3))
-    (fun (total, size_ix) ->
-      let packet = List.nth packet_sizes size_ix in
-      let n = Par.packet_count ~total ~packet in
-      (* Cover [0, total) by walking the spans in index order; each must
-         start where the previous ended (no gap, no overlap). *)
-      let next = ref 0 in
-      for i = 0 to n - 1 do
-        let lo, len = Par.span ~total ~packet i in
-        if lo <> !next then QCheck.Test.fail_reportf "packet %d: lo=%d, expected %d" i lo !next;
-        if len < 1 || len > packet then
-          QCheck.Test.fail_reportf "packet %d: len=%d out of [1, %d]" i len packet;
-        if i < n - 1 && len <> packet then
-          QCheck.Test.fail_reportf "packet %d ragged but not last (len=%d)" i len;
-        next := lo + len
-      done;
-      !next = total && (total > 0 || n = 0))
-
-let test_map_spans_covers () =
-  (* Same property through the map_spans driver: mark each item once. *)
-  List.iter
-    (fun packet ->
-      List.iter
-        (fun total ->
-          let hits = Bytes.make (max total 1) '\000' in
-          Par.map_spans Par.Pool.serial ~total ~packet
-            ~f:(fun _ ~lo ~len -> (lo, len))
-            ~merge:(fun _ (lo, len) ->
-              for i = lo to lo + len - 1 do
-                Bytes.set hits i (Char.chr (Char.code (Bytes.get hits i) + 1))
-              done);
-          for i = 0 to total - 1 do
-            check_int
-              (Printf.sprintf "total=%d packet=%d item %d" total packet i)
-              1
-              (Char.code (Bytes.get hits i))
-          done)
-        [ 0; 1; 6; 7; 8; 100; 1023 ])
-    packet_sizes
 
 (* --- ordered merge across real domains --------------------------------- *)
 
@@ -121,149 +70,11 @@ let test_nested_runs_inline () =
       check "nested phases completed deterministically" true
         (List.rev !out = [ (0, 123); (1, 123); (2, 123); (3, 123) ]))
 
-let test_drain_rounds_deterministic () =
-  (* BFS over a synthetic graph: node i points at 2i+1 and 2i+2 below a
-     bound. The visit transcript must be identical on the serial pool
-     and across real domains, and on_round must see shrinking frontiers
-     of the exact BFS level sizes. *)
-  let bound = 3000 in
-  let run pool =
-    let visits = ref [] and rounds = ref [] in
-    let seen = Bytes.make bound '\000' in
-    let frontier = Repro_util.Vec.create () in
-    Repro_util.Vec.push frontier 0;
-    Bytes.set seen 0 '\001';
-    Par.drain_rounds pool ~packet:7 ~frontier
-      ~on_round:(fun n -> rounds := n :: !rounds)
-      ~scan:(fun id out ->
-        Repro_util.Vec.push out id;
-        let k1 = (2 * id) + 1 and k2 = (2 * id) + 2 in
-        Repro_util.Vec.push out (if k1 < bound then k1 else -1);
-        Repro_util.Vec.push out (if k2 < bound then k2 else -1))
-      ~merge:(fun out next ->
-        let i = ref 0 in
-        while !i < Repro_util.Vec.length out do
-          let id = Repro_util.Vec.get out !i in
-          visits := id :: !visits;
-          List.iter
-            (fun k ->
-              if k >= 0 && Bytes.get seen k = '\000' then begin
-                Bytes.set seen k '\001';
-                Repro_util.Vec.push next k
-              end)
-            [ Repro_util.Vec.get out (!i + 1); Repro_util.Vec.get out (!i + 2) ];
-          i := !i + 3
-        done);
-    (List.rev !visits, List.rev !rounds)
-  in
-  let sv, sr = run Par.Pool.serial in
-  check_int "every node visited" bound (List.length sv);
-  check "rounds are BFS level sizes" true
-    (List.length sr >= 2 && List.hd sr = 1 && List.nth sr 1 = 2);
-  with_spawned_pool (fun pool ->
-      let pv, pr = run pool in
-      check "visit order identical across domains" true (sv = pv);
-      check "round sizes identical" true (sr = pr))
-
-(* --- gc-threads determinism matrix ------------------------------------- *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load path =
-  match Repro_trace.Trace_format.of_file path with
-  | Ok t -> t
-  | Error msg -> Alcotest.failf "trace %s failed to load: %s" path msg
-
-let corpus_files () =
-  Sys.readdir "corpus" |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".lxrtrace")
-  |> List.sort compare
-  |> List.map (Filename.concat "corpus")
-
-let test_matrix_replay () =
-  (* Acceptance gate: every corpus trace, every collector lane, replayed
-     at gc-threads 1 and 4 — metrics records and record-of-replay bytes
-     must be bit-identical. *)
-  List.iter
-    (fun path ->
-      let trace = load path in
-      List.iter
-        (fun name ->
-          let factory =
-            match Repro_harness.Collector_set.find name with
-            | Ok f -> f
-            | Error m -> Alcotest.fail m
-          in
-          let tmp g =
-            Filename.concat (Filename.get_temp_dir_name ())
-              (Printf.sprintf "matrix_%s_%s_g%d.lxrtrace"
-                 (Filename.basename path) name g)
-          in
-          let r1 =
-            Repro_harness.Runner.replay ~gc_threads:1 ~record_to:(tmp 1)
-              ~trace ~factory ()
-          in
-          let r4 =
-            Repro_harness.Runner.replay ~gc_threads:4 ~record_to:(tmp 4)
-              ~trace ~factory ()
-          in
-          let label = Printf.sprintf "%s/%s" (Filename.basename path) name in
-          check (label ^ ": whole result record identical") true
-            ({ r1 with latency = None } = { r4 with latency = None });
-          check (label ^ ": latency presence identical") true
-            (Option.is_some r1.latency = Option.is_some r4.latency);
-          check (label ^ ": record-of-replay bytes identical") true
-            (read_file (tmp 1) = read_file (tmp 4)))
-        [ "lxr"; "g1"; "shenandoah"; "journal_rc" ])
-    (corpus_files ())
-
-let test_matrix_differ () =
-  (* The differ's per-checkpoint oracle state must agree too: a
-     gc-threads=4 diff of each corpus trace stays divergence-free and
-     runs the same number of checkpoints as gc-threads=1. *)
-  let lanes =
-    List.map
-      (fun n ->
-        (n, Option.get (Repro_harness.Collector_set.find n |> Result.to_option)))
-      [ "lxr"; "g1"; "shenandoah"; "journal_rc" ]
-  in
-  List.iter
-    (fun path ->
-      let trace = load path in
-      let d1 =
-        Repro_trace.Differ.run ~gc_threads:1 ~trace ~collectors:lanes ()
-      in
-      let d4 =
-        Repro_trace.Differ.run ~gc_threads:4 ~trace ~collectors:lanes ()
-      in
-      let label = Filename.basename path in
-      check_int (label ^ ": divergence-free at 4 lanes") 0 d4.total_divergences;
-      check_int (label ^ ": same checkpoints") d1.checkpoints d4.checkpoints;
-      check_int (label ^ ": same oracle checks") d1.oracle_checks d4.oracle_checks)
-    (corpus_files ())
-
 let suite =
-  let qc = List.map QCheck_alcotest.to_alcotest in
-  [ ( "par:partition",
-      qc [ test_partition_property ]
-      @ [ Alcotest.test_case "map_spans covers exactly once" `Quick
-            test_map_spans_covers ] );
-    ( "par:merge",
+  [ ( "par:merge",
       [ Alcotest.test_case "merge order matches serial across domains" `Quick
           test_merge_order_matches_serial;
         Alcotest.test_case "exception re-raised lowest index first" `Quick
           test_exception_lowest_index_first;
-        Alcotest.test_case "nested runs go inline" `Quick test_nested_runs_inline;
-        Alcotest.test_case "drain_rounds deterministic across domains" `Quick
-          test_drain_rounds_deterministic ] );
-    ( "par:matrix",
-      [ Alcotest.test_case "corpus replay 1 vs 4 bit-identical" `Slow
-          test_matrix_replay;
-        Alcotest.test_case "corpus differ 1 vs 4 checkpoints agree" `Slow
-          test_matrix_differ ] )
+        Alcotest.test_case "nested runs go inline" `Quick test_nested_runs_inline ] )
   ]

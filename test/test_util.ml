@@ -204,12 +204,6 @@ let test_vec_iter_fold () =
   Vec.iter (fun x -> seen := x :: !seen) v;
   Alcotest.(check (list int)) "iter order" [ 4; 3; 2; 1 ] !seen
 
-let test_vec_swap_remove () =
-  let v = Vec.of_list [ 10; 20; 30; 40 ] in
-  check_int "removed" 20 (Vec.swap_remove v 1);
-  check_int "length" 3 (Vec.length v);
-  check_int "last moved in" 40 (Vec.get v 1)
-
 let test_vec_append_sort () =
   let a = Vec.of_list [ 3; 1 ] and b = Vec.of_list [ 2 ] in
   Vec.append a b;
@@ -348,12 +342,6 @@ let test_histogram_clamps_below_one () =
   Histogram.record h (-5);
   check_int "count" 2 (Histogram.count h);
   check_pct "p100 clamped" 1 (Histogram.percentile_opt h 100.0)
-
-let test_histogram_record_n () =
-  let h = Histogram.create () in
-  Histogram.record_n h 10 5;
-  check_int "count" 5 (Histogram.count h);
-  check_pct "p0..p100 all 10" 10 (Histogram.percentile_opt h 0.0)
 
 let test_histogram_max_mean () =
   let h = Histogram.create () in
@@ -536,7 +524,6 @@ let suite =
         Alcotest.test_case "bounds" `Quick test_vec_bounds;
         Alcotest.test_case "clear" `Quick test_vec_clear_keeps_storage;
         Alcotest.test_case "iter/fold" `Quick test_vec_iter_fold;
-        Alcotest.test_case "swap_remove" `Quick test_vec_swap_remove;
         Alcotest.test_case "append/sort" `Quick test_vec_append_sort;
         Alcotest.test_case "exists" `Quick test_vec_exists ]
       @ qcheck [ vec_roundtrip_prop; vec_push_pop_prop ] );
@@ -558,7 +545,6 @@ let suite =
         Alcotest.test_case "small exact" `Quick test_histogram_percentile_exact_small;
         Alcotest.test_case "precision" `Quick test_histogram_percentile_precision;
         Alcotest.test_case "clamp" `Quick test_histogram_clamps_below_one;
-        Alcotest.test_case "record_n" `Quick test_histogram_record_n;
         Alcotest.test_case "max/mean" `Quick test_histogram_max_mean;
         Alcotest.test_case "merge" `Quick test_histogram_merge;
         Alcotest.test_case "clear" `Quick test_histogram_clear;
