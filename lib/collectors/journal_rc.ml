@@ -176,8 +176,7 @@ let apply_dec t queue id =
     let obj = Obj_model.Registry.find_live t.heap.registry id in
     if obj.Obj_model.id <> null then begin
       t.stats.decrements <- t.stats.decrements + 1;
-      match Heap.rc_dec t.heap obj with
-      | `Became 0 ->
+      if Heap.rc_dec t.heap obj = 0 then begin
         for j = 0 to Obj_model.nfields obj - 1 do
           let r = Obj_model.field obj j in
           if r <> null then Vec.push queue r
@@ -185,7 +184,7 @@ let apply_dec t queue id =
         note_dec_sweep t obj;
         t.stats.rc_reclaimed <- t.stats.rc_reclaimed + obj.size;
         Heap.free_object t.heap obj
-      | `Became _ | `Stuck | `Underflow -> ()
+      end
     end
   end
 
@@ -221,8 +220,7 @@ let fold_record t ~src ~field ~old_r ~new_r =
      let referent = Obj_model.Registry.find_live t.heap.registry new_r in
      if referent.Obj_model.id <> null then begin
        t.stats.increments <- t.stats.increments + 1;
-       (match Heap.rc_inc t.heap referent with
-       | `Became _ | `Stuck -> ());
+       ignore (Heap.rc_inc t.heap referent : int);
        let src_obj = Obj_model.Registry.find_live t.heap.registry src in
        if src_obj.Obj_model.id <> null then
          note_remset t ~src:src_obj ~field ~referent
@@ -393,7 +391,7 @@ let journal_pause t ~force_trace =
         if obj.Obj_model.id <> null then begin
           t.stats.increments <- t.stats.increments + 1;
           Trace_cost.add tc ~threads:c.gc_threads ~frontier:1 ~cost_ns:c.inc_ns;
-          match Heap.rc_inc t.heap obj with `Became _ | `Stuck -> ()
+          ignore (Heap.rc_inc t.heap obj : int)
         end)
       root_ids;
     (* The previous snapshot's root counts come off; this epoch's

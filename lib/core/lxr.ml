@@ -55,7 +55,7 @@ type t = {
 
 (* Option-free lookup for the inc/dec/trace hot paths: returns the
    registry's canonical none-handle (id = null) when absent. *)
-let find_live t id = Obj_model.Registry.find_live t.heap.registry id
+let[@inline] find_live t id = Obj_model.Registry.find_live t.heap.registry id
 
 let in_target t (obj : Obj_model.t) =
   (not (Obj_model.is_freed obj))
@@ -141,8 +141,7 @@ let apply_dec t queue id =
     let obj = find_live t id in
     if obj.Obj_model.id <> null then begin
       t.stats.decrements <- t.stats.decrements + 1;
-      match Heap.rc_dec t.heap obj with
-      | `Became 0 ->
+      if Heap.rc_dec t.heap obj = 0 then begin
         satb_shield t obj;
         for j = 0 to Obj_model.nfields obj - 1 do
           let r = Obj_model.field obj j in
@@ -151,7 +150,7 @@ let apply_dec t queue id =
         note_dec_sweep t obj;
         t.stats.old_reclaimed <- t.stats.old_reclaimed + obj.size;
         Heap.free_object t.heap obj
-      | `Became _ | `Stuck | `Underflow -> ()
+      end
     end
   end
 
@@ -192,9 +191,7 @@ let apply_incs t tc queue =
     let obj = find_live t id in
     if obj.Obj_model.id <> null then begin
       t.stats.increments <- t.stats.increments + 1;
-      match Heap.rc_inc t.heap obj with
-      | `Became 1 -> promote t tc queue obj
-      | `Became _ | `Stuck -> ()
+      if Heap.rc_inc t.heap obj = 1 then promote t tc queue obj
     end
   done
 

@@ -184,10 +184,8 @@ let rc_of t obj = Rc_table.get t.rc t.cfg (Obj_model.addr obj)
 let rc_inc t obj =
   let addr = Obj_model.addr obj in
   let result = Rc_table.inc t.rc t.cfg addr in
-  (match result with
-  | `Became 1 when not (is_los t obj) && obj.Obj_model.size > t.cfg.line_bytes ->
-    Rc_table.mark_straddle t.rc t.cfg ~addr ~size:obj.Obj_model.size
-  | `Became _ | `Stuck -> ());
+  if result = 1 && (not (is_los t obj)) && obj.Obj_model.size > t.cfg.line_bytes
+  then Rc_table.mark_straddle t.rc t.cfg ~addr ~size:obj.Obj_model.size;
   result
 
 let rc_dec t obj = Rc_table.dec t.rc t.cfg (Obj_model.addr obj)

@@ -88,12 +88,13 @@ val alloc_fast : t -> Bump_allocator.t -> size:int -> nfields:int -> Obj_model.t
 val rc_of : t -> Obj_model.t -> int
 
 (** [rc_inc t obj] increments, maintaining straddle markers on the
-    [0 -> 1] transition (§3.1). Result as {!Rc_table.inc}. *)
-val rc_inc : t -> Obj_model.t -> [ `Became of int | `Stuck ]
+    [0 -> 1] transition (§3.1). Result as {!Rc_table.inc}: the new count
+    or {!Rc_table.stuck}. *)
+val rc_inc : t -> Obj_model.t -> int
 
-(** [rc_dec t obj]. The caller decides what to do on [`Became 0]; the
-    count itself is already zero. *)
-val rc_dec : t -> Obj_model.t -> [ `Became of int | `Stuck | `Underflow ]
+(** [rc_dec t obj]. Result as {!Rc_table.dec}. The caller decides what
+    to do on [0]; the count itself is already zero. *)
+val rc_dec : t -> Obj_model.t -> int
 
 (** [rc_is_stuck t obj]. *)
 val rc_is_stuck : t -> Obj_model.t -> bool

@@ -75,22 +75,25 @@ let set t (_ : Heap_config.t) addr v =
     end
   end
 
+let stuck = -1
+let underflow = -2
+
 let inc t cfg addr =
   let c = get t cfg addr in
-  if c >= t.mask then `Stuck
+  if c >= t.mask then stuck
   else begin
     let c' = c + 1 in
     set t cfg addr c';
-    if c' = t.mask then `Stuck else `Became c'
+    if c' = t.mask then stuck else c'
   end
 
 let dec t cfg addr =
   let c = get t cfg addr in
-  if c = t.mask then `Stuck
-  else if c = 0 then `Underflow
+  if c = t.mask then stuck
+  else if c = 0 then underflow
   else begin
     set t cfg addr (c - 1);
-    `Became (c - 1)
+    c - 1
   end
 
 (* [set _ 0] on every covered granule, in one pass: a non-zero entry is

@@ -23,17 +23,27 @@ val get : t -> Heap_config.t -> int -> int
 (** [set t cfg addr v] stores [v] (clamped to the representable range). *)
 val set : t -> Heap_config.t -> int -> int -> unit
 
-(** [inc t cfg addr] applies a saturating increment. Returns the
-    transition that occurred: [`Became n] for an ordinary [n-1 -> n]
-    increment (so [`Became 1] identifies a surviving young object), or
-    [`Stuck] when the count was, or just became, stuck. *)
-val inc : t -> Heap_config.t -> int -> [ `Became of int | `Stuck ]
+(** What {!inc} and {!dec} return when the count was, or just became,
+    stuck (so it was left alone or must now be left alone). Negative, so
+    it never equals a count. *)
+val stuck : int
 
-(** [dec t cfg addr] applies a decrement. Returns [`Became n] (so
-    [`Became 0] means the object died), or [`Stuck] when the count is
-    stuck and therefore not decremented, or [`Underflow] when the count
-    was already zero (a bug in the caller; exposed for tests). *)
-val dec : t -> Heap_config.t -> int -> [ `Became of int | `Stuck | `Underflow ]
+(** What {!dec} returns when the count was already zero (a bug in the
+    caller; exposed for tests). Negative, so it never equals a count. *)
+val underflow : int
+
+(** [inc t cfg addr] applies a saturating increment and returns the new
+    count [n] for an ordinary [n-1 -> n] increment (so [1] identifies a
+    surviving young object), or {!stuck} when the count was, or just
+    became, stuck. With [rc_bits = 1] the first increment already
+    sticks. Allocates nothing. *)
+val inc : t -> Heap_config.t -> int -> int
+
+(** [dec t cfg addr] applies a decrement and returns the new count (so
+    [0] means the object died), {!stuck} when the count is stuck and
+    therefore not decremented, or {!underflow} when it was already
+    zero. Allocates nothing. *)
+val dec : t -> Heap_config.t -> int -> int
 
 (** [clear_range t cfg ~addr ~size] zeroes every granule entry covered by
     an object of [size] bytes at [addr] — its header count and any

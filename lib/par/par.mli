@@ -1,17 +1,22 @@
-(** Deterministic parallel-for over OCaml domains, and recycled scratch
+(** A unit parallel-for over OCaml domains, and recycled scratch
     buffers.
 
-    The fleet runs its replica rounds through {!map_merge}: one packet
-    per replica, each touching only its own replica, with results merged
-    strictly in packet-index order on the submitting domain. Because
-    packet bodies share no mutable state and the merge order is fixed, a
+    The fleet runs its replica rounds through {!parallel_for}: one packet
+    per replica that has work, each touching only its own replica.
+    Because packet bodies share no mutable state and every path runs
+    every packet before it re-raises the lowest-index exception, a
     fleet's output is bit-identical for every [--domains] value.
     Collector phases do not use the pool: every collector kernel is a
     serial loop on the domain that owns its heap.
 
-    On hosts without spare cores ([Domain.recommended_domain_count]),
-    the pool spawns no workers and packets run inline on the submitter,
-    still in the identical merge order. *)
+    A run of one packet, a nested run and a run on a pool without
+    workers execute inline on the caller. A run of two or more packets
+    publishes a job through one atomic slot; the submitter and the
+    workers claim packets from it, and each side spins a fixed budget of
+    [Domain.cpu_relax] before it blocks on a condition variable, which
+    the other side signals only when a thread is actually parked. On
+    hosts without spare cores ([Domain.recommended_domain_count]) the
+    pool spawns no workers and every run is inline. *)
 
 module Pool : sig
   type t
@@ -32,15 +37,23 @@ module Pool : sig
   (** The shared single-lane pool: every packet runs inline. *)
   val serial : t
 
-  (** Requested lane count (the [--domains] value). *)
-  val threads : t -> int
-
   (** Worker domains actually spawned (0 on saturated hosts). *)
   val workers : t -> int
 
   (** Join the pool's worker domains. The pool runs inline afterwards. *)
   val shutdown : t -> unit
 end
+
+(** [parallel_for pool ~packets body] runs [body i] once for every
+    packet index in [0, packets), in parallel and in any order, and
+    returns when all have finished. Packet bodies must not mutate state
+    shared between packets. An exception in a body does not stop the
+    other packets: once every packet has run, the exception of the
+    lowest failing index is re-raised with its backtrace. Re-entrant
+    calls (a packet body, or a second domain while a run is in flight)
+    execute inline, so nesting never oversubscribes. Raises
+    [Invalid_argument] when [packets < 0]. *)
+val parallel_for : Pool.t -> packets:int -> (int -> unit) -> unit
 
 (** Recycled buffers: [take_scratch ()] returns a cleared [Vec] from a
     process-wide free list (or a fresh one), and [recycle_scratch]
@@ -52,14 +65,3 @@ end
 val take_scratch : unit -> Repro_util.Vec.t
 
 val recycle_scratch : Repro_util.Vec.t -> unit
-
-(** [map_merge pool ~packets ~f ~merge] runs [f i] for every packet
-    index (in parallel, in any order), then applies [merge i (f i)]
-    strictly in ascending packet-index order on the calling domain.
-    [f] must not mutate state shared between packets; all mutation
-    belongs in [merge]. An exception in [f] is re-raised at merge time,
-    lowest packet index first. Re-entrant calls (a packet body, or a
-    second domain while a run is in flight) execute inline — nesting
-    never oversubscribes. *)
-val map_merge :
-  Pool.t -> packets:int -> f:(int -> 'a) -> merge:(int -> 'a -> unit) -> unit

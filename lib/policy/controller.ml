@@ -137,7 +137,6 @@ type t = {
   mutable prev_error : float;
   mutable gain : float;  (* pid: threshold aggressiveness scalar *)
   mutable base : (Config.knob * float) list;  (* pid: values under control *)
-  mutable trajectory : (int * string * float) list;  (* reversed *)
 }
 
 let create spec =
@@ -155,13 +154,7 @@ let create spec =
     integral = 0.0;
     prev_error = 0.0;
     gain = 1.0;
-    base = [];
-    trajectory = [] }
-
-let trajectory t = List.rev t.trajectory
-
-let record t ~epoch (k : Config.knob) v =
-  t.trajectory <- (epoch, k.Config.k_name, v) :: t.trajectory
+    base = [] }
 
 let nudge_int (k : Config.knob) ~old ~proposed ~up =
   (* Multiplicative steps on small integer knobs can round back to the
@@ -171,7 +164,7 @@ let nudge_int (k : Config.knob) ~old ~proposed ~up =
     if up then old +. 1.0 else old -. 1.0
   | _ -> proposed
 
-let hill_move t ~epoch cfg =
+let hill_move t cfg =
   let knobs = Array.of_list t.spec.knobs in
   let k = knobs.(t.knob_idx mod Array.length knobs) in
   let old = k.Config.k_get cfg in
@@ -189,11 +182,10 @@ let hill_move t ~epoch cfg =
   end
   else begin
     t.pending <- Some (k, old);
-    record t ~epoch k applied;
     cfg'
   end
 
-let hill_window t ~epoch ~objective cfg =
+let hill_window t ~objective cfg =
   match t.pending with
   | None ->
     if not t.started then begin
@@ -201,7 +193,7 @@ let hill_window t ~epoch ~objective cfg =
       t.best <- objective
     end
     else t.best <- Float.min t.best objective;
-    hill_move t ~epoch cfg
+    hill_move t cfg
   | Some (k, old) ->
     let cfg =
       if objective < t.best then begin
@@ -214,15 +206,14 @@ let hill_window t ~epoch ~objective cfg =
         (* Regressed: revert, then move to another coordinate with a
            seeded direction for the next probe. *)
         let cfg = k.Config.k_set cfg old in
-        record t ~epoch k old;
         t.up <- Prng.bool t.prng 0.5;
         t.knob_idx <- t.knob_idx + 1 + Prng.int t.prng 2;
         cfg
       end
     in
-    hill_move t ~epoch cfg
+    hill_move t cfg
 
-let pid_window t ~epoch ~objective cfg =
+let pid_window t ~objective cfg =
   if not t.started then begin
     t.started <- true;
     t.base <- List.map (fun k -> (k, k.Config.k_get cfg)) t.spec.knobs
@@ -242,16 +233,12 @@ let pid_window t ~epoch ~objective cfg =
   if gain <> t.gain then begin
     t.gain <- gain;
     List.fold_left
-      (fun cfg (k, base) ->
-        let cfg' = k.Config.k_set cfg (base *. gain) in
-        let v = k.Config.k_get cfg' in
-        if v <> k.Config.k_get cfg then record t ~epoch k v;
-        cfg')
+      (fun cfg (k, base) -> k.Config.k_set cfg (base *. gain))
       cfg t.base
   end
   else cfg
 
-let observe t ~epoch ~cost_ns ~span_ns ~burn cfg =
+let observe t ~cost_ns ~span_ns ~burn cfg =
   t.w_cost <- t.w_cost +. Float.max 0.0 cost_ns;
   t.w_span <- t.w_span +. Float.max 0.0 span_ns;
   t.w_burn <- t.w_burn +. burn;
@@ -268,8 +255,8 @@ let observe t ~epoch ~cost_ns ~span_ns ~burn cfg =
     t.w_burn <- 0.0;
     t.w_epochs <- 0;
     match t.spec.algo with
-    | Hill -> hill_window t ~epoch ~objective cfg
-    | Pid -> pid_window t ~epoch ~objective cfg
+    | Hill -> hill_window t ~objective cfg
+    | Pid -> pid_window t ~objective cfg
   end
 
 (* --- LXR glue ----------------------------------------------------------- *)
@@ -301,23 +288,17 @@ let lxr_tune ?(burn = fun () -> 0.0) ctl sim =
     prev_gc := gc;
     prev_barrier := barrier;
     prev_stall := stall;
-    observe ctl ~epoch:fb.Lxr.epoch ~cost_ns:cost ~span_ns:span ~burn:(burn ())
-      cfg
+    observe ctl ~cost_ns:cost ~span_ns:span ~burn:(burn ()) cfg
 
-(* Shared-controller variant for introspection: the caller keeps the
-   handle to read the trajectory after the run. Each factory
-   instantiation gets a fresh controller with the same spec and seed, so
-   instantiation order (fleet setup is replica-parallel) cannot leak
-   into the results; [handle] receives every controller created. *)
-let lxr_factory ?name ?burn ?(config = Fun.id) ?(handle = fun _ -> ()) spec :
+(* Each factory instantiation gets a fresh controller with the same spec
+   and seed, so instantiation order (fleet setup is replica-parallel)
+   cannot leak into the results. *)
+let lxr_factory ?name ?burn ?(config = Fun.id) spec :
     Collector.factory =
   let name =
     Option.value name
       ~default:(Printf.sprintf "LXR+%s" (algo_name spec.algo))
   in
   Lxr.factory_tuned ~config ~name
-    ~tune:(fun sim ->
-      let ctl = create spec in
-      handle ctl;
-      lxr_tune ?burn ctl sim)
+    ~tune:(fun sim -> lxr_tune ?burn (create spec) sim)
     ()

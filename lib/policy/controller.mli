@@ -56,28 +56,22 @@ type t
 
 val create : spec -> t
 
-(** [observe t ~epoch ~cost_ns ~span_ns ~burn cfg] feeds one epoch's
+(** [observe t ~cost_ns ~span_ns ~burn cfg] feeds one epoch's
     measurements and returns the (possibly unchanged) configuration for
     the next epoch. Knob moves happen only at measurement-window
     boundaries (every [spec.window] epochs). *)
 val observe :
   t ->
-  epoch:int ->
   cost_ns:float ->
   span_ns:float ->
   burn:float ->
   Repro_lxr.Lxr_config.t ->
   Repro_lxr.Lxr_config.t
 
-(** Every knob assignment the controller made, as
-    [(epoch, knob_name, new_value)] in application order. *)
-val trajectory : t -> (int * string * float) list
-
 (** [lxr_factory spec] builds a collector factory whose LXR instances
     re-tune between epochs. Each instantiation creates a fresh
     controller from the same spec and seed (fleet setup is
-    replica-parallel; sharing state would race), reported to [handle]
-    for post-run trajectory inspection. [burn] supplies the [Burn]
+    replica-parallel; sharing state would race). [burn] supplies the [Burn]
     objective's sample (e.g. the fleet's {!Repro_service.Slo} monitor);
     it defaults to constantly [0.]. [config] transforms the scaled
     default into the starting configuration. *)
@@ -85,6 +79,5 @@ val lxr_factory :
   ?name:string ->
   ?burn:(unit -> float) ->
   ?config:(Repro_lxr.Lxr_config.t -> Repro_lxr.Lxr_config.t) ->
-  ?handle:(t -> unit) ->
   spec ->
   Repro_engine.Collector.factory

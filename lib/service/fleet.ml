@@ -258,6 +258,7 @@ type front = {
   mutable next : int;  (* first request not yet dispatched *)
   mutable retry_q : (float * rq) list;  (* (due, rq), unordered *)
   mutable rr : int;  (* round-robin cursor *)
+  busy : int array;  (* this window's replicas with work, [window]'s scratch *)
   (* Terminal buckets (each request lands in exactly one) ... *)
   mutable completed : int;
   mutable rejected : int;
@@ -273,12 +274,6 @@ type front = {
   mutable scale_ups : int;
   mutable scale_downs : int;
 }
-
-(* Deterministic parallel-for over the domain pool: one replica per
-   packet, each touching disjoint state, with the pool's completion wait
-   as the round barrier. *)
-let parallel_over pool n f =
-  Repro_par.Par.map_merge pool ~packets:n ~f ~merge:(fun _ () -> ())
 
 (* Element-wise sum of two ladder counter lists in [Api.ladder_alist]
    order; [] is zero. *)
@@ -483,7 +478,7 @@ let start (cfg : config) =
     | None -> (
       let env = make_env cfg req in
       let setups = Array.make cfg.replicas (Error (Failed "unbuilt")) in
-      parallel_over env.pool cfg.replicas (fun i ->
+      Repro_par.Par.parallel_for env.pool ~packets:cfg.replicas (fun i ->
           setups.(i) <-
             build_engine env ~heap_bytes:env.heap_bytes
               ~seed:(replica_seed cfg i 0));
@@ -539,6 +534,7 @@ let start (cfg : config) =
             next = 0;
             retry_q = [];
             rr = 0;
+            busy = Array.make slots 0;
             completed = 0;
             rejected = 0;
             dropped = 0;
@@ -1080,7 +1076,11 @@ let barrier st ~window_end =
 
 (* Relaunches due at the window head, dispatch, chaos firings quantized
    to this checkpoint (after dispatch: a crash takes the fresh batch
-   with it), the parallel replica rounds, then the barrier. *)
+   with it), the parallel replica rounds, then the barrier. Only a
+   replica with a batch or a pending relaunch gets a packet, since
+   [serve_round] does nothing for the others; which replicas those are
+   depends on simulated state alone, and most windows have one, which
+   the pool runs inline. *)
 let window st ~window_start ~window_end =
   Array.iter
     (fun rep ->
@@ -1092,9 +1092,17 @@ let window st ~window_start ~window_end =
     st.replicas;
   dispatch_window st ~window_start ~window_end;
   List.iter (apply_firing st) (Chaos.due st.schedule ~until:window_end);
-  let env = st.env and replicas = st.replicas in
-  parallel_over env.pool (Array.length replicas) (fun j ->
-      serve_round env replicas.(j));
+  let env = st.env and replicas = st.replicas and busy = st.busy in
+  let n = ref 0 in
+  for j = 0 to Array.length replicas - 1 do
+    match replicas.(j) with
+    | { batch = []; pending_restart = None; _ } -> ()
+    | _ ->
+      busy.(!n) <- j;
+      incr n
+  done;
+  Repro_par.Par.parallel_for env.pool ~packets:!n (fun k ->
+      serve_round env replicas.(busy.(k)));
   barrier st ~window_end
 
 let pending st = st.next < Array.length st.requests || st.retry_q <> []
@@ -1178,8 +1186,8 @@ let report st =
     settle_terminal st st.requests.(i) `Dropped
   done;
   List.iter (fun (_, rq) -> settle_terminal st rq `Dropped) st.retry_q;
-  parallel_over env.pool (Array.length replicas) (fun j ->
-      retire replicas.(j) ~hooks:true);
+  Repro_par.Par.parallel_for env.pool ~packets:(Array.length replicas)
+    (fun j -> retire replicas.(j) ~hooks:true);
   let wall_end =
     Array.fold_left
       (fun acc rep -> if rep.activated then Float.max acc rep.avail else acc)

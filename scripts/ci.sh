@@ -112,6 +112,24 @@ cmp "$pid_a" "$pid_b" || {
 }
 rm -f "$pid_a" "$pid_b" "$pid_out"
 
+echo "== busy fleet (multi-replica windows; bit-identical across domains) =="
+# At load 0.9 nearly every window has work on all four replicas, so the
+# rounds are shared between domains through the pool's job handoff; the
+# report must still equal --domains=1 apart from the domain count.
+busy_a=$(mktemp) busy_b=$(mktemp) busy_out=$(mktemp)
+busy_fleet() {
+  dune exec bin/lxr_fleet.exe -- run -b lusearch -c lxr -k 4 -n 3000 \
+    --load 0.9 --seed 42 --domains="$1" > "$busy_out"
+  sed 's/domains=[0-9]*/domains=_/' "$busy_out"
+}
+busy_fleet 1 > "$busy_a"
+busy_fleet 2 > "$busy_b"
+cmp "$busy_a" "$busy_b" || {
+  echo "ERROR: busy fleet diverged across --domains" >&2
+  exit 1
+}
+rm -f "$busy_a" "$busy_b" "$busy_out"
+
 echo "== trace corpus: injected fault must diverge =="
 if dune exec bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace \
     -c lxr,g1 --inject=drop-barrier:2e-3 --inject-into=lxr > /dev/null; then

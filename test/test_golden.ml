@@ -299,6 +299,13 @@ let scenarios : (string * (unit -> Fleet.result * bool)) list =
         ( a,
           published
           && fleet_digest a = fleet_digest { b with domains = a.domains } ) );
+    ( "busy-windows",
+      (* At load 0.9 most windows have two or more replicas with a batch,
+         so their rounds go through the pool's cross-domain handoff. *)
+      fun () ->
+        let busy domains = fleet ~replicas:4 ~requests:3000 ~load:0.9 ~domains () in
+        let a = busy 1 and b = busy 2 in
+        (a, a.ok && fleet_digest a = fleet_digest { b with domains = a.domains }) );
     ( "setup-failure",
       with_check
         (fun () -> fleet ~heap_factor:0.05 ())

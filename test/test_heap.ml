@@ -67,21 +67,14 @@ let test_rc_inc_dec () =
   let c = cfg () in
   let t = Rc_table.create c in
   check_int "initial zero" 0 (Rc_table.get t c 0);
-  (match Rc_table.inc t c 0 with
-  | `Became 1 -> ()
-  | _ -> Alcotest.fail "expected Became 1");
-  (match Rc_table.inc t c 0 with
-  | `Became 2 -> ()
-  | _ -> Alcotest.fail "expected Became 2");
-  (match Rc_table.dec t c 0 with
-  | `Became 1 -> ()
-  | _ -> Alcotest.fail "expected Became 1");
-  (match Rc_table.dec t c 0 with
-  | `Became 0 -> ()
-  | _ -> Alcotest.fail "expected Became 0");
-  (match Rc_table.dec t c 0 with
-  | `Underflow -> ()
-  | _ -> Alcotest.fail "expected Underflow")
+  check_int "inc to 1" 1 (Rc_table.inc t c 0);
+  check_int "inc to 2" 2 (Rc_table.inc t c 0);
+  check_int "dec to 1" 1 (Rc_table.dec t c 0);
+  check_int "dec to 0" 0 (Rc_table.dec t c 0);
+  check_int "dec below zero" Rc_table.underflow (Rc_table.dec t c 0);
+  check "stuck and underflow are not counts" true
+    (Rc_table.stuck < 0 && Rc_table.underflow < 0
+     && Rc_table.stuck <> Rc_table.underflow)
 
 let test_rc_stick () =
   let c = cfg () in
@@ -89,16 +82,21 @@ let test_rc_stick () =
   ignore (Rc_table.inc t c 16);
   ignore (Rc_table.inc t c 16);
   (* Third increment reaches 3 = stuck. *)
-  (match Rc_table.inc t c 16 with
-  | `Stuck -> ()
-  | `Became n -> Alcotest.failf "expected Stuck, got Became %d" n);
+  check_int "third inc sticks" Rc_table.stuck (Rc_table.inc t c 16);
   check_int "stuck value" 3 (Rc_table.get t c 16);
-  (match Rc_table.dec t c 16 with
-  | `Stuck -> ()
-  | _ -> Alcotest.fail "stuck counts never decremented");
-  (match Rc_table.inc t c 16 with
-  | `Stuck -> ()
-  | _ -> Alcotest.fail "stuck counts never incremented")
+  check_int "stuck counts never decremented" Rc_table.stuck
+    (Rc_table.dec t c 16);
+  check_int "stuck counts never incremented" Rc_table.stuck
+    (Rc_table.inc t c 16)
+
+(* With one bit per count, the first increment saturates: it must read
+   as stuck, never as count 1 (which would promote the object). *)
+let test_rc_one_bit () =
+  let c = cfg ~rc_bits:1 () in
+  let t = Rc_table.create c in
+  check_int "first inc sticks" Rc_table.stuck (Rc_table.inc t c 0);
+  check_int "stuck value" 1 (Rc_table.get t c 0);
+  check_int "never decremented" Rc_table.stuck (Rc_table.dec t c 0)
 
 let test_rc_neighbours_independent () =
   let c = cfg () in
@@ -120,9 +118,7 @@ let test_rc_wider_bits () =
     ignore (Rc_table.inc t c 0)
   done;
   check_int "count 254" 254 (Rc_table.get t c 0);
-  (match Rc_table.inc t c 0 with
-  | `Stuck -> ()
-  | _ -> Alcotest.fail "sticks at 255")
+  check_int "sticks at 255" Rc_table.stuck (Rc_table.inc t c 0)
 
 let test_rc_clear_range () =
   let c = cfg () in
@@ -508,13 +504,9 @@ let test_heap_rc_roundtrip () =
   let heap = fresh_heap () in
   let a = Heap.make_allocator heap in
   let obj = alloc heap a ~size:64 ~nfields:2 in
-  (match Heap.rc_inc heap obj with
-  | `Became 1 -> ()
-  | _ -> Alcotest.fail "inc");
+  check_int "inc" 1 (Heap.rc_inc heap obj);
   check_int "rc 1" 1 (Heap.rc_of heap obj);
-  (match Heap.rc_dec heap obj with
-  | `Became 0 -> ()
-  | _ -> Alcotest.fail "dec");
+  check_int "dec" 0 (Heap.rc_dec heap obj);
   Heap.free_object heap obj;
   check "gone" false (Obj_model.Registry.mem heap.registry obj.id)
 
@@ -987,6 +979,7 @@ let suite =
     ( "heap:rc_table",
       [ Alcotest.test_case "inc/dec" `Quick test_rc_inc_dec;
         Alcotest.test_case "stick" `Quick test_rc_stick;
+        Alcotest.test_case "1-bit" `Quick test_rc_one_bit;
         Alcotest.test_case "neighbours" `Quick test_rc_neighbours_independent;
         Alcotest.test_case "8-bit" `Quick test_rc_wider_bits;
         Alcotest.test_case "clear range" `Quick test_rc_clear_range;
