@@ -32,7 +32,7 @@ type t = {
   (* Lazy decrement machinery (§3.2.1). *)
   lazy_queue : Vec.t;
   lazy_sweep : Vec.t;  (* blocks touched by decrements, swept after the decs *)
-  lazy_sweep_set : (int, unit) Hashtbl.t;
+  lazy_sweep_member : Bytes.t;  (* one byte per block: on [lazy_sweep]? *)
   (* SATB trace state (§3.2.2). *)
   mutable satb_active : bool;
   mutable satb_completed : bool;
@@ -126,11 +126,21 @@ let satb_shield t (obj : Obj_model.t) =
 let note_dec_sweep t (obj : Obj_model.t) =
   if not (Heap.is_los t.heap obj) then begin
     let b = Addr.block_of t.heap.cfg (Obj_model.addr obj) in
-    if not (Hashtbl.mem t.lazy_sweep_set b) then begin
-      Hashtbl.replace t.lazy_sweep_set b ();
+    if Bytes.get t.lazy_sweep_member b = '\000' then begin
+      Bytes.set t.lazy_sweep_member b '\001';
       Vec.push t.lazy_sweep b
     end
   end
+
+(* Applies [sweep] to every block on [lazy_sweep] in push order, then
+   empties it. [sweep] must not push onto it. *)
+let drain_lazy_sweep t sweep =
+  Vec.iter
+    (fun b ->
+      Bytes.set t.lazy_sweep_member b '\000';
+      sweep b)
+    t.lazy_sweep;
+  Vec.clear t.lazy_sweep
 
 (* Apply one decrement; recursive decrements for a dying object's
    referents are pushed onto [queue]. *)
@@ -482,13 +492,9 @@ let rc_pause t =
         apply_dec t dec_pending (Vec.pop dec_pending)
       done;
       (* Sweep decrement-touched blocks in the pause too (-LD). *)
-      Vec.iter
-        (fun b ->
+      drain_lazy_sweep t (fun b ->
           Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
           Gc_kernels.sweep_stale_block t.heap b)
-        t.lazy_sweep;
-      Vec.clear t.lazy_sweep;
-      Hashtbl.reset t.lazy_sweep_set
     end;
     Par.recycle_scratch dec_pending;
     phase `Dec;
@@ -574,7 +580,7 @@ let conc_run t ~budget_ns =
     end
     else if not (Vec.is_empty t.lazy_sweep) then begin
       let b = Vec.pop t.lazy_sweep in
-      Hashtbl.remove t.lazy_sweep_set b;
+      Bytes.set t.lazy_sweep_member b '\000';
       Gc_kernels.sweep_stale_block t.heap b;
       consumed := !consumed +. c.sweep_block_ns
     end
@@ -714,9 +720,7 @@ let on_finish t () =
   while not (Vec.is_empty t.lazy_queue) do
     apply_dec t t.lazy_queue (Vec.pop t.lazy_queue)
   done;
-  Vec.iter (fun b -> Gc_kernels.sweep_stale_block t.heap b) t.lazy_sweep;
-  Vec.clear t.lazy_sweep;
-  Hashtbl.reset t.lazy_sweep_set
+  drain_lazy_sweep t (Gc_kernels.sweep_stale_block t.heap)
 
 let stats_alist t () =
   ("promoted_pending", Float.of_int t.promoted_bytes_epoch)
@@ -771,7 +775,7 @@ let create ?tune ~name ~config sim heap ~roots =
       prev_roots = Vec.create ~capacity:64 ();
       lazy_queue = Vec.create ~capacity:1024 ();
       lazy_sweep = Vec.create ~capacity:64 ();
-      lazy_sweep_set = Hashtbl.create 64;
+      lazy_sweep_member = Bytes.make (Heap_config.blocks heap.Heap.cfg) '\000';
       satb_active = false;
       satb_completed = false;
       satb_requested = false;

@@ -211,7 +211,7 @@ let alloc_fast t ~size ~nfields =
   let faults = Sim.faults t.sim in
   let first =
     if Fault.active faults && faults.fail_alloc () then
-      Obj_model.Registry.none_handle t.heap.Heap.registry
+      Obj_model.Registry.vacant
     else Heap.alloc_fast t.heap t.allocator ~size ~nfields
   in
   let obj =

@@ -69,9 +69,9 @@ let failed ~workload ~collector ~heap_factor ~heap_bytes msg =
    mutator-side output (generatively or by replay), then assemble the
    result. [driver] receives the engine and the measurement-start
    callback that zeroes the accumulators. *)
-let execute ?ids_hint ~workload_name ~heap_factor ~cfg ~verify ~inject
-    ~recorder ~factory ~driver () =
-  let heap = Heap.create ?ids_hint cfg in
+let execute ~workload_name ~heap_factor ~cfg ~verify ~inject ~recorder
+    ~factory ~driver () =
+  let heap = Heap.create cfg in
   let sim = Sim.create Cost_model.default in
   (match inject with Some f -> Sim.set_faults sim f | None -> ());
   (match recorder with
@@ -196,13 +196,6 @@ let replay ?gc_threads:_ ?(verify = []) ?inject ?record_to ~trace ~factory
     () =
   let t = (trace : Repro_trace.Trace_format.t) in
   let h = t.header in
-  (* The trace tells us the highest id it will mention; presize the
-     id-indexed map so replay never pays doubling-growth churn there.
-     Slot arrays are left at their default: they track peak-live objects
-     (slots are reused after frees), so sizing them by total allocations
-     would overshoot by orders of magnitude. *)
-  let _, max_id = Repro_trace.Trace_format.alloc_stats t in
-  let ids_hint = max 16 (max_id + 2) in
   let cfg = Repro_trace.Trace_format.heap_config h in
   let recorder =
     match record_to with
@@ -213,7 +206,7 @@ let replay ?gc_threads:_ ?(verify = []) ?inject ?record_to ~trace ~factory
            ~scale:h.scale ~heap_factor:h.heap_factor ~cfg ())
   in
   let r =
-    execute ~ids_hint ~workload_name:h.workload ~heap_factor:h.heap_factor
+    execute ~workload_name:h.workload ~heap_factor:h.heap_factor
       ~cfg ~verify ~inject ~recorder ~factory
       ~driver:(fun api ~on_measurement_start ->
         Repro_trace.Replay.run ~on_measurement_start api t)

@@ -8,12 +8,12 @@ type t = {
   blocks : Blocks.t;
   free : Free_lists.t;
   registry : Obj_model.Registry.t;
-  (* LOS backing-block extents, keyed by registry slot: (offset, length)
-     into [los_pool]. Slot-keyed data is cleared in [free_object] before
-     the slot is recycled, so a reused slot never inherits LOS state. *)
-  mutable los_off : int array;
-  mutable los_len : int array;
-  los_pool : Vec.t;
+  (* LOS backing-block extents as chains keyed by block: a LOS object's
+     extent starts at its first backing block (the block of its address,
+     which never changes: [evacuate] refuses LOS objects), and each
+     backing block's entry is the next one in acquisition order, or -1
+     after the last. Entries of other blocks are never read. *)
+  los_next : int array;
   touched : Bytes.t;  (* one bit per block *)
   mutable allocators : Bump_allocator.t list;
   reserve : Vec.t;  (* stack: newest reserve block at the end *)
@@ -23,7 +23,7 @@ type t = {
   mutable on_pre_pause : unit -> unit;
 }
 
-let create ?ids_hint cfg =
+let create cfg =
   let nblocks = Heap_config.blocks cfg in
   let t =
     { cfg;
@@ -32,10 +32,8 @@ let create ?ids_hint cfg =
       reuse = Reuse_table.create cfg;
       blocks = Blocks.create cfg;
       free = Free_lists.create ();
-      registry = Obj_model.Registry.create ?ids_hint ();
-      los_off = Array.make 1024 0;
-      los_len = Array.make 1024 0;
-      los_pool = Vec.create ~capacity:16 ();
+      registry = Obj_model.Registry.create ();
+      los_next = Array.make nblocks (-1);
       touched = Bytes.make ((nblocks + 7) / 8) '\000';
       allocators = [];
       reserve = Vec.create ~capacity:8 ();
@@ -92,82 +90,76 @@ let clear_touched t = Bytes.fill t.touched 0 (Bytes.length t.touched) '\000'
 
 (* --- LOS ---------------------------------------------------------------- *)
 
-let ensure_los_slot t slot =
-  if slot >= Array.length t.los_len then begin
-    t.los_off <- Int_array.grow t.los_off (slot + 1) 0;
-    t.los_len <- Int_array.grow t.los_len (slot + 1) 0
-  end
-
-let is_los t (obj : Obj_model.t) =
-  (not (Obj_model.is_freed obj))
-  && obj.slot < Array.length t.los_len
-  && t.los_len.(obj.slot) > 0
+(* Only [alloc_los] registers objects above the threshold. *)
+let[@inline] is_los t (obj : Obj_model.t) =
+  obj.size > t.cfg.los_threshold && not (Obj_model.is_freed obj)
 
 let los_extent t (obj : Obj_model.t) =
-  if is_los t obj then
-    List.init t.los_len.(obj.slot) (fun i -> Vec.get t.los_pool (t.los_off.(obj.slot) + i))
-  else []
+  let rec chain b = if b < 0 then [] else b :: chain t.los_next.(b) in
+  if is_los t obj then chain (Addr.block_of t.cfg (Obj_model.addr obj)) else []
 
 let align_size t size =
   let size = if size < t.cfg.granule_bytes then t.cfg.granule_bytes else size in
   Bits.round_up size t.cfg.granule_bytes
 
+(* Releases the chain from [b] newest first. *)
+let rec release_los_chain t b =
+  if b >= 0 then begin
+    release_los_chain t t.los_next.(b);
+    Blocks.set_state t.blocks b Blocks.Free;
+    Free_lists.release_free t.free b
+  end
+
 let alloc_los t ~size ~nfields =
   let nblocks = (size + t.cfg.block_bytes - 1) / t.cfg.block_bytes in
   if Free_lists.free_count t.free < nblocks then None
   else begin
-    let off = Vec.length t.los_pool in
     (* Free-list entries may be stale (collectors that re-sweep a block
        push its classification again without deduplication), so validate
        the state on every pop, exactly as the bump allocator does.
        Consuming a stale entry here would stamp a block another owner —
        e.g. the reserve — already holds. *)
+    let first = ref (-1) and last = ref (-1) in
     let acquired = ref 0 in
     let exhausted = ref false in
     while (not !exhausted) && !acquired < nblocks do
       match Free_lists.acquire_free t.free with
       | Some b when Blocks.state t.blocks b = Blocks.Free ->
         Blocks.set_state t.blocks b Blocks.Los_backing;
-        Vec.push t.los_pool b;
+        if !last < 0 then first := b else t.los_next.(!last) <- b;
+        t.los_next.(b) <- -1;
+        last := b;
         incr acquired
       | Some _ -> ()
       | None -> exhausted := true
     done;
     if !acquired < nblocks then begin
       (* Stale entries inflated [free_count]; undo and decline. *)
-      for _ = 1 to !acquired do
-        let b = Vec.pop t.los_pool in
-        Blocks.set_state t.blocks b Blocks.Free;
-        Free_lists.release_free t.free b
-      done;
+      release_los_chain t !first;
       None
     end
     else begin
-    let first = Vec.get t.los_pool off in
-    let addr = Addr.block_start t.cfg first in
-    let obj =
-      Obj_model.Registry.register t.registry ~size ~nfields ~addr ~birth_epoch:t.epoch
-    in
-    ensure_los_slot t obj.slot;
-    t.los_off.(obj.slot) <- off;
-    t.los_len.(obj.slot) <- nblocks;
-    Blocks.add_resident t.blocks first obj.id;
-    Some obj
+      let addr = Addr.block_start t.cfg !first in
+      let obj =
+        Obj_model.Registry.register t.registry ~size ~nfields ~addr ~birth_epoch:t.epoch
+      in
+      Blocks.add_resident t.blocks !first obj.id;
+      Some obj
     end
   end
 
-(* The store's none-handle (id = null) stands for failure, so a
+(* The none-handle ([Registry.vacant], id = null) stands for failure, so a
    successful small allocation's only box is the handle record itself. *)
 let alloc_fast t allocator ~size ~nfields =
   let size = align_size t size in
   if size > t.cfg.los_threshold then begin
     match alloc_los t ~size ~nfields with
     | Some obj -> obj
-    | None -> Obj_model.Registry.none_handle t.registry
+    | None -> Obj_model.Registry.vacant
   end
   else begin
     let addr = Bump_allocator.alloc_addr allocator ~size in
-    if addr < 0 then Obj_model.Registry.none_handle t.registry
+    if addr < 0 then Obj_model.Registry.vacant
     else begin
       let obj =
         Obj_model.Registry.register t.registry ~size ~nfields ~addr ~birth_epoch:t.epoch
@@ -201,17 +193,15 @@ let pin t (obj : Obj_model.t) =
 let free_object t obj =
   if not (Obj_model.is_freed obj) then begin
     let addr = Obj_model.addr obj in
-    let slot = obj.Obj_model.slot in
-    if slot < Array.length t.los_len && t.los_len.(slot) > 0 then begin
+    if is_los t obj then begin
       Rc_table.set t.rc t.cfg addr 0;
-      let off = t.los_off.(slot) and n = t.los_len.(slot) in
-      for i = 0 to n - 1 do
-        let b = Vec.get t.los_pool (off + i) in
-        Blocks.set_state t.blocks b Blocks.Free;
-        Vec.clear (Blocks.residents t.blocks b);
-        Free_lists.release_free t.free b
-      done;
-      t.los_len.(slot) <- 0
+      let b = ref (Addr.block_of t.cfg addr) in
+      while !b >= 0 do
+        Blocks.set_state t.blocks !b Blocks.Free;
+        Vec.clear (Blocks.residents t.blocks !b);
+        Free_lists.release_free t.free !b;
+        b := t.los_next.(!b)
+      done
     end
     else Rc_table.clear_range t.rc t.cfg ~addr ~size:obj.Obj_model.size;
     Obj_model.Registry.free t.registry obj

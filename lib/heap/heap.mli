@@ -20,10 +20,11 @@ type t = {
   blocks : Blocks.t;
   free : Free_lists.t;
   registry : Obj_model.Registry.t;
-  mutable los_off : int array;
-      (** LOS backing extent offset into [los_pool], keyed by registry slot *)
-  mutable los_len : int array;  (** LOS backing block count, keyed by slot *)
-  los_pool : Repro_util.Vec.t;  (** shared pool of LOS backing-block ids *)
+  los_next : int array;
+      (** LOS backing extents as chains, one entry per block: a LOS
+          object's extent starts at its first backing block (the block
+          of its address) and each backing block's entry is the next one
+          in acquisition order, or [-1] after the last *)
   touched : Bytes.t;
       (** bitset of blocks allocated into since the last pause — the
           young-sweep set *)
@@ -46,9 +47,8 @@ type t = {
 }
 
 (** [create cfg] builds an empty heap with every block on the free
-    list. [ids_hint] presizes the object registry (see
-    {!Obj_model.Registry.create}). *)
-val create : ?ids_hint:int -> Heap_config.t -> t
+    list. *)
+val create : Heap_config.t -> t
 
 (** [make_allocator t] is a fresh thread-local bump allocator over this
     heap, tracked so pauses can retire it. *)
@@ -69,7 +69,8 @@ val block_touched : t -> int -> bool
 
 val clear_touched : t -> unit
 
-(** [is_los t obj] is true for large-object-space residents. *)
+(** [is_los t obj] is true for large-object-space residents: live
+    objects whose size is above [los_threshold]. *)
 val is_los : t -> Obj_model.t -> bool
 
 (** [los_extent t obj] is the list of backing blocks of a LOS object in
@@ -80,7 +81,7 @@ val los_extent : t -> Obj_model.t -> int list
     object. [size] is rounded up to the granule; sizes above
     [los_threshold] go to the large object space. When the heap cannot
     satisfy the request (the caller should collect and retry) it returns
-    the registry's none-handle (test [obj.id = Obj_model.null]). A
+    {!Obj_model.Registry.vacant} (test [obj.id = Obj_model.null]). A
     successful small allocation's only box is the handle record. *)
 val alloc_fast : t -> Bump_allocator.t -> size:int -> nfields:int -> Obj_model.t
 

@@ -4,72 +4,100 @@ let null = 0
 
 (* Each object's metadata lives in its canonical handle record: address,
    birth epoch, field extent and logged word. The record is the one
-   allocation [register] makes. The store keeps one slot-indexed array,
-   [handles], plus the shared pools the extents point into:
+   allocation [register] makes. The store's three tables are paged:
+   slot -> handle, id -> slot and the field pool are each a small page
+   table over fixed [page_words]-word pages. Growth appends one page
+   (doubling only the table of page pointers) and never copies a page,
+   so a table's entries stay where they were written.
 
-   - object fields are (offset, length) extents in one pooled [int]
-     buffer, not per-object [int array]s;
-   - the coalescing barrier's logged bits are a single inline word in the
-     handle when the object has <= 63 fields (the overwhelmingly common
-     case), and a pooled extent of the [wide] buffer otherwise.
+   - Object fields are an extent of one field page, never straddling
+     two. The handle holds that page itself, so a field read is one
+     load of the page and one of the word. An extent longer than a page
+     gets a page of its own.
+   - The coalescing barrier's logged bits are a single inline word in
+     the handle when the object has <= 63 fields (the overwhelmingly
+     common case). A wider object's bitmap follows its fields in its
+     own extent.
 
    Freed extents of each length form an intrusive LIFO list: the head
-   offset sits in an [int array] indexed by length and each free extent's
-   first word links to the next, so neither registration nor freeing
-   allocates beyond the handle. A reused extent is refilled whole, link
-   word included.
+   address sits in an [int array] indexed by length and each free
+   extent's first word links to the next, so neither registration nor
+   freeing allocates beyond the handle. When the bump page cannot hold
+   the next extent, its unusable tail goes on the free list of the
+   tail's length. A reused extent is refilled whole, link word
+   included.
 
    External ids stay monotonic allocation-sequence numbers (so recorded
    traces replay with identical ids); *slots* are recycled through a
    free-slot stack. Freeing sets the handle's own [addr] to -1, and an
-   id resolves only while [handles.(slot)] is still its handle, so a
-   stale handle reads as freed forever and can only see or change its
-   own dead record, even after its slot has been reused. *)
+   id resolves only while its slot still holds its handle, so a stale
+   handle reads as freed forever and can only see or change its own
+   dead record, even after its slot has been reused. *)
 
-type store = {
-  mutable handles : t array;
-      (* slot -> canonical handle, or [none]; [Registry.vacant] past [slots] *)
-  mutable slots : int;  (* high-water slot count *)
-  free_slots : Vec.t;
-  (* shared field pool: one flat buffer, free extents listed by length *)
-  mutable pool : int array;
-  mutable pool_top : int;
-  mutable pool_free : int array;  (* index = extent length *)
-  (* logged-word pool for objects with > 63 fields *)
-  mutable wide : int array;
-  mutable wide_top : int;
-  mutable wide_free : int array;  (* index = extent length in words *)
-  (* id-indexed: id -> slot, valid only while [handles.(slot).id] = id *)
-  mutable id_to_slot : int array;
-  mutable next_id : int;
-  mutable bytes : int;
-  mutable count : int;
-  (* The shared "no object" sentinel: id 0 (= null, never assigned to a
-     real object) and address -1, so it reads as freed forever. Filling
-     [handles] with it instead of [None] means registration stores the
-     canonical handle without boxing an option. *)
-  none : t;
-}
+let page_bits = 12
+let page_words = 1 lsl page_bits
+let page_mask = page_words - 1
 
-and t = {
+type field_page = int array
+
+type t = {
   id : int;
   size : int;
   slot : int;
-  store : store;
+  fpage : field_page;  (* the pool page holding the field extent *)
   mutable addr : int;  (* -1 once freed *)
   mutable birth : int;
   nfields : int;
-  foff : int;  (* field extent offset into [store.pool] *)
-  mutable logged : int;  (* inline logged word, or offset into [store.wide] *)
+  foff : int;  (* extent address: pool page number * page_words + offset *)
+  mutable logged : int;  (* inline logged word; unused above 63 fields *)
+}
+
+(* The "no object" handle: id 0 (= null, never assigned to a real
+   object) and address -1, so it reads as freed forever. Nothing can
+   change it (every setter is a no-op on a freed handle), so one serves
+   every store, filling unused handle-page entries without boxing an
+   option. Each handle page is made over it: [Array.make] of more than
+   256 elements over a young value forces a minor collection, and
+   [vacant] is old after the process's first one. *)
+let vacant =
+  { id = null;
+    size = 0;
+    slot = 0;
+    fpage = [||];
+    addr = -1;
+    birth = 0;
+    nfields = 0;
+    foff = 0;
+    logged = 0 }
+
+type store = {
+  mutable handles : t array array;
+      (* slot pages: the live handle, or [vacant]; read below [slots] *)
+  mutable slots : int;  (* high-water slot count *)
+  free_slots : Vec.t;
+  (* id pages: the slot each id was registered into; every id below
+     [next_id] has its entry *)
+  mutable id_to_slot : int array array;
+  mutable next_id : int;
+  (* field pool: bump allocation in page [pool_cur] from offset
+     [pool_used]; free extents listed by length *)
+  mutable pool : int array array;
+  mutable pool_pages : int;
+  mutable pool_cur : int;
+  mutable pool_used : int;
+  mutable pool_free : int array;  (* index = extent length *)
+  mutable bytes : int;
+  mutable count : int;
 }
 
 let inline_logged_max = 63
 
-(* Store invariant: a live object's field extent [foff, foff + nfields)
-   sits inside [pool] (which never shrinks), so the accessors below read
-   it unchecked once [is_freed] has resolved liveness. The explicit
-   [check_field] bound on the caller-supplied index is the one check that
-   must stay.
+(* Store invariant: a live object's [nfields] fields sit in [fpage]
+   from offset [foff land page_mask] (pages never shrink or move), so
+   the accessors below read them unchecked once [is_freed] has resolved
+   liveness. The
+   explicit [check_field] bound on the caller-supplied index is the one
+   check that must stay.
 
    The per-event accessors ([is_freed], [check_field], [field],
    [set_field], [Registry.find_live]) are [@inline], so release builds
@@ -93,54 +121,61 @@ let[@inline never] field_out_of_bounds () =
 let[@inline] check_field obj i =
   if i < 0 || i >= obj.nfields then field_out_of_bounds ()
 
+(* Offset of the extent's first word in [fpage]. *)
+let[@inline] base obj = obj.foff land page_mask
+
 let[@inline] field obj i =
   if is_freed obj then null
   else begin
     check_field obj i;
-    Array.unsafe_get obj.store.pool (obj.foff + i)
+    Array.unsafe_get obj.fpage (base obj + i)
   end
 
 let[@inline] set_field obj i v =
   if not (is_freed obj) then begin
     check_field obj i;
-    Array.unsafe_set obj.store.pool (obj.foff + i) v
+    Array.unsafe_set obj.fpage (base obj + i) v
   end
 
 let iter_fields f obj =
   if not (is_freed obj) then begin
-    let pool = obj.store.pool and off = obj.foff in
+    let page = obj.fpage and off = base obj in
     for i = 0 to obj.nfields - 1 do
-      f (Array.unsafe_get pool (off + i))
+      f (Array.unsafe_get page (off + i))
     done
   end
 
 let iteri_fields f obj =
   if not (is_freed obj) then begin
-    let pool = obj.store.pool and off = obj.foff in
+    let page = obj.fpage and off = base obj in
     for i = 0 to obj.nfields - 1 do
-      f i (Array.unsafe_get pool (off + i))
+      f i (Array.unsafe_get page (off + i))
     done
   end
 
 let fields_copy obj =
-  if is_freed obj then [||] else Array.sub obj.store.pool obj.foff obj.nfields
+  if is_freed obj then [||] else Array.sub obj.fpage (base obj) obj.nfields
 
 (* --- logged bits ------------------------------------------------------- *)
 
 let ones n = if n >= inline_logged_max then -1 else (1 lsl n) - 1
 let wide_words n = (n + inline_logged_max - 1) / inline_logged_max
 
+(* Words of an object's extent: its fields, then the bitmap words of an
+   object with more than 63 fields. *)
+let extent_words n = if n <= inline_logged_max then n else n + wide_words n
+
 (* The setters ignore freed handles, so an inline word keeps the bits it
-   had at free. A wide object's bitmap goes back to the pool at free, so
-   a freed wide handle reads all-logged rather than a later tenant's
-   bits. *)
+   had at free. A wide object's bitmap goes back to the pool with its
+   extent, so a freed wide handle reads all-logged rather than a later
+   tenant's bits. *)
 
 let field_logged obj i =
   check_field obj i;
   if obj.nfields <= inline_logged_max then (obj.logged lsr i) land 1 <> 0
   else if is_freed obj then true
   else begin
-    let w = obj.store.wide.(obj.logged + (i / inline_logged_max)) in
+    let w = obj.fpage.(base obj + obj.nfields + (i / inline_logged_max)) in
     (w lsr (i mod inline_logged_max)) land 1 <> 0
   end
 
@@ -152,10 +187,10 @@ let set_field_logged obj i v =
       obj.logged <- (if v then obj.logged lor bit else obj.logged land lnot bit)
     end
     else begin
-      let wide = obj.store.wide in
-      let idx = obj.logged + (i / inline_logged_max) in
+      let page = obj.fpage in
+      let idx = base obj + obj.nfields + (i / inline_logged_max) in
       let bit = 1 lsl (i mod inline_logged_max) in
-      wide.(idx) <- (if v then wide.(idx) lor bit else wide.(idx) land lnot bit)
+      page.(idx) <- (if v then page.(idx) lor bit else page.(idx) land lnot bit)
     end
   end
 
@@ -163,180 +198,166 @@ let set_all_logged obj v =
   if not (is_freed obj) then begin
     let n = obj.nfields in
     if n <= inline_logged_max then obj.logged <- (if v then ones n else 0)
-    else Array.fill obj.store.wide obj.logged (wide_words n) (if v then -1 else 0)
+    else Array.fill obj.fpage (base obj + n) (wide_words n) (if v then -1 else 0)
   end
 
 module Registry = struct
   type t = store
 
   let nil = -1
+  let vacant = vacant
 
-  let empty ~ids ~field_words =
-    let rec reg =
-      { handles = [||];
-        slots = 0;
-        free_slots = Vec.create ~capacity:256 ();
-        pool = Array.make field_words null;
-        pool_top = 0;
-        pool_free = Array.make 64 nil;
-        wide = Array.make 64 0;
-        wide_top = 0;
-        wide_free = Array.make 8 nil;
-        id_to_slot = Array.make ids (-1);
-        next_id = 1;
-        bytes = 0;
-        count = 0;
-        none }
-    and none =
-      { id = null;
-        size = 0;
-        slot = 0;
-        store = reg;
-        addr = -1;
-        birth = 0;
-        nfields = 0;
-        foff = 0;
-        logged = 0 }
+  (* [append_page table n page] stores [page] as page [n], doubling the
+     table of page pointers when it is full; pages never move. *)
+  let append_page table n page =
+    let table =
+      if n < Array.length table then table
+      else begin
+        let bigger = Array.make (2 * n) [||] in
+        Array.blit table 0 bigger 0 n;
+        bigger
+      end
     in
-    reg
+    table.(n) <- page;
+    table
 
-  (* [handles] beyond [slots] is never read, so it is filled with one
-     process-wide handle rather than the store's own [none]: a fresh
-     [none] is young, and [Array.make] of more than 256 elements over a
-     young value forces a minor collection. [vacant] is old after the
-     process's first one. *)
-  let vacant = (empty ~ids:1 ~field_words:0).none
+  let first_pages page = append_page (Array.make 8 [||]) 0 page
 
-  (* [ids_hint]: the expected highest external id, used to presize the
-     id-indexed map. A replayer knows it exactly from the trace, turning
-     doubling-growth churn into one right-sized allocation. *)
-  let create ?(ids_hint = 4096) () =
-    let reg = empty ~ids:(max 16 ids_hint) ~field_words:8192 in
-    reg.handles <- Array.make 1024 vacant;
-    reg
+  let create () =
+    { handles = first_pages (Array.make page_words vacant);
+      slots = 0;
+      free_slots = Vec.create ~capacity:256 ();
+      id_to_slot = first_pages (Array.make page_words 0);
+      next_id = 1;
+      pool = first_pages (Array.make page_words null);
+      pool_pages = 1;
+      pool_cur = 0;
+      pool_used = 0;
+      pool_free = Array.make 64 nil;
+      bytes = 0;
+      count = 0 }
 
-  (* Intrusive free lists: [heads.(n)] is the offset of the most recently
-     freed n-word extent of [buf], or [nil]; that extent's first word
-     holds the next offset. [pop_extent] leaves the link word in place
+  let add_pool_page reg page =
+    let n = reg.pool_pages in
+    reg.pool <- append_page reg.pool n page;
+    reg.pool_pages <- n + 1;
+    n
+
+  (* Intrusive free lists: [pool_free.(n)] is the address of the most
+     recently freed n-word extent, or [nil]; that extent's first word
+     holds the next address. [pop_extent] leaves the link word in place
      for the caller's refill to overwrite. *)
 
-  let pop_extent heads buf n =
-    if n >= Array.length heads then nil
+  let pop_extent reg n =
+    if n >= Array.length reg.pool_free then nil
     else begin
-      let off = heads.(n) in
-      if off <> nil then heads.(n) <- buf.(off);
-      off
+      let a = reg.pool_free.(n) in
+      if a <> nil then
+        reg.pool_free.(n) <- reg.pool.(a lsr page_bits).(a land page_mask);
+      a
     end
 
-  let push_extent heads buf n off =
-    buf.(off) <- heads.(n);
-    heads.(n) <- off
+  let push_extent reg n a =
+    if n >= Array.length reg.pool_free then
+      reg.pool_free <- Int_array.grow reg.pool_free (n + 1) nil;
+    reg.pool.(a lsr page_bits).(a land page_mask) <- reg.pool_free.(n);
+    reg.pool_free.(n) <- a
 
+  (* A fresh extent reads null: pages are made null-filled and bump
+     space is never reused except through the free lists. *)
   let pool_alloc reg len =
     if len = 0 then 0
     else begin
-      let off = pop_extent reg.pool_free reg.pool len in
-      if off <> nil then begin
-        Array.fill reg.pool off len null;
-        off
+      let a = pop_extent reg len in
+      if a <> nil then begin
+        Array.fill reg.pool.(a lsr page_bits) (a land page_mask) len null;
+        a
       end
+      else if len > page_words then
+        add_pool_page reg (Array.make len null) lsl page_bits
       else begin
-        if reg.pool_top + len > Array.length reg.pool then
-          reg.pool <- Int_array.grow reg.pool (reg.pool_top + len) null;
-        let off = reg.pool_top in
-        reg.pool_top <- off + len;
-        off
+        if reg.pool_used + len > page_words then begin
+          let tail = page_words - reg.pool_used in
+          if tail > 0 then
+            push_extent reg tail ((reg.pool_cur lsl page_bits) + reg.pool_used);
+          reg.pool_cur <- add_pool_page reg (Array.make page_words null);
+          reg.pool_used <- 0
+        end;
+        let a = (reg.pool_cur lsl page_bits) + reg.pool_used in
+        reg.pool_used <- reg.pool_used + len;
+        a
       end
     end
-
-  let pool_release reg off len =
-    if len > 0 then begin
-      if len >= Array.length reg.pool_free then
-        reg.pool_free <- Int_array.grow reg.pool_free (len + 1) nil;
-      push_extent reg.pool_free reg.pool len off
-    end
-
-  let wide_alloc reg words =
-    let off = pop_extent reg.wide_free reg.wide words in
-    let off =
-      if off <> nil then off
-      else begin
-        if reg.wide_top + words > Array.length reg.wide then
-          reg.wide <- Int_array.grow reg.wide (reg.wide_top + words) 0;
-        let off = reg.wide_top in
-        reg.wide_top <- off + words;
-        off
-      end
-    in
-    Array.fill reg.wide off words (-1);
-    off
-
-  let wide_release reg off words =
-    if words >= Array.length reg.wide_free then
-      reg.wide_free <- Int_array.grow reg.wide_free (words + 1) nil;
-    push_extent reg.wide_free reg.wide words off
 
   let register reg ~size ~nfields ~addr ~birth_epoch =
     if addr < 0 then invalid_arg "Obj_model.Registry.register: negative address";
     let id = reg.next_id in
+    if id land page_mask = 0 then
+      reg.id_to_slot <-
+        append_page reg.id_to_slot (id lsr page_bits) (Array.make page_words 0);
     reg.next_id <- id + 1;
     let slot =
       if Vec.is_empty reg.free_slots then begin
         let s = reg.slots in
+        if s land page_mask = 0 && s > 0 then
+          reg.handles <-
+            append_page reg.handles (s lsr page_bits) (Array.make page_words vacant);
         reg.slots <- s + 1;
-        if s >= Array.length reg.handles then begin
-          let h = Array.make (2 * Array.length reg.handles) vacant in
-          Array.blit reg.handles 0 h 0 (Array.length reg.handles);
-          reg.handles <- h
-        end;
         s
       end
       else Vec.pop reg.free_slots
     in
-    let foff = pool_alloc reg nfields in
+    let len = extent_words nfields in
+    let foff = pool_alloc reg len in
+    let fpage = reg.pool.(foff lsr page_bits) in
     (* New objects are born all-logged: the barrier ignores mutations to
        them, implementing the implicitly-dead optimization. *)
     let logged =
       if nfields <= inline_logged_max then ones nfields
-      else wide_alloc reg (wide_words nfields)
+      else begin
+        Array.fill fpage ((foff land page_mask) + nfields) (len - nfields) (-1);
+        0
+      end
     in
-    if id >= Array.length reg.id_to_slot then
-      reg.id_to_slot <- Int_array.grow reg.id_to_slot (id + 1) (-1);
-    reg.id_to_slot.(id) <- slot;
+    reg.id_to_slot.(id lsr page_bits).(id land page_mask) <- slot;
     let obj =
-      { id; size; slot; store = reg; addr; birth = birth_epoch; nfields; foff; logged }
+      { id; size; slot; fpage; addr; birth = birth_epoch; nfields; foff; logged }
     in
-    reg.handles.(slot) <- obj;
+    reg.handles.(slot lsr page_bits).(slot land page_mask) <- obj;
     reg.bytes <- reg.bytes + size;
     reg.count <- reg.count + 1;
     obj
 
-  let none_handle reg = reg.none
+  (* A slot below [slots] holds its live handle or [vacant]. *)
+  let[@inline] handle reg slot =
+    Array.unsafe_get
+      (Array.unsafe_get reg.handles (slot lsr page_bits))
+      (slot land page_mask)
 
-  (* The result is live unless it is the store's [none] sentinel (id 0):
-     callers compare ids, never destructure an option. *)
+  (* The result is live unless it is [vacant] (id 0): callers compare
+     ids, never destructure an option. Every id below [next_id] maps to
+     a slot below [slots], whose handle page exists, so both page reads
+     are unchecked. *)
   let[@inline] find_live reg id =
-    if id <= 0 || id >= Array.length reg.id_to_slot then reg.none
+    if id <= 0 || id >= reg.next_id then vacant
     else begin
-      (* A non-negative [id_to_slot] entry is always a valid slot index
-         (set at registration, and [handles] never shrinks). *)
-      let slot = Array.unsafe_get reg.id_to_slot id in
-      if slot < 0 then reg.none
-      else begin
-        let h = Array.unsafe_get reg.handles slot in
-        if h.id = id then h else reg.none
-      end
+      let slot =
+        Array.unsafe_get
+          (Array.unsafe_get reg.id_to_slot (id lsr page_bits))
+          (id land page_mask)
+      in
+      let h = handle reg slot in
+      if h.id = id then h else vacant
     end
 
   let mem reg id = id <> null && (find_live reg id).id = id
 
   let free reg obj =
     if not (is_freed obj) then begin
-      let n = obj.nfields in
-      pool_release reg obj.foff n;
-      if n > inline_logged_max then wide_release reg obj.logged (wide_words n);
+      let len = extent_words obj.nfields in
+      if len > 0 then push_extent reg len obj.foff;
       obj.addr <- -1;
-      reg.handles.(obj.slot) <- reg.none;
+      reg.handles.(obj.slot lsr page_bits).(obj.slot land page_mask) <- vacant;
       Vec.push reg.free_slots obj.slot;
       reg.bytes <- reg.bytes - obj.size;
       reg.count <- reg.count - 1
@@ -346,14 +367,12 @@ module Registry = struct
   let live_bytes reg = reg.bytes
   let slot_count reg = reg.slots
 
-  (* A slot below [slots] holds its live handle or [none]. *)
   let handle_at_live reg slot =
-    if slot < 0 || slot >= reg.slots then reg.none
-    else Array.unsafe_get reg.handles slot
+    if slot < 0 || slot >= reg.slots then vacant else handle reg slot
 
   let iter f reg =
     for slot = 0 to reg.slots - 1 do
-      let h = Array.unsafe_get reg.handles slot in
+      let h = handle reg slot in
       if h.id <> null then f h
     done
 

@@ -9,17 +9,20 @@
 
     Each object's metadata (address, birth epoch, field extent, logged
     word) lives in its canonical handle, the one record registration
-    allocates. The store keeps a single slot-indexed array of handles;
-    object fields live as (offset, length) extents in one shared pooled
-    [int] buffer, and the logged bits live in a single inline word for
-    objects with <= 63 fields. Freed extents are recycled through
-    intrusive per-length free lists, so neither registration nor freeing
-    allocates beyond the handle. External ids are monotonic
-    allocation-sequence numbers (never reused, so recorded traces replay
-    with identical ids); slots are recycled through a free-slot stack.
-    Freeing marks the handle's own record, so a stale handle to a freed
-    object reads as freed forever and can only see or change its own dead
-    record, even after its slot has been reused by a new object.
+    allocates. The store's three tables — slot to handle, id to slot and
+    the field pool — are paged: each is a small page table over fixed
+    4,096-word pages, and growth adds a page without copying one. Object
+    fields live as an extent of one field page, which the handle holds;
+    the logged bits live in a single inline word for objects with <= 63
+    fields, and after the fields in the object's own extent otherwise.
+    Freed extents are recycled through intrusive per-length free lists,
+    so neither registration nor freeing allocates beyond the handle.
+    External ids are monotonic allocation-sequence numbers (never
+    reused, so recorded traces replay with identical ids); slots are
+    recycled through a free-slot stack. Freeing marks the handle's own
+    record, so a stale handle to a freed object reads as freed forever
+    and can only see or change its own dead record, even after its slot
+    has been reused by a new object.
 
     Per-field logged bits implement the coalescing write barrier's
     unlogged-bit side metadata (§3.4): a set bit means the field has
@@ -29,22 +32,26 @@
 (** The null reference. *)
 val null : int
 
-(** The backing store ({!Registry.t}): the slot-indexed handle array and
-    the shared field and bitmap pools. *)
+(** The backing store ({!Registry.t}): the paged handle, id and field
+    tables. *)
 type store
+
+(** The field-pool page holding an object's field extent. *)
+type field_page
 
 (** An object handle: the external id, the object's (immutable) size, the
     slot it occupies in the store, and the object's metadata. Handles are
     canonical — {!Registry.find_live} and {!Registry.handle_at_live}
-    return the one handle allocated at registration, or the store's
-    none-handle, so holding or re-looking-up objects never allocates. *)
+    return the one handle allocated at registration, or
+    {!Registry.vacant}, so holding or re-looking-up objects never
+    allocates. *)
 type t = private {
   id : int;  (** monotonic allocation-sequence number; never reused *)
   size : int;  (** bytes, granule aligned, including header *)
   slot : int;  (** dense store index; recycled after free *)
-  store : store;
   (* The object's metadata. Outside this module, read it only through
      the accessors below: they define what a freed handle reads. *)
+  fpage : field_page;
   mutable addr : int;
   mutable birth : int;
   nfields : int;
@@ -94,8 +101,8 @@ val fields_copy : t -> int array
     protocol. New objects are created all-logged. Both raise
     [Invalid_argument] when [i] is out of bounds. The setters are no-ops
     on a freed handle, so it reads the bits it had at free — except that
-    an object with more than 63 fields returns its bitmap to the pool at
-    free and then reads all-logged. *)
+    an object with more than 63 fields returns its bitmap to the pool
+    with its field extent at free and then reads all-logged. *)
 val field_logged : t -> int -> bool
 
 val set_field_logged : t -> int -> bool -> unit
@@ -112,33 +119,29 @@ module Registry : sig
   type obj := t
   type t = store
 
-  (** [create ?ids_hint ()] — [ids_hint] presizes the id-indexed map (a
-      replayer knows the highest id exactly from the trace ring, turning
-      doubling-growth churn into one right-sized allocation). *)
-  val create : ?ids_hint:int -> unit -> t
+  (** [create ()] is an empty store holding one page of each table. *)
+  val create : unit -> t
 
   (** [register reg ~size ~nfields ~addr ~birth_epoch] creates a fresh
       object with all-null fields and all-logged bits, installs it, and
-      returns its canonical handle — the only allocation it makes once
-      the store's buffers have grown to the live set and the id map to
-      the new id (see [ids_hint]). Raises [Invalid_argument] if [addr]
-      is negative. *)
+      returns its canonical handle. The handle is its only allocation in
+      the minor heap, except when crossing into a new page of a table
+      doubles that table's page pointers; the page itself goes straight
+      to the major heap, and no page is copied. Raises
+      [Invalid_argument] if [addr] is negative. *)
   val register : t -> size:int -> nfields:int -> addr:int -> birth_epoch:int -> obj
 
-  (** The store's shared "no object" sentinel: a handle with [id = null]
-      that reads as freed forever. Lookups return it when there is no
-      live object, so they never box an option. *)
-  val none_handle : t -> obj
-
-  (** A process-wide handle that, like every store's {!none_handle},
-      has [id = null] and reads as freed forever. It fills handle arrays
-      whose unused entries are only ever tested by id: allocated once, it
-      is old by the time such an array is made, and [Array.make] of more
-      than 256 elements over a young value forces a minor collection. *)
+  (** The none-handle: the process-wide "no object" sentinel, with
+      [id = null], that reads as freed forever. Lookups return it when
+      there is no live object, so they never box an option. It also
+      fills handle pages and arrays whose unused entries are only ever
+      tested by id: allocated once, it is old by the time such an array
+      is made, and [Array.make] of more than 256 elements over a young
+      value forces a minor collection. *)
   val vacant : obj
 
   (** [find_live reg id] is the canonical handle when [id] is live, and
-      [none_handle reg] otherwise (test [(find_live reg id).id = null]).
+      {!vacant} otherwise (test [(find_live reg id).id = null]).
       Allocation-free. *)
   val find_live : t -> int -> obj
 
@@ -163,7 +166,7 @@ module Registry : sig
   val slot_count : t -> int
 
   (** [handle_at_live reg slot] is the live handle occupying [slot], or
-      {!none_handle} when the slot is empty — the form slot-order sweeps
+      {!vacant} when the slot is empty — the form slot-order sweeps
       use. *)
   val handle_at_live : t -> int -> obj
 

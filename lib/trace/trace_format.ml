@@ -48,7 +48,7 @@ type event =
      survived         bytes  -        -                          -
      (safepoint, request_end, measurement_start, finish: no operands)
 
-   [allocs] and [max_id] are the replayer's registry-presizing input,
+   [allocs] and [max_id] are the replayer's id-map presizing input,
    filled in while the ring is built so no replay lane rescans it. *)
 type ring = {
   count : int;
@@ -273,17 +273,38 @@ let get_uv_checked r =
   done;
   !acc
 
+(* The most bytes [get_uv_checked] reads: it raises "varint too long"
+   when the 11th still has its continuation bit set. *)
+let uv_max_bytes = 11
+
+(* [get_uv_checked]'s accumulate sequence without a bounds test per
+   byte, from the varint's second byte at [pos], for a varint that
+   starts at [r.pos] with at least [uv_max_bytes] bytes left. An 11th
+   byte that still continues defers to the checked loop, which raises. *)
+let rec get_uv_long r s pos acc shift =
+  let b = Char.code (String.unsafe_get s pos) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b land 0x80 = 0 then begin
+    r.pos <- pos + 1;
+    acc
+  end
+  else if shift >= 7 * (uv_max_bytes - 1) then get_uv_checked r
+  else get_uv_long r s (pos + 1) acc (shift + 7)
+
 (* One-byte varints (every tag and most operands) return after one
-   bounds test; multi-byte and truncated ones take the checked loop,
-   which owns the error outcomes. *)
+   bounds test; a multi-byte one takes the unchecked loop when every
+   byte the checked loop could read is there, and the checked loop,
+   which owns the error outcomes, otherwise. *)
 let[@inline] get_uv r =
-  let pos = r.pos in
-  if pos < String.length r.s then begin
-    let b = Char.code (String.unsafe_get r.s pos) in
+  let s = r.s and pos = r.pos in
+  if pos < String.length s then begin
+    let b = Char.code (String.unsafe_get s pos) in
     if b < 0x80 then begin
       r.pos <- pos + 1;
       b
     end
+    else if String.length s - pos >= uv_max_bytes then
+      get_uv_long r s (pos + 1) (b land 0x7f) 7
     else get_uv_checked r
   end
   else get_uv_checked r

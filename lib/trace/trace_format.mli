@@ -98,7 +98,7 @@ val event : t -> int -> event
     tests — not the replay hot path). *)
 val events : t -> event array
 
-(** [(alloc_count, max_id)] over the ring — the replayer's registry
+(** [(alloc_count, max_id)] over the ring — the replayer's id-map
     presizing input. Recorded when the ring is built, so this is O(1). *)
 val alloc_stats : t -> int * int
 

@@ -4,8 +4,8 @@
     major heap it stores every word through the write barrier
     ([caml_modify]), even when the words are immediate ints. These
     copies are typed at [int] and compile to plain stores. The object
-    store's buffers, {!Vec}, the LOS extent arrays and the replayer's
-    reverse id map grow through {!grow}. *)
+    store's free-list heads, {!Vec} and the replayer's reverse id map
+    grow through {!grow}. *)
 
 (** [blit src src_pos dst dst_pos len] copies like [Array.blit],
     overlapping ranges included. Raises [Invalid_argument] when either

@@ -13,7 +13,10 @@ dune runtest
 
 echo "== registry properties, long budget =="
 # dune runtest runs the object-store properties at a fixed budget;
-# QCHECK_LONG=1 multiplies each one's case count by its long_factor.
+# QCHECK_LONG=1 multiplies each one's case count by its long_factor,
+# running 100 of the page-crossing model property's op lists (6,500 to
+# 7,000 ops, whose ids, slots and field words each cross a 4,096-entry
+# table page).
 QCHECK_LONG=1 dune exec test/test_main.exe -- test heap:objects
 
 echo "== verifier smoke (clean run must report zero violations) =="
@@ -180,14 +183,22 @@ reject bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace -c lxr,g1 \
 reject bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace -c lxr,ideal
 
 echo "== malformed traces are rejected cleanly (exit 1 or 2) =="
-# A header string length of -1, a corpus trace with its checksum cut
-# short, and one with a byte appended. The files live outside
-# test/corpus/, which the corpus diff lane globs.
+# A header string length of -1, a file ending in an 11-byte over-long
+# varint (exactly the bytes the decoder's unchecked varint loop needs
+# left), a corpus trace cut at each of the 16 offsets before its end
+# (its 12-byte trailer and the last event), and one with a byte
+# appended. The files live outside test/corpus/, which the corpus diff
+# lane globs.
 bad_dir=$(mktemp -d)
 printf 'LXRTRACE\001\377\377\377\377\377\377\377\377\377\001' \
   > "$bad_dir/negative-length.lxrtrace"
+printf 'LXRTRACE\377\377\377\377\377\377\377\377\377\377\377' \
+  > "$bad_dir/overlong-varint.lxrtrace"
 good=test/corpus/luindex.lxrtrace
-head -c "$(($(wc -c < "$good") - 3))" "$good" > "$bad_dir/cut.lxrtrace"
+size=$(wc -c < "$good")
+for cut in $(seq 1 16); do
+  head -c "$((size - cut))" "$good" > "$bad_dir/cut-$cut.lxrtrace"
+done
 { cat "$good"; printf 'x'; } > "$bad_dir/appended.lxrtrace"
 for t in "$bad_dir"/*.lxrtrace; do
   reject bin/lxr_trace.exe -- stat "$t"

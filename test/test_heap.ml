@@ -533,6 +533,43 @@ let test_heap_los () =
   check "blocks returned" true (Heap.available_blocks heap = free_before + 2);
   check "backing freed" true (Blocks.state heap.blocks backing = Blocks.Free)
 
+(* LOS extents are keyed by block, not by registry slot: a large object
+   at a slot past 1,024 reports its extent, and once it is freed the
+   small objects that reuse its first block are not large. *)
+let test_heap_los_high_slot () =
+  let heap = fresh_heap () in
+  let a = Heap.make_allocator heap in
+  for _ = 1 to 1100 do
+    ignore (alloc heap a ~size:16 ~nfields:0)
+  done;
+  let big = alloc heap a ~size:40_000 ~nfields:2 in
+  check "slot above 1,024" true (big.slot > 1024);
+  check "is los" true (Heap.is_los heap big);
+  let first = Addr.block_of heap.cfg (Obj_model.addr big) in
+  let extent = Heap.los_extent heap big in
+  check_int "two backing blocks" 2 (List.length extent);
+  check_int "extent starts at the first block" first (List.hd extent);
+  List.iter
+    (fun b -> check "backing" true (Blocks.state heap.blocks b = Blocks.Los_backing))
+    extent;
+  Heap.free_object heap big;
+  check "freed is not los" false (Heap.is_los heap big);
+  check "freed has no extent" true (Heap.los_extent heap big = []);
+  let reused = ref [] in
+  while !reused = [] do
+    let o = alloc heap a ~size:256 ~nfields:1 in
+    if Addr.block_of heap.cfg (Obj_model.addr o) = first then reused := [ o ]
+  done;
+  for _ = 1 to 10 do
+    let o = alloc heap a ~size:256 ~nfields:1 in
+    if Addr.block_of heap.cfg (Obj_model.addr o) = first then reused := o :: !reused
+  done;
+  List.iter
+    (fun o ->
+      check "small object in the old first block is not los" false (Heap.is_los heap o);
+      check "and has no extent" true (Heap.los_extent heap o = []))
+    !reused
+
 let test_heap_los_exhaustion () =
   let heap = Heap.create (Heap_config.make ~heap_bytes:(64 * 1024) ()) in
   let a = Heap.make_allocator heap in
@@ -790,18 +827,18 @@ let show_reg_op = function
   | Set_logged (k, i, b) -> Printf.sprintf "set_field_logged #%d.%d %b" k i b
   | Set_addr (k, a) -> Printf.sprintf "set_addr #%d %d" k a
 
-let reg_op =
+(* [register] is the weight of registrations among the ops. *)
+let gen_reg_op ~register =
   let open QCheck.Gen in
   let nfields =
     oneof [ int_range 0 4; oneofl [ 63; 64; 126; 127 ]; int_range 0 130 ]
   in
-  QCheck.make ~print:show_reg_op
-    (frequency
-       [ (4, map (fun n -> Register n) nfields);
-         (3, map (fun k -> Free k) nat);
-         (3, map3 (fun k i v -> Set_field (k, i, v)) nat nat nat);
-         (2, map3 (fun k i b -> Set_logged (k, i, b)) nat nat bool);
-         (1, map2 (fun k a -> Set_addr (k, a)) nat nat) ])
+  frequency
+    [ (register, map (fun n -> Register n) nfields);
+      (3, map (fun k -> Free k) nat);
+      (3, map3 (fun k i v -> Set_field (k, i, v)) nat nat nat);
+      (2, map3 (fun k i b -> Set_logged (k, i, b)) nat nat bool);
+      (1, map2 (fun k a -> Set_addr (k, a)) nat nat) ]
 
 type model_obj = {
   handle : Obj_model.t;
@@ -809,111 +846,135 @@ type model_obj = {
   mutable maddr : int;
   mfields : int array;
   mlogged : bool array;
+  mutable live_index : int;  (* position in the model's live array *)
 }
+
+(* Live objects are picked by position in a swap-remove array, so each
+   op costs the model O(1) and op lists can run to thousands. *)
+let registry_matches_model ?(crosses_pages = false) ops =
+  let reg = Obj_model.Registry.create () in
+  let model = Hashtbl.create 64 in
+  let live = ref [||] and nlive = ref 0 and bytes = ref 0 in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  let pick k f = if !nlive > 0 then f !live.(k mod !nlive) in
+  let next_id = ref 1 in
+  List.iter
+    (fun op ->
+      (match op with
+      | Register n ->
+        let size = 16 * (n + 1) in
+        let o =
+          Obj_model.Registry.register reg ~size ~nfields:n
+            ~addr:(16 * !next_id) ~birth_epoch:0
+        in
+        expect (o.Obj_model.id = !next_id);
+        (* A recycled extent reads all-null and all-logged: its free-list
+           link word is overwritten. *)
+        expect (Obj_model.fields_copy o = Array.make n Obj_model.null);
+        expect (logged_bits o = Array.make n true);
+        let m =
+          { handle = o;
+            msize = size;
+            maddr = 16 * !next_id;
+            mfields = Array.make n Obj_model.null;
+            mlogged = Array.make n true;
+            live_index = !nlive }
+        in
+        Hashtbl.replace model o.Obj_model.id m;
+        if !nlive = Array.length !live then
+          live := Array.append !live (Array.make (max 16 !nlive) m);
+        !live.(!nlive) <- m;
+        incr nlive;
+        bytes := !bytes + size;
+        incr next_id
+      | Free k ->
+        pick k (fun m ->
+            Obj_model.Registry.free reg m.handle;
+            Hashtbl.remove model m.handle.Obj_model.id;
+            let last = !live.(!nlive - 1) in
+            !live.(m.live_index) <- last;
+            last.live_index <- m.live_index;
+            decr nlive;
+            bytes := !bytes - m.msize)
+      | Set_field (k, i, v) ->
+        pick k (fun m ->
+            let n = Array.length m.mfields in
+            if n > 0 then begin
+              let r = !live.(v mod !nlive).handle.Obj_model.id in
+              Obj_model.set_field m.handle (i mod n) r;
+              m.mfields.(i mod n) <- r
+            end)
+      | Set_logged (k, i, b) ->
+        pick k (fun m ->
+            let n = Array.length m.mlogged in
+            if n > 0 then begin
+              Obj_model.set_field_logged m.handle (i mod n) b;
+              m.mlogged.(i mod n) <- b
+            end)
+      | Set_addr (k, a) ->
+        pick k (fun m ->
+            Obj_model.set_addr m.handle (16 * a);
+            m.maddr <- 16 * a));
+      expect (Obj_model.Registry.count reg = !nlive);
+      expect (Obj_model.Registry.live_bytes reg = !bytes))
+    ops;
+  for id = 0 to !next_id do
+    let h = Obj_model.Registry.find_live reg id in
+    match Hashtbl.find_opt model id with
+    | Some m ->
+      expect (h == m.handle);
+      expect (Obj_model.Registry.mem reg id);
+      expect (Obj_model.addr h = m.maddr);
+      expect (Obj_model.fields_copy h = m.mfields);
+      Array.iteri (fun j v -> expect (Obj_model.field h j = v)) m.mfields;
+      expect (logged_bits h = m.mlogged)
+    | None ->
+      expect (h == Obj_model.Registry.vacant);
+      expect (not (Obj_model.Registry.mem reg id))
+  done;
+  let visited = ref [] in
+  Obj_model.Registry.iter (fun h -> visited := h :: !visited) reg;
+  let visited = List.rev !visited in
+  let slots = List.map (fun (h : Obj_model.t) -> h.Obj_model.slot) visited in
+  expect (List.sort_uniq compare slots = slots);
+  expect
+    (List.sort compare (List.map (fun (h : Obj_model.t) -> h.Obj_model.id) visited)
+    = List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) model []));
+  if crosses_pages then
+    expect (!next_id > 4097 && Obj_model.Registry.slot_count reg > 4096);
+  !ok
 
 let registry_model_prop =
   QCheck.Test.make ~name:"registry matches a naive id -> object model" ~count:100
     ~long_factor:100
-    QCheck.(list_of_size Gen.(1 -- 300) reg_op)
-    (fun ops ->
-      let reg = Obj_model.Registry.create ~ids_hint:16 () in
-      let model = Hashtbl.create 64 in
-      let ok = ref true in
-      let expect b = if not b then ok := false in
-      let live_ids () =
-        List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) model [])
-      in
-      let pick k f =
-        match live_ids () with
-        | [] -> ()
-        | ids -> f (Hashtbl.find model (List.nth ids (k mod List.length ids)))
-      in
-      let next_id = ref 1 in
-      List.iter
-        (fun op ->
-          (match op with
-          | Register n ->
-            let size = 16 * (n + 1) in
-            let o =
-              Obj_model.Registry.register reg ~size ~nfields:n
-                ~addr:(16 * !next_id) ~birth_epoch:0
-            in
-            expect (o.Obj_model.id = !next_id);
-            (* A recycled extent reads all-null and all-logged: its free-list
-               link word is overwritten. *)
-            expect (Obj_model.fields_copy o = Array.make n Obj_model.null);
-            expect (logged_bits o = Array.make n true);
-            Hashtbl.replace model o.Obj_model.id
-              { handle = o;
-                msize = size;
-                maddr = 16 * !next_id;
-                mfields = Array.make n Obj_model.null;
-                mlogged = Array.make n true };
-            incr next_id
-          | Free k ->
-            pick k (fun m ->
-                Obj_model.Registry.free reg m.handle;
-                Hashtbl.remove model m.handle.Obj_model.id)
-          | Set_field (k, i, v) ->
-            pick k (fun m ->
-                let n = Array.length m.mfields in
-                if n > 0 then begin
-                  let ids = live_ids () in
-                  let r = List.nth ids (v mod List.length ids) in
-                  Obj_model.set_field m.handle (i mod n) r;
-                  m.mfields.(i mod n) <- r
-                end)
-          | Set_logged (k, i, b) ->
-            pick k (fun m ->
-                let n = Array.length m.mlogged in
-                if n > 0 then begin
-                  Obj_model.set_field_logged m.handle (i mod n) b;
-                  m.mlogged.(i mod n) <- b
-                end)
-          | Set_addr (k, a) ->
-            pick k (fun m ->
-                Obj_model.set_addr m.handle (16 * a);
-                m.maddr <- 16 * a));
-          expect (Obj_model.Registry.count reg = Hashtbl.length model);
-          expect
-            (Obj_model.Registry.live_bytes reg
-            = Hashtbl.fold (fun _ m acc -> acc + m.msize) model 0))
-        ops;
-      for id = 0 to !next_id do
-        let h = Obj_model.Registry.find_live reg id in
-        match Hashtbl.find_opt model id with
-        | Some m ->
-          expect (h == m.handle);
-          expect (Obj_model.Registry.mem reg id);
-          expect (Obj_model.addr h = m.maddr);
-          expect (Obj_model.fields_copy h = m.mfields);
-          Array.iteri (fun j v -> expect (Obj_model.field h j = v)) m.mfields;
-          expect (logged_bits h = m.mlogged)
-        | None ->
-          expect (h == Obj_model.Registry.none_handle reg);
-          expect (not (Obj_model.Registry.mem reg id))
-      done;
-      let visited = ref [] in
-      Obj_model.Registry.iter (fun h -> visited := h :: !visited) reg;
-      let visited = List.rev !visited in
-      let slots = List.map (fun (h : Obj_model.t) -> h.Obj_model.slot) visited in
-      expect (List.sort_uniq compare slots = slots);
-      expect
-        (List.sort compare
-           (List.map (fun (h : Obj_model.t) -> h.Obj_model.id) visited)
-        = live_ids ());
-      !ok)
+    QCheck.(
+      list_of_size Gen.(1 -- 300) (make ~print:show_reg_op (gen_reg_op ~register:4)))
+    registry_matches_model
 
-(* Registration allocates the handle record and nothing else, and freeing
-   allocates nothing, once the store has grown to the working set. The id
-   map grows with every new id (ids are never reused), so [ids_hint]
-   presizes it. The field counts cover the empty, inline-bitmap and
+(* The same model over op lists of 6,500 to 7,000, about 77%
+   registrations: the ids, the slots (over 4,096 live at once) and the
+   field words each cross into a second page. No shrinker: a failing
+   list would shrink for too long. *)
+let registry_model_pages_prop =
+  QCheck.Test.make ~name:"registry matches the model across table pages" ~count:2
+    ~long_factor:50
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_reg_op ops))
+       QCheck.Gen.(list_size (6500 -- 7000) (gen_reg_op ~register:30)))
+    (registry_matches_model ~crosses_pages:true)
+
+(* Registration allocates the handle record and nothing else in the
+   minor heap, and freeing allocates nothing, once the free lists hold
+   the working set's extents. The id map still grows with every new id
+   (ids are never reused), but by whole pages, which go straight to the
+   major heap. The field counts cover the empty, inline-bitmap and
    wide-bitmap paths. *)
 let test_registration_allocates_only_handle () =
   let shapes = [| 0; 1; 5; 17; 63; 64; 100; 130 |] in
   let n = 4000 in
-  let reg = Obj_model.Registry.create ~ids_hint:(2 * n + 1) () in
-  let hs = Array.make n (Obj_model.Registry.none_handle reg) in
+  let reg = Obj_model.Registry.create () in
+  let hs = Array.make n Obj_model.Registry.vacant in
   let register_all () =
     for i = 0 to n - 1 do
       hs.(i) <-
@@ -937,6 +998,93 @@ let test_registration_allocates_only_handle () =
   let extra = w1 -. w0 -. Float.of_int (n * handle_words) in
   check "register allocates one handle" true (extra >= 0. && extra < 16.);
   check "free allocates nothing" true (w2 -. w1 < 16.)
+
+(* The store's tables grow by 4,096-entry pages. Register enough objects
+   to fill more than two pages of ids, slots and field words, with
+   extents of every kind (empty, inline bitmap, wide bitmap, and one
+   longer than a page), free every third, register again into the
+   recycled slots and extents, and check everything against a model. *)
+let test_registry_pages () =
+  let shapes = [| 0; 1; 5; 63; 64; 130 |] in
+  let reg = Obj_model.Registry.create () in
+  (* (handle, fields, logged bits) of every live object, by id *)
+  let model = Hashtbl.create 16384 in
+  let register nfields =
+    let o =
+      Obj_model.Registry.register reg ~size:(16 * (nfields + 1)) ~nfields
+        ~addr:(16 * (Hashtbl.length model + 1)) ~birth_epoch:0
+    in
+    let id = o.Obj_model.id in
+    let fields = Array.init nfields (fun j -> (id * 31) + j + 1) in
+    let logged = Array.init nfields (fun j -> (id + j) mod 3 <> 0) in
+    Array.iteri (Obj_model.set_field o) fields;
+    Array.iteri (Obj_model.set_field_logged o) logged;
+    Hashtbl.replace model id (o, fields, logged);
+    o
+  in
+  let first = Array.init 9000 (fun i -> register shapes.(i mod Array.length shapes)) in
+  let huge = register 5000 in
+  let stale = ref [] in
+  Array.iteri
+    (fun i (o : Obj_model.t) ->
+      if i mod 3 = 0 then begin
+        stale := (o, logged_bits o) :: !stale;
+        Obj_model.Registry.free reg o;
+        Hashtbl.remove model o.Obj_model.id
+      end)
+    first;
+  for i = 0 to 3999 do
+    ignore (register shapes.((i * 5) mod Array.length shapes))
+  done;
+  check "ids crossed two pages" true (Obj_model.Registry.count reg > 0 && huge.id > 8192);
+  check "slots crossed two pages" true (Obj_model.Registry.slot_count reg > 8192);
+  check_int "count" (Hashtbl.length model) (Obj_model.Registry.count reg);
+  let next_id = ref 0 in
+  Hashtbl.iter (fun id _ -> next_id := max !next_id id) model;
+  for id = 0 to !next_id + 1 do
+    let h = Obj_model.Registry.find_live reg id in
+    match Hashtbl.find_opt model id with
+    | Some (o, fields, logged) ->
+      if not (h == o) then Alcotest.failf "find_live %d is not its handle" id;
+      if Obj_model.fields_copy h <> fields then Alcotest.failf "fields of %d" id;
+      if logged_bits h <> logged then Alcotest.failf "logged bits of %d" id
+    | None ->
+      if h.Obj_model.id <> Obj_model.null then Alcotest.failf "freed id %d resolves" id
+  done;
+  (* [iter] visits exactly the live objects, in ascending slot order. *)
+  let visited = ref [] in
+  Obj_model.Registry.iter (fun h -> visited := h :: !visited) reg;
+  let visited = List.rev !visited in
+  let slots = List.map (fun (h : Obj_model.t) -> h.Obj_model.slot) visited in
+  check "iter in ascending slot order" true (List.sort_uniq compare slots = slots);
+  check_int "iter visits every live object" (Hashtbl.length model) (List.length visited);
+  List.iter
+    (fun (h : Obj_model.t) ->
+      match Hashtbl.find_opt model h.Obj_model.id with
+      | Some (o, _, _) when o == h -> ()
+      | _ -> Alcotest.failf "iter visited %d, which is not live" h.Obj_model.id)
+    visited;
+  (* Stale handles read as freed, keep their inline bits, and write
+     nothing into the objects that reused their slots and extents. *)
+  List.iter
+    (fun ((o : Obj_model.t), bits) ->
+      let n = Obj_model.nfields o in
+      if not (Obj_model.is_freed o) then Alcotest.failf "stale %d not freed" o.id;
+      if n > 0 && Obj_model.field o 0 <> Obj_model.null then
+        Alcotest.failf "stale %d reads a field" o.id;
+      let expect_bits = if n > 63 then Array.make n true else bits in
+      if logged_bits o <> expect_bits then Alcotest.failf "stale %d logged bits" o.id;
+      for i = 0 to n - 1 do
+        Obj_model.set_field o i 7;
+        Obj_model.set_field_logged o i (i mod 2 = 0)
+      done;
+      Obj_model.set_all_logged o false)
+    !stale;
+  Hashtbl.iter
+    (fun id ((h : Obj_model.t), fields, logged) ->
+      if Obj_model.fields_copy h <> fields || logged_bits h <> logged then
+        Alcotest.failf "a stale write reached live object %d" id)
+    model
 
 (* [Array.make] of more than 256 elements over a young initial value
    forces a minor collection, so a registry whose handle array were
@@ -999,11 +1147,15 @@ let suite =
         Alcotest.test_case "field bounds" `Quick test_field_bounds;
         Alcotest.test_case "logged bits" `Quick test_logged_bits;
         Alcotest.test_case "oracle" `Quick test_reachability_oracle;
+        Alcotest.test_case "tables cross pages" `Quick test_registry_pages;
         Alcotest.test_case "registration allocates only its handle" `Quick
           test_registration_allocates_only_handle;
         Alcotest.test_case "create forces no minor collection" `Quick
           test_create_forces_no_minor_gc ]
-      @ qc [ recycled_slots_never_alias_prop; registry_model_prop ] );
+      @ qc
+          [ recycled_slots_never_alias_prop;
+            registry_model_prop;
+            registry_model_pages_prop ] );
     ( "heap:blocks",
       [ Alcotest.test_case "state" `Quick test_blocks_state;
         Alcotest.test_case "residents" `Quick test_blocks_residents;
@@ -1022,6 +1174,7 @@ let suite =
         Alcotest.test_case "rc roundtrip" `Quick test_heap_rc_roundtrip;
         Alcotest.test_case "straddle on first inc" `Quick test_heap_straddle_on_first_inc;
         Alcotest.test_case "los" `Quick test_heap_los;
+        Alcotest.test_case "los at a high slot" `Quick test_heap_los_high_slot;
         Alcotest.test_case "los exhaustion" `Quick test_heap_los_exhaustion;
         Alcotest.test_case "evacuate" `Quick test_heap_evacuate;
         Alcotest.test_case "los not evacuated" `Quick test_heap_evacuate_los_refused;

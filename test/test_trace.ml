@@ -221,6 +221,117 @@ let prop_trailer_count_is_a_hint =
         = Printf.sprintf "event count mismatch: trailer says %d, stream has %d" c
             n)
 
+(* A reference LEB128 reader with the decoder's limits: a varint runs to
+   its first byte below 0x80, and one whose 11th byte still continues is
+   too long. Groups at bit 63 and above are left out ([lsl] by 63 or
+   more is unspecified); the encodings below keep them zero. *)
+let reference_uv s pos =
+  let rec go pos k acc =
+    if pos >= String.length s then Error "truncated trace"
+    else begin
+      let b = Char.code s.[pos] in
+      let acc = if 7 * k < 63 then acc lor ((b land 0x7f) lsl (7 * k)) else acc in
+      if b < 0x80 then Ok (acc, pos + 1)
+      else if k = 10 then Error "varint too long"
+      else go (pos + 1) (k + 1) acc
+    end
+  in
+  go pos 0 0
+
+(* [v] as an [len]-byte varint, over-long when [len] exceeds the
+   canonical length. *)
+let encode_uv v len =
+  String.init len (fun k ->
+      let group = if 7 * k < 63 then (v lsr (7 * k)) land 0x7f else 0 in
+      Char.chr (if k < len - 1 then group lor 0x80 else group))
+
+let canonical_uv_len v =
+  let rec go k = if k = 9 || v lsr (7 * k) = 0 then max 1 k else go (k + 1) in
+  go 1
+
+let reference_fnv1a s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+(* Traces whose trailer count is a random varint encoding — canonical,
+   over-long, 10 to 12 bytes — with a valid checksum, each also cut at
+   every offset from the end-of-stream tag on. [of_string] must agree
+   with the reference reader on every one: the count it reports, or
+   the error. The cuts move the varint across the 11-byte threshold of
+   the decoder's unchecked loop. *)
+let prop_varint_trailer =
+  let gen =
+    let open QCheck.Gen in
+    list_size (int_range 0 20) gen_event >>= fun evs ->
+    let n = List.length evs in
+    frequency
+      [ (3, return n);
+        (1, int_range 0 200);
+        (2, int_range 0 max_int);
+        (1, int_range min_int (-1)) ]
+    >>= fun v ->
+    let canonical = canonical_uv_len v in
+    frequency
+      [ (1, return canonical);
+        (1, int_range canonical 12);
+        (3, int_range (max canonical 10) 12) ]
+    >|= fun len -> (Array.of_list evs, v, len)
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun (evs, v, len) ->
+        Printf.sprintf "count %d as %d bytes over %d events" v len (Array.length evs))
+      gen
+  in
+  QCheck.Test.make ~count:300 ~name:"trailer varints decode as the reference reader"
+    arb (fun (evs, v, len) ->
+      let n = Array.length evs in
+      let buf = Buffer.create 1024 in
+      Buffer.add_string buf "LXRTRACE";
+      Trace_format.encode_header buf (qcheck_header ());
+      Array.iter (Trace_format.encode_event buf) evs;
+      Buffer.add_char buf '\000';
+      let count_pos = Buffer.length buf in
+      Buffer.add_string buf (encode_uv v len);
+      let body = Buffer.contents buf in
+      let sum = Bytes.create 8 in
+      Bytes.set_int64_le sum 0 (reference_fnv1a body);
+      let trace = body ^ Bytes.to_string sum in
+      let expected s =
+        match reference_uv s count_pos with
+        | Error msg -> Error msg
+        | Ok (c, next) ->
+          if c <> n then
+            Error
+              (Printf.sprintf "event count mismatch: trailer says %d, stream has %d"
+                 c n)
+          else if String.length s - next < 8 then Error "truncated trace"
+          else if next + 8 < String.length s then Error "trailing garbage"
+          else Ok evs
+      in
+      let rec each cut =
+        cut > String.length trace
+        ||
+        let s = String.sub trace 0 cut in
+        let actual =
+          match Trace_format.of_string s with
+          | Ok t -> Ok (Trace_format.events t)
+          | Error msg -> Error msg
+        in
+        let want = if cut = count_pos - 1 then Error "truncated trace" else expected s in
+        if actual <> want then
+          QCheck.Test.fail_reportf "cut at %d of %d: got %s, want %s" cut
+            (String.length trace)
+            (match actual with Ok _ -> "Ok" | Error m -> m)
+            (match want with Ok _ -> "Ok" | Error m -> m)
+        else each (cut + 1)
+      in
+      each (count_pos - 1))
+
 (* Decode-rejection parity: a fixed corruption matrix must keep failing
    with byte-for-byte identical error strings — the contract the
    one-pass ring decoder preserved from the seed decoder. *)
@@ -597,6 +708,7 @@ let suite =
           test_rejection_parity_matrix;
         QCheck_alcotest.to_alcotest prop_ring_roundtrip;
         QCheck_alcotest.to_alcotest prop_trailer_count_is_a_hint;
+        QCheck_alcotest.to_alcotest prop_varint_trailer;
         Alcotest.test_case "header rebuilds heap config" `Quick
           test_header_heap_config;
         Alcotest.test_case "rejects impossible heap geometry" `Quick
