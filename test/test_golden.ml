@@ -63,7 +63,7 @@ let check_golden path ~words actual =
 
 (* --- Collectors ---------------------------------------------------------- *)
 
-let benchmarks = [ "avrora"; "fragger"; "h2" ]
+let benchmarks = [ "avrora"; "fragger"; "h2"; "xalan" ]
 let factors = [ 1.1; 1.3 ]
 
 let digest (r : Runner.result) =
