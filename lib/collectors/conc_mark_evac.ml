@@ -60,7 +60,6 @@ type t = {
   mutable degenerated : int;
   mutable copied_bytes : int;
   mutable stall_ns : float;
-  mutable in_collection : bool;
 }
 
 let gray_push t id =
@@ -80,88 +79,75 @@ let scan t id =
 (* --- Pauses ------------------------------------------------------------ *)
 
 let init_mark t =
-  if t.phase = Idle && not t.in_collection then begin
-    t.in_collection <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    t.cycles <- t.cycles + 1;
-    Heap.retire_all_allocators t.heap;
-    Trace_cost.add_parallel tc ~threads:c.gc_threads
-      ~cost_ns:(Float.of_int (Array.length t.roots) *. c.root_scan_ns);
-    Mark_bitset.clear t.heap.marks;
-    Gc_kernels.iter_roots t.roots (gray_push t);
-    t.phase <- Mark;
-    t.final_mark_ready <- false;
-    Gc_kernels.pause_of t.sim tc;
-    t.in_collection <- false
-  end
+  if t.phase = Idle then
+    Gc_kernels.stw t.sim (fun tc ->
+        t.cycles <- t.cycles + 1;
+        Heap.retire_all_allocators t.heap;
+        Gc_kernels.charge_root_scan tc t.roots;
+        Mark_bitset.clear t.heap.marks;
+        Gc_kernels.iter_roots t.roots (gray_push t);
+        t.phase <- Mark;
+        t.final_mark_ready <- false;
+        "pause")
 
 let final_mark t =
-  if t.phase = Mark && not t.in_collection then begin
-    t.in_collection <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    Heap.retire_all_allocators t.heap;
-    Gc_kernels.drain_marked t.heap tc ~cost:c ~threads:c.gc_threads
-      ~gray:t.gray;
-    t.final_mark_ready <- false;
-    (* Select the collection set: sparsest blocks by marked live bytes.
-       Blocks come in ascending order and push-front, so the cset is in
-       descending block order. *)
-    let block_bytes = Float.of_int t.heap.cfg.block_bytes in
-    let cset = ref [] in
-    Gc_kernels.marked_block_liveness t.heap (fun b live ->
-        Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_line_ns;
-        if Float.of_int live < t.p.cset_occupancy_max *. block_bytes then begin
-          Blocks.set_target t.heap.blocks b true;
-          cset := b :: !cset
-        end);
-    t.cset <- !cset;
-    (* Queue every marked resident of the cset for concurrent copying. *)
-    Vec.clear t.evac_queue;
-    List.iter
-      (fun b ->
-        Vec.iter
-          (fun id -> if Mark_bitset.marked t.heap.marks id then Vec.push t.evac_queue id)
-          (Blocks.residents t.heap.blocks b))
-      !cset;
-    (* Dead large objects are reclaimed at final mark. *)
-    Obj_model.Registry.iter
-      (fun obj ->
-        if Heap.is_los t.heap obj && not (Mark_bitset.marked t.heap.marks obj.id)
-        then Heap.free_object t.heap obj)
-      t.heap.registry;
-    Heap.release_reserve t.heap;
-    t.phase <- Evac;
-    Sim.set_interference t.sim c.conc_copy_interference;
-    Gc_kernels.pause_of t.sim tc;
-    t.in_collection <- false
-  end
+  if t.phase = Mark then
+    Gc_kernels.stw t.sim (fun tc ->
+        let c = Sim.cost t.sim in
+        Heap.retire_all_allocators t.heap;
+        Gc_kernels.drain_marked t.heap tc ~gray:t.gray;
+        t.final_mark_ready <- false;
+        (* Select the collection set: sparsest blocks by marked live
+           bytes. Blocks come in ascending order and push-front, so the
+           cset is in descending block order. *)
+        let block_bytes = Float.of_int t.heap.cfg.block_bytes in
+        let cset = ref [] in
+        Gc_kernels.marked_block_liveness t.heap (fun b live ->
+            Trace_cost.add_parallel tc ~cost_ns:c.sweep_line_ns;
+            if Float.of_int live < t.p.cset_occupancy_max *. block_bytes then begin
+              Blocks.set_target t.heap.blocks b true;
+              cset := b :: !cset
+            end);
+        t.cset <- !cset;
+        (* Queue every marked resident of the cset for concurrent copying. *)
+        Vec.clear t.evac_queue;
+        List.iter
+          (fun b ->
+            Vec.iter
+              (fun id ->
+                if Mark_bitset.marked t.heap.marks id then Vec.push t.evac_queue id)
+              (Blocks.residents t.heap.blocks b))
+          !cset;
+        (* Dead large objects are reclaimed at final mark. *)
+        Obj_model.Registry.iter
+          (fun obj ->
+            if Heap.is_los t.heap obj && not (Mark_bitset.marked t.heap.marks obj.id)
+            then Heap.free_object t.heap obj)
+          t.heap.registry;
+        Heap.release_reserve t.heap;
+        t.phase <- Evac;
+        Sim.set_interference t.sim c.conc_copy_interference;
+        "pause")
 
 let cleanup t =
-  if t.phase = Update && t.update_work <= 0.0 && not t.in_collection then begin
-    t.in_collection <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    Heap.retire_all_allocators t.heap;
-    Bump_allocator.retire_all t.gc_alloc;
-    (* Anything still resident in the cset is either unmarked (dead) or
-       an evacuation failure; only the dead are freed. *)
-    Gc_kernels.sweep_blocks t.heap tc ~cost:c ~threads:c.gc_threads
-      ~blocks:(Array.of_list t.cset)
-      ~dead:(fun obj -> not (Mark_bitset.marked t.heap.marks obj.Obj_model.id));
-    Gc_kernels.clear_targets t.heap t.cset;
-    t.cset <- [];
-    Heap.rebuild_free_lists t.heap;
-    Heap.ensure_reserve t.heap;
-    Mark_bitset.clear t.heap.marks;
-    Heap.clear_touched t.heap;
-    Sim.set_interference t.sim 0.0;
-    t.phase <- Idle;
-    t.cleanup_ready <- false;
-    Gc_kernels.pause_of t.sim tc;
-    t.in_collection <- false
-  end
+  if t.phase = Update && t.update_work <= 0.0 then
+    Gc_kernels.stw t.sim (fun tc ->
+        Heap.retire_all_allocators t.heap;
+        Bump_allocator.retire_all t.gc_alloc;
+        (* Anything still resident in the cset is either unmarked (dead)
+           or an evacuation failure; only the dead are freed. *)
+        Gc_kernels.sweep_blocks t.heap tc ~blocks:(Array.of_list t.cset)
+          ~dead:(fun obj -> not (Mark_bitset.marked t.heap.marks obj.Obj_model.id));
+        Gc_kernels.clear_targets t.heap t.cset;
+        t.cset <- [];
+        Heap.rebuild_free_lists t.heap;
+        Heap.ensure_reserve t.heap;
+        Mark_bitset.clear t.heap.marks;
+        Heap.clear_touched t.heap;
+        Sim.set_interference t.sim 0.0;
+        t.phase <- Idle;
+        t.cleanup_ready <- false;
+        "pause")
 
 (* --- Concurrent work ---------------------------------------------------- *)
 
@@ -230,37 +216,29 @@ let conc_run t ~budget_ns =
 
 (* --- Degenerated / full collection -------------------------------------- *)
 
+(* Degenerated collections mark, sweep, then slide-compact, with no
+   root-scan charge. *)
 let full_gc t =
-  if not t.in_collection then begin
-    t.in_collection <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    t.degenerated <- t.degenerated + 1;
-    Heap.release_reserve t.heap;
-    t.phase <- Idle;
-    t.final_mark_ready <- false;
-    t.cleanup_ready <- false;
-    Gc_kernels.clear_targets t.heap t.cset;
-    t.cset <- [];
-    Vec.clear t.gray;
-    Vec.clear t.evac_queue;
-    Sim.set_interference t.sim 0.0;
-    Mark_bitset.clear t.heap.marks;
-    Heap.retire_all_allocators t.heap;
-    (* Degenerated collections mark, sweep, then slide-compact. *)
-    Gc_kernels.mark_from t.heap tc ~cost:c ~threads:c.gc_threads
-      ~seeds:(Gc_kernels.iter_roots t.roots);
-    ignore (Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads:c.gc_threads);
-    t.copied_bytes <-
-      t.copied_bytes
-      + Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads
-          ~gc_alloc:t.gc_alloc;
-    Mark_bitset.clear t.heap.marks;
-    Heap.clear_touched t.heap;
-    Heap.ensure_reserve t.heap;
-    Gc_kernels.pause_of t.sim tc;
-    t.in_collection <- false
-  end
+  Gc_kernels.stw t.sim (fun tc ->
+      t.degenerated <- t.degenerated + 1;
+      Heap.release_reserve t.heap;
+      t.phase <- Idle;
+      t.final_mark_ready <- false;
+      t.cleanup_ready <- false;
+      Gc_kernels.clear_targets t.heap t.cset;
+      t.cset <- [];
+      Vec.clear t.gray;
+      Vec.clear t.evac_queue;
+      Sim.set_interference t.sim 0.0;
+      Mark_bitset.clear t.heap.marks;
+      Heap.retire_all_allocators t.heap;
+      let _freed, copied =
+        Gc_kernels.full_collection t.heap tc ~roots:t.roots ~gc_alloc:t.gc_alloc
+          ~compact:true
+      in
+      t.copied_bytes <- t.copied_bytes + copied;
+      Heap.ensure_reserve t.heap;
+      "pause")
 
 let run_transitions t =
   (* Phase-completion conditions are re-derived here: when a phase's work
@@ -345,8 +323,7 @@ let factory p : Collector.factory =
       cycles = 0;
       degenerated = 0;
       copied_bytes = 0;
-      stall_ns = 0.0;
-      in_collection = false }
+      stall_ns = 0.0 }
   in
   Heap.ensure_reserve heap;
   let c = Sim.cost sim in

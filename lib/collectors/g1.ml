@@ -1,7 +1,6 @@
 open Repro_util
 open Repro_heap
 open Repro_engine
-module Par = Repro_par.Par
 
 let null = Obj_model.null
 
@@ -19,6 +18,7 @@ type t = {
   block_rs : Vec.t array;  (* cross-block old->old references per block *)
   young_los : (int, unit) Hashtbl.t;  (* large objects allocated since last young GC *)
   gray : Vec.t;  (* concurrent marking stack *)
+  evac_queue : Vec.t;  (* the young pause's evacuation stack *)
   mutable marking : bool;
   mutable remark_ready : bool;
   mutable mixed_pending : bool;
@@ -31,7 +31,6 @@ type t = {
   mutable full_gcs : int;
   mutable marking_cycles : int;
   mutable copied_bytes : int;
-  mutable in_collection : bool;
 }
 
 let is_young t (obj : Obj_model.t) =
@@ -79,8 +78,7 @@ let gray_push t id =
 
 let evacuate_young t tc =
   let c = Sim.cost t.sim in
-  let threads = c.gc_threads in
-  let queue = Par.take_scratch () in
+  let queue = t.evac_queue in
   let push id =
     if id <> null && not (Mark_bitset.marked t.young_marks id) then begin
       Mark_bitset.mark t.young_marks id;
@@ -92,7 +90,7 @@ let evacuate_young t tc =
   let n = Vec.length t.young_rs / 2 in
   for i = 0 to n - 1 do
     let src = Vec.get t.young_rs (2 * i) and field = Vec.get t.young_rs ((2 * i) + 1) in
-    Trace_cost.add_parallel tc ~threads ~cost_ns:c.remset_entry_ns;
+    Trace_cost.add_parallel tc ~cost_ns:c.remset_entry_ns;
     let src_obj = Obj_model.Registry.find_live t.heap.registry src in
     if src_obj.Obj_model.id <> null && not (is_young t src_obj) then begin
       let r = Obj_model.field src_obj field in
@@ -103,7 +101,7 @@ let evacuate_young t tc =
   while not (Vec.is_empty queue) do
     let frontier = Vec.length queue in
     let id = Vec.pop queue in
-    Trace_cost.add tc ~threads ~frontier ~cost_ns:c.trace_obj_ns;
+    Trace_cost.add tc ~frontier ~cost_ns:c.trace_obj_ns;
     let obj = Obj_model.Registry.find_live t.heap.registry id in
     if obj.Obj_model.id <> null then begin
       (* The trace stops at the young/old boundary: old objects are not
@@ -111,7 +109,7 @@ let evacuate_young t tc =
       if is_young t obj then begin
         if Heap.evacuate t.heap t.gc_alloc obj then begin
           t.copied_bytes <- t.copied_bytes + obj.size;
-          Trace_cost.add tc ~threads ~frontier
+          Trace_cost.add tc ~frontier
             ~cost_ns:(c.copy_ns_per_byte *. Float.of_int obj.size)
         end;
         (* Promotion: keep marking-cycle and remembered sets coherent. *)
@@ -121,17 +119,14 @@ let evacuate_young t tc =
         Obj_model.iter_fields push obj
       end
     end
-  done;
-  Par.recycle_scratch queue
+  done
 
 let sweep_young_blocks t tc =
-  let c = Sim.cost t.sim in
   let young = ref [] in
   for b = Heap_config.blocks t.heap.cfg - 1 downto 0 do
     if Blocks.young t.heap.blocks b then young := b :: !young
   done;
-  Gc_kernels.sweep_blocks t.heap tc ~cost:c ~threads:c.gc_threads
-    ~blocks:(Array.of_list !young)
+  Gc_kernels.sweep_blocks t.heap tc ~blocks:(Array.of_list !young)
     ~dead:(fun obj -> not (Mark_bitset.marked t.young_marks obj.Obj_model.id));
   (* Unreached young large objects die with the nursery. *)
   let dead_los =
@@ -151,13 +146,12 @@ let sweep_young_blocks t tc =
 (* Evacuate one old candidate block using its remembered set and roots. *)
 let evacuate_old_block t tc b =
   let c = Sim.cost t.sim in
-  let threads = c.gc_threads in
   let cfg = t.heap.cfg in
   let move (obj : Obj_model.t) =
     if (not (Obj_model.is_freed obj)) && Addr.block_of cfg (Obj_model.addr obj) = b then begin
       if Heap.evacuate t.heap t.gc_alloc obj then begin
         t.copied_bytes <- t.copied_bytes + obj.size;
-        Trace_cost.add_parallel tc ~threads
+        Trace_cost.add_parallel tc
           ~cost_ns:(c.copy_ns_per_byte *. Float.of_int obj.size);
         record_outgoing t obj
       end
@@ -180,7 +174,7 @@ let evacuate_old_block t tc b =
   let n = Vec.length rs / 2 in
   for i = 0 to n - 1 do
     let src = Vec.get rs (2 * i) and field = Vec.get rs ((2 * i) + 1) in
-    Trace_cost.add_parallel tc ~threads ~cost_ns:c.remset_entry_ns;
+    Trace_cost.add_parallel tc ~cost_ns:c.remset_entry_ns;
     let src_obj = Obj_model.Registry.find_live t.heap.registry src in
     if src_obj.Obj_model.id <> null then begin
       let r = Obj_model.field src_obj field in
@@ -194,7 +188,7 @@ let evacuate_old_block t tc b =
   Blocks.compact t.heap.blocks b ~live:(fun id ->
       let obj = Obj_model.Registry.find_live t.heap.registry id in
       obj.Obj_model.id <> null && Addr.block_of cfg (Obj_model.addr obj) = b);
-  Trace_cost.add_parallel tc ~threads ~cost_ns:c.sweep_block_ns;
+  Trace_cost.add_parallel tc ~cost_ns:c.sweep_block_ns;
   if Rc_table.block_is_free t.heap.rc cfg b then begin
     Blocks.set_state t.heap.blocks b Blocks.Free;
     true
@@ -204,144 +198,124 @@ let evacuate_old_block t tc b =
 let mixed_quota t = max 2 (Heap_config.blocks t.heap.cfg / 16)
 
 let young_gc t =
-  if not t.in_collection then begin
-    t.in_collection <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    t.young_gcs <- t.young_gcs + 1;
-    Heap.retire_all_allocators t.heap;
-    Trace_cost.add_parallel tc ~threads:c.gc_threads
-      ~cost_ns:(Float.of_int (Array.length t.roots) *. c.root_scan_ns);
-    evacuate_young t tc;
-    Bump_allocator.retire_all t.gc_alloc;
-    sweep_young_blocks t tc;
-    Mark_bitset.clear t.young_marks;
-    (* Mixed phase: also evacuate a few old candidates in this pause. *)
-    if t.mixed_pending then begin
-      t.mixed_gcs <- t.mixed_gcs + 1;
-      let rec go quota = function
-        | [] ->
-          t.mixed_pending <- false;
-          Mark_bitset.clear t.heap.marks;
-          []
-        | rest when quota = 0 -> rest
-        | b :: rest ->
-          ignore (evacuate_old_block t tc b);
-          go (quota - 1) rest
-      in
-      t.mixed_candidates <- go (mixed_quota t) t.mixed_candidates;
+  Gc_kernels.stw t.sim (fun tc ->
+      t.young_gcs <- t.young_gcs + 1;
+      Heap.retire_all_allocators t.heap;
+      Gc_kernels.charge_root_scan tc t.roots;
+      evacuate_young t tc;
       Bump_allocator.retire_all t.gc_alloc;
-      (* The copies landed in fresh to-space blocks, which the allocator
-         flags young; they hold old objects, so a later young trace must
-         not treat them as nursery. No mutator allocator is live here,
-         so every young-flagged block is such a to-space block. *)
-      Blocks.clear_young t.heap.blocks;
-      Heap.rebuild_free_lists t.heap
-    end;
-    Heap.clear_touched t.heap;
-    Heap.ensure_reserve t.heap;
-    t.bytes_since_young_gc <- 0;
-    t.heap.epoch <- t.heap.epoch + 1;
-    (* Start a marking cycle when old occupancy crosses the threshold. *)
-    let total = Heap_config.blocks t.heap.cfg in
-    let free = Blocks.count_state t.heap.blocks Blocks.Free in
-    if (not t.marking) && (not t.mixed_pending)
-       && Float.of_int (total - free) > 0.45 *. Float.of_int total
-    then begin
-      t.marking <- true;
-      t.marking_cycles <- t.marking_cycles + 1;
-      t.remark_ready <- false;
-      Mark_bitset.clear t.heap.marks;
-      Gc_kernels.iter_roots t.roots (gray_push t)
-    end;
-    Gc_kernels.pause_of t.sim tc;
-    t.in_collection <- false
-  end
+      sweep_young_blocks t tc;
+      Mark_bitset.clear t.young_marks;
+      (* Mixed phase: also evacuate a few old candidates in this pause. *)
+      if t.mixed_pending then begin
+        t.mixed_gcs <- t.mixed_gcs + 1;
+        let rec go quota = function
+          | [] ->
+            t.mixed_pending <- false;
+            Mark_bitset.clear t.heap.marks;
+            []
+          | rest when quota = 0 -> rest
+          | b :: rest ->
+            ignore (evacuate_old_block t tc b);
+            go (quota - 1) rest
+        in
+        t.mixed_candidates <- go (mixed_quota t) t.mixed_candidates;
+        Bump_allocator.retire_all t.gc_alloc;
+        (* The copies landed in fresh to-space blocks, which the allocator
+           flags young; they hold old objects, so a later young trace must
+           not treat them as nursery. No mutator allocator is live here,
+           so every young-flagged block is such a to-space block. *)
+        Blocks.clear_young t.heap.blocks;
+        Heap.rebuild_free_lists t.heap
+      end;
+      Heap.clear_touched t.heap;
+      Heap.ensure_reserve t.heap;
+      t.bytes_since_young_gc <- 0;
+      t.heap.epoch <- t.heap.epoch + 1;
+      (* Start a marking cycle when old occupancy crosses the threshold. *)
+      let total = Heap_config.blocks t.heap.cfg in
+      let free = Blocks.count_state t.heap.blocks Blocks.Free in
+      if (not t.marking) && (not t.mixed_pending)
+         && Float.of_int (total - free) > 0.45 *. Float.of_int total
+      then begin
+        t.marking <- true;
+        t.marking_cycles <- t.marking_cycles + 1;
+        t.remark_ready <- false;
+        Mark_bitset.clear t.heap.marks;
+        Gc_kernels.iter_roots t.roots (gray_push t)
+      end;
+      "pause")
 
 (* Remark pause: finish marking, free wholly dead blocks, pick mixed
    candidates. *)
 let remark t =
-  if not t.in_collection then begin
-    t.in_collection <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    Heap.retire_all_allocators t.heap;
-    Gc_kernels.drain_marked t.heap tc ~cost:c ~threads:c.gc_threads
-      ~gray:t.gray;
-    t.marking <- false;
-    t.remark_ready <- false;
-    (* Cleanup: reclaim blocks with no marked residents at all, free dead
-       large objects, and select mixed candidates by live occupancy. *)
-    let cfg = t.heap.cfg in
-    let candidates = ref [] in
-    Gc_kernels.marked_block_liveness t.heap (fun b live ->
-        Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
-        if live = 0 then begin
-          Vec.iter
-            (fun id ->
-              let obj = Obj_model.Registry.find_live t.heap.registry id in
-              if obj.Obj_model.id <> null && block_of t obj = b then
-                Heap.free_object t.heap obj)
-            (Blocks.residents t.heap.blocks b);
-          Blocks.compact t.heap.blocks b ~live:(fun _ -> false);
-          Blocks.set_state t.heap.blocks b Blocks.Free;
-          Vec.clear t.block_rs.(b)
-        end
-        else if Float.of_int live < 0.5 *. Float.of_int cfg.block_bytes then
-          candidates := (b, live) :: !candidates);
-    Obj_model.Registry.iter
-      (fun obj ->
-        if Heap.is_los t.heap obj
-           && (not (Hashtbl.mem t.young_los obj.id))
-           && not (Mark_bitset.marked t.heap.marks obj.id)
-        then Heap.free_object t.heap obj)
-      t.heap.registry;
-    Heap.rebuild_free_lists t.heap;
-    t.mixed_candidates <-
-      List.map fst (List.sort (fun (_, a) (_, b) -> compare a b) !candidates);
-    t.mixed_pending <- true;
-    Gc_kernels.pause_of t.sim tc;
-    t.in_collection <- false
-  end
+  Gc_kernels.stw t.sim (fun tc ->
+      let c = Sim.cost t.sim in
+      Heap.retire_all_allocators t.heap;
+      Gc_kernels.drain_marked t.heap tc ~gray:t.gray;
+      t.marking <- false;
+      t.remark_ready <- false;
+      (* Cleanup: reclaim blocks with no marked residents at all, free dead
+         large objects, and select mixed candidates by live occupancy. *)
+      let cfg = t.heap.cfg in
+      let candidates = ref [] in
+      Gc_kernels.marked_block_liveness t.heap (fun b live ->
+          Trace_cost.add_parallel tc ~cost_ns:c.sweep_block_ns;
+          if live = 0 then begin
+            Vec.iter
+              (fun id ->
+                let obj = Obj_model.Registry.find_live t.heap.registry id in
+                if obj.Obj_model.id <> null && block_of t obj = b then
+                  Heap.free_object t.heap obj)
+              (Blocks.residents t.heap.blocks b);
+            Blocks.compact t.heap.blocks b ~live:(fun _ -> false);
+            Blocks.set_state t.heap.blocks b Blocks.Free;
+            Vec.clear t.block_rs.(b)
+          end
+          else if Float.of_int live < 0.5 *. Float.of_int cfg.block_bytes then
+            candidates := (b, live) :: !candidates);
+      Obj_model.Registry.iter
+        (fun obj ->
+          if Heap.is_los t.heap obj
+             && (not (Hashtbl.mem t.young_los obj.id))
+             && not (Mark_bitset.marked t.heap.marks obj.id)
+          then Heap.free_object t.heap obj)
+        t.heap.registry;
+      Heap.rebuild_free_lists t.heap;
+      t.mixed_candidates <-
+        List.map fst (List.sort (fun (_, a) (_, b) -> compare a b) !candidates);
+      t.mixed_pending <- true;
+      "pause")
 
-(* Fallback full STW collection (G1's serial full GC). *)
+(* Fallback full STW collection (G1's serial full GC): mark-sweep-compact,
+   with no root-scan charge. *)
 let full_gc t =
-  if not t.in_collection then begin
-    t.in_collection <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    t.full_gcs <- t.full_gcs + 1;
-    Heap.release_reserve t.heap;
-    (* Abandon any in-flight cycle. *)
-    t.marking <- false;
-    t.remark_ready <- false;
-    t.mixed_pending <- false;
-    t.mixed_candidates <- [];
-    Vec.clear t.gray;
-    Mark_bitset.clear t.heap.marks;
-    Heap.retire_all_allocators t.heap;
-    (* G1's fallback full collection is mark-sweep-compact. *)
-    Gc_kernels.mark_from t.heap tc ~cost:c ~threads:c.gc_threads
-      ~seeds:(Gc_kernels.iter_roots t.roots);
-    ignore (Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads:c.gc_threads);
-    t.copied_bytes <-
-      t.copied_bytes
-      + Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads
-          ~gc_alloc:t.gc_alloc;
-    (* Compaction's to-space blocks are flagged young but hold survivors
-       (see the mixed phase). *)
-    Blocks.clear_young t.heap.blocks;
-    Mark_bitset.clear t.heap.marks;
-    Mark_bitset.clear t.young_marks;
-    Hashtbl.reset t.young_los;
-    Vec.clear t.young_rs;
-    Array.iter Vec.clear t.block_rs;
-    Heap.clear_touched t.heap;
-    Heap.ensure_reserve t.heap;
-    t.bytes_since_young_gc <- 0;
-    Gc_kernels.pause_of t.sim tc;
-    t.in_collection <- false
-  end
+  Gc_kernels.stw t.sim (fun tc ->
+      t.full_gcs <- t.full_gcs + 1;
+      Heap.release_reserve t.heap;
+      (* Abandon any in-flight cycle. *)
+      t.marking <- false;
+      t.remark_ready <- false;
+      t.mixed_pending <- false;
+      t.mixed_candidates <- [];
+      Vec.clear t.gray;
+      Mark_bitset.clear t.heap.marks;
+      Heap.retire_all_allocators t.heap;
+      let _freed, copied =
+        Gc_kernels.full_collection t.heap tc ~roots:t.roots ~gc_alloc:t.gc_alloc
+          ~compact:true
+      in
+      t.copied_bytes <- t.copied_bytes + copied;
+      (* Compaction's to-space blocks are flagged young but hold survivors
+         (see the mixed phase). *)
+      Blocks.clear_young t.heap.blocks;
+      Mark_bitset.clear t.young_marks;
+      Hashtbl.reset t.young_los;
+      Vec.clear t.young_rs;
+      Array.iter Vec.clear t.block_rs;
+      Heap.ensure_reserve t.heap;
+      t.bytes_since_young_gc <- 0;
+      "pause")
 
 (* --- Collector hooks --------------------------------------------------- *)
 
@@ -455,6 +429,7 @@ let factory : Collector.factory =
       block_rs = Array.init nblocks (fun _ -> Vec.create ~capacity:4 ());
       young_los = Hashtbl.create 16;
       gray = Vec.create ~capacity:256 ();
+      evac_queue = Vec.create ~capacity:256 ();
       marking = false;
       remark_ready = false;
       mixed_pending = false;
@@ -465,8 +440,7 @@ let factory : Collector.factory =
       mixed_gcs = 0;
       full_gcs = 0;
       marking_cycles = 0;
-      copied_bytes = 0;
-      in_collection = false }
+      copied_bytes = 0 }
   in
   Heap.ensure_reserve heap;
   let c = Sim.cost sim in

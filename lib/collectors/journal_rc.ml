@@ -1,7 +1,6 @@
 open Repro_util
 open Repro_heap
 open Repro_engine
-module Par = Repro_par.Par
 
 let null = Obj_model.null
 
@@ -129,13 +128,14 @@ type t = {
   dec_deferred : Vec.t;
   dec_applicable : Vec.t;
   prev_roots : Vec.t;  (* root referents incremented at the last pause *)
+  root_ids : Vec.t;  (* this pause's root snapshot *)
+  cascade : Vec.t;  (* the young sweep's cascaded decrements *)
   arenas : arena array;
   arena_blocks : int;
   los_young : Vec.t;
   mutable alloc_bytes_epoch : int;
   mutable pauses_since_trace : int;
   gc_alloc : Bump_allocator.t;
-  mutable in_pause : bool;
 }
 
 let arena_of t block = min (arena_count - 1) (block / t.arena_blocks)
@@ -270,18 +270,16 @@ let on_write t (src : Obj_model.t) field new_ref =
    serially after the sweep). *)
 let young_sweep t tc =
   let c = Sim.cost t.sim in
-  let cascade = Par.take_scratch () in
+  let cascade = t.cascade in
   let push_cascade r = if r <> null then Vec.push cascade r in
-  Gc_kernels.sweep_young t.heap tc ~cost:c ~threads:c.gc_threads
-    ~los:t.los_young ~on_dead:(fun obj ->
+  Gc_kernels.sweep_young t.heap tc ~los:t.los_young ~on_dead:(fun obj ->
       Obj_model.iter_fields push_cascade obj;
       t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size);
   while not (Vec.is_empty cascade) do
     let frontier = Vec.length cascade in
-    Trace_cost.add tc ~threads:c.gc_threads ~frontier ~cost_ns:c.dec_ns;
+    Trace_cost.add tc ~frontier ~cost_ns:c.dec_ns;
     apply_dec t cascade (Vec.pop cascade)
-  done;
-  Par.recycle_scratch cascade
+  done
 
 (* --- Mature trace (the cycle backstop) --------------------------------- *)
 
@@ -291,10 +289,8 @@ let young_sweep t tc =
    counts stay exact — decrements whose targets the sweep also frees
    skip at application time. *)
 let mature_trace t tc root_ids =
-  let c = Sim.cost t.sim in
   t.stats.trace_pauses <- t.stats.trace_pauses + 1;
-  Gc_kernels.mark_from t.heap tc ~cost:c ~threads:c.gc_threads
-    ~seeds:(fun f -> Vec.iter f root_ids);
+  Gc_kernels.mark_from t.heap tc ~seeds:(fun f -> Vec.iter f root_ids);
   let reg = t.heap.registry in
   let push r = if r <> null then Vec.push t.dec_applicable r in
   for slot = 0 to Obj_model.Registry.slot_count reg - 1 do
@@ -302,7 +298,7 @@ let mature_trace t tc root_ids =
     if obj.Obj_model.id <> null && not (Mark_bitset.marked t.heap.marks obj.id)
     then Obj_model.iter_fields push obj
   done;
-  let freed = Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads:c.gc_threads in
+  let freed = Gc_kernels.sweep_unmarked t.heap tc in
   t.stats.trace_reclaimed <- t.stats.trace_reclaimed + freed;
   Mark_bitset.clear t.heap.marks;
   Heap.clear_touched t.heap;
@@ -345,8 +341,7 @@ let catchup_journal t tc (records, start) =
     and field = Vec.get records (q + 1)
     and old_r = Vec.get records (q + 2)
     and new_r = Vec.get records (q + 3) in
-    Trace_cost.add tc ~threads:c.gc_threads ~frontier:(nrecords - k)
-      ~cost_ns:c.inc_ns;
+    Trace_cost.add tc ~frontier:(nrecords - k) ~cost_ns:c.inc_ns;
     fold_record t ~src ~field ~old_r ~new_r
   done;
   Vec.clear t.published_v;
@@ -358,62 +353,56 @@ let should_trace t =
      < t.free_low_watermark_blocks
 
 let journal_pause t ~force_trace =
-  if not t.in_pause then begin
-    t.in_pause <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    t.stats.pauses <- t.stats.pauses + 1;
-    Heap.retire_all_allocators t.heap;
-    (* Applicable decrements the concurrent drain did not finish. *)
-    if not (Vec.is_empty t.dec_applicable) then begin
-      t.stats.unfinished_drain_pauses <- t.stats.unfinished_drain_pauses + 1;
-      while not (Vec.is_empty t.dec_applicable) do
-        let frontier = Vec.length t.dec_applicable in
-        Trace_cost.add tc ~threads:c.gc_threads ~frontier ~cost_ns:c.dec_ns;
-        apply_dec t t.dec_applicable (Vec.pop t.dec_applicable)
-      done
-    end;
-    (* Epoch-scoped remsets restart with the new epoch's fold. *)
-    Array.iter (fun ar -> Vec.clear ar.remset) t.arenas;
-    (* Journal catchup: every record folded before anything is freed. *)
-    let records = flatten_journal t in
-    catchup_journal t tc records;
-    (* Root snapshot: increment current root referents before this
-       epoch's deferred decrements become applicable — the step the
-       deferral discipline's soundness rests on. *)
-    let root_ids = Par.take_scratch () in
-    Array.iter (fun r -> if r <> null then Vec.push root_ids r) t.roots;
-    Trace_cost.add_parallel tc ~threads:c.gc_threads
-      ~cost_ns:(Float.of_int (Array.length t.roots) *. c.root_scan_ns);
-    Vec.iter
-      (fun id ->
-        let obj = Obj_model.Registry.find_live t.heap.registry id in
-        if obj.Obj_model.id <> null then begin
-          t.stats.increments <- t.stats.increments + 1;
-          Trace_cost.add tc ~threads:c.gc_threads ~frontier:1 ~cost_ns:c.inc_ns;
-          ignore (Heap.rc_inc t.heap obj : int)
-        end)
-      root_ids;
-    (* The previous snapshot's root counts come off; this epoch's
-       journaled decrements become applicable. Both drain lazily. *)
-    Vec.append t.dec_applicable t.prev_roots;
-    Vec.clear t.prev_roots;
-    Vec.append t.prev_roots root_ids;
-    Vec.append t.dec_applicable t.dec_deferred;
-    Vec.clear t.dec_deferred;
-    (* Reclaim: the young region every pause; the whole heap (cycles
-       included) on the trace backstop. *)
-    let traced = force_trace || should_trace t in
-    if traced then mature_trace t tc root_ids else young_sweep t tc;
-    Par.recycle_scratch root_ids;
-    t.alloc_bytes_epoch <- 0;
-    t.pauses_since_trace <- t.pauses_since_trace + 1;
-    t.heap.epoch <- t.heap.epoch + 1;
-    note_backlog t;
-    Gc_kernels.pause_of t.sim tc
-      ~label:(if traced then "journal+trace" else "journal");
-    t.in_pause <- false
-  end
+  Gc_kernels.stw t.sim (fun tc ->
+      let c = Sim.cost t.sim in
+      t.stats.pauses <- t.stats.pauses + 1;
+      Heap.retire_all_allocators t.heap;
+      (* Applicable decrements the concurrent drain did not finish. *)
+      if not (Vec.is_empty t.dec_applicable) then begin
+        t.stats.unfinished_drain_pauses <- t.stats.unfinished_drain_pauses + 1;
+        while not (Vec.is_empty t.dec_applicable) do
+          let frontier = Vec.length t.dec_applicable in
+          Trace_cost.add tc ~frontier ~cost_ns:c.dec_ns;
+          apply_dec t t.dec_applicable (Vec.pop t.dec_applicable)
+        done
+      end;
+      (* Epoch-scoped remsets restart with the new epoch's fold. *)
+      Array.iter (fun ar -> Vec.clear ar.remset) t.arenas;
+      (* Journal catchup: every record folded before anything is freed. *)
+      let records = flatten_journal t in
+      catchup_journal t tc records;
+      (* Root snapshot: increment current root referents before this
+         epoch's deferred decrements become applicable — the step the
+         deferral discipline's soundness rests on. *)
+      let root_ids = t.root_ids in
+      Vec.clear root_ids;
+      Array.iter (fun r -> if r <> null then Vec.push root_ids r) t.roots;
+      Gc_kernels.charge_root_scan tc t.roots;
+      Vec.iter
+        (fun id ->
+          let obj = Obj_model.Registry.find_live t.heap.registry id in
+          if obj.Obj_model.id <> null then begin
+            t.stats.increments <- t.stats.increments + 1;
+            Trace_cost.add tc ~frontier:1 ~cost_ns:c.inc_ns;
+            ignore (Heap.rc_inc t.heap obj : int)
+          end)
+        root_ids;
+      (* The previous snapshot's root counts come off; this epoch's
+         journaled decrements become applicable. Both drain lazily. *)
+      Vec.append t.dec_applicable t.prev_roots;
+      Vec.clear t.prev_roots;
+      Vec.append t.prev_roots root_ids;
+      Vec.append t.dec_applicable t.dec_deferred;
+      Vec.clear t.dec_deferred;
+      (* Reclaim: the young region every pause; the whole heap (cycles
+         included) on the trace backstop. *)
+      let traced = force_trace || should_trace t in
+      if traced then mature_trace t tc root_ids else young_sweep t tc;
+      t.alloc_bytes_epoch <- 0;
+      t.pauses_since_trace <- t.pauses_since_trace + 1;
+      t.heap.epoch <- t.heap.epoch + 1;
+      note_backlog t;
+      if traced then "journal+trace" else "journal")
 
 (* --- Concurrent drain --------------------------------------------------- *)
 
@@ -500,14 +489,7 @@ let collect_for_alloc t pressure =
   | Collector.Young -> journal_pause t ~force_trace:false
   | Collector.Full -> journal_pause t ~force_trace:true
   | Collector.Emergency ->
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    Heap.retire_all_allocators t.heap;
-    Heap.release_reserve t.heap;
-    ignore
-      (Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads
-         ~gc_alloc:t.gc_alloc);
-    Gc_kernels.pause_of ~label:"compact" t.sim tc);
+    ignore (Gc_kernels.emergency_compact t.sim t.heap ~gc_alloc:t.gc_alloc : int));
   Heap.ensure_reserve t.heap
 
 let on_alloc t (obj : Obj_model.t) =
@@ -595,6 +577,8 @@ let factory sim heap ~roots =
       dec_deferred = Vec.create ~capacity:1024 ();
       dec_applicable = Vec.create ~capacity:1024 ();
       prev_roots = Vec.create ~capacity:64 ();
+      root_ids = Vec.create ~capacity:64 ();
+      cascade = Vec.create ~capacity:256 ();
       arenas =
         Array.init arena_count (fun _ ->
             { phase = Idle;
@@ -605,8 +589,7 @@ let factory sim heap ~roots =
       los_young = Vec.create ~capacity:16 ();
       alloc_bytes_epoch = 0;
       pauses_since_trace = 0;
-      gc_alloc = Heap.make_allocator heap;
-      in_pause = false }
+      gc_alloc = Heap.make_allocator heap }
   in
   Heap.ensure_reserve heap;
   let c = Sim.cost sim in

@@ -9,36 +9,20 @@ type t = {
   mutable bytes_since_gc : int;
   mutable collections : int;
   mutable copied_bytes : int;
-  mutable in_collection : bool;
 }
 
 let collect t =
-  if not t.in_collection then begin
-    t.in_collection <- true;
-    let c = Sim.cost t.sim in
-    let threads = c.gc_threads in
-    let tc = Trace_cost.create () in
-    t.collections <- t.collections + 1;
-    Heap.retire_all_allocators t.heap;
-    Trace_cost.add_parallel tc ~threads
-      ~cost_ns:(Float.of_int (Array.length t.roots) *. c.root_scan_ns);
-    let on_visit (obj : Obj_model.t) =
-      if Heap.evacuate t.heap t.gc_alloc obj then begin
-        t.copied_bytes <- t.copied_bytes + obj.size;
-        Trace_cost.add_parallel tc ~threads
-          ~cost_ns:(c.copy_ns_per_byte *. Float.of_int obj.size)
-      end
-    in
-    Gc_kernels.mark_from t.heap tc ~cost:c ~threads
-      ~seeds:(Gc_kernels.iter_roots t.roots) ~on_visit;
-    Bump_allocator.retire_all t.gc_alloc;
-    ignore (Gc_kernels.sweep_unmarked t.heap tc ~cost:c ~threads);
-    Mark_bitset.clear t.heap.marks;
-    Heap.clear_touched t.heap;
-    t.bytes_since_gc <- 0;
-    Gc_kernels.pause_of t.sim tc;
-    t.in_collection <- false
-  end
+  Gc_kernels.stw t.sim (fun tc ->
+      t.collections <- t.collections + 1;
+      Heap.retire_all_allocators t.heap;
+      Gc_kernels.charge_root_scan tc t.roots;
+      let _freed, copied =
+        Gc_kernels.full_collection ~evacuate:(fun _ -> true) t.heap tc
+          ~roots:t.roots ~gc_alloc:t.gc_alloc ~compact:false
+      in
+      t.copied_bytes <- t.copied_bytes + copied;
+      t.bytes_since_gc <- 0;
+      "pause")
 
 (* Collect when the used half is exhausted: the other half must remain
    free so every survivor can be copied. *)
@@ -60,7 +44,7 @@ let factory : Collector.factory =
     { sim; heap; roots;
       gc_alloc = Heap.make_allocator heap;
       bytes_since_gc = 0;
-      collections = 0; copied_bytes = 0; in_collection = false }
+      collections = 0; copied_bytes = 0 }
   in
   { Collector.name = "Semispace";
     on_alloc =

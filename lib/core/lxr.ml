@@ -1,7 +1,6 @@
 open Repro_util
 open Repro_heap
 open Repro_engine
-module Par = Repro_par.Par
 
 let null = Obj_model.null
 
@@ -29,6 +28,11 @@ type t = {
   objbuf : Vec.t;  (* object-granularity barrier: logged object ids *)
   obj_snapshots : (int, int array) Hashtbl.t;  (* before-images at logging *)
   prev_roots : Vec.t;  (* root referents incremented at t_n, decremented at t_n+1 *)
+  (* The RC pause's work queues. *)
+  root_ids : Vec.t;
+  inc_queue : Vec.t;
+  dec_pending : Vec.t;
+  evac_queue : Vec.t;
   (* Lazy decrement machinery (§3.2.1). *)
   lazy_queue : Vec.t;
   lazy_sweep : Vec.t;  (* blocks touched by decrements, swept after the decs *)
@@ -50,7 +54,6 @@ type t = {
   mutable pauses_since_satb : int;
   los_young : Vec.t;
   gc_alloc : Bump_allocator.t;
-  mutable in_pause : bool;
 }
 
 (* Option-free lookup for the inc/dec/trace hot paths: returns the
@@ -179,7 +182,7 @@ let promote t tc queue (obj : Obj_model.t) =
      && Heap.evacuate t.heap t.gc_alloc obj
   then begin
     t.stats.young_evacuated <- t.stats.young_evacuated + obj.size;
-    Trace_cost.add tc ~threads:c.gc_threads ~frontier:(Vec.length queue + 1)
+    Trace_cost.add tc ~frontier:(Vec.length queue + 1)
       ~cost_ns:(c.copy_ns_per_byte *. Float.of_int obj.size)
   end;
   for i = 0 to Obj_model.nfields obj - 1 do
@@ -197,7 +200,7 @@ let apply_incs t tc queue =
   while not (Vec.is_empty queue) do
     let frontier = Vec.length queue in
     let id = Vec.pop queue in
-    Trace_cost.add tc ~threads:c.gc_threads ~frontier ~cost_ns:c.inc_ns;
+    Trace_cost.add tc ~frontier ~cost_ns:c.inc_ns;
     let obj = find_live t id in
     if obj.Obj_model.id <> null then begin
       t.stats.increments <- t.stats.increments + 1;
@@ -208,10 +211,8 @@ let apply_incs t tc queue =
 (* --- Young sweep (§3.3.1) --------------------------------------------- *)
 
 let young_sweep t tc =
-  let c = Sim.cost t.sim in
   let clean = ref 0 in
-  Gc_kernels.sweep_young t.heap tc ~cost:c ~threads:c.gc_threads
-    ~los:t.los_young
+  Gc_kernels.sweep_young t.heap tc ~los:t.los_young
     ~on_dead:(fun obj ->
       t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size)
     ~on_block:(fun _ ~young -> function
@@ -245,9 +246,7 @@ let begin_satb t root_ids =
    collections, and end-of-run draining), in the kernels' breadth-first
    rounds. *)
 let drain_satb_in_pause t tc =
-  let c = Sim.cost t.sim in
-  Gc_kernels.trace_rounds tc ~cost:c ~threads:c.gc_threads ~gray:t.satb_gray
-    (satb_scan t);
+  Gc_kernels.trace_rounds t.heap tc ~gray:t.satb_gray (satb_scan t);
   if t.satb_active && not t.satb_completed then begin
     t.satb_completed <- true;
     t.stats.satb_traces_completed <- t.stats.satb_traces_completed + 1
@@ -284,8 +283,7 @@ let satb_reclaim t tc =
     done;
     t.stats.mature_objects_seen <- t.stats.mature_objects_seen + !seen;
     if !seen > 0 then
-      Trace_cost.add_parallel tc ~threads:c.gc_threads
-        ~cost_ns:(c.dec_ns *. Float.of_int !seen);
+      Trace_cost.add_parallel tc ~cost_ns:(c.dec_ns *. Float.of_int !seen);
     lo := !lo + reclaim_span
   done;
   Predictor.observe t.live_blocks_pred (Float.of_int (live_blocks t))
@@ -302,7 +300,7 @@ let mature_evacuate t tc root_ids ~chosen =
     (not (Obj_model.is_freed obj))
     && Hashtbl.mem chosen_set (Addr.block_of t.heap.cfg (Obj_model.addr obj))
   in
-  let queue = Par.take_scratch () in
+  let queue = t.evac_queue in
   let deferred = ref [] in
   let consider id =
     if id <> null then begin
@@ -312,7 +310,7 @@ let mature_evacuate t tc root_ids ~chosen =
   in
   Vec.iter consider root_ids;
   Remset.drain t.remset (fun ({ src; field; tag } as entry) ->
-      Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.remset_entry_ns;
+      Trace_cost.add_parallel tc ~cost_ns:c.remset_entry_ns;
       let src_obj = find_live t src in
       if src_obj.Obj_model.id = null then
         t.stats.remset_stale <- t.stats.remset_stale + 1
@@ -345,16 +343,15 @@ let mature_evacuate t tc root_ids ~chosen =
       && Heap.evacuate t.heap t.gc_alloc obj
     then begin
       t.stats.mature_evacuated <- t.stats.mature_evacuated + obj.size;
-      Trace_cost.add tc ~threads:c.gc_threads ~frontier
+      Trace_cost.add tc ~frontier
         ~cost_ns:(c.copy_ns_per_byte *. Float.of_int obj.size);
       Obj_model.iter_fields consider obj
     end
   done;
-  Par.recycle_scratch queue;
   List.iter
     (fun b ->
       Blocks.set_target t.heap.blocks b false;
-      Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
+      Trace_cost.add_parallel tc ~cost_ns:c.sweep_block_ns;
       ignore (Heap.rc_sweep_block t.heap b))
     chosen;
   t.evac_targets <- List.filter (fun b -> not (Hashtbl.mem chosen_set b)) t.evac_targets
@@ -378,183 +375,172 @@ let next_evac_chunk t =
 
 (* --- The RC pause (§3.2.1, Figure 2) ----------------------------------- *)
 
-let rc_pause t =
-  if not t.in_pause then begin
-    t.in_pause <- true;
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    t.stats.rc_pauses <- t.stats.rc_pauses + 1;
-    Heap.retire_all_allocators t.heap;
-    (* Unfinished lazy decrements from the previous epoch come first. *)
-    if not (Vec.is_empty t.lazy_queue) then begin
-      t.stats.unfinished_lazy_pauses <- t.stats.unfinished_lazy_pauses + 1;
-      while not (Vec.is_empty t.lazy_queue) do
-        let frontier = Vec.length t.lazy_queue in
-        Trace_cost.add tc ~threads:c.gc_threads ~frontier ~cost_ns:c.dec_ns;
-        apply_dec t t.lazy_queue (Vec.pop t.lazy_queue)
-      done
-    end;
-    let satb_was_completed = t.satb_active && t.satb_completed in
-    (* SATB reclamation happens in the first epoch after the trace ends,
-       before increments touch any to-be-reclaimed object. *)
-    if satb_was_completed then satb_reclaim t tc;
-    (* Root scanning with deferral: increment current root referents,
-       remember them, decrement the previous epoch's set later. *)
-    let phase_mark = ref (Trace_cost.cpu_ns tc) in
-    let phase field =
-      let now_cpu = Trace_cost.cpu_ns tc in
-      let delta = now_cpu -. !phase_mark in
-      phase_mark := now_cpu;
-      (match field with
-      | `Inc -> t.stats.phase_inc_ns <- t.stats.phase_inc_ns +. delta
-      | `Dec -> t.stats.phase_dec_ns <- t.stats.phase_dec_ns +. delta
-      | `Sweep -> t.stats.phase_sweep_ns <- t.stats.phase_sweep_ns +. delta
-      | `Evac -> t.stats.phase_evac_ns <- t.stats.phase_evac_ns +. delta
-      | `Satb -> t.stats.phase_satb_ns <- t.stats.phase_satb_ns +. delta)
-    in
-    phase `Dec;  (* the unfinished-lazy drain above *)
-    (* Root snapshot in a recycled scratch vector — the old per-pause
-       cons-list was the last steady-state allocation in this pause. *)
-    let root_ids = Par.take_scratch () in
-    Array.iter (fun r -> if r <> null then Vec.push root_ids r) t.roots;
-    Trace_cost.add_parallel tc ~threads:c.gc_threads
-      ~cost_ns:(Float.of_int (Array.length t.roots) *. c.root_scan_ns);
-    let inc_queue = Par.take_scratch () in
-    Vec.append inc_queue root_ids;
-    if satb_tracing t then Vec.iter (gray_push t) root_ids;
-    (* Modified fields: the final referent of each logged field receives
-       an increment; the field resumes logging. One serial pass in log
-       order: dead sources drop out at the registry lookup. *)
-    for k = 0 to (Vec.length t.modbuf / 2) - 1 do
-      let field = Vec.get t.modbuf ((2 * k) + 1) in
-      let obj = find_live t (Vec.get t.modbuf (2 * k)) in
-      if obj.Obj_model.id <> null then begin
-        Obj_model.set_field_logged obj field false;
-        let r = Obj_model.field obj field in
-        if r <> null then begin
-          let child = find_live t r in
-          if child.Obj_model.id <> null then
-            note_remset t ~src:obj ~field ~referent:child;
-          Vec.push inc_queue r
-        end
+(* One RC epoch's pause body; returns the pause label. *)
+let rc_epoch t tc =
+  let c = Sim.cost t.sim in
+  t.stats.rc_pauses <- t.stats.rc_pauses + 1;
+  Heap.retire_all_allocators t.heap;
+  (* Unfinished lazy decrements from the previous epoch come first. *)
+  if not (Vec.is_empty t.lazy_queue) then begin
+    t.stats.unfinished_lazy_pauses <- t.stats.unfinished_lazy_pauses + 1;
+    while not (Vec.is_empty t.lazy_queue) do
+      let frontier = Vec.length t.lazy_queue in
+      Trace_cost.add tc ~frontier ~cost_ns:c.dec_ns;
+      apply_dec t t.lazy_queue (Vec.pop t.lazy_queue)
+    done
+  end;
+  let satb_was_completed = t.satb_active && t.satb_completed in
+  (* SATB reclamation happens in the first epoch after the trace ends,
+     before increments touch any to-be-reclaimed object. *)
+  if satb_was_completed then satb_reclaim t tc;
+  (* Root scanning with deferral: increment current root referents,
+     remember them, decrement the previous epoch's set later. *)
+  let phase_mark = ref (Trace_cost.cpu_ns tc) in
+  let phase field =
+    let now_cpu = Trace_cost.cpu_ns tc in
+    let delta = now_cpu -. !phase_mark in
+    phase_mark := now_cpu;
+    match field with
+    | `Inc -> t.stats.phase_inc_ns <- t.stats.phase_inc_ns +. delta
+    | `Dec -> t.stats.phase_dec_ns <- t.stats.phase_dec_ns +. delta
+    | `Sweep -> t.stats.phase_sweep_ns <- t.stats.phase_sweep_ns +. delta
+    | `Evac -> t.stats.phase_evac_ns <- t.stats.phase_evac_ns +. delta
+    | `Satb -> t.stats.phase_satb_ns <- t.stats.phase_satb_ns +. delta
+  in
+  phase `Dec;  (* the unfinished-lazy drain above *)
+  let root_ids = t.root_ids and inc_queue = t.inc_queue in
+  Vec.clear root_ids;
+  Array.iter (fun r -> if r <> null then Vec.push root_ids r) t.roots;
+  Gc_kernels.charge_root_scan tc t.roots;
+  Vec.append inc_queue root_ids;
+  if satb_tracing t then Vec.iter (gray_push t) root_ids;
+  (* Modified fields: the final referent of each logged field receives
+     an increment; the field resumes logging. One serial pass in log
+     order: dead sources drop out at the registry lookup. *)
+  for k = 0 to (Vec.length t.modbuf / 2) - 1 do
+    let field = Vec.get t.modbuf ((2 * k) + 1) in
+    let obj = find_live t (Vec.get t.modbuf (2 * k)) in
+    if obj.Obj_model.id <> null then begin
+      Obj_model.set_field_logged obj field false;
+      let r = Obj_model.field obj field in
+      if r <> null then begin
+        let child = find_live t r in
+        if child.Obj_model.id <> null then
+          note_remset t ~src:obj ~field ~referent:child;
+        Vec.push inc_queue r
       end
+    end
+  done;
+  Vec.clear t.modbuf;
+  (* Object-granularity entries: diff the before-image against the
+     current fields — decrements for the snapshot, increments for the
+     final referents. One serial pass in log order, like the modbuf. *)
+  Vec.iter
+    (fun id ->
+      let obj = find_live t id in
+      match Hashtbl.find_opt t.obj_snapshots id with
+      | Some snapshot when obj.Obj_model.id <> null ->
+        Obj_model.set_all_logged obj false;
+        Array.iteri
+          (fun i old ->
+            let current = Obj_model.field obj i in
+            if old <> null then Vec.push t.decbuf old;
+            if current <> null then begin
+              let child = find_live t current in
+              if child.Obj_model.id <> null then
+                note_remset t ~src:obj ~field:i ~referent:child;
+              Vec.push inc_queue current
+            end)
+          snapshot
+      | Some _ | None -> ())
+    t.objbuf;
+  Vec.clear t.objbuf;
+  Hashtbl.reset t.obj_snapshots;
+  apply_incs t tc inc_queue;
+  phase `Inc;
+  (* Evacuate the evacuation set (or its next regions) once its
+     bootstrap trace has ended. *)
+  if satb_was_completed then begin
+    Mark_bitset.clear t.heap.marks;
+    t.satb_active <- false;
+    t.satb_completed <- false
+  end;
+  if (not (satb_tracing t)) && t.evac_targets <> [] then
+    mature_evacuate t tc root_ids ~chosen:(next_evac_chunk t);
+  phase `Evac;
+  (* Decrements: previous roots and all overwritten referents. *)
+  let dec_pending = t.dec_pending in
+  Vec.clear dec_pending;
+  Vec.append dec_pending t.prev_roots;
+  Vec.append dec_pending t.decbuf;
+  Vec.clear t.prev_roots;
+  Vec.clear t.decbuf;
+  Vec.append t.prev_roots root_ids;
+  if t.cfg.lazy_decrements then Vec.append t.lazy_queue dec_pending
+  else begin
+    while not (Vec.is_empty dec_pending) do
+      let frontier = Vec.length dec_pending in
+      Trace_cost.add tc ~frontier ~cost_ns:c.dec_ns;
+      apply_dec t dec_pending (Vec.pop dec_pending)
     done;
-    Vec.clear t.modbuf;
-    (* Object-granularity entries: diff the before-image against the
-       current fields — decrements for the snapshot, increments for the
-       final referents. One serial pass in log order, like the modbuf. *)
-    Vec.iter
-      (fun id ->
-        let obj = find_live t id in
-        match Hashtbl.find_opt t.obj_snapshots id with
-        | Some snapshot when obj.Obj_model.id <> null ->
-          Obj_model.set_all_logged obj false;
-          Array.iteri
-            (fun i old ->
-              let current = Obj_model.field obj i in
-              if old <> null then Vec.push t.decbuf old;
-              if current <> null then begin
-                let child = find_live t current in
-                if child.Obj_model.id <> null then
-                  note_remset t ~src:obj ~field:i ~referent:child;
-                Vec.push inc_queue current
-              end)
-            snapshot
-        | Some _ | None -> ())
-      t.objbuf;
-    Vec.clear t.objbuf;
-    Hashtbl.reset t.obj_snapshots;
-    apply_incs t tc inc_queue;
-    Par.recycle_scratch inc_queue;
-    phase `Inc;
-    (* Evacuate the evacuation set (or its next regions) once its
-       bootstrap trace has ended. *)
-    if satb_was_completed then begin
-      Mark_bitset.clear t.heap.marks;
-      t.satb_active <- false;
-      t.satb_completed <- false
-    end;
-    if (not (satb_tracing t)) && t.evac_targets <> [] then
-      mature_evacuate t tc root_ids ~chosen:(next_evac_chunk t);
-    phase `Evac;
-    (* Decrements: previous roots and all overwritten referents. *)
-    let dec_pending = Par.take_scratch () in
-    Vec.append dec_pending t.prev_roots;
-    Vec.append dec_pending t.decbuf;
-    Vec.clear t.prev_roots;
-    Vec.clear t.decbuf;
-    Vec.append t.prev_roots root_ids;
-    if t.cfg.lazy_decrements then Vec.append t.lazy_queue dec_pending
-    else begin
-      while not (Vec.is_empty dec_pending) do
-        let frontier = Vec.length dec_pending in
-        Trace_cost.add tc ~threads:c.gc_threads ~frontier ~cost_ns:c.dec_ns;
-        apply_dec t dec_pending (Vec.pop dec_pending)
-      done;
-      (* Sweep decrement-touched blocks in the pause too (-LD). *)
-      drain_lazy_sweep t (fun b ->
-          Trace_cost.add_parallel tc ~threads:c.gc_threads ~cost_ns:c.sweep_block_ns;
-          Gc_kernels.sweep_stale_block t.heap b)
-    end;
-    Par.recycle_scratch dec_pending;
-    phase `Dec;
-    (* Sweep the blocks allocated into this epoch. *)
-    let clean_blocks = young_sweep t tc in
-    phase `Sweep;
-    (* Start a requested SATB now that block states are settled; a
-       previous cycle's pending evacuation must finish first (its
-       remembered sets would be invalidated by a reuse-counter reset). *)
-    if t.satb_requested && (not t.satb_active) && t.evac_targets = [] then begin
-      t.satb_requested <- false;
-      begin_satb t root_ids
-    end;
-    Par.recycle_scratch root_ids;
-    if t.satb_active && not t.cfg.concurrent_satb then drain_satb_in_pause t tc;
-    phase `Satb;
-    (* Predictors and the SATB triggers (§3.2.2). *)
-    if t.alloc_bytes_epoch > 0 then
-      Predictor.observe t.survival_rate
-        (Float.of_int t.promoted_bytes_epoch /. Float.of_int t.alloc_bytes_epoch);
-    let total_blocks = Heap_config.blocks t.heap.cfg in
-    let wastage =
-      (Float.of_int (live_blocks t) -. Predictor.value t.live_blocks_pred)
-      /. Float.of_int total_blocks
-    in
-    t.pauses_since_satb <- t.pauses_since_satb + 1;
-    if (not t.satb_active)
-       && (clean_blocks < t.cfg.clean_blocks_trigger
-          || wastage >= t.cfg.wastage_threshold
-          || t.pauses_since_satb >= t.cfg.satb_backstop_pauses)
-    then t.satb_requested <- true;
-    let epoch_alloc_bytes = t.alloc_bytes_epoch in
-    let epoch_promoted_bytes = t.promoted_bytes_epoch in
-    t.alloc_bytes_epoch <- 0;
-    t.promoted_bytes_epoch <- 0;
-    t.heap.epoch <- t.heap.epoch + 1;
-    let wall = c.pause_base_ns +. Trace_cost.critical_ns tc in
-    let cpu = c.pause_base_ns +. Trace_cost.cpu_ns tc in
-    let label = if satb_was_completed then "rc+evac" else "rc" in
-    Sim.pause ~label t.sim ~wall_ns:wall ~cpu_ns:cpu;
-    (* Epoch boundary: let an attached controller move the tunable knobs
-       for the next epoch. The feedback carries only simulated metrics,
-       so a deterministic controller keeps the run bit-identical across
-       --domains. *)
-    (match t.tune with
-    | None -> ()
-    | Some f ->
-      t.cfg <-
-        f
-          { epoch = t.heap.epoch;
-            now_ns = Sim.now t.sim;
-            pause_wall_ns = wall;
-            pause_cpu_ns = cpu;
-            epoch_alloc_bytes;
-            epoch_promoted_bytes;
-            live_blocks = live_blocks t;
-            total_blocks }
-          t.cfg);
-    t.in_pause <- false
-  end
+    (* Sweep decrement-touched blocks in the pause too (-LD). *)
+    drain_lazy_sweep t (fun b ->
+        Trace_cost.add_parallel tc ~cost_ns:c.sweep_block_ns;
+        Gc_kernels.sweep_stale_block t.heap b)
+  end;
+  phase `Dec;
+  (* Sweep the blocks allocated into this epoch. *)
+  let clean_blocks = young_sweep t tc in
+  phase `Sweep;
+  (* Start a requested SATB now that block states are settled; a
+     previous cycle's pending evacuation must finish first (its
+     remembered sets would be invalidated by a reuse-counter reset). *)
+  if t.satb_requested && (not t.satb_active) && t.evac_targets = [] then begin
+    t.satb_requested <- false;
+    begin_satb t root_ids
+  end;
+  if t.satb_active && not t.cfg.concurrent_satb then drain_satb_in_pause t tc;
+  phase `Satb;
+  (* Predictors and the SATB triggers (§3.2.2). *)
+  if t.alloc_bytes_epoch > 0 then
+    Predictor.observe t.survival_rate
+      (Float.of_int t.promoted_bytes_epoch /. Float.of_int t.alloc_bytes_epoch);
+  let wastage =
+    (Float.of_int (live_blocks t) -. Predictor.value t.live_blocks_pred)
+    /. Float.of_int (Heap_config.blocks t.heap.cfg)
+  in
+  t.pauses_since_satb <- t.pauses_since_satb + 1;
+  if (not t.satb_active)
+     && (clean_blocks < t.cfg.clean_blocks_trigger
+        || wastage >= t.cfg.wastage_threshold
+        || t.pauses_since_satb >= t.cfg.satb_backstop_pauses)
+  then t.satb_requested <- true;
+  t.heap.epoch <- t.heap.epoch + 1;
+  if satb_was_completed then "rc+evac" else "rc"
+
+(* The RC pause (§3.2.1, Figure 2). At the epoch boundary an attached
+   controller moves the tunable knobs for the next epoch. The feedback
+   carries only simulated metrics, so a deterministic controller keeps
+   the run bit-identical across --domains. *)
+let rc_pause t =
+  Gc_kernels.stw t.sim (rc_epoch t);
+  (match t.tune with
+  | None -> ()
+  | Some f ->
+    let pause_wall_ns, pause_cpu_ns = Sim.last_pause_cost t.sim in
+    t.cfg <-
+      f
+        { epoch = t.heap.epoch;
+          now_ns = Sim.now t.sim;
+          pause_wall_ns;
+          pause_cpu_ns;
+          epoch_alloc_bytes = t.alloc_bytes_epoch;
+          epoch_promoted_bytes = t.promoted_bytes_epoch;
+          live_blocks = live_blocks t;
+          total_blocks = Heap_config.blocks t.heap.cfg }
+        t.cfg);
+  t.alloc_bytes_epoch <- 0;
+  t.promoted_bytes_epoch <- 0
 
 (* --- Concurrent work (Figure 2's concurrent LXR thread) ---------------- *)
 
@@ -633,25 +619,15 @@ let collect_for_alloc t pressure =
   | Collector.Full ->
     if not t.satb_active then t.satb_requested <- true;
     rc_pause t;
-    if t.satb_active && not t.satb_completed then begin
-      let tc = Trace_cost.create () in
-      drain_satb_in_pause t tc;
-      Gc_kernels.pause_of ~label:"forced-trace" t.sim tc
-    end;
+    if t.satb_active && not t.satb_completed then
+      Gc_kernels.stw t.sim (fun tc ->
+          drain_satb_in_pause t tc;
+          "forced-trace");
     rc_pause t
   | Collector.Emergency ->
-    let c = Sim.cost t.sim in
-    let tc = Trace_cost.create () in
-    Heap.retire_all_allocators t.heap;
-    (* The reserve is released directly into the compactor's budget so
-       opportunistic young evacuation cannot consume it first. *)
-    Heap.release_reserve t.heap;
-    let copied =
-      Compaction.compact t.heap tc ~cost:c ~threads:c.gc_threads
-        ~gc_alloc:t.gc_alloc
-    in
-    t.stats.mature_evacuated <- t.stats.mature_evacuated + copied;
-    Gc_kernels.pause_of ~label:"compact" t.sim tc);
+    t.stats.mature_evacuated <-
+      t.stats.mature_evacuated
+      + Gc_kernels.emergency_compact t.sim t.heap ~gc_alloc:t.gc_alloc);
   Heap.ensure_reserve t.heap
 
 (* --- Barrier (§3.4, Figure 3) ------------------------------------------ *)
@@ -773,6 +749,10 @@ let create ?tune ~name ~config sim heap ~roots =
       objbuf = Vec.create ~capacity:256 ();
       obj_snapshots = Hashtbl.create 256;
       prev_roots = Vec.create ~capacity:64 ();
+      root_ids = Vec.create ~capacity:64 ();
+      inc_queue = Vec.create ~capacity:256 ();
+      dec_pending = Vec.create ~capacity:256 ();
+      evac_queue = Vec.create ~capacity:256 ();
       lazy_queue = Vec.create ~capacity:1024 ();
       lazy_sweep = Vec.create ~capacity:64 ();
       lazy_sweep_member = Bytes.make (Heap_config.blocks heap.Heap.cfg) '\000';
@@ -789,8 +769,7 @@ let create ?tune ~name ~config sim heap ~roots =
       promoted_bytes_epoch = 0;
       pauses_since_satb = 0;
       los_young = Vec.create ~capacity:16 ();
-      gc_alloc = Heap.make_allocator heap;
-      in_pause = false }
+      gc_alloc = Heap.make_allocator heap }
   in
   Heap.ensure_reserve heap;
   let c = Sim.cost sim in

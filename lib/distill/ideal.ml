@@ -12,10 +12,10 @@
    collector's run. A simulator can construct this baseline exactly;
    real hardware can only bound it.
 
-   It reclaims through the same kernels as every other plan
-   ({!Gc_kernels.mark_from}, {!Gc_kernels.sweep_unmarked}, and the
-   emergency {!Compaction.compact}). The kernels meter their work into a Trace_cost that is simply dropped:
-   the ideal baseline never calls Sim.pause and charges no GC CPU. *)
+   It reclaims through the same full-collection kernel as the STW
+   plans ({!Gc_kernels.full_collection}, compacting on the emergency
+   rung). The kernel meters its work into a Trace_cost that is simply
+   dropped: the ideal baseline records no pause and charges no GC CPU. *)
 
 open Repro_heap
 open Repro_engine
@@ -27,28 +27,19 @@ type t = {
   gc_alloc : Bump_allocator.t;
   mutable collections : int;
   mutable freed_bytes : int;
-  mutable in_collection : bool;
 }
 
 let collect ?(emergency = false) t =
-  if not t.in_collection then begin
-    t.in_collection <- true;
-    t.collections <- t.collections + 1;
-    Heap.retire_all_allocators t.heap;
-    if emergency then Heap.release_reserve t.heap;
-    let tc = Trace_cost.create () and cost = Sim.cost t.sim in
-    Gc_kernels.mark_from t.heap tc ~cost ~threads:1
-      ~seeds:(Gc_kernels.iter_roots t.roots);
-    Bump_allocator.retire_all t.gc_alloc;
-    t.freed_bytes <-
-      t.freed_bytes + Gc_kernels.sweep_unmarked t.heap tc ~cost ~threads:1;
-    if emergency then
-      ignore (Compaction.compact t.heap tc ~cost ~threads:1 ~gc_alloc:t.gc_alloc);
-    Mark_bitset.clear t.heap.Heap.marks;
-    Heap.clear_touched t.heap;
-    Heap.ensure_reserve t.heap;
-    t.in_collection <- false
-  end
+  t.collections <- t.collections + 1;
+  Heap.retire_all_allocators t.heap;
+  if emergency then Heap.release_reserve t.heap;
+  let tc = Trace_cost.create (Sim.cost t.sim) ~gc_threads:1 in
+  let freed, _copied =
+    Gc_kernels.full_collection t.heap tc ~roots:t.roots ~gc_alloc:t.gc_alloc
+      ~compact:emergency
+  in
+  t.freed_bytes <- t.freed_bytes + freed;
+  Heap.ensure_reserve t.heap
 
 let factory : Collector.factory =
  fun sim heap ~roots ->
@@ -56,8 +47,7 @@ let factory : Collector.factory =
     { sim; heap; roots;
       gc_alloc = Heap.make_allocator heap;
       collections = 0;
-      freed_bytes = 0;
-      in_collection = false }
+      freed_bytes = 0 }
   in
   Heap.ensure_reserve heap;
   { Collector.name = "Ideal";

@@ -43,5 +43,3 @@ type t = {
 }
 
 type factory = Sim.t -> Repro_heap.Heap.t -> roots:int array -> t
-
-let no_concurrency () = ((fun () -> 0), fun ~budget_ns:_ -> 0.0)

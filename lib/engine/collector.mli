@@ -91,6 +91,3 @@ type t = {
 }
 
 type factory = Sim.t -> Repro_heap.Heap.t -> roots:int array -> t
-
-(** A collector with no concurrency — helper for building records. *)
-val no_concurrency : unit -> (unit -> int) * (budget_ns:float -> float)

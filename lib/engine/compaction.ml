@@ -13,8 +13,8 @@ let reclassify heap =
   done;
   Heap.rebuild_free_lists heap
 
-let compact heap tc ~cost ~threads ~gc_alloc =
-  let cfg = heap.Heap.cfg in
+let compact heap tc ~gc_alloc =
+  let cfg = heap.Heap.cfg and cost = Trace_cost.cost tc in
   let copied = ref 0 in
   let progress = ref true in
   let rounds = ref 0 in
@@ -68,11 +68,11 @@ let compact heap tc ~cost ~threads ~gc_alloc =
               if Heap.evacuate heap gc_alloc obj then begin
                 copied := !copied + obj.size;
                 progress := true;
-                Trace_cost.add_parallel tc ~threads
+                Trace_cost.add_parallel tc
                   ~cost_ns:(cost.Cost_model.copy_ns_per_byte *. Float.of_int obj.size)
               end
           done;
-          Trace_cost.add_parallel tc ~threads ~cost_ns:cost.Cost_model.sweep_block_ns;
+          Trace_cost.add_parallel tc ~cost_ns:cost.Cost_model.sweep_block_ns;
           Blocks.compact heap.Heap.blocks b ~live:(fun id ->
               let obj = Obj_model.Registry.find_live heap.Heap.registry id in
               obj.Obj_model.id <> Obj_model.null

@@ -1,6 +1,5 @@
 open Repro_util
 open Repro_heap
-module Par = Repro_par.Par
 
 let null = Obj_model.null
 
@@ -10,33 +9,43 @@ let iter_roots roots f =
     if r <> null then f r
   done
 
-let pause_of ?label sim tc =
-  let c = Sim.cost sim in
-  Sim.pause ?label sim
-    ~wall_ns:(c.pause_base_ns +. Trace_cost.critical_ns tc)
-    ~cpu_ns:(c.pause_base_ns +. Trace_cost.cpu_ns tc)
+(* A body that records a pause of its own would nest one pause in
+   another; no collector does, and the check keeps it that way. *)
+let stw ?gc_threads sim body =
+  let cost = Sim.cost sim in
+  let gc_threads = Option.value gc_threads ~default:cost.Cost_model.gc_threads in
+  let tc = Trace_cost.create cost ~gc_threads in
+  let pauses = Sim.pause_count sim in
+  let label = body tc in
+  if Sim.pause_count sim <> pauses then invalid_arg "Gc_kernels.stw: nested pause";
+  Sim.pause ~label sim
+    ~wall_ns:(cost.pause_base_ns +. Trace_cost.critical_ns tc)
+    ~cpu_ns:(cost.pause_base_ns +. Trace_cost.cpu_ns tc)
+
+let charge_root_scan tc roots =
+  Trace_cost.add_parallel tc
+    ~cost_ns:(Float.of_int (Array.length roots) *. (Trace_cost.cost tc).root_scan_ns)
 
 (* Breadth-first rounds, not a LIFO stack: the frontier-limited cost of
    each entry is the size of what is left of its round, so the visit
    order fixes every pause time. *)
-let trace_rounds tc ~cost ~threads ~gray scan =
-  let next = Par.take_scratch () in
+let trace_rounds heap tc ~gray scan =
+  let next = heap.Heap.mark_next in
+  let trace_obj_ns = (Trace_cost.cost tc).trace_obj_ns in
   while Vec.length gray > 0 do
     let n = Vec.length gray in
     for k = 0 to n - 1 do
-      Trace_cost.add tc ~threads ~frontier:(n - k)
-        ~cost_ns:cost.Cost_model.trace_obj_ns;
+      Trace_cost.add tc ~frontier:(n - k) ~cost_ns:trace_obj_ns;
       scan (Vec.get gray k) next
     done;
     Vec.clear gray;
     Vec.append gray next;
     Vec.clear next
-  done;
-  Par.recycle_scratch next
+  done
 
-let drain_marked ?(on_visit = ignore) heap tc ~cost ~threads ~gray =
+let drain_marked ?(on_visit = ignore) heap tc ~gray =
   let reg = heap.Heap.registry and marks = heap.Heap.marks in
-  trace_rounds tc ~cost ~threads ~gray (fun id next ->
+  trace_rounds heap tc ~gray (fun id next ->
       let obj = Obj_model.Registry.find_live reg id in
       if obj.Obj_model.id <> null then begin
         on_visit obj;
@@ -49,18 +58,18 @@ let drain_marked ?(on_visit = ignore) heap tc ~cost ~threads ~gray =
         done
       end)
 
-let mark_from ?on_visit heap tc ~cost ~threads ~seeds =
-  let gray = Par.take_scratch () in
+let mark_from ?on_visit heap tc ~seeds =
+  let gray = heap.Heap.mark_gray in
   seeds (fun id ->
       if id <> null && not (Mark_bitset.marked heap.Heap.marks id) then begin
         Mark_bitset.mark heap.Heap.marks id;
         Vec.push gray id
       end);
-  drain_marked ?on_visit heap tc ~cost ~threads ~gray;
-  Par.recycle_scratch gray
+  drain_marked ?on_visit heap tc ~gray
 
-let sweep_unmarked heap tc ~cost ~threads =
+let sweep_unmarked heap tc =
   let reg = heap.Heap.registry and blocks = heap.Heap.blocks in
+  let sweep_block_ns = (Trace_cost.cost tc).sweep_block_ns in
   let freed = ref 0 in
   for s = 0 to Obj_model.Registry.slot_count reg - 1 do
     let obj = Obj_model.Registry.handle_at_live reg s in
@@ -77,7 +86,7 @@ let sweep_unmarked heap tc ~cost ~threads =
     match Blocks.state blocks b with
     | Blocks.In_use | Blocks.Recyclable | Blocks.Owned ->
       Blocks.compact blocks b ~live;
-      Trace_cost.add_parallel tc ~threads ~cost_ns:cost.Cost_model.sweep_block_ns;
+      Trace_cost.add_parallel tc ~cost_ns:sweep_block_ns;
       Blocks.set_young blocks b false;
       Blocks.set_state blocks b (Heap.classify_block heap b)
     | Blocks.Free | Blocks.Los_backing -> ()
@@ -85,11 +94,46 @@ let sweep_unmarked heap tc ~cost ~threads =
   Heap.rebuild_free_lists heap;
   !freed
 
-let sweep_blocks ?on_dead ?(on_block = fun _ ~young:_ _ -> ()) heap tc ~cost
-    ~threads ~blocks ~dead =
+let clear_targets heap targets =
+  List.iter (fun b -> Blocks.set_target heap.Heap.blocks b false) targets
+
+let full_collection ?(evacuate = fun _ -> false) ?(targets = []) heap tc ~roots
+    ~gc_alloc ~compact =
+  let copy_ns_per_byte = (Trace_cost.cost tc).copy_ns_per_byte in
+  let copied = ref 0 in
+  let on_visit (obj : Obj_model.t) =
+    if evacuate obj && Heap.evacuate heap gc_alloc obj then begin
+      copied := !copied + obj.size;
+      Trace_cost.add_parallel tc ~cost_ns:(copy_ns_per_byte *. Float.of_int obj.size)
+    end
+  in
+  mark_from heap tc ~seeds:(iter_roots roots) ~on_visit;
+  Bump_allocator.retire_all gc_alloc;
+  let freed = sweep_unmarked heap tc in
+  (* The recyclable-block allocator skips flagged blocks, and the
+     compaction allocates through it. *)
+  clear_targets heap targets;
+  if compact then copied := !copied + Compaction.compact heap tc ~gc_alloc;
+  Mark_bitset.clear heap.Heap.marks;
+  Heap.clear_touched heap;
+  (freed, !copied)
+
+let emergency_compact sim heap ~gc_alloc =
+  let copied = ref 0 in
+  stw sim (fun tc ->
+      Heap.retire_all_allocators heap;
+      (* The reserve goes straight into the compactor's budget, so
+         nothing else can claim it first. *)
+      Heap.release_reserve heap;
+      copied := Compaction.compact heap tc ~gc_alloc;
+      "compact");
+  !copied
+
+let sweep_blocks ?on_dead ?(on_block = fun _ ~young:_ _ -> ()) heap tc ~blocks ~dead =
+  let sweep_block_ns = (Trace_cost.cost tc).sweep_block_ns in
   Array.iter
     (fun b ->
-      Trace_cost.add_parallel tc ~threads ~cost_ns:cost.Cost_model.sweep_block_ns;
+      Trace_cost.add_parallel tc ~cost_ns:sweep_block_ns;
       let young = Blocks.young heap.Heap.blocks b in
       let cls, _ = Heap.sweep_block ?on_free:on_dead heap b ~dead in
       on_block b ~young cls)
@@ -98,7 +142,7 @@ let sweep_blocks ?on_dead ?(on_block = fun _ ~young:_ _ -> ()) heap tc ~cost
 (* The touched set can hold reserve blocks: an emergency rung's
    compaction may free a block touched earlier in the epoch, and its
    [ensure_reserve] may then adopt it. *)
-let sweep_young ?(on_dead = ignore) ?on_block heap tc ~cost ~threads ~los =
+let sweep_young ?(on_dead = ignore) ?on_block heap tc ~los =
   let touched = Heap.touched_blocks heap in
   let n = ref 0 in
   Array.iter
@@ -112,8 +156,7 @@ let sweep_young ?(on_dead = ignore) ?on_block heap tc ~cost ~threads ~los =
     touched;
   let blocks = Array.sub touched 0 !n in
   let unincremented obj = Heap.rc_of heap obj = 0 in
-  sweep_blocks ~on_dead ?on_block heap tc ~cost ~threads ~blocks
-    ~dead:unincremented;
+  sweep_blocks ~on_dead ?on_block heap tc ~blocks ~dead:unincremented;
   Vec.iter
     (fun id ->
       let obj = Obj_model.Registry.find_live heap.Heap.registry id in
@@ -164,6 +207,3 @@ let select_fragmented heap ~max_blocks ~occupancy_max =
   let targets = take max_blocks sorted in
   List.iter (fun b -> Blocks.set_target heap.Heap.blocks b true) targets;
   targets
-
-let clear_targets heap targets =
-  List.iter (fun b -> Blocks.set_target heap.Heap.blocks b false) targets

@@ -1,110 +1,134 @@
-(** The collector kernels every plan shares (§2.5, §3.3).
+(** The pause bracket and the collector kernels every plan shares
+    (§2.5, §3.3).
 
     A plan (LXR, Journal-RC, G1, Shenandoah/ZGC, the STW baselines, the
-    ideal baseline) keeps only policy: which blocks to sweep, which
-    objects are dead, and what happens to each dead object. The
-    mechanisms — the breadth-first mark, the block sweep, block liveness
-    and target selection — live here once, so every plan sweeps and
-    marks through the same code.
+    ideal baseline) keeps only policy: when to pause, which blocks to
+    sweep, which objects are dead, and what happens to each dead object.
+    The mechanisms live here once: the stop-the-world bracket ({!stw}),
+    the breadth-first mark, the block sweep, block liveness, target
+    selection, the full collection and the emergency compaction.
 
     Every kernel is a serial loop in ascending slot or block order (the
-    mark in breadth-first rounds) on the domain that owns the heap.
-    Parallel GC is modelled in virtual time only: trace costs are
-    frontier-limited ({!Trace_cost}), which is what makes a long
-    singly-linked list a pathology for tracing but not for reference
-    counting. *)
+    mark in breadth-first rounds) on the domain that owns the heap, and
+    charges its work to the pause's meter ({!Trace_cost.t}), which holds
+    the cost model and the pause's GC thread count. Parallel GC is
+    modelled in virtual time only: trace costs are frontier-limited,
+    which is what makes a long singly-linked list a pathology for tracing
+    but not for reference counting. *)
 
 (** [iter_roots roots f] applies [f] to every non-null root slot, last
     slot first. Seed order fixes the breadth-first visit order, and with
     it evacuation addresses. *)
 val iter_roots : int array -> (int -> unit) -> unit
 
-(** [pause_of ?label sim tc] records a stop-the-world pause costing the
-    pause base plus [tc]'s critical path (wall) and total work (CPU). *)
-val pause_of : ?label:string -> Sim.t -> Trace_cost.t -> unit
+(** [stw ?gc_threads sim body] is every stop-the-world pause. It makes
+    the pause's meter over [Sim.cost sim] and [gc_threads] GC threads
+    (default [Cost_model.gc_threads]; Serial passes 1), runs [body tc],
+    which returns the pause's label, and records a pause of the pause
+    base plus the meter's critical path (wall) and total work (CPU). The
+    recorded figures are then {!Sim.last_pause_cost}. Raises
+    [Invalid_argument] if [body] recorded a pause itself. *)
+val stw : ?gc_threads:int -> Sim.t -> (Trace_cost.t -> string) -> unit
 
-(** [trace_rounds tc ~cost ~threads ~gray scan] drains the gray
-    frontier [gray] in breadth-first rounds. Entry [k] of an [n]-entry
-    round is charged [trace_obj_ns] at frontier [n - k], then
-    [scan id next] grays the entry's unmarked referents onto [next], the
+(** [charge_root_scan tc roots] charges scanning every slot of [roots],
+    as parallel work. *)
+val charge_root_scan : Trace_cost.t -> int array -> unit
+
+(** [trace_rounds heap tc ~gray scan] drains the gray frontier [gray]
+    in breadth-first rounds. Entry [k] of an [n]-entry round is charged
+    [trace_obj_ns] at frontier [n - k], then [scan id next] grays the
+    entry's unmarked referents onto [next] (the heap's [mark_next]), the
     next round's frontier. [gray] is empty on return. *)
 val trace_rounds :
+  Repro_heap.Heap.t ->
   Trace_cost.t ->
-  cost:Cost_model.t ->
-  threads:int ->
   gray:Repro_util.Vec.t ->
   (int -> Repro_util.Vec.t -> unit) ->
   unit
 
-(** [drain_marked ?on_visit heap tc ~cost ~threads ~gray] finishes a
-    mark whose gray frontier [gray] is already marked in [heap.marks]:
-    {!trace_rounds} marks and grays every unmarked referent. [on_visit]
-    runs exactly once per live drained object, before its children are
-    grayed (evacuation hooks run here). [gray] is empty on return. Marks
-    are {b not} cleared. *)
+(** [drain_marked ?on_visit heap tc ~gray] finishes a mark whose gray
+    frontier [gray] is already marked in [heap.marks]: {!trace_rounds}
+    marks and grays every unmarked referent. [on_visit] runs exactly once
+    per live drained object, before its children are grayed (evacuation
+    hooks run here). [gray] is empty on return. Marks are {b not}
+    cleared. *)
 val drain_marked :
   ?on_visit:(Repro_heap.Obj_model.t -> unit) ->
   Repro_heap.Heap.t ->
   Trace_cost.t ->
-  cost:Cost_model.t ->
-  threads:int ->
   gray:Repro_util.Vec.t ->
   unit
 
-(** [mark_from ?on_visit heap tc ~cost ~threads ~seeds] marks
-    everything reachable from [seeds] (an iterator over root ids, e.g.
-    [iter_roots roots]): it marks and grays each seed, then
+(** [mark_from ?on_visit heap tc ~seeds] marks everything reachable
+    from [seeds] (an iterator over root ids, e.g. [iter_roots roots]):
+    it marks and grays each seed onto the heap's [mark_gray], then
     {!drain_marked}. *)
 val mark_from :
   ?on_visit:(Repro_heap.Obj_model.t -> unit) ->
   Repro_heap.Heap.t ->
   Trace_cost.t ->
-  cost:Cost_model.t ->
-  threads:int ->
   seeds:((int -> unit) -> unit) ->
   unit
 
-(** [sweep_unmarked heap tc ~cost ~threads] frees every unmarked
-    object (large objects included) in registry-slot order, compacts and
-    reclassifies every data block ({!Repro_heap.Heap.classify_block}),
-    rebuilds the free lists, and returns the freed byte count.
-    Allocators must have been retired. *)
-val sweep_unmarked :
+(** [sweep_unmarked heap tc] frees every unmarked object (large objects
+    included) in registry-slot order, compacts and reclassifies every
+    data block ({!Repro_heap.Heap.classify_block}), rebuilds the free
+    lists, and returns the freed byte count. Allocators must have been
+    retired. *)
+val sweep_unmarked : Repro_heap.Heap.t -> Trace_cost.t -> int
+
+(** [full_collection ?evacuate ?targets heap tc ~roots ~gc_alloc
+    ~compact] is the stop-the-world full collection: it marks from
+    [roots], copying each visited object for which [evacuate] holds
+    (default none) out through [gc_alloc]; retires [gc_alloc]; sweeps
+    the unmarked ({!sweep_unmarked}); unflags the evacuation set
+    [targets]; slide-compacts ({!Compaction.compact}) when [compact];
+    and clears the marks and the touched blocks. It returns the freed
+    bytes and the copied bytes (mark copies plus compaction). The caller
+    retires the mutator allocators and charges any root scan first. *)
+val full_collection :
+  ?evacuate:(Repro_heap.Obj_model.t -> bool) ->
+  ?targets:int list ->
   Repro_heap.Heap.t ->
   Trace_cost.t ->
-  cost:Cost_model.t ->
-  threads:int ->
-  int
+  roots:int array ->
+  gc_alloc:Repro_heap.Bump_allocator.t ->
+  compact:bool ->
+  int * int
 
-(** [sweep_blocks ?on_dead ?on_block heap tc ~cost ~threads ~blocks
-    ~dead] sweeps [blocks] in array order: each block is charged
-    [sweep_block_ns] and swept by {!Repro_heap.Heap.sweep_block}, which
-    frees the residents satisfying [dead] and runs [on_dead] just before
-    each free. [on_block b ~young cls] then sees the block's young flag
-    from before the sweep and its classification. *)
+(** [emergency_compact sim heap ~gc_alloc] is the last rung of the
+    reference-counting plans' allocation ladder: a pause labelled
+    ["compact"] that retires the allocators, releases the to-space
+    reserve and slide-compacts the heap. It returns the bytes copied;
+    the caller tops the reserve back up. *)
+val emergency_compact :
+  Sim.t -> Repro_heap.Heap.t -> gc_alloc:Repro_heap.Bump_allocator.t -> int
+
+(** [sweep_blocks ?on_dead ?on_block heap tc ~blocks ~dead] sweeps
+    [blocks] in array order: each block is charged [sweep_block_ns] and
+    swept by {!Repro_heap.Heap.sweep_block}, which frees the residents
+    satisfying [dead] and runs [on_dead] just before each free.
+    [on_block b ~young cls] then sees the block's young flag from before
+    the sweep and its classification. *)
 val sweep_blocks :
   ?on_dead:(Repro_heap.Obj_model.t -> unit) ->
   ?on_block:(int -> young:bool -> [ `Freed | `Recyclable of int | `Full ] -> unit) ->
   Repro_heap.Heap.t ->
   Trace_cost.t ->
-  cost:Cost_model.t ->
-  threads:int ->
   blocks:int array ->
   dead:(Repro_heap.Obj_model.t -> bool) ->
   unit
 
-(** [sweep_young ?on_dead ?on_block heap tc ~cost ~threads ~los]
-    is the reference-counting young sweep: {!sweep_blocks} over the
-    touched, non-reserve [In_use] blocks with zero-count residents dead,
-    then the zero-count large objects listed in [los] (hooked through
-    [on_dead] too). Clears [los] and the touched set. *)
+(** [sweep_young ?on_dead ?on_block heap tc ~los] is the
+    reference-counting young sweep: {!sweep_blocks} over the touched,
+    non-reserve [In_use] blocks with zero-count residents dead, then the
+    zero-count large objects listed in [los] (hooked through [on_dead]
+    too). Clears [los] and the touched set. *)
 val sweep_young :
   ?on_dead:(Repro_heap.Obj_model.t -> unit) ->
   ?on_block:(int -> young:bool -> [ `Freed | `Recyclable of int | `Full ] -> unit) ->
   Repro_heap.Heap.t ->
   Trace_cost.t ->
-  cost:Cost_model.t ->
-  threads:int ->
   los:Repro_util.Vec.t ->
   unit
 

@@ -15,7 +15,8 @@ type hot = {
   mutable stw_cpu : float;
   mutable interference : float;
   mutable last_pause_start : float;
-  mutable last_pause_end : float;
+  mutable last_pause_wall : float;
+  mutable last_pause_cpu : float;
   mutable d_barrier : float;
   mutable d_stall : float;
 }
@@ -43,7 +44,8 @@ let create cost =
         stw_cpu = 0.0;
         interference = 0.0;
         last_pause_start = neg_infinity;
-        last_pause_end = neg_infinity;
+        last_pause_wall = 0.0;
+        last_pause_cpu = 0.0;
         d_barrier = 0.0;
         d_stall = 0.0 };
     pause_count = 0;
@@ -102,7 +104,8 @@ let advance_idle t ~until ~conc_threads ~conc_run =
 
 let pause ?(label = "pause") t ~wall_ns ~cpu_ns =
   t.h.last_pause_start <- t.h.now;
-  t.h.last_pause_end <- t.h.now +. wall_ns;
+  t.h.last_pause_wall <- wall_ns;
+  t.h.last_pause_cpu <- cpu_ns;
   t.h.now <- t.h.now +. wall_ns;
   t.h.stw_wall <- t.h.stw_wall +. wall_ns;
   t.h.stw_cpu <- t.h.stw_cpu +. cpu_ns;
@@ -117,7 +120,8 @@ let gc_cpu t = t.h.gc_cpu
 let stw_wall t = t.h.stw_wall
 let stw_cpu t = t.h.stw_cpu
 let pause_count t = t.pause_count
-let last_pause t = (t.h.last_pause_start, t.h.last_pause_end)
+let last_pause t = (t.h.last_pause_start, t.h.last_pause_start +. t.h.last_pause_wall)
+let last_pause_cost t = (t.h.last_pause_wall, t.h.last_pause_cpu)
 let pauses t = t.pauses
 
 let note_alloc t ~bytes =

@@ -33,7 +33,8 @@ type hot = {
   mutable stw_cpu : float;
   mutable interference : float;
   mutable last_pause_start : float;
-  mutable last_pause_end : float;
+  mutable last_pause_wall : float;
+  mutable last_pause_cpu : float;
   mutable d_barrier : float;
   mutable d_stall : float;
 }
@@ -100,6 +101,10 @@ val pause_count : t -> int
     the raw ingredient of {!Api.gc_signal}. Not cleared by
     {!reset_measurement}: the clock is not reset either. *)
 val last_pause : t -> float * float
+
+(** [last_pause_cost t] is the [(wall_ns, cpu_ns)] the most recent
+    {!pause} recorded, [(0., 0.)] before the first. *)
+val last_pause_cost : t -> float * float
 
 val pauses : t -> Repro_util.Histogram.t
 

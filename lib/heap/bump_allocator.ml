@@ -154,8 +154,7 @@ let advance_to_next_hole t =
   end
 
 (* The address-returning paths use [-1] as the "no memory" sentinel so
-   the per-allocation fast path never boxes a [Some addr]; [alloc] wraps
-   the result for option-typed callers. *)
+   the per-allocation fast path never boxes a [Some addr]. *)
 let overflow_alloc t ~size =
   if t.ovf_cursor + size <= t.ovf_limit then begin
     let addr = t.ovf_cursor in

@@ -18,7 +18,9 @@ type t = {
   mutable allocators : Bump_allocator.t list;
   reserve : Vec.t;  (* stack: newest reserve block at the end *)
   reserve_member : Bytes.t;  (* one byte per block: in [reserve]? *)
-  sweep_scratch : Vec.t;  (* per-heap: fleet replicas sweep concurrently *)
+  mark_gray : Vec.t;  (* the mark kernels' frontier *)
+  mark_next : Vec.t;  (* ... and their next round *)
+  mutable sweep_dead : Obj_model.t array;  (* [sweep_block]'s dead residents *)
   mutable epoch : int;
   mutable on_pre_pause : unit -> unit;
 }
@@ -38,7 +40,9 @@ let create cfg =
       allocators = [];
       reserve = Vec.create ~capacity:8 ();
       reserve_member = Bytes.make nblocks '\000';
-      sweep_scratch = Vec.create ~capacity:64 ();
+      mark_gray = Vec.create ~capacity:256 ();
+      mark_next = Vec.create ~capacity:256 ();
+      sweep_dead = Array.make 64 Obj_model.Registry.vacant;
       epoch = 0;
       on_pre_pause = ignore }
   in
@@ -227,39 +231,42 @@ let evacuate t gc_alloc obj =
     end
   end
 
-let resident_live t b id =
-  let obj = Obj_model.Registry.find_live t.registry id in
-  obj.Obj_model.id <> Obj_model.null && Addr.block_of t.cfg (Obj_model.addr obj) = b
-
 let classify_block t b =
   if Rc_table.block_is_free t.rc t.cfg b then Blocks.Free
   else if Rc_table.free_lines_in_block t.rc t.cfg b > 0 then Blocks.Recyclable
   else Blocks.In_use
 
-(* List block [b]'s dead residents first, then free them: [on_free]
-   hooks never see a resident list that their own frees are changing. *)
+(* One lookup per resident: the compaction keeps the survivors in place
+   and lists the dead, which are freed only after it, so [on_free] hooks
+   never see a resident list that their own frees are changing. An id
+   listed twice (evacuated out and back in) is listed dead twice and
+   freed once. *)
 let sweep_block ?(on_free = ignore) t b ~dead =
-  let dead_ids = t.sweep_scratch in
-  Vec.clear dead_ids;
-  let residents = Blocks.residents t.blocks b in
-  for r = 0 to Vec.length residents - 1 do
-    let obj = Obj_model.Registry.find_live t.registry (Vec.get residents r) in
-    if
-      obj.Obj_model.id <> Obj_model.null
-      && Addr.block_of t.cfg (Obj_model.addr obj) = b
-      && dead obj
-    then Vec.push dead_ids obj.Obj_model.id
-  done;
+  let ndead = ref 0 in
+  Blocks.compact t.blocks b ~live:(fun id ->
+      let obj = Obj_model.Registry.find_live t.registry id in
+      if obj.Obj_model.id = Obj_model.null
+         || Addr.block_of t.cfg (Obj_model.addr obj) <> b
+      then false
+      else if dead obj then begin
+        if !ndead = Array.length t.sweep_dead then
+          t.sweep_dead <-
+            Array.append t.sweep_dead
+              (Array.make !ndead Obj_model.Registry.vacant);
+        t.sweep_dead.(!ndead) <- obj;
+        incr ndead;
+        false
+      end
+      else true);
   let freed_bytes = ref 0 in
-  for k = 0 to Vec.length dead_ids - 1 do
-    let obj = Obj_model.Registry.find_live t.registry (Vec.get dead_ids k) in
-    if obj.Obj_model.id <> Obj_model.null then begin
+  for k = 0 to !ndead - 1 do
+    let obj = t.sweep_dead.(k) in
+    if not (Obj_model.is_freed obj) then begin
       freed_bytes := !freed_bytes + obj.size;
       on_free obj;
       free_object t obj
     end
   done;
-  Blocks.compact t.blocks b ~live:(resident_live t b);
   Blocks.set_young t.blocks b false;
   let state = classify_block t b in
   Blocks.set_state t.blocks b state;

@@ -35,9 +35,13 @@ type t = {
   reserve_member : Bytes.t;
       (** one byte per block, non-zero iff the block is on [reserve] —
           the O(1) view behind {!in_reserve} *)
-  sweep_scratch : Repro_util.Vec.t;
-      (** scratch dead-list for {!sweep_block}; per-heap because fleet
-          replicas sweep their heaps concurrently *)
+  mark_gray : Repro_util.Vec.t;
+  mark_next : Repro_util.Vec.t;
+      (** scratch frontiers of the mark kernels ({!Repro_engine.Gc_kernels});
+          per-heap because fleet replicas collect their heaps concurrently *)
+  mutable sweep_dead : Obj_model.t array;
+      (** scratch dead-list for {!sweep_block}, per-heap for the same
+          reason *)
   mutable epoch : int;  (** current RC epoch number *)
   mutable on_pre_pause : unit -> unit;
       (** invoked at the start of {!retire_all_allocators} — i.e. before
@@ -131,12 +135,14 @@ val classify_block : t -> int -> Blocks.state
 val rc_sweep_block :
   t -> int -> [ `Freed | `Recyclable of int | `Full ] * int
 
-(** [sweep_block ?on_free t b ~dead] frees block [b]'s dead residents
-    — live, still resident in [b], and satisfying [dead] — in resident
-    order ([on_free] sees each object just before its free), then
-    compacts [b]'s resident list, clears its young flag, and classifies
-    it with {!classify_block}, releasing [Free] and [Recyclable] blocks
-    onto their lists. Returns the classification and the freed bytes. *)
+(** [sweep_block ?on_free t b ~dead] looks each of block [b]'s
+    residents up once: it compacts [b]'s resident list to the survivors
+    and lists the dead — live, still resident in [b], and satisfying
+    [dead] — then frees the dead in resident order ([on_free] sees each
+    object just before its free; an id listed twice is freed once). It
+    then clears [b]'s young flag and classifies it with
+    {!classify_block}, releasing [Free] and [Recyclable] blocks onto
+    their lists. Returns the classification and the freed bytes. *)
 val sweep_block :
   ?on_free:(Obj_model.t -> unit) ->
   t ->

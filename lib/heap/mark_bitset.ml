@@ -25,12 +25,6 @@ let marked t id =
   byte < Bytes.length t.bits
   && Char.code (Bytes.get t.bits byte) land (1 lsl (id land 7)) <> 0
 
-let unmark t id =
-  let byte = id lsr 3 in
-  if byte < Bytes.length t.bits then
-    Bytes.set t.bits byte
-      (Char.chr (Char.code (Bytes.get t.bits byte) land lnot (1 lsl (id land 7))))
-
 let clear t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 
 let iter_marked t f =

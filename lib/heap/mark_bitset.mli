@@ -15,8 +15,6 @@ val mark : t -> int -> unit
 (** [marked t id]; ids never marked are unmarked. *)
 val marked : t -> int -> bool
 
-val unmark : t -> int -> unit
-
 (** [clear t] unmarks everything (end of an SATB epoch). *)
 val clear : t -> unit
 

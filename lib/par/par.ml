@@ -6,8 +6,6 @@
    exception is trapped per packet and the lowest-index one is re-raised
    once every packet has run, on every path. *)
 
-module Vec = Repro_util.Vec
-
 type job = {
   body : int -> unit;
   packets : int;
@@ -239,30 +237,3 @@ let parallel_for (pool : Pool.t) ~packets body =
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
   end
-
-(* Recycled scratch buffers. A collector pause takes its work queues
-   here and hands them back when it ends, so steady-state pauses
-   allocate none. Contents are always fully rewritten ([take] clears),
-   so recycling cannot affect results. The free list is shared across
-   domains (fleet replicas collect on worker domains); the lock is per
-   take/recycle, far off the per-element path. *)
-let scratch_lock = Mutex.create ()
-let scratch_free : Vec.t list ref = ref []
-
-let take_scratch () =
-  Mutex.lock scratch_lock;
-  let v =
-    match !scratch_free with
-    | v :: rest ->
-      scratch_free := rest;
-      Vec.clear v;
-      v
-    | [] -> Vec.create ~capacity:256 ()
-  in
-  Mutex.unlock scratch_lock;
-  v
-
-let recycle_scratch v =
-  Mutex.lock scratch_lock;
-  scratch_free := v :: !scratch_free;
-  Mutex.unlock scratch_lock

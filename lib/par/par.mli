@@ -1,5 +1,4 @@
-(** A unit parallel-for over OCaml domains, and recycled scratch
-    buffers.
+(** A unit parallel-for over OCaml domains.
 
     The fleet runs its replica rounds through {!parallel_for}: one packet
     per replica that has work, each touching only its own replica.
@@ -54,14 +53,3 @@ end
     execute inline, so nesting never oversubscribes. Raises
     [Invalid_argument] when [packets < 0]. *)
 val parallel_for : Pool.t -> packets:int -> (int -> unit) -> unit
-
-(** Recycled buffers: [take_scratch ()] returns a cleared [Vec] from a
-    process-wide free list (or a fresh one), and [recycle_scratch]
-    returns it once its consumer is done with it, so collector pauses
-    allocate no work queues in steady state. Contents are always
-    rewritten from empty, so recycling is invisible to results; the
-    caller must not retain a reference after recycling. Safe from any
-    domain (fleet replicas collect on worker domains). *)
-val take_scratch : unit -> Repro_util.Vec.t
-
-val recycle_scratch : Repro_util.Vec.t -> unit

@@ -206,12 +206,19 @@ for t in "$bad_dir"/*.lxrtrace; do
 done
 rm -rf "$bad_dir"
 
-echo "== ledger goldens on the release build =="
-# dune runtest checks ledger/golden/*.digest in the dev profile, which
-# compiles with -opaque and so never inlines across modules. The
-# benchmark times the release build, whose [@inline] fast paths are
-# compiled into their callers; its simulated behaviour must match the
-# same goldens. Last, because it rebuilds the tree in release mode.
+echo "== goldens on the release build =="
+# dune runtest checks the goldens in the dev profile, which compiles
+# with -opaque and so never inlines across modules. The benchmark times
+# the release build, whose [@inline] fast paths and collector kernels
+# are compiled into their callers; its simulated behaviour must match
+# the same goldens. The ledger goldens cover 5 of the 15 collectors, so
+# the collector and fleet goldens run on the release build too. Last,
+# because it rebuilds the tree in release mode.
 bash ledger/run.sh --smoke
+dune build --profile release ./test/test_main.exe \
+  ./test/golden/collectors.digest ./test/golden/fleet.digest
+(cd _build/default/test &&
+  ./test_main.exe test collectors:golden &&
+  ./test_main.exe test fleet:golden)
 
 echo "== ci ok =="

@@ -103,9 +103,9 @@ let test_compact_consolidates () =
   let free_before = Heap.available_blocks heap in
   let live_before = Heap.live_bytes heap in
   let gc_alloc = Heap.make_allocator heap in
-  let tc = Trace_cost.create () in
+  let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
   let copied =
-    Compaction.compact heap tc ~cost:Cost_model.default ~threads:4 ~gc_alloc
+    Compaction.compact heap tc ~gc_alloc
   in
   check "copied something" true (copied > 0);
   check "gained whole free blocks" true (Heap.available_blocks heap > free_before);
@@ -121,9 +121,9 @@ let test_compact_consolidates () =
 let test_compact_no_work_when_empty () =
   let heap = fresh_heap ~heap_kb:256 () in
   let gc_alloc = Heap.make_allocator heap in
-  let tc = Trace_cost.create () in
+  let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
   let copied =
-    Compaction.compact heap tc ~cost:Cost_model.default ~threads:4 ~gc_alloc
+    Compaction.compact heap tc ~gc_alloc
   in
   check_int "nothing to copy" 0 copied
 
@@ -133,8 +133,8 @@ let test_compact_respects_reserve () =
   Heap.ensure_reserve heap;
   let reserve = heap.reserve in
   let gc_alloc = Heap.make_allocator heap in
-  let tc = Trace_cost.create () in
-  ignore (Compaction.compact heap tc ~cost:Cost_model.default ~threads:4 ~gc_alloc);
+  let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
+  ignore (Compaction.compact heap tc ~gc_alloc);
   Vec.iter
     (fun b ->
       check "reserve block untouched" true
@@ -154,9 +154,9 @@ let test_compact_stops_with_headroom () =
   Heap.retire_all_allocators heap;
   Compaction.reclassify heap;
   let gc_alloc = Heap.make_allocator heap in
-  let tc = Trace_cost.create () in
+  let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
   let copied =
-    Compaction.compact heap tc ~cost:Cost_model.default ~threads:4 ~gc_alloc
+    Compaction.compact heap tc ~gc_alloc
   in
   check_int "already-roomy heap untouched" 0 copied
 
@@ -170,9 +170,9 @@ let compact_preserves_live_prop =
       Heap.release_reserve heap;
       let ids = List.map (fun (o : Obj_model.t) -> o.id) kept in
       let gc_alloc = Heap.make_allocator heap in
-      let tc = Trace_cost.create () in
+      let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
       ignore
-        (Compaction.compact heap tc ~cost:Cost_model.default ~threads:4 ~gc_alloc);
+        (Compaction.compact heap tc ~gc_alloc);
       List.for_all (fun id -> Obj_model.Registry.mem heap.registry id) ids)
 
 let suite =

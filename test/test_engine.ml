@@ -12,27 +12,27 @@ let no_conc = fun ~budget_ns:_ -> 0.0
 
 (* --- Trace_cost ----------------------------------------------------------- *)
 
+let meter gc_threads = Trace_cost.create Cost_model.default ~gc_threads
+
 let test_trace_cost_parallel () =
-  let tc = Trace_cost.create () in
-  Trace_cost.add_parallel tc ~threads:4 ~cost_ns:100.0;
+  let tc = meter 4 in
+  Trace_cost.add_parallel tc ~cost_ns:100.0;
   check_float "cpu" 100.0 (Trace_cost.cpu_ns tc);
   check_float "critical divided" 25.0 (Trace_cost.critical_ns tc)
 
 let test_trace_cost_frontier_limited () =
-  let tc = Trace_cost.create () in
+  let tc = meter 8 in
   (* Frontier of 2 with 8 threads: only 2-way parallelism available. *)
-  Trace_cost.add tc ~threads:8 ~frontier:2 ~cost_ns:100.0;
-  check_float "limited" 50.0 (Trace_cost.critical_ns tc);
-  Trace_cost.reset tc;
-  check_float "reset" 0.0 (Trace_cost.cpu_ns tc)
+  Trace_cost.add tc ~frontier:2 ~cost_ns:100.0;
+  check_float "limited" 50.0 (Trace_cost.critical_ns tc)
 
 let test_trace_cost_linked_list_pathology () =
   (* A 1000-node list traced with 8 threads costs the same wall time as
      with 1 thread: the paper's §5.2 scalability argument. *)
   let wall threads =
-    let tc = Trace_cost.create () in
+    let tc = meter threads in
     for _ = 1 to 1000 do
-      Trace_cost.add tc ~threads ~frontier:1 ~cost_ns:10.0
+      Trace_cost.add tc ~frontier:1 ~cost_ns:10.0
     done;
     Trace_cost.critical_ns tc
   in
@@ -238,12 +238,31 @@ let test_cost_model_sanity () =
   check_int "override" 2 c2.gc_threads;
   check_int "others kept" c.cores c2.cores
 
-(* --- Collector helper -------------------------------------------------------------- *)
+(* --- The pause bracket ---------------------------------------------------- *)
 
-let test_no_concurrency () =
-  let active, run = Collector.no_concurrency () in
-  check_int "no threads" 0 (active ());
-  check_float "no work" 0.0 (run ~budget_ns:100.0)
+let test_stw_bracket () =
+  let base = Cost_model.default.pause_base_ns in
+  let sim = Sim.create Cost_model.default in
+  let labels = ref [] in
+  Sim.set_on_pause_end sim (fun l -> labels := l :: !labels);
+  Gc_kernels.stw sim (fun tc ->
+      Trace_cost.add_parallel tc ~cost_ns:400.0;
+      "first");
+  check_int "one pause" 1 (Sim.pause_count sim);
+  let wall, cpu = Sim.last_pause_cost sim in
+  check_float "wall over the model's 4 threads" (base +. 100.0) wall;
+  check_float "cpu" (base +. 400.0) cpu;
+  check_float "clock" wall (Sim.now sim);
+  Gc_kernels.stw ~gc_threads:1 sim (fun tc ->
+      Trace_cost.add_parallel tc ~cost_ns:400.0;
+      "serial");
+  check_float "serial wall" (base +. 400.0) (fst (Sim.last_pause_cost sim));
+  Alcotest.(check (list string)) "labels from the bodies" [ "serial"; "first" ] !labels;
+  Alcotest.check_raises "nested pause"
+    (Invalid_argument "Gc_kernels.stw: nested pause") (fun () ->
+      Gc_kernels.stw sim (fun _ ->
+          Gc_kernels.stw sim (fun _ -> "inner");
+          "outer"))
 
 let suite =
   [ ( "engine:trace_cost",
@@ -269,4 +288,4 @@ let suite =
         Alcotest.test_case "idle" `Quick test_api_idle ] );
     ( "engine:misc",
       [ Alcotest.test_case "cost model" `Quick test_cost_model_sanity;
-        Alcotest.test_case "no concurrency" `Quick test_no_concurrency ] ) ]
+        Alcotest.test_case "pause bracket" `Quick test_stw_bracket ] ) ]

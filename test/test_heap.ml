@@ -232,9 +232,7 @@ let test_marks () =
   check "initially unmarked" false (Mark_bitset.marked m 5);
   Mark_bitset.mark m 5;
   check "marked" true (Mark_bitset.marked m 5);
-  check "neighbour unmarked" false (Mark_bitset.marked m 6);
-  Mark_bitset.unmark m 5;
-  check "unmarked" false (Mark_bitset.marked m 5)
+  check "neighbour unmarked" false (Mark_bitset.marked m 6)
 
 let test_marks_growth () =
   let m = Mark_bitset.create () in
@@ -624,6 +622,102 @@ let test_heap_rc_sweep_block_all_dead () =
   | `Freed, freed -> check_int "all freed" 128 freed
   | (`Recyclable _ | `Full), _ -> Alcotest.fail "expected freed");
   check "state free" true (Blocks.state heap.blocks b = Blocks.Free)
+
+(* The two-pass sweep that [Heap.sweep_block] replaced, kept as its
+   reference: one lookup per resident lists the dead, a second per dead
+   id frees them, and a third per resident compacts the list. *)
+let reference_sweep_block ~on_free heap b ~dead =
+  let reg = heap.Heap.registry in
+  let resident obj =
+    obj.Obj_model.id <> Obj_model.null
+    && Addr.block_of heap.cfg (Obj_model.addr obj) = b
+  in
+  let dead_ids = Repro_util.Vec.create () in
+  Repro_util.Vec.iter
+    (fun id ->
+      let obj = Obj_model.Registry.find_live reg id in
+      if resident obj && dead obj then Repro_util.Vec.push dead_ids id)
+    (Blocks.residents heap.blocks b);
+  let freed = ref 0 in
+  Repro_util.Vec.iter
+    (fun id ->
+      let obj = Obj_model.Registry.find_live reg id in
+      if obj.id <> Obj_model.null then begin
+        freed := !freed + obj.size;
+        on_free obj;
+        Heap.free_object heap obj
+      end)
+    dead_ids;
+  Blocks.compact heap.blocks b ~live:(fun id ->
+      resident (Obj_model.Registry.find_live reg id));
+  Blocks.set_young heap.blocks b false;
+  let state = Heap.classify_block heap b in
+  Blocks.set_state heap.blocks b state;
+  let cls =
+    match state with
+    | Blocks.Free ->
+      Free_lists.release_free heap.free b;
+      `Freed
+    | Blocks.Recyclable ->
+      Free_lists.release_recyclable heap.free b;
+      `Recyclable (Rc_table.free_lines_in_block heap.rc heap.cfg b)
+    | Blocks.In_use | Blocks.Owned | Blocks.Los_backing -> `Full
+  in
+  (cls, !freed)
+
+(* Each object: size in granules, dead or not, and its fate before the
+   sweep: 0 moved to another block (a stale entry), 1 freed (a stale
+   id), 2 listed twice (evacuated out and back in), else in place. *)
+let sweep_block_prop =
+  QCheck.Test.make ~name:"one-pass sweep_block equals the two-pass reference"
+    ~count:200
+    QCheck.(list_of_size Gen.(1 -- 150) (triple (1 -- 6) bool (0 -- 9)))
+    (fun spec ->
+      let build () =
+        let heap = fresh_heap () in
+        let a = Heap.make_allocator heap in
+        let gc = Heap.make_allocator heap in
+        let objs =
+          List.map
+            (fun (granules, _, _) ->
+              let obj = alloc heap a ~size:(16 * granules) ~nfields:1 in
+              Heap.pin heap obj;
+              obj)
+            spec
+        in
+        let b = Addr.block_of heap.cfg (Obj_model.addr (List.hd objs)) in
+        Heap.retire_all_allocators heap;
+        List.iter2
+          (fun (obj : Obj_model.t) (_, dead, fate) ->
+            if not dead then Mark_bitset.mark heap.marks obj.id;
+            match fate with
+            | 0 -> ignore (Heap.evacuate heap gc obj)
+            | 1 -> Heap.free_object heap obj
+            | 2 -> Blocks.add_resident heap.blocks b obj.id
+            | _ -> ())
+          objs spec;
+        (heap, b)
+      in
+      let run sweep =
+        let heap, b = build () in
+        let order = ref [] in
+        let on_free (obj : Obj_model.t) = order := obj.id :: !order in
+        let dead (obj : Obj_model.t) = not (Mark_bitset.marked heap.marks obj.id) in
+        let first = sweep ~on_free heap b ~dead in
+        let residents = Repro_util.Vec.to_list (Blocks.residents heap.blocks b) in
+        (* Sweep again with everything dead: the scratch list is reused. *)
+        let second = sweep ~on_free heap b ~dead:(fun _ -> true) in
+        ( first,
+          second,
+          residents,
+          List.rev !order,
+          Blocks.state heap.blocks b,
+          Free_lists.free_count heap.free,
+          Free_lists.recyclable_count heap.free,
+          Obj_model.Registry.count heap.registry )
+      in
+      run (fun ~on_free -> Heap.sweep_block ~on_free)
+      = run (fun ~on_free -> reference_sweep_block ~on_free))
 
 let test_heap_pin () =
   let heap = fresh_heap () in
@@ -1184,4 +1278,4 @@ let suite =
         Alcotest.test_case "rebuild lists" `Quick test_heap_rebuild_free_lists;
         Alcotest.test_case "touched blocks ascending" `Quick
           test_touched_blocks_ascending ]
-      @ qc [ alloc_alignment_prop ] ) ]
+      @ qc [ alloc_alignment_prop; sweep_block_prop ] ) ]

@@ -264,7 +264,6 @@ let test_clean_matrix_no_false_positives () =
 let test_ladder_escalation_order () =
   let pressures = ref [] in
   let factory _sim _heap ~roots:_ =
-    let conc_active, conc_run = Collector.no_concurrency () in
     { Collector.name = "never-collects";
       on_alloc = (fun _ -> ());
       on_write = (fun _ _ _ -> ());
@@ -272,8 +271,8 @@ let test_ladder_escalation_order () =
       read_extra_ns = 0.0;
       poll = (fun () -> ());
       collect_for_alloc = (fun p -> pressures := p :: !pressures);
-      conc_active;
-      conc_run;
+      conc_active = (fun () -> 0);
+      conc_run = (fun ~budget_ns:_ -> 0.0);
       conc_backlog = (fun () -> 0);
       on_finish = (fun () -> ());
       stats = (fun () -> []);
