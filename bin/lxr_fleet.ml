@@ -49,7 +49,7 @@ let domains_arg =
 let chaos_arg =
   let doc =
     "Seeded chaos schedule, e.g. \
-     'crash\\@0.3,stall\\@0.5+0.1x4,flash-crowd\\@0.6+0.1x3'. Event \
+     'crash@0.3,stall@0.5+0.1x4,flash-crowd@0.6+0.1x3'. Event \
      times are fractions of the run; settings: restart:DUR, warmup:N, \
      auto-restart:on|off. Enables replica auto-restart and the \
      slow-start warm-up ramp."

@@ -75,27 +75,24 @@ let roots t = t.roots
 let ladder t = t.ladder
 
 type gc_signal = {
-  busy_until : float;
-  pause_start : float;
-  pause_end : float;
-  concurrent_active : bool;
-  drain_backlog : int;
-  occupancy : float;
+  mutable pause_start : float;
+  mutable pause_end : float;
+  mutable concurrent_threads : float;
+  mutable drain_backlog : float;
+  mutable occupancy : float;
 }
 
-let gc_signal t =
-  let pause_start, pause_end = Sim.last_pause t.sim in
+let refresh_gc_signal t s =
+  let h = t.h in
+  s.pause_start <- h.Sim.last_pause_start;
+  s.pause_end <- h.Sim.last_pause_start +. h.Sim.last_pause_wall;
+  s.concurrent_threads <- Float.of_int (t.collector.Collector.conc_active ());
+  s.drain_backlog <- Float.of_int (t.collector.Collector.conc_backlog ());
   let total = Repro_heap.Heap.total_bytes t.heap in
-  { busy_until = Sim.now t.sim;
-    pause_start;
-    pause_end;
-    concurrent_active = t.collector.Collector.conc_active () > 0;
-    drain_backlog = t.collector.Collector.conc_backlog ();
-    occupancy =
-      (if total > 0 then
-         Float.of_int (Repro_heap.Heap.live_bytes t.heap)
-         /. Float.of_int total
-       else 0.0) }
+  s.occupancy <-
+    (if total > 0 then
+       Float.of_int (Repro_heap.Heap.live_bytes t.heap) /. Float.of_int total
+     else 0.0)
 
 let flush t =
   Sim.flush t.sim ~conc_threads:(t.collector.conc_active ())

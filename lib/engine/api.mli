@@ -60,33 +60,35 @@ val ladder : t -> ladder_counts
 
 (** What a load balancer is allowed to see of one replica's GC state — a
     cheap, read-only snapshot taken between scheduling checkpoints by the
-    fleet serving tier ([lib/service]). [busy_until] is the replica's
-    virtual clock (it subsumes every *past* pause: a clock deep in the
-    future means the replica is still paying one off);
-    [pause_start]/[pause_end] delimit the most recent stop-the-world
-    pause ([neg_infinity] before the first); [concurrent_active] is true
-    while the collector's concurrent threads want CPU (a replica inside
-    a concurrent cycle serves upcoming requests slower — CPU stealing,
-    §5.2); [occupancy] is live bytes over heap bytes — the predictive
-    part of the signal, since the replica closest to filling its heap is
-    the one that will trigger a collection next, and routing traffic
-    away from it both delays that trigger and shrinks the queue standing
-    behind the eventual pause. *)
+    fleet serving tier ([lib/service]). [pause_start]/[pause_end]
+    delimit the most recent stop-the-world pause ([neg_infinity] before
+    the first); [concurrent_threads] counts the collector's concurrent
+    threads that want CPU (above zero inside a concurrent cycle, when a
+    replica serves upcoming requests slower — CPU stealing, §5.2);
+    [occupancy] is live bytes over heap bytes — the predictive part of
+    the signal, since the replica closest to filling its heap is the one
+    that will trigger a collection next, and routing traffic away from
+    it both delays that trigger and shrinks the queue standing behind
+    the eventual pause.
+
+    Every field is a float, counts included, so OCaml stores the record
+    flat: {!refresh_gc_signal} overwrites one in place without boxing.
+    The fleet keeps one per replica and refreshes it at every barrier. *)
 type gc_signal = {
-  busy_until : float;
-  pause_start : float;
-  pause_end : float;
-  concurrent_active : bool;
-  drain_backlog : int;
+  mutable pause_start : float;
+  mutable pause_end : float;
+  mutable concurrent_threads : float;
+  mutable drain_backlog : float;
       (** outstanding deferred-reclamation items (journal records, queued
           decrements) awaiting the collector's concurrent drain; [0] for
           collectors with no such queue *)
-  occupancy : float;
+  mutable occupancy : float;
 }
 
-(** [gc_signal t] — side-effect free; safe to call at any safepoint
-    boundary. *)
-val gc_signal : t -> gc_signal
+(** [refresh_gc_signal t s] overwrites [s] with [t]'s current signal and
+    allocates nothing. Side-effect free on [t]; safe to call at any
+    safepoint boundary. *)
+val refresh_gc_signal : t -> gc_signal -> unit
 
 (** [alloc_fast t ~size ~nfields] allocates an object and returns its
     canonical handle, escalating through the degradation ladder when the

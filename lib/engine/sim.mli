@@ -96,10 +96,10 @@ val pause_count : t -> int
 
 (** [last_pause t] is the [(start, end)] interval of the most recent
     stop-the-world pause, [(neg_infinity, neg_infinity)] before the
-    first. A front-end scheduling over many simulations reads this to
-    tell whether a replica's clock most recently jumped over a pause —
-    the raw ingredient of {!Api.gc_signal}. Not cleared by
-    {!reset_measurement}: the clock is not reset either. *)
+    first. {!Api.refresh_gc_signal} reads the same interval from
+    {!hot} ([last_pause_start], plus [last_pause_wall] for the end),
+    which boxes nothing. Not cleared by {!reset_measurement}: the clock
+    is not reset either. *)
 val last_pause : t -> float * float
 
 (** [last_pause_cost t] is the [(wall_ns, cpu_ns)] the most recent

@@ -296,8 +296,8 @@ let server_measurement_start srv =
 
 let serve srv ~arrival =
   match serve_one srv.st srv.request ~arrival with
-  | () -> Ok (Sim.now (Api.sim srv.st.api))
-  | exception Oom_stop info -> Error (Api.describe_oom info)
+  | () -> None
+  | exception Oom_stop info -> Some (Api.describe_oom info)
 
 let server_finish srv = Api.finish srv.st.api
 

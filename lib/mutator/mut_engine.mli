@@ -63,11 +63,13 @@ val server_measurement_start : server -> unit
 (** [serve srv ~arrival] serves one metered request that arrived at
     virtual time [arrival]: idles to the arrival if the replica's clock
     is behind it (donating the gap to concurrent GC), then performs the
-    request's allocations and compute. Returns the completion time
-    ([Sim.now] afterwards), or [Error description] when the degradation
-    ladder was exhausted mid-request — the replica is then dead and must
-    not be served again. *)
-val serve : server -> arrival:float -> (float, string) result
+    request's allocations and compute. Returns [None] once the request
+    is served — its completion time is the replica's clock, [Sim.now]
+    (or [(Sim.hot sim).now], which boxes nothing) — or [Some
+    description] when the degradation ladder was exhausted mid-request:
+    the replica is then dead and must not be served again. A served
+    request allocates no result. *)
+val serve : server -> arrival:float -> string option
 
 (** [server_finish srv] flushes and runs the collector's final hook
     ({!Repro_engine.Api.finish}). *)

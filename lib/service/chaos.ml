@@ -190,10 +190,15 @@ let schedule spec ~seed ~replicas ~t0 ~span =
   in
   { pending = firings }
 
+(* [pending] is sorted by start, so the due firings are a prefix, and a
+   window with none due allocates nothing. *)
 let due t ~until =
-  let fired, rest = List.partition (fun f -> f.f_start < until) t.pending in
-  t.pending <- rest;
-  fired
+  match t.pending with
+  | f :: _ when f.f_start < until ->
+    let fired, rest = List.partition (fun f -> f.f_start < until) t.pending in
+    t.pending <- rest;
+    fired
+  | _ -> []
 
 let flash_windows t =
   List.filter_map

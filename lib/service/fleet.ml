@@ -140,29 +140,6 @@ let failed (cfg : config) ~collector msg =
     violations = 0;
     per_replica = [] }
 
-(* One request's journey through the front-end. A request is dispatched
-   as one or (when hedged) two copies; dispatch and service share a
-   scheduling window, so every copy of one request resolves at the same
-   barrier and the front-end settles each request exactly once. *)
-type rq = {
-  id : int;
-  orig_arrival : float;  (* first fleet arrival: the latency baseline *)
-  mutable attempts : int;  (* dispatches so far, hedge copies excluded *)
-  mutable settled : bool;  (* reached a terminal bucket *)
-  mutable resolving : bool;  (* a copy resolved at this barrier *)
-  mutable best : attempt option;  (* the earliest of those completions *)
-}
-
-(* One copy outcome, written by a worker during its round (or by the
-   front-end for copies lost to a crash) and folded at the barrier. *)
-and attempt = {
-  at_rq : rq;
-  at_replica : int;
-  at_hedge : bool;
-  at_wait : float;  (* from this copy's dispatch to its service start *)
-  at_completion : float;  (* fleet completion time; nan for a lost copy *)
-}
-
 (* A live engine: what a running replica process owns. Replaced
    wholesale on restart -- the old process's heap is gone. *)
 type engine = {
@@ -179,39 +156,64 @@ type restart_order = {
   ro_begun : float;  (* fleet time the relaunch started *)
 }
 
+(* A replica's request copies for one window, in feed order, as
+   parallel arrays that grow only past their high-water mark. The
+   front-end appends each copy at dispatch; during the round the
+   replica's worker writes every copy's outcome ([lose] writes it for a
+   crash before the round); [settle] folds the outcomes at the barrier
+   and empties the queue. A copy fed in a window always resolves by that
+   window's barrier, so none stays queued across one. *)
+type copy_queue = {
+  mutable code : int array;  (* request id lsl 1, lor 1 for a hedge copy *)
+  mutable sent : float array;  (* dispatch time: the copy's arrival *)
+  mutable wait : float array;  (* from dispatch to service start *)
+  mutable finish : float array;  (* fleet completion time; nan if lost *)
+  mutable len : int;
+}
+
+(* A replica's floats, in an all-float record: OCaml stores its fields
+   flat, as it does [Sim.hot]'s, so the stores made for every copy and
+   at every barrier box nothing. *)
+type clock = {
+  mutable offset : float;  (* fleet time = offset + replica-local clock *)
+  mutable busy_ns : float;
+  mutable avail : float;  (* fleet-time clock at the last barrier *)
+  mutable est_service : float;  (* EWMA of observed wall service time *)
+  mutable barrier_busy : float;  (* busy_ns snapshot at the last barrier *)
+  mutable restart_at : float;  (* fleet time a Down replica may relaunch;
+                                  nan = stays down *)
+}
+
 (* One replica slot: engine, lifecycle, and the front-end's frozen view.
-   [batch], [pending_restart] and [stall] are written by the front-end
-   between rounds and read by exactly one worker during a round;
-   [eng], [results], [copies], [busy_ns], [dropped], [oom] and
-   [restart_error] are written by that worker (and, for a crash, by the
-   front-end before the round) and re-read by the front-end only after
-   the round barrier, so there are no data races. *)
+   [queue]'s copies, [pending_restart] and [stall] are written by the
+   front-end between rounds and read by exactly one worker during a
+   round; [eng], the copies' outcomes, [copies], [clock]'s [offset] and
+   [busy_ns], [dropped], [oom] and [restart_error] are written by that
+   worker (and, for a crash, by the front-end before the round) and
+   re-read by the front-end only after the round barrier, so there are
+   no data races. *)
 type replica = {
   idx : int;
   lc : Lifecycle.t;
   mutable eng : engine option;
-  mutable offset : float;  (* fleet time = offset + replica-local clock *)
+  clock : clock;
   mutable heap_bytes : int;  (* current process heap (shrinks shrink it) *)
   latency : Histogram.t;
   queueing : Histogram.t;
-  mutable batch : (rq * float * bool) list;  (* (rq, arrival, hedge), rev *)
-  mutable results : attempt list;  (* resolved copies, reversed *)
+  queue : copy_queue;
   mutable served : int;  (* winning completions settled on this replica *)
   mutable dropped : int;  (* copies lost here: crash, OOM, dead process *)
   mutable copies : int;  (* copies actually served, hedges included *)
-  mutable busy_ns : float;
   mutable pending_restart : restart_order option;
   mutable restart_error : string option;
-  mutable restart_at : float;  (* fleet time a Down replica may relaunch;
-                                  nan = stays down *)
   mutable dead_forever : bool;  (* a relaunch failed to build: no revival *)
   mutable stall : (float * float * float) option;  (* start, end, factor *)
-  (* Checkpoint-frozen scheduling state. *)
-  mutable avail : float;  (* fleet-time clock at the last barrier *)
+  (* Checkpoint-frozen scheduling state, with [clock]'s [avail],
+     [est_service] and [barrier_busy]. *)
   mutable assigned : int;  (* handed out since the last barrier *)
-  mutable signal : Api.gc_signal;
-  mutable est_service : float;  (* EWMA of observed wall service time *)
-  mutable barrier_busy : float;  (* busy_ns snapshot at the last barrier *)
+  signal : Api.gc_signal;
+      (* refreshed in place at every barrier while the replica holds an
+         engine; routing reads it only then *)
   mutable barrier_copies : int;  (* copies snapshot at the last barrier *)
   mutable oom : string option;  (* last death reason; None while healthy *)
   mutable activated : bool;  (* ever held an engine (spares start false) *)
@@ -244,21 +246,35 @@ type env = {
 }
 
 (* The front-end's state, read and written only by the single-threaded
-   stages between replica rounds. *)
+   stages between replica rounds. A request is its id, which follows
+   arrival order; its state sits in flat arrays indexed by that id, laid
+   out once in [start], so dispatching, routing and settling a request
+   allocate nothing. A request is dispatched as one or (when hedged) two
+   copies; dispatch and service share a scheduling window, so every copy
+   of one request resolves at the same barrier and the front-end settles
+   each request exactly once. *)
 type front = {
   env : env;
   collector : string;
   replicas : replica array;
-  requests : rq array;  (* arrival order *)
+  arrival : float array;  (* first fleet arrival: the latency baseline *)
+  sent : float array;
+      (* the current dispatch's time: the arrival until the first one,
+         then each queued retry's due time *)
+  attempts : int array;  (* dispatches so far, hedge copies excluded *)
+  settled : bool array;  (* reached a terminal bucket *)
+  best : int array;  (* [settle]'s scratch, [unresolved] outside it *)
   t0 : float;  (* the fleet epoch *)
   schedule : Chaos.t;
   slo : Slo.t;  (* [Slo.none] without an SLO *)
   scaler : Slo.Autoscale.t option;
   shed_prng : Prng.t;
   mutable next : int;  (* first request not yet dispatched *)
-  mutable retry_q : (float * rq) list;  (* (due, rq), unordered *)
+  retry_q : Vec.t;  (* requests awaiting a retry at [sent], unordered *)
+  due : Vec.t;  (* [dispatch_window]'s scratch: the window's due retries *)
   mutable rr : int;  (* round-robin cursor *)
   busy : int array;  (* this window's replicas with work, [window]'s scratch *)
+  serve_busy : int -> unit;  (* the round's packet body over [busy] *)
   (* Terminal buckets (each request lands in exactly one) ... *)
   mutable completed : int;
   mutable rejected : int;
@@ -282,13 +298,12 @@ let sum_ladders a b =
   | [], l | l, [] -> l
   | _ -> List.map2 (fun (k, x) (_, y) -> (k, x +. y)) a b
 
-let idle_signal =
-  { Api.busy_until = 0.0;
-    pause_start = Float.neg_infinity;
-    pause_end = Float.neg_infinity;
-    concurrent_active = false;
-    drain_backlog = 0;
-    occupancy = 0.0 }
+(* [settle]'s per-request scratch [best.(id)] is [unresolved] outside
+   [settle]; inside it, [no_completion] once a copy of the request has
+   resolved without completing, else the earliest completion's copy,
+   named [position * replica slots + replica]. *)
+let unresolved = -2
+let no_completion = -1
 
 (* --- Validation and setup ------------------------------------------------ *)
 
@@ -356,30 +371,45 @@ let build_engine env ~heap_bytes ~seed =
 let new_replica env idx eng =
   let lc = Lifecycle.create ~now:0.0 in
   if eng = None then Lifecycle.transition lc ~now:0.0 Down;
+  (* The admission bound caps a window's copies at the queue limit. *)
+  let cap = min env.cfg.queue_limit 64 in
+  let signal =
+    { Api.pause_start = Float.neg_infinity;
+      pause_end = Float.neg_infinity;
+      concurrent_threads = 0.0;
+      drain_backlog = 0.0;
+      occupancy = 0.0 }
+  in
+  Option.iter (fun e -> Api.refresh_gc_signal e.api signal) eng;
   { idx;
     lc;
     eng;
-    offset = 0.0;
+    clock =
+      { offset = 0.0;
+        busy_ns = 0.0;
+        avail =
+          (match eng with Some e -> Sim.now (Api.sim e.api) | None -> 0.0);
+        est_service = env.service_wall;
+        barrier_busy = 0.0;
+        restart_at = Float.nan };
     heap_bytes = env.heap_bytes;
     latency = Histogram.create ();
     queueing = Histogram.create ();
-    batch = [];
-    results = [];
+    queue =
+      { code = Array.make cap 0;
+        sent = Array.make cap 0.0;
+        wait = Array.make cap 0.0;
+        finish = Array.make cap 0.0;
+        len = 0 };
     served = 0;
     dropped = 0;
     copies = 0;
-    busy_ns = 0.0;
     pending_restart = None;
     restart_error = None;
-    restart_at = Float.nan;
     dead_forever = false;
     stall = None;
-    avail = (match eng with Some e -> Sim.now (Api.sim e.api) | None -> 0.0);
     assigned = 0;
-    signal =
-      (match eng with Some e -> Api.gc_signal e.api | None -> idle_signal);
-    est_service = env.service_wall;
-    barrier_busy = 0.0;
+    signal;
     barrier_copies = 0;
     oom = None;
     activated = eng <> None;
@@ -435,7 +465,8 @@ let make_env (cfg : config) req =
 (* Open-loop Poisson arrivals for the whole fleet, with chaos
    flash-crowd windows scaling the rate. Chaos event times resolve
    against the nominal span (requests x mean gap), which depends on no
-   PRNG draw, so the fault timeline is fixed by (spec, seed) alone. *)
+   PRNG draw, so the fault timeline is fixed by (spec, seed) alone.
+   Returns each request's arrival, indexed by id. *)
 let schedule_arrivals env req ~t0 =
   let cfg = env.cfg in
   let front_prng = Prng.create cfg.seed in
@@ -455,15 +486,433 @@ let schedule_arrivals env req ~t0 =
       (fun m (s, e, f) -> if t >= s && t < e then m *. f else m)
       1.0 flash
   in
+  let arrival = Array.make cfg.requests 0.0 in
   let t = ref t0 in
-  let requests =
-    Array.init cfg.requests (fun id ->
-        let gap = fleet_gap /. flash_mult !t in
-        t := !t +. Prng.exponential front_prng ~mean:gap;
-        { id; orig_arrival = !t; attempts = 0; settled = false;
-          resolving = false; best = None })
+  for id = 0 to cfg.requests - 1 do
+    let gap =
+      match flash with [] -> fleet_gap | _ -> fleet_gap /. flash_mult !t
+    in
+    t := !t +. Prng.exponential front_prng ~mean:gap;
+    arrival.(id) <- !t
+  done;
+  (arrival, schedule)
+
+(* --- Admission and routing ----------------------------------------------- *)
+
+let settle_terminal st id bucket =
+  if not st.settled.(id) then begin
+    st.settled.(id) <- true;
+    (match bucket with
+    | `Completed -> st.completed <- st.completed + 1
+    | `Rejected -> st.rejected <- st.rejected + 1
+    | `Dropped -> st.dropped <- st.dropped + 1
+    | `Shed -> st.shed <- st.shed + 1);
+    if bucket <> `Completed then Slo.observe st.slo ~latency_ns:Float.infinity
+  end
+
+(* A failed copy set: retry with exponential backoff when the client
+   policy allows and the deadline has room, else land in the terminal
+   [bucket]. *)
+let fail_copy st id ~now bucket =
+  if not st.settled.(id) then begin
+    let retry = st.env.cfg.retry in
+    let due = now +. Policy.Retry.delay retry ~attempt:st.attempts.(id) in
+    let deadline_ok =
+      match retry.Policy.Retry.timeout_ns with
+      | None -> true
+      | Some t -> due -. st.arrival.(id) <= t
+    in
+    if st.attempts.(id) < retry.Policy.Retry.max_attempts && deadline_ok
+    then begin
+      st.retries <- st.retries + 1;
+      st.sent.(id) <- due;
+      Vec.push st.retry_q id
+    end
+    else settle_terminal st id bucket
+  end
+
+(* Scoring shared by least-outstanding and gc-aware: estimated
+   completion time of this arrival on that replica, from
+   checkpoint-frozen state only. [est_service] rather than the static
+   estimate -- GC degradation stretches real service times several-fold,
+   and a stale constant makes the policy herd onto one replica until the
+   admission bound bounces arrivals. *)
+let[@inline] lo_score rep ~arrival =
+  Float.max rep.clock.avail arrival
+  +. (Float.of_int rep.assigned *. rep.clock.est_service)
+
+(* The gc-aware penalty. The predictive signal is occupancy: the replica
+   closest to filling its heap triggers the next collection, so arrivals
+   routed there are the ones that will stand behind its pause. The
+   penalty ramps from zero at the [occ_floor] to the replica's last
+   observed pause length at a full heap -- the actual cost of landing
+   behind that pause -- and diverting also slows the replica's
+   allocation rate, which delays its trigger and staggers collections
+   across the fleet. A blanket concurrent-cycle penalty is deliberately
+   mild (CPU stealing makes service a little slower): with small heaps
+   the cycles run near-continuously, and penalizing them hard just
+   concentrates the whole arrival stream on one replica until *it*
+   pauses with everyone's requests in its queue. *)
+let occ_floor = 0.75
+
+(* Journalling collectors advertise drain backlog (unfolded write records
+   + pending decrements). A small backlog is the steady state and must
+   not steer routing; past the floor it predicts a longer catch-up phase
+   in the next pause, so it ramps like the concurrent-cycle term — mild,
+   capped at one service time. *)
+let backlog_floor = 1024.0
+
+let[@inline] gc_penalty rep =
+  let s = rep.signal and est = rep.clock.est_service in
+  let conc = if s.Api.concurrent_threads > 0.0 then 2.0 *. est else 0.0 in
+  let drain =
+    let b = s.Api.drain_backlog in
+    if b > backlog_floor then
+      Float.min 1.0 ((b -. backlog_floor) /. (7.0 *. backlog_floor)) *. est
+    else 0.0
   in
-  (requests, schedule)
+  let imminent =
+    if s.Api.occupancy > occ_floor then begin
+      let pause_scale =
+        if s.Api.pause_end > s.Api.pause_start then
+          s.Api.pause_end -. s.Api.pause_start
+        else 32.0 *. est
+      in
+      (s.Api.occupancy -. occ_floor) /. (1.0 -. occ_floor) *. pause_scale
+    end
+    else 0.0
+  in
+  conc +. drain +. imminent
+
+let routable rep = Lifecycle.routable rep.lc && rep.eng <> None
+
+(* The index of the lowest-scoring routable replica other than [exclude]
+   (-1 when there is none), scored by [lo_score] plus, when [gc], the
+   gc-aware penalty; ties go to the lowest index. Inlined, so no score
+   is boxed. *)
+let[@inline] argmin st ~exclude ~arrival ~gc =
+  let reps = st.replicas in
+  let best = ref (-1) and best_score = ref 0.0 in
+  for i = 0 to Array.length reps - 1 do
+    let rep = reps.(i) in
+    if routable rep && i <> exclude then begin
+      let s =
+        if gc then lo_score rep ~arrival +. gc_penalty rep
+        else lo_score rep ~arrival
+      in
+      if !best < 0 || not (!best_score <= s) then begin
+        best := i;
+        best_score := s
+      end
+    end
+  done;
+  !best
+
+(* The policy's pick for request [id] at its dispatch time, never
+   [exclude] (-1: no exclusion): a replica index, or -1 when nothing is
+   routable. *)
+let choose st ~exclude id =
+  let arrival = st.sent.(id) in
+  match st.env.cfg.policy with
+  | Policy.Round_robin ->
+    let reps = st.replicas in
+    let k = Array.length reps in
+    let pick = ref (-1) and tries = ref 0 in
+    while !pick < 0 && !tries < k do
+      let i = st.rr mod k in
+      st.rr <- st.rr + 1;
+      incr tries;
+      if routable reps.(i) && i <> exclude then pick := i
+    done;
+    !pick
+  | Policy.Least_outstanding -> argmin st ~exclude ~arrival ~gc:false
+  | Policy.Gc_aware ->
+    let plain = argmin st ~exclude ~arrival ~gc:false in
+    let aware = argmin st ~exclude ~arrival ~gc:true in
+    if plain >= 0 && plain <> aware then st.diversions <- st.diversions + 1;
+    aware
+
+(* Feed a copy of request [id] to [rep], sent at the request's dispatch
+   time. *)
+let admit st rep id ~hedge =
+  let q = rep.queue in
+  if q.len = Array.length q.code then begin
+    let grow a =
+      let b = Array.make (2 * q.len) 0.0 in
+      Array.blit a 0 b 0 q.len;
+      b
+    in
+    q.code <- Int_array.grow q.code (2 * q.len) 0;
+    q.sent <- grow q.sent;
+    q.wait <- grow q.wait;
+    q.finish <- grow q.finish
+  end;
+  q.code.(q.len) <- (id lsl 1) lor Bool.to_int hedge;
+  q.sent.(q.len) <- st.sent.(id);
+  q.len <- q.len + 1;
+  rep.assigned <- rep.assigned + 1
+
+let admission_room env rep =
+  rep.assigned
+  < Lifecycle.admission rep.lc ~queue_limit:env.cfg.queue_limit
+      ~ramp_rounds:env.ramp_rounds
+
+(* Dispatch request [id] at its [sent] time: pick a replica, bounce off
+   the admission bound, optionally hedge. Fresh arrivals pass through
+   brown-out shedding first; retries don't (shedding already-queued work
+   wastes the backoff the client paid). *)
+let dispatch st id ~fresh =
+  let retry = st.env.cfg.retry in
+  let at = st.sent.(id) in
+  if st.settled.(id) then ()
+  else if
+    match retry.Policy.Retry.timeout_ns with
+    | Some t -> at -. st.arrival.(id) > t
+    | None -> false
+  then settle_terminal st id `Dropped
+  else begin
+    let shed_frac = Slo.shedding st.slo in
+    if fresh && shed_frac > 0.0 && Prng.float st.shed_prng 1.0 < shed_frac then
+      settle_terminal st id `Shed
+    else begin
+      st.attempts.(id) <- st.attempts.(id) + 1;
+      let r = choose st ~exclude:(-1) id in
+      if r < 0 then
+        (* Connection refused: nothing alive to take it. *)
+        fail_copy st id ~now:at `Dropped
+      else if not (admission_room st.env st.replicas.(r)) then
+        (* Fast-fail rejection: the client backs off. *)
+        fail_copy st id ~now:at `Rejected
+      else begin
+        let rep = st.replicas.(r) in
+        admit st rep id ~hedge:false;
+        (* Hedge: when the chosen replica's estimated queueing delay
+           already exceeds the threshold, race a second copy on the
+           next-best replica. *)
+        match retry.Policy.Retry.hedge_ns with
+        | Some h when lo_score rep ~arrival:at -. at > h ->
+          let alt = choose st ~exclude:r id in
+          if alt >= 0 && admission_room st.env st.replicas.(alt) then begin
+            st.hedges <- st.hedges + 1;
+            admit st st.replicas.(alt) id ~hedge:true
+          end
+        | Some _ | None -> ()
+      end
+    end
+  end
+
+(* Whether request [a] dispatches after request [b]: (time, id) order. *)
+let later st a b =
+  let ta = st.sent.(a) and tb = st.sent.(b) in
+  ta > tb || (ta = tb && a > b)
+
+(* Move the retries due before [window_end] out of the retry queue into
+   [st.due], each clamped to the window start and sorted by (time, id).
+   A window's due retries are few, so an insertion sort does. *)
+let take_due_retries st ~window_start ~window_end =
+  let q = st.retry_q and due = st.due and sent = st.sent in
+  Vec.clear due;
+  let i = ref 0 in
+  while !i < Vec.length q do
+    let id = Vec.get q !i in
+    if sent.(id) < window_end then begin
+      sent.(id) <- Float.max sent.(id) window_start;
+      Vec.push due id;
+      let last = Vec.pop q in
+      if !i < Vec.length q then Vec.set q !i last
+    end
+    else incr i
+  done;
+  for k = 1 to Vec.length due - 1 do
+    let id = Vec.get due k in
+    let j = ref (k - 1) in
+    while !j >= 0 && later st (Vec.get due !j) id do
+      Vec.set due (!j + 1) (Vec.get due !j);
+      decr j
+    done;
+    Vec.set due (!j + 1) id
+  done
+
+(* Dispatch the window's fresh arrivals and due retries in (time, id)
+   order, through one merge: the arrivals are already in that order.
+   Retries queued by this window's dispatches wait for the next
+   window. *)
+let dispatch_window st ~window_start ~window_end =
+  take_due_retries st ~window_start ~window_end;
+  let due = st.due and n = Array.length st.arrival in
+  let next_due = ref 0 and more = ref true in
+  while !more do
+    let arriving = st.next < n && st.arrival.(st.next) < window_end
+    and retrying = !next_due < Vec.length due in
+    if
+      arriving
+      && ((not retrying) || not (later st st.next (Vec.get due !next_due)))
+    then begin
+      let id = st.next in
+      st.next <- id + 1;
+      dispatch st id ~fresh:true
+    end
+    else if retrying then begin
+      let id = Vec.get due !next_due in
+      incr next_due;
+      dispatch st id ~fresh:false
+    end
+    else more := false
+  done
+
+(* --- Replica lifecycle --------------------------------------------------- *)
+
+(* Copy [i] of [rep]'s queue is lost -- to a crash, an OOM or a dead
+   process: it counts against the replica and resolves as a failure at
+   the barrier. *)
+let lose (rep : replica) i =
+  rep.dropped <- rep.dropped + 1;
+  rep.queue.finish.(i) <- Float.nan
+
+(* Retire a replica's engine: fold its simulator, verifier and ladder
+   counters into the per-replica accumulators and drop the process.
+   [hooks] runs the clean-shutdown hooks (final collection, end-of-run
+   verification) first; a crash skips them -- the process is simply
+   gone. *)
+let retire (rep : replica) ~hooks =
+  match rep.eng with
+  | None -> ()
+  | Some e ->
+    if hooks then Mut.server_finish e.server;
+    (match e.verifier with
+    | Some v ->
+      if hooks then Verifier.finish v;
+      rep.acc_checks <- rep.acc_checks + Verifier.checks_run v;
+      rep.acc_violations <- rep.acc_violations + Verifier.total_violations v
+    | None -> ());
+    let sim = Api.sim e.api in
+    rep.acc_pause_count <- rep.acc_pause_count + Sim.pause_count sim;
+    Histogram.merge ~into:rep.acc_pauses (Sim.pauses sim);
+    rep.acc_gc_cpu <- rep.acc_gc_cpu +. Sim.gc_cpu sim;
+    rep.acc_mut_cpu <- rep.acc_mut_cpu +. Sim.mutator_cpu sim;
+    rep.acc_ladder <-
+      sum_ladders rep.acc_ladder (Api.ladder_alist (Api.ladder e.api));
+    (* Write-barrier counters, for collectors that report them (lxr's
+       field logging, journal_rc's journal appends). *)
+    let cstats = (Api.collector e.api).Collector.stats () in
+    let stat k = Option.value (List.assoc_opt k cstats) ~default:0.0 in
+    rep.acc_wb_fast <- rep.acc_wb_fast +. stat "wb_fast";
+    rep.acc_wb_slow <- rep.acc_wb_slow +. stat "wb_slow";
+    rep.clock.avail <- rep.clock.offset +. Sim.now sim;
+    rep.eng <- None
+
+(* Kill a replica at fleet time [now]: the process dies, its freshly
+   assigned batch is lost (the copies fail and flow into the retry
+   path), and -- when recovery is on -- a relaunch is scheduled after
+   the restart delay. *)
+let kill env (rep : replica) ~now ~reason ~relaunch =
+  for i = 0 to rep.queue.len - 1 do
+    lose rep i
+  done;
+  rep.assigned <- 0;
+  retire rep ~hooks:false;
+  rep.oom <- Some reason;
+  if Lifecycle.state rep.lc <> Down then Lifecycle.transition rep.lc ~now Down;
+  rep.pending_restart <- None;
+  rep.clock.restart_at <-
+    (if relaunch && not rep.dead_forever then now +. env.restart_delay
+     else Float.nan)
+
+(* Begin a relaunch for a Down replica right now; the worker builds the
+   new process during the next round. *)
+let begin_restart env (rep : replica) ~now =
+  Lifecycle.transition rep.lc ~now Restarting;
+  rep.restart_error <- None;
+  (* The death reason dies with the relaunch, or the barrier would
+     mistake the stale marker for a fresh worker death and kill the new
+     process at its first barrier. *)
+  rep.oom <- None;
+  rep.pending_restart <-
+    Some
+      { ro_heap_bytes = rep.heap_bytes;
+        ro_seed = replica_seed env.cfg rep.idx rep.lc.Lifecycle.restarts;
+        ro_begun = now };
+  rep.clock.restart_at <- Float.nan
+
+(* Apply one chaos firing. We are between dispatch and the round, so a
+   crash takes the freshly dispatched batch down with it. *)
+let apply_firing st (f : Chaos.firing) =
+  let env = st.env in
+  st.chaos_events <- st.chaos_events + 1;
+  match f.f_cls with
+  | Chaos.Flash_crowd -> ()  (* consumed at arrival generation *)
+  | Chaos.Replica_stall ->
+    let rep = st.replicas.(f.f_replica) in
+    if rep.eng <> None then rep.stall <- Some (f.f_start, f.f_end, f.f_factor)
+  | Chaos.Replica_crash ->
+    let rep = st.replicas.(f.f_replica) in
+    if rep.eng <> None then
+      kill env rep ~now:f.f_start ~reason:"chaos: replica crash"
+        ~relaunch:env.auto_restart
+  | Chaos.Heap_shrink ->
+    let rep = st.replicas.(f.f_replica) in
+    rep.heap_bytes <-
+      max (1 lsl 16) (int_of_float (f.f_factor *. Float.of_int rep.heap_bytes));
+    if rep.eng <> None then
+      (* An operational resize is a controlled rolling restart: always
+         relaunched, even with auto-restart off. *)
+      kill env rep ~now:f.f_start ~reason:"chaos: heap shrink" ~relaunch:true
+    else if Float.is_nan rep.clock.restart_at && env.auto_restart then
+      rep.clock.restart_at <- f.f_start +. env.restart_delay
+
+(* --- The replica round --------------------------------------------------- *)
+
+(* One worker round on one replica: execute a pending relaunch, or serve
+   the queued copies in feed order. Latency is end-to-end against the
+   request's first fleet arrival; queueing is the wait before service
+   start against this copy's dispatch time. *)
+let serve_round env (rep : replica) =
+  match rep.pending_restart with
+  | Some order -> (
+    match
+      build_engine env ~heap_bytes:order.ro_heap_bytes ~seed:order.ro_seed
+    with
+    | Ok e ->
+      rep.eng <- Some e;
+      rep.clock.offset <- order.ro_begun;
+      rep.activated <- true
+    | Error err -> rep.restart_error <- Some (build_error_message err))
+  | None -> (
+    match rep.eng with
+    | None -> ()
+    | Some e ->
+      let h = Sim.hot (Api.sim e.api) and c = rep.clock and q = rep.queue in
+      for i = 0 to q.len - 1 do
+        match rep.oom with
+        | Some _ -> (* died earlier this round *) lose rep i
+        | None -> (
+          let arrival = q.sent.(i) in
+          let local_arrival = arrival -. c.offset in
+          let start = Float.max h.now local_arrival +. c.offset in
+          match Mut.serve e.server ~arrival:local_arrival with
+          | None ->
+            (* Served: the replica's clock is the completion. A stalled
+               replica still serves, slower: the antagonist charges
+               extra compute proportional to the observed service
+               time. *)
+            (match rep.stall with
+            | Some (s, en, f)
+              when c.offset +. h.now >= s && c.offset +. h.now < en ->
+              let svc = Float.max 0.0 (c.offset +. h.now -. start) in
+              Api.work e.api ~ns:((f -. 1.0) *. svc);
+              Api.safepoint e.api
+            | _ -> ());
+            let completion = c.offset +. h.now in
+            rep.copies <- rep.copies + 1;
+            c.busy_ns <- c.busy_ns +. (completion -. start);
+            q.wait.(i) <- start -. arrival;
+            q.finish.(i) <- completion
+          | Some msg ->
+            rep.oom <- Some msg;
+            lose rep i)
+      done)
+
+(* --- Start ---------------------------------------------------------------- *)
 
 (* Validate, build every initial replica in parallel (each from its own
    seed), and lay out the arrivals: the front-end's starting state, or
@@ -512,19 +961,27 @@ let start (cfg : config) =
            the latest post-setup clock is a shared timeline origin every
            replica can idle up to. *)
         let t0 =
-          Array.fold_left (fun acc r -> Float.max acc r.avail) 0.0 replicas
+          Array.fold_left
+            (fun acc r -> Float.max acc r.clock.avail)
+            0.0 replicas
         in
         Array.iter
           (fun r ->
-            if r.eng = None then r.avail <- t0;
+            if r.eng = None then r.clock.avail <- t0;
             r.lc.Lifecycle.since <- t0)
           replicas;
-        let requests, schedule = schedule_arrivals env req ~t0 in
+        let arrival, schedule = schedule_arrivals env req ~t0 in
+        let n = Array.length arrival in
+        let busy = Array.make slots 0 in
         Ok
           { env;
             collector = !collector;
             replicas;
-            requests;
+            arrival;
+            sent = Array.copy arrival;
+            attempts = Array.make n 0;
+            settled = Array.make n false;
+            best = Array.make n unresolved;
             t0;
             schedule;
             slo =
@@ -532,9 +989,11 @@ let start (cfg : config) =
             scaler = Option.map Slo.Autoscale.create cfg.autoscale;
             shed_prng = Prng.create (cfg.seed lxor 0x73686564);
             next = 0;
-            retry_q = [];
+            retry_q = Vec.create ();
+            due = Vec.create ();
             rr = 0;
-            busy = Array.make slots 0;
+            busy;
+            serve_busy = (fun k -> serve_round env replicas.(busy.(k)));
             completed = 0;
             rejected = 0;
             dropped = 0;
@@ -548,365 +1007,6 @@ let start (cfg : config) =
             scale_ups = 0;
             scale_downs = 0 }))
 
-(* --- Admission and routing ----------------------------------------------- *)
-
-let settle_terminal st rq bucket =
-  if not rq.settled then begin
-    rq.settled <- true;
-    (match bucket with
-    | `Completed -> st.completed <- st.completed + 1
-    | `Rejected -> st.rejected <- st.rejected + 1
-    | `Dropped -> st.dropped <- st.dropped + 1
-    | `Shed -> st.shed <- st.shed + 1);
-    if bucket <> `Completed then Slo.observe st.slo ~latency_ns:Float.infinity
-  end
-
-(* A failed copy set: retry with exponential backoff when the client
-   policy allows and the deadline has room, else land in the terminal
-   [bucket]. *)
-let fail_copy st rq ~now bucket =
-  if not rq.settled then begin
-    let retry = st.env.cfg.retry in
-    let due = now +. Policy.Retry.delay retry ~attempt:rq.attempts in
-    let deadline_ok =
-      match retry.Policy.Retry.timeout_ns with
-      | None -> true
-      | Some t -> due -. rq.orig_arrival <= t
-    in
-    if rq.attempts < retry.Policy.Retry.max_attempts && deadline_ok then begin
-      st.retries <- st.retries + 1;
-      st.retry_q <- (due, rq) :: st.retry_q
-    end
-    else settle_terminal st rq bucket
-  end
-
-(* Scoring shared by least-outstanding and gc-aware: estimated
-   completion time of this arrival on that replica, from
-   checkpoint-frozen state only. [est_service] rather than the static
-   estimate -- GC degradation stretches real service times several-fold,
-   and a stale constant makes the policy herd onto one replica until the
-   admission bound bounces arrivals. *)
-let lo_score rep ~arrival =
-  Float.max rep.avail arrival +. (Float.of_int rep.assigned *. rep.est_service)
-
-(* The gc-aware penalty. The predictive signal is occupancy: the replica
-   closest to filling its heap triggers the next collection, so arrivals
-   routed there are the ones that will stand behind its pause. The
-   penalty ramps from zero at the [occ_floor] to the replica's last
-   observed pause length at a full heap -- the actual cost of landing
-   behind that pause -- and diverting also slows the replica's
-   allocation rate, which delays its trigger and staggers collections
-   across the fleet. A blanket concurrent-cycle penalty is deliberately
-   mild (CPU stealing makes service a little slower): with small heaps
-   the cycles run near-continuously, and penalizing them hard just
-   concentrates the whole arrival stream on one replica until *it*
-   pauses with everyone's requests in its queue. *)
-let occ_floor = 0.75
-
-(* Journalling collectors advertise drain backlog (unfolded write records
-   + pending decrements). A small backlog is the steady state and must
-   not steer routing; past the floor it predicts a longer catch-up phase
-   in the next pause, so it ramps like the concurrent-cycle term — mild,
-   capped at one service time. *)
-let backlog_floor = 1024.0
-
-let gc_penalty rep =
-  let s = rep.signal in
-  let conc = if s.Api.concurrent_active then 2.0 *. rep.est_service else 0.0 in
-  let drain =
-    let b = Float.of_int s.Api.drain_backlog in
-    if b > backlog_floor then
-      Float.min 1.0 ((b -. backlog_floor) /. (7.0 *. backlog_floor))
-      *. rep.est_service
-    else 0.0
-  in
-  let imminent =
-    if s.Api.occupancy > occ_floor then begin
-      let pause_scale =
-        if s.Api.pause_end > s.Api.pause_start then
-          s.Api.pause_end -. s.Api.pause_start
-        else 32.0 *. rep.est_service
-      in
-      (s.Api.occupancy -. occ_floor) /. (1.0 -. occ_floor) *. pause_scale
-    end
-    else 0.0
-  in
-  conc +. drain +. imminent
-
-let routable rep = Lifecycle.routable rep.lc && rep.eng <> None
-
-(* The lowest-scoring routable replica other than [exclude]; ties go to
-   the lowest index. *)
-let argmin st ~exclude score =
-  let best = ref None in
-  Array.iter
-    (fun rep ->
-      if routable rep && rep.idx <> exclude then
-        let s = score rep in
-        match !best with
-        | Some (s', _) when s' <= s -> ()
-        | _ -> best := Some (s, rep))
-    st.replicas;
-  Option.map snd !best
-
-(* The policy's pick for [arrival], never [exclude] (-1: no exclusion). *)
-let choose st ~exclude ~arrival =
-  match st.env.cfg.policy with
-  | Policy.Round_robin ->
-    let k = Array.length st.replicas in
-    let rec next tries =
-      if tries >= k then None
-      else begin
-        let rep = st.replicas.(st.rr mod k) in
-        st.rr <- st.rr + 1;
-        if routable rep && rep.idx <> exclude then Some rep
-        else next (tries + 1)
-      end
-    in
-    next 0
-  | Policy.Least_outstanding -> argmin st ~exclude (lo_score ~arrival)
-  | Policy.Gc_aware ->
-    let plain = argmin st ~exclude (lo_score ~arrival) in
-    let aware =
-      argmin st ~exclude (fun rep -> lo_score rep ~arrival +. gc_penalty rep)
-    in
-    (match (plain, aware) with
-    | Some p, Some a when p.idx <> a.idx -> st.diversions <- st.diversions + 1
-    | _ -> ());
-    aware
-
-let admit rep rq ~arrival ~hedge =
-  rep.batch <- (rq, arrival, hedge) :: rep.batch;
-  rep.assigned <- rep.assigned + 1
-
-let admission_room env rep =
-  rep.assigned
-  < Lifecycle.admission rep.lc ~queue_limit:env.cfg.queue_limit
-      ~ramp_rounds:env.ramp_rounds
-
-(* Dispatch one request at [arrival]: pick a replica, bounce off the
-   admission bound, optionally hedge. Fresh arrivals pass through
-   brown-out shedding first; retries don't (shedding already-queued work
-   wastes the backoff the client paid). *)
-let dispatch st rq ~arrival ~fresh =
-  let retry = st.env.cfg.retry in
-  if rq.settled then ()
-  else if
-    match retry.Policy.Retry.timeout_ns with
-    | Some t -> arrival -. rq.orig_arrival > t
-    | None -> false
-  then settle_terminal st rq `Dropped
-  else begin
-    let shed_frac = Slo.shedding st.slo in
-    if fresh && shed_frac > 0.0 && Prng.float st.shed_prng 1.0 < shed_frac then
-      settle_terminal st rq `Shed
-    else begin
-      rq.attempts <- rq.attempts + 1;
-      match choose st ~exclude:(-1) ~arrival with
-      | None ->
-        (* Connection refused: nothing alive to take it. *)
-        fail_copy st rq ~now:arrival `Dropped
-      | Some rep when not (admission_room st.env rep) ->
-        (* Fast-fail rejection: the client backs off. *)
-        fail_copy st rq ~now:arrival `Rejected
-      | Some rep -> (
-        admit rep rq ~arrival ~hedge:false;
-        (* Hedge: when the chosen replica's estimated queueing delay
-           already exceeds the threshold, race a second copy on the
-           next-best replica. *)
-        match retry.Policy.Retry.hedge_ns with
-        | Some h when lo_score rep ~arrival -. arrival > h -> (
-          match choose st ~exclude:rep.idx ~arrival with
-          | Some alt when admission_room st.env alt ->
-            st.hedges <- st.hedges + 1;
-            admit alt rq ~arrival ~hedge:true
-          | Some _ | None -> ())
-        | Some _ | None -> ())
-    end
-  end
-
-(* Dispatch the window's fresh arrivals and due retries in time order. *)
-let dispatch_window st ~window_start ~window_end =
-  let events = ref [] in
-  while
-    st.next < Array.length st.requests
-    && st.requests.(st.next).orig_arrival < window_end
-  do
-    let rq = st.requests.(st.next) in
-    events := (rq.orig_arrival, rq, true) :: !events;
-    st.next <- st.next + 1
-  done;
-  let due, rest = List.partition (fun (d, _) -> d < window_end) st.retry_q in
-  st.retry_q <- rest;
-  List.iter
-    (fun (d, rq) -> events := (Float.max d window_start, rq, false) :: !events)
-    due;
-  List.sort
-    (fun (t1, r1, _) (t2, r2, _) ->
-      match compare t1 t2 with 0 -> compare r1.id r2.id | c -> c)
-    !events
-  |> List.iter (fun (at, rq, fresh) -> dispatch st rq ~arrival:at ~fresh)
-
-(* --- Replica lifecycle --------------------------------------------------- *)
-
-(* A copy lost on [rep] -- to a crash, an OOM or a dead process: it
-   counts against the replica and resolves as a failure at the barrier. *)
-let lose (rep : replica) (rq, _, hedge) =
-  rep.dropped <- rep.dropped + 1;
-  rep.results <-
-    { at_rq = rq; at_replica = rep.idx; at_hedge = hedge; at_wait = 0.0;
-      at_completion = Float.nan }
-    :: rep.results
-
-(* Retire a replica's engine: fold its simulator, verifier and ladder
-   counters into the per-replica accumulators and drop the process.
-   [hooks] runs the clean-shutdown hooks (final collection, end-of-run
-   verification) first; a crash skips them -- the process is simply
-   gone. *)
-let retire (rep : replica) ~hooks =
-  match rep.eng with
-  | None -> ()
-  | Some e ->
-    if hooks then Mut.server_finish e.server;
-    (match e.verifier with
-    | Some v ->
-      if hooks then Verifier.finish v;
-      rep.acc_checks <- rep.acc_checks + Verifier.checks_run v;
-      rep.acc_violations <- rep.acc_violations + Verifier.total_violations v
-    | None -> ());
-    let sim = Api.sim e.api in
-    rep.acc_pause_count <- rep.acc_pause_count + Sim.pause_count sim;
-    Histogram.merge ~into:rep.acc_pauses (Sim.pauses sim);
-    rep.acc_gc_cpu <- rep.acc_gc_cpu +. Sim.gc_cpu sim;
-    rep.acc_mut_cpu <- rep.acc_mut_cpu +. Sim.mutator_cpu sim;
-    rep.acc_ladder <-
-      sum_ladders rep.acc_ladder (Api.ladder_alist (Api.ladder e.api));
-    (* Write-barrier counters, for collectors that report them (lxr's
-       field logging, journal_rc's journal appends). *)
-    let cstats = (Api.collector e.api).Collector.stats () in
-    let stat k = Option.value (List.assoc_opt k cstats) ~default:0.0 in
-    rep.acc_wb_fast <- rep.acc_wb_fast +. stat "wb_fast";
-    rep.acc_wb_slow <- rep.acc_wb_slow +. stat "wb_slow";
-    rep.avail <- rep.offset +. Sim.now sim;
-    rep.signal <- idle_signal;
-    rep.eng <- None
-
-(* Kill a replica at fleet time [now]: the process dies, its freshly
-   assigned batch is lost (the copies fail and flow into the retry
-   path), and -- when recovery is on -- a relaunch is scheduled after
-   the restart delay. *)
-let kill env (rep : replica) ~now ~reason ~relaunch =
-  List.iter (lose rep) (List.rev rep.batch);
-  rep.batch <- [];
-  rep.assigned <- 0;
-  retire rep ~hooks:false;
-  rep.oom <- Some reason;
-  if Lifecycle.state rep.lc <> Down then Lifecycle.transition rep.lc ~now Down;
-  rep.pending_restart <- None;
-  rep.restart_at <-
-    (if relaunch && not rep.dead_forever then now +. env.restart_delay
-     else Float.nan)
-
-(* Begin a relaunch for a Down replica right now; the worker builds the
-   new process during the next round. *)
-let begin_restart env (rep : replica) ~now =
-  Lifecycle.transition rep.lc ~now Restarting;
-  rep.restart_error <- None;
-  (* The death reason dies with the relaunch, or the barrier would
-     mistake the stale marker for a fresh worker death and kill the new
-     process at its first barrier. *)
-  rep.oom <- None;
-  rep.pending_restart <-
-    Some
-      { ro_heap_bytes = rep.heap_bytes;
-        ro_seed = replica_seed env.cfg rep.idx rep.lc.Lifecycle.restarts;
-        ro_begun = now };
-  rep.restart_at <- Float.nan
-
-(* Apply one chaos firing. We are between dispatch and the round, so a
-   crash takes the freshly dispatched batch down with it. *)
-let apply_firing st (f : Chaos.firing) =
-  let env = st.env in
-  st.chaos_events <- st.chaos_events + 1;
-  match f.f_cls with
-  | Chaos.Flash_crowd -> ()  (* consumed at arrival generation *)
-  | Chaos.Replica_stall ->
-    let rep = st.replicas.(f.f_replica) in
-    if rep.eng <> None then rep.stall <- Some (f.f_start, f.f_end, f.f_factor)
-  | Chaos.Replica_crash ->
-    let rep = st.replicas.(f.f_replica) in
-    if rep.eng <> None then
-      kill env rep ~now:f.f_start ~reason:"chaos: replica crash"
-        ~relaunch:env.auto_restart
-  | Chaos.Heap_shrink ->
-    let rep = st.replicas.(f.f_replica) in
-    rep.heap_bytes <-
-      max (1 lsl 16) (int_of_float (f.f_factor *. Float.of_int rep.heap_bytes));
-    if rep.eng <> None then
-      (* An operational resize is a controlled rolling restart: always
-         relaunched, even with auto-restart off. *)
-      kill env rep ~now:f.f_start ~reason:"chaos: heap shrink" ~relaunch:true
-    else if Float.is_nan rep.restart_at && env.auto_restart then
-      rep.restart_at <- f.f_start +. env.restart_delay
-
-(* --- The replica round --------------------------------------------------- *)
-
-(* One worker round on one replica: execute a pending relaunch, or serve
-   the batch in arrival order. Latency is end-to-end against the
-   request's first fleet arrival; queueing is the wait before service
-   start against this copy's dispatch time. *)
-let serve_round env (rep : replica) =
-  match rep.pending_restart with
-  | Some order -> (
-    match
-      build_engine env ~heap_bytes:order.ro_heap_bytes ~seed:order.ro_seed
-    with
-    | Ok e ->
-      rep.eng <- Some e;
-      rep.offset <- order.ro_begun;
-      rep.activated <- true
-    | Error err -> rep.restart_error <- Some (build_error_message err))
-  | None -> (
-    match rep.eng with
-    | None -> ()
-    | Some e ->
-      let sim = Api.sim e.api in
-      let batch = List.rev rep.batch in
-      rep.batch <- [];
-      List.iter
-        (fun ((rq, arrival, hedge) as copy) ->
-          if rep.oom <> None then (* died earlier this round *) lose rep copy
-          else
-            let local_arrival = arrival -. rep.offset in
-            let start = Float.max (Sim.now sim) local_arrival +. rep.offset in
-            match Mut.serve e.server ~arrival:local_arrival with
-            | Ok completion ->
-              (* A stalled replica still serves, slower: the antagonist
-                 charges extra compute proportional to the observed
-                 service time. *)
-              let completion =
-                match rep.stall with
-                | Some (s, en, f)
-                  when rep.offset +. completion >= s
-                       && rep.offset +. completion < en ->
-                  let svc = Float.max 0.0 (rep.offset +. completion -. start) in
-                  Api.work e.api ~ns:((f -. 1.0) *. svc);
-                  Api.safepoint e.api;
-                  Sim.now sim
-                | _ -> completion
-              in
-              let completion = rep.offset +. completion in
-              rep.copies <- rep.copies + 1;
-              rep.busy_ns <- rep.busy_ns +. (completion -. start);
-              rep.results <-
-                { at_rq = rq; at_replica = rep.idx; at_hedge = hedge;
-                  at_wait = start -. arrival; at_completion = completion }
-                :: rep.results
-            | Error msg ->
-              rep.oom <- Some msg;
-              lose rep copy)
-        batch)
-
 (* --- The barrier --------------------------------------------------------- *)
 
 (* Settle every copy that resolved this window. Copies of one request
@@ -916,48 +1016,50 @@ let serve_round env (rep : replica) =
    the replica that produced it -- hedged losers are wasted work, and a
    request whose copies all failed enters the retry path once. *)
 let settle st ~window_end =
-  (* Replica by replica, each in service order. *)
-  let fed =
-    Array.fold_right
-      (fun rep acc ->
-        let r = rep.results in
-        rep.results <- [];
-        List.rev_append r acc)
-      st.replicas []
-  in
-  List.iter
-    (fun a ->
-      let rq = a.at_rq in
-      rq.resolving <- true;
-      match rq.best with
-      | _ when Float.is_nan a.at_completion -> ()  (* lost *)
-      | Some b when b.at_completion <= a.at_completion -> ()
-      | _ -> rq.best <- Some a)
-    fed;
-  List.iter
-    (fun { at_rq = rq; _ } ->
-      if rq.resolving then begin
-        rq.resolving <- false;
-        match rq.best with
-        | None -> fail_copy st rq ~now:window_end `Dropped
-        | Some a ->
-          rq.best <- None;
-          if not rq.settled then begin
-            settle_terminal st rq `Completed;
-            if a.at_hedge then st.hedge_wins <- st.hedge_wins + 1;
-            let lat = Float.max 1.0 (a.at_completion -. rq.orig_arrival) in
-            (match st.env.cfg.retry.Policy.Retry.timeout_ns with
-            | Some t when lat > t -> st.timeouts <- st.timeouts + 1
-            | _ -> ());
-            Slo.observe st.slo ~latency_ns:lat;
-            let rep = st.replicas.(a.at_replica) in
-            rep.served <- rep.served + 1;
-            Histogram.record rep.latency (int_of_float lat);
-            Histogram.record rep.queueing
-              (int_of_float (Float.max 1.0 a.at_wait))
-          end
-      end)
-    fed
+  let reps = st.replicas and best = st.best in
+  let slots = Array.length reps in
+  (* Replica by replica, each in service order: every request's earliest
+     completion ... *)
+  for r = 0 to slots - 1 do
+    let q = reps.(r).queue in
+    for i = 0 to q.len - 1 do
+      let id = q.code.(i) lsr 1 and t = q.finish.(i) in
+      if best.(id) = unresolved then best.(id) <- no_completion;
+      let b = best.(id) in
+      if Float.is_nan t (* lost *)
+         || (b >= 0 && reps.(b mod slots).queue.finish.(b / slots) <= t)
+      then ()
+      else best.(id) <- (i * slots) + r
+    done
+  done;
+  (* ... then each request once, at its first copy in that order. *)
+  for r = 0 to slots - 1 do
+    let q = reps.(r).queue in
+    for i = 0 to q.len - 1 do
+      let id = q.code.(i) lsr 1 in
+      let b = best.(id) in
+      if b <> unresolved then begin
+        best.(id) <- unresolved;
+        if b = no_completion then fail_copy st id ~now:window_end `Dropped
+        else if not st.settled.(id) then begin
+          let rep = reps.(b mod slots) and j = b / slots in
+          let wq = rep.queue in
+          settle_terminal st id `Completed;
+          if wq.code.(j) land 1 = 1 then st.hedge_wins <- st.hedge_wins + 1;
+          let lat = Float.max 1.0 (wq.finish.(j) -. st.arrival.(id)) in
+          (match st.env.cfg.retry.Policy.Retry.timeout_ns with
+          | Some t when lat > t -> st.timeouts <- st.timeouts + 1
+          | _ -> ());
+          Slo.observe st.slo ~latency_ns:lat;
+          rep.served <- rep.served + 1;
+          Histogram.record rep.latency (int_of_float lat);
+          Histogram.record rep.queueing
+            (int_of_float (Float.max 1.0 wq.wait.(j)))
+        end
+      end
+    done
+  done;
+  Array.iter (fun rep -> rep.queue.len <- 0) reps
 
 (* The barrier's pass over one replica; it reads no other replica. *)
 let barrier_replica env ~window_end (rep : replica) =
@@ -970,20 +1072,21 @@ let barrier_replica env ~window_end (rep : replica) =
     kill env rep ~now:window_end ~reason ~relaunch:env.auto_restart
   | _ -> ());
   (* Re-snapshot the front-end's frozen view. *)
+  let c = rep.clock in
   (match rep.eng with
   | Some e ->
-    rep.avail <- rep.offset +. Sim.now (Api.sim e.api);
-    rep.signal <- Api.gc_signal e.api
+    c.avail <- c.offset +. (Sim.hot (Api.sim e.api)).now;
+    Api.refresh_gc_signal e.api rep.signal
   | None -> ());
   rep.assigned <- 0;
   let round_copies = rep.copies - rep.barrier_copies in
   if round_copies > 0 then begin
     let round_mean =
-      (rep.busy_ns -. rep.barrier_busy) /. Float.of_int round_copies
+      (c.busy_ns -. c.barrier_busy) /. Float.of_int round_copies
     in
-    rep.est_service <- (0.7 *. rep.est_service) +. (0.3 *. round_mean)
+    c.est_service <- (0.7 *. c.est_service) +. (0.3 *. round_mean)
   end;
-  rep.barrier_busy <- rep.busy_ns;
+  c.barrier_busy <- c.busy_ns;
   rep.barrier_copies <- rep.copies;
   (match rep.stall with
   | Some (_, e, _) when e <= window_end -> rep.stall <- None
@@ -1001,12 +1104,12 @@ let barrier_replica env ~window_end (rep : replica) =
        suffices: retire with clean-shutdown hooks. *)
     retire rep ~hooks:true;
     Lifecycle.transition rep.lc ~now:window_end Down;
-    rep.restart_at <- Float.nan
+    c.restart_at <- Float.nan
   | Lifecycle.Restarting -> (
     if rep.eng <> None then begin
       rep.pending_restart <- None;
       rep.oom <- None;
-      rep.est_service <- env.service_wall;
+      c.est_service <- env.service_wall;
       Lifecycle.transition rep.lc ~now:window_end Warming
     end
     else
@@ -1016,7 +1119,7 @@ let barrier_replica env ~window_end (rep : replica) =
         rep.oom <- Some msg;
         rep.dead_forever <- true;
         Lifecycle.transition rep.lc ~now:window_end Down;
-        rep.restart_at <- Float.nan
+        c.restart_at <- Float.nan
       | None -> ())
 
 let autoscale st ~window_end ~burn =
@@ -1062,50 +1165,55 @@ let autoscale st ~window_end ~burn =
    the SLO window and act on its burn. *)
 let barrier st ~window_end =
   settle st ~window_end;
-  Array.iter (barrier_replica st.env ~window_end) st.replicas;
+  for j = 0 to Array.length st.replicas - 1 do
+    barrier_replica st.env ~window_end st.replicas.(j)
+  done;
   Slo.tick st.slo ~now:window_end;
   let burn = Slo.burn st.slo in
   (* Publish the window's burn while the replicas are quiescent (between
      parallel rounds), so a controller factory reading it from inside
      replica engines sees a value frozen for the whole next round —
      deterministic across --domains. *)
-  Option.iter (fun f -> f burn) st.env.cfg.on_burn;
+  (match st.env.cfg.on_burn with Some f -> f burn | None -> ());
   autoscale st ~window_end ~burn
 
 (* --- One window ---------------------------------------------------------- *)
 
 (* Relaunches due at the window head, dispatch, chaos firings quantized
-   to this checkpoint (after dispatch: a crash takes the fresh batch
+   to this checkpoint (after dispatch: a crash takes the fresh copies
    with it), the parallel replica rounds, then the barrier. Only a
-   replica with a batch or a pending relaunch gets a packet, since
-   [serve_round] does nothing for the others; which replicas those are
-   depends on simulated state alone, and most windows have one, which
-   the pool runs inline. *)
+   replica with copies to serve or a pending relaunch gets a packet,
+   since [serve_round] does nothing for the others; which replicas
+   those are depends on simulated state alone, and most windows have
+   one, which the pool runs inline. *)
 let window st ~window_start ~window_end =
-  Array.iter
-    (fun rep ->
-      if
-        Lifecycle.state rep.lc = Lifecycle.Down
-        && (not (Float.is_nan rep.restart_at))
-        && rep.restart_at <= window_start
-      then begin_restart st.env rep ~now:window_start)
-    st.replicas;
+  let replicas = st.replicas and busy = st.busy in
+  for j = 0 to Array.length replicas - 1 do
+    let rep = replicas.(j) in
+    if
+      Lifecycle.state rep.lc = Lifecycle.Down
+      && (not (Float.is_nan rep.clock.restart_at))
+      && rep.clock.restart_at <= window_start
+    then begin_restart st.env rep ~now:window_start
+  done;
   dispatch_window st ~window_start ~window_end;
-  List.iter (apply_firing st) (Chaos.due st.schedule ~until:window_end);
-  let env = st.env and replicas = st.replicas and busy = st.busy in
+  (match Chaos.due st.schedule ~until:window_end with
+  | [] -> ()
+  | fired -> List.iter (apply_firing st) fired);
   let n = ref 0 in
   for j = 0 to Array.length replicas - 1 do
-    match replicas.(j) with
-    | { batch = []; pending_restart = None; _ } -> ()
+    let rep = replicas.(j) in
+    match (rep.pending_restart, rep.eng) with
+    | None, None -> ()
+    | None, Some _ when rep.queue.len = 0 -> ()
     | _ ->
       busy.(!n) <- j;
       incr n
   done;
-  Repro_par.Par.parallel_for env.pool ~packets:!n (fun k ->
-      serve_round env replicas.(busy.(k)));
+  Repro_par.Par.parallel_for st.env.pool ~packets:!n st.serve_busy;
   barrier st ~window_end
 
-let pending st = st.next < Array.length st.requests || st.retry_q <> []
+let pending st = st.next < Array.length st.arrival || Vec.length st.retry_q > 0
 
 (* The fleet can still make progress as long as something is routable,
    relaunching, or scheduled to relaunch. *)
@@ -1115,7 +1223,7 @@ let hopeless st =
       (not (routable rep))
       && Lifecycle.state rep.lc <> Lifecycle.Restarting
       && rep.pending_restart = None
-      && Float.is_nan rep.restart_at)
+      && Float.is_nan rep.clock.restart_at)
     st.replicas
 
 (* Where the window after one ending at [t] starts: [t], fast-forwarded
@@ -1136,18 +1244,19 @@ let next_window st ~t =
   in
   if not quiescent then t
   else
-    let arrival =
-      if st.next < Array.length st.requests then
-        st.requests.(st.next).orig_arrival
-      else Float.infinity
-    in
     let e =
-      Array.fold_left
-        (fun m rep ->
-          if Float.is_nan rep.restart_at then m else Float.min m rep.restart_at)
-        (List.fold_left (fun m (d, _) -> Float.min m d) arrival st.retry_q)
-        st.replicas
+      ref
+        (if st.next < Array.length st.arrival then st.arrival.(st.next)
+         else Float.infinity)
     in
+    for i = 0 to Vec.length st.retry_q - 1 do
+      e := Float.min !e st.sent.(Vec.get st.retry_q i)
+    done;
+    for j = 0 to Array.length st.replicas - 1 do
+      let c = st.replicas.(j).clock in
+      if not (Float.is_nan c.restart_at) then e := Float.min !e c.restart_at
+    done;
+    let e = !e in
     if e < Float.infinity && e >= t +. quantum then
       t +. (quantum *. Float.trunc ((e -. t) /. quantum))
     else t
@@ -1160,9 +1269,10 @@ let replica_stats ~t0 ~wall_ns (rep : replica) =
     r_dropped = rep.dropped;
     r_latency = rep.latency;
     r_queueing = rep.queueing;
-    r_busy_ns = rep.busy_ns;
-    r_wall_ns = rep.avail -. t0;
-    r_utilization = (if wall_ns > 0.0 then rep.busy_ns /. wall_ns else 0.0);
+    r_busy_ns = rep.clock.busy_ns;
+    r_wall_ns = rep.clock.avail -. t0;
+    r_utilization =
+      (if wall_ns > 0.0 then rep.clock.busy_ns /. wall_ns else 0.0);
     r_pause_count = rep.acc_pause_count;
     r_pauses = rep.acc_pauses;
     r_gc_cpu_ns = rep.acc_gc_cpu;
@@ -1181,16 +1291,17 @@ let replica_stats ~t0 ~wall_ns (rep : replica) =
 let report st =
   let env = st.env and replicas = st.replicas in
   let cfg = env.cfg in
-  let n = Array.length st.requests in
-  for i = st.next to n - 1 do
-    settle_terminal st st.requests.(i) `Dropped
+  let n = Array.length st.arrival in
+  for id = st.next to n - 1 do
+    settle_terminal st id `Dropped
   done;
-  List.iter (fun (_, rq) -> settle_terminal st rq `Dropped) st.retry_q;
+  Vec.iter (fun id -> settle_terminal st id `Dropped) st.retry_q;
   Repro_par.Par.parallel_for env.pool ~packets:(Array.length replicas)
     (fun j -> retire replicas.(j) ~hooks:true);
   let wall_end =
     Array.fold_left
-      (fun acc rep -> if rep.activated then Float.max acc rep.avail else acc)
+      (fun acc rep ->
+        if rep.activated then Float.max acc rep.clock.avail else acc)
       st.t0 replicas
   in
   let wall_ns = wall_end -. st.t0 in

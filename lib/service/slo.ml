@@ -119,7 +119,7 @@ let none = create default_spec
 
 let violates t ~latency_ns = latency_ns > t.spec.budget_ns
 
-let observe t ~latency_ns =
+let[@inline] observe t ~latency_ns =
   if t != none then begin
     t.round_total <- t.round_total + 1;
     if violates t ~latency_ns then t.round_viol <- t.round_viol + 1

@@ -133,12 +133,58 @@ cmp "$busy_a" "$busy_b" || {
 }
 rm -f "$busy_a" "$busy_b" "$busy_out"
 
+echo "== hedged fleet (retry, hedge and deadline settle; bit-identical across domains) =="
+# A 20 us hedge threshold and a 200 us deadline at load 0.6: thousands
+# of hedge copies race their primaries, and a third of the completions
+# land past the deadline, so settle picks winners across replicas and
+# counts timeouts in nearly every window. The report must equal
+# --domains=1 apart from the domain count.
+hedge_a=$(mktemp) hedge_b=$(mktemp) hedge_out=$(mktemp)
+hedged_fleet() {
+  dune exec bin/lxr_fleet.exe -- run -b lusearch -c lxr -k 4 -n 3000 \
+    --load 0.6 -p least-outstanding \
+    --retry 'timeout:200us,max:3,backoff:20us,hedge:20us' --seed 42 \
+    --domains="$1" > "$hedge_out"
+  sed 's/domains=[0-9]*/domains=_/' "$hedge_out"
+}
+hedged_fleet 1 > "$hedge_a"
+hedged_fleet 2 > "$hedge_b"
+cmp "$hedge_a" "$hedge_b" || {
+  echo "ERROR: hedged fleet diverged across --domains" >&2
+  exit 1
+}
+rm -f "$hedge_a" "$hedge_b" "$hedge_out"
+
 echo "== trace corpus: injected fault must diverge =="
 if dune exec bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace \
     -c lxr,g1 --inject=drop-barrier:2e-3 --inject-into=lxr > /dev/null; then
   echo "ERROR: injected fault produced no divergence" >&2
   exit 1
 fi
+
+echo "== every subcommand's --help renders =="
+# Cmdliner reports a malformed doc string on stderr when the help page
+# is rendered, and only then. Each binary's subcommands come from its
+# own COMMANDS section, so a new subcommand is covered without an edit.
+help_err=$(mktemp)
+for bin in lxr_sim lxr_trace lxr_fleet; do
+  exe=_build/default/bin/$bin.exe
+  dune build "./bin/$bin.exe"
+  cmds=$("$exe" --help=plain |
+    sed -n '/^COMMANDS/,/^[A-Z]/s/^       \([a-z][a-z0-9_-]*\).*/\1/p')
+  for cmd in "" $cmds; do
+    "$exe" $cmd --help=plain > /dev/null 2> "$help_err" || {
+      echo "ERROR: $bin $cmd --help=plain failed" >&2
+      exit 1
+    }
+    if [ -s "$help_err" ]; then
+      echo "ERROR: $bin $cmd --help=plain wrote to stderr:" >&2
+      cat "$help_err" >&2
+      exit 1
+    fi
+  done
+done
+rm -f "$help_err"
 
 echo "== front ends reject bad input cleanly (exit 1 or 2) =="
 # A bad flag value exits 2 and a run that cannot start exits 1. A hang
