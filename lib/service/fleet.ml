@@ -480,19 +480,17 @@ let schedule_arrivals env req ~t0 =
       ~seed:cfg.seed ~replicas:cfg.replicas ~t0
       ~span:(Float.of_int cfg.requests *. fleet_gap)
   in
-  let flash = Chaos.flash_windows schedule in
-  let flash_mult t =
-    List.fold_left
-      (fun m (s, e, f) -> if t >= s && t < e then m *. f else m)
-      1.0 flash
-  in
+  let flash = Array.of_list (Chaos.flash_windows schedule) in
   let arrival = Array.make cfg.requests 0.0 in
   let t = ref t0 in
   for id = 0 to cfg.requests - 1 do
-    let gap =
-      match flash with [] -> fleet_gap | _ -> fleet_gap /. flash_mult !t
-    in
-    t := !t +. Prng.exponential front_prng ~mean:gap;
+    (* The product of the flash-crowd factors whose window holds [!t]. *)
+    let flash_mult = ref 1.0 in
+    for w = 0 to Array.length flash - 1 do
+      let s, e, f = flash.(w) in
+      if !t >= s && !t < e then flash_mult := !flash_mult *. f
+    done;
+    t := !t +. Prng.exponential front_prng ~mean:(fleet_gap /. !flash_mult);
     arrival.(id) <- !t
   done;
   (arrival, schedule)
@@ -708,7 +706,9 @@ let later st a b =
 
 (* Move the retries due before [window_end] out of the retry queue into
    [st.due], each clamped to the window start and sorted by (time, id).
-   A window's due retries are few, so an insertion sort does. *)
+   They are the copies earlier windows rejected whose backoff has run
+   out, thousands per window under a long quantum or a small queue
+   limit, so the sort is an O(k log k) heap sort in place. *)
 let take_due_retries st ~window_start ~window_end =
   let q = st.retry_q and due = st.due and sent = st.sent in
   Vec.clear due;
@@ -723,15 +723,10 @@ let take_due_retries st ~window_start ~window_end =
     end
     else incr i
   done;
-  for k = 1 to Vec.length due - 1 do
-    let id = Vec.get due k in
-    let j = ref (k - 1) in
-    while !j >= 0 && later st (Vec.get due !j) id do
-      Vec.set due (!j + 1) (Vec.get due !j);
-      decr j
-    done;
-    Vec.set due (!j + 1) id
-  done
+  if Vec.length due > 1 then
+    Vec.sort
+      (fun a b -> if later st a b then 1 else if later st b a then -1 else 0)
+      due
 
 (* Dispatch the window's fresh arrivals and due retries in (time, id)
    order, through one merge: the arrivals are already in that order.

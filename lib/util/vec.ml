@@ -63,7 +63,6 @@ let exists p v =
   loop 0
 
 let to_list v = List.init v.len (fun i -> v.data.(i))
-let to_array v = Array.sub v.data 0 v.len
 
 let of_list xs =
   let v = create ~capacity:(List.length xs + 1) () in
@@ -78,7 +77,29 @@ let append dst src =
     dst.len <- dst.len + n
   end
 
+(* Move [a.(i)] down the max-heap on [a.(0 .. n - 1)]. *)
+let rec sift_down cmp a i n =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && cmp a.(l) a.(l + 1) < 0 then l + 1 else l in
+    if cmp a.(i) a.(c) < 0 then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_down cmp a c n
+    end
+  end
+
+(* Heap sort on the live prefix of [data]: O(n log n) on any input and
+   no scratch array. *)
 let sort cmp v =
-  let arr = to_array v in
-  Array.sort cmp arr;
-  Int_array.blit arr 0 v.data 0 v.len
+  let a = v.data and n = v.len in
+  for i = (n / 2) - 1 downto 0 do
+    sift_down cmp a i n
+  done;
+  for last = n - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(last);
+    a.(last) <- x;
+    sift_down cmp a 0 last
+  done

@@ -53,5 +53,6 @@ val of_list : int list -> t
 (** [append dst src] pushes all of [src] onto [dst]. *)
 val append : t -> t -> unit
 
-(** [sort cmp v] sorts in place. *)
+(** [sort cmp v] sorts in place: a heap sort, O(n log n) on any input,
+    that allocates nothing and is not stable. *)
 val sort : (int -> int -> int) -> t -> unit

@@ -168,12 +168,12 @@ let lusearch = Repro_mutator.Benchmarks.find "lusearch"
 let lxr = Repro_lxr.Lxr.factory
 
 let fleet ?(workload = lusearch) ?(factory = lxr) ?(replicas = 3)
-    ?(requests = 1500) ?(load = 0.3) ?policy ?heap_factor ?quantum_ns ?domains
-    ?verify ?chaos ?retry ?slo ?autoscale ?on_burn () =
+    ?(requests = 1500) ?(load = 0.3) ?policy ?heap_factor ?queue_limit
+    ?quantum_ns ?domains ?verify ?chaos ?retry ?slo ?autoscale ?on_burn () =
   Fleet.run
-    (Fleet.config ~replicas ~requests ~load ?policy ?heap_factor ?quantum_ns
-       ?domains ?verify ?chaos ?retry ?slo ?autoscale ?on_burn ~workload
-       ~factory ())
+    (Fleet.config ~replicas ~requests ~load ?policy ?heap_factor ?queue_limit
+       ?quantum_ns ?domains ?verify ?chaos ?retry ?slo ?autoscale ?on_burn
+       ~workload ~factory ())
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -306,6 +306,21 @@ let scenarios : (string * (unit -> Fleet.result * bool)) list =
         let busy domains = fleet ~replicas:4 ~requests:3000 ~load:0.9 ~domains () in
         let a = busy 1 and b = busy 2 in
         (a, a.ok && fleet_digest a = fleet_digest { b with domains = a.domains }) );
+    ( "deep-windows",
+      (* 50 us windows at load 2 hold ~100 arrivals per replica: each
+         replica's copy queue grows past its initial 64 slots up to the
+         queue limit of 100, and every copy past that is rejected and
+         retried, so each window sorts hundreds of due retries. Without
+         chaos a retry can only follow such a rejection. *)
+      fun () ->
+        let deep domains =
+          fleet ~load:2.0 ~queue_limit:100 ~quantum_ns:50_000.0 ~domains
+            ~retry:(retry "timeout:2ms,max:4,backoff:1us") ()
+        in
+        let a = deep 1 and b = deep 2 in
+        ( a,
+          a.ok && a.retries > 0
+          && fleet_digest a = fleet_digest { b with domains = a.domains } ) );
     ( "setup-failure",
       with_check
         (fun () -> fleet ~heap_factor:0.05 ())

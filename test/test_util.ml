@@ -210,6 +210,26 @@ let test_vec_append_sort () =
   Vec.sort compare a;
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (Vec.to_list a)
 
+(* The heap sort allocates nothing, however long the vector, and leaves
+   the storage past the length alone. *)
+let test_vec_sort_in_place () =
+  let v = Vec.create () in
+  for i = 0 to 9_999 do
+    Vec.push v ((i * 7919) mod 10_007)
+  done;
+  Vec.push v (-1);
+  ignore (Vec.pop v);
+  let before = Gc.minor_words () in
+  Vec.sort Int.compare v;
+  let words = Gc.minor_words () -. before in
+  check "under 10 words for 10,000 elements" true (words < 10.0);
+  let sorted = ref true in
+  for i = 1 to Vec.length v - 1 do
+    if Vec.get v (i - 1) > Vec.get v i then sorted := false
+  done;
+  check "sorted" true !sorted;
+  check "stale slot left out" false (Vec.exists (fun x -> x = -1) v)
+
 let test_vec_exists () =
   let v = Vec.of_list [ 1; 2; 3 ] in
   check "exists" true (Vec.exists (fun x -> x = 2) v);
@@ -219,6 +239,14 @@ let vec_roundtrip_prop =
   QCheck.Test.make ~name:"vec of_list/to_list roundtrip" ~count:200
     QCheck.(list int)
     (fun xs -> Vec.to_list (Vec.of_list xs) = xs)
+
+let vec_sort_prop =
+  QCheck.Test.make ~name:"vec sort = List.sort" ~count:200
+    QCheck.(list small_int)
+    (fun xs ->
+      let v = Vec.of_list xs in
+      Vec.sort compare v;
+      Vec.to_list v = List.sort compare xs)
 
 let vec_push_pop_prop =
   QCheck.Test.make ~name:"vec push then pop reverses" ~count:200
@@ -525,8 +553,9 @@ let suite =
         Alcotest.test_case "clear" `Quick test_vec_clear_keeps_storage;
         Alcotest.test_case "iter/fold" `Quick test_vec_iter_fold;
         Alcotest.test_case "append/sort" `Quick test_vec_append_sort;
+        Alcotest.test_case "sort in place" `Quick test_vec_sort_in_place;
         Alcotest.test_case "exists" `Quick test_vec_exists ]
-      @ qcheck [ vec_roundtrip_prop; vec_push_pop_prop ] );
+      @ qcheck [ vec_roundtrip_prop; vec_push_pop_prop; vec_sort_prop ] );
     ( "util:int_array",
       [ Alcotest.test_case "grow" `Quick test_int_array_grow ]
       @ qcheck [ int_array_blit_prop ] );
