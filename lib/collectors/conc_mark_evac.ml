@@ -62,19 +62,7 @@ type t = {
   mutable stall_ns : float;
 }
 
-let gray_push t id =
-  if id <> null && not (Mark_bitset.marked t.heap.marks id) then begin
-    Mark_bitset.mark t.heap.marks id;
-    Vec.push t.gray id
-  end
-
-let scan t id =
-  let obj = Obj_model.Registry.find_live t.heap.registry id in
-  if obj.Obj_model.id <> null then
-    for j = 0 to Obj_model.nfields obj - 1 do
-      let r = Obj_model.field obj j in
-      if r <> null then gray_push t r
-    done
+let gray_push t id = Gc_kernels.mark_push t.heap.marks t.gray id
 
 (* --- Pauses ------------------------------------------------------------ *)
 
@@ -157,22 +145,15 @@ let conc_active t () =
   | Evac | Update -> t.p.conc_threads
   | Idle -> 0
 
-let conc_run t ~budget_ns =
+(* Evacuation, then reference updating, until the budget runs out or
+   the update work is done. *)
+let evac_update t ~budget_ns =
   let c = Sim.cost t.sim in
   let penalty = 1.0 /. c.conc_efficiency in
   let consumed = ref 0.0 in
   let continue_ = ref true in
   while !continue_ && !consumed < budget_ns do
     match t.phase with
-    | Mark ->
-      if Vec.is_empty t.gray then begin
-        t.final_mark_ready <- true;
-        continue_ := false
-      end
-      else begin
-        scan t (Vec.pop t.gray);
-        consumed := !consumed +. (c.trace_obj_ns *. penalty)
-      end
     | Evac ->
       if Vec.is_empty t.evac_queue then begin
         (* Reference updating visits every live object's fields. *)
@@ -210,9 +191,21 @@ let conc_run t ~budget_ns =
         t.update_work <- t.update_work -. slice;
         consumed := !consumed +. slice
       end
-    | Idle -> continue_ := false
+    | Idle | Mark -> continue_ := false
   done;
   !consumed
+
+let conc_run t ~budget_ns =
+  match t.phase with
+  | Idle -> 0.0
+  | Mark ->
+    let consumed =
+      Gc_kernels.conc_mark (Sim.cost t.sim) ~gray:t.gray ~budget_ns ~consumed:0.0
+        Gc_kernels.gray_referents t.heap
+    in
+    if Vec.is_empty t.gray && consumed < budget_ns then t.final_mark_ready <- true;
+    consumed
+  | Evac | Update -> evac_update t ~budget_ns
 
 (* --- Degenerated / full collection -------------------------------------- *)
 

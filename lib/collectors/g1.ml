@@ -68,23 +68,14 @@ let record_outgoing t (src : Obj_model.t) =
     done
   end
 
-let gray_push t id =
-  if id <> null && not (Mark_bitset.marked t.heap.marks id) then begin
-    Mark_bitset.mark t.heap.marks id;
-    Vec.push t.gray id
-  end
+let gray_push t id = Gc_kernels.mark_push t.heap.marks t.gray id
 
 (* --- Young (and mixed) collections ------------------------------------ *)
 
 let evacuate_young t tc =
   let c = Sim.cost t.sim in
   let queue = t.evac_queue in
-  let push id =
-    if id <> null && not (Mark_bitset.marked t.young_marks id) then begin
-      Mark_bitset.mark t.young_marks id;
-      Vec.push queue id
-    end
-  in
+  let push id = Gc_kernels.mark_push t.young_marks queue id in
   Gc_kernels.iter_roots t.roots push;
   (* Seed from the old->young remembered set. *)
   let n = Vec.length t.young_rs / 2 in
@@ -402,18 +393,15 @@ let introspect t =
 let conc_active t () = if t.marking && not (Vec.is_empty t.gray) then 2 else 0
 
 let conc_run t ~budget_ns =
-  let c = Sim.cost t.sim in
-  let penalty = 1.0 /. c.conc_efficiency in
-  let consumed = ref 0.0 in
-  let push r = if r <> null then gray_push t r in
-  while t.marking && (not (Vec.is_empty t.gray)) && !consumed < budget_ns do
-    let id = Vec.pop t.gray in
-    consumed := !consumed +. (c.trace_obj_ns *. penalty);
-    let obj = Obj_model.Registry.find_live t.heap.registry id in
-    if obj.Obj_model.id <> null then Obj_model.iter_fields push obj
-  done;
-  if t.marking && Vec.is_empty t.gray then t.remark_ready <- true;
-  !consumed
+  if not t.marking then 0.0
+  else begin
+    let consumed =
+      Gc_kernels.conc_mark (Sim.cost t.sim) ~gray:t.gray ~budget_ns ~consumed:0.0
+        Gc_kernels.gray_referents t.heap
+    in
+    if Vec.is_empty t.gray then t.remark_ready <- true;
+    consumed
+  end
 
 let factory : Collector.factory =
  fun sim heap ~roots ->

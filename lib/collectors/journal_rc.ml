@@ -91,14 +91,11 @@ let stats_alist s =
     ("backlog_peak", Float.of_int s.backlog_peak) ]
 
 (* Per-arena drain state: a sequential-store buffer of blocks whose
-   classification went stale under decrement frees, a phase tag, and an
-   epoch-scoped remembered set of cross-arena references discovered by
-   the journal fold (diagnostic: the collector is non-moving, so the
-   remsets guide nothing, but they are verifier-checked like LXR's). *)
-type arena_phase = Idle | Dirty | Sweeping
-
+   classification went stale under decrement frees, and an epoch-scoped
+   remembered set of cross-arena references discovered by the journal
+   fold (diagnostic: the collector is non-moving, so the remsets guide
+   nothing, but they are verifier-checked like LXR's). *)
 type arena = {
-  mutable phase : arena_phase;
   ssb : Vec.t;  (* block ids awaiting a guarded re-sweep *)
   ssb_set : Bytes.t;  (* block-indexed membership byte for [ssb] *)
   remset : Vec.t;  (* (src id, field) pairs, packed flat *)
@@ -160,8 +157,7 @@ let note_dec_sweep t (obj : Obj_model.t) =
     let ar = t.arenas.(arena_of t b) in
     if Bytes.unsafe_get ar.ssb_set b = '\000' then begin
       Bytes.unsafe_set ar.ssb_set b '\001';
-      Vec.push ar.ssb b;
-      if ar.phase = Idle then ar.phase <- Dirty
+      Vec.push ar.ssb b
     end
   end
 
@@ -226,13 +222,7 @@ let fold_record t ~src ~field ~old_r ~new_r =
          note_remset t ~src:src_obj ~field ~referent
      end
    end);
-  if old_r <> null then Vec.push t.dec_deferred old_r;
-  let src_obj = Obj_model.Registry.find_live t.heap.registry src in
-  if src_obj.Obj_model.id <> null then begin
-    let b = Addr.block_of t.heap.cfg (Obj_model.addr src_obj) in
-    let ar = t.arenas.(arena_of t b) in
-    if ar.phase = Idle then ar.phase <- Dirty
-  end
+  if old_r <> null then Vec.push t.dec_deferred old_r
 
 (* --- The write barrier ------------------------------------------------- *)
 
@@ -269,17 +259,12 @@ let on_write t (src : Obj_model.t) field new_ref =
    objects' current fields (queued just before each free, applied
    serially after the sweep). *)
 let young_sweep t tc =
-  let c = Sim.cost t.sim in
   let cascade = t.cascade in
   let push_cascade r = if r <> null then Vec.push cascade r in
   Gc_kernels.sweep_young t.heap tc ~los:t.los_young ~on_dead:(fun obj ->
       Obj_model.iter_fields push_cascade obj;
       t.stats.young_reclaimed <- t.stats.young_reclaimed + obj.size);
-  while not (Vec.is_empty cascade) do
-    let frontier = Vec.length cascade in
-    Trace_cost.add tc ~frontier ~cost_ns:c.dec_ns;
-    apply_dec t cascade (Vec.pop cascade)
-  done
+  Gc_kernels.drain_decrements tc ~queue:cascade apply_dec t
 
 (* --- Mature trace (the cycle backstop) --------------------------------- *)
 
@@ -312,8 +297,7 @@ let mature_trace t tc root_ids =
   Array.iter
     (fun ar ->
       Vec.clear ar.ssb;
-      Bytes.fill ar.ssb_set 0 (Bytes.length ar.ssb_set) '\000';
-      if ar.phase = Sweeping || ar.phase = Dirty then ar.phase <- Idle)
+      Bytes.fill ar.ssb_set 0 (Bytes.length ar.ssb_set) '\000')
     t.arenas;
   t.pauses_since_trace <- 0
 
@@ -360,11 +344,7 @@ let journal_pause t ~force_trace =
       (* Applicable decrements the concurrent drain did not finish. *)
       if not (Vec.is_empty t.dec_applicable) then begin
         t.stats.unfinished_drain_pauses <- t.stats.unfinished_drain_pauses + 1;
-        while not (Vec.is_empty t.dec_applicable) do
-          let frontier = Vec.length t.dec_applicable in
-          Trace_cost.add tc ~frontier ~cost_ns:c.dec_ns;
-          apply_dec t t.dec_applicable (Vec.pop t.dec_applicable)
-        done
+        Gc_kernels.drain_decrements tc ~queue:t.dec_applicable apply_dec t
       end;
       (* Epoch-scoped remsets restart with the new epoch's fold. *)
       Array.iter (fun ar -> Vec.clear ar.remset) t.arenas;
@@ -375,9 +355,7 @@ let journal_pause t ~force_trace =
          epoch's deferred decrements become applicable — the step the
          deferral discipline's soundness rests on. *)
       let root_ids = t.root_ids in
-      Vec.clear root_ids;
-      Array.iter (fun r -> if r <> null then Vec.push root_ids r) t.roots;
-      Gc_kernels.charge_root_scan tc t.roots;
+      Gc_kernels.snapshot_roots tc t.roots ~into:root_ids;
       Vec.iter
         (fun id ->
           let obj = Obj_model.Registry.find_live t.heap.registry id in
@@ -446,17 +424,12 @@ let conc_run t ~budget_ns =
         if a >= arena_count then continue_ := false
         else begin
           let ar = t.arenas.(a) in
-          if Vec.is_empty ar.ssb then begin
-            if ar.phase = Sweeping then ar.phase <- Idle;
-            sweep_next (a + 1)
-          end
+          if Vec.is_empty ar.ssb then sweep_next (a + 1)
           else begin
-            ar.phase <- Sweeping;
             let b = Vec.pop ar.ssb in
             Bytes.unsafe_set ar.ssb_set b '\000';
             Gc_kernels.sweep_stale_block t.heap b;
             t.stats.arena_sweeps <- t.stats.arena_sweeps + 1;
-            if Vec.is_empty ar.ssb then ar.phase <- Idle;
             consumed := !consumed +. c.sweep_block_ns
           end
         end
@@ -510,8 +483,7 @@ let on_finish t () =
         let b = Vec.pop ar.ssb in
         Bytes.unsafe_set ar.ssb_set b '\000';
         Gc_kernels.sweep_stale_block t.heap b
-      done;
-      ar.phase <- Idle)
+      done)
     t.arenas
 
 (* --- Verifier introspection --------------------------------------------- *)
@@ -581,8 +553,7 @@ let factory sim heap ~roots =
       cascade = Vec.create ~capacity:256 ();
       arenas =
         Array.init arena_count (fun _ ->
-            { phase = Idle;
-              ssb = Vec.create ~capacity:16 ();
+            { ssb = Vec.create ~capacity:16 ();
               ssb_set = Bytes.make blocks '\000';
               remset = Vec.create ~capacity:64 () });
       arena_blocks;

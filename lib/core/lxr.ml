@@ -5,14 +5,9 @@ open Repro_engine
 let null = Obj_model.null
 
 type epoch_feedback = {
-  epoch : int;
   now_ns : float;
   pause_wall_ns : float;
   pause_cpu_ns : float;
-  epoch_alloc_bytes : int;
-  epoch_promoted_bytes : int;
-  live_blocks : int;
-  total_blocks : int;
 }
 
 type t = {
@@ -89,18 +84,12 @@ let note_remset t ~(src : Obj_model.t) ~field ~(referent : Obj_model.t) =
 
 let satb_tracing t = t.satb_active && not t.satb_completed
 
-let gray_into t gray id =
-  if id <> null && not (Mark_bitset.marked t.heap.marks id) then begin
-    Mark_bitset.mark t.heap.marks id;
-    Vec.push gray id
-  end
-
-let gray_push t id = gray_into t t.satb_gray id
+let gray_push t id = Gc_kernels.mark_push t.heap.marks t.satb_gray id
 
 (* Scan one gray object, graying its referents onto [gray]: the
    mature-only optimization skips objects with a zero reference count
    (young objects are covered by RC). *)
-let satb_scan t id gray =
+let satb_scan t gray id =
   let obj = find_live t id in
   if obj.Obj_model.id <> null && Heap.rc_of t.heap obj > 0 then
     for i = 0 to Obj_model.nfields obj - 1 do
@@ -109,7 +98,7 @@ let satb_scan t id gray =
         let child = find_live t r in
         if child.Obj_model.id <> null then
           note_remset t ~src:obj ~field:i ~referent:child;
-        gray_into t gray r
+        Gc_kernels.mark_push t.heap.marks gray r
       end
     done
 
@@ -242,15 +231,16 @@ let begin_satb t root_ids =
       ~occupancy_max:t.cfg.evac_occupancy_max;
   Vec.iter (gray_push t) root_ids
 
+let complete_satb t =
+  t.satb_completed <- true;
+  t.stats.satb_traces_completed <- t.stats.satb_traces_completed + 1
+
 (* Trace to exhaustion inside a pause (the -SATB ablation, emergency
    collections, and end-of-run draining), in the kernels' breadth-first
    rounds. *)
 let drain_satb_in_pause t tc =
   Gc_kernels.trace_rounds t.heap tc ~gray:t.satb_gray (satb_scan t);
-  if t.satb_active && not t.satb_completed then begin
-    t.satb_completed <- true;
-    t.stats.satb_traces_completed <- t.stats.satb_traces_completed + 1
-  end
+  if satb_tracing t then complete_satb t
 
 (* Reclaim objects the completed trace left unmarked, in ascending slot
    order. Only objects mature at trace start participate; younger
@@ -383,11 +373,7 @@ let rc_epoch t tc =
   (* Unfinished lazy decrements from the previous epoch come first. *)
   if not (Vec.is_empty t.lazy_queue) then begin
     t.stats.unfinished_lazy_pauses <- t.stats.unfinished_lazy_pauses + 1;
-    while not (Vec.is_empty t.lazy_queue) do
-      let frontier = Vec.length t.lazy_queue in
-      Trace_cost.add tc ~frontier ~cost_ns:c.dec_ns;
-      apply_dec t t.lazy_queue (Vec.pop t.lazy_queue)
-    done
+    Gc_kernels.drain_decrements tc ~queue:t.lazy_queue apply_dec t
   end;
   let satb_was_completed = t.satb_active && t.satb_completed in
   (* SATB reclamation happens in the first epoch after the trace ends,
@@ -409,9 +395,7 @@ let rc_epoch t tc =
   in
   phase `Dec;  (* the unfinished-lazy drain above *)
   let root_ids = t.root_ids and inc_queue = t.inc_queue in
-  Vec.clear root_ids;
-  Array.iter (fun r -> if r <> null then Vec.push root_ids r) t.roots;
-  Gc_kernels.charge_root_scan tc t.roots;
+  Gc_kernels.snapshot_roots tc t.roots ~into:root_ids;
   Vec.append inc_queue root_ids;
   if satb_tracing t then Vec.iter (gray_push t) root_ids;
   (* Modified fields: the final referent of each logged field receives
@@ -478,11 +462,7 @@ let rc_epoch t tc =
   Vec.append t.prev_roots root_ids;
   if t.cfg.lazy_decrements then Vec.append t.lazy_queue dec_pending
   else begin
-    while not (Vec.is_empty dec_pending) do
-      let frontier = Vec.length dec_pending in
-      Trace_cost.add tc ~frontier ~cost_ns:c.dec_ns;
-      apply_dec t dec_pending (Vec.pop dec_pending)
-    done;
+    Gc_kernels.drain_decrements tc ~queue:dec_pending apply_dec t;
     (* Sweep decrement-touched blocks in the pause too (-LD). *)
     drain_lazy_sweep t (fun b ->
         Trace_cost.add_parallel tc ~cost_ns:c.sweep_block_ns;
@@ -529,16 +509,7 @@ let rc_pause t =
   | Some f ->
     let pause_wall_ns, pause_cpu_ns = Sim.last_pause_cost t.sim in
     t.cfg <-
-      f
-        { epoch = t.heap.epoch;
-          now_ns = Sim.now t.sim;
-          pause_wall_ns;
-          pause_cpu_ns;
-          epoch_alloc_bytes = t.alloc_bytes_epoch;
-          epoch_promoted_bytes = t.promoted_bytes_epoch;
-          live_blocks = live_blocks t;
-          total_blocks = Heap_config.blocks t.heap.cfg }
-        t.cfg);
+      f { now_ns = Sim.now t.sim; pause_wall_ns; pause_cpu_ns } t.cfg);
   t.alloc_bytes_epoch <- 0;
   t.promoted_bytes_epoch <- 0
 
@@ -551,12 +522,16 @@ let conc_active t () =
   then 0
   else 1
 
+(* Lazy decrements first, then the sweeps they queued, then the SATB
+   trace. Sweeping and scanning queue no decrement, so the trace starts
+   only with both queues empty or the budget spent. *)
 let conc_run t ~budget_ns =
   let c = Sim.cost t.sim in
-  let penalty = 1.0 /. c.conc_efficiency in
   let consumed = ref 0.0 in
-  let continue_ = ref true in
-  while !continue_ && !consumed < budget_ns do
+  while
+    ((not (Vec.is_empty t.lazy_queue)) || not (Vec.is_empty t.lazy_sweep))
+    && !consumed < budget_ns
+  do
     if not (Vec.is_empty t.lazy_queue) then begin
       (* Reference counts are local: decrements need no synchronization
          with the mutator, so they escape the concurrency penalty that
@@ -564,25 +539,22 @@ let conc_run t ~budget_ns =
       apply_dec t t.lazy_queue (Vec.pop t.lazy_queue);
       consumed := !consumed +. c.dec_ns
     end
-    else if not (Vec.is_empty t.lazy_sweep) then begin
+    else begin
       let b = Vec.pop t.lazy_sweep in
       Bytes.set t.lazy_sweep_member b '\000';
       Gc_kernels.sweep_stale_block t.heap b;
       consumed := !consumed +. c.sweep_block_ns
     end
-    else if t.cfg.concurrent_satb && satb_tracing t then begin
-      if Vec.is_empty t.satb_gray then begin
-        t.satb_completed <- true;
-        t.stats.satb_traces_completed <- t.stats.satb_traces_completed + 1
-      end
-      else begin
-        satb_scan t (Vec.pop t.satb_gray) t.satb_gray;
-        consumed := !consumed +. (c.trace_obj_ns *. penalty)
-      end
-    end
-    else continue_ := false
   done;
-  !consumed
+  if t.cfg.concurrent_satb && satb_tracing t then begin
+    let consumed =
+      Gc_kernels.conc_mark c ~gray:t.satb_gray ~budget_ns ~consumed:!consumed
+        satb_scan t
+    in
+    if Vec.is_empty t.satb_gray && consumed < budget_ns then complete_satb t;
+    consumed
+  end
+  else !consumed
 
 (* --- Triggers (§3.2.1) -------------------------------------------------- *)
 

@@ -29,14 +29,9 @@ val factory : Repro_engine.Collector.factory
     simulated metrics, so any deterministic function of them keeps the
     run bit-identical across [--domains]. *)
 type epoch_feedback = {
-  epoch : int;  (** the epoch that just began *)
   now_ns : float;  (** virtual clock after the pause *)
   pause_wall_ns : float;  (** the ending pause's wall time *)
   pause_cpu_ns : float;
-  epoch_alloc_bytes : int;  (** allocated during the finished epoch *)
-  epoch_promoted_bytes : int;  (** survived its first pause *)
-  live_blocks : int;
-  total_blocks : int;
 }
 
 (** [factory_tuned ~name ~tune ()] builds collectors that re-tune their

@@ -9,6 +9,21 @@ let iter_roots roots f =
     if r <> null then f r
   done
 
+let[@inline] mark_push marks stack id =
+  if id <> null && not (Mark_bitset.marked marks id) then begin
+    Mark_bitset.mark marks id;
+    Vec.push stack id
+  end
+
+let[@inline] gray_fields marks stack obj =
+  for j = 0 to Obj_model.nfields obj - 1 do
+    mark_push marks stack (Obj_model.field obj j)
+  done
+
+let gray_referents heap stack id =
+  let obj = Obj_model.Registry.find_live heap.Heap.registry id in
+  if obj.Obj_model.id <> null then gray_fields heap.Heap.marks stack obj
+
 (* A body that records a pause of its own would nest one pause in
    another; no collector does, and the check keeps it that way. *)
 let stw ?gc_threads sim body =
@@ -26,6 +41,14 @@ let charge_root_scan tc roots =
   Trace_cost.add_parallel tc
     ~cost_ns:(Float.of_int (Array.length roots) *. (Trace_cost.cost tc).root_scan_ns)
 
+let snapshot_roots tc roots ~into =
+  Vec.clear into;
+  for i = 0 to Array.length roots - 1 do
+    let r = roots.(i) in
+    if r <> null then Vec.push into r
+  done;
+  charge_root_scan tc roots
+
 (* Breadth-first rounds, not a LIFO stack: the frontier-limited cost of
    each entry is the size of what is left of its round, so the visit
    order fixes every pause time. *)
@@ -36,7 +59,7 @@ let trace_rounds heap tc ~gray scan =
     let n = Vec.length gray in
     for k = 0 to n - 1 do
       Trace_cost.add tc ~frontier:(n - k) ~cost_ns:trace_obj_ns;
-      scan (Vec.get gray k) next
+      scan next (Vec.get gray k)
     done;
     Vec.clear gray;
     Vec.append gray next;
@@ -45,27 +68,38 @@ let trace_rounds heap tc ~gray scan =
 
 let drain_marked ?(on_visit = ignore) heap tc ~gray =
   let reg = heap.Heap.registry and marks = heap.Heap.marks in
-  trace_rounds heap tc ~gray (fun id next ->
+  trace_rounds heap tc ~gray (fun next id ->
       let obj = Obj_model.Registry.find_live reg id in
       if obj.Obj_model.id <> null then begin
         on_visit obj;
-        for j = 0 to Obj_model.nfields obj - 1 do
-          let r = Obj_model.field obj j in
-          if r <> null && not (Mark_bitset.marked marks r) then begin
-            Mark_bitset.mark marks r;
-            Vec.push next r
-          end
-        done
+        gray_fields marks next obj
       end)
 
 let mark_from ?on_visit heap tc ~seeds =
   let gray = heap.Heap.mark_gray in
-  seeds (fun id ->
-      if id <> null && not (Mark_bitset.marked heap.Heap.marks id) then begin
-        Mark_bitset.mark heap.Heap.marks id;
-        Vec.push gray id
-      end);
+  let marks = heap.Heap.marks in
+  seeds (fun id -> mark_push marks gray id);
   drain_marked ?on_visit heap tc ~gray
+
+(* [1.0 /. conc_efficiency] first, as every plan charged it: dividing
+   [trace_obj_ns] by the efficiency rounds differently. *)
+let[@inline] conc_mark cost ~gray ~budget_ns ~consumed scan env =
+  let entry_ns =
+    cost.Cost_model.trace_obj_ns *. (1.0 /. cost.Cost_model.conc_efficiency)
+  in
+  let consumed = ref consumed in
+  while (not (Vec.is_empty gray)) && !consumed < budget_ns do
+    consumed := !consumed +. entry_ns;
+    scan env gray (Vec.pop gray)
+  done;
+  !consumed
+
+let drain_decrements tc ~queue apply env =
+  let dec_ns = (Trace_cost.cost tc).dec_ns in
+  while not (Vec.is_empty queue) do
+    Trace_cost.add tc ~frontier:(Vec.length queue) ~cost_ns:dec_ns;
+    apply env queue (Vec.pop queue)
+  done
 
 let sweep_unmarked heap tc =
   let reg = heap.Heap.registry and blocks = heap.Heap.blocks in
@@ -97,8 +131,108 @@ let sweep_unmarked heap tc =
 let clear_targets heap targets =
   List.iter (fun b -> Blocks.set_target heap.Heap.blocks b false) targets
 
+(* Candidates are pushed in ascending block order, so the list is in
+   descending block order before the stable sort. *)
+let sparse_blocks heap ~sparse =
+  let candidates = ref [] in
+  for b = 0 to Heap_config.blocks heap.Heap.cfg - 1 do
+    match Blocks.state heap.Heap.blocks b with
+    | Blocks.In_use | Blocks.Recyclable ->
+      let live = Heap.live_bytes_in_block heap b in
+      if live > 0 && sparse live then candidates := (b, live) :: !candidates
+    | Blocks.Free | Blocks.Owned | Blocks.Los_backing -> ()
+  done;
+  List.sort (fun (_, a) (_, b) -> Int.compare a b) !candidates
+
+let select_fragmented heap ~max_blocks ~occupancy_max =
+  let block_bytes = Float.of_int heap.Heap.cfg.block_bytes in
+  let rec take n = function
+    | [] -> []
+    | _ when n <= 0 -> []
+    | (b, _) :: rest -> b :: take (n - 1) rest
+  in
+  let targets =
+    take max_blocks
+      (sparse_blocks heap ~sparse:(fun live ->
+           Float.of_int live < occupancy_max *. block_bytes))
+  in
+  List.iter (fun b -> Blocks.set_target heap.Heap.blocks b true) targets;
+  targets
+
+let reclassify heap =
+  for b = 0 to Heap_config.blocks heap.Heap.cfg - 1 do
+    match Blocks.state heap.Heap.blocks b with
+    | (Blocks.In_use | Blocks.Recyclable) when not (Heap.in_reserve heap b) ->
+      Blocks.set_state heap.Heap.blocks b (Heap.classify_block heap b)
+    | Blocks.In_use | Blocks.Recyclable | Blocks.Free | Blocks.Owned
+    | Blocks.Los_backing -> ()
+  done;
+  Heap.rebuild_free_lists heap
+
+let compact heap tc ~gc_alloc =
+  let cfg = heap.Heap.cfg and cost = Trace_cost.cost tc in
+  let copied = ref 0 in
+  let progress = ref true in
+  let rounds = ref 0 in
+  let enough () =
+    (* Stop once a comfortable fraction of the heap is completely free. *)
+    Heap.available_blocks heap >= Heap_config.blocks cfg / 4
+  in
+  while !progress && (not (enough ())) && !rounds < 8 do
+    incr rounds;
+    progress := false;
+    reclassify heap;
+    let budget = ref (Heap.available_blocks heap * cfg.block_bytes * 9 / 10) in
+    if !budget > 0 then begin
+      (* Sparsest first, dense blocks not worth copying, cumulative live
+         within the free-block budget so every selected block empties
+         completely. *)
+      let targets =
+        List.filter
+          (fun (_, live) ->
+            if !budget >= live then begin
+              budget := !budget - live;
+              true
+            end
+            else false)
+          (sparse_blocks heap ~sparse:(fun live -> live * 100 < cfg.block_bytes * 85))
+      in
+      List.iter (fun (b, _) -> Blocks.set_target heap.Heap.blocks b true) targets;
+      List.iter
+        (fun (b, _) ->
+          let residents = Blocks.residents heap.Heap.blocks b in
+          (* [residents] mutates under evacuation pushes; the snapshot
+             length bounds the scan to the pre-evacuation entries. *)
+          let n0 = Vec.length residents in
+          for r = 0 to n0 - 1 do
+            let id = Vec.get residents r in
+            let obj = Obj_model.Registry.find_live heap.Heap.registry id in
+            if
+              obj.Obj_model.id <> null
+              && Addr.block_of cfg (Obj_model.addr obj) = b
+            then
+              if Heap.evacuate heap gc_alloc obj then begin
+                copied := !copied + obj.size;
+                progress := true;
+                Trace_cost.add_parallel tc
+                  ~cost_ns:(cost.Cost_model.copy_ns_per_byte *. Float.of_int obj.size)
+              end
+          done;
+          Trace_cost.add_parallel tc ~cost_ns:cost.Cost_model.sweep_block_ns;
+          Blocks.compact heap.Heap.blocks b ~live:(fun id ->
+              let obj = Obj_model.Registry.find_live heap.Heap.registry id in
+              obj.Obj_model.id <> null
+              && Addr.block_of cfg (Obj_model.addr obj) = b))
+        targets;
+      List.iter (fun (b, _) -> Blocks.set_target heap.Heap.blocks b false) targets;
+      Bump_allocator.retire_all gc_alloc
+    end
+  done;
+  reclassify heap;
+  !copied
+
 let full_collection ?(evacuate = fun _ -> false) ?(targets = []) heap tc ~roots
-    ~gc_alloc ~compact =
+    ~gc_alloc ~compact:slide =
   let copy_ns_per_byte = (Trace_cost.cost tc).copy_ns_per_byte in
   let copied = ref 0 in
   let on_visit (obj : Obj_model.t) =
@@ -113,7 +247,7 @@ let full_collection ?(evacuate = fun _ -> false) ?(targets = []) heap tc ~roots
   (* The recyclable-block allocator skips flagged blocks, and the
      compaction allocates through it. *)
   clear_targets heap targets;
-  if compact then copied := !copied + Compaction.compact heap tc ~gc_alloc;
+  if slide then copied := !copied + compact heap tc ~gc_alloc;
   Mark_bitset.clear heap.Heap.marks;
   Heap.clear_touched heap;
   (freed, !copied)
@@ -125,7 +259,7 @@ let emergency_compact sim heap ~gc_alloc =
       (* The reserve goes straight into the compactor's budget, so
          nothing else can claim it first. *)
       Heap.release_reserve heap;
-      copied := Compaction.compact heap tc ~gc_alloc;
+      copied := compact heap tc ~gc_alloc;
       "compact");
   !copied
 
@@ -183,27 +317,3 @@ let marked_block_liveness heap f =
     | Blocks.In_use | Blocks.Recyclable | Blocks.Free | Blocks.Owned
     | Blocks.Los_backing -> ()
   done
-
-(* Candidates are pushed in ascending block order, so the list is in
-   descending block order before the stable sort. *)
-let select_fragmented heap ~max_blocks ~occupancy_max =
-  let cfg = heap.Heap.cfg in
-  let candidates = ref [] in
-  for b = 0 to Heap_config.blocks cfg - 1 do
-    match Blocks.state heap.Heap.blocks b with
-    | Blocks.In_use | Blocks.Recyclable ->
-      let live = Heap.live_bytes_in_block heap b in
-      if live > 0
-         && Float.of_int live < occupancy_max *. Float.of_int cfg.block_bytes
-      then candidates := (b, live) :: !candidates
-    | Blocks.Free | Blocks.Owned | Blocks.Los_backing -> ()
-  done;
-  let sorted = List.sort (fun (_, a) (_, b) -> compare a b) !candidates in
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | (b, _) :: rest -> b :: take (n - 1) rest
-  in
-  let targets = take max_blocks sorted in
-  List.iter (fun b -> Blocks.set_target heap.Heap.blocks b true) targets;
-  targets

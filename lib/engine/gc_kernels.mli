@@ -5,8 +5,13 @@
     ideal baseline) keeps only policy: when to pause, which blocks to
     sweep, which objects are dead, and what happens to each dead object.
     The mechanisms live here once: the stop-the-world bracket ({!stw}),
-    the breadth-first mark, the block sweep, block liveness, target
-    selection, the full collection and the emergency compaction.
+    the mark-and-push ({!mark_push}), the breadth-first mark, the
+    budgeted concurrent mark drain ({!conc_mark}), the metered in-pause
+    decrement drain ({!drain_decrements}), the RC root snapshot
+    ({!snapshot_roots}), the block sweep, block liveness, the one
+    sparse-block pick behind target selection ({!select_fragmented}) and
+    compaction, the full collection, and the guaranteed-progress
+    compaction ({!compact}) with its emergency pause.
 
     Every kernel is a serial loop in ascending slot or block order (the
     mark in breadth-first rounds) on the domain that owns the heap, and
@@ -21,6 +26,16 @@
     it evacuation addresses. *)
 val iter_roots : int array -> (int -> unit) -> unit
 
+(** [mark_push marks stack id] marks [id] in [marks] and pushes it onto
+    [stack], unless [id] is null or already marked. Every gray push of
+    every plan goes through it. *)
+val mark_push : Repro_heap.Mark_bitset.t -> Repro_util.Vec.t -> int -> unit
+
+(** [gray_referents heap stack id] applies {!mark_push} (with the heap's
+    [marks]) to every field of the live object [id], in field order; a
+    dead [id] grays nothing. *)
+val gray_referents : Repro_heap.Heap.t -> Repro_util.Vec.t -> int -> unit
+
 (** [stw ?gc_threads sim body] is every stop-the-world pause. It makes
     the pause's meter over [Sim.cost sim] and [gc_threads] GC threads
     (default [Cost_model.gc_threads]; Serial passes 1), runs [body tc],
@@ -34,16 +49,22 @@ val stw : ?gc_threads:int -> Sim.t -> (Trace_cost.t -> string) -> unit
     as parallel work. *)
 val charge_root_scan : Trace_cost.t -> int array -> unit
 
+(** [snapshot_roots tc roots ~into] is the reference-counting plans'
+    root snapshot: it empties [into], pushes every non-null root slot in
+    ascending slot order, and charges the root scan
+    ({!charge_root_scan}). *)
+val snapshot_roots : Trace_cost.t -> int array -> into:Repro_util.Vec.t -> unit
+
 (** [trace_rounds heap tc ~gray scan] drains the gray frontier [gray]
     in breadth-first rounds. Entry [k] of an [n]-entry round is charged
-    [trace_obj_ns] at frontier [n - k], then [scan id next] grays the
+    [trace_obj_ns] at frontier [n - k], then [scan next id] grays the
     entry's unmarked referents onto [next] (the heap's [mark_next]), the
     next round's frontier. [gray] is empty on return. *)
 val trace_rounds :
   Repro_heap.Heap.t ->
   Trace_cost.t ->
   gray:Repro_util.Vec.t ->
-  (int -> Repro_util.Vec.t -> unit) ->
+  (Repro_util.Vec.t -> int -> unit) ->
   unit
 
 (** [drain_marked ?on_visit heap tc ~gray] finishes a mark whose gray
@@ -70,6 +91,37 @@ val mark_from :
   seeds:((int -> unit) -> unit) ->
   unit
 
+(** [conc_mark cost ~gray ~budget_ns ~consumed scan env] is the
+    budgeted concurrent mark drain. While [gray] is not empty and the
+    running total, which starts at [consumed], is under [budget_ns], it
+    charges [trace_obj_ns *. (1.0 /. conc_efficiency)], pops the top
+    entry and runs [scan env gray id], which grays the entry's referents
+    onto [gray] ({!gray_referents} for G1 and Shenandoah/ZGC). It
+    returns the new total. The scan and its state are separate
+    arguments, so a slice allocates no closure. The plan decides what
+    an empty [gray] means: G1 flags its remark whenever the stack is
+    empty on return, Shenandoah/ZGC and LXR only when it is empty with
+    budget left. *)
+val conc_mark :
+  Cost_model.t ->
+  gray:Repro_util.Vec.t ->
+  budget_ns:float ->
+  consumed:float ->
+  ('a -> Repro_util.Vec.t -> int -> unit) ->
+  'a ->
+  float
+
+(** [drain_decrements tc ~queue apply env] is the in-pause decrement
+    drain: until [queue] is empty it charges [dec_ns] at the queue's
+    length as frontier, pops the top entry and runs [apply env queue id],
+    which may push cascaded decrements onto [queue]. *)
+val drain_decrements :
+  Trace_cost.t ->
+  queue:Repro_util.Vec.t ->
+  ('a -> Repro_util.Vec.t -> int -> unit) ->
+  'a ->
+  unit
+
 (** [sweep_unmarked heap tc] frees every unmarked object (large objects
     included) in registry-slot order, compacts and reclassifies every
     data block ({!Repro_heap.Heap.classify_block}), rebuilds the free
@@ -82,7 +134,7 @@ val sweep_unmarked : Repro_heap.Heap.t -> Trace_cost.t -> int
     [roots], copying each visited object for which [evacuate] holds
     (default none) out through [gc_alloc]; retires [gc_alloc]; sweeps
     the unmarked ({!sweep_unmarked}); unflags the evacuation set
-    [targets]; slide-compacts ({!Compaction.compact}) when [compact];
+    [targets]; slide-compacts ({!compact}) when [compact];
     and clears the marks and the touched blocks. It returns the freed
     bytes and the copied bytes (mark copies plus compaction). The caller
     retires the mutator allocators and charges any root scan first. *)
@@ -95,6 +147,23 @@ val full_collection :
   gc_alloc:Repro_heap.Bump_allocator.t ->
   compact:bool ->
   int * int
+
+(** [reclassify heap] re-derives every non-reserve data block's state
+    from the RC table and rebuilds the free lists (partially filled
+    compaction destinations become recyclable again). *)
+val reclassify : Repro_heap.Heap.t -> unit
+
+(** [compact heap tc ~gc_alloc] is the guaranteed-progress sliding
+    compaction. In up to 8 rounds, until a quarter of the blocks are
+    free, it picks the sparsest blocks (live bytes above zero and under
+    85% of a block, by the integer test [live * 100 < block_bytes * 85])
+    whose cumulative live bytes fit in 90% of the free block capacity,
+    evacuates them completely through [gc_alloc], and returns them to
+    the free list, so each round's emptied blocks fund the next. Dead
+    objects must already have been reclaimed. It returns the bytes
+    copied. *)
+val compact :
+  Repro_heap.Heap.t -> Trace_cost.t -> gc_alloc:Repro_heap.Bump_allocator.t -> int
 
 (** [emergency_compact sim heap ~gc_alloc] is the last rung of the
     reference-counting plans' allocation ladder: a pause labelled

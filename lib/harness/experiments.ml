@@ -66,6 +66,15 @@ let pause_pctl_ms (r : Runner.result) p =
 
 let fmt_opt fmt = function None -> "-" | Some v -> Printf.sprintf fmt v
 
+(* Mean of counter [k] over successful runs; [None] when none succeeded
+   or a collector does not report [k]. *)
+let mean_stat rs k =
+  match ok_runs rs with
+  | [] -> None
+  | ok ->
+    let vs = List.filter_map (fun r -> Runner.stat r k) ok in
+    if List.compare_lengths vs ok = 0 then Some (Stats.mean vs) else None
+
 (* --- Table 1 ------------------------------------------------------------ *)
 
 let table1 opts =
@@ -379,7 +388,7 @@ let table7 opts =
           (* Every column reads an LXR counter: a missing one is a renamed
              key, not a zero. *)
           let s k =
-            match List.assoc_opt k r.collector_stats with
+            match Runner.stat r k with
             | Some v -> v
             | None ->
               failwith
@@ -448,25 +457,26 @@ let figure7 opts =
   in
   let shown = [ "Serial"; "Parallel"; "G1"; "Shenandoah"; "ZGC"; "LXR" ] in
   let one = { opts with iterations = 1 } in
+  (* One run per heap factor, benchmark and collector, read by both
+     panels. *)
+  let matrix =
+    List.map
+      (fun factor ->
+        let bench_runs (w : Workload.t) =
+          List.map
+            (fun (name, factory) ->
+              let w = throughput_mode w in
+              (name, List.hd (runs one ~workload:w ~factory ~heap_factor:factor ())))
+            collectors
+        in
+        (factor, List.map bench_runs Benchmarks.all))
+      factors
+  in
   let table metric label =
     let chart_series = Hashtbl.create 8 in
     let rows =
       List.map
-        (fun factor ->
-          let per_bench =
-            List.map
-              (fun (w : Workload.t) ->
-                List.map
-                  (fun (name, factory) ->
-                    match
-                      runs one ~workload:(throughput_mode w) ~factory
-                        ~heap_factor:factor ()
-                    with
-                    | [ r ] -> (name, r)
-                    | _ -> assert false)
-                  collectors)
-              Benchmarks.all
-          in
+        (fun (factor, per_bench) ->
           Printf.sprintf "%.1fx" factor
           :: List.map
                (fun name ->
@@ -488,7 +498,7 @@ let figure7 opts =
                      :: (try Hashtbl.find chart_series name with Not_found -> []));
                    Printf.sprintf "%.2f" m)
                shown)
-        factors
+        matrix
     in
     let series =
       List.filter_map
@@ -525,19 +535,23 @@ let sensitivity opts =
     Repro_heap.Heap_config.make ?block_bytes ?rc_bits ?free_buffer_entries
       ~heap_bytes ()
   in
+  (* Default LXR at 2x, run once per benchmark: every row's baseline. *)
+  let baselines =
+    List.map
+      (fun (w : Workload.t) ->
+        let w = throughput_mode w in
+        (w, runs one ~workload:w ~factory:(snd lxr) ~heap_factor:2.0 ()))
+      Benchmarks.all
+  in
   let geomean_time ?heap_config ?(factory = snd lxr) () =
     let ratios =
       List.filter_map
-        (fun (w : Workload.t) ->
-          let w = throughput_mode w in
-          let base =
-            runs one ~workload:w ~factory:(snd lxr) ~heap_factor:2.0 ()
-          in
+        (fun (w, base) ->
           let v = runs one ?heap_config ~workload:w ~factory ~heap_factor:2.0 () in
           match (mean_of base (fun r -> r.wall_ns), mean_of v (fun r -> r.wall_ns)) with
           | Some b, Some x when b > 0.0 && x > 0.0 -> Some (x /. b)
           | _ -> None)
-        Benchmarks.all
+        baselines
     in
     match ratios with [] -> None | l -> Some (Stats.geomean l)
   in
@@ -676,25 +690,24 @@ let journal_flood opts =
           (fun (cname, factory) ->
             let rs = runs opts ~workload:w ~factory ~heap_factor:2.0 () in
             let m f = mean_of rs f in
-            let journal r = Runner.stat r "journal_records" in
-            let folded r =
-              Runner.stat r "pause_records" +. Runner.stat r "conc_records"
-            in
+            (* Read only where [mean_stat] found the counter in every
+               successful run. *)
+            let get k r = Option.get (Runner.stat r k) in
+            let folded r = get "pause_records" r +. get "conc_records" r in
             [ wname;
               cname;
               fmt_opt "%.1f" (m (fun r -> r.Runner.wall_ns /. 1e6));
               fmt_opt "%.1f" (m (fun r -> r.Runner.gc_cpu_ns /. 1e6));
               fmt_opt "%.0f" (m (fun r -> Float.of_int r.Runner.pause_count));
               fmt_opt "%.2f" (m (fun r -> r.Runner.stw_wall_ns /. 1e6));
-              fmt_opt "%.0f" (m (fun r -> Runner.stat r "wb_slow"));
-              (match m folded with
-              | Some f when f > 0.0 ->
+              fmt_opt "%.0f" (mean_stat rs "wb_slow");
+              (match (mean_stat rs "pause_records", mean_stat rs "conc_records") with
+              | Some p, Some c when p +. c > 0.0 ->
                 fmt_opt "%.1f"
-                  (m (fun r -> 100.0 *. Runner.stat r "pause_records" /. folded r))
-              | Some _ | None -> "-");
-              (match m journal with
-              | Some j when j > 0.0 ->
-                fmt_opt "%.0f" (m (fun r -> Runner.stat r "backlog_peak"))
+                  (m (fun r -> 100.0 *. get "pause_records" r /. folded r))
+              | _ -> "-");
+              (match mean_stat rs "journal_records" with
+              | Some j when j > 0.0 -> fmt_opt "%.0f" (mean_stat rs "backlog_peak")
               | Some _ | None -> "-") ])
           [ g1; lxr; shenandoah; journal_rc ])
       [ "lusearch"; "jflood" ]
@@ -720,25 +733,30 @@ let ideal = ("Ideal", Repro_distill.Ideal.factory)
 (* Every costed collector: LXR and the eight others. *)
 let distill_collectors = lxr :: Collector_set.non_lxr
 
-let distill opts =
+(* One distilled row per workload and contender, each against the
+   workload's ideal baseline run. *)
+let distill_rows opts ~heap_factor ~contenders workloads =
   let one = { opts with iterations = 1 } in
-  let heap_factor = 2.0 in
+  List.concat_map
+    (fun wname ->
+      let w = throughput_mode (Benchmarks.find wname) in
+      let base =
+        List.hd (runs one ~workload:w ~factory:(snd ideal) ~heap_factor ())
+      in
+      List.map
+        (fun (name, factory) ->
+          let r = List.hd (runs one ~workload:w ~factory ~heap_factor ()) in
+          let row = Report.distill_of ~workload:wname ~heap_factor r base in
+          (* A refused heap reports "?" as its collector; keep the
+             contender's name on failed rows. *)
+          if row.Report.d_error = None then row
+          else { row with Report.d_collector = name })
+        contenders)
+    workloads
+
+let distill opts =
   let rows =
-    List.concat_map
-      (fun wname ->
-        let w = throughput_mode (Benchmarks.find wname) in
-        let base =
-          List.hd (runs one ~workload:w ~factory:(snd ideal) ~heap_factor ())
-        in
-        List.map
-          (fun (name, factory) ->
-            let r = List.hd (runs one ~workload:w ~factory ~heap_factor ()) in
-            let row = Report.distill_of ~workload:wname ~heap_factor r base in
-            (* A refused heap reports "?" as its collector; keep the
-               contender's name on failed rows. *)
-            if row.Report.d_error = None then row
-            else { row with Report.d_collector = name })
-          distill_collectors)
+    distill_rows opts ~heap_factor:2.0 ~contenders:distill_collectors
       [ "lusearch"; "jflood"; "fragger"; "phaser" ]
   in
   Report.distill_table
@@ -755,8 +773,6 @@ let distill opts =
 
 let controller opts =
   let module C = Repro_policy.Controller in
-  let one = { opts with iterations = 1 } in
-  let heap_factor = 1.5 in
   let parse spec =
     match C.parse spec with Ok s -> s | Error m -> invalid_arg m
   in
@@ -766,20 +782,7 @@ let controller opts =
       ("LXR pid", C.lxr_factory ~name:"LXR pid" (parse "pid")) ]
   in
   let rows =
-    List.concat_map
-      (fun wname ->
-        let w = throughput_mode (Benchmarks.find wname) in
-        let base =
-          List.hd (runs one ~workload:w ~factory:(snd ideal) ~heap_factor ())
-        in
-        List.map
-          (fun (name, factory) ->
-            let r = List.hd (runs one ~workload:w ~factory ~heap_factor ()) in
-            let row = Report.distill_of ~workload:wname ~heap_factor r base in
-            if row.Report.d_error = None then row
-            else { row with Report.d_collector = name })
-          contenders)
-      [ "fragger"; "phaser" ]
+    distill_rows opts ~heap_factor:1.5 ~contenders [ "fragger"; "phaser" ]
   in
   Report.distill_table
     ~title:

@@ -31,7 +31,7 @@ type result = {
   verifier_checks : int;
 }
 
-let stat r key = match List.assoc_opt key r.collector_stats with Some v -> v | None -> 0.0
+let stat r key = List.assoc_opt key r.collector_stats
 
 let qps r =
   if r.requests = 0 || r.wall_ns <= 0.0 then 0.0

@@ -35,8 +35,9 @@ type result = {
   verifier_checks : int;  (** safepoint checks executed *)
 }
 
-(** [stat r key] looks up a collector counter, defaulting to [0.]. *)
-val stat : result -> string -> float
+(** [stat r key] looks up a collector counter; [None] when the collector
+    reports no counter [key]. *)
+val stat : result -> string -> float option
 
 (** Queries per second for latency workloads (0 otherwise). *)
 val qps : result -> float

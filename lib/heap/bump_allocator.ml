@@ -1,9 +1,7 @@
 type receipt = {
-  mutable fast_allocs : int;
   mutable slow_allocs : int;
   mutable blocks_acquired : int;
   mutable bytes_zeroed : int;
-  mutable lines_scanned : int;
 }
 
 type t = {
@@ -25,17 +23,14 @@ let create cfg ~rc ~blocks ~free ~reuse =
   { cfg; rc; blocks; free; reuse;
     block = -1; cursor = 0; limit = 0;
     ovf_block = -1; ovf_cursor = 0; ovf_limit = 0;
-    r = { fast_allocs = 0; slow_allocs = 0; blocks_acquired = 0;
-          bytes_zeroed = 0; lines_scanned = 0 } }
+    r = { slow_allocs = 0; blocks_acquired = 0; bytes_zeroed = 0 } }
 
 let receipt t = t.r
 
 let reset_receipt t =
-  t.r.fast_allocs <- 0;
   t.r.slow_allocs <- 0;
   t.r.blocks_acquired <- 0;
-  t.r.bytes_zeroed <- 0;
-  t.r.lines_scanned <- 0
+  t.r.bytes_zeroed <- 0
 
 (* A line is allocatable when it is free and is not the first free line
    after a used line (straddling conservatism), except at block start. *)
@@ -51,17 +46,14 @@ let next_hole t b ~from_line =
   let from_line = if from_line < first then first else from_line in
   let rec find l =
     if l > last then None
-    else begin
-      t.r.lines_scanned <- t.r.lines_scanned + 1;
-      if line_allocatable t ~block_first_line:first l then begin
-        let rec extend e =
-          if e + 1 > last || not (Rc_table.line_is_free t.rc t.cfg (e + 1)) then e
-          else extend (e + 1)
-        in
-        Some (l, extend l)
-      end
-      else find (l + 1)
+    else if line_allocatable t ~block_first_line:first l then begin
+      let rec extend e =
+        if e + 1 > last || not (Rc_table.line_is_free t.rc t.cfg (e + 1)) then e
+        else extend (e + 1)
+      in
+      Some (l, extend l)
     end
+    else find (l + 1)
   in
   find from_line
 
@@ -213,7 +205,6 @@ and alloc_addr t ~size =
   if t.cursor + size <= t.limit then begin
     let addr = t.cursor in
     t.cursor <- addr + size;
-    t.r.fast_allocs <- t.r.fast_allocs + 1;
     addr
   end
   else alloc_slow t ~size

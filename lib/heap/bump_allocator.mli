@@ -11,11 +11,9 @@
     converts to virtual time. *)
 
 type receipt = {
-  mutable fast_allocs : int;
   mutable slow_allocs : int;  (** hole searches and block acquisitions *)
   mutable blocks_acquired : int;
   mutable bytes_zeroed : int;
-  mutable lines_scanned : int;
 }
 
 type t

@@ -187,8 +187,8 @@ type clock = {
 (* One replica slot: engine, lifecycle, and the front-end's frozen view.
    [queue]'s copies, [pending_restart] and [stall] are written by the
    front-end between rounds and read by exactly one worker during a
-   round; [eng], the copies' outcomes, [copies], [clock]'s [offset] and
-   [busy_ns], [dropped], [oom] and [restart_error] are written by that
+   round; [eng], the copies' outcomes, [round_copies], [clock]'s [offset]
+   and [busy_ns], [dropped], [oom] and [restart_error] are written by that
    worker (and, for a crash, by the front-end before the round) and
    re-read by the front-end only after the round barrier, so there are
    no data races. *)
@@ -201,20 +201,18 @@ type replica = {
   latency : Histogram.t;
   queueing : Histogram.t;
   queue : copy_queue;
-  mutable served : int;  (* winning completions settled on this replica *)
   mutable dropped : int;  (* copies lost here: crash, OOM, dead process *)
-  mutable copies : int;  (* copies actually served, hedges included *)
+  mutable round_copies : int;  (* copies served this round, hedges included *)
   mutable pending_restart : restart_order option;
   mutable restart_error : string option;
   mutable dead_forever : bool;  (* a relaunch failed to build: no revival *)
   mutable stall : (float * float * float) option;  (* start, end, factor *)
   (* Checkpoint-frozen scheduling state, with [clock]'s [avail],
-     [est_service] and [barrier_busy]. *)
-  mutable assigned : int;  (* handed out since the last barrier *)
+     [est_service] and [barrier_busy]; [queue]'s length counts the
+     copies handed out since the last barrier. *)
   signal : Api.gc_signal;
       (* refreshed in place at every barrier while the replica holds an
          engine; routing reads it only then *)
-  mutable barrier_copies : int;  (* copies snapshot at the last barrier *)
   mutable oom : string option;  (* last death reason; None while healthy *)
   mutable activated : bool;  (* ever held an engine (spares start false) *)
   (* Accumulators across engine generations (restarts). *)
@@ -401,16 +399,13 @@ let new_replica env idx eng =
         wait = Array.make cap 0.0;
         finish = Array.make cap 0.0;
         len = 0 };
-    served = 0;
     dropped = 0;
-    copies = 0;
+    round_copies = 0;
     pending_restart = None;
     restart_error = None;
     dead_forever = false;
     stall = None;
-    assigned = 0;
     signal;
-    barrier_copies = 0;
     oom = None;
     activated = eng <> None;
     acc_ladder = [];
@@ -537,7 +532,7 @@ let fail_copy st id ~now bucket =
    admission bound bounces arrivals. *)
 let[@inline] lo_score rep ~arrival =
   Float.max rep.clock.avail arrival
-  +. (Float.of_int rep.assigned *. rep.clock.est_service)
+  +. (Float.of_int rep.queue.len *. rep.clock.est_service)
 
 (* The gc-aware penalty. The predictive signal is occupancy: the replica
    closest to filling its heap triggers the next collection, so arrivals
@@ -647,11 +642,10 @@ let admit st rep id ~hedge =
   end;
   q.code.(q.len) <- (id lsl 1) lor Bool.to_int hedge;
   q.sent.(q.len) <- st.sent.(id);
-  q.len <- q.len + 1;
-  rep.assigned <- rep.assigned + 1
+  q.len <- q.len + 1
 
 let admission_room env rep =
-  rep.assigned
+  rep.queue.len
   < Lifecycle.admission rep.lc ~queue_limit:env.cfg.queue_limit
       ~ramp_rounds:env.ramp_rounds
 
@@ -804,7 +798,6 @@ let kill env (rep : replica) ~now ~reason ~relaunch =
   for i = 0 to rep.queue.len - 1 do
     lose rep i
   done;
-  rep.assigned <- 0;
   retire rep ~hooks:false;
   rep.oom <- Some reason;
   if Lifecycle.state rep.lc <> Down then Lifecycle.transition rep.lc ~now Down;
@@ -898,7 +891,7 @@ let serve_round env (rep : replica) =
               Api.safepoint e.api
             | _ -> ());
             let completion = c.offset +. h.now in
-            rep.copies <- rep.copies + 1;
+            rep.round_copies <- rep.round_copies + 1;
             c.busy_ns <- c.busy_ns +. (completion -. start);
             q.wait.(i) <- start -. arrival;
             q.finish.(i) <- completion
@@ -1046,7 +1039,6 @@ let settle st ~window_end =
           | Some t when lat > t -> st.timeouts <- st.timeouts + 1
           | _ -> ());
           Slo.observe st.slo ~latency_ns:lat;
-          rep.served <- rep.served + 1;
           Histogram.record rep.latency (int_of_float lat);
           Histogram.record rep.queueing
             (int_of_float (Float.max 1.0 wq.wait.(j)))
@@ -1073,16 +1065,14 @@ let barrier_replica env ~window_end (rep : replica) =
     c.avail <- c.offset +. (Sim.hot (Api.sim e.api)).now;
     Api.refresh_gc_signal e.api rep.signal
   | None -> ());
-  rep.assigned <- 0;
-  let round_copies = rep.copies - rep.barrier_copies in
-  if round_copies > 0 then begin
+  if rep.round_copies > 0 then begin
     let round_mean =
-      (c.busy_ns -. c.barrier_busy) /. Float.of_int round_copies
+      (c.busy_ns -. c.barrier_busy) /. Float.of_int rep.round_copies
     in
     c.est_service <- (0.7 *. c.est_service) +. (0.3 *. round_mean)
   end;
   c.barrier_busy <- c.busy_ns;
-  rep.barrier_copies <- rep.copies;
+  rep.round_copies <- 0;
   (match rep.stall with
   | Some (_, e, _) when e <= window_end -> rep.stall <- None
   | _ -> ());
@@ -1260,7 +1250,7 @@ let next_window st ~t =
 
 let replica_stats ~t0 ~wall_ns (rep : replica) =
   { r_index = rep.idx;
-    r_served = rep.served;
+    r_served = Histogram.count rep.latency;
     r_dropped = rep.dropped;
     r_latency = rep.latency;
     r_queueing = rep.queueing;

@@ -83,7 +83,6 @@ type t = {
   ring_viol : int array;  (* per-round violations, ring over the window *)
   ring_total : int array;
   mutable cursor : int;
-  mutable filled : int;
   mutable round_viol : int;
   mutable round_total : int;
   mutable win_viol : int;  (* running window sums *)
@@ -101,7 +100,6 @@ let create spec =
     ring_viol = Array.make spec.window_rounds 0;
     ring_total = Array.make spec.window_rounds 0;
     cursor = 0;
-    filled = 0;
     round_viol = 0;
     round_total = 0;
     win_viol = 0;
@@ -135,7 +133,6 @@ let tick t ~now =
     t.ring_viol.(t.cursor) <- t.round_viol;
     t.ring_total.(t.cursor) <- t.round_total;
     t.cursor <- (t.cursor + 1) mod w;
-    t.filled <- min w (t.filled + 1);
     t.round_viol <- 0;
     t.round_total <- 0;
     let allowed = (100.0 -. t.spec.percentile) /. 100.0 in

@@ -7,7 +7,6 @@ let null = Obj_model.null
 
 type t = {
   api : Api.t;
-  trace : Trace_format.t;
   ring : Trace_format.ring;
   on_measurement_start : unit -> unit;
   (* recorded id -> replay object, and replay id -> recorded id. Both id
@@ -38,7 +37,6 @@ type t = {
 let create ?(on_measurement_start = fun () -> ()) api trace =
   let alloc_count, max_id = Trace_format.alloc_stats trace in
   { api;
-    trace;
     ring = Trace_format.ring trace;
     on_measurement_start;
     map = Array.make (max 16 (max_id + 1)) Obj_model.Registry.vacant;

@@ -51,12 +51,3 @@ let confidence95 xs =
 let confidence95_fraction xs =
   let m = mean xs in
   if m = 0.0 then 0.0 else confidence95 xs /. m
-
-let min_max = function
-  | [] -> invalid_arg "Stats.min_max: empty"
-  | x :: rest ->
-    List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) rest
-
-let normalize ~base xs =
-  if base = 0.0 then invalid_arg "Stats.normalize: zero base";
-  List.map (fun x -> x /. base) xs

@@ -29,11 +29,3 @@ val confidence95 : float list -> float
     the paper's "±0.500 means the interval extends 50% over the reported
     result" convention. [0.] when the mean is zero. *)
 val confidence95_fraction : float list -> float
-
-(** [min_max xs] returns the minimum and maximum. Raises
-    [Invalid_argument] on an empty list. *)
-val min_max : float list -> float * float
-
-(** [normalize ~base xs] divides each element of [xs] by [base], the
-    "relative to G1" convention of Tables 5 and 6. *)
-val normalize : base:float -> float list -> float list

@@ -49,19 +49,3 @@ let markdown ~header ~rows =
     ((line header :: line (List.map (fun _ -> "---") header)
       :: List.map line rows)
     @ [ "" ])
-
-let fms ns = Printf.sprintf "%.1f" (Float.of_int ns /. 1e6)
-let fsec ns = Printf.sprintf "%.1f" (Float.of_int ns /. 1e9)
-let fratio r = Printf.sprintf "%.3f" r
-
-let fint n =
-  let s = string_of_int (abs n) in
-  let len = String.length s in
-  let buf = Buffer.create (len + (len / 3) + 1) in
-  if n < 0 then Buffer.add_char buf '-';
-  String.iteri
-    (fun i c ->
-      if i > 0 && (len - i) mod 3 = 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf c)
-    s;
-  Buffer.contents buf

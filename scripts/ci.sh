@@ -39,6 +39,16 @@ for t in test/corpus/*.lxrtrace; do
     -c lxr,g1,shenandoah,zgc,journal_rc,serial,parallel,immix,semispace
 done
 
+echo "== trace corpus: LXR ablations in lockstep =="
+# The corpus lane above diffs no LXR ablation. These lanes run the
+# in-pause decrement drain (-LD), the in-pause SATB trace (-SATB, STW),
+# the object-remembering barrier and region-based evacuation against
+# default LXR on two corpus traces.
+for t in test/corpus/luindex.lxrtrace test/corpus/xalan.lxrtrace; do
+  dune exec bin/lxr_trace.exe -- diff "$t" \
+    -c lxr,lxr-nosatb,lxr-nold,lxr-stw,lxr-objbar,lxr-regions
+done
+
 echo "== fleet smoke (verifier on, both policies, 2 domains) =="
 dune exec bin/lxr_fleet.exe -- compare -b lusearch -c lxr,shenandoah \
   -p round-robin,gc-aware -k 2 -n 400 --domains=2 --verify=all

@@ -74,7 +74,7 @@ let fragment heap ~keep_every =
      done
    with Exit -> ());
   Heap.retire_all_allocators heap;
-  Compaction.reclassify heap;
+  Gc_kernels.reclassify heap;
   !kept
 
 let test_reclassify () =
@@ -105,7 +105,7 @@ let test_compact_consolidates () =
   let gc_alloc = Heap.make_allocator heap in
   let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
   let copied =
-    Compaction.compact heap tc ~gc_alloc
+    Gc_kernels.compact heap tc ~gc_alloc
   in
   check "copied something" true (copied > 0);
   check "gained whole free blocks" true (Heap.available_blocks heap > free_before);
@@ -123,7 +123,7 @@ let test_compact_no_work_when_empty () =
   let gc_alloc = Heap.make_allocator heap in
   let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
   let copied =
-    Compaction.compact heap tc ~gc_alloc
+    Gc_kernels.compact heap tc ~gc_alloc
   in
   check_int "nothing to copy" 0 copied
 
@@ -134,7 +134,7 @@ let test_compact_respects_reserve () =
   let reserve = heap.reserve in
   let gc_alloc = Heap.make_allocator heap in
   let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
-  ignore (Compaction.compact heap tc ~gc_alloc);
+  ignore (Gc_kernels.compact heap tc ~gc_alloc);
   Vec.iter
     (fun b ->
       check "reserve block untouched" true
@@ -152,11 +152,11 @@ let test_compact_stops_with_headroom () =
     if obj.id <> Obj_model.null then Heap.pin heap obj
   done;
   Heap.retire_all_allocators heap;
-  Compaction.reclassify heap;
+  Gc_kernels.reclassify heap;
   let gc_alloc = Heap.make_allocator heap in
   let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
   let copied =
-    Compaction.compact heap tc ~gc_alloc
+    Gc_kernels.compact heap tc ~gc_alloc
   in
   check_int "already-roomy heap untouched" 0 copied
 
@@ -172,7 +172,7 @@ let compact_preserves_live_prop =
       let gc_alloc = Heap.make_allocator heap in
       let tc = Trace_cost.create Cost_model.default ~gc_threads:4 in
       ignore
-        (Compaction.compact heap tc ~gc_alloc);
+        (Gc_kernels.compact heap tc ~gc_alloc);
       List.for_all (fun id -> Obj_model.Registry.mem heap.registry id) ids)
 
 let suite =

@@ -25,8 +25,9 @@ let test_runner_result_fields () =
 
 let test_runner_stat_lookup () =
   let r = small_run "fop" in
-  check "present stat" true (Runner.stat r "rc_pauses" >= 0.0);
-  check_float "missing stat is zero" 0.0 (Runner.stat r "no_such_counter")
+  check "present stat" true
+    (match Runner.stat r "rc_pauses" with Some v -> v >= 0.0 | None -> false);
+  check "unknown stat is absent" true (Runner.stat r "no_such_counter" = None)
 
 let test_runner_unsupported () =
   let r = small_run ~collector:Repro_collectors.Conc_mark_evac.zgc "avrora" in
@@ -183,14 +184,27 @@ let at_most_100 name cell =
    In-pause % divides the records pauses folded by all records folded in
    the measurement window: pauses also fold records journaled before the
    window opened. Table 7 fails outright on a missing LXR counter. *)
+let journal_flood = lazy (Experiments.journal_flood tiny)
+
 let test_percent_columns () =
   let t7 = Experiments.table7 tiny in
   List.iter
     (fun name -> List.iter (at_most_100 name) (column t7 name))
     [ "SATB%"; "!Lazy%"; "Young"; "Old"; "SATB"; "Stuck" ];
-  let in_pause = column (Experiments.journal_flood tiny) "In-pause %" in
+  let in_pause = column (Lazy.force journal_flood) "In-pause %" in
   check "journal-rc rows report a share" true (List.exists (( <> ) "-") in_pause);
   List.iter (at_most_100 "In-pause %") in_pause
+
+(* G1 has no write-barrier slow path: its cell is blank, not a zero. *)
+let test_absent_counter_blank () =
+  let t = Lazy.force journal_flood in
+  let rows = List.combine (column t "Collector") (column t "WB slow") in
+  let cells name = List.filter_map (fun (c, v) -> if c = name then Some v else None) rows in
+  check "g1 rows present" true (cells "G1" <> []);
+  List.iter (Alcotest.(check string) "g1 WB slow" "-") (cells "G1");
+  List.iter
+    (fun v -> check ("lxr WB slow " ^ v) true (float_of_string_opt v <> None))
+    (cells "LXR")
 
 let suite =
   [ ( "harness:runner",
@@ -212,4 +226,5 @@ let suite =
         Alcotest.test_case "table1" `Slow test_table1_smoke;
         Alcotest.test_case "table3" `Slow test_table3_smoke;
         Alcotest.test_case "sensitivity" `Slow test_sensitivity_smoke;
-        Alcotest.test_case "percent columns" `Slow test_percent_columns ] ) ]
+        Alcotest.test_case "percent columns" `Slow test_percent_columns;
+        Alcotest.test_case "absent counter blank" `Slow test_absent_counter_blank ] ) ]

@@ -314,16 +314,6 @@ let test_stats_confidence () =
   check "ci positive" true (ci > 0.0);
   check_float "fraction" (ci /. 2.0) (Stats.confidence95_fraction [ 1.0; 2.0; 3.0 ])
 
-let test_stats_min_max () =
-  let lo, hi = Stats.min_max [ 3.0; 1.0; 2.0 ] in
-  check_float "min" 1.0 lo;
-  check_float "max" 3.0 hi
-
-let test_stats_normalize () =
-  Alcotest.(check (list (float 1e-9)))
-    "normalize" [ 0.5; 1.0 ]
-    (Stats.normalize ~base:2.0 [ 1.0; 2.0 ])
-
 let stats_percentile_monotone_prop =
   QCheck.Test.make ~name:"percentile is monotone in p" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.0))
@@ -464,13 +454,6 @@ let test_table_ragged () =
     (fun () ->
       ignore (Table.render ~title:"T" ~header:[ "a"; "b" ] ~rows:[ [ "x" ] ] ()))
 
-let test_table_formats () =
-  Alcotest.(check string) "fms" "4.6" (Table.fms 4_600_000);
-  Alcotest.(check string) "fsec" "1.5" (Table.fsec 1_500_000_000);
-  Alcotest.(check string) "fratio" "0.958" (Table.fratio 0.958);
-  Alcotest.(check string) "fint" "1,234,567" (Table.fint 1234567);
-  Alcotest.(check string) "fint negative" "-1,000" (Table.fint (-1000))
-
 (* --- Ascii_chart ------------------------------------------------------------ *)
 
 let test_chart_renders () =
@@ -565,9 +548,7 @@ let suite =
         Alcotest.test_case "percentile" `Quick test_stats_percentile;
         Alcotest.test_case "percentile unsorted" `Quick test_stats_percentile_unsorted;
         Alcotest.test_case "stddev" `Quick test_stats_stddev;
-        Alcotest.test_case "confidence" `Quick test_stats_confidence;
-        Alcotest.test_case "min_max" `Quick test_stats_min_max;
-        Alcotest.test_case "normalize" `Quick test_stats_normalize ]
+        Alcotest.test_case "confidence" `Quick test_stats_confidence ]
       @ qcheck [ stats_percentile_monotone_prop; stats_geomean_le_mean_prop ] );
     ( "util:histogram",
       [ Alcotest.test_case "basic" `Quick test_histogram_basic;
@@ -591,5 +572,4 @@ let suite =
         Alcotest.test_case "single point" `Quick test_chart_single_point ] );
     ( "util:table",
       [ Alcotest.test_case "render" `Quick test_table_render;
-        Alcotest.test_case "ragged" `Quick test_table_ragged;
-        Alcotest.test_case "formats" `Quick test_table_formats ] ) ]
+        Alcotest.test_case "ragged" `Quick test_table_ragged ] ) ]
