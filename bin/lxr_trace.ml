@@ -11,6 +11,7 @@
 
 open Cmdliner
 module Trace_format = Repro_trace.Trace_format
+module Tracer = Repro_engine.Tracer
 module Differ = Repro_trace.Differ
 
 let load_trace path =
@@ -108,33 +109,29 @@ let stat_cmd =
       "  geometry    %d KB blocks, %d B lines, %d B granules, %d RC bits, LOS > %d B\n"
       (h.block_bytes / 1024) h.line_bytes h.granule_bytes h.rc_bits
       h.los_threshold;
-    let counts = Hashtbl.create 16 in
+    (* Counted per ring tag (a byte), printed in tag order under each
+       tag's event name. *)
+    let counts = Array.make 256 0 and names = Array.make 256 "" in
     let sizes = Repro_util.Histogram.create () in
     let alloc_bytes = ref 0 in
     let large = ref 0 in
     let work_ns = ref 0.0 in
-    Array.iter
-      (fun ev ->
-        let name = Trace_format.event_name ev in
-        Hashtbl.replace counts name
-          (1 + Option.value (Hashtbl.find_opt counts name) ~default:0);
-        match ev with
-        | Trace_format.Alloc a ->
-          Repro_util.Histogram.record sizes a.size;
-          alloc_bytes := !alloc_bytes + a.size;
-          if a.large then incr large
-        | Trace_format.Work w -> work_ns := !work_ns +. w.ns
-        | _ -> ())
-      (Trace_format.events t);
+    for i = 0 to Trace_format.num_events t - 1 do
+      let tag = Trace_format.tag_at t i and ev = Trace_format.event t i in
+      counts.(tag) <- counts.(tag) + 1;
+      names.(tag) <- Tracer.name ev;
+      match ev with
+      | Tracer.Alloc a ->
+        Repro_util.Histogram.record sizes a.size;
+        alloc_bytes := !alloc_bytes + a.size;
+        if a.large then incr large
+      | Tracer.Work w -> work_ns := !work_ns +. w.ns
+      | _ -> ()
+    done;
     Printf.printf "  events      %d total\n" (Trace_format.num_events t);
-    List.iter
-      (fun name ->
-        match Hashtbl.find_opt counts name with
-        | Some n -> Printf.printf "    %-18s %d\n" name n
-        | None -> ())
-      [ "alloc"; "alloc-failed"; "write"; "read"; "root"; "work"; "safepoint";
-        "request-start"; "request-end"; "measurement-start"; "survived";
-        "finish" ];
+    Array.iteri
+      (fun tag n -> if n > 0 then Printf.printf "    %-18s %d\n" names.(tag) n)
+      counts;
     (* _opt accessors: a truncated or setup-only trace may have no allocations. *)
     let pct p =
       match Repro_util.Histogram.percentile_opt sizes p with

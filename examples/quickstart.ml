@@ -62,7 +62,13 @@ let () =
 
   (* 4. What happened, in the collector's own words. *)
   let stats = (Api.collector api).Collector.stats () in
-  let stat k = match List.assoc_opt k stats with Some v -> v | None -> 0.0 in
+  let stat k =
+    match List.assoc_opt k stats with
+    | Some v -> v
+    | None ->
+      Printf.eprintf "quickstart: LXR reports no %s counter\n" k;
+      exit 1
+  in
   Printf.printf "after churning ~2.5 MB of garbage through the heap:\n";
   Printf.printf
     "  live objects        %d (survivors + the final epoch's young objects,\n\

@@ -337,9 +337,7 @@ let factory p : Collector.factory =
           ("degenerated", Float.of_int t.degenerated);
           ("copied_bytes", Float.of_int t.copied_bytes);
           ("stall_ns", t.stall_ns) ]);
-    introspect =
-      { Collector.no_introspection with
-        trace_active = (fun () -> t.phase <> Idle) } }
+    introspect = Collector.no_introspection }
 
 let shenandoah = factory shenandoah_params
 let zgc = factory zgc_params

@@ -386,9 +386,7 @@ let remset_entries t () =
   !acc
 
 let introspect t =
-  { Collector.no_introspection with
-    remset_entries = remset_entries t;
-    trace_active = (fun () -> t.marking) }
+  { Collector.no_introspection with remset_entries = remset_entries t }
 
 let conc_active t () = if t.marking && not (Vec.is_empty t.gray) then 2 else 0
 

@@ -167,7 +167,7 @@ let note_dec_sweep t (obj : Obj_model.t) =
    skipped: their balancing increments died with the object's header. *)
 let apply_dec t queue id =
   let faults = Sim.faults t.sim in
-  if Fault.active faults && faults.skip_decrement () then ()
+  if Fault.active faults && Fault.fires faults Fault.Skip_decrement then ()
   else begin
     let obj = Obj_model.Registry.find_live t.heap.registry id in
     if obj.Obj_model.id <> null then begin
@@ -195,7 +195,7 @@ let note_remset t ~(src : Obj_model.t) ~field ~(referent : Obj_model.t) =
     let field =
       (* Injected corruption: a nonsense field index the drain must
          tolerate and the verifier must flag. *)
-      if Fault.active faults && faults.corrupt_remset () then field + 10_000
+      if Fault.active faults && Fault.fires faults Fault.Corrupt_remset then field + 10_000
       else field
     in
     let ar = t.arenas.(ra) in
@@ -528,7 +528,6 @@ let introspect t =
     counts_exact = (fun () -> true);
     pending_ref_ids = pending_ref_ids t;
     remset_entries = remset_entries t;
-    trace_active = (fun () -> false);
     expect_clear_marks = (fun () -> true) }
 
 let factory sim heap ~roots =

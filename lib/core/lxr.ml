@@ -73,7 +73,7 @@ let note_remset t ~(src : Obj_model.t) ~field ~(referent : Obj_model.t) =
       (* Injected corruption: record a nonsense field index. The drain
          must survive it (stale-tolerant bounds check) and the verifier
          must flag it. *)
-      if Fault.active faults && faults.corrupt_remset () then field + 10_000
+      if Fault.active faults && Fault.fires faults Fault.Corrupt_remset then field + 10_000
       else field
     in
     Remset.add t.remset ~src:src.id ~field ~tag:(line_tag t src);
@@ -138,7 +138,7 @@ let drain_lazy_sweep t sweep =
    referents are pushed onto [queue]. *)
 let apply_dec t queue id =
   let faults = Sim.faults t.sim in
-  if Fault.active faults && faults.skip_decrement () then ()
+  if Fault.active faults && Fault.fires faults Fault.Skip_decrement then ()
   else begin
     let obj = find_live t id in
     if obj.Obj_model.id <> null then begin
@@ -700,7 +700,6 @@ let introspect t =
     counts_exact = (fun () -> t.stats.satb_traces_completed = 0);
     pending_ref_ids = pending_ref_ids t;
     remset_entries = remset_entries t;
-    trace_active = (fun () -> satb_tracing t);
     expect_clear_marks = (fun () -> not t.satb_active) }
 
 let create ?tune ~name ~config sim heap ~roots =

@@ -102,7 +102,7 @@ let[@inline] maybe_flush t = if t.h.Sim.pending >= t.flush_threshold then flush 
 
 let safepoint t =
   let tr = Sim.tracer t.sim in
-  if Tracer.active tr then tr.Tracer.safepoint ();
+  if Tracer.active tr then tr Tracer.Safepoint;
   flush t;
   t.collector.poll ()
 
@@ -207,7 +207,7 @@ let alloc_fast t ~size ~nfields =
   t.h.Sim.pending <- t.h.Sim.pending +. c.alloc_fast_ns;
   let faults = Sim.faults t.sim in
   let first =
-    if Fault.active faults && faults.fail_alloc () then
+    if Fault.active faults && Fault.fires faults Fault.Fail_alloc then
       Obj_model.Registry.vacant
     else Heap.alloc_fast t.heap t.allocator ~size ~nfields
   in
@@ -216,12 +216,15 @@ let alloc_fast t ~size ~nfields =
     else alloc_slow t ~size ~nfields
   in
   let tr = Sim.tracer t.sim in
-  if Tracer.active tr then begin
-    if obj.Obj_model.id <> Obj_model.null then
-      tr.Tracer.alloc ~id:obj.Obj_model.id ~size ~nfields
-        ~large:(size > t.heap.Heap.cfg.los_threshold)
-    else tr.Tracer.alloc_failed ~size ~nfields
-  end;
+  if Tracer.active tr then
+    tr
+      (if obj.Obj_model.id <> Obj_model.null then
+         Tracer.Alloc
+           { id = obj.Obj_model.id;
+             size;
+             nfields;
+             large = size > t.heap.Heap.cfg.los_threshold }
+       else Tracer.Alloc_failed { size; nfields });
   obj
 
 let last_oom t =
@@ -254,7 +257,7 @@ let apply_rc_flip t (obj : Obj_model.t) =
 let[@inline] write t obj field ref_id =
   let tr = Sim.tracer t.sim in
   if Tracer.active tr then
-    tr.Tracer.write ~src:obj.Obj_model.id ~field ~value:ref_id;
+    tr (Tracer.Write { src = obj.Obj_model.id; field; value = ref_id });
   t.h.Sim.pending <- t.h.Sim.pending +. t.write_charge;
   (* The [write_extra] component is the collector's inline barrier
      fast path — barrier-attributed for distilled-cost accounting. Slow
@@ -269,9 +272,9 @@ let[@inline] write t obj field ref_id =
   let live = not (Obj_model.is_freed obj) in
   let faults = Sim.faults t.sim in
   if Fault.active faults then begin
-    if (not (faults.drop_barrier ())) && live then
+    if (not (Fault.fires faults Fault.Drop_barrier)) && live then
       t.collector.on_write obj field ref_id;
-    if faults.flip_rc () then apply_rc_flip t obj
+    if Fault.fires faults Fault.Flip_rc then apply_rc_flip t obj
   end
   else if live then t.collector.on_write obj field ref_id;
   Obj_model.set_field obj field ref_id;
@@ -279,7 +282,7 @@ let[@inline] write t obj field ref_id =
 
 let[@inline] read t obj field =
   let tr = Sim.tracer t.sim in
-  if Tracer.active tr then tr.Tracer.read ~src:obj.Obj_model.id ~field;
+  if Tracer.active tr then tr (Tracer.Read { src = obj.Obj_model.id; field });
   t.h.Sim.pending <- t.h.Sim.pending +. t.read_charge;
   if t.read_extra > 0.0 then
     t.h.Sim.d_barrier <- t.h.Sim.d_barrier +. t.read_extra;
@@ -288,13 +291,13 @@ let[@inline] read t obj field =
 
 let[@inline] work t ~ns =
   let tr = Sim.tracer t.sim in
-  if Tracer.active tr then tr.Tracer.work ~ns;
+  if Tracer.active tr then tr (Tracer.Work { ns });
   t.h.Sim.pending <- t.h.Sim.pending +. ns;
   maybe_flush t
 
 let[@inline] set_root t slot ref_id =
   let tr = Sim.tracer t.sim in
-  if Tracer.active tr then tr.Tracer.root ~slot ~value:ref_id;
+  if Tracer.active tr then tr (Tracer.Root { slot; value = ref_id });
   t.h.Sim.pending <- t.h.Sim.pending +. (Sim.cost t.sim).write_ns;
   t.roots.(slot) <- ref_id
 
@@ -310,7 +313,7 @@ let idle_until t until =
 
 let finish t =
   let tr = Sim.tracer t.sim in
-  if Tracer.active tr then tr.Tracer.finish ();
+  if Tracer.active tr then tr Tracer.Finish;
   flush t;
   t.collector.on_finish ();
   flush t

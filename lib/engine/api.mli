@@ -6,8 +6,8 @@
     the collector's barriers, and interleaved with safepoints and
     concurrent GC progress.
 
-    Every call is also teed to the {!Sim.tracer} hooks when a trace
-    recorder is attached (allocation outcomes, stores, loads, root
+    Every call also emits one {!Tracer.event} to the {!Sim.tracer} sink
+    when a trace recorder is attached (allocation outcomes, stores, loads, root
     writes, compute, safepoints, finish), so [lib/trace] can capture the
     exact mutator-observable event stream. [get_root] and [idle_until]
     are not captured: the replayer re-derives idling from recorded

@@ -14,7 +14,6 @@ type introspection = {
   counts_exact : unit -> bool;
   pending_ref_ids : unit -> int list;
   remset_entries : unit -> (int * int) list;
-  trace_active : unit -> bool;
   expect_clear_marks : unit -> bool;
 }
 
@@ -23,7 +22,6 @@ let no_introspection =
     counts_exact = (fun () -> false);
     pending_ref_ids = (fun () -> []);
     remset_entries = (fun () -> []);
-    trace_active = (fun () -> false);
     expect_clear_marks = (fun () -> false) }
 
 type t = {

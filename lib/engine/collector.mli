@@ -53,7 +53,6 @@ type introspection = {
           legitimately exceed the in-heap evidence until the next pause *)
   remset_entries : unit -> (int * int) list;
       (** live remembered-set entries as [(src id, field index)] pairs *)
-  trace_active : unit -> bool;  (** a marking cycle is underway *)
   expect_clear_marks : unit -> bool;
       (** the shared mark bitset must be empty right now (e.g. LXR
           between SATB cycles); [false] when no such guarantee holds *)

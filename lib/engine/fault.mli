@@ -1,64 +1,50 @@
 (** Deterministic, seeded fault injection.
 
-    A fault record is a set of decision closures consulted at the
-    corruption sites wired through {!Api}, {!Sim} and the collectors:
+    An injector decides, at each corruption site wired through {!Api},
+    {!Sim} and the collectors, whether a fault of that site's class
+    fires:
 
-    - [drop_barrier]: {!Api.write} skips the collector's write barrier
+    - [Drop_barrier]: {!Api.write} skips the collector's write barrier
       (the store still happens) — models a lost coalescing-log entry.
-    - [skip_decrement]: LXR discards a queued reference-count decrement.
-    - [flip_rc]: {!Api.write} perturbs one RC-table entry of the written
+    - [Skip_decrement]: LXR and Journal-RC discard a queued
+      reference-count decrement.
+    - [Flip_rc]: {!Api.write} perturbs one RC-table entry of the written
       object (a body granule when it has one, else the header).
-    - [corrupt_remset]: LXR records a remembered-set entry with an
-      out-of-range field index.
-    - [fail_alloc]: {!Api.alloc_fast} treats a first allocation attempt as
+    - [Corrupt_remset]: LXR and Journal-RC record a remembered-set entry
+      with an out-of-range field index.
+    - [Fail_alloc]: {!Api.alloc_fast} treats a first allocation attempt as
       heap-full, forcing the degradation ladder to run.
 
-    Each closure returns [true] when the fault fires (already counted in
-    [counts]). Sites guard every consultation with {!active}, so the
-    default {!none} record costs one physical-equality test per site. *)
+    Sites guard every {!fires} with {!active}, so the default {!none}
+    injector costs one physical-equality test per site. *)
 
-type counts = {
-  mutable dropped_barriers : int;
-  mutable skipped_decrements : int;
-  mutable flipped_rc : int;
-  mutable corrupted_remsets : int;
-  mutable forced_alloc_failures : int;
-}
+type fault_class = Drop_barrier | Skip_decrement | Flip_rc | Corrupt_remset | Fail_alloc
 
-type t = {
-  drop_barrier : unit -> bool;
-  skip_decrement : unit -> bool;
-  flip_rc : unit -> bool;
-  corrupt_remset : unit -> bool;
-  fail_alloc : unit -> bool;
-  counts : counts;
-}
+type t
 
-(** The no-faults record; every draw is [false] with no PRNG work. *)
+(** The no-faults injector; nothing fires and nothing is drawn. *)
 val none : t
 
 (** [active t] is [t != none] — the zero-cost-when-off guard. *)
 val active : t -> bool
 
-(** [create ~seed ()] builds an injector with the given per-site
-    probabilities (all default 0). Equal seeds and rates give identical
-    fault streams. *)
-val create :
-  ?drop_barrier:float ->
-  ?skip_decrement:float ->
-  ?flip_rc:float ->
-  ?corrupt_remset:float ->
-  ?fail_alloc:float ->
-  seed:int ->
-  unit ->
-  t
+(** [fires t cls] draws whether a fault of class [cls] fires here, and
+    counts it when it does. A class at rate 0 draws nothing from the
+    injector's one seeded stream. *)
+val fires : t -> fault_class -> bool
 
-(** Fired-fault counters as stats-style pairs. *)
+(** How many faults of class [cls] have fired. *)
+val count : t -> fault_class -> int
+
+(** Fired-fault counters as stats-style pairs ([fault_dropped_barriers],
+    ...), one per class. *)
 val counts_alist : t -> (string * float) list
 
 (** Recognized spec classes: drop-barrier, skip-dec, rc-flip, remset,
     alloc-fail. *)
 val class_names : string list
 
-(** [of_spec ~seed "drop-barrier:1e-4,rc-flip:0.01"] parses a CLI spec. *)
+(** [of_spec ~seed "drop-barrier:1e-4,rc-flip:0.01"] parses a CLI spec;
+    a class given twice keeps its last rate. Equal seeds and specs give
+    identical fault streams. *)
 val of_spec : seed:int -> string -> (t, string) result

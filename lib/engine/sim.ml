@@ -75,7 +75,8 @@ let reset_measurement t =
 let charge_mutator t ns = t.h.pending <- t.h.pending +. ns
 let pending t = t.h.pending
 
-let offer_concurrent t ~wall ~conc_threads ~conc_run =
+(* Inlined, so a flush with no concurrent threads boxes no [wall]. *)
+let[@inline] offer_concurrent t ~wall ~conc_threads ~conc_run =
   if conc_threads > 0 && wall > 0.0 then begin
     let budget = wall *. Float.of_int conc_threads in
     let consumed = conc_run ~budget_ns:budget in

@@ -108,7 +108,7 @@ val last_pause_cost : t -> float * float
 
 val pauses : t -> Repro_util.Histogram.t
 
-(** The fault-injection record consulted by {!Api} and the collectors;
+(** The fault injector consulted by {!Api} and the collectors;
     {!Fault.none} unless a harness installed an injector. The simulation
     clock is the natural distribution point: both the API and every
     collector already hold the [Sim.t]. *)
@@ -116,8 +116,8 @@ val faults : t -> Fault.t
 
 val set_faults : t -> Fault.t -> unit
 
-(** The trace-capture hooks consulted by {!Api} and the generative
-    mutator; {!Tracer.none} unless a recorder is attached. Distributed
+(** The trace-event sink {!Api} and the generative mutator emit to;
+    {!Tracer.none} unless a recorder is attached. Distributed
     through the clock for the same reason as {!faults}: everything that
     must emit events already holds the [Sim.t]. *)
 val tracer : t -> Tracer.t

@@ -1,32 +1,35 @@
-type t = {
-  alloc : id:int -> size:int -> nfields:int -> large:bool -> unit;
-  alloc_failed : size:int -> nfields:int -> unit;
-  write : src:int -> field:int -> value:int -> unit;
-  read : src:int -> field:int -> unit;
-  root : slot:int -> value:int -> unit;
-  work : ns:float -> unit;
-  safepoint : unit -> unit;
-  request_start : gap:float -> unit;
-  request_end : unit -> unit;
-  measurement_start : unit -> unit;
-  survived : bytes:int -> unit;
-  finish : unit -> unit;
-}
+type event =
+  | Alloc of { id : int; size : int; nfields : int; large : bool }
+  | Alloc_failed of { size : int; nfields : int }
+  | Write of { src : int; field : int; value : int }
+  | Read of { src : int; field : int }
+  | Root of { slot : int; value : int }
+  | Work of { ns : float }
+  | Safepoint
+  | Request_start of { gap : float }
+  | Request_end
+  | Measurement_start
+  | Survived of { bytes : int }
+  | Finish
 
-let none =
-  { alloc = (fun ~id:_ ~size:_ ~nfields:_ ~large:_ -> ());
-    alloc_failed = (fun ~size:_ ~nfields:_ -> ());
-    write = (fun ~src:_ ~field:_ ~value:_ -> ());
-    read = (fun ~src:_ ~field:_ -> ());
-    root = (fun ~slot:_ ~value:_ -> ());
-    work = (fun ~ns:_ -> ());
-    safepoint = ignore;
-    request_start = (fun ~gap:_ -> ());
-    request_end = ignore;
-    measurement_start = ignore;
-    survived = (fun ~bytes:_ -> ());
-    finish = ignore }
+type t = event -> unit
 
-(* Physical equality, same trick as [Fault.active]: hook sites test this
-   before touching any closure. *)
+let none : t = fun _ -> ()
+
+(* Physical equality, same trick as [Fault.active]: emit sites test this
+   before building an event. *)
 let active t = t != none
+
+let name = function
+  | Alloc _ -> "alloc"
+  | Alloc_failed _ -> "alloc-failed"
+  | Write _ -> "write"
+  | Read _ -> "read"
+  | Root _ -> "root"
+  | Work _ -> "work"
+  | Safepoint -> "safepoint"
+  | Request_start _ -> "request-start"
+  | Request_end -> "request-end"
+  | Measurement_start -> "measurement-start"
+  | Survived _ -> "survived"
+  | Finish -> "finish"

@@ -1,10 +1,10 @@
-(** Trace-capture hooks: the tee between the engine and [lib/trace].
+(** Trace capture: the tee between the engine and [lib/trace].
 
-    A tracer is a record of closures invoked at every mutator-observable
-    event — the same zero-cost-when-off pattern as {!Fault}: hook sites
-    test {!active} (one physical-equality compare against {!none}) before
-    touching any closure, so an untraced run pays a pointer compare per
-    operation and nothing else.
+    A tracer is a sink for one typed event per mutator-observable
+    operation — the same zero-cost-when-off pattern as {!Fault}: emit
+    sites test {!active} (one physical-equality compare against {!none})
+    before building an event, so an untraced run pays a pointer compare
+    per operation and allocates nothing.
 
     The engine ({!Api}) emits the heap-level events (allocation, pointer
     store/load, root writes, compute, safepoints, finish); the generative
@@ -15,36 +15,42 @@
     assigned in allocation order and survive evacuation, which is what
     makes a recorded stream collector-independent. *)
 
-type t = {
-  alloc : id:int -> size:int -> nfields:int -> large:bool -> unit;
+type event =
+  | Alloc of { id : int; size : int; nfields : int; large : bool }
       (** a successful allocation; [size] is the requested (pre-alignment)
           size and [large] its large-object classification *)
-  alloc_failed : size:int -> nfields:int -> unit;
+  | Alloc_failed of { size : int; nfields : int }
       (** {!Api.alloc_fast} exhausted the degradation ladder *)
-  write : src:int -> field:int -> value:int -> unit;
+  | Write of { src : int; field : int; value : int }
       (** pointer store, before the barrier and the store itself *)
-  read : src:int -> field:int -> unit;  (** pointer load *)
-  root : slot:int -> value:int -> unit;
+  | Read of { src : int; field : int }  (** pointer load *)
+  | Root of { slot : int; value : int }
       (** root registration ([value <> null]) or release ([value = null]) *)
-  work : ns:float -> unit;  (** pure application compute *)
-  safepoint : unit -> unit;  (** an explicit mutator safepoint poll *)
-  request_start : gap:float -> unit;
+  | Work of { ns : float }  (** pure application compute *)
+  | Safepoint  (** an explicit mutator safepoint poll *)
+  | Request_start of { gap : float }
       (** request boundary: the exponential inter-arrival gap, ns. The
           gap — not the absolute arrival time — is recorded because the
           metered schedule is rebased on the simulator clock at
           measurement start, which depends on how long the collector took
           during setup; the gap sequence is the collector-independent
           content. *)
-  request_end : unit -> unit;
-  measurement_start : unit -> unit;
+  | Request_end
+  | Measurement_start
       (** warmup/setup ended; accumulators reset beyond this point *)
-  survived : bytes:int -> unit;
+  | Survived of { bytes : int }
       (** the mutator counted [bytes] into its survived-bytes total *)
-  finish : unit -> unit;  (** end of run *)
-}
+  | Finish  (** end of run *)
 
-(** The inert tracer: every hook is a no-op. *)
+(** The sink installed with {!Sim.set_tracer}. *)
+type t = event -> unit
+
+(** The inert tracer: drops every event. *)
 val none : t
 
 (** [active t] is true iff [t] is not {!none} (physical equality). *)
 val active : t -> bool
+
+(** The event's kebab-case name ([alloc], [alloc-failed], [write], ...),
+    as [lxr_trace stat] prints it. *)
+val name : event -> string

@@ -31,6 +31,17 @@ let fleet_pct h p =
   | Some v -> Float.of_int v /. 1e3
   | None -> 0.0
 
+(* The fleet totals of the write-barrier counters, each [None] when no
+   replica reports it (the collector has no such counter). *)
+let fleet_wb (r : Fleet.result) =
+  let total sum get =
+    if List.exists (fun s -> get s <> None) r.per_replica then Some sum else None
+  in
+  ( total r.wb_fast (fun (s : Fleet.replica_stats) -> s.r_wb_fast),
+    total r.wb_slow (fun (s : Fleet.replica_stats) -> s.r_wb_slow) )
+
+let count_or_dash = function Some v -> Printf.sprintf "%.0f" v | None -> "-"
+
 let mean_utilization (r : Fleet.result) =
   match r.per_replica with
   | [] -> 0.0
@@ -76,9 +87,11 @@ let print_fleet (r : Fleet.result) =
       (fleet_pct r.queueing 50.0) (fleet_pct r.queueing 99.0)
       (fleet_pct r.queueing 99.9);
     Printf.printf "  routing     %d gc-aware diversions\n" r.diversions;
-    if r.wb_fast +. r.wb_slow > 0.0 then
-      Printf.printf "  barrier     wb_fast=%.0f wb_slow=%.0f\n" r.wb_fast
-        r.wb_slow;
+    (match fleet_wb r with
+    | None, None -> ()
+    | wb_fast, wb_slow ->
+      Printf.printf "  barrier     wb_fast=%s wb_slow=%s\n" (count_or_dash wb_fast)
+        (count_or_dash wb_slow));
     if r.verifier_checks > 0 then
       Printf.printf "  verifier    %d checks, %d violations\n"
         r.verifier_checks r.violations;
@@ -116,9 +129,7 @@ let fleet_row (r : Fleet.result) =
       Printf.sprintf "%.3f" (100.0 *. r.availability);
       string_of_int r.diversions;
       Printf.sprintf "%.1f" (100.0 *. mean_utilization r);
-      (if r.wb_fast +. r.wb_slow > 0.0 then
-         Printf.sprintf "%.0f" r.wb_slow
-       else "-") ]
+      count_or_dash (snd (fleet_wb r)) ]
 
 let fleet_header =
   [ "Collector"; "Policy"; "kQPS"; "p50us"; "p99"; "p99.9"; "p99.99";
@@ -157,6 +168,8 @@ let num f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 
+let num_or_null = function Some f -> num f | None -> "null"
+
 let fleet_json results =
   let pctls h =
     Printf.sprintf "{%s}"
@@ -191,10 +204,11 @@ let fleet_json results =
               ("restarts", string_of_int s.r_restarts);
               ("time_in_ns", alist s.r_time_in);
               ("ladder", alist s.r_ladder);
-              ("wb_fast", num s.r_wb_fast);
-              ("wb_slow", num s.r_wb_slow) ]))
+              ("wb_fast", num_or_null s.r_wb_fast);
+              ("wb_slow", num_or_null s.r_wb_slow) ]))
   in
   let one (r : Fleet.result) =
+    let wb_fast, wb_slow = fleet_wb r in
     Printf.sprintf "  {%s}"
       (String.concat ", "
          (List.map field
@@ -224,8 +238,8 @@ let fleet_json results =
               ("slo_breach_rounds", string_of_int r.slo_breach_rounds);
               ("slo_shed_rounds", string_of_int r.slo_shed_rounds);
               ("ladder", alist r.ladder);
-              ("wb_fast", num r.wb_fast);
-              ("wb_slow", num r.wb_slow);
+              ("wb_fast", num_or_null wb_fast);
+              ("wb_slow", num_or_null wb_slow);
               ("wall_ns", num r.wall_ns);
               ( "qps",
                 match Fleet.qps_opt r with

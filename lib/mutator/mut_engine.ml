@@ -69,7 +69,7 @@ let in_phase_b st =
 let note_survived st bytes =
   st.survived_bytes <- st.survived_bytes + bytes;
   let tr = tracer st.api in
-  if Tracer.active tr then tr.Tracer.survived ~bytes
+  if Tracer.active tr then tr (Tracer.Survived { bytes })
 
 (* The chunk in table slot [idx], or the registry's none-handle (id =
    null) when the slot is empty or its chunk was freed. The slot is still
@@ -269,11 +269,11 @@ let run_requests st (r : Workload.request) ~count =
   for _ = 1 to count do
     let gap = Prng.exponential st.prng ~mean:mean_gap in
     arrival := !arrival +. gap;
-    if Tracer.active tr then tr.Tracer.request_start ~gap;
+    if Tracer.active tr then tr (Tracer.Request_start { gap });
     serve_one st r ~arrival:!arrival;
     let metered = Sim.now sim -. !arrival in
     Histogram.record hist (int_of_float (Float.max 1.0 metered));
-    if Tracer.active tr then tr.Tracer.request_end ()
+    if Tracer.active tr then tr Tracer.Request_end
   done;
   hist
 
@@ -319,7 +319,7 @@ let run ?(on_measurement_start = fun () -> ()) api prng (w : Workload.t) ~scale 
       oom = Option.map Api.describe_oom !oom }
   | Some st ->
     let tr = tracer api in
-    if Tracer.active tr then tr.Tracer.measurement_start ();
+    if Tracer.active tr then tr Tracer.Measurement_start;
     on_measurement_start ();
     st.survived_bytes <- 0;
     st.large_bytes <- 0;

@@ -57,8 +57,8 @@ type replica_stats = {
   r_restarts : int;
   r_time_in : (string * float) list;
   r_ladder : (string * float) list;
-  r_wb_fast : float;
-  r_wb_slow : float;
+  r_wb_fast : float option;
+  r_wb_slow : float option;
 }
 
 type result = {
@@ -223,8 +223,8 @@ type replica = {
   mutable acc_mut_cpu : float;
   mutable acc_checks : int;
   mutable acc_violations : int;
-  mutable acc_wb_fast : float;
-  mutable acc_wb_slow : float;
+  mutable acc_wb_fast : float option;  (* None until a retire reports it *)
+  mutable acc_wb_slow : float option;
 }
 
 (* What every stage reads and none changes: the config and the constants
@@ -415,8 +415,8 @@ let new_replica env idx eng =
     acc_mut_cpu = 0.0;
     acc_checks = 0;
     acc_violations = 0;
-    acc_wb_fast = 0.0;
-    acc_wb_slow = 0.0 }
+    acc_wb_fast = None;
+    acc_wb_slow = None }
 
 let make_env (cfg : config) req =
   (* [nominal] is mutator CPU; the cost model spreads it over the
@@ -784,9 +784,13 @@ let retire (rep : replica) ~hooks =
     (* Write-barrier counters, for collectors that report them (lxr's
        field logging, journal_rc's journal appends). *)
     let cstats = (Api.collector e.api).Collector.stats () in
-    let stat k = Option.value (List.assoc_opt k cstats) ~default:0.0 in
-    rep.acc_wb_fast <- rep.acc_wb_fast +. stat "wb_fast";
-    rep.acc_wb_slow <- rep.acc_wb_slow +. stat "wb_slow";
+    let add acc k =
+      match List.assoc_opt k cstats with
+      | Some v -> Some (Option.value acc ~default:0.0 +. v)
+      | None -> acc
+    in
+    rep.acc_wb_fast <- add rep.acc_wb_fast "wb_fast";
+    rep.acc_wb_slow <- add rep.acc_wb_slow "wb_slow";
     rep.clock.avail <- rep.clock.offset +. Sim.now sim;
     rep.eng <- None
 
@@ -1347,8 +1351,8 @@ let report st =
       Array.fold_left
         (fun acc rep -> sum_ladders acc rep.acc_ladder)
         [] replicas;
-    wb_fast = sumf (fun rep -> rep.acc_wb_fast);
-    wb_slow = sumf (fun rep -> rep.acc_wb_slow);
+    wb_fast = sumf (fun rep -> Option.value rep.acc_wb_fast ~default:0.0);
+    wb_slow = sumf (fun rep -> Option.value rep.acc_wb_slow ~default:0.0);
     verifier_checks = sum (fun rep -> rep.acc_checks);
     violations;
     per_replica =

@@ -139,12 +139,12 @@ type replica_stats = {
   r_ladder : (string * float) list;
       (** degradation-ladder rung counters
           ({!Repro_engine.Api.ladder_alist}), summed across restarts *)
-  r_wb_fast : float;
-      (** write-barrier fast paths taken, summed across restarts (0 for
-          collectors that report no barrier counters) *)
-  r_wb_slow : float;
-      (** write-barrier slow paths: lxr field logs, journal_rc chunk
-          publications *)
+  r_wb_fast : float option;
+      (** write-barrier fast paths taken, summed across restarts; [None]
+          when the collector reports no such counter *)
+  r_wb_slow : float option;
+      (** write-barrier slow paths (lxr field logs, journal_rc chunk
+          publications), likewise *)
 }
 
 type result = {
@@ -188,8 +188,10 @@ type result = {
   slo_timeline : Slo.sample list;  (** oldest first; [] without an SLO *)
   ladder : (string * float) list;
       (** fleet-summed degradation-ladder rung counters *)
-  wb_fast : float;  (** fleet-summed write-barrier fast paths *)
-  wb_slow : float;  (** fleet-summed write-barrier slow paths *)
+  wb_fast : float;
+      (** fleet-summed write-barrier fast paths; 0 when no replica reports
+          the counter (see [r_wb_fast]) *)
+  wb_slow : float;  (** fleet-summed write-barrier slow paths, likewise *)
   verifier_checks : int;
   violations : int;
   per_replica : replica_stats list;

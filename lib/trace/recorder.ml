@@ -1,5 +1,3 @@
-open Repro_engine
-
 type t = {
   mutable workload : string;
   mutable collector : string;
@@ -23,28 +21,9 @@ let create ?(collector = "?") ~workload ~seed ~scale ~heap_factor ~cfg () =
 
 let set_collector t name = t.collector <- name
 
-let emit t ev =
+let tracer t ev =
   Trace_format.encode_event t.events ev;
   t.count <- t.count + 1
-
-let tracer t =
-  { Tracer.alloc =
-      (fun ~id ~size ~nfields ~large ->
-        emit t (Trace_format.Alloc { id; size; nfields; large }));
-    alloc_failed =
-      (fun ~size ~nfields -> emit t (Trace_format.Alloc_failed { size; nfields }));
-    write =
-      (fun ~src ~field ~value -> emit t (Trace_format.Write { src; field; value }));
-    read = (fun ~src ~field -> emit t (Trace_format.Read { src; field }));
-    root = (fun ~slot ~value -> emit t (Trace_format.Root { slot; value }));
-    work = (fun ~ns -> emit t (Trace_format.Work { ns }));
-    safepoint = (fun () -> emit t Trace_format.Safepoint);
-    request_start =
-      (fun ~gap -> emit t (Trace_format.Request_start { gap }));
-    request_end = (fun () -> emit t Trace_format.Request_end);
-    measurement_start = (fun () -> emit t Trace_format.Measurement_start);
-    survived = (fun ~bytes -> emit t (Trace_format.Survived { bytes }));
-    finish = (fun () -> emit t Trace_format.Finish) }
 
 let contents t =
   let header =

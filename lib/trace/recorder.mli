@@ -1,12 +1,12 @@
 (** Streaming trace recorder.
 
-    Wraps a {!Trace_format} encoder in a {!Repro_engine.Tracer.t} so the
-    engine and mutator can tee their event stream into it. Events are
+    A {!Trace_format} encoder behind a {!Repro_engine.Tracer.t} sink, so
+    the engine and mutator can tee their event stream into it. Events are
     encoded directly into a growing buffer as they arrive — nothing is
     retained per event — and {!contents} (or {!save}) appends the trailer
     and yields the finished trace.
 
-    Recording is observationally free: the hooks only append bytes, so a
+    Recording is observationally free: the sink only appends bytes, so a
     recorded run produces bit-identical metrics to an unrecorded one. *)
 
 type t
@@ -25,7 +25,8 @@ val create :
   unit ->
   t
 
-(** The hook record to install via {!Repro_engine.Sim.set_tracer}. *)
+(** The sink to install via {!Repro_engine.Sim.set_tracer}: it encodes
+    each event as it arrives. *)
 val tracer : t -> Repro_engine.Tracer.t
 
 val set_collector : t -> string -> unit

@@ -150,7 +150,7 @@ let apply_tag t i tag =
   | 8 (* request_start *) ->
     let gap = fop g i in
     let tr = tracer t in
-    if Tracer.active tr then tr.Tracer.request_start ~gap;
+    if Tracer.active tr then tr (Tracer.Request_start { gap });
     (* The live engine bases the metered schedule on the simulator clock
        when the request loop starts, then accumulates the recorded gaps —
        so arrivals adapt to how fast *this* collector got through setup,
@@ -164,10 +164,10 @@ let apply_tag t i tag =
     Repro_util.Histogram.record t.hist (int_of_float (Float.max 1.0 metered));
     t.requests <- t.requests + 1;
     let tr = tracer t in
-    if Tracer.active tr then tr.Tracer.request_end ()
+    if Tracer.active tr then tr Tracer.Request_end
   | 10 (* measurement_start *) ->
     let tr = tracer t in
-    if Tracer.active tr then tr.Tracer.measurement_start ();
+    if Tracer.active tr then tr Tracer.Measurement_start;
     t.on_measurement_start ();
     t.measuring <- true;
     t.survived_bytes <- 0;
@@ -176,7 +176,7 @@ let apply_tag t i tag =
     let bytes = op1 g i in
     t.survived_bytes <- t.survived_bytes + bytes;
     let tr = tracer t in
-    if Tracer.active tr then tr.Tracer.survived ~bytes
+    if Tracer.active tr then tr (Tracer.Survived { bytes })
   | 12 (* finish *) -> finish_engine t
   | _ -> assert false (* decode validated every tag *)
 

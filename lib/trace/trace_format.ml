@@ -14,19 +14,9 @@ type header = {
   free_buffer_entries : int;
 }
 
-type event =
-  | Alloc of { id : int; size : int; nfields : int; large : bool }
-  | Alloc_failed of { size : int; nfields : int }
-  | Write of { src : int; field : int; value : int }
-  | Read of { src : int; field : int }
-  | Root of { slot : int; value : int }
-  | Work of { ns : float }
-  | Safepoint
-  | Request_start of { gap : float }
-  | Request_end
-  | Measurement_start
-  | Survived of { bytes : int }
-  | Finish
+module Tracer = Repro_engine.Tracer
+
+type event = Tracer.event
 
 (* The in-memory representation is a flat struct-of-arrays ring rather
    than an array of boxed [event]s: one dense tag byte per event plus
@@ -100,20 +90,6 @@ let () =
     && tag_survived = 11
     && tag_finish = 12)
 
-let event_name = function
-  | Alloc _ -> "alloc"
-  | Alloc_failed _ -> "alloc-failed"
-  | Write _ -> "write"
-  | Read _ -> "read"
-  | Root _ -> "root"
-  | Work _ -> "work"
-  | Safepoint -> "safepoint"
-  | Request_start _ -> "request-start"
-  | Request_end -> "request-end"
-  | Measurement_start -> "measurement-start"
-  | Survived _ -> "survived"
-  | Finish -> "finish"
-
 (* --- Ring view --------------------------------------------------------- *)
 
 let num_events t = t.ring.count
@@ -125,83 +101,28 @@ let event t i =
   if i < 0 || i >= g.count then invalid_arg "Trace_format.event: index out of bounds";
   let tag = Char.code (Bytes.get g.tags i) in
   if tag = tag_alloc then
-    Alloc
+    Tracer.Alloc
       { id = g.op1.(i);
         size = g.op2.(i);
         nfields = g.op3.(i) lsr 1;
         large = g.op3.(i) land 1 <> 0 }
   else if tag = tag_alloc_failed then
-    Alloc_failed { size = g.op1.(i); nfields = g.op2.(i) }
+    Tracer.Alloc_failed { size = g.op1.(i); nfields = g.op2.(i) }
   else if tag = tag_write then
-    Write { src = g.op1.(i); field = g.op2.(i); value = g.op3.(i) }
-  else if tag = tag_read then Read { src = g.op1.(i); field = g.op2.(i) }
-  else if tag = tag_root then Root { slot = g.op1.(i); value = g.op2.(i) }
-  else if tag = tag_work then Work { ns = g.fop.(i) }
-  else if tag = tag_safepoint then Safepoint
-  else if tag = tag_request_start then Request_start { gap = g.fop.(i) }
-  else if tag = tag_request_end then Request_end
-  else if tag = tag_measurement_start then Measurement_start
-  else if tag = tag_survived then Survived { bytes = g.op1.(i) }
-  else if tag = tag_finish then Finish
+    Tracer.Write { src = g.op1.(i); field = g.op2.(i); value = g.op3.(i) }
+  else if tag = tag_read then Tracer.Read { src = g.op1.(i); field = g.op2.(i) }
+  else if tag = tag_root then Tracer.Root { slot = g.op1.(i); value = g.op2.(i) }
+  else if tag = tag_work then Tracer.Work { ns = g.fop.(i) }
+  else if tag = tag_safepoint then Tracer.Safepoint
+  else if tag = tag_request_start then Tracer.Request_start { gap = g.fop.(i) }
+  else if tag = tag_request_end then Tracer.Request_end
+  else if tag = tag_measurement_start then Tracer.Measurement_start
+  else if tag = tag_survived then Tracer.Survived { bytes = g.op1.(i) }
+  else if tag = tag_finish then Tracer.Finish
   else assert false (* decode validated every tag *)
 
 let events t = Array.init t.ring.count (event t)
 
-let ring_of_events evs =
-  let count = Array.length evs in
-  let tags = Bytes.make count '\000' in
-  let op1 = Array.make count 0 in
-  let op2 = Array.make count 0 in
-  let op3 = Array.make count 0 in
-  let fop = Array.make count 0.0 in
-  let allocs = ref 0 and max_id = ref 0 in
-  Array.iteri
-    (fun i e ->
-      let tag =
-        match e with
-        | Alloc { id; size; nfields; large } ->
-          incr allocs;
-          if id > !max_id then max_id := id;
-          op1.(i) <- id;
-          op2.(i) <- size;
-          op3.(i) <- (nfields lsl 1) lor (if large then 1 else 0);
-          tag_alloc
-        | Alloc_failed { size; nfields } ->
-          op1.(i) <- size;
-          op2.(i) <- nfields;
-          tag_alloc_failed
-        | Write { src; field; value } ->
-          op1.(i) <- src;
-          op2.(i) <- field;
-          op3.(i) <- value;
-          tag_write
-        | Read { src; field } ->
-          op1.(i) <- src;
-          op2.(i) <- field;
-          tag_read
-        | Root { slot; value } ->
-          op1.(i) <- slot;
-          op2.(i) <- value;
-          tag_root
-        | Work { ns } ->
-          fop.(i) <- ns;
-          tag_work
-        | Safepoint -> tag_safepoint
-        | Request_start { gap } ->
-          fop.(i) <- gap;
-          tag_request_start
-        | Request_end -> tag_request_end
-        | Measurement_start -> tag_measurement_start
-        | Survived { bytes } ->
-          op1.(i) <- bytes;
-          tag_survived
-        | Finish -> tag_finish
-      in
-      Bytes.set tags i (Char.chr tag))
-    evs;
-  { count; tags; op1; op2; op3; fop; allocs = !allocs; max_id = !max_id }
-
-let of_events header evs = { header; ring = ring_of_events evs }
 let alloc_stats t = (t.ring.allocs, t.ring.max_id)
 
 (* --- Primitive encoders ------------------------------------------------ *)
@@ -391,42 +312,42 @@ let decode_header r =
 (* --- Events ------------------------------------------------------------ *)
 
 let encode_event buf = function
-  | Alloc { id; size; nfields; large } ->
+  | Tracer.Alloc { id; size; nfields; large } ->
     put_uv buf tag_alloc;
     put_uv buf id;
     put_uv buf size;
     put_uv buf nfields;
     Buffer.add_char buf (if large then '\001' else '\000')
-  | Alloc_failed { size; nfields } ->
+  | Tracer.Alloc_failed { size; nfields } ->
     put_uv buf tag_alloc_failed;
     put_uv buf size;
     put_uv buf nfields
-  | Write { src; field; value } ->
+  | Tracer.Write { src; field; value } ->
     put_uv buf tag_write;
     put_uv buf src;
     put_uv buf field;
     put_uv buf value
-  | Read { src; field } ->
+  | Tracer.Read { src; field } ->
     put_uv buf tag_read;
     put_uv buf src;
     put_uv buf field
-  | Root { slot; value } ->
+  | Tracer.Root { slot; value } ->
     put_uv buf tag_root;
     put_uv buf slot;
     put_uv buf value
-  | Work { ns } ->
+  | Tracer.Work { ns } ->
     put_uv buf tag_work;
     put_f64 buf ns
-  | Safepoint -> put_uv buf tag_safepoint
-  | Request_start { gap } ->
+  | Tracer.Safepoint -> put_uv buf tag_safepoint
+  | Tracer.Request_start { gap } ->
     put_uv buf tag_request_start;
     put_f64 buf gap
-  | Request_end -> put_uv buf tag_request_end
-  | Measurement_start -> put_uv buf tag_measurement_start
-  | Survived { bytes } ->
+  | Tracer.Request_end -> put_uv buf tag_request_end
+  | Tracer.Measurement_start -> put_uv buf tag_measurement_start
+  | Tracer.Survived { bytes } ->
     put_uv buf tag_survived;
     put_uv buf bytes
-  | Finish -> put_uv buf tag_finish
+  | Tracer.Finish -> put_uv buf tag_finish
 
 (* --- Whole-trace assembly --------------------------------------------- *)
 
@@ -443,14 +364,17 @@ let assemble ~header_buf ~events_buf ~count =
   put_fixed64 buf h;
   Buffer.contents buf
 
-let to_string t =
+(* The whole trace of [header] and the [count] events [event_at i]. *)
+let encode header ~count event_at =
   let header_buf = Buffer.create 64 in
-  encode_header header_buf t.header;
+  encode_header header_buf header;
   let events_buf = Buffer.create 4096 in
-  for i = 0 to t.ring.count - 1 do
-    encode_event events_buf (event t i)
+  for i = 0 to count - 1 do
+    encode_event events_buf (event_at i)
   done;
-  assemble ~header_buf ~events_buf ~count:t.ring.count
+  assemble ~header_buf ~events_buf ~count
+
+let to_string t = encode t.header ~count:t.ring.count (event t)
 
 (* The event count the trailer declares, read backward from the end: the
    file ends [tag_end; count varint; 8 checksum bytes], the varint's last
@@ -585,6 +509,13 @@ let of_string s =
     in
     Ok { header; ring }
   with Malformed msg -> Error msg
+
+(* Through the one decoder, so a built trace has exactly the ring a
+   recorded one would. *)
+let of_events header evs =
+  match of_string (encode header ~count:(Array.length evs) (Array.get evs)) with
+  | Ok t -> t
+  | Error msg -> invalid_arg ("Trace_format.of_events: " ^ msg)
 
 let write_string_to_file data path =
   let oc = open_out_bin path in

@@ -36,21 +36,9 @@ type header = {
   free_buffer_entries : int;
 }
 
-type event =
-  | Alloc of { id : int; size : int; nfields : int; large : bool }
-  | Alloc_failed of { size : int; nfields : int }
-  | Write of { src : int; field : int; value : int }
-  | Read of { src : int; field : int }
-  | Root of { slot : int; value : int }
-  | Work of { ns : float }
-  | Safepoint
-  | Request_start of { gap : float }
-      (** exponential inter-arrival gap, ns; replay rebases the schedule
-          on its own clock at the first request *)
-  | Request_end
-  | Measurement_start
-  | Survived of { bytes : int }
-  | Finish
+(** The engine's trace event, one per mutator-observable operation; the
+    encoding gives each constructor its own tag, 1-12. *)
+type event = Repro_engine.Tracer.event
 
 (* The in-memory representation: a flat struct-of-arrays ring — one
    dense tag byte per event plus parallel operand arrays, batch-decoded
@@ -79,9 +67,11 @@ type ring = private {
 
 type t = { header : header; ring : ring }
 
-(** [of_events header evs] builds a trace from a boxed event array (the
-    constructor tests and tools use; decoding goes straight to the
-    ring). *)
+(** [of_events header evs] is the trace of [evs] (the constructor tests
+    and tools use): it encodes them and decodes the bytes with
+    {!of_string}, so its ring is exactly a recorded trace's. Raises
+    [Invalid_argument] when {!of_string} rejects the result (a header
+    whose heap geometry {!heap_config} cannot rebuild). *)
 val of_events : header -> event array -> t
 
 val num_events : t -> int
@@ -110,8 +100,6 @@ val tag_finish : int
 
 (** The current writer version. Readers accept only this version. *)
 val current_version : int
-
-val event_name : event -> string
 
 (** [make_header] fills [version] with {!current_version} and the heap
     geometry from [cfg]. *)

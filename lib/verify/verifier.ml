@@ -71,38 +71,41 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
   (* --- Registry geometry, block residency, LOS backing. --- *)
   List.iter
     (fun (o : Obj_model.t) ->
-      let subject = describe o in
       let oaddr = Obj_model.addr o in
       if not (Addr.valid cfg oaddr) then
-        v ~module_:"registry" ~invariant:"addr-in-heap" ~subject
+        v ~module_:"registry" ~invariant:"addr-in-heap"
+          ~subject:(describe o)
           ~expected:(Printf.sprintf "0 <= addr < %d" cfg.heap_bytes)
           ~found:(string_of_int oaddr)
       else if not (Addr.is_granule_aligned cfg oaddr) then
-        v ~module_:"registry" ~invariant:"addr-granule-aligned" ~subject
+        v ~module_:"registry" ~invariant:"addr-granule-aligned"
+          ~subject:(describe o)
           ~expected:(Printf.sprintf "multiple of %d" cfg.granule_bytes)
           ~found:(string_of_int oaddr)
       else if is_los o then begin
         match Heap.los_extent heap o with
         | [] ->
-          v ~module_:"los" ~invariant:"has-backing" ~subject
+          v ~module_:"los" ~invariant:"has-backing" ~subject:(describe o)
             ~expected:"at least one backing block" ~found:"none"
         | first :: _ as backing ->
           if oaddr <> Addr.block_start cfg first then
-            v ~module_:"los" ~invariant:"addr-is-first-backing" ~subject
+            v ~module_:"los" ~invariant:"addr-is-first-backing"
+              ~subject:(describe o)
               ~expected:(string_of_int (Addr.block_start cfg first))
               ~found:(string_of_int oaddr);
           List.iter
             (fun b ->
               if Blocks.state heap.blocks b <> Blocks.Los_backing then
                 v ~module_:"los" ~invariant:"backing-state"
-                  ~subject:(Printf.sprintf "%s backing block %d" subject b)
+                  ~subject:(Printf.sprintf "%s backing block %d" (describe o) b)
                   ~expected:"Los_backing"
                   ~found:(state_name (Blocks.state heap.blocks b)))
             backing;
           if
             not (Vec.exists (fun id -> id = o.id) (Blocks.residents heap.blocks first))
           then
-            v ~module_:"blocks" ~invariant:"los-resident-listed" ~subject
+            v ~module_:"blocks" ~invariant:"los-resident-listed"
+              ~subject:(describe o)
               ~expected:
                 (Printf.sprintf "id %d in block %d resident list" o.id first)
               ~found:"absent"
@@ -111,17 +114,19 @@ let check_heap ?(roots = [||]) ?(introspect = Collector.no_introspection)
         let b = Addr.block_of cfg oaddr in
         let b_end = Addr.block_of cfg (oaddr + o.size - 1) in
         if b <> b_end then
-          v ~module_:"registry" ~invariant:"within-one-block" ~subject
+          v ~module_:"registry" ~invariant:"within-one-block"
+            ~subject:(describe o)
             ~expected:"object contained in a single block"
             ~found:(Printf.sprintf "spans blocks %d..%d" b b_end);
         (match Blocks.state heap.blocks b with
         | Blocks.Owned | Blocks.In_use | Blocks.Recyclable -> ()
         | st ->
-          v ~module_:"blocks" ~invariant:"resident-block-state" ~subject
+          v ~module_:"blocks" ~invariant:"resident-block-state"
+            ~subject:(describe o)
             ~expected:"Owned, In_use or Recyclable" ~found:(state_name st));
         if not (Vec.exists (fun id -> id = o.id) (Blocks.residents heap.blocks b))
         then
-          v ~module_:"blocks" ~invariant:"resident-listed" ~subject
+          v ~module_:"blocks" ~invariant:"resident-listed" ~subject:(describe o)
             ~expected:(Printf.sprintf "id %d in block %d resident list" o.id b)
             ~found:"absent"
       end)

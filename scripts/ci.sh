@@ -268,13 +268,16 @@ echo "== goldens on the release build =="
 # the release build, whose [@inline] fast paths and collector kernels
 # are compiled into their callers; its simulated behaviour must match
 # the same goldens. The ledger goldens cover 5 of the 15 collectors, so
-# the collector and fleet goldens run on the release build too. Last,
+# the collector and fleet goldens run on the release build too, and so
+# does engine:hooks, whose allocation check covers the trace-event and
+# fault sites the release build inlines into the replayer. Last,
 # because it rebuilds the tree in release mode.
 bash ledger/run.sh --smoke
 dune build --profile release ./test/test_main.exe \
   ./test/golden/collectors.digest ./test/golden/fleet.digest
 (cd _build/default/test &&
   ./test_main.exe test collectors:golden &&
-  ./test_main.exe test fleet:golden)
+  ./test_main.exe test fleet:golden &&
+  ./test_main.exe test engine:hooks)
 
 echo "== ci ok =="

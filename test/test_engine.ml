@@ -227,6 +227,87 @@ let test_api_write_freed_source () =
       check (name ^ ": logged bits untouched") true (logged () = logged0))
     Repro_harness.Collector_set.all
 
+(* --- Hooks: trace sink and fault injector ------------------------------------- *)
+
+(* With no tracer and no injector installed (a fresh [Sim]), the per-event
+   entry points build no trace event and draw no fault: 10,000 stores,
+   loads and root writes on a live object allocate nothing, flushes of
+   the pending charge included. The release build inlines these bodies
+   into the replayer, so ci.sh runs this group there too. *)
+let test_hooks_off_allocate_nothing () =
+  let api, sim, _, _ = make_api () in
+  check "no tracer" false (Tracer.active (Sim.tracer sim));
+  check "no injector" false (Fault.active (Sim.faults sim));
+  let a = Api.alloc_fast api ~size:64 ~nfields:2 in
+  let b = Api.alloc_fast api ~size:64 ~nfields:2 in
+  Api.set_root api 0 a.id;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Api.write api a (i land 1) b.id;
+    ignore (Sys.opaque_identity (Api.read api a 0));
+    Api.set_root api 1 b.id
+  done;
+  check_float "minor words" 0.0 (Gc.minor_words () -. before)
+
+(* A counting sink sees exactly one event per API call, named by
+   [Tracer.name]. *)
+let test_hooks_one_event_per_call () =
+  let api, sim, _, _ = make_api () in
+  let a = Api.alloc_fast api ~size:64 ~nfields:2 in
+  let seen = ref [] in
+  Sim.set_tracer sim (fun ev -> seen := Tracer.name ev :: !seen);
+  let expect = ref [] in
+  let call name f =
+    f ();
+    expect := name :: !expect;
+    Alcotest.(check (list string)) (name ^ ": one event") !expect !seen
+  in
+  call "alloc" (fun () -> ignore (Api.alloc_fast api ~size:64 ~nfields:2));
+  call "alloc-failed" (fun () ->
+      ignore (Api.alloc_fast api ~size:(1 lsl 20) ~nfields:0));
+  call "write" (fun () -> Api.write api a 0 a.id);
+  call "read" (fun () -> ignore (Api.read api a 0));
+  call "root" (fun () -> Api.set_root api 0 a.id);
+  call "work" (fun () -> Api.work api ~ns:10.0);
+  call "safepoint" (fun () -> Api.safepoint api);
+  call "finish" (fun () -> Api.finish api)
+
+(* Every class armed at rate 1 fires on every draw; the counters come
+   out under the stats names and in the order [lxr_sim run --inject]
+   prints them. *)
+let test_hooks_fault_counters () =
+  match
+    Fault.of_spec ~seed:3
+      "drop-barrier:1,skip-dec:1,rc-flip:1,remset:1,alloc-fail:1,rc-flip:0"
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok f ->
+    let classes =
+      Fault.[ Drop_barrier; Skip_decrement; Flip_rc; Corrupt_remset; Fail_alloc ]
+    in
+    List.iteri
+      (fun i cls ->
+        for _ = 0 to i do
+          ignore (Fault.fires f cls)
+        done)
+      classes;
+    Alcotest.(check (list (pair string (float 0.0))))
+      "counters"
+      [ ("fault_dropped_barriers", 1.0);
+        ("fault_skipped_decrements", 2.0);
+        (* given twice: the last rate, 0, holds *)
+        ("fault_flipped_rc", 0.0);
+        ("fault_corrupted_remsets", 4.0);
+        ("fault_forced_alloc_failures", 5.0) ]
+      (Fault.counts_alist f);
+    Alcotest.(check (list int)) "count" [ 1; 2; 0; 4; 5 ]
+      (List.map (Fault.count f) classes);
+    Alcotest.(check (list string)) "spec names"
+      [ "drop-barrier"; "skip-dec"; "rc-flip"; "remset"; "alloc-fail" ]
+      Fault.class_names;
+    check "none fires nothing" false
+      (List.exists (Fault.fires Fault.none) classes)
+
 (* --- Cost model ----------------------------------------------------------------- *)
 
 let test_cost_model_sanity () =
@@ -286,6 +367,13 @@ let suite =
         Alcotest.test_case "write through freed handle" `Quick
           test_api_write_freed_source;
         Alcotest.test_case "idle" `Quick test_api_idle ] );
+    ( "engine:hooks",
+      [ Alcotest.test_case "off hooks allocate nothing" `Quick
+          test_hooks_off_allocate_nothing;
+        Alcotest.test_case "one event per API call" `Quick
+          test_hooks_one_event_per_call;
+        Alcotest.test_case "fault counters by class" `Quick
+          test_hooks_fault_counters ] );
     ( "engine:misc",
       [ Alcotest.test_case "cost model" `Quick test_cost_model_sanity;
         Alcotest.test_case "pause bracket" `Quick test_stw_bracket ] ) ]

@@ -143,9 +143,11 @@ let fleet_digest (r : Fleet.result) =
            r_gc_cpu_ns; r_mutator_cpu_ns; r_oom; r_state; r_restarts;
            r_time_in; r_ladder; r_wb_fast; r_wb_slow } ->
       ints [ r_index; r_served; r_dropped; r_pause_count; r_restarts ];
+      (* Absent barrier counters digest as 0, so the pinned lines hold. *)
+      let wb = Option.value ~default:0.0 in
       floats
         [ r_busy_ns; r_wall_ns; r_utilization; r_gc_cpu_ns; r_mutator_cpu_ns;
-          r_wb_fast; r_wb_slow ];
+          wb r_wb_fast; wb r_wb_slow ];
       hist r_latency;
       hist r_queueing;
       hist r_pauses;

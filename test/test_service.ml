@@ -472,21 +472,44 @@ let test_fleet_wb_propagation () =
   check "ok" true r.ok;
   check "fleet saw barrier fast paths" true (r.wb_fast > 0.0);
   check "fleet saw chunk publications" true (r.wb_slow > 0.0);
+  let sum get =
+    List.fold_left
+      (fun a (s : Fleet.replica_stats) ->
+        match get s with
+        | Some v -> a +. v
+        | None -> Alcotest.fail "journal_rc replica without a barrier counter")
+      0.0 r.per_replica
+  in
   check "wb_fast sums across replicas" true
-    (List.fold_left
-       (fun a (s : Fleet.replica_stats) -> a +. s.r_wb_fast)
-       0.0 r.per_replica
-    = r.wb_fast);
+    (sum (fun s -> s.r_wb_fast) = r.wb_fast);
   check "wb_slow sums across replicas" true
-    (List.fold_left
-       (fun a (s : Fleet.replica_stats) -> a +. s.r_wb_slow)
-       0.0 r.per_replica
-    = r.wb_slow);
-  (* Collectors without barrier counters report zeros, not noise. *)
+    (sum (fun s -> s.r_wb_slow) = r.wb_slow);
+  (* Collectors without barrier counters report them absent, not 0; the
+     fleet totals stay 0 for the digests that read them. *)
   let r0 = fleet ~factory:Repro_collectors.G1.factory () in
   check "g1 fleet ok" true r0.ok;
   check "no wb counters without a logging barrier" true
-    (r0.wb_fast = 0.0 && r0.wb_slow = 0.0)
+    (List.for_all
+       (fun (s : Fleet.replica_stats) -> s.r_wb_fast = None && s.r_wb_slow = None)
+       r0.per_replica);
+  check "fleet totals stay 0" true (r0.wb_fast = 0.0 && r0.wb_slow = 0.0)
+
+(* [lxr_fleet compare -c g1,lxr --format json]: G1 reports no barrier
+   counters, so its totals and replicas print null; LXR's print numbers. *)
+let test_fleet_wb_json () =
+  let json factory =
+    Repro_harness.Report.fleet_json [ fleet ~factory ~requests:200 () ]
+  in
+  let g1 = json Repro_collectors.G1.factory in
+  let lxr = json Repro_lxr.Lxr.factory in
+  List.iter
+    (fun k ->
+      check ("g1 " ^ k ^ " null") true (contains g1 (Printf.sprintf "%S: null" k));
+      check ("g1 " ^ k ^ " never 0") false (contains g1 (Printf.sprintf "%S: 0" k));
+      check ("lxr " ^ k ^ " no null") false
+        (contains lxr (Printf.sprintf "%S: null" k));
+      check ("lxr " ^ k ^ " reported") true (contains lxr (Printf.sprintf "%S: " k)))
+    [ "wb_fast"; "wb_slow" ]
 
 (* --- Chaos integration ---------------------------------------------------- *)
 
@@ -670,6 +693,8 @@ let suite =
           test_fleet_ladder_propagation;
         Alcotest.test_case "wb counter propagation" `Quick
           test_fleet_wb_propagation;
+        Alcotest.test_case "absent wb counters print null" `Quick
+          test_fleet_wb_json;
         Alcotest.test_case "autoscale requires slo" `Quick
           test_autoscale_requires_slo;
         Alcotest.test_case "chaos crash and restart" `Slow

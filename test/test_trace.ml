@@ -5,6 +5,7 @@
    the did-you-mean name resolution. *)
 
 open Repro_trace
+module Tracer = Repro_engine.Tracer
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -40,20 +41,20 @@ let sample_trace () =
       ~scale:0.5 ~heap_factor:2.0 ~cfg
   in
   let events =
-    [| Trace_format.Alloc { id = 1; size = 48; nfields = 3; large = false };
-       Trace_format.Alloc { id = 2; size = 65536; nfields = 1; large = true };
-       Trace_format.Root { slot = 0; value = 1 };
-       Trace_format.Write { src = 1; field = 2; value = 2 };
-       Trace_format.Read { src = 1; field = 2 };
-       Trace_format.Work { ns = 1234.5 };
-       Trace_format.Safepoint;
-       Trace_format.Request_start { gap = 99.25 };
-       Trace_format.Request_end;
-       Trace_format.Measurement_start;
-       Trace_format.Survived { bytes = 48 };
-       Trace_format.Alloc_failed { size = 1 lsl 21; nfields = 0 };
-       Trace_format.Root { slot = 0; value = -1 };
-       Trace_format.Finish |]
+    [| Tracer.Alloc { id = 1; size = 48; nfields = 3; large = false };
+       Tracer.Alloc { id = 2; size = 65536; nfields = 1; large = true };
+       Tracer.Root { slot = 0; value = 1 };
+       Tracer.Write { src = 1; field = 2; value = 2 };
+       Tracer.Read { src = 1; field = 2 };
+       Tracer.Work { ns = 1234.5 };
+       Tracer.Safepoint;
+       Tracer.Request_start { gap = 99.25 };
+       Tracer.Request_end;
+       Tracer.Measurement_start;
+       Tracer.Survived { bytes = 48 };
+       Tracer.Alloc_failed { size = 1 lsl 21; nfields = 0 };
+       Tracer.Root { slot = 0; value = -1 };
+       Tracer.Finish |]
   in
   Trace_format.of_events header events
 
@@ -90,9 +91,9 @@ let test_rejects_corruption () =
 (* --- qcheck: ring round-trip ------------------------------------------- *)
 
 (* Random event streams: encode -> one-pass ring decode -> boxed view
-   must reproduce the seed array exactly (the boxed constructor path
-   [of_events] is the reference representation), and re-encoding the
-   decoded ring must be byte-identical to the first encoding. Operand
+   must reproduce the seed array exactly ([of_events] builds its ring
+   through the same decoder), and re-encoding the decoded ring must be
+   byte-identical to the first encoding. Operand
    ranges cover the full shapes the recorder emits, null (-1) referents
    included — negatives exercise the 10-byte LEB128 escape. *)
 let gen_event : Trace_format.event QCheck.Gen.t =
@@ -104,33 +105,33 @@ let gen_event : Trace_format.event QCheck.Gen.t =
     [ ( 4,
         map
           (fun ((id, size), (nfields, large)) ->
-            Trace_format.Alloc { id; size; nfields; large })
+            Tracer.Alloc { id; size; nfields; large })
           (pair (pair rid (int_range 16 65536)) (pair (int_range 0 8) bool)) );
       ( 1,
         map
-          (fun (size, nfields) -> Trace_format.Alloc_failed { size; nfields })
+          (fun (size, nfields) -> Tracer.Alloc_failed { size; nfields })
           (pair (int_range 1 (1 lsl 22)) (int_range 0 8)) );
       ( 4,
         map
-          (fun ((src, field), value) -> Trace_format.Write { src; field; value })
+          (fun ((src, field), value) -> Tracer.Write { src; field; value })
           (pair (pair rid (int_range 0 7)) vref) );
       ( 2,
         map
-          (fun (src, field) -> Trace_format.Read { src; field })
+          (fun (src, field) -> Tracer.Read { src; field })
           (pair rid (int_range 0 7)) );
       ( 2,
         map
-          (fun (slot, value) -> Trace_format.Root { slot; value })
+          (fun (slot, value) -> Tracer.Root { slot; value })
           (pair (int_range 0 63) vref) );
-      (2, map (fun ns -> Trace_format.Work { ns }) posf);
-      (1, return Trace_format.Safepoint);
-      (1, map (fun gap -> Trace_format.Request_start { gap }) posf);
-      (1, return Trace_format.Request_end);
-      (1, return Trace_format.Measurement_start);
+      (2, map (fun ns -> Tracer.Work { ns }) posf);
+      (1, return Tracer.Safepoint);
+      (1, map (fun gap -> Tracer.Request_start { gap }) posf);
+      (1, return Tracer.Request_end);
+      (1, return Tracer.Measurement_start);
       ( 1,
-        map (fun bytes -> Trace_format.Survived { bytes }) (int_range 0 (1 lsl 20))
+        map (fun bytes -> Tracer.Survived { bytes }) (int_range 0 (1 lsl 20))
       );
-      (1, return Trace_format.Finish) ]
+      (1, return Tracer.Finish) ]
 
 let print_event (e : Trace_format.event) =
   match e with
@@ -177,6 +178,7 @@ let prop_ring_roundtrip =
             (0, 0) evs
         in
         t'.header = t.header
+        && Trace_format.events t = evs
         && Trace_format.events t' = evs
         && Trace_format.to_string t' = s
         && Trace_format.alloc_stats t = stats

@@ -182,7 +182,7 @@ let test_detects_reserve_membership_flip () =
 
 let test_inject_drop_barrier_detected () =
   let r, fault = run_injected "drop-barrier:0.002" in
-  check "barriers were dropped" true (fault.Fault.counts.dropped_barriers > 0);
+  check "barriers were dropped" true (Fault.count fault Fault.Drop_barrier > 0);
   check "run flagged" true (not r.ok);
   check "detected as overcount or dangling ref" true
     (result_has_invariant "overcount" r
@@ -190,13 +190,13 @@ let test_inject_drop_barrier_detected () =
 
 let test_inject_skip_decrement_detected () =
   let r, fault = run_injected ~factory:lxr_no_satb "skip-dec:0.05" in
-  check "decrements were skipped" true (fault.Fault.counts.skipped_decrements > 0);
+  check "decrements were skipped" true (Fault.count fault Fault.Skip_decrement > 0);
   check "run flagged" true (not r.ok);
   check "detected as overcount" true (result_has_invariant "overcount" r)
 
 let test_inject_rc_flip_detected () =
   let r, fault = run_injected "rc-flip:0.002" in
-  check "rc entries were flipped" true (fault.Fault.counts.flipped_rc > 0);
+  check "rc entries were flipped" true (Fault.count fault Fault.Flip_rc > 0);
   check "run flagged" true (not r.ok);
   check "detected in the rc cross-check" true
     (result_has_invariant "orphan-count" r
@@ -206,7 +206,7 @@ let test_inject_rc_flip_detected () =
 let test_inject_remset_corruption_detected () =
   let r, fault = run_injected "remset:1.0" in
   check "remset entries were corrupted" true
-    (fault.Fault.counts.corrupted_remsets > 0);
+    (Fault.count fault Fault.Corrupt_remset > 0);
   check "run flagged" true (not r.ok);
   check "detected as out-of-range field" true
     (result_has_invariant "field-in-range" r)
@@ -214,7 +214,7 @@ let test_inject_remset_corruption_detected () =
 let test_inject_alloc_fail_recovers () =
   let r, fault = run_injected "alloc-fail:0.002" in
   check "allocation failures were forced" true
-    (fault.Fault.counts.forced_alloc_failures > 0);
+    (Fault.count fault Fault.Fail_alloc > 0);
   check "run still ok" true r.ok;
   check "no violations" true (r.violations = []);
   check "ladder exercised" true
