@@ -239,19 +239,9 @@ let distill_cmd =
     if names = [] then Cli.die "distill needs at least one collector";
     let lanes = List.map (fun n -> (n, Cli.find_collector n)) names in
     let format = Cli.parse_format format in
-    let ideal = Cli.find_collector "ideal" in
-    let base = Repro_harness.Runner.replay ~trace ~factory:ideal () in
     let rows =
-      List.map
-        (fun (name, factory) ->
-          let r = Repro_harness.Runner.replay ~trace ~factory () in
-          let row =
-            Repro_harness.Report.distill_of ~workload:trace.header.workload
-              ~heap_factor:trace.header.heap_factor r base
-          in
-          if row.Repro_harness.Report.d_error = None then row
-          else { row with Repro_harness.Report.d_collector = name })
-        lanes
+      Repro_harness.Distill.against lanes ~run:(fun factory ->
+          Repro_harness.Runner.replay ~trace ~factory ())
     in
     Cli.print_format format
       ~text:(fun () ->
@@ -259,14 +249,13 @@ let distill_cmd =
           ~title:
             (Printf.sprintf
                "Distilled cost on %s (%s, %d events): real replay minus the\n\
-                exact free-reclamation baseline on the identical mutator work."
+                free-reclamation baseline's replay of the same mutator work."
                path trace.header.workload
                (Trace_format.num_events trace))
           rows)
       ~md:(fun () -> Repro_harness.Report.distill_markdown rows)
       ~json:(fun () -> Repro_harness.Report.distill_json rows);
-    if List.exists (fun r -> r.Repro_harness.Report.d = None) rows || not base.ok
-    then exit 1
+    if not (List.for_all Repro_harness.Distill.ok rows) then exit 1
   in
   let term =
     Term.(const run $ trace_arg $ collectors_arg $ Cli.format_arg)
@@ -275,7 +264,7 @@ let distill_cmd =
     (Cmd.info "distill"
        ~doc:
          "Replay a trace under real collectors and the ideal baseline; \
-          report each collector's exact distilled cost.")
+          report each collector's distilled cost against it.")
     term
 
 let () =

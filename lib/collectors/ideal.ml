@@ -1,4 +1,4 @@
-(* The idealised free-reclamation baseline collector.
+(* The free-reclamation baseline collector of distilled-cost accounting.
 
    Reclamation is semantically a precise mark-sweep(-compact): garbage
    is reclaimed exactly and allocation succeeds for as long as the live
@@ -6,16 +6,18 @@
    time: no pauses are recorded, no GC CPU is charged, there are no
    barriers, and the mutator never stalls (collections triggered from
    the allocation slow path are free). What remains on the clock is the
-   cost any memory manager would pay — the mutator's own work plus the
-   allocator fast/slow paths — which is exactly the baseline the
-   distilled-cost methodology (Cai et al.) subtracts from a real
-   collector's run. A simulator can construct this baseline exactly;
-   real hardware can only bound it.
+   mutator's own work plus the allocator fast/slow paths, the baseline
+   the distilled-cost methodology (Cai et al.) subtracts from a real
+   collector's run.
 
-   It reclaims through the same full-collection kernel as the STW
-   plans ({!Gc_kernels.full_collection}, compacting on the emergency
-   rung). The kernel meters its work into a Trace_cost that is simply
-   dropped: the ideal baseline records no pause and charges no GC CPU. *)
+   It is not the cheapest possible run. [poll] does nothing, so it
+   reclaims only when an allocation fails, through the same
+   full-collection kernel as the STW plans ({!Gc_kernels.full_collection}),
+   which compacts only on the emergency rung. Its heap therefore runs
+   full and fragmented, and its mutator pays allocator slow paths, block
+   acquisitions and zeroing that an evacuating collector's whole free
+   blocks avoid. The kernel meters its work into a Trace_cost that is
+   simply dropped: the baseline records no pause and charges no GC CPU. *)
 
 open Repro_heap
 open Repro_engine

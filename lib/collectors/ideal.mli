@@ -3,10 +3,13 @@
     Semantically a precise mark-sweep(-compact) — garbage is reclaimed
     exactly, so allocation succeeds for as long as the live set fits —
     but at zero virtual cost: no pauses, no GC CPU, no barriers, no
-    allocation stalls. A run under it prices only the work any memory
-    manager would do (mutator compute plus the allocator fast/slow
-    paths), which is the baseline the distilled-cost methodology
-    subtracts from a real collector's run ({!Distill}).
+    allocation stalls. A run under it prices the mutator's compute plus
+    the allocator fast/slow paths, the baseline the distilled-cost
+    methodology subtracts from a real collector's run
+    ([Repro_harness.Distill]). It collects only when an allocation
+    fails, so its heap runs full and fragmented and its allocator pays
+    slow paths an evacuating collector avoids: an estimate of the
+    floor, not the floor.
 
     Named ["ideal"] in the harness's collector table, but excluded from
     differ lockstep: it is a methodological baseline, not a collector

@@ -22,7 +22,7 @@ let all =
     ("lxr-objbar", Repro_lxr.Lxr.factory_object_barrier);
     ("lxr-regions", Repro_lxr.Lxr.factory_regional_evacuation) ]
   @ non_lxr
-  @ [ (ideal, Repro_distill.Ideal.factory) ]
+  @ [ (ideal, C.Ideal.factory) ]
 
 let names = List.map fst all
 

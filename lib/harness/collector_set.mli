@@ -1,7 +1,7 @@
 (** The one collector table: every collector the front ends, the
     experiments and the differ can name, in {!names} order — LXR and its
     variants, the eight other costed collectors, and the ideal
-    free-reclamation baseline ({!Repro_distill.Ideal}). *)
+    free-reclamation baseline ({!Repro_collectors.Ideal}). *)
 
 val all : (string * Repro_engine.Collector.factory) list
 

@@ -726,47 +726,36 @@ let journal_flood opts =
         "WB slow"; "In-pause %"; "Backlog pk" ]
     ~rows ()
 
-(* --- Distilled cost (Cai et al. methodology, exact) ------------------------ *)
-
-let ideal = ("Ideal", Repro_distill.Ideal.factory)
+(* --- Distilled cost (Cai et al. methodology) ------------------------------ *)
 
 (* Every costed collector: LXR and the eight others. *)
 let distill_collectors = lxr :: Collector_set.non_lxr
 
 (* One distilled row per workload and contender, each against the
    workload's ideal baseline run. *)
-let distill_rows opts ~heap_factor ~contenders workloads =
+let distilled_rows opts ~heap_factor ~contenders workloads =
   let one = { opts with iterations = 1 } in
   List.concat_map
     (fun wname ->
-      let w = throughput_mode (Benchmarks.find wname) in
-      let base =
-        List.hd (runs one ~workload:w ~factory:(snd ideal) ~heap_factor ())
-      in
-      List.map
-        (fun (name, factory) ->
-          let r = List.hd (runs one ~workload:w ~factory ~heap_factor ()) in
-          let row = Report.distill_of ~workload:wname ~heap_factor r base in
-          (* A refused heap reports "?" as its collector; keep the
-             contender's name on failed rows. *)
-          if row.Report.d_error = None then row
-          else { row with Report.d_collector = name })
-        contenders)
+      let workload = throughput_mode (Benchmarks.find wname) in
+      Distill.against contenders ~run:(fun factory ->
+          List.hd (runs one ~workload ~factory ~heap_factor ())))
     workloads
 
 let distill opts =
   let rows =
-    distill_rows opts ~heap_factor:2.0 ~contenders:distill_collectors
+    distilled_rows opts ~heap_factor:2.0 ~contenders:distill_collectors
       [ "lusearch"; "jflood"; "fragger"; "phaser" ]
   in
   Report.distill_table
     ~title:
-      "Distilled cost at 2x heap: each collector against the exact\n\
+      "Distilled cost at 2x heap: each collector against the\n\
        free-reclamation baseline (same mutator work, zero reclamation\n\
        cost). Dist = real - ideal wall time; its components are STW\n\
        pauses, concurrent GC CPU, barrier cycles and allocation stalls.\n\
-       The paper's methodology can only bound the baseline on hardware;\n\
-       the simulator constructs it, so these overheads are exact."
+       The baseline collects only when an allocation fails, so its\n\
+       mutator pays allocator slow paths that an evacuating collector\n\
+       avoids: Dist is an estimate, and can be below the row's STW."
     rows
 
 (* --- Online controllers vs static configuration ----------------------------- *)
@@ -782,7 +771,7 @@ let controller opts =
       ("LXR pid", C.lxr_factory ~name:"LXR pid" (parse "pid")) ]
   in
   let rows =
-    distill_rows opts ~heap_factor:1.5 ~contenders [ "fragger"; "phaser" ]
+    distilled_rows opts ~heap_factor:1.5 ~contenders [ "fragger"; "phaser" ]
   in
   Report.distill_table
     ~title:

@@ -72,7 +72,7 @@ val chaos : opts -> string
 val journal_flood : opts -> string
 
 (** Distilled cost: LXR and every other costed collector against the
-    exact free-reclamation baseline on lusearch, jflood and the two
+    free-reclamation baseline on lusearch, jflood and the two
     adversarial workloads, with the cost decomposed into STW,
     concurrent-CPU, barrier and allocation-stall components. *)
 val distill : opts -> string

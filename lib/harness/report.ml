@@ -258,63 +258,29 @@ let fleet_json results =
 
 (* --- Distilled cost ----------------------------------------------------- *)
 
-module Distill = Repro_distill.Distill
-
-let to_distill_run (r : Runner.result) : Distill.run =
-  { collector = r.collector;
-    wall_ns = r.wall_ns;
-    mutator_cpu_ns = r.mutator_cpu_ns;
-    gc_cpu_ns = r.gc_cpu_ns;
-    stw_wall_ns = r.stw_wall_ns;
-    stw_cpu_ns = r.stw_cpu_ns;
-    alloc_stall_ns = r.alloc_stall_ns;
-    barrier_cpu_ns = r.barrier_cpu_ns;
-    pause_count = r.pause_count }
-
-type distill_row = {
-  d_workload : string;
-  d_heap_factor : float;
-  d_error : string option;  (** the real run failed; components absent *)
-  d_collector : string;
-  d : Distill.t option;
-}
-
-let distill_of ~workload ~heap_factor (real : Runner.result)
-    (ideal : Runner.result) =
-  { d_workload = workload;
-    d_heap_factor = heap_factor;
-    d_error = (if real.ok then None else real.error);
-    d_collector = real.collector;
-    d =
-      (if real.ok && ideal.ok then
-         Some
-           (Distill.make ~real:(to_distill_run real)
-              ~ideal:(to_distill_run ideal))
-       else None) }
-
 let distill_header =
   [ "Workload"; "Collector"; "Real ms"; "Ideal ms"; "Dist ms"; "o/h%";
     "CPU ms"; "STW ms"; "Conc ms"; "Barrier ms"; "Stall ms"; "Pauses" ]
 
-let distill_cells row =
-  match row.d with
-  | None ->
-    [ row.d_workload; row.d_collector;
-      "FAILED: " ^ Option.value row.d_error ~default:"unknown";
+let distill_cells (d : Distill.t) =
+  let real = d.real in
+  if not (Distill.ok d) then
+    [ real.workload; Distill.collector d;
+      "FAILED: " ^ Option.value real.error ~default:"unknown";
       "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-" ]
-  | Some d ->
+  else
     let ms v = Printf.sprintf "%.2f" (v /. 1e6) in
-    [ row.d_workload; row.d_collector;
-      ms d.Distill.real.wall_ns;
+    [ real.workload; Distill.collector d;
+      ms real.wall_ns;
       ms d.ideal.wall_ns;
-      ms d.distilled_wall_ns;
+      ms (Distill.distilled_wall_ns d);
       Printf.sprintf "%.1f" (Distill.wall_overhead_pct d);
-      ms d.distilled_cpu_ns;
-      ms d.stw_wall_ns;
-      ms d.concurrent_cpu_ns;
-      ms d.barrier_ns;
-      ms d.distilled_stall_ns;
-      string_of_int d.real.pause_count ]
+      ms (Distill.distilled_cpu_ns d);
+      ms real.stw_wall_ns;
+      ms (Distill.concurrent_cpu_ns d);
+      ms (Distill.barrier_ns d);
+      ms (Distill.distilled_stall_ns d);
+      string_of_int real.pause_count ]
 
 let distill_table ~title rows =
   Repro_util.Table.render ~title ~header:distill_header
@@ -325,7 +291,7 @@ let distill_markdown rows =
     ~rows:(List.map distill_cells rows)
 
 let distill_json rows =
-  let run_json (r : Distill.run) =
+  let run_json (r : Runner.result) =
     Printf.sprintf "{%s}"
       (String.concat ", "
          (List.map field
@@ -339,28 +305,27 @@ let distill_json rows =
               ("barrier_cpu_ns", num r.barrier_cpu_ns);
               ("pause_count", string_of_int r.pause_count) ]))
   in
-  let one row =
+  let one (d : Distill.t) =
     let base =
-      [ ("workload", str row.d_workload);
-        ("collector", str row.d_collector);
-        ("heap_factor", num row.d_heap_factor);
-        ("ok", if row.d = None then "false" else "true");
+      [ ("workload", str d.real.workload);
+        ("collector", str (Distill.collector d));
+        ("heap_factor", num d.real.heap_factor);
+        ("ok", if Distill.ok d then "true" else "false");
         ( "error",
-          match row.d_error with None -> "null" | Some m -> str m ) ]
+          match d.real.error with None -> "null" | Some m -> str m ) ]
     in
     let components =
-      match row.d with
-      | None -> []
-      | Some d ->
-        [ ("real", run_json d.Distill.real);
+      if not (Distill.ok d) then []
+      else
+        [ ("real", run_json d.real);
           ("ideal", run_json d.ideal);
-          ("distilled_wall_ns", num d.distilled_wall_ns);
-          ("distilled_cpu_ns", num d.distilled_cpu_ns);
-          ("distilled_stall_ns", num d.distilled_stall_ns);
-          ("barrier_ns", num d.barrier_ns);
-          ("stw_wall_ns", num d.stw_wall_ns);
-          ("stw_cpu_ns", num d.stw_cpu_ns);
-          ("concurrent_cpu_ns", num d.concurrent_cpu_ns);
+          ("distilled_wall_ns", num (Distill.distilled_wall_ns d));
+          ("distilled_cpu_ns", num (Distill.distilled_cpu_ns d));
+          ("distilled_stall_ns", num (Distill.distilled_stall_ns d));
+          ("barrier_ns", num (Distill.barrier_ns d));
+          ("stw_wall_ns", num d.real.stw_wall_ns);
+          ("stw_cpu_ns", num d.real.stw_cpu_ns);
+          ("concurrent_cpu_ns", num (Distill.concurrent_cpu_ns d));
           ("wall_overhead_pct", num (Distill.wall_overhead_pct d));
           ("cpu_overhead_pct", num (Distill.cpu_overhead_pct d)) ]
     in

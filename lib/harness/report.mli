@@ -27,32 +27,12 @@ val fleet_markdown : Repro_service.Fleet.result list -> string
     nanosecond percentiles. *)
 val fleet_json : Repro_service.Fleet.result list -> string
 
-(** {2 Distilled cost} *)
+(** {2 Distilled cost}
 
-(** Projects a harness result onto the distilled-cost accounting inputs
-    ({!Repro_distill.Distill.run}). *)
-val to_distill_run : Runner.result -> Repro_distill.Distill.run
+    One row per {!Distill.t}, in list order. A failed row names its
+    contender ({!Distill.collector}) and the real run's error, and has
+    no components. *)
 
-(** One (workload, collector) cell of a distilled-cost comparison. [d]
-    is [None] when the real or baseline run failed ([d_error] carries
-    the real run's error). *)
-type distill_row = {
-  d_workload : string;
-  d_heap_factor : float;
-  d_error : string option;
-  d_collector : string;
-  d : Repro_distill.Distill.t option;
-}
-
-(** [distill_of ~workload ~heap_factor real ideal] pairs a real run with
-    its ideal-baseline run (same mutator work). *)
-val distill_of :
-  workload:string ->
-  heap_factor:float ->
-  Runner.result ->
-  Runner.result ->
-  distill_row
-
-val distill_table : title:string -> distill_row list -> string
-val distill_markdown : distill_row list -> string
-val distill_json : distill_row list -> string
+val distill_table : title:string -> Distill.t list -> string
+val distill_markdown : Distill.t list -> string
+val distill_json : Distill.t list -> string

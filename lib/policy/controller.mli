@@ -14,8 +14,9 @@
 
     Objectives: [cost] — the per-epoch collector-attributable time
     (pause wall + barrier CPU + allocation stalls + concurrent GC CPU)
-    per wall ns, an online proxy of the distilled cost ({!Repro_distill});
-    [burn] — an externally supplied SLO burn rate (fleet wiring).
+    per wall ns, an online proxy of the distilled cost
+    ([Repro_harness.Distill]); [burn] — an externally supplied SLO burn
+    rate (fleet wiring).
 
     Every controller input is a simulated metric and all exploration
     randomness is a seeded SplitMix64 stream, so controlled runs stay

@@ -60,40 +60,50 @@ dune exec bin/lxr_fleet.exe -- run -b lusearch -c lxr -k 3 -n 1500 --seed 42 \
   --chaos 'crash@0.3:r0,heap-shrink@0.6x0.7,restart:5us' \
   --retry 'timeout:80ms,max:3,backoff:200us' --slo 'p99.9:10ms' --domains=2
 
+# Runs lxr_fleet with the given arguments at --domains=1 and =2 and
+# fails unless the two reports are byte-identical once the domain count
+# (domains=N in text, "domains": N in JSON) is masked. Each report is
+# written to a file first, so a failing run stops the script; the
+# --domains=1 report stays in "$fleet_dir/1" for the lane's own checks.
+fleet_dir=$(mktemp -d)
+same_across_domains() {
+  lane=$1
+  shift
+  for d in 1 2; do
+    dune exec bin/lxr_fleet.exe -- "$@" --domains="$d" > "$fleet_dir/$d"
+    sed -e 's/domains=[0-9]*/domains=_/' -e 's/"domains": [0-9]*/"domains": _/' \
+      "$fleet_dir/$d" > "$fleet_dir/masked-$d"
+  done
+  cmp "$fleet_dir/masked-1" "$fleet_dir/masked-2" || {
+    echo "ERROR: $lane diverged across --domains" >&2
+    exit 1
+  }
+}
+
 echo "== fleet chaos smoke (seeded crash + restart; bit-identical across domains) =="
 # A fixed-seed chaos schedule kills replica 0 mid-run and relaunches it;
 # the run must complete (exit 0, ok:true), the dead replica must come
 # back (restarts:1), and the full metric set must be bit-identical at
 # --domains=1 vs =2. The JSON embeds the domain count itself, which is
 # the one field allowed to differ.
-chaos_a=$(mktemp) chaos_b=$(mktemp)
-chaos_fleet() {
-  dune exec bin/lxr_fleet.exe -- compare -b lusearch -c "$2" -p gc-aware \
-    -k 3 -n 1500 --seed 42 --domains="$1" \
+for c in lxr journal_rc; do
+  same_across_domains "chaos fleet metrics ($c)" compare -b lusearch -c "$c" \
+    -p gc-aware -k 3 -n 1500 --seed 42 \
     --chaos 'crash@0.3:r0,heap-shrink@0.6x0.7,restart:5us' \
     --retry 'timeout:80ms,max:3,backoff:200us' --slo 'p99.9:10ms' \
-    --format json | sed 's/"domains": [0-9]*/"domains": _/'
-}
-for c in lxr journal_rc; do
-  chaos_fleet 1 "$c" > "$chaos_a"
-  chaos_fleet 2 "$c" > "$chaos_b"
-  grep -q '"ok": true' "$chaos_a" || {
+    --format json
+  grep -q '"ok": true' "$fleet_dir/1" || {
     echo "ERROR: chaos fleet run failed ($c)" >&2
     exit 1
   }
-  grep -q '"restarts": [1-9]' "$chaos_a" || {
+  grep -q '"restarts": [1-9]' "$fleet_dir/1" || {
     echo "ERROR: crashed replica did not restart ($c)" >&2
     exit 1
   }
-  cmp "$chaos_a" "$chaos_b" || {
-    echo "ERROR: chaos fleet metrics diverged across --domains ($c)" >&2
-    exit 1
-  }
 done
-rm -f "$chaos_a" "$chaos_b"
 
 echo "== distilled-cost smoke (corpus replay under real + ideal lanes) =="
-# Every lane must produce exact distilled accounting (or a reported heap
+# Every lane must produce distilled accounting (or a reported heap
 # refusal); a failed ideal baseline or malformed row exits non-zero.
 dune exec bin/lxr_trace.exe -- distill test/corpus/luindex.lxrtrace \
   -c lxr,g1,shenandoah,journal_rc --format json > /dev/null
@@ -110,38 +120,15 @@ echo "== fleet controller (pid on the SLO burn; bit-identical across domains) ==
 # Replicas read the burn rate the fleet publishes between rounds, on
 # whichever domain serves them, so the controlled run must print the
 # same report at --domains=1 and =2 apart from the domain count.
-pid_a=$(mktemp) pid_b=$(mktemp) pid_out=$(mktemp)
-pid_fleet() {
-  dune exec bin/lxr_fleet.exe -- run -b lusearch -c lxr -k 3 -n 1500 \
-    --seed 42 --controller=pid:obj=burn --slo p99.9:10ms --domains="$1" \
-    > "$pid_out"
-  sed 's/domains=[0-9]*/domains=_/' "$pid_out"
-}
-pid_fleet 1 > "$pid_a"
-pid_fleet 2 > "$pid_b"
-cmp "$pid_a" "$pid_b" || {
-  echo "ERROR: pid fleet diverged across --domains" >&2
-  exit 1
-}
-rm -f "$pid_a" "$pid_b" "$pid_out"
+same_across_domains "pid fleet" run -b lusearch -c lxr -k 3 -n 1500 \
+  --seed 42 --controller=pid:obj=burn --slo p99.9:10ms
 
 echo "== busy fleet (multi-replica windows; bit-identical across domains) =="
 # At load 0.9 nearly every window has work on all four replicas, so the
 # rounds are shared between domains through the pool's job handoff; the
 # report must still equal --domains=1 apart from the domain count.
-busy_a=$(mktemp) busy_b=$(mktemp) busy_out=$(mktemp)
-busy_fleet() {
-  dune exec bin/lxr_fleet.exe -- run -b lusearch -c lxr -k 4 -n 3000 \
-    --load 0.9 --seed 42 --domains="$1" > "$busy_out"
-  sed 's/domains=[0-9]*/domains=_/' "$busy_out"
-}
-busy_fleet 1 > "$busy_a"
-busy_fleet 2 > "$busy_b"
-cmp "$busy_a" "$busy_b" || {
-  echo "ERROR: busy fleet diverged across --domains" >&2
-  exit 1
-}
-rm -f "$busy_a" "$busy_b" "$busy_out"
+same_across_domains "busy fleet" run -b lusearch -c lxr -k 4 -n 3000 \
+  --load 0.9 --seed 42
 
 echo "== hedged fleet (retry, hedge and deadline settle; bit-identical across domains) =="
 # A 20 us hedge threshold and a 200 us deadline at load 0.6: thousands
@@ -149,21 +136,10 @@ echo "== hedged fleet (retry, hedge and deadline settle; bit-identical across do
 # land past the deadline, so settle picks winners across replicas and
 # counts timeouts in nearly every window. The report must equal
 # --domains=1 apart from the domain count.
-hedge_a=$(mktemp) hedge_b=$(mktemp) hedge_out=$(mktemp)
-hedged_fleet() {
-  dune exec bin/lxr_fleet.exe -- run -b lusearch -c lxr -k 4 -n 3000 \
-    --load 0.6 -p least-outstanding \
-    --retry 'timeout:200us,max:3,backoff:20us,hedge:20us' --seed 42 \
-    --domains="$1" > "$hedge_out"
-  sed 's/domains=[0-9]*/domains=_/' "$hedge_out"
-}
-hedged_fleet 1 > "$hedge_a"
-hedged_fleet 2 > "$hedge_b"
-cmp "$hedge_a" "$hedge_b" || {
-  echo "ERROR: hedged fleet diverged across --domains" >&2
-  exit 1
-}
-rm -f "$hedge_a" "$hedge_b" "$hedge_out"
+same_across_domains "hedged fleet" run -b lusearch -c lxr -k 4 -n 3000 \
+  --load 0.6 -p least-outstanding \
+  --retry 'timeout:200us,max:3,backoff:20us,hedge:20us' --seed 42
+rm -rf "$fleet_dir"
 
 echo "== trace corpus: injected fault must diverge =="
 if dune exec bin/lxr_trace.exe -- diff test/corpus/luindex.lxrtrace \

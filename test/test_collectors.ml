@@ -289,7 +289,7 @@ let test_registry_lookup () =
     (find "SHENANDOAH" == Repro_collectors.Conc_mark_evac.shenandoah);
   check "finds an LXR variant" true
     (find "lxr-stw" == Repro_lxr.Lxr.factory_stw);
-  check "finds the baseline" true (find "ideal" == Repro_distill.Ideal.factory);
+  check "finds the baseline" true (find "ideal" == Repro_collectors.Ideal.factory);
   (match Set.find "journal_rk" with
   | Ok _ -> Alcotest.fail "typo resolved"
   | Error m ->

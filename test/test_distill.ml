@@ -1,8 +1,10 @@
-(* Tests for the distilled-cost subsystem (lib/distill + the ideal
-   baseline), the online policy controllers (lib/policy), the
-   Lxr_config knob table, and the two adversarial workloads. *)
+(* Tests for the distilled-cost accounting (Repro_harness.Distill, its
+   Report renderers and the ideal baseline, Repro_collectors.Ideal), the
+   online policy controllers (lib/policy), the Lxr_config knob table,
+   and the two adversarial workloads. *)
 
-module Distill = Repro_distill.Distill
+module Distill = Repro_harness.Distill
+module Report = Repro_harness.Report
 module Controller = Repro_policy.Controller
 module Config = Repro_lxr.Lxr_config
 module Runner = Repro_harness.Runner
@@ -12,6 +14,11 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let bench = Repro_mutator.Benchmarks.find
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let corpus =
   [ "corpus/lusearch.lxrtrace"; "corpus/luindex.lxrtrace";
@@ -46,14 +53,10 @@ let replay path name =
     r
 
 let distilled path name =
-  let real = replay path name in
-  let ideal = replay path "ideal" in
-  if real.ok && ideal.ok then
-    Some
-      (Distill.make
-         ~real:(Repro_harness.Report.to_distill_run real)
-         ~ideal:(Repro_harness.Report.to_distill_run ideal))
-  else None
+  let d =
+    { Distill.name; real = replay path name; ideal = replay path "ideal" }
+  in
+  if Distill.ok d then Some d else None
 
 (* --- Ideal baseline ----------------------------------------------------- *)
 
@@ -78,12 +81,14 @@ let test_ideal_registered_not_in_all () =
 (* --- Distilled-cost bounds over the corpus ------------------------------- *)
 
 let bounds_hold (d : Distill.t) =
-  d.distilled_wall_ns >= 0.0
-  && d.distilled_wall_ns <= d.real.wall_ns
-  && d.distilled_cpu_ns >= 0.0
-  && d.distilled_cpu_ns <= Distill.total_cpu d.real
-  && d.distilled_stall_ns >= 0.0
-  && d.barrier_ns >= 0.0
+  let wall = Distill.distilled_wall_ns d in
+  let cpu = Distill.distilled_cpu_ns d in
+  wall >= 0.0
+  && wall <= d.real.wall_ns
+  && cpu >= 0.0
+  && cpu <= Distill.total_cpu d.real
+  && Distill.distilled_stall_ns d >= 0.0
+  && Distill.barrier_ns d >= 0.0
 
 let test_corpus_bounds () =
   let checked = ref 0 in
@@ -114,6 +119,51 @@ let prop_distilled_bounds =
       | None -> true
       | Some d -> bounds_hold d)
 
+(* --- Rows and their renderers ------------------------------------------- *)
+
+(* One row that ran and one refused heap (ZGC's 4 MB minimum), against
+   one shared baseline run. *)
+let test_rows_render () =
+  let workload =
+    { (bench "lusearch") with Repro_mutator.Workload.request = None }
+  in
+  let rows =
+    Distill.against
+      [ ("lxr", find_factory "lxr"); ("zgc", find_factory "zgc") ]
+      ~run:(fun factory ->
+        Runner.run ~seed:7 ~scale:0.02 ~workload ~factory ~heap_factor:2.0 ())
+  in
+  let lxr, zgc =
+    match rows with
+    | [ lxr; zgc ] -> (lxr, zgc)
+    | _ -> Alcotest.fail "one row per contender"
+  in
+  check "both rows share the baseline run" true (lxr.ideal == zgc.ideal);
+  check "the LXR row ran" true (Distill.ok lxr);
+  check "the ZGC row failed" false (Distill.ok zgc);
+  Alcotest.(check string) "a row that ran names its collector" "LXR"
+    (Distill.collector lxr);
+  Alcotest.(check string) "a failed row keeps the contender's name" "zgc"
+    (Distill.collector zgc);
+  let lxr_json, zgc_json =
+    match String.split_on_char '\n' (Report.distill_json rows) with
+    | [ "["; lxr_json; zgc_json; "]"; "" ] -> (lxr_json, zgc_json)
+    | _ -> Alcotest.fail "one JSON line per row"
+  in
+  check "LXR row is ok" true (contains lxr_json {|"ok": true|});
+  check "LXR row carries its real run" true
+    (contains lxr_json {|"real": {"collector": "LXR", |});
+  check "refused row is not ok" true (contains zgc_json {|"ok": false|});
+  check "refused row carries its error" true
+    (contains zgc_json {|"error": "unsupported: ZGC |});
+  check "refused row has no real run" false (contains zgc_json {|"real"|});
+  check "table prints the refusal" true
+    (contains (Report.distill_table ~title:"t" rows)
+       "FAILED: unsupported: ZGC");
+  check "markdown prints the refusal" true
+    (contains (Report.distill_markdown rows)
+       "| zgc | FAILED: unsupported: ZGC")
+
 (* --- Knob table --------------------------------------------------------- *)
 
 let probe () =
@@ -143,13 +193,7 @@ let test_knob_override () =
 let test_knob_validation () =
   (match apply_override "wastage_treshold=0.1" with
   | Ok _ -> Alcotest.fail "typo accepted"
-  | Error e ->
-    let contains s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
-    check "did-you-mean hint" true (contains e "wastage_threshold"));
+  | Error e -> check "did-you-mean hint" true (contains e "wastage_threshold"));
   (match apply_override "wastage_threshold=5.0" with
   | Ok _ -> Alcotest.fail "out-of-range accepted"
   | Error _ -> ());
@@ -209,11 +253,6 @@ let test_controller_parse () =
 
 (* --- Controller beats the static configuration --------------------------- *)
 
-let distilled_of_run (real : Runner.result) (ideal : Runner.result) =
-  Distill.make
-    ~real:(Repro_harness.Report.to_distill_run real)
-    ~ideal:(Repro_harness.Report.to_distill_run ideal)
-
 let test_controller_beats_static () =
   let w = { (bench "phaser") with Repro_mutator.Workload.request = None } in
   let run factory =
@@ -228,12 +267,15 @@ let test_controller_beats_static () =
     run (Controller.lxr_factory spec)
   in
   check "all contenders ran" true (ideal.ok && static.ok && pid.ok);
-  let ds = distilled_of_run static ideal in
-  let dp = distilled_of_run pid ideal in
-  if not (dp.distilled_wall_ns < ds.distilled_wall_ns) then
+  let cost name real =
+    Distill.distilled_wall_ns { Distill.name; real; ideal }
+  in
+  let ds = cost "static" static in
+  let dp = cost "pid" pid in
+  if not (dp < ds) then
     Alcotest.failf
-      "PID controller did not beat static LXR on phaser: %.0f >= %.0f ns"
-      dp.distilled_wall_ns ds.distilled_wall_ns
+      "PID controller did not beat static LXR on phaser: %.0f >= %.0f ns" dp
+      ds
 
 (* --- Adversarial workloads ---------------------------------------------- *)
 
@@ -269,6 +311,7 @@ let suite =
       [ Alcotest.test_case "ideal baseline is free" `Quick test_ideal_is_free;
         Alcotest.test_case "ideal registration" `Quick
           test_ideal_registered_not_in_all;
+        Alcotest.test_case "rows and renderers" `Quick test_rows_render;
         Alcotest.test_case "corpus distilled bounds (exhaustive)" `Slow
           test_corpus_bounds;
         QCheck_alcotest.to_alcotest prop_distilled_bounds ] );
