@@ -256,4 +256,23 @@ dune build --profile release ./test/test_main.exe \
   ./test_main.exe test fleet:golden &&
   ./test_main.exe test engine:hooks)
 
+echo "== experiment outputs and examples (release build) =="
+# Every experiment `lxr_sim list` names, at --scale 0.02 --iterations 2,
+# must print the output whose MD5 test/golden/experiments.digest pins; a
+# changed, missing or extra name fails the diff. Then the examples that
+# no other lane runs must exit 0.
+dune build --profile release ./bin/lxr_sim.exe ./examples/gc_timeline.exe \
+  ./examples/heap_sensitivity.exe ./examples/lusearch_latency.exe \
+  ./examples/linked_list_pathology.exe
+digest=$(mktemp)
+sh scripts/experiments_digest.sh > "$digest"
+diff -u test/golden/experiments.digest "$digest" || {
+  echo "ERROR: experiment output differs from test/golden/experiments.digest" >&2
+  exit 1
+}
+rm -f "$digest"
+for e in gc_timeline heap_sensitivity lusearch_latency linked_list_pathology; do
+  "_build/default/examples/$e.exe" > /dev/null
+done
+
 echo "== ci ok =="
