@@ -51,18 +51,38 @@ let ci_of rs f =
   | [] | [ _ ] -> 0.0
   | ok -> Stats.confidence95_fraction (List.map f ok)
 
-let latency_pctl_ms (r : Runner.result) p =
-  match r.latency with
-  | Some h -> (
-    match Histogram.percentile_opt h p with
-    | Some v -> Float.of_int v /. 1e6
-    | None -> 0.0)
-  | None -> 0.0
+(* Metered request latency percentile [p] in ms; 0.0 for a throughput
+   run. *)
+let latency_ms (r : Runner.result) p =
+  Option.fold ~none:0.0 ~some:(fun h -> Report.pct h p) r.latency
 
-let pause_pctl_ms (r : Runner.result) p =
-  match Histogram.percentile_opt r.pauses p with
-  | Some v -> Float.of_int v /. 1e6
-  | None -> 0.0
+let wall (r : Runner.result) = r.wall_ns
+
+(* Each workload's runs under each collector, workload-major (the run
+   order every grid table uses). [mode] maps each workload before it
+   runs, e.g. to {!throughput_mode}. *)
+let matrix opts ?(mode = Fun.id) ~heap_factor workloads collectors =
+  List.map
+    (fun (w : Workload.t) ->
+      ( w,
+        List.map
+          (fun (name, factory) ->
+            (name, runs opts ~workload:(mode w) ~factory ~heap_factor ()))
+          collectors ))
+    workloads
+
+(* The mean [metric] of [rs] over the mean of [base]: [None] unless both
+   have a successful run and both means are positive. *)
+let relative metric ~base rs =
+  match (mean_of base metric, mean_of rs metric) with
+  | Some b, Some v when b > 0.0 && v > 0.0 -> Some (v /. b)
+  | _ -> None
+
+(* The geometric mean of the ratios that exist. *)
+let geomean_of ratios =
+  match List.filter_map Fun.id ratios with
+  | [] -> None
+  | l -> Some (Stats.geomean l)
 
 let fmt_opt fmt = function None -> "-" | Some v -> Printf.sprintf fmt v
 
@@ -94,10 +114,10 @@ let table1 opts =
         :: fmt_opt "%.0f" (m (fun r -> Runner.qps r /. 1e3))
         :: fmt_opt "%.1f" (m (fun r -> r.wall_ns /. 1e9 *. 1e3))
         :: List.map
-             (fun p -> fmt_opt "%.2f" (m (fun r -> latency_pctl_ms r p)))
+             (fun p -> fmt_opt "%.2f" (m (fun r -> latency_ms r p)))
              [ 50.0; 99.0; 99.9; 99.99 ]
         @ List.map
-            (fun p -> fmt_opt "%.2f" (m (fun r -> pause_pctl_ms r p)))
+            (fun p -> fmt_opt "%.2f" (m (fun r -> Report.pct r.pauses p)))
             [ 50.0; 99.0; 99.9; 99.99 ])
       configs
   in
@@ -159,14 +179,7 @@ let table3 opts =
 (* --- Table 4 / Figure 5 ------------------------------------------------- *)
 
 let latency_matrix opts ~heap_factor =
-  List.map
-    (fun (w : Workload.t) ->
-      ( w,
-        List.map
-          (fun (name, factory) ->
-            (name, runs opts ~workload:w ~factory ~heap_factor ()))
-          production ))
-    Benchmarks.latency_sensitive
+  matrix opts ~heap_factor Benchmarks.latency_sensitive production
 
 let table4 opts =
   let matrix = latency_matrix opts ~heap_factor:1.3 in
@@ -179,12 +192,12 @@ let table4 opts =
               name
               :: List.concat_map
                    (fun p ->
-                     match mean_of rs (fun r -> latency_pctl_ms r p) with
+                     match mean_of rs (fun r -> latency_ms r p) with
                      | None -> [ "-"; "" ]
                      | Some v ->
                        [ Printf.sprintf "%.2f" v;
                          Printf.sprintf "±%.3f"
-                           (ci_of rs (fun r -> latency_pctl_ms r p)) ])
+                           (ci_of rs (fun r -> latency_ms r p)) ])
                    [ 50.0; 99.0; 99.9; 99.99 ])
             per_collector
         in
@@ -208,7 +221,7 @@ let figure5 opts =
               name
               :: List.map
                    (fun p ->
-                     fmt_opt "%.2f" (mean_of rs (fun r -> latency_pctl_ms r p)))
+                     fmt_opt "%.2f" (mean_of rs (fun r -> latency_ms r p)))
                    points)
             per_collector
         in
@@ -229,7 +242,7 @@ let figure5 opts =
               let pts =
                 List.filter_map
                   (fun p ->
-                    match mean_of rs (fun r -> latency_pctl_ms r p) with
+                    match mean_of rs (fun r -> latency_ms r p) with
                     | Some v when v > 0.0 ->
                       Some (-.log10 (1.0 -. (p /. 100.0)), v)
                     | Some _ | None -> None)
@@ -252,57 +265,29 @@ let figure5 opts =
 
 let table5 opts =
   let factors = [ 1.3; 2.0; 6.0 ] in
-  let geo_ratio per_bench =
-    (* Geometric mean of collector/G1 ratios over benchmarks where both
-       succeeded. *)
-    match List.filter_map (fun x -> x) per_bench with
-    | [] -> None
-    | ratios -> Some (Stats.geomean ratios)
-  in
   let rows =
-    List.concat_map
+    List.map
       (fun factor ->
-        let latency_runs =
-          List.map
-            (fun (w : Workload.t) ->
-              List.map
-                (fun (name, factory) ->
-                  (name, runs opts ~workload:w ~factory ~heap_factor:factor ()))
-                production)
-            Benchmarks.latency_sensitive
+        let latency = latency_matrix opts ~heap_factor:factor in
+        let time =
+          matrix { opts with iterations = 1 } ~mode:throughput_mode
+            ~heap_factor:factor Benchmarks.all production
         in
-        let time_runs =
-          List.map
-            (fun (w : Workload.t) ->
-              List.map
-                (fun (name, factory) ->
-                  ( name,
-                    runs { opts with iterations = 1 }
-                      ~workload:(throughput_mode w) ~factory ~heap_factor:factor () ))
-                production)
-            Benchmarks.all
+        (* Geometric mean over benchmarks of the collector's ratio to G1. *)
+        let vs_g1 metric grid name =
+          fmt_opt "%.2f"
+            (geomean_of
+               (List.map
+                  (fun (_, per_collector) ->
+                    relative metric ~base:(List.assoc "G1" per_collector)
+                      (List.assoc name per_collector))
+                  grid))
         in
-        let ratio_for metric per_bench name =
-          geo_ratio
-            (List.map
-               (fun per_collector ->
-                 let value n =
-                   mean_of (List.assoc n per_collector) metric
-                 in
-                 match (value "G1", value name) with
-                 | Some base, Some v when base > 0.0 && v > 0.0 -> Some (v /. base)
-                 | _ -> None)
-               per_bench)
-        in
-        let lat name =
-          ratio_for (fun r -> Float.max 0.001 (latency_pctl_ms r 99.99)) latency_runs name
-        in
-        let time name = ratio_for (fun r -> r.wall_ns) time_runs name in
-        [ [ Printf.sprintf "%.1fx" factor;
-            "1.00"; fmt_opt "%.2f" (lat "LXR"); fmt_opt "%.2f" (lat "Shenandoah");
-            fmt_opt "%.2f" (lat "ZGC");
-            "1.00"; fmt_opt "%.2f" (time "LXR"); fmt_opt "%.2f" (time "Shenandoah");
-            fmt_opt "%.2f" (time "ZGC") ] ])
+        let lat = vs_g1 (fun r -> Float.max 0.001 (latency_ms r 99.99)) latency in
+        let time = vs_g1 wall time in
+        [ Printf.sprintf "%.1fx" factor;
+          "1.00"; lat "LXR"; lat "Shenandoah"; lat "ZGC";
+          "1.00"; time "LXR"; time "Shenandoah"; time "ZGC" ])
       factors
   in
   Table.render
@@ -318,42 +303,25 @@ let table5 opts =
 (* --- Table 6 ------------------------------------------------------------ *)
 
 let table6 opts =
-  let results =
-    List.map
-      (fun (w : Workload.t) ->
-        ( w,
-          List.map
-            (fun (name, factory) ->
-              (name, runs opts ~workload:(throughput_mode w) ~factory ~heap_factor:2.0 ()))
-            production ))
-      Benchmarks.all
+  let grid =
+    matrix opts ~mode:throughput_mode ~heap_factor:2.0 Benchmarks.all production
   in
-  let ratios = Hashtbl.create 8 in
-  let note name v = Hashtbl.replace ratios name (v :: (try Hashtbl.find ratios name with Not_found -> [])) in
+  let contenders = [ "LXR"; "Shenandoah"; "ZGC" ] in
+  let vs_g1 per_collector name =
+    relative wall ~base:(List.assoc "G1" per_collector) (List.assoc name per_collector)
+  in
   let rows =
     List.map
       (fun ((w : Workload.t), per_collector) ->
-        let time name = mean_of (List.assoc name per_collector) (fun r -> r.wall_ns) in
-        let base = time "G1" in
-        let rel name =
-          match (base, time name) with
-          | Some b, Some v when b > 0.0 ->
-            let ratio = v /. b in
-            note name ratio;
-            Printf.sprintf "%.3f" ratio
-          | _ -> "-"
-        in
-        [ w.name;
-          fmt_opt "%.1f" (Option.map (fun v -> v /. 1e6) base);
-          rel "LXR"; rel "Shenandoah"; rel "ZGC" ])
-      results
+        let g1_ms = Option.map (fun v -> v /. 1e6) (mean_of (List.assoc "G1" per_collector) wall) in
+        w.name :: fmt_opt "%.1f" g1_ms
+        :: List.map (fun name -> fmt_opt "%.3f" (vs_g1 per_collector name)) contenders)
+      grid
   in
   let geo name =
-    match Hashtbl.find_opt ratios name with
-    | Some (_ :: _ as l) -> Printf.sprintf "%.3f" (Stats.geomean l)
-    | Some [] | None -> "-"
+    fmt_opt "%.3f" (geomean_of (List.map (fun (_, pc) -> vs_g1 pc name) grid))
   in
-  let rows = rows @ [ [ "geomean"; ""; geo "LXR"; geo "Shenandoah"; geo "ZGC" ] ] in
+  let rows = rows @ [ "geomean" :: "" :: List.map geo contenders ] in
   Table.render
     ~title:
       "Table 6: throughput at 2x heap — G1 time (sim ms) and relative time\n\
@@ -369,21 +337,20 @@ let table7 opts =
       ("-LD", Repro_lxr.Lxr.factory_no_lazy_decrements);
       ("STW", Repro_lxr.Lxr.factory_stw) ]
   in
-  let one = { opts with iterations = 1 } in
+  let grid =
+    matrix { opts with iterations = 1 } ~mode:throughput_mode ~heap_factor:2.0
+      Benchmarks.all (lxr :: variants)
+  in
   let rows =
     List.map
-      (fun (w : Workload.t) ->
-        let w = throughput_mode w in
-        let base_rs = runs one ~workload:w ~factory:(snd lxr) ~heap_factor:2.0 () in
-        match ok_runs base_rs with
+      (fun ((w : Workload.t), per_collector) ->
+        let base = List.assoc "LXR" per_collector in
+        match ok_runs base with
         | [] -> [ w.name; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-"; "-" ]
         | r :: _ ->
           let time_ms = r.wall_ns /. 1e6 in
-          let variant_ratio (_, factory) =
-            let rs = runs one ~workload:w ~factory ~heap_factor:2.0 () in
-            match mean_of rs (fun r' -> r'.wall_ns) with
-            | Some v when r.wall_ns > 0.0 -> Printf.sprintf "%.2f" (v /. r.wall_ns)
-            | Some _ | None -> "-"
+          let vs_lxr (name, _) =
+            fmt_opt "%.2f" (relative wall ~base (List.assoc name per_collector))
           in
           (* Every column reads an LXR counter: a missing one is a renamed
              key, not a zero. *)
@@ -420,10 +387,10 @@ let table7 opts =
           in
           [ w.name;
             Printf.sprintf "%.1f" time_ms ]
-          @ List.map variant_ratio variants
+          @ List.map vs_lxr variants
           @ [ Printf.sprintf "%.1f" pauses_per_s;
-              Printf.sprintf "%.2f" (pause_pctl_ms r 50.0);
-              Printf.sprintf "%.2f" (pause_pctl_ms r 95.0);
+              Printf.sprintf "%.2f" (Report.pct r.pauses 50.0);
+              Printf.sprintf "%.2f" (Report.pct r.pauses 95.0);
               Printf.sprintf "%.0f" satb_pct;
               Printf.sprintf "%.0f" lazy_pct;
               Printf.sprintf "%.0f" inc_per_ms;
@@ -433,7 +400,7 @@ let table7 opts =
               pct (s "satb_reclaimed");
               Printf.sprintf "%.1f" stuck;
               Printf.sprintf "%.1f" yc ])
-      Benchmarks.all
+      grid
   in
   Table.render
     ~title:
@@ -456,56 +423,56 @@ let figure7 opts =
       ("Semispace", Repro_collectors.Semispace.factory) ]
   in
   let shown = [ "Serial"; "Parallel"; "G1"; "Shenandoah"; "ZGC"; "LXR" ] in
-  let one = { opts with iterations = 1 } in
   (* One run per heap factor, benchmark and collector, read by both
      panels. *)
-  let matrix =
+  let grids =
     List.map
       (fun factor ->
-        let bench_runs (w : Workload.t) =
-          List.map
-            (fun (name, factory) ->
-              let w = throughput_mode w in
-              (name, List.hd (runs one ~workload:w ~factory ~heap_factor:factor ())))
-            collectors
-        in
-        (factor, List.map bench_runs Benchmarks.all))
+        ( factor,
+          matrix { opts with iterations = 1 } ~mode:throughput_mode
+            ~heap_factor:factor Benchmarks.all collectors ))
       factors
   in
   let table metric label =
-    let chart_series = Hashtbl.create 8 in
+    let mean_overhead grid name =
+      let overheads =
+        List.filter_map
+          (fun (_, per_collector) ->
+            Option.bind
+              (Lbo.baseline metric (List.concat_map snd per_collector))
+              (fun baseline ->
+                Lbo.overhead metric ~baseline
+                  (List.hd (List.assoc name per_collector))))
+          grid
+      in
+      if overheads = [] then None else Some (Stats.mean overheads)
+    in
+    (* Each shown collector's mean LBO over the benchmarks, per factor:
+       the cells of the rows and the points of the chart. *)
+    let cells =
+      List.map
+        (fun (factor, grid) ->
+          (factor, List.map (fun name -> (name, mean_overhead grid name)) shown))
+        grids
+    in
     let rows =
       List.map
-        (fun (factor, per_bench) ->
+        (fun (factor, row) ->
           Printf.sprintf "%.1fx" factor
-          :: List.map
-               (fun name ->
-                 let overheads =
-                   List.filter_map
-                     (fun bench_runs ->
-                       match Lbo.baseline metric (List.map snd bench_runs) with
-                       | None -> None
-                       | Some base ->
-                         Lbo.overhead metric ~baseline:base (List.assoc name bench_runs))
-                     per_bench
-                 in
-                 match overheads with
-                 | [] -> "-"
-                 | l ->
-                   let m = Stats.mean l in
-                   Hashtbl.replace chart_series name
-                     ((factor, m)
-                     :: (try Hashtbl.find chart_series name with Not_found -> []));
-                   Printf.sprintf "%.2f" m)
-               shown)
-        matrix
+          :: List.map (fun (_, m) -> fmt_opt "%.2f" m) row)
+        cells
     in
     let series =
       List.filter_map
         (fun name ->
-          match Hashtbl.find_opt chart_series name with
-          | Some (_ :: _ as pts) -> Some (name, List.rev pts)
-          | Some [] | None -> None)
+          match
+            List.filter_map
+              (fun (factor, row) ->
+                Option.map (fun m -> (factor, m)) (List.assoc name row))
+              cells
+          with
+          | [] -> None
+          | pts -> Some (name, pts))
         shown
     in
     let chart =
@@ -537,23 +504,16 @@ let sensitivity opts =
   in
   (* Default LXR at 2x, run once per benchmark: every row's baseline. *)
   let baselines =
-    List.map
-      (fun (w : Workload.t) ->
-        let w = throughput_mode w in
-        (w, runs one ~workload:w ~factory:(snd lxr) ~heap_factor:2.0 ()))
-      Benchmarks.all
+    matrix one ~mode:throughput_mode ~heap_factor:2.0 Benchmarks.all [ lxr ]
   in
   let geomean_time ?heap_config ?(factory = snd lxr) () =
-    let ratios =
-      List.filter_map
-        (fun (w, base) ->
-          let v = runs one ?heap_config ~workload:w ~factory ~heap_factor:2.0 () in
-          match (mean_of base (fun r -> r.wall_ns), mean_of v (fun r -> r.wall_ns)) with
-          | Some b, Some x when b > 0.0 && x > 0.0 -> Some (x /. b)
-          | _ -> None)
-        baselines
-    in
-    match ratios with [] -> None | l -> Some (Stats.geomean l)
+    geomean_of
+      (List.map
+         (fun (w, per_collector) ->
+           relative wall ~base:(List.assoc "LXR" per_collector)
+             (runs one ?heap_config ~workload:(throughput_mode w) ~factory
+                ~heap_factor:2.0 ()))
+         baselines)
   in
   let fixed_trigger =
     Repro_lxr.Lxr.factory_with ~name:"LXR fixed-trigger"
@@ -682,19 +642,22 @@ let journal_flood opts =
      is the share of the records folded inside the measurement window
      that pauses folded; a pause can catch up records journaled before
      the window opened, so [journal_records] is not the denominator. *)
+  let grid =
+    matrix opts ~mode:throughput_mode ~heap_factor:2.0
+      (List.map Benchmarks.find [ "lusearch"; "jflood" ])
+      [ g1; lxr; shenandoah; journal_rc ]
+  in
   let rows =
     List.concat_map
-      (fun wname ->
-        let w = throughput_mode (Benchmarks.find wname) in
+      (fun ((w : Workload.t), per_collector) ->
         List.map
-          (fun (cname, factory) ->
-            let rs = runs opts ~workload:w ~factory ~heap_factor:2.0 () in
+          (fun (cname, rs) ->
             let m f = mean_of rs f in
             (* Read only where [mean_stat] found the counter in every
                successful run. *)
             let get k r = Option.get (Runner.stat r k) in
             let folded r = get "pause_records" r +. get "conc_records" r in
-            [ wname;
+            [ w.name;
               cname;
               fmt_opt "%.1f" (m (fun r -> r.Runner.wall_ns /. 1e6));
               fmt_opt "%.1f" (m (fun r -> r.Runner.gc_cpu_ns /. 1e6));
@@ -709,8 +672,8 @@ let journal_flood opts =
               (match mean_stat rs "journal_records" with
               | Some j when j > 0.0 -> fmt_opt "%.0f" (mean_stat rs "backlog_peak")
               | Some _ | None -> "-") ])
-          [ g1; lxr; shenandoah; journal_rc ])
-      [ "lusearch"; "jflood" ]
+          per_collector)
+      grid
   in
   Table.render
     ~title:

@@ -3,8 +3,14 @@
     Each function runs the required (workload x collector x heap) matrix
     and renders a paper-style text table, annotated with the published
     values where the paper reports them, so shape can be compared
-    directly. All randomness is seeded; [iterations] controls how many
-    seeds feed the confidence intervals. *)
+    directly. The collector comparisons share one run grid (each
+    workload's runs under each collector, workload-major) and one
+    baseline ratio (a collector's mean metric over the baseline's, e.g.
+    G1 in Tables 5 and 6 and default LXR in Table 7 and the sensitivity
+    study, geomeaned over the workloads where both ran). All randomness
+    is seeded; [iterations] controls how many seeds feed the confidence
+    intervals. [test/golden/experiments.digest] pins every generator's
+    output at [--scale 0.02 --iterations 2]. *)
 
 type opts = {
   scale : float;  (** workload scale factor (allocation volume / requests) *)

@@ -6,8 +6,9 @@
     verifier extras. *)
 val print_result : Runner.result -> unit
 
-(** The ladder/verifier/violation tail of {!print_result} alone. *)
-val print_extras : Runner.result -> unit
+(** [pct h p] is percentile [p] of the nanosecond histogram [h], in
+    milliseconds; 0.0 when [h] is empty. *)
+val pct : Repro_util.Histogram.t -> float -> float
 
 (** [print_fleet r] — one fleet run: admission counters, end-to-end
     latency and queueing percentiles (microseconds), diversions, and a
