@@ -1,8 +1,16 @@
-let pad ~left width s =
-  let n = String.length s in
-  if n >= width then s
+(* Display width in code points: the UTF-8 bytes that are not
+   continuation bytes (0b10xxxxxx), so a two-byte "±" or "§" counts as
+   one column. *)
+let width s =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
+  !n
+
+let pad ~left w s =
+  let n = width s in
+  if n >= w then s
   else begin
-    let fill = String.make (width - n) ' ' in
+    let fill = String.make (w - n) ' ' in
     if left then s ^ fill else fill ^ s
   end
 
@@ -12,10 +20,9 @@ let render ~title ~header ~rows () =
     (fun row ->
       if List.length row <> ncols then invalid_arg "Table.render: ragged rows")
     rows;
-  let widths = Array.of_list (List.map String.length header) in
+  let widths = Array.of_list (List.map width header) in
   List.iter
-    (List.iteri (fun i cell ->
-         if String.length cell > widths.(i) then widths.(i) <- String.length cell))
+    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (width cell)))
     rows;
   let buf = Buffer.create 1024 in
   let line ch =

@@ -449,6 +449,24 @@ let test_table_render () =
   Alcotest.(check string) "markdown" "| a | b |\n| --- | --- |\n| x | 1 |\n"
     (Table.markdown ~header:[ "a"; "b" ] ~rows:[ [ "x"; "1" ] ])
 
+(* "±" and "§" are two bytes each in UTF-8; cells holding them pad by
+   code points, so every rule and row is as wide as the others. *)
+let test_table_utf8_width () =
+  let s =
+    Table.render ~title:"T" ~header:[ "Configuration"; "p50"; "" ]
+      ~rows:[ [ "barrier (§3.4)"; "1.00"; "±0.000" ]; [ "default"; "2.00"; "" ] ]
+      ()
+  in
+  let code_points l =
+    String.fold_left
+      (fun n c -> if Char.code c land 0xC0 = 0x80 then n else n + 1)
+      0 l
+  in
+  match List.filter (fun l -> l <> "") (String.split_on_char '\n' s) with
+  | _title :: (first :: _ as lines) ->
+    List.iter (fun l -> check_int l (code_points first) (code_points l)) lines
+  | _ -> Alcotest.fail "table has no lines"
+
 let test_table_ragged () =
   Alcotest.check_raises "ragged" (Invalid_argument "Table.render: ragged rows")
     (fun () ->
@@ -572,4 +590,5 @@ let suite =
         Alcotest.test_case "single point" `Quick test_chart_single_point ] );
     ( "util:table",
       [ Alcotest.test_case "render" `Quick test_table_render;
+        Alcotest.test_case "utf-8 width" `Quick test_table_utf8_width;
         Alcotest.test_case "ragged" `Quick test_table_ragged ] ) ]
