@@ -3,6 +3,7 @@
    online policy controllers (lib/policy), the Lxr_config knob table,
    and the two adversarial workloads. *)
 
+open Test_support
 module Distill = Repro_harness.Distill
 module Report = Repro_harness.Report
 module Controller = Repro_policy.Controller
@@ -14,11 +15,6 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let bench = Repro_mutator.Benchmarks.find
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let corpus =
   [ "corpus/lusearch.lxrtrace"; "corpus/luindex.lxrtrace";

@@ -16,6 +16,7 @@
    the path it is named after fired. *)
 
 open Repro_harness
+open Test_support
 module Fleet = Repro_service.Fleet
 
 (* Field encoders shared by both digests. *)
@@ -176,11 +177,6 @@ let fleet ?(workload = lusearch) ?(factory = lxr) ?(replicas = 3)
     (Fleet.config ~replicas ~requests ~load ?policy ?heap_factor ?queue_limit
        ?quantum_ns ?domains ?verify ?chaos ?retry ?slo ?autoscale ?on_burn
        ~workload ~factory ())
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 (* A scenario that must fail with an error naming [what]. *)
 let rejects what (r : Fleet.result) =

@@ -2,6 +2,7 @@
    generators (smoke-level, tiny scales). *)
 
 open Repro_harness
+open Test_support
 
 let check = Alcotest.(check bool)
 let check_float = Alcotest.(check (float 1e-9))
@@ -131,11 +132,6 @@ let test_experiment_names () =
     (fun n -> check (n ^ " resolvable") true (Experiments.by_name n <> None))
     Experiments.names;
   check "unknown" true (Experiments.by_name "table9" = None)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_table1_smoke () =
   let s = Experiments.table1 tiny in

@@ -5,6 +5,7 @@
    retry policy, SLO burn monitoring and the autoscaler. *)
 
 open Repro_service
+open Test_support
 module Histogram = Repro_util.Histogram
 
 let check = Alcotest.(check bool)
@@ -43,11 +44,6 @@ let test_policy_names () =
       check (name ^ " case-insensitive") true
         (Policy.of_string (String.uppercase_ascii name) = Ok p))
     Policy.all
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_policy_suggestion () =
   match Policy.of_string "gc-awre" with

@@ -6,6 +6,7 @@
    hint. A fixed-budget seed for a spec-parser fuzzer. *)
 
 open Repro_util
+open Test_support
 
 let check = Alcotest.(check bool)
 
@@ -15,8 +16,6 @@ let occurrences s sub =
     if i + m > n then acc else go (i + 1) (if String.sub s i m = sub then acc + 1 else acc)
   in
   go 0 0
-
-let contains s sub = occurrences s sub > 0
 
 let ignore_ok r = Result.map ignore r
 let lookup find s = ignore_ok (find s)

@@ -5,6 +5,7 @@
    the did-you-mean name resolution. *)
 
 open Repro_trace
+open Test_support
 module Tracer = Repro_engine.Tracer
 
 let check = Alcotest.(check bool)
@@ -685,22 +686,17 @@ let test_suggest () =
   check_string "hint rendering" " (did you mean \"g1\"?)"
     (Repro_util.Suggest.hint ~candidates:[ "g1"; "zgc" ] "g2")
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 let test_unknown_names () =
   (match Repro_harness.Collector_set.find "shenandoa" with
   | Ok _ -> Alcotest.fail "accepted bad collector"
   | Error msg ->
     check "collector suggestion" true
-      (contains ~needle:"did you mean \"shenandoah\"" msg));
+      (contains msg "did you mean \"shenandoah\""));
   match Repro_harness.Collector_set.find_workload "luindx" with
   | Ok _ -> Alcotest.fail "accepted bad workload"
   | Error msg ->
     check "workload suggestion" true
-      (contains ~needle:"did you mean \"luindex\"" msg)
+      (contains msg "did you mean \"luindex\"")
 
 let suite =
   [ ( "trace:format",

@@ -1,6 +1,7 @@
 (* Unit and property tests for Repro_util. *)
 
 open Repro_util
+open Test_support
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -482,14 +483,9 @@ let test_chart_renders () =
   in
   check "title" true (String.length s > 0 && s.[0] = 'T');
   check "legend a" true (String.length s > 0);
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  check "glyph a" true (contains "*=a");
-  check "glyph b" true (contains "o=b");
-  check "axis" true (contains "+-")
+  check "glyph a" true (contains s "*=a");
+  check "glyph b" true (contains s "o=b");
+  check "axis" true (contains s "+-")
 
 let test_chart_log_scale () =
   let s =
@@ -497,12 +493,7 @@ let test_chart_log_scale () =
       ~series:[ ("a", [ (0.0, 1.0); (1.0, 1000.0) ]) ]
       ()
   in
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  check "log annotated" true (contains "log scale")
+  check "log annotated" true (contains s "log scale")
 
 let test_chart_errors () =
   check "empty raises" true

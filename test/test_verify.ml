@@ -9,6 +9,7 @@
 
 open Repro_heap
 open Repro_engine
+open Test_support
 module Verifier = Repro_verify.Verifier
 module Runner = Repro_harness.Runner
 
@@ -414,14 +415,9 @@ let test_runner_reports_oom () =
       ~factory:Repro_collectors.Mark_sweep.serial ~heap_factor:0.3 ()
   in
   check "not ok" true (not r.ok);
-  let contains ~sub s =
-    let n = String.length sub and m = String.length s in
-    let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   check "error mentions memory" true
     (match r.error with
-    | Some msg -> contains ~sub:"memory" (String.lowercase_ascii msg)
+    | Some msg -> contains (String.lowercase_ascii msg) "memory"
     | None -> false)
 
 (* --- Session plumbing ---------------------------------------------------- *)
