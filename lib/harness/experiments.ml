@@ -308,18 +308,23 @@ let table6 opts =
   in
   let contenders = [ "LXR"; "Shenandoah"; "ZGC" ] in
   let vs_g1 per_collector name =
-    relative wall ~base:(List.assoc "G1" per_collector) (List.assoc name per_collector)
+    relative wall ~base:(List.assoc "G1" per_collector)
+      (List.assoc name per_collector)
   in
   let rows =
     List.map
       (fun ((w : Workload.t), per_collector) ->
-        let g1_ms = Option.map (fun v -> v /. 1e6) (mean_of (List.assoc "G1" per_collector) wall) in
-        w.name :: fmt_opt "%.1f" g1_ms
-        :: List.map (fun name -> fmt_opt "%.3f" (vs_g1 per_collector name)) contenders)
+        let g1 = List.assoc "G1" per_collector in
+        w.name
+        :: fmt_opt "%.1f" (Option.map (fun v -> v /. 1e6) (mean_of g1 wall))
+        :: List.map
+             (fun name -> fmt_opt "%.3f" (vs_g1 per_collector name))
+             contenders)
       grid
   in
   let geo name =
-    fmt_opt "%.3f" (geomean_of (List.map (fun (_, pc) -> vs_g1 pc name) grid))
+    fmt_opt "%.3f"
+      (geomean_of (List.map (fun (_, per_collector) -> vs_g1 per_collector name) grid))
   in
   let rows = rows @ [ "geomean" :: "" :: List.map geo contenders ] in
   Table.render
