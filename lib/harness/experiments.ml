@@ -274,7 +274,7 @@ let table5 opts =
             ~heap_factor:factor Benchmarks.all production
         in
         (* Geometric mean over benchmarks of the collector's ratio to G1. *)
-        let vs_g1 metric grid name =
+        let geomean_vs_g1 metric grid name =
           fmt_opt "%.2f"
             (geomean_of
                (List.map
@@ -283,8 +283,10 @@ let table5 opts =
                       (List.assoc name per_collector))
                   grid))
         in
-        let lat = vs_g1 (fun r -> Float.max 0.001 (latency_ms r 99.99)) latency in
-        let time = vs_g1 wall time in
+        let lat =
+          geomean_vs_g1 (fun r -> Float.max 0.001 (latency_ms r 99.99)) latency
+        in
+        let time = geomean_vs_g1 wall time in
         [ Printf.sprintf "%.1fx" factor;
           "1.00"; lat "LXR"; lat "Shenandoah"; lat "ZGC";
           "1.00"; time "LXR"; time "Shenandoah"; time "ZGC" ])
