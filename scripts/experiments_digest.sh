@@ -13,6 +13,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 exe=_build/default/bin/lxr_sim.exe
+[ -x "$exe" ] || {
+  echo "experiments_digest.sh: $exe is not built" >&2
+  exit 1
+}
 names=$("$exe" list | sed -n '/^experiments:/,$s/^  //p')
 for name in $names; do
   # Each experiment's output goes to a file first, so a failing run
